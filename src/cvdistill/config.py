@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .channel import ChannelLevel, FluctuatingChannel
@@ -47,11 +48,20 @@ def _require_keys(d: dict, allowed, context: str, required=()):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {context}")
 
 
+def _finite(val, what: str) -> float:
+    """``val`` as a float; rejects non-numbers, NaN and +-Infinity (which json accepts)."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            out = float(val)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ConfigError(f"{what} must be a finite number, got {val!r}")
+
+
 def _number(d: dict, key: str, context: str, default=None):
-    val = d.get(key, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{context}.{key} must be a number, got {val!r}")
-    return float(val)
+    return _finite(d.get(key, default), f"{context}.{key}")
 
 
 def _integer(d: dict, key: str, context: str, default=None):
@@ -205,11 +215,7 @@ class TapSettings:
         thresholds = d.get("thresholds", list(DEFAULT_THRESHOLDS))
         if not isinstance(thresholds, list) or not thresholds:
             raise ConfigError("tap.thresholds must be a non-empty list")
-        ths = []
-        for i, th in enumerate(thresholds):
-            if not isinstance(th, (int, float)) or isinstance(th, bool):
-                raise ConfigError(f"tap.thresholds[{i}] must be a number, got {th!r}")
-            ths.append(float(th))
+        ths = [_finite(th, f"tap.thresholds[{i}]") for i, th in enumerate(thresholds)]
         return cls(reflectivity=reflectivity, thresholds=ths)
 
     def to_dict(self) -> dict:

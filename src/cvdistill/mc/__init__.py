@@ -9,6 +9,7 @@ from .engine import (
     kernel_backend,
     ln_with_se,
     run_mc,
+    run_mc_sweep,
     sample_level,
     sample_phase_point,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "kernel_backend",
     "ln_with_se",
     "run_mc",
+    "run_mc_sweep",
     "sample_level",
     "sample_phase_point",
 ]

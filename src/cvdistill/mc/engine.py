@@ -6,6 +6,15 @@ quadrature, and accumulates streaming statistics and histograms. Sampling
 the joint Gaussian is exact for every statistic reported here because each
 measured set involves at most one quadrature per mode.
 
+One pass over the shots serves a whole threshold sweep. The sorted
+thresholds t_0 < ... < t_top cut the tap X axis into strata
+[t_j, t_{j+1}) and [t_top, inf); each shot at or above t_0 updates the
+moments, post-selection histograms and per-level counts of its own stratum
+only. The statistics kept at threshold t_j are then the merge of strata
+j..top (Chan's update for the moments, sums for the counts), so a sweep
+costs one threshold's sampling however many thresholds it has, and its
+counts and histograms equal those of separate runs at each threshold.
+
 Shots are processed in fixed-size chunks; the chunk loop delegates to a
 compiled kernel when available and to a numpy fallback otherwise. Results
 are reproducible: a given (mixture, config) pair yields identical output
@@ -43,6 +52,7 @@ __all__ = [
     "sample_phase_point",
     "histogram",
     "run_mc",
+    "run_mc_sweep",
     "ln_with_se",
 ]
 
@@ -168,15 +178,34 @@ def _prepare_components(mixture3: MixtureState):
     return cum, means, chols
 
 
-def _run_shard(cum, means, chols, n_shots, threshold, n_bins, hist_range, seed_seq, kernel_name):
+def _run_shard(cum, means, chols, n_shots, thresholds, n_bins, hist_range, seed_seq, kernel_name):
+    """Sample one shard and accumulate its shots by tap-X stratum.
+
+    ``thresholds`` is sorted and free of duplicates. Stratum j holds the
+    shots with thresholds[j] <= X_tap < thresholds[j + 1]; the top stratum
+    has no upper edge. Each chunk makes one kernel call at the top threshold,
+    which also fills the pre-selection histograms for every shot; the shots
+    of the lower strata are then gathered, grouped by stratum, and each
+    group goes through the same kernel at its own threshold, where every
+    shot passes. With one threshold no shot is gathered.
+
+    Returns the per-stratum moments as a list of (count, mean, M2), the
+    pre-selection histograms (5, n_bins), and the per-stratum
+    post-selection histograms (n_strata, 5, n_bins) and per-level kept
+    counts (n_strata, n_levels).
+    """
     kernel = _resolve_kernel(kernel_name)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     n_levels = cum.shape[0]
     level_ids = np.arange(n_levels)
+    top = thresholds.shape[0] - 1
     hist_pre = np.zeros((5, n_bins), dtype=np.int64)
-    hist_post = np.zeros((5, n_bins), dtype=np.int64)
-    per_level_kept = np.zeros(n_levels, dtype=np.int64)
-    acc = CovarianceAccumulator(N_FEATURES)
+    # Pre-selection counts of the second kernel pass over gathered shots;
+    # hist_pre already holds them, so these are thrown away.
+    hist_pre_gathered = np.zeros((5, n_bins), dtype=np.int64)
+    hist_post = np.zeros((top + 1, 5, n_bins), dtype=np.int64)
+    per_level_kept = np.zeros((top + 1, n_levels), dtype=np.int64)
+    accs = [CovarianceAccumulator(N_FEATURES) for _ in range(top + 1)]
     done = 0
     while done < n_shots:
         m = int(min(CHUNK_SHOTS, n_shots - done))
@@ -194,12 +223,28 @@ def _run_shard(cum, means, chols, n_shots, threshold, n_bins, hist_range, seed_s
                 x[pos : pos + c] += means[i]
                 pos += c
         levels = np.repeat(level_ids, counts)
-        n_kept, mean, m2 = kernel.accumulate_chunk(
-            x, levels, threshold, hist_range, n_bins, hist_pre, hist_post, per_level_kept
-        )
-        acc.merge_moments(n_kept, mean, m2)
+        accs[top].merge_moments(*kernel.accumulate_chunk(
+            x, levels, thresholds[top], hist_range, n_bins,
+            hist_pre, hist_post[top], per_level_kept[top],
+        ))
+        if top:
+            tap = x[:, 4]
+            rows = np.flatnonzero((tap >= thresholds[0]) & (tap < thresholds[top]))
+            strata = np.searchsorted(thresholds, tap[rows], side="right") - 1
+            order = np.argsort(strata, kind="stable")
+            rows = rows[order]
+            starts = np.searchsorted(strata[order], np.arange(top + 1))
+            x_lower, levels_lower = x[rows], levels[rows]
+            for j in range(top):
+                a, b = starts[j], starts[j + 1]
+                if b > a:
+                    accs[j].merge_moments(*kernel.accumulate_chunk(
+                        x_lower[a:b], levels_lower[a:b], thresholds[j], hist_range, n_bins,
+                        hist_pre_gathered, hist_post[j], per_level_kept[j],
+                    ))
         done += m
-    return acc.count, acc.mean, acc.m2, hist_pre, hist_post, per_level_kept
+    moments = [(acc.count, acc.mean, acc.m2) for acc in accs]
+    return moments, hist_pre, hist_post, per_level_kept
 
 
 def _shard_worker(args):
@@ -209,6 +254,7 @@ def _shard_worker(args):
 def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
     """Run the Monte Carlo pipeline on a three-mode (A, B, Tap) mixture.
 
+    One threshold, ``config.threshold_x``, of :func:`run_mc_sweep`.
     ``kernel`` optionally forces the 'python' or 'compiled' backend
     (used by the kernel benchmark and parity tests).
 
@@ -218,8 +264,40 @@ def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
         If fewer than two shots pass the threshold; the exception carries
         the pre-selection statistics in its ``pre_stats`` attribute.
     """
+    (result,) = run_mc_sweep(mixture3, config, [config.threshold_x], kernel=kernel)
+    if isinstance(result, DegenerateSelectionError):
+        raise result
+    return result
+
+
+def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds, kernel=None) -> list:
+    """Run the Monte Carlo pipeline once for every threshold in ``thresholds``.
+
+    All thresholds share one pass over the ``config.n_shots`` shots (see
+    the module docstring); ``config.threshold_x`` is not used. The result
+    at each threshold has the counts and histograms of a separate
+    :func:`run_mc` at that threshold with the same config, and its moments
+    differ from that run's only by float reassociation.
+
+    Returns one entry per input threshold, in input order (duplicates
+    included): an :class:`McResult`, or, where fewer than two shots pass,
+    the :class:`DegenerateSelectionError` that :func:`run_mc` would raise,
+    with its ``pre_stats``. ``kernel`` is as for :func:`run_mc`.
+
+    Raises
+    ------
+    ValueError
+        If the mixture is not three-mode, or ``thresholds`` is empty or
+        holds a non-finite value.
+    """
     if mixture3.n_modes != 3:
         raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.ndim != 1 or thresholds.size == 0:
+        raise ValueError("thresholds must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
+    grid, grid_index = np.unique(thresholds, return_inverse=True)
     kernel_mod = _resolve_kernel(kernel)
     cum, means, chols = _prepare_components(mixture3)
     n_workers = config.n_workers
@@ -227,7 +305,7 @@ def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
     base, rem = divmod(config.n_shots, n_workers)
     shard_sizes = [base + (1 if w < rem else 0) for w in range(n_workers)]
     jobs = [
-        (cum, means, chols, shard_sizes[w], config.threshold_x,
+        (cum, means, chols, shard_sizes[w], grid,
          config.histogram_bins, config.histogram_range, children[w], kernel_mod.BACKEND)
         for w in range(n_workers)
         if shard_sizes[w] > 0
@@ -238,17 +316,35 @@ def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outs = list(pool.map(_shard_worker, jobs))
 
-    acc = CovarianceAccumulator(N_FEATURES)
+    strata = [CovarianceAccumulator(N_FEATURES) for _ in grid]
     hist_pre = np.zeros((5, config.histogram_bins), dtype=np.int64)
-    hist_post = np.zeros((5, config.histogram_bins), dtype=np.int64)
-    per_level_kept = np.zeros(len(mixture3), dtype=np.int64)
-    for count, mean, m2, pre, post, per_level in outs:
-        acc.merge_moments(count, mean, m2)
+    hist_post = np.zeros((grid.size, 5, config.histogram_bins), dtype=np.int64)
+    per_level_kept = np.zeros((grid.size, len(mixture3)), dtype=np.int64)
+    for moments, pre, post, per_level in outs:
+        for acc, (count, mean, m2) in zip(strata, moments):
+            acc.merge_moments(count, mean, m2)
         hist_pre += pre
         hist_post += post
         per_level_kept += per_level
 
+    # Threshold j keeps strata j..top: suffix sums of the counts and a
+    # suffix merge of the moments, from the top threshold down.
+    hist_post = np.cumsum(hist_post[::-1], axis=0)[::-1]
+    per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
     edges = np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1)
+    kept_acc = CovarianceAccumulator(N_FEATURES)
+    results = [None] * grid.size
+    for j in reversed(range(grid.size)):
+        kept_acc.merge_moments(strata[j].count, strata[j].mean, strata[j].m2)
+        results[j] = _result(
+            kept_acc, float(grid[j]), edges, hist_pre, hist_post[j], per_level_kept[j].copy(),
+            config, kernel_mod.BACKEND,
+        )
+    return [results[j] for j in grid_index]
+
+
+def _result(acc, threshold, edges, hist_pre, hist_post, per_level_kept, config, backend):
+    """McResult of the shots ``acc`` kept at ``threshold``, or its DegenerateSelectionError."""
     histograms = {
         name: {"pre": (edges, hist_pre[k].copy()), "post": (edges, hist_post[k].copy())}
         for k, name in enumerate(SERIES)
@@ -257,7 +353,7 @@ def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
     total = config.n_shots
     if kept < 2:
         exc = DegenerateSelectionError(
-            f"only {kept} of {total} shots passed threshold {config.threshold_x}"
+            f"only {kept} of {total} shots passed threshold {threshold}"
         )
         exc.pre_stats = {
             "kept_count": kept,
@@ -265,7 +361,7 @@ def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
             "histograms": {name: histograms[name]["pre"] for name in SERIES},
             "per_level_kept": per_level_kept,
         }
-        raise exc
+        return exc
 
     p_hat = kept / total
     p_se = float(np.sqrt(p_hat * (1.0 - p_hat) / total))
@@ -288,8 +384,8 @@ def run_mc(mixture3: MixtureState, config: McConfig, kernel=None) -> McResult:
         histograms=histograms,
         per_level_kept=per_level_kept,
         seed=config.seed,
-        n_workers=n_workers,
-        kernel=kernel_mod.BACKEND,
+        n_workers=config.n_workers,
+        kernel=backend,
     )
 
 

@@ -3,9 +3,10 @@
 ``run_scenario`` executes one configured experiment end to end: resolve
 the source (explicit variances or calibration), apply the channel, attach
 the tap, herald at every threshold with the analytic engine and/or the
-Monte Carlo engine, and collect everything into a JSON-serializable
-RunReport. ``emit_artifacts`` renders a report to flat files (JSON report,
-sweep curve CSV, histogram CSVs, posterior-weight tables).
+Monte Carlo engine (one pass over the shots for the whole threshold list),
+and collect everything into a JSON-serializable RunReport.
+``emit_artifacts`` renders a report to flat files (JSON report, sweep
+curve CSV, histogram CSVs, posterior-weight tables).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .distill import (
     herald,
     joint_quadrature_variances,
 )
-from .gaussian import gaussian_log_negativity, make_kerr_entangled
-from .mc import McConfig, kernel_backend, ln_with_se, run_mc
+from .gaussian import InvalidCovarianceError, gaussian_log_negativity, make_kerr_entangled
+from .mc import McConfig, kernel_backend, ln_with_se, run_mc_sweep
 
 __all__ = ["RunReport", "run_scenario", "emit_artifacts", "AGREEMENT_SIGMA", "AGREEMENT_MIN_SUCCESS"]
 
@@ -185,9 +186,11 @@ def _mc_section(result) -> dict:
 def run_scenario(config: ExperimentConfig) -> RunReport:
     """Execute one configured scenario and return its report.
 
-    Per-threshold engine failures (degenerate selection) are recorded in
-    the corresponding row and the run continues; the report's ``flags``
-    say whether every threshold failed or the engines disagreed.
+    The Monte Carlo engine runs once for all thresholds (``run_mc_sweep``).
+    Per-threshold engine failures (degenerate selection, or too few kept
+    shots for a positive-definite covariance) are recorded in the
+    corresponding row and the run continues; the report's ``flags`` say
+    whether every threshold failed or the engines disagreed.
     """
     v_squeezed, v_antisqueezed = _resolve_source(config)
     source = make_kerr_entangled(v_squeezed, v_antisqueezed)
@@ -234,7 +237,16 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         )
     else:
         tapped = attach_tap(mixture, TapConfig(reflectivity=config.tap.reflectivity))
-        for threshold in config.tap.thresholds:
+        if run_montecarlo:
+            mc_conf = McConfig(
+                n_shots=config.mc.n_shots,
+                seed=config.mc.seed,
+                histogram_bins=config.mc.histogram_bins,
+                histogram_range=config.mc.histogram_range,
+                n_workers=config.mc.n_workers,
+            )
+            mc_results = run_mc_sweep(tapped, mc_conf, config.tap.thresholds)
+        for i, threshold in enumerate(config.tap.thresholds):
             row = {"threshold": threshold, "analytic": None, "mc": None,
                    "agreement": None, "error": None}
             errors = []
@@ -244,21 +256,15 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                 except DegenerateSelectionError as exc:
                     errors.append(f"analytic: {exc}")
             if run_montecarlo:
-                mc_conf = McConfig(
-                    n_shots=config.mc.n_shots,
-                    seed=config.mc.seed,
-                    threshold_x=threshold,
-                    histogram_bins=config.mc.histogram_bins,
-                    histogram_range=config.mc.histogram_range,
-                    n_workers=config.mc.n_workers,
-                )
+                result = mc_results[i]
                 try:
-                    result = run_mc(tapped, mc_conf)
+                    if isinstance(result, DegenerateSelectionError):
+                        raise result
                     row["mc"] = _mc_section(result)
                     if histogram_edges is None:
                         edges, _ = result.histograms[next(iter(result.histograms))]["pre"]
                         histogram_edges = edges.tolist()
-                except DegenerateSelectionError as exc:
+                except (DegenerateSelectionError, InvalidCovarianceError) as exc:
                     errors.append(f"mc: {exc}")
             if row["analytic"] is not None and row["mc"] is not None:
                 success = row["analytic"]["success_probability"]

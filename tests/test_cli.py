@@ -129,6 +129,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("bad", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_numbers_rejected(self, bad):
+        raw = preset_config("discrete").to_dict()
+        raw["tap"]["thresholds"] = [2.0, bad]
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(raw)
+        raw = preset_config("discrete").to_dict()
+        raw["mc"]["histogram_range"] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(raw)
+
     def test_engine_validated(self):
         raw = preset_config("discrete").to_dict()
         raw["engine"] = "quantum"
@@ -166,6 +177,19 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert report.thresholds[0]["error"] is None
         assert report.thresholds[1]["error"] is not None
+        assert not report.flags["all_degenerate"]
+
+    def test_singular_kept_covariance_recorded_not_fatal(self):
+        # Seed 1 keeps 2-4 shots at 9.5 SNU: too few for a positive-definite 4x4 covariance.
+        cfg = preset_config("discrete")
+        cfg.engine = "mc"
+        cfg.tap.thresholds = [8.5, 9.0, 9.5]
+        cfg.mc.n_shots = 300_000
+        cfg.mc.seed = 1
+        report = run_scenario(cfg)
+        assert report.thresholds[0]["mc"]["kept_count"] > 4
+        assert report.thresholds[2]["mc"] is None
+        assert report.thresholds[2]["error"] == "mc: covariance matrix is not positive definite"
         assert not report.flags["all_degenerate"]
 
     def test_all_degenerate_flagged(self):
@@ -319,6 +343,15 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan")])
+    def test_run_non_finite_threshold_is_config_error(self, capsys, tmp_path, bad):
+        raw = preset_config("discrete").to_dict()
+        raw["tap"]["thresholds"] = [bad]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))  # written as -Infinity / NaN
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_run_all_degenerate_exit_code(self, capsys, tmp_path):
         cfg = preset_config("discrete")

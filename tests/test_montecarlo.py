@@ -17,6 +17,7 @@ from cvdistill import (
     make_kerr_entangled,
     propagate,
     run_mc,
+    run_mc_sweep,
     sample_level,
     sample_phase_point,
     vacuum_state,
@@ -241,6 +242,48 @@ class TestRunMc:
         )
         with pytest.raises(ValueError):
             run_mc(two_mode, McConfig(n_shots=10, seed=1, threshold_x=0.0))
+
+
+class TestRunMcSweep:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_equals_per_threshold_runs(self, tapped_discrete, n_workers):
+        grid = [4.0, 0.0, 2.0, 2.0, 1e4]
+        conf = McConfig(n_shots=150_000, seed=21, n_workers=n_workers)
+        sweep = run_mc_sweep(tapped_discrete, conf, grid)
+        assert len(sweep) == len(grid)
+        for th, res in zip(grid, sweep):
+            conf.threshold_x = th
+            if th == 1e4:
+                assert isinstance(res, DegenerateSelectionError)
+                with pytest.raises(DegenerateSelectionError) as info:
+                    run_mc(tapped_discrete, conf)
+                ref = info.value.pre_stats
+                assert res.pre_stats["kept_count"] == ref["kept_count"]
+                assert res.pre_stats["total_count"] == ref["total_count"] == 150_000
+                assert np.array_equal(res.pre_stats["per_level_kept"], ref["per_level_kept"])
+                for name in SERIES:
+                    assert np.array_equal(res.pre_stats["histograms"][name][1],
+                                          ref["histograms"][name][1])
+                continue
+            ref = run_mc(tapped_discrete, conf)
+            assert res.kept_count == ref.kept_count
+            assert res.total_count == ref.total_count
+            assert res.n_workers == ref.n_workers == n_workers
+            assert np.array_equal(res.per_level_kept, ref.per_level_kept)
+            for name in SERIES:
+                for sel in ("pre", "post"):
+                    assert np.array_equal(res.histograms[name][sel][0], ref.histograms[name][sel][0])
+                    assert np.array_equal(res.histograms[name][sel][1], ref.histograms[name][sel][1])
+            # Moments differ only by merge order: relative to each array's largest entry.
+            for field in ("pooled_mean_hat", "pooled_cov_hat", "pooled_cov_se", "cov_sampling"):
+                a, b = getattr(res, field), getattr(ref, field)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            assert res.success_probability_hat == ref.success_probability_hat
+
+    @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [-np.inf, 2.0], [[1.0, 2.0]]])
+    def test_rejects_bad_grids(self, tapped_discrete, grid):
+        with pytest.raises(ValueError):
+            run_mc_sweep(tapped_discrete, McConfig(n_shots=10, seed=1), grid)
 
 
 class TestKernelParity:
