@@ -10,8 +10,7 @@ is computed in closed form rather than by sampling.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -25,13 +24,11 @@ __all__ = [
     "TapConfig",
     "DegenerateSelectionError",
     "DistilledEnsemble",
-    "SweepPoint",
     "attach_tap",
     "gaussian_tail",
     "tail_hazard",
     "herald",
     "distilled_gln",
-    "threshold_sweep",
     "gaussification_metrics",
     "joint_quadrature_variances",
 ]
@@ -131,9 +128,15 @@ def herald(mixture3: MixtureState, threshold_x: float) -> DistilledEnsemble:
     sigma_i^2, tap pass probability q_i = Q(threshold/sigma_i); the kept
     two-mode moments follow from the exact conditional moments of a
     Gaussian given a one-sided truncation of one linear combination.
+
+    Raises ``ValueError`` for a non-finite threshold and
+    :class:`DegenerateSelectionError` when the success probability
+    underflows.
     """
     if mixture3.n_modes != 3:
         raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
+    if not np.isfinite(threshold_x):
+        raise ValueError(f"threshold must be finite, got {threshold_x}")
     n_comp = len(mixture3)
     prior = mixture3.weights
     passes = np.zeros(n_comp)
@@ -188,48 +191,6 @@ def herald(mixture3: MixtureState, threshold_x: float) -> DistilledEnsemble:
 def distilled_gln(ensemble: DistilledEnsemble) -> float:
     """Gaussian logarithmic negativity of the heralded pooled covariance."""
     return gaussian_log_negativity(ensemble.pooled_cov)
-
-
-@dataclass(eq=False)
-class SweepPoint:
-    """One record of a threshold sweep; ``error`` is set on degenerate points."""
-
-    threshold: float
-    success_probability: float = np.nan
-    gln: float = np.nan
-    posterior_weights: np.ndarray | None = None
-    ensemble: DistilledEnsemble | None = field(default=None, repr=False)
-    error: str | None = None
-
-
-def threshold_sweep(mixture3: MixtureState, thresholds) -> list:
-    """Herald at each threshold and record success probability and entanglement.
-
-    Points where the selection degenerates are kept as warning records with
-    ``error`` set; the sweep continues. Records are returned in the order
-    the thresholds were given.
-    """
-    points = []
-    for th in thresholds:
-        th = float(th)
-        if not np.isfinite(th):
-            raise ValueError(f"thresholds must be finite, got {th}")
-        try:
-            ens = herald(mixture3, th)
-        except DegenerateSelectionError as exc:
-            warnings.warn(f"threshold {th}: {exc}", RuntimeWarning, stacklevel=2)
-            points.append(SweepPoint(threshold=th, error=str(exc)))
-            continue
-        points.append(
-            SweepPoint(
-                threshold=th,
-                success_probability=ens.success_probability,
-                gln=distilled_gln(ens),
-                posterior_weights=ens.posterior_weights,
-                ensemble=ens,
-            )
-        )
-    return points
 
 
 def gaussification_metrics(ensemble: DistilledEnsemble):

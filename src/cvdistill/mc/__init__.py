@@ -1,17 +1,18 @@
-"""Monte Carlo engine with a compiled hot kernel and a numpy fallback."""
+"""Monte Carlo engine.
+
+The shot kernel is the compiled extension when it was built and the numpy
+kernel otherwise; ``kernel_backend()`` names the one in use.
+"""
 
 from .accumulators import CovarianceAccumulator
 from .engine import (
     SERIES,
     McConfig,
     McResult,
-    histogram,
     kernel_backend,
     ln_with_se,
     run_mc,
     run_mc_sweep,
-    sample_level,
-    sample_phase_point,
 )
 
 __all__ = [
@@ -19,11 +20,8 @@ __all__ = [
     "CovarianceAccumulator",
     "McConfig",
     "McResult",
-    "histogram",
     "kernel_backend",
     "ln_with_se",
     "run_mc",
     "run_mc_sweep",
-    "sample_level",
-    "sample_phase_point",
 ]

@@ -21,18 +21,6 @@ class CovarianceAccumulator:
         self.mean = np.zeros(dim)
         self.m2 = np.zeros((dim, dim))
 
-    def update_batch(self, x: np.ndarray) -> None:
-        """Fold in a batch of samples, shape (n, dim)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim}), got {x.shape}")
-        n = x.shape[0]
-        if n == 0:
-            return
-        mean = x.mean(axis=0)
-        d = x - mean
-        self.merge_moments(n, mean, d.T @ d)
-
     def merge_moments(self, count: int, mean: np.ndarray, m2: np.ndarray) -> None:
         """Merge a (count, mean, M2) triple from another pass (Chan's update)."""
         if count == 0:
@@ -47,11 +35,6 @@ class CovarianceAccumulator:
         self.mean = self.mean + delta * (count / total)
         self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.count * count / total)
         self.count = total
-
-    def merge(self, other: "CovarianceAccumulator") -> None:
-        if other.dim != self.dim:
-            raise ValueError("accumulator dimensions differ")
-        self.merge_moments(other.count, other.mean, other.m2)
 
     def covariance(self, ddof: int = 1) -> np.ndarray:
         """Central covariance estimate; requires count > ddof."""

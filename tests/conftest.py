@@ -38,6 +38,13 @@ def random_physical_state(rng, n_modes=2, max_thermal=5.0, max_squeeze=2.0):
     return state
 
 
+def batch_moments(x):
+    """The (count, mean, M2) triple of a batch of samples, shape (n, dim)."""
+    mean = x.mean(axis=0)
+    d = x - mean
+    return x.shape[0], mean, d.T @ d
+
+
 @pytest.fixture(scope="session")
 def calibration():
     return calibrate()

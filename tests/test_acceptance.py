@@ -25,6 +25,7 @@ from cvdistill import (
     gaussian_log_negativity,
     gaussification_metrics,
     herald,
+    kernel_backend,
     make_kerr_entangled,
     partial_trace,
     pooled_cm,
@@ -32,12 +33,11 @@ from cvdistill import (
     run_mc,
     symplectic_eigenvalues,
     tensor,
-    threshold_sweep,
     upper_bound_ln,
     vacuum_state,
 )
 from cvdistill.mc import CovarianceAccumulator, ln_with_se
-from conftest import random_physical_state
+from conftest import batch_moments, random_physical_state
 
 THRESHOLD_GRID = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 
@@ -92,18 +92,19 @@ def test_criterion_4_crossing(model):
     _, _, mixture, tapped = model
     start = time.perf_counter()
     bound = upper_bound_ln(mixture)
-    points = threshold_sweep(tapped, THRESHOLD_GRID)
+    points = [(th, herald(tapped, th)) for th in THRESHOLD_GRID]
+    points = [(th, ens.success_probability, distilled_gln(ens)) for th, ens in points]
     elapsed = time.perf_counter() - start
     crossing = [
-        p for p in points
-        if p.error is None and 1e-5 <= p.success_probability <= 1e-3 and p.gln > bound
+        (th, succ, ln) for th, succ, ln in points
+        if 1e-5 <= succ <= 1e-3 and ln > bound
     ]
     assert crossing, "no threshold with success in [1e-5, 1e-3] exceeds the upper bound"
     assert elapsed < 1.0
-    best = crossing[0]
+    best_th, best_succ, best_ln = crossing[0]
     print(
-        f"\ncriterion 4 PASS: LN {best.gln:.4f} > bound {bound:.4f} at threshold "
-        f"{best.threshold:g} SNU, success {best.success_probability:.2e} in [1e-5, 1e-3]"
+        f"\ncriterion 4 PASS: LN {best_ln:.4f} > bound {bound:.4f} at threshold "
+        f"{best_th:g} SNU, success {best_succ:.2e} in [1e-5, 1e-3]"
     )
 
 
@@ -147,7 +148,7 @@ def test_criterion_6_mc_analytic_equivalence(model):
     assert elapsed < 60.0
     print(
         f"\ncriterion 6 PASS: 1e7 shots in {elapsed:.1f} s single worker "
-        f"({res.kernel} kernel); success {z_succ:.2f} sigma, worst covariance "
+        f"({kernel_backend()} kernel); success {z_succ:.2f} sigma, worst covariance "
         f"entry {entry_dev.max():.2f} sigma, LN {z_ln:.2f} sigma (all < 4)"
     )
 
@@ -199,7 +200,7 @@ def test_criterion_8_invariant_suites(model):
     assert_allclose(ens.pooled_mean, mean[:4], atol=1e-10)
 
     # success probability strictly decreasing in threshold
-    succ = [p.success_probability for p in threshold_sweep(tapped, np.linspace(-5, 10, 50))]
+    succ = [herald(tapped, th).success_probability for th in np.linspace(-5, 10, 50)]
     assert all(b < a for a, b in zip(succ, succ[1:]))
 
     # Monte Carlo determinism
@@ -210,14 +211,12 @@ def test_criterion_8_invariant_suites(model):
 
     # accumulator merge associativity
     x = rng.standard_normal((10_000, 4)) + 2.0
-    whole = CovarianceAccumulator(4)
-    whole.update_batch(x)
-    left, right = CovarianceAccumulator(4), CovarianceAccumulator(4)
-    left.update_batch(x[:5000])
-    right.update_batch(x[5000:])
-    left.merge(right)
-    assert_allclose(left.m2, whole.m2, rtol=1e-10)
-    assert_allclose(left.mean, whole.mean, rtol=1e-10)
+    whole, split = CovarianceAccumulator(4), CovarianceAccumulator(4)
+    whole.merge_moments(*batch_moments(x))
+    split.merge_moments(*batch_moments(x[:5000]))
+    split.merge_moments(*batch_moments(x[5000:]))
+    assert_allclose(split.m2, whole.m2, rtol=1e-10)
+    assert_allclose(split.mean, whole.mean, rtol=1e-10)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

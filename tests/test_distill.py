@@ -19,7 +19,6 @@ from cvdistill import (
     pooled_cm,
     tail_hazard,
     tensor,
-    threshold_sweep,
     vacuum_state,
 )
 from conftest import random_physical_state
@@ -180,6 +179,11 @@ class TestHerald:
         with pytest.raises(DegenerateSelectionError):
             herald(discrete_tapped, 1e4)
 
+    @pytest.mark.parametrize("threshold", [-np.inf, np.inf, np.nan])
+    def test_rejects_non_finite_threshold(self, discrete_tapped, threshold):
+        with pytest.raises(ValueError):
+            herald(discrete_tapped, threshold)
+
 
 class TestDistilledGln:
     def test_tap_only_cost_small(self, calibrated_source):
@@ -200,31 +204,26 @@ class TestDistilledGln:
 
 
 class TestThresholdSweep:
+    """``herald`` over threshold grids, one call per threshold."""
+
     def test_single_deep_negative_threshold(self, discrete_tapped):
-        pts = threshold_sweep(discrete_tapped, [no_selection_threshold(discrete_tapped)])
-        assert len(pts) == 1
-        assert pts[0].success_probability == pytest.approx(1.0, abs=1e-14)
+        ens = herald(discrete_tapped, no_selection_threshold(discrete_tapped))
+        assert ens.success_probability == pytest.approx(1.0, abs=1e-14)
 
     def test_success_strictly_decreasing(self, discrete_tapped):
-        pts = threshold_sweep(discrete_tapped, np.linspace(-5.0, 10.0, 50))
-        succ = [p.success_probability for p in pts]
+        succ = [herald(discrete_tapped, th).success_probability
+                for th in np.linspace(-5.0, 10.0, 50)]
         assert all(b < a for a, b in zip(succ, succ[1:]))
 
     def test_high_transmission_weight_non_decreasing(self, discrete_tapped):
-        pts = threshold_sweep(discrete_tapped, np.linspace(0.0, 10.0, 21))
-        w_top = [p.posterior_weights[1] for p in pts]
+        w_top = [herald(discrete_tapped, th).posterior_weights[1]
+                 for th in np.linspace(0.0, 10.0, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(w_top, w_top[1:]))
 
-    def test_degenerate_points_become_warning_records(self, discrete_tapped):
-        with pytest.warns(RuntimeWarning):
-            pts = threshold_sweep(discrete_tapped, [0.0, 1e4])
-        assert pts[0].error is None
-        assert pts[1].error is not None
-        assert np.isnan(pts[1].gln)
-
-    def test_rejects_non_finite_threshold(self, discrete_tapped):
-        with pytest.raises(ValueError):
-            threshold_sweep(discrete_tapped, [np.inf])
+    def test_degenerate_point_raises(self, discrete_tapped):
+        assert np.isfinite(distilled_gln(herald(discrete_tapped, 0.0)))
+        with pytest.raises(DegenerateSelectionError):
+            herald(discrete_tapped, 1e4)
 
 
 class TestGaussification:

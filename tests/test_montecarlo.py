@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvdistill import (
+    ChannelLevel,
     DegenerateSelectionError,
+    FluctuatingChannel,
     McConfig,
     MixtureState,
     TapConfig,
@@ -13,17 +15,19 @@ from cvdistill import (
     envelope_fading,
     gaussian_log_negativity,
     herald,
+    joint_quadrature_variances,
     kernel_backend,
     make_kerr_entangled,
+    pooled_cm,
     propagate,
     run_mc,
     run_mc_sweep,
-    sample_level,
-    sample_phase_point,
+    tensor,
     vacuum_state,
 )
-from cvdistill.mc import SERIES, CovarianceAccumulator, histogram, ln_with_se
-from cvdistill.mc import _kernel_py
+from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
+from cvdistill.mc import _kernel_py, engine
+from conftest import batch_moments
 
 try:
     from cvdistill.mc import _shotkernel
@@ -31,76 +35,101 @@ try:
 except ImportError:
     HAVE_COMPILED = False
 
+# A threshold below every shot: run_mc then keeps all of them, so its kept
+# statistics are those of the sampled levels and phase-space points.
+NO_SELECTION = -1e9
+
+
+def uncorrelated_tap(state):
+    """Single-component (A, B, Tap) mixture whose tap is a vacuum mode."""
+    return MixtureState([(1.0, tensor(state, vacuum_state(1)))])
+
 
 class TestSampleLevel:
     def test_single_level_always_zero(self):
-        from cvdistill import ChannelLevel, FluctuatingChannel
-
         chan = FluctuatingChannel([ChannelLevel(1.0, 1.0)])
-        rng = np.random.default_rng(0)
-        assert np.all(sample_level(chan, rng, size=1000) == 0)
+        tapped = attach_tap(propagate(make_kerr_entangled(0.6, 10.0), chan), TapConfig())
+        res = run_mc(tapped, McConfig(n_shots=1000, seed=0, threshold_x=NO_SELECTION))
+        assert np.array_equal(res.per_level_kept, [1000])
 
-    def test_discrete_frequencies(self):
-        rng = np.random.default_rng(41)
-        idx = sample_level(discrete_channel(), rng, size=1_000_000)
-        freq = np.bincount(idx, minlength=2) / idx.size
-        assert_allclose(freq, [0.5, 0.5], atol=0.002)
+    def test_discrete_frequencies(self, tapped_discrete):
+        n = 1_000_000
+        res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=41, threshold_x=NO_SELECTION))
+        # 0.002 is four binomial standard errors of a weight of 0.5 at 1e6 shots.
+        assert_allclose(res.per_level_kept / n, tapped_discrete.weights, atol=0.002)
 
-    def test_deterministic_under_fixed_seed(self):
-        chan = discrete_channel()
-        a = sample_level(chan, np.random.default_rng(7), size=1000)
-        b = sample_level(chan, np.random.default_rng(7), size=1000)
-        assert np.array_equal(a, b)
+    def test_deterministic_under_fixed_seed(self, tapped_discrete):
+        conf = McConfig(n_shots=1000, seed=7, threshold_x=NO_SELECTION)
+        a = run_mc(tapped_discrete, conf)
+        b = run_mc(tapped_discrete, conf)
+        assert np.array_equal(a.per_level_kept, b.per_level_kept)
 
 
 class TestSamplePhasePoint:
     def test_vacuum_variances(self):
-        rng = np.random.default_rng(42)
-        pts = sample_phase_point(vacuum_state(2), rng, size=1_000_000)
-        assert_allclose(pts.var(axis=0), np.ones(4), atol=0.005)
+        vacuum = MixtureState([(1.0, vacuum_state(3))])
+        res = run_mc(vacuum, McConfig(n_shots=1_000_000, seed=42, threshold_x=NO_SELECTION))
+        assert_allclose(np.diag(res.pooled_cov_hat), np.ones(4), atol=0.005)
 
     def test_deterministic_under_fixed_seed(self):
-        state = make_kerr_entangled(0.6, 10.0)
-        a = sample_phase_point(state, np.random.default_rng(3), size=16)
-        b = sample_phase_point(state, np.random.default_rng(3), size=16)
-        assert np.array_equal(a, b)
+        mix = uncorrelated_tap(make_kerr_entangled(0.6, 10.0))
+        conf = McConfig(n_shots=16, seed=3, threshold_x=NO_SELECTION)
+        a = run_mc(mix, conf)
+        b = run_mc(mix, conf)
+        assert np.array_equal(a.pooled_mean_hat, b.pooled_mean_hat)
+        assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
 
     def test_joint_quadrature_variance(self):
         vs = 0.61
-        state = make_kerr_entangled(vs, 40.0)
-        rng = np.random.default_rng(43)
-        pts = sample_phase_point(state, rng, size=1_000_000)
-        var_sum = (pts[:, 0] + pts[:, 2]).var()
-        se = 2 * vs * np.sqrt(2.0 / pts.shape[0])
+        n = 1_000_000
+        mix = uncorrelated_tap(make_kerr_entangled(vs, 40.0))
+        res = run_mc(mix, McConfig(n_shots=n, seed=43, threshold_x=NO_SELECTION))
+        var_sum, _ = joint_quadrature_variances(res.pooled_cov_hat)
+        se = 2 * vs * np.sqrt(2.0 / n)
         assert abs(var_sum - 2 * vs) < 3 * se
 
     def test_covariance_reproduced(self):
-        state = make_kerr_entangled(0.7, 5.0)
-        rng = np.random.default_rng(44)
-        pts = sample_phase_point(state, rng, size=200_000)
-        assert_allclose(np.cov(pts.T), state.cov, atol=0.05)
+        mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
+        tapped = attach_tap(mix, TapConfig())
+        res = run_mc(tapped, McConfig(n_shots=200_000, seed=44, threshold_x=NO_SELECTION))
+        _, cov = pooled_cm(tapped)
+        assert_allclose(res.pooled_cov_hat, cov[:4, :4], atol=0.05)
+
+
+def bin_tap_values(values, bins, hist_range):
+    """Pre-selection X_tap counts of ``values`` from the numpy shot kernel."""
+    values = np.asarray(values, dtype=float)
+    x = np.zeros((values.size, 6))
+    x[:, 4] = values
+    pre = np.zeros((5, bins), dtype=np.int64)
+    post = np.zeros((5, bins), dtype=np.int64)
+    per_level = np.zeros(1, dtype=np.int64)
+    levels = np.zeros(values.size, dtype=np.int64)
+    _kernel_py.accumulate_chunk(x, levels, np.inf, hist_range, bins, pre, post, per_level)
+    return pre[0]
 
 
 class TestHistogram:
     def test_empty_stream(self):
-        edges, counts = histogram([], bins=11, hist_range=5.0)
+        counts = bin_tap_values([], bins=11, hist_range=5.0)
         assert counts.sum() == 0
-        assert len(edges) == 12
+        assert len(counts) == 11
 
     def test_single_central_value(self):
-        edges, counts = histogram([0.0], bins=201, hist_range=25.0)
+        counts = bin_tap_values([0.0], bins=201, hist_range=25.0)
         assert counts.sum() == 1
         assert counts[100] == 1  # middle bin of 201
 
     def test_out_of_range_clamped(self):
-        _, counts = histogram([-100.0, 100.0, 0.1], bins=11, hist_range=5.0)
+        counts = bin_tap_values([-100.0, 100.0, 0.1], bins=11, hist_range=5.0)
         assert counts[0] == 1 and counts[-1] == 1
         assert counts.sum() == 3
 
     def test_variance_reconstruction_from_fine_bins(self):
         rng = np.random.default_rng(45)
         vals = rng.standard_normal(1_000_000)
-        edges, counts = histogram(vals, bins=201, hist_range=25.0)
+        counts = bin_tap_values(vals, bins=201, hist_range=25.0)
+        edges = np.linspace(-25.0, 25.0, 202)
         centers = 0.5 * (edges[:-1] + edges[1:])
         mean = (centers * counts).sum() / counts.sum()
         var = ((centers - mean) ** 2 * counts).sum() / counts.sum()
@@ -112,7 +141,7 @@ class TestCovarianceAccumulator:
         rng = np.random.default_rng(46)
         x = rng.standard_normal((5000, 4)) * [1.0, 2.0, 0.5, 3.0]
         acc = CovarianceAccumulator(4)
-        acc.update_batch(x)
+        acc.merge_moments(*batch_moments(x))
         assert_allclose(acc.mean, x.mean(axis=0), atol=1e-12)
         assert_allclose(acc.covariance(ddof=1), np.cov(x.T, ddof=1), rtol=1e-10)
 
@@ -120,21 +149,20 @@ class TestCovarianceAccumulator:
         rng = np.random.default_rng(47)
         x = rng.standard_normal((10_001, 3)) + 5.0
         full = CovarianceAccumulator(3)
-        full.update_batch(x)
-        first, second = CovarianceAccumulator(3), CovarianceAccumulator(3)
-        first.update_batch(x[:4000])
-        second.update_batch(x[4000:])
-        first.merge(second)
-        assert first.count == full.count
-        assert_allclose(first.mean, full.mean, rtol=1e-12)
-        assert_allclose(first.m2, full.m2, rtol=1e-10)
+        full.merge_moments(*batch_moments(x))
+        split = CovarianceAccumulator(3)
+        split.merge_moments(*batch_moments(x[:4000]))
+        split.merge_moments(*batch_moments(x[4000:]))
+        assert split.count == full.count
+        assert_allclose(split.mean, full.mean, rtol=1e-12)
+        assert_allclose(split.m2, full.m2, rtol=1e-10)
 
     def test_many_chunk_merge(self):
         rng = np.random.default_rng(48)
         x = rng.standard_normal((9000, 2))
         acc = CovarianceAccumulator(2)
         for chunk in np.array_split(x, 13):
-            acc.update_batch(chunk)
+            acc.merge_moments(*batch_moments(chunk))
         assert_allclose(acc.covariance(ddof=1), np.cov(x.T, ddof=1), rtol=1e-10)
 
 
@@ -163,10 +191,12 @@ class TestRunMc:
         assert res.kept_count == res.total_count == 10_000
 
     def test_histogram_count_invariants(self, tapped_discrete):
-        res = run_mc(tapped_discrete, McConfig(n_shots=50_000, seed=2, threshold_x=2.0))
+        conf = McConfig(n_shots=50_000, seed=2, threshold_x=2.0)
+        res = run_mc(tapped_discrete, conf)
         for name in SERIES:
-            _, pre = res.histograms[name]["pre"]
+            edges, pre = res.histograms[name]["pre"]
             _, post = res.histograms[name]["post"]
+            assert len(edges) == conf.histogram_bins + 1
             assert pre.sum() == res.total_count
             assert post.sum() == res.kept_count
         assert res.per_level_kept.sum() == res.kept_count
@@ -288,11 +318,15 @@ class TestRunMcSweep:
 
 class TestKernelParity:
     @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-    def test_backends_agree(self, tapped_discrete):
-        conf = McConfig(n_shots=300_000, seed=77, threshold_x=3.0)
-        a = run_mc(tapped_discrete, conf, kernel="compiled")
-        b = run_mc(tapped_discrete, conf, kernel="python")
-        assert a.kernel == "compiled" and b.kernel == "python"
+    def test_backends_agree(self, tapped_discrete, monkeypatch):
+        # One worker: the shard runs in this process, where the patch holds.
+        conf = McConfig(n_shots=300_000, seed=77, threshold_x=3.0, n_workers=1)
+        results = []
+        for mod in (_shotkernel, _kernel_py):
+            monkeypatch.setattr(engine, "_kernel", mod)
+            assert kernel_backend() == mod.BACKEND
+            results.append(run_mc(tapped_discrete, conf))
+        a, b = results
         assert a.kept_count == b.kept_count
         assert np.array_equal(a.per_level_kept, b.per_level_kept)
         for name in SERIES:
