@@ -220,11 +220,9 @@ def pooled_cm(mixture: MixtureState):
     """
     weights = mixture.weights
     means = np.array([s.mean for s in mixture.states])
+    covs = np.array([s.cov for s in mixture.states])
     mean = weights @ means
-    dim = means.shape[1]
-    cov = np.zeros((dim, dim))
-    for w, state in mixture.components:
-        cov += w * (state.cov + np.outer(state.mean, state.mean))
+    cov = np.einsum("i,ijk->jk", weights, covs + means[:, :, None] * means[:, None, :])
     cov -= np.outer(mean, mean)
     return mean, 0.5 * (cov + cov.T)
 

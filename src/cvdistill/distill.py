@@ -44,10 +44,9 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 @dataclass(frozen=True)
 class TapConfig:
-    """Tap beam splitter reflectivity and heralding threshold (SNU)."""
+    """Tap beam splitter reflectivity."""
 
     reflectivity: float = DEFAULT_TAP_REFLECTIVITY
-    threshold_x: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.reflectivity < 1.0:
@@ -137,35 +136,31 @@ def herald(mixture3: MixtureState, threshold_x: float) -> DistilledEnsemble:
         raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
     if not np.isfinite(threshold_x):
         raise ValueError(f"threshold must be finite, got {threshold_x}")
-    n_comp = len(mixture3)
     prior = mixture3.weights
-    passes = np.zeros(n_comp)
-    means = np.zeros((n_comp, 4))
-    seconds = np.zeros((n_comp, 4, 4))
-
-    for i, (w, state) in enumerate(mixture3.components):
-        if abs(state.mean[4]) > 1e-12:
-            raise ValueError("herald requires zero mean in the tap X quadrature")
-        sigma2 = state.cov[4, 4]
-        sigma = np.sqrt(sigma2)
-        cvec = state.cov[:4, 4]
-        alpha = threshold_x / sigma
-        q = gaussian_tail(alpha)
-        lam = tail_hazard(alpha)
-        # Regression of (X_A,P_A,X_B,P_B) on the tap outcome: the explained
-        # part shifts and shrinks under truncation, the residual is intact.
-        cond_cov = state.cov[:4, :4] - np.outer(cvec, cvec) / sigma2
-        mu = state.mean[:4] + (cvec / sigma) * lam
-        second = (
-            cond_cov
-            + np.outer(cvec, cvec) / sigma2 * (1.0 + alpha * lam)
-            + np.outer(state.mean[:4], mu)
-            + np.outer(mu, state.mean[:4])
-            - np.outer(state.mean[:4], state.mean[:4])
-        )
-        passes[i] = q
-        means[i] = mu
-        seconds[i] = 0.5 * (second + second.T)
+    mean = np.array([s.mean for s in mixture3.states])  # (L, 6)
+    cov = np.array([s.cov for s in mixture3.states])  # (L, 6, 6)
+    if np.any(np.abs(mean[:, 4]) > 1e-12):
+        raise ValueError("herald requires zero mean in the tap X quadrature")
+    sigma = np.sqrt(cov[:, 4, 4])
+    alpha = threshold_x / sigma
+    passes = gaussian_tail(alpha)
+    lam = tail_hazard(alpha)
+    # Regression of (X_A,P_A,X_B,P_B) on the standardised tap outcome Z:
+    # given Z > alpha, E[Z] = lam and E[Z^2] = 1 + alpha*lam, so the mean
+    # shifts along reg, the explained part reg reg^T gains alpha*lam and
+    # the residual is intact.
+    reg = cov[:, :4, 4] / sigma[:, None]
+    explained = reg[:, :, None] * reg[:, None, :]
+    m = mean[:, :4]
+    cond_mean = m + reg * lam[:, None]
+    second = (
+        cov[:, :4, :4]
+        + explained * (alpha * lam)[:, None, None]
+        + m[:, :, None] * cond_mean[:, None, :]
+        + cond_mean[:, :, None] * m[:, None, :]
+        - m[:, :, None] * m[:, None, :]
+    )
+    seconds = 0.5 * (second + second.transpose(0, 2, 1))
 
     success = float(prior @ passes)
     if not success > SUCCESS_FLOOR:
@@ -173,7 +168,7 @@ def herald(mixture3: MixtureState, threshold_x: float) -> DistilledEnsemble:
             f"success probability underflowed ({success!r}) at threshold {threshold_x}"
         )
     posterior = prior * passes / success
-    pooled_mean = posterior @ means
+    pooled_mean = posterior @ cond_mean
     pooled_cov = np.einsum("i,ijk->jk", posterior, seconds) - np.outer(pooled_mean, pooled_mean)
     return DistilledEnsemble(
         threshold_x=float(threshold_x),
@@ -181,7 +176,7 @@ def herald(mixture3: MixtureState, threshold_x: float) -> DistilledEnsemble:
         prior_weights=prior,
         posterior_weights=posterior,
         per_component_pass=passes,
-        component_means=means,
+        component_means=cond_mean,
         component_second_moments=seconds,
         pooled_mean=pooled_mean,
         pooled_cov=0.5 * (pooled_cov + pooled_cov.T),
@@ -205,14 +200,16 @@ def gaussification_metrics(ensemble: DistilledEnsemble):
     w = ensemble.posterior_weights
     nz = w > 0.0
     entropy = float(-(w[nz] @ np.log2(w[nz])))
-    max_dist = 0.0
-    pm = ensemble.pooled_mean
-    for wi, mu, second in zip(w, ensemble.component_means, ensemble.component_second_moments):
-        if wi <= 1e-6:
-            continue
-        centered = second - np.outer(mu, pm) - np.outer(pm, mu) + np.outer(pm, pm)
-        max_dist = max(max_dist, float(np.linalg.norm(centered - ensemble.pooled_cov)))
-    return entropy, max_dist
+    keep = w > 1e-6
+    mu = ensemble.component_means[keep]
+    shift = mu - ensemble.pooled_mean
+    centered = (
+        ensemble.component_second_moments[keep]
+        - mu[:, :, None] * mu[:, None, :]
+        + shift[:, :, None] * shift[:, None, :]
+    )
+    dist = np.linalg.norm(centered - ensemble.pooled_cov, axis=(1, 2))
+    return entropy, float(dist.max(initial=0.0))
 
 
 def joint_quadrature_variances(cov):

@@ -73,7 +73,6 @@ class McConfig:
 
     n_shots: int = 10_000_000
     seed: int = 12345
-    threshold_x: float = 0.0
     histogram_bins: int = 201
     histogram_range: float = 25.0
     n_workers: int = 1
@@ -196,11 +195,12 @@ def _shard_worker(args):
     return _run_shard(*args)
 
 
-def run_mc(mixture3: MixtureState, config: McConfig) -> McResult:
+def run_mc(mixture3: MixtureState, config: McConfig, threshold_x: float) -> McResult:
     """Run the Monte Carlo pipeline on a three-mode (A, B, Tap) mixture.
 
-    One threshold, ``config.threshold_x``, of :func:`run_mc_sweep`. The
-    shot kernel is the one :func:`kernel_backend` names.
+    Post-selects on the tap X quadrature exceeding ``threshold_x``: the
+    one-threshold case of :func:`run_mc_sweep`. The shot kernel is the one
+    :func:`kernel_backend` names.
 
     Raises
     ------
@@ -208,7 +208,7 @@ def run_mc(mixture3: MixtureState, config: McConfig) -> McResult:
         If fewer than two shots pass the threshold; the exception carries
         the pre-selection statistics in its ``pre_stats`` attribute.
     """
-    (result,) = run_mc_sweep(mixture3, config, [config.threshold_x])
+    (result,) = run_mc_sweep(mixture3, config, [threshold_x])
     if isinstance(result, DegenerateSelectionError):
         raise result
     return result
@@ -218,10 +218,10 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> list:
     """Run the Monte Carlo pipeline once for every threshold in ``thresholds``.
 
     All thresholds share one pass over the ``config.n_shots`` shots (see
-    the module docstring); ``config.threshold_x`` is not used. The result
-    at each threshold has the counts and histograms of a separate
-    :func:`run_mc` at that threshold with the same config, and its moments
-    differ from that run's only by float reassociation.
+    the module docstring). The result at each threshold has the counts and
+    histograms of a separate :func:`run_mc` at that threshold with the same
+    config, and its moments differ from that run's only by float
+    reassociation.
 
     Returns one entry per input threshold, in input order (duplicates
     included): an :class:`McResult`, or, where fewer than two shots pass,

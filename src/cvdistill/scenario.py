@@ -217,6 +217,7 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     histogram_edges = None
 
     if config.tap is None:
+        var_x, var_p = joint_quadrature_variances(pooled_cov)
         rows.append(
             {
                 "threshold": None,
@@ -226,8 +227,8 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                     "weight_entropy": None,
                     "max_component_cov_distance": None,
                     "posterior_weights": mixture.weights.tolist(),
-                    "joint_var_x_sum": joint_quadrature_variances(pooled_cov)[0],
-                    "joint_var_p_diff": joint_quadrature_variances(pooled_cov)[1],
+                    "joint_var_x_sum": var_x,
+                    "joint_var_p_diff": var_p,
                     "pooled_cov": pooled_cov.tolist(),
                 },
                 "mc": None,
@@ -332,25 +333,26 @@ def _write_rows(path: str, header: str, data_rows) -> None:
         raise OSError(f"failed writing artifact {path}: {exc}") from exc
 
 
+def _write_json(path: str, obj) -> None:
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise OSError(f"failed writing artifact {path}: {exc}") from exc
+
+
 def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> list:
     """Write report artifacts to ``out_dir``; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        try:
-            with open(path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"failed writing artifact {path}: {exc}") from exc
-        written.append(path)
-        path = os.path.join(out_dir, "config.json")
-        with open(path, "w") as fh:
-            json.dump(report.provenance["config"], fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+        for name, obj in (("report.json", report.to_dict()),
+                          ("config.json", report.provenance["config"])):
+            path = os.path.join(out_dir, name)
+            _write_json(path, obj)
+            written.append(path)
 
     if "csv" not in formats:
         return written

@@ -135,7 +135,7 @@ def test_criterion_6_mc_analytic_equivalence(model):
     _, _, _, tapped = model
     ens = herald(tapped, 4.0)
     start = time.perf_counter()
-    res = run_mc(tapped, McConfig(n_shots=10_000_000, seed=20260811, threshold_x=4.0))
+    res = run_mc(tapped, McConfig(n_shots=10_000_000, seed=20260811), 4.0)
     elapsed = time.perf_counter() - start
 
     z_succ = abs(res.success_probability_hat - ens.success_probability) / res.success_probability_se
@@ -158,7 +158,7 @@ def test_criterion_7_full_scale_head_count(model):
     _, _, _, tapped = model
     n_shots = 240_000_000
     start = time.perf_counter()
-    res = run_mc(tapped, McConfig(n_shots=n_shots, seed=8160, threshold_x=9.0, n_workers=4))
+    res = run_mc(tapped, McConfig(n_shots=n_shots, seed=8160, n_workers=4), 9.0)
     elapsed = time.perf_counter() - start
     assert 3000 <= res.kept_count <= 30000
     assert elapsed < 20 * 60
@@ -204,8 +204,8 @@ def test_criterion_8_invariant_suites(model):
     assert all(b < a for a, b in zip(succ, succ[1:]))
 
     # Monte Carlo determinism
-    conf = McConfig(n_shots=100_000, seed=31415, threshold_x=3.0)
-    first, second = run_mc(tapped, conf), run_mc(tapped, conf)
+    conf = McConfig(n_shots=100_000, seed=31415)
+    first, second = run_mc(tapped, conf, 3.0), run_mc(tapped, conf, 3.0)
     assert first.kept_count == second.kept_count
     assert np.array_equal(first.pooled_cov_hat, second.pooled_cov_hat)
 

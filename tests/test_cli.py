@@ -280,6 +280,14 @@ class TestArtifacts:
         sweep = (tmp_path / "deg" / "sweep.csv").read_text().strip().splitlines()
         assert sweep == ["threshold_snu,success_probability,gaussian_ln,weight_entropy"]
 
+    def test_config_write_failure_names_artifact(self, tmp_path):
+        cfg = preset_config("discrete")
+        cfg.tap.thresholds = [3.0]
+        cfg.output.dir = str(tmp_path / "out")
+        (tmp_path / "out" / "config.json").mkdir(parents=True)
+        with pytest.raises(OSError, match="failed writing artifact .*config.json"):
+            run_scenario(cfg)
+
     def test_full_precision_serialization(self, tmp_path):
         cfg = preset_config("discrete")
         cfg.tap.thresholds = [3.0]

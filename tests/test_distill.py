@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from cvdistill import (
     DegenerateSelectionError,
+    DistilledEnsemble,
     GaussianState,
     MixtureState,
     TapConfig,
@@ -166,6 +169,28 @@ class TestHerald:
                 cond = state.cov[:4, :4] - np.outer(cvec, cvec) / sigma2
                 assert np.linalg.eigvalsh(cond).min() > -1e-12
 
+    def test_each_level_matches_its_own_herald(self):
+        # Components differ in weight, tap variance and (A, B) mean, so a
+        # wrong broadcast or transpose over the level axis shows up here.
+        rng = np.random.default_rng(33)
+        components = []
+        for weight, reflectivity in ((0.2, 0.05), (0.3, 0.2), (0.5, 0.5)):
+            plain = MixtureState([(1.0, random_physical_state(rng, 2))])
+            tapped = attach_tap(plain, TapConfig(reflectivity=reflectivity)).states[0]
+            mean = np.concatenate([rng.normal(0.0, 2.0, size=4), [0.0, 0.0]])
+            components.append((weight, GaussianState(mean, tapped.cov)))
+        mix = MixtureState(components)
+        assert len({s.cov[4, 4] for s in mix.states}) == 3
+        for th in (-1.0, 0.5, 2.5):
+            ens = herald(mix, th)
+            for i, (_, state) in enumerate(components):
+                alone = herald(MixtureState([(1.0, state)]), th)
+                assert_allclose(ens.per_component_pass[i], alone.per_component_pass[0], rtol=1e-13)
+                assert_allclose(ens.component_means[i], alone.component_means[0], rtol=1e-13)
+                assert_allclose(
+                    ens.component_second_moments[i], alone.component_second_moments[0], rtol=1e-13
+                )
+
     def test_rejects_nonzero_tap_mean(self):
         state = GaussianState([0, 0, 0, 0, 0.5, 0], np.eye(6))
         with pytest.raises(ValueError):
@@ -240,6 +265,36 @@ class TestGaussification:
         entropy, dist = gaussification_metrics(ens)
         assert entropy == pytest.approx(1.0, abs=1e-12)
         assert dist == pytest.approx(0.0, abs=1e-9)
+
+    def test_unequal_covariances_distance(self):
+        # Central covariances I and 3I, means (1.5, 0, 0, 0) and (-0.5, 0, 0, 0)
+        # with weights 1/4 and 3/4: the pooled mean is 0 and the pooled
+        # covariance diag(3.25, 2.5, 2.5, 2.5). About the pooled mean the
+        # components are diag(3.25, 1, 1, 1) and diag(3.25, 3, 3, 3), at
+        # Frobenius distances 1.5*sqrt(3) and 0.5*sqrt(3).
+        means = np.array([[1.5, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0]])
+        seconds = np.array([np.eye(4) + np.outer(means[0], means[0]),
+                            3.0 * np.eye(4) + np.outer(means[1], means[1])])
+        weights = np.array([0.25, 0.75])
+        ens = DistilledEnsemble(
+            threshold_x=0.0,
+            success_probability=1.0,
+            prior_weights=weights,
+            posterior_weights=weights,
+            per_component_pass=np.ones(2),
+            component_means=means,
+            component_second_moments=seconds,
+            pooled_mean=np.zeros(4),
+            pooled_cov=np.diag([3.25, 2.5, 2.5, 2.5]),
+        )
+        entropy, dist = gaussification_metrics(ens)
+        assert entropy == pytest.approx(-(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), rel=1e-14)
+        assert dist == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
+        # A component with posterior weight <= 1e-6 is left out of the maximum.
+        faint = replace(ens, posterior_weights=np.array([1e-6, 1.0 - 1e-6]))
+        assert gaussification_metrics(faint)[1] == pytest.approx(0.5 * np.sqrt(3.0), rel=1e-14)
+        kept = replace(ens, posterior_weights=np.array([2e-6, 1.0 - 2e-6]))
+        assert gaussification_metrics(kept)[1] == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
 
     def test_discrete_threshold_nine_entropy(self, discrete_tapped):
         entropy, _ = gaussification_metrics(herald(discrete_tapped, 9.0))

@@ -49,33 +49,33 @@ class TestSampleLevel:
     def test_single_level_always_zero(self):
         chan = FluctuatingChannel([ChannelLevel(1.0, 1.0)])
         tapped = attach_tap(propagate(make_kerr_entangled(0.6, 10.0), chan), TapConfig())
-        res = run_mc(tapped, McConfig(n_shots=1000, seed=0, threshold_x=NO_SELECTION))
+        res = run_mc(tapped, McConfig(n_shots=1000, seed=0), NO_SELECTION)
         assert np.array_equal(res.per_level_kept, [1000])
 
     def test_discrete_frequencies(self, tapped_discrete):
         n = 1_000_000
-        res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=41, threshold_x=NO_SELECTION))
+        res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=41), NO_SELECTION)
         # 0.002 is four binomial standard errors of a weight of 0.5 at 1e6 shots.
         assert_allclose(res.per_level_kept / n, tapped_discrete.weights, atol=0.002)
 
     def test_deterministic_under_fixed_seed(self, tapped_discrete):
-        conf = McConfig(n_shots=1000, seed=7, threshold_x=NO_SELECTION)
-        a = run_mc(tapped_discrete, conf)
-        b = run_mc(tapped_discrete, conf)
+        conf = McConfig(n_shots=1000, seed=7)
+        a = run_mc(tapped_discrete, conf, NO_SELECTION)
+        b = run_mc(tapped_discrete, conf, NO_SELECTION)
         assert np.array_equal(a.per_level_kept, b.per_level_kept)
 
 
 class TestSamplePhasePoint:
     def test_vacuum_variances(self):
         vacuum = MixtureState([(1.0, vacuum_state(3))])
-        res = run_mc(vacuum, McConfig(n_shots=1_000_000, seed=42, threshold_x=NO_SELECTION))
+        res = run_mc(vacuum, McConfig(n_shots=1_000_000, seed=42), NO_SELECTION)
         assert_allclose(np.diag(res.pooled_cov_hat), np.ones(4), atol=0.005)
 
     def test_deterministic_under_fixed_seed(self):
         mix = uncorrelated_tap(make_kerr_entangled(0.6, 10.0))
-        conf = McConfig(n_shots=16, seed=3, threshold_x=NO_SELECTION)
-        a = run_mc(mix, conf)
-        b = run_mc(mix, conf)
+        conf = McConfig(n_shots=16, seed=3)
+        a = run_mc(mix, conf, NO_SELECTION)
+        b = run_mc(mix, conf, NO_SELECTION)
         assert np.array_equal(a.pooled_mean_hat, b.pooled_mean_hat)
         assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
 
@@ -83,7 +83,7 @@ class TestSamplePhasePoint:
         vs = 0.61
         n = 1_000_000
         mix = uncorrelated_tap(make_kerr_entangled(vs, 40.0))
-        res = run_mc(mix, McConfig(n_shots=n, seed=43, threshold_x=NO_SELECTION))
+        res = run_mc(mix, McConfig(n_shots=n, seed=43), NO_SELECTION)
         var_sum, _ = joint_quadrature_variances(res.pooled_cov_hat)
         se = 2 * vs * np.sqrt(2.0 / n)
         assert abs(var_sum - 2 * vs) < 3 * se
@@ -91,7 +91,7 @@ class TestSamplePhasePoint:
     def test_covariance_reproduced(self):
         mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
         tapped = attach_tap(mix, TapConfig())
-        res = run_mc(tapped, McConfig(n_shots=200_000, seed=44, threshold_x=NO_SELECTION))
+        res = run_mc(tapped, McConfig(n_shots=200_000, seed=44), NO_SELECTION)
         _, cov = pooled_cm(tapped)
         assert_allclose(res.pooled_cov_hat, cov[:4, :4], atol=0.05)
 
@@ -186,13 +186,13 @@ def tapped_fading():
 
 class TestRunMc:
     def test_no_threshold_keeps_everything(self, tapped_discrete):
-        res = run_mc(tapped_discrete, McConfig(n_shots=10_000, seed=1, threshold_x=-1e9))
+        res = run_mc(tapped_discrete, McConfig(n_shots=10_000, seed=1), -1e9)
         assert res.success_probability_hat == 1.0
         assert res.kept_count == res.total_count == 10_000
 
     def test_histogram_count_invariants(self, tapped_discrete):
-        conf = McConfig(n_shots=50_000, seed=2, threshold_x=2.0)
-        res = run_mc(tapped_discrete, conf)
+        conf = McConfig(n_shots=50_000, seed=2)
+        res = run_mc(tapped_discrete, conf, 2.0)
         for name in SERIES:
             edges, pre = res.histograms[name]["pre"]
             _, post = res.histograms[name]["post"]
@@ -202,9 +202,9 @@ class TestRunMc:
         assert res.per_level_kept.sum() == res.kept_count
 
     def test_bit_identical_reruns(self, tapped_discrete):
-        conf = McConfig(n_shots=200_000, seed=99, threshold_x=4.0)
-        a = run_mc(tapped_discrete, conf)
-        b = run_mc(tapped_discrete, conf)
+        conf = McConfig(n_shots=200_000, seed=99)
+        a = run_mc(tapped_discrete, conf, 4.0)
+        b = run_mc(tapped_discrete, conf, 4.0)
         assert a.kept_count == b.kept_count
         assert np.array_equal(a.pooled_mean_hat, b.pooled_mean_hat)
         assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
@@ -213,16 +213,16 @@ class TestRunMc:
                 assert np.array_equal(a.histograms[name][sel][1], b.histograms[name][sel][1])
 
     def test_workers_reproducible_and_recorded(self, tapped_discrete):
-        conf = McConfig(n_shots=100_000, seed=5, threshold_x=2.0, n_workers=2)
-        a = run_mc(tapped_discrete, conf)
-        b = run_mc(tapped_discrete, conf)
+        conf = McConfig(n_shots=100_000, seed=5, n_workers=2)
+        a = run_mc(tapped_discrete, conf, 2.0)
+        b = run_mc(tapped_discrete, conf, 2.0)
         assert a.n_workers == 2
         assert a.kept_count == b.kept_count
         assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
 
     def test_degenerate_selection_carries_pre_stats(self, tapped_discrete):
         with pytest.raises(DegenerateSelectionError) as info:
-            run_mc(tapped_discrete, McConfig(n_shots=5_000, seed=3, threshold_x=1e4))
+            run_mc(tapped_discrete, McConfig(n_shots=5_000, seed=3), 1e4)
         pre = info.value.pre_stats
         assert pre["total_count"] == 5_000
         assert pre["kept_count"] == 0
@@ -231,7 +231,7 @@ class TestRunMc:
 
     def test_agreement_with_analytic_discrete(self, tapped_discrete):
         ens = herald(tapped_discrete, 4.0)
-        res = run_mc(tapped_discrete, McConfig(n_shots=1_000_000, seed=2026, threshold_x=4.0))
+        res = run_mc(tapped_discrete, McConfig(n_shots=1_000_000, seed=2026), 4.0)
         z_succ = abs(res.success_probability_hat - ens.success_probability) / res.success_probability_se
         assert z_succ < 4.0
         dev = np.abs(res.pooled_cov_hat - ens.pooled_cov) / res.pooled_cov_se
@@ -241,7 +241,7 @@ class TestRunMc:
 
     def test_agreement_with_analytic_fading(self, tapped_fading):
         ens = herald(tapped_fading, 2.0)
-        res = run_mc(tapped_fading, McConfig(n_shots=1_000_000, seed=2027, threshold_x=2.0))
+        res = run_mc(tapped_fading, McConfig(n_shots=1_000_000, seed=2027), 2.0)
         z_succ = abs(res.success_probability_hat - ens.success_probability) / res.success_probability_se
         assert z_succ < 4.0
         dev = np.abs(res.pooled_cov_hat - ens.pooled_cov) / res.pooled_cov_se
@@ -249,7 +249,7 @@ class TestRunMc:
 
     def test_posterior_weights_match_analytic(self, tapped_discrete):
         ens = herald(tapped_discrete, 4.0)
-        res = run_mc(tapped_discrete, McConfig(n_shots=1_000_000, seed=11, threshold_x=4.0))
+        res = run_mc(tapped_discrete, McConfig(n_shots=1_000_000, seed=11), 4.0)
         mc_post = res.per_level_kept / res.kept_count
         se = np.sqrt(ens.posterior_weights * (1 - ens.posterior_weights) / res.kept_count)
         assert np.all(np.abs(mc_post - ens.posterior_weights) < 4 * se + 1e-12)
@@ -259,7 +259,7 @@ class TestRunMc:
         target = distilled_gln(ens)
         errs = []
         for n in (100_000, 1_000_000, 10_000_000):
-            res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=314, threshold_x=4.0))
+            res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=314), 4.0)
             errs.append(abs(gaussian_log_negativity(res.pooled_cov_hat) - target))
         assert errs[2] < errs[0]
         assert errs[2] < 0.02
@@ -271,7 +271,7 @@ class TestRunMc:
             [(w, partial_trace(s, [0, 1])) for w, s in tapped_discrete.components]
         )
         with pytest.raises(ValueError):
-            run_mc(two_mode, McConfig(n_shots=10, seed=1, threshold_x=0.0))
+            run_mc(two_mode, McConfig(n_shots=10, seed=1), 0.0)
 
 
 class TestRunMcSweep:
@@ -282,11 +282,10 @@ class TestRunMcSweep:
         sweep = run_mc_sweep(tapped_discrete, conf, grid)
         assert len(sweep) == len(grid)
         for th, res in zip(grid, sweep):
-            conf.threshold_x = th
             if th == 1e4:
                 assert isinstance(res, DegenerateSelectionError)
                 with pytest.raises(DegenerateSelectionError) as info:
-                    run_mc(tapped_discrete, conf)
+                    run_mc(tapped_discrete, conf, th)
                 ref = info.value.pre_stats
                 assert res.pre_stats["kept_count"] == ref["kept_count"]
                 assert res.pre_stats["total_count"] == ref["total_count"] == 150_000
@@ -295,7 +294,7 @@ class TestRunMcSweep:
                     assert np.array_equal(res.pre_stats["histograms"][name][1],
                                           ref["histograms"][name][1])
                 continue
-            ref = run_mc(tapped_discrete, conf)
+            ref = run_mc(tapped_discrete, conf, th)
             assert res.kept_count == ref.kept_count
             assert res.total_count == ref.total_count
             assert res.n_workers == ref.n_workers == n_workers
@@ -320,12 +319,12 @@ class TestKernelParity:
     @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
     def test_backends_agree(self, tapped_discrete, monkeypatch):
         # One worker: the shard runs in this process, where the patch holds.
-        conf = McConfig(n_shots=300_000, seed=77, threshold_x=3.0, n_workers=1)
+        conf = McConfig(n_shots=300_000, seed=77, n_workers=1)
         results = []
         for mod in (_shotkernel, _kernel_py):
             monkeypatch.setattr(engine, "_kernel", mod)
             assert kernel_backend() == mod.BACKEND
-            results.append(run_mc(tapped_discrete, conf))
+            results.append(run_mc(tapped_discrete, conf, 3.0))
         a, b = results
         assert a.kept_count == b.kept_count
         assert np.array_equal(a.per_level_kept, b.per_level_kept)
