@@ -1,26 +1,5 @@
-"""Build script for the optional compiled shot kernel.
+"""Legacy build entry point (``python setup.py develop``); see pyproject.toml."""
 
-The package is pure Python except for one Cython extension holding the
-Monte Carlo inner loop. If Cython (or a C compiler) is unavailable the
-extension is skipped and the numpy fallback kernel is used at runtime.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "cvdistill.mc._shotkernel",
-                ["src/cvdistill/mc/_shotkernel.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

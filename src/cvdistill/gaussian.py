@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,9 +133,15 @@ def tensor(*states: GaussianState) -> GaussianState:
     return GaussianState(mean, cov)
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form: block diagonal [[0, 1], [-1, 0]] per mode."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """Standard symplectic form: block diagonal [[0, 1], [-1, 0]] per mode.
+
+    Built once per mode count and returned read-only.
+    """
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.flags.writeable = False
+    return omega
 
 
 def _as_cov(state_or_cov) -> np.ndarray:

@@ -1,15 +1,10 @@
-"""Monte Carlo engine.
-
-The shot kernel is the compiled extension when it was built and the numpy
-kernel otherwise; ``kernel_backend()`` names the one in use.
-"""
+"""Monte Carlo engine."""
 
 from .accumulators import CovarianceAccumulator
 from .engine import (
     SERIES,
     McConfig,
     McResult,
-    kernel_backend,
     ln_with_se,
     run_mc,
     run_mc_sweep,
@@ -20,7 +15,6 @@ __all__ = [
     "CovarianceAccumulator",
     "McConfig",
     "McResult",
-    "kernel_backend",
     "ln_with_se",
     "run_mc",
     "run_mc_sweep",

@@ -1,10 +1,7 @@
-"""Pure-numpy shot kernel: reference implementation of the compiled core.
+"""Shot kernel: binning, selection and kept-shot moments of one chunk.
 
-Both kernels must bin identically (truncation toward zero of
-(value + range) * bins / (2 * range), clamped into the end bins) so that
-all integer outputs agree exactly whichever backend is active; float
-moment sums may differ in the last ulps because the summation order
-differs.
+Histogram bins truncate (value + range) * bins / (2 * range) toward zero
+and clamp into the end bins, so a non-finite value lands in an end bin.
 
 Kept-shot moments are accumulated over the 14 features
 (x0..x3, x_j * x_k for j <= k): the leading 4x4 block of the resulting
@@ -17,54 +14,70 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "python"
-
-# vech ordering of the quadratic features, shared with the compiled kernel
-# and with the engine's standard-error propagation.
+# vech ordering of the quadratic features, shared with the engine's
+# standard-error propagation.
 PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
 N_FEATURES = 4 + len(PAIRS)
+# Offset of each histogrammed series in one flat bincount.
+_SERIES_OFFSET = np.arange(5)[:, None]
 
 
-def accumulate_chunk(x, levels, threshold, hist_range, n_bins, hist_pre, hist_post, per_level_kept):
-    """Process one chunk of transformed phase-space samples.
+def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hist_post, per_level_kept):
+    """Bin every shot of a chunk and accumulate its kept shots by stratum.
 
-    x : (m, 6) float64, columns (X_A, P_A, X_B, P_B, X_Tap, P_Tap)
-    levels : (m,) int64 channel-level index per shot
-    hist_pre, hist_post : (5, n_bins) int64, incremented in place
-    per_level_kept : (n_levels,) int64, incremented in place
+    x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap); shots
+        level_ends[i - 1]:level_ends[i] belong to channel level i
+    thresholds : (S,) sorted, distinct; a shot with X_Tap >= thresholds[0]
+        is kept in stratum j, thresholds[j] <= X_Tap < thresholds[j + 1]
+        (the top stratum has no upper edge)
+    hist_pre : (5, n_bins) int64; hist_post : (S, 5, n_bins) int64;
+    per_level_kept : (S, n_levels) int64; all incremented in place
 
-    Returns (kept_count, mean (14,), m2 (14, 14)) over the kept-shot
-    feature vectors (X_A, P_A, X_B, P_B, products of pairs).
+    Returns (count (S,), mean (S, 14), m2 (S, 14, 14)) over each
+    stratum's kept-shot feature vectors; an empty stratum has zeros.
     """
-    m = x.shape[0]
-    series = np.empty((m, 5))
-    series[:, 0] = x[:, 4]
-    series[:, 1] = x[:, 2]
-    series[:, 2] = x[:, 3]
-    series[:, 3] = x[:, 0] + x[:, 2]
-    series[:, 4] = x[:, 1] - x[:, 3]
-
-    inv_width = n_bins / (2.0 * hist_range)
-    idx = ((series + hist_range) * inv_width).astype(np.int64)
+    m = x.shape[1]
+    n_strata, n_levels = hist_post.shape[0], per_level_kept.shape[1]
+    series = np.empty((5, m))  # X_tap, X_B, P_B, X_A+X_B, P_A-P_B
+    series[0] = x[4]
+    series[1:3] = x[2:4]
+    np.add(x[0], x[2], out=series[3])
+    np.subtract(x[1], x[3], out=series[4])
+    series += hist_range
+    series *= n_bins / (2.0 * hist_range)
+    idx = series.astype(np.int64)
     np.clip(idx, 0, n_bins - 1, out=idx)
-    for k in range(5):
-        hist_pre[k] += np.bincount(idx[:, k], minlength=n_bins)
+    idx += _SERIES_OFFSET * n_bins
+    hist_pre += np.bincount(idx.ravel(), minlength=5 * n_bins).reshape(5, n_bins)
 
-    kept = series[:, 0] >= threshold
-    n_kept = int(kept.sum())
-    if n_kept == 0:
-        return 0, np.zeros(N_FEATURES), np.zeros((N_FEATURES, N_FEATURES))
+    rows = np.flatnonzero(x[4] >= thresholds[0])
+    strata = np.searchsorted(thresholds, x[4, rows], side="right") - 1
+    # A stable sort on the smallest integer type that holds the stratum
+    # index (a radix sort up to 16 bits) groups the kept shots by stratum.
+    order = np.argsort(strata.astype(np.min_scalar_type(n_strata)), kind="stable")
+    rows, strata = rows[order], strata[order]
+    hist_post += np.bincount(
+        (np.take(idx, rows, axis=1) + strata * (5 * n_bins)).ravel(),
+        minlength=n_strata * 5 * n_bins,
+    ).reshape(n_strata, 5, n_bins)
+    levels = np.searchsorted(level_ends, rows, side="right")
+    per_level_kept += np.bincount(
+        strata * n_levels + levels, minlength=n_strata * n_levels
+    ).reshape(n_strata, n_levels)
 
-    idx_kept = idx[kept]
-    for k in range(5):
-        hist_post[k] += np.bincount(idx_kept[:, k], minlength=n_bins)
-    per_level_kept += np.bincount(levels[kept], minlength=per_level_kept.shape[0])
-
-    xk = x[kept, :4]
-    feats = np.empty((n_kept, N_FEATURES))
-    feats[:, :4] = xk
-    for p, (j, k) in enumerate(PAIRS):
-        feats[:, 4 + p] = xk[:, j] * xk[:, k]
-    mean = feats.mean(axis=0)
-    d = feats - mean
-    return n_kept, mean, d.T @ d
+    count = np.bincount(strata, minlength=n_strata)
+    mean = np.zeros((n_strata, N_FEATURES))
+    m2 = np.zeros((n_strata, N_FEATURES, N_FEATURES))
+    feats = np.empty((N_FEATURES, rows.size))
+    np.take(x[:4], rows, axis=1, out=feats[:4])
+    start = 4
+    for j in range(4):  # x_j * x_k for k >= j, in PAIRS order
+        np.multiply(feats[j], feats[j:4], out=feats[start : start + 4 - j])
+        start += 4 - j
+    ends = np.cumsum(count)
+    for j in np.flatnonzero(count):
+        f = feats[:, ends[j] - count[j] : ends[j]]
+        mean[j] = f.mean(axis=1)
+        d = f - mean[j][:, None]
+        m2[j] = np.einsum("in,jn->ij", d, d)
+    return count, mean, m2

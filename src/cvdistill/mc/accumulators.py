@@ -13,27 +13,30 @@ __all__ = ["CovarianceAccumulator"]
 
 
 class CovarianceAccumulator:
-    """Single-pass mean and covariance of d-dimensional samples."""
+    """Single-pass mean and covariance of d-dimensional samples.
 
-    def __init__(self, dim: int):
+    With a ``shape``, it is an array of that shape of independent
+    accumulators, merged elementwise.
+    """
+
+    def __init__(self, dim: int, shape: tuple = ()):
         self.dim = dim
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
+        self.count = np.zeros(shape, dtype=np.int64)
+        self.mean = np.zeros(shape + (dim,))
+        self.m2 = np.zeros(shape + (dim, dim))
 
-    def merge_moments(self, count: int, mean: np.ndarray, m2: np.ndarray) -> None:
-        """Merge a (count, mean, M2) triple from another pass (Chan's update)."""
-        if count == 0:
-            return
-        if self.count == 0:
-            self.count = int(count)
-            self.mean = np.array(mean, dtype=float)
-            self.m2 = np.array(m2, dtype=float)
-            return
+    def merge_moments(self, count, mean: np.ndarray, m2: np.ndarray) -> None:
+        """Merge a (count, mean, M2) triple from another pass (Chan's update).
+
+        An empty side leaves the other side's moments unchanged, bit for bit.
+        """
         total = self.count + count
+        frac = count / np.maximum(total, 1)
         delta = mean - self.mean
-        self.mean = self.mean + delta * (count / total)
-        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.count * count / total)
+        self.mean = self.mean + delta * np.expand_dims(frac, -1)
+        self.m2 = self.m2 + m2 + (
+            delta[..., :, None] * delta[..., None, :] * np.expand_dims(self.count * frac, (-2, -1))
+        )
         self.count = total
 
     def covariance(self, ddof: int = 1) -> np.ndarray:

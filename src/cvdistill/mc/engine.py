@@ -15,11 +15,17 @@ j..top (Chan's update for the moments, sums for the counts), so a sweep
 costs one threshold's sampling however many thresholds it has, and its
 counts and histograms equal those of separate runs at each threshold.
 
-Shots are processed in fixed-size chunks; the chunk loop delegates to a
-compiled kernel when available and to a numpy fallback otherwise. Results
-are reproducible: a given (mixture, config) pair yields identical output
-on every run, and the shot space is partitioned deterministically across
-workers so a fixed (seed, n_workers) pair is reproducible as well.
+Shots are sampled in fixed-size blocks. Block b draws its level counts
+(one multinomial draw) and five normals per shot from its own stream,
+``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed streams in the
+sense of Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
+3"), turns them into phase-space points with a per-level lower-triangular
+transform, and makes one kernel call. Each worker samples a contiguous
+range of blocks; the integer counts are summed, and the blocks' moments
+are merged pairwise along one fixed binary tree over the block indices,
+the workers merging the subtrees that lie inside their range and the
+parent the rest. Output therefore depends on (mixture, n_shots, seed)
+only, not on the worker count, and is bit-identical on every run.
 """
 
 from __future__ import annotations
@@ -33,22 +39,14 @@ from ..channel import MixtureState
 from ..distill import DegenerateSelectionError
 from ..gaussian import gaussian_log_negativity
 from .accumulators import CovarianceAccumulator
+from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS
-
-# Chosen once, at import, by whether the compiled extension was built.
-# ``_run_shard`` reads ``_kernel.accumulate_chunk`` at each call, so a
-# wrapper set on that module attribute sees every in-process call.
-try:  # pragma: no cover - exercised implicitly via kernel_backend()
-    from . import _shotkernel as _kernel
-except ImportError:  # pragma: no cover
-    from . import _kernel_py as _kernel
 
 __all__ = [
     "SERIES",
     "PAIRS",
     "McConfig",
     "McResult",
-    "kernel_backend",
     "run_mc",
     "run_mc_sweep",
     "ln_with_se",
@@ -57,14 +55,9 @@ __all__ = [
 # Histogrammed series: tap X, transmitted-beam quadratures, joint quadratures.
 SERIES = ("X_tap", "X_B", "P_B", "X_A+X_B", "P_A-P_B")
 
-# Shots per kernel call. Fixed (not configurable): changing it would change
-# the order random numbers are consumed in and therefore the sampled shots.
+# Shots per block, each block with its own stream and one kernel call.
+# Fixed (not configurable): changing it would change the sampled shots.
 CHUNK_SHOTS = 1 << 16
-
-
-def kernel_backend() -> str:
-    """Name of the kernel selected at import: 'compiled' or 'python'."""
-    return _kernel.BACKEND
 
 
 @dataclass
@@ -97,8 +90,8 @@ class McResult:
     post-selection counts to ``kept_count``. ``cov_sampling`` is the
     empirical (distribution-free) sampling covariance of the ten
     independent covariance-entry estimates, in the ordering of ``PAIRS``.
-    The seed and worker count are recorded because worker count affects
-    the random stream layout.
+    The statistics depend on (mixture, n_shots, seed) only; the worker
+    count is recorded as a setting and does not change them.
     """
 
     kept_count: int
@@ -116,91 +109,97 @@ class McResult:
 
 
 def _prepare_components(mixture3: MixtureState):
-    cum = np.cumsum(mixture3.weights)
-    cum[-1] = 1.0
-    means = np.array([s.mean for s in mixture3.states])
-    chols = np.array([s.cholesky_factor() for s in mixture3.states])
-    return cum, means, chols
+    """Level weights and, per level, the map of five normals to (X_A, P_A, X_B, P_B, X_Tap).
 
-
-def _run_shard(cum, means, chols, n_shots, thresholds, n_bins, hist_range, seed_seq):
-    """Sample one shard and accumulate its shots by tap-X stratum.
-
-    ``thresholds`` is sorted and free of duplicates. Stratum j holds the
-    shots with thresholds[j] <= X_tap < thresholds[j + 1]; the top stratum
-    has no upper edge. Each chunk makes one kernel call at the top threshold,
-    which also fills the pre-selection histograms for every shot; the shots
-    of the lower strata are then gathered, grouped by stratum, and each
-    group goes through the same kernel at its own threshold, where every
-    shot passes. With one threshold no shot is gathered.
-
-    Returns the per-stratum moments as a list of (count, mean, M2), the
-    pre-selection histograms (5, n_bins), and the per-stratum
-    post-selection histograms (n_strata, 5, n_bins) and per-level kept
-    counts (n_strata, n_levels).
+    Each level's covariance factor is lower triangular in the order
+    (X_A, P_A, X_B, P_B, X_Tap, P_Tap), so its rows 0-4 read normals
+    z_0..z_4 only and P_Tap, which no statistic reads, is never drawn.
+    Per level, each row r becomes (r, factor[r, r], [(c, factor[r, c])
+    for the nonzero c < r], mean[r]), last row first.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n_levels = cum.shape[0]
-    level_ids = np.arange(n_levels)
-    top = thresholds.shape[0] - 1
+    components = []
+    for state in mixture3.states:
+        chol = state.cholesky_factor()
+        components.append([
+            (r, chol[r, r], [(c, chol[r, c]) for c in range(r) if chol[r, c] != 0.0], state.mean[r])
+            for r in reversed(range(5))
+        ])
+    return np.asarray(mixture3.weights, dtype=float), components
+
+
+def _transform(z, level_counts, components):
+    """Turn normals z (5, m), grouped by level in order, into phase-space points in place.
+
+    Row r of a point reads z_0..z_r only, so filling the rows from the last
+    one down overwrites no normal that a later row still needs.
+    """
+    start = 0
+    for count, rows in zip(level_counts, components):
+        seg = z[:, start : start + count]
+        for r, diag, lower, mean in rows:
+            row = seg[r]
+            row *= diag
+            for c, coef in lower:
+                row += coef * seg[c]
+            if mean != 0.0:
+                row += mean
+        start += count
+
+
+def _run_blocks(weights, components, thresholds, n_bins, hist_range, seed, n_shots, blocks):
+    """Sample the shots of ``blocks`` (a range of block indices) and accumulate them by stratum.
+
+    Block b holds shots b * CHUNK_SHOTS onward, at most CHUNK_SHOTS of them,
+    drawn from its own stream ``SeedSequence(seed, spawn_key=(b,))``: one
+    multinomial draw of the level counts, then five normals per shot.
+    Stratum j holds the shots with thresholds[j] <= X_tap < thresholds[j + 1];
+    the top stratum has no upper edge.
+
+    Returns the pre-selection histograms (5, n_bins), the per-stratum
+    post-selection histograms (n_strata, 5, n_bins) and per-level kept
+    counts (n_strata, n_levels), summed over the blocks, and the blocks'
+    per-stratum moments as the nodes of :func:`_push_block_node`'s stack.
+    """
+    n_strata = thresholds.shape[0]
     hist_pre = np.zeros((5, n_bins), dtype=np.int64)
-    # Pre-selection counts of the second kernel pass over gathered shots;
-    # hist_pre already holds them, so these are thrown away.
-    hist_pre_gathered = np.zeros((5, n_bins), dtype=np.int64)
-    hist_post = np.zeros((top + 1, 5, n_bins), dtype=np.int64)
-    per_level_kept = np.zeros((top + 1, n_levels), dtype=np.int64)
-    accs = [CovarianceAccumulator(N_FEATURES) for _ in range(top + 1)]
-    done = 0
-    while done < n_shots:
-        m = int(min(CHUNK_SHOTS, n_shots - done))
-        draws = rng.random(m)
-        counts = np.bincount(
-            np.searchsorted(cum, draws, side="right"), minlength=n_levels
+    hist_post = np.zeros((n_strata, 5, n_bins), dtype=np.int64)
+    per_level_kept = np.zeros((n_strata, weights.shape[0]), dtype=np.int64)
+    nodes = []
+    for b in blocks:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        m = min(CHUNK_SHOTS, n_shots - b * CHUNK_SHOTS)
+        level_counts = rng.multinomial(m, weights)
+        x = rng.standard_normal((5, m))
+        _transform(x, level_counts, components)
+        acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
+        acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
+            x, np.cumsum(level_counts), thresholds, hist_range, n_bins,
+            hist_pre, hist_post, per_level_kept,
         )
-        z = rng.standard_normal((m, 6))
-        x = np.empty((m, 6))
-        pos = 0
-        for i in range(n_levels):
-            c = int(counts[i])
-            if c:
-                np.matmul(z[pos : pos + c], chols[i].T, out=x[pos : pos + c])
-                x[pos : pos + c] += means[i]
-                pos += c
-        levels = np.repeat(level_ids, counts)
-        accs[top].merge_moments(*_kernel.accumulate_chunk(
-            x, levels, thresholds[top], hist_range, n_bins,
-            hist_pre, hist_post[top], per_level_kept[top],
-        ))
-        if top:
-            tap = x[:, 4]
-            rows = np.flatnonzero((tap >= thresholds[0]) & (tap < thresholds[top]))
-            strata = np.searchsorted(thresholds, tap[rows], side="right") - 1
-            order = np.argsort(strata, kind="stable")
-            rows = rows[order]
-            starts = np.searchsorted(strata[order], np.arange(top + 1))
-            x_lower, levels_lower = x[rows], levels[rows]
-            for j in range(top):
-                a, b = starts[j], starts[j + 1]
-                if b > a:
-                    accs[j].merge_moments(*_kernel.accumulate_chunk(
-                        x_lower[a:b], levels_lower[a:b], thresholds[j], hist_range, n_bins,
-                        hist_pre_gathered, hist_post[j], per_level_kept[j],
-                    ))
-        done += m
-    moments = [(acc.count, acc.mean, acc.m2) for acc in accs]
-    return moments, hist_pre, hist_post, per_level_kept
+        _push_block_node(nodes, 0, b, acc)
+    return hist_pre, hist_post, per_level_kept, nodes
 
 
-def _shard_worker(args):
-    return _run_shard(*args)
+def _push_block_node(stack, level, index, acc):
+    """Push the moments ``acc`` of blocks [index * 2**level, (index + 1) * 2**level).
+
+    Nodes must arrive in block order. A right child merges into its left
+    sibling when that is on top of the stack, and so on up, so every node
+    is the merge of its two halves in one fixed binary tree over the block
+    indices: which process pushed which part does not change the result.
+    """
+    while index % 2 and stack and stack[-1][:2] == (level, index - 1):
+        left = stack.pop()[2]
+        left.merge_moments(acc.count, acc.mean, acc.m2)
+        level, index, acc = level + 1, index // 2, left
+    stack.append((level, index, acc))
 
 
 def run_mc(mixture3: MixtureState, config: McConfig, threshold_x: float) -> McResult:
     """Run the Monte Carlo pipeline on a three-mode (A, B, Tap) mixture.
 
     Post-selects on the tap X quadrature exceeding ``threshold_x``: the
-    one-threshold case of :func:`run_mc_sweep`. The shot kernel is the one
-    :func:`kernel_backend` names.
+    one-threshold case of :func:`run_mc_sweep`.
 
     Raises
     ------
@@ -242,33 +241,31 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> list:
     if not np.all(np.isfinite(thresholds)):
         raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
     grid, grid_index = np.unique(thresholds, return_inverse=True)
-    cum, means, chols = _prepare_components(mixture3)
-    n_workers = config.n_workers
-    children = np.random.SeedSequence(config.seed).spawn(n_workers)
-    base, rem = divmod(config.n_shots, n_workers)
-    shard_sizes = [base + (1 if w < rem else 0) for w in range(n_workers)]
+    weights, components = _prepare_components(mixture3)
+    n_blocks = -(-config.n_shots // CHUNK_SHOTS)
+    bounds = [n_blocks * w // config.n_workers for w in range(config.n_workers + 1)]
     jobs = [
-        (cum, means, chols, shard_sizes[w], grid,
-         config.histogram_bins, config.histogram_range, children[w])
-        for w in range(n_workers)
-        if shard_sizes[w] > 0
+        (weights, components, grid, config.histogram_bins, config.histogram_range,
+         config.seed, config.n_shots, range(lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
     ]
-    if n_workers == 1:
-        outs = [_shard_worker(jobs[0])]
+    if len(jobs) == 1:
+        outs = [_run_blocks(*jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outs = list(pool.map(_shard_worker, jobs))
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            outs = list(pool.map(_run_blocks, *zip(*jobs)))
 
-    strata = [CovarianceAccumulator(N_FEATURES) for _ in grid]
-    hist_pre = np.zeros((5, config.histogram_bins), dtype=np.int64)
-    hist_post = np.zeros((grid.size, 5, config.histogram_bins), dtype=np.int64)
-    per_level_kept = np.zeros((grid.size, len(mixture3)), dtype=np.int64)
-    for moments, pre, post, per_level in outs:
-        for acc, (count, mean, m2) in zip(strata, moments):
-            acc.merge_moments(count, mean, m2)
-        hist_pre += pre
-        hist_post += post
-        per_level_kept += per_level
+    # Integer counts sum exactly, and the moments merge along the fixed tree
+    # of _push_block_node, so the result does not depend on the workers.
+    hist_pre, hist_post, per_level_kept = (sum(out[k] for out in outs) for k in range(3))
+    nodes = []
+    for out in outs:
+        for node in out[3]:
+            _push_block_node(nodes, *node)
+    strata = nodes[0][2]
+    for _, _, acc in nodes[1:]:
+        strata.merge_moments(acc.count, acc.mean, acc.m2)
 
     # Threshold j keeps strata j..top: suffix sums of the counts and a
     # suffix merge of the moments, from the top threshold down.
@@ -278,7 +275,7 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> list:
     kept_acc = CovarianceAccumulator(N_FEATURES)
     results = [None] * grid.size
     for j in reversed(range(grid.size)):
-        kept_acc.merge_moments(strata[j].count, strata[j].mean, strata[j].m2)
+        kept_acc.merge_moments(strata.count[j], strata.mean[j], strata.m2[j])
         results[j] = _result(
             kept_acc, float(grid[j]), edges, hist_pre, hist_post[j], per_level_kept[j].copy(),
             config,
@@ -292,7 +289,7 @@ def _result(acc, threshold, edges, hist_pre, hist_post, per_level_kept, config):
         name: {"pre": (edges, hist_pre[k].copy()), "post": (edges, hist_post[k].copy())}
         for k, name in enumerate(SERIES)
     }
-    kept = acc.count
+    kept = int(acc.count)
     total = config.n_shots
     if kept < 2:
         exc = DegenerateSelectionError(
@@ -334,7 +331,7 @@ def _result(acc, threshold, edges, hist_pre, hist_post, per_level_kept, config):
 def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> np.ndarray:
     """Sampling covariance of the ten covariance-entry estimates.
 
-    The kernels accumulate the quadratures and their pairwise products as
+    The kernel accumulates the quadratures and their pairwise products as
     one feature vector, so the CLT covariance of the feature means is
     feat_cov/n; each covariance entry c_jk = mean(x_j x_k) - mean_j mean_k
     is a smooth function of those means, and the delta-method Jacobian

@@ -39,7 +39,7 @@ from .distill import (
     joint_quadrature_variances,
 )
 from .gaussian import InvalidCovarianceError, gaussian_log_negativity, make_kerr_entangled
-from .mc import McConfig, kernel_backend, ln_with_se, run_mc_sweep
+from .mc import McConfig, ln_with_se, run_mc_sweep
 
 __all__ = ["RunReport", "run_scenario", "emit_artifacts", "AGREEMENT_SIGMA", "AGREEMENT_MIN_SUCCESS"]
 
@@ -304,7 +304,6 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
             "seed": config.mc.seed,
             "n_workers": config.mc.n_workers,
             "package_version": __version__,
-            "kernel_backend": kernel_backend(),
             "numpy_version": np.__version__,
         },
         flags={"all_degenerate": all_degenerate, "agreement_failed": agreement_failed},

@@ -25,7 +25,6 @@ from cvdistill import (
     gaussian_log_negativity,
     gaussification_metrics,
     herald,
-    kernel_backend,
     make_kerr_entangled,
     partial_trace,
     pooled_cm,
@@ -147,8 +146,8 @@ def test_criterion_6_mc_analytic_equivalence(model):
     assert z_ln < 4.0
     assert elapsed < 60.0
     print(
-        f"\ncriterion 6 PASS: 1e7 shots in {elapsed:.1f} s single worker "
-        f"({kernel_backend()} kernel); success {z_succ:.2f} sigma, worst covariance "
+        f"\ncriterion 6 PASS: 1e7 shots in {elapsed:.1f} s single worker; "
+        f"success {z_succ:.2f} sigma, worst covariance "
         f"entry {entry_dev.max():.2f} sigma, LN {z_ln:.2f} sigma (all < 4)"
     )
 

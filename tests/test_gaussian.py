@@ -18,6 +18,7 @@ from cvdistill import (
     vacuum_state,
     validate_physical,
 )
+from cvdistill.gaussian import symplectic_form
 from conftest import random_physical_state
 
 
@@ -52,6 +53,19 @@ class TestGaussianState:
 
     def test_n_modes(self):
         assert vacuum_state(3).n_modes == 3
+
+
+class TestSymplecticForm:
+    def test_blocks(self):
+        expected = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+        assert_allclose(symplectic_form(2), expected)
+
+    def test_built_once_and_read_only(self):
+        omega = symplectic_form(3)
+        assert symplectic_form(3) is omega
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
+        assert omega[0, 1] == 1.0
 
 
 class TestSymplecticEigenvalues:
