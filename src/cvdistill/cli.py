@@ -115,6 +115,8 @@ def _cmd_run(args) -> int:
             raise ConfigError("--shots must be >= 1")
         config.mc.n_shots = args.shots
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         config.mc.seed = args.seed
     if args.workers is not None:
         if args.workers < 1:

@@ -246,6 +246,8 @@ class McSettings:
         )
         if out.n_shots < 1:
             raise ConfigError("mc.n_shots must be >= 1")
+        if out.seed < 0:
+            raise ConfigError("mc.seed must be >= 0")
         if out.n_workers < 1:
             raise ConfigError("mc.n_workers must be >= 1")
         if out.histogram_bins < 2:

@@ -1,7 +1,8 @@
 """Shot kernel: binning, selection and kept-shot moments of one chunk.
 
-Histogram bins truncate (value + range) * bins / (2 * range) toward zero
-and clamp into the end bins, so a non-finite value lands in an end bin.
+Histogram bins clamp (value + range) * bins / (2 * range) into [0, bins - 1]
+and truncate it toward zero: a value past either end of the range, infinite
+or not, counts in the end bin on its side, and NaN in the bottom bin.
 
 Kept-shot moments are accumulated over the 14 features
 (x0..x3, x_j * x_k for j <= k): the leading 4x4 block of the resulting
@@ -22,7 +23,8 @@ N_FEATURES = 4 + len(PAIRS)
 _SERIES_OFFSET = np.arange(5)[:, None]
 
 
-def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hist_post, per_level_kept):
+def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hist_post, per_level_kept,
+                     series, idx):
     """Bin every shot of a chunk and accumulate its kept shots by stratum.
 
     x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap); shots
@@ -32,21 +34,25 @@ def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hi
         (the top stratum has no upper edge)
     hist_pre : (5, n_bins) int64; hist_post : (S, 5, n_bins) int64;
     per_level_kept : (S, n_levels) int64; all incremented in place
+    series, idx : flat float64 and int64 scratch buffers of at least 5 m
+        entries, overwritten, so one pair serves every chunk in turn
 
     Returns (count (S,), mean (S, 14), m2 (S, 14, 14)) over each
     stratum's kept-shot feature vectors; an empty stratum has zeros.
     """
     m = x.shape[1]
     n_strata, n_levels = hist_post.shape[0], per_level_kept.shape[1]
-    series = np.empty((5, m))  # X_tap, X_B, P_B, X_A+X_B, P_A-P_B
-    series[0] = x[4]
-    series[1:3] = x[2:4]
+    series = series[: 5 * m].reshape(5, m)  # X_tap, X_B, P_B, X_A+X_B, P_A-P_B
+    idx = idx[: 5 * m].reshape(5, m)
+    np.add(x[4], hist_range, out=series[0])
+    np.add(x[2:4], hist_range, out=series[1:3])
     np.add(x[0], x[2], out=series[3])
     np.subtract(x[1], x[3], out=series[4])
-    series += hist_range
+    series[3:] += hist_range
     series *= n_bins / (2.0 * hist_range)
-    idx = series.astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
+    np.fmax(series, 0, out=series)  # NaN to 0
+    np.fmin(series, n_bins - 1, out=series)
+    np.copyto(idx, series, casting="unsafe")
     idx += _SERIES_OFFSET * n_bins
     hist_pre += np.bincount(idx.ravel(), minlength=5 * n_bins).reshape(5, n_bins)
 
@@ -78,6 +84,6 @@ def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hi
     for j in np.flatnonzero(count):
         f = feats[:, ends[j] - count[j] : ends[j]]
         mean[j] = f.mean(axis=1)
-        d = f - mean[j][:, None]
-        m2[j] = np.einsum("in,jn->ij", d, d)
+        f -= mean[j][:, None]
+        m2[j] = np.einsum("in,jn->ij", f, f)
     return count, mean, m2

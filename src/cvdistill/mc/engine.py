@@ -20,7 +20,10 @@ Shots are sampled in fixed-size blocks. Block b draws its level counts
 ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed streams in the
 sense of Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
 3"), turns them into phase-space points with a per-level lower-triangular
-transform, and makes one kernel call. Each worker samples a contiguous
+transform, and makes one kernel call. Each worker allocates its normals and
+the kernel's scratch buffers once and reuses them for every block; inside
+the block loop, only the kept shots' arrays and a one-byte-per-shot mask
+scale with the block. Each worker samples a contiguous
 range of blocks; the integer counts are summed, and the blocks' moments
 are merged pairwise along one fixed binary tree over the block indices,
 the workers merging the subtrees that lie inside their range and the
@@ -73,6 +76,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.histogram_bins < 2:
             raise ValueError("histogram_bins must be >= 2")
         if self.histogram_range <= 0:
@@ -127,20 +132,22 @@ def _prepare_components(mixture3: MixtureState):
     return np.asarray(mixture3.weights, dtype=float), components
 
 
-def _transform(z, level_counts, components):
+def _transform(z, level_counts, components, tmp):
     """Turn normals z (5, m), grouped by level in order, into phase-space points in place.
 
     Row r of a point reads z_0..z_r only, so filling the rows from the last
-    one down overwrites no normal that a later row still needs.
+    one down overwrites no normal that a later row still needs. ``tmp`` is
+    a float64 buffer of at least m entries, overwritten.
     """
     start = 0
     for count, rows in zip(level_counts, components):
         seg = z[:, start : start + count]
+        term = tmp[:count]
         for r, diag, lower, mean in rows:
             row = seg[r]
             row *= diag
             for c, coef in lower:
-                row += coef * seg[c]
+                row += np.multiply(coef, seg[c], out=term)
             if mean != 0.0:
                 row += mean
         start += count
@@ -165,16 +172,18 @@ def _run_blocks(weights, components, thresholds, n_bins, hist_range, seed, n_sho
     hist_post = np.zeros((n_strata, 5, n_bins), dtype=np.int64)
     per_level_kept = np.zeros((n_strata, weights.shape[0]), dtype=np.int64)
     nodes = []
+    normals, series = np.empty(5 * CHUNK_SHOTS), np.empty(5 * CHUNK_SHOTS)
+    idx = np.empty(5 * CHUNK_SHOTS, dtype=np.int64)
     for b in blocks:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         m = min(CHUNK_SHOTS, n_shots - b * CHUNK_SHOTS)
         level_counts = rng.multinomial(m, weights)
-        x = rng.standard_normal((5, m))
-        _transform(x, level_counts, components)
+        x = rng.standard_normal(out=normals[: 5 * m].reshape(5, m))
+        _transform(x, level_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
             x, np.cumsum(level_counts), thresholds, hist_range, n_bins,
-            hist_pre, hist_post, per_level_kept,
+            hist_pre, hist_post, per_level_kept, series, idx,
         )
         _push_block_node(nodes, 0, b, acc)
     return hist_pre, hist_post, per_level_kept, nodes

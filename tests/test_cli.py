@@ -100,6 +100,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    def test_negative_seed_rejected(self):
+        raw = preset_config("discrete").to_dict()
+        raw["mc"]["seed"] = -1
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(raw)
+
     def test_source_exclusivity(self):
         raw = preset_config("discrete").to_dict()
         raw["source"] = {
@@ -332,6 +338,12 @@ class TestCliCommands:
 
     def test_run_missing_config_is_config_error(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 2
+
+    def test_run_negative_seed_is_config_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(preset_config("discrete").to_dict()))
+        assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_run_invalid_config_is_config_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.json"

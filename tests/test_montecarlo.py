@@ -113,7 +113,7 @@ class TestSamplePhasePoint:
         counts = rng.multinomial(5000, weights)
         z = rng.standard_normal((5, 5000))
         x = z.copy()
-        engine._transform(x, counts, components)
+        engine._transform(x, counts, components, np.empty(5000))
         start = 0
         for count, state in zip(counts, tapped.states):
             seg = slice(start, start + count)
@@ -131,7 +131,8 @@ def bin_tap_values(values, bins, hist_range):
     post = np.zeros((1, 5, bins), dtype=np.int64)
     per_level = np.zeros((1, 1), dtype=np.int64)
     _kernel_py.accumulate_chunk(
-        x, np.array([values.size]), np.array([np.inf]), hist_range, bins, pre, post, per_level
+        x, np.array([values.size]), np.array([np.inf]), hist_range, bins, pre, post, per_level,
+        np.empty(5 * values.size), np.empty(5 * values.size, dtype=np.int64),
     )
     return pre[0]
 
@@ -147,7 +148,8 @@ def test_kernel_routes_kept_shots_by_stratum_and_level():
     post = np.zeros((3, 5, bins), dtype=np.int64)
     per_level = np.zeros((3, 3), dtype=np.int64)
     count, mean, m2 = _kernel_py.accumulate_chunk(
-        x, np.array([1000, 1000, 3000]), thresholds, hist_range, bins, pre, post, per_level
+        x, np.array([1000, 1000, 3000]), thresholds, hist_range, bins, pre, post, per_level,
+        np.empty(5 * 3000), np.empty(5 * 3000, dtype=np.int64),
     )
     series = np.array([x[4], x[2], x[3], x[0] + x[2], x[1] - x[3]])
     idx = np.clip(((series + hist_range) * bins / (2 * hist_range)).astype(int), 0, bins - 1)
@@ -165,6 +167,28 @@ def test_kernel_routes_kept_shots_by_stratum_and_level():
         assert np.array_equal(post[j], [np.bincount(row[sel], minlength=bins) for row in idx])
 
 
+def test_kernel_reused_scratch_leaks_nothing():
+    # A shorter chunk after a longer one in the same buffers, against fresh
+    # buffers full of NaN and -1, so that any entry the kernel reads unwritten shows.
+    rng = np.random.default_rng(52)
+    first, second = rng.standard_normal((5, 3000)) * 2.0, rng.standard_normal((5, 1700)) * 2.0
+    thresholds, bins, hist_range = np.array([-0.5, 0.7, 1.9]), 41, 10.0
+
+    def run(x, series, idx):
+        out = [np.zeros((5, bins), np.int64), np.zeros((3, 5, bins), np.int64),
+               np.zeros((3, 2), np.int64)]
+        moments = _kernel_py.accumulate_chunk(
+            x, np.array([700, x.shape[1]]), thresholds, hist_range, bins, *out, series, idx
+        )
+        return out + list(moments)
+
+    scratch = np.empty(5 * 3000), np.empty(5 * 3000, dtype=np.int64)
+    run(first, *scratch)
+    reused = run(second, *scratch)
+    fresh = run(second, np.full(5 * 1700, np.nan), np.full(5 * 1700, -1, dtype=np.int64))
+    assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
+
 class TestHistogram:
     def test_empty_stream(self):
         counts = bin_tap_values([], bins=11, hist_range=5.0)
@@ -180,6 +204,12 @@ class TestHistogram:
         counts = bin_tap_values([-100.0, 100.0, 0.1], bins=11, hist_range=5.0)
         assert counts[0] == 1 and counts[-1] == 1
         assert counts.sum() == 3
+
+    def test_huge_and_infinite_values_in_their_own_end_bin(self):
+        counts = bin_tap_values([1e300, np.inf, 30.0, -1e300, -np.inf, np.nan], bins=11,
+                                hist_range=5.0)
+        assert counts[-1] == 3 and counts[0] == 3
+        assert counts.sum() == 6
 
     def test_variance_reconstruction_from_fine_bins(self):
         rng = np.random.default_rng(45)
@@ -256,6 +286,10 @@ class TestRunMc:
             assert pre.sum() == res.total_count
             assert post.sum() == res.kept_count
         assert res.per_level_kept.sum() == res.kept_count
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(n_shots=10, seed=-1)
 
     def test_bit_identical_reruns(self, tapped_discrete):
         conf = McConfig(n_shots=200_000, seed=99)
@@ -383,7 +417,7 @@ class TestRunMcSweep:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
             assert res.success_probability_hat == ref.success_probability_hat
 
-    @pytest.mark.parametrize("n_shots", [400_000, 2 * 65_536, 2])
+    @pytest.mark.parametrize("n_shots", [400_000, 2 * 65_536, 65_536 + 1_000, 2])
     def test_independent_of_worker_count(self, tapped_discrete, n_shots):
         grid = [4.0, 0.0, 2.0, 2.0, 1e4]
         runs = [
