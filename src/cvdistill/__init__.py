@@ -37,10 +37,8 @@ from .gaussian import (
     InvalidCovarianceError,
     apply_beamsplitter,
     apply_loss,
-    apply_phase_rotation,
     gaussian_log_negativity,
     make_kerr_entangled,
-    partial_trace,
     pt_trace_norm,
     squeezed_state,
     symplectic_eigenvalues,
@@ -90,10 +88,8 @@ __all__ = [
     "InvalidCovarianceError",
     "apply_beamsplitter",
     "apply_loss",
-    "apply_phase_rotation",
     "gaussian_log_negativity",
     "make_kerr_entangled",
-    "partial_trace",
     "pt_trace_norm",
     "squeezed_state",
     "symplectic_eigenvalues",

@@ -13,16 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
-from .channel import (
-    FluctuatingChannel,
-    discrete_channel,
-    envelope_exponential,
-    envelope_fading,
-    pooled_cm,
-    propagate,
-)
-from .gaussian import gaussian_log_negativity, make_kerr_entangled
+from .channel import discrete_channel, envelope_exponential, envelope_fading
+from .gaussian import apply_loss, gaussian_log_negativity, make_kerr_entangled
 
 __all__ = [
     "CalibrationError",
@@ -73,12 +67,22 @@ def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: 
     raise CalibrationError(f"bisection did not reach tolerance {ln_tol}; last f = {fmid:.6g}")
 
 
+def _level_covs(v_squeezed: float, v_antisqueezed: float, transmittances) -> np.ndarray:
+    """Covariances of the zero-mean source after each loss t on mode B, stacked."""
+    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
+    return np.array([apply_loss(source, 1, t).cov for t in transmittances])
+
+
+def _pooled_cov(level_covs: np.ndarray, weights) -> np.ndarray:
+    """The pooled covariance that ``pooled_cm`` gives for the mixture of zero-mean levels."""
+    return np.einsum("i,ijk->jk", weights, level_covs)
+
+
 def discrete_premix_ln(v_squeezed: float, v_antisqueezed: float) -> float:
     """Gaussian-fitted log-negativity of the two-level channel's pooled output."""
-    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
-    mixture = propagate(source, discrete_channel())
-    _, cov = pooled_cm(mixture)
-    return gaussian_log_negativity(cov)
+    channel = discrete_channel()
+    covs = _level_covs(v_squeezed, v_antisqueezed, channel.transmittances)
+    return gaussian_log_negativity(_pooled_cov(covs, channel.probabilities))
 
 
 def calibrate(
@@ -109,12 +113,9 @@ def calibrate(
     )
 
 
-def semicontinuous_premix_ln(
-    v_squeezed: float, v_antisqueezed: float, channel: FluctuatingChannel
-) -> float:
-    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
-    _, cov = pooled_cm(propagate(source, channel))
-    return gaussian_log_negativity(cov)
+def semicontinuous_premix_ln(level_covs: np.ndarray, weights) -> float:
+    """Gaussian-fitted log-negativity of the levels ``level_covs`` pooled with ``weights``."""
+    return gaussian_log_negativity(_pooled_cov(level_covs, weights))
 
 
 def calibrate_envelope(
@@ -141,13 +142,13 @@ def calibrate_envelope(
         lo, hi = -50.0, 50.0
     else:
         raise CalibrationError(f"unknown envelope family {family!r}; use one of {ENVELOPE_FAMILIES}")
+    # Zero-mean levels on one transmittance grid: each step only re-weights them.
+    covs = _level_covs(v_squeezed, v_antisqueezed, build(lo).transmittances)
     param, _ = _bisect(
-        lambda p: semicontinuous_premix_ln(v_squeezed, v_antisqueezed, build(p)),
+        lambda p: semicontinuous_premix_ln(covs, build(p).probabilities),
         lo,
         hi,
         ln_premix,
         ln_tol,
     )
-    if family == "exponential":
-        return -param, envelope_exponential(-param, p_full=p_full)
-    return param, build(param)
+    return (-param if family == "exponential" else param), build(param)

@@ -234,4 +234,4 @@ def upper_bound_ln(mixture: MixtureState) -> float:
     Gaussian components; bounds the total (non-Gaussian) logarithmic
     negativity of the mixed state from above and is >= 0 always.
     """
-    return float(np.log2(sum(w * pt_trace_norm(s) for w, s in mixture.components)))
+    return float(np.log2(mixture.weights @ pt_trace_norm(np.array([s.cov for s in mixture.states]))))

@@ -8,8 +8,8 @@ Subcommands:
   overrides for engine, shot count, seed and output directory.
 * ``report`` - re-render flat-file artifacts from a stored report.json.
 
-Exit codes: 0 success, 2 configuration error, 3 selection degenerate at
-every threshold, 4 Monte Carlo / analytic disagreement.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3 selection
+degenerate at every threshold, 4 Monte Carlo / analytic disagreement.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_report(args)
-    except (ConfigError, CalibrationError) as exc:
+    except (ConfigError, CalibrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,13 @@ __all__ = [
     "symplectic_form",
     "symplectic_eigenvalues",
     "validate_physical",
+    "pt_symplectic_spectrum",
     "gaussian_log_negativity",
+    "log_negativity_gradient",
     "pt_trace_norm",
     "apply_beamsplitter",
-    "apply_phase_rotation",
     "apply_loss",
     "make_kerr_entangled",
-    "partial_trace",
 ]
 
 # Physicality slack on symplectic eigenvalues (nu >= 1 - PHYS_TOL).
@@ -63,7 +63,6 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -74,9 +73,7 @@ class GaussianState:
             raise ValueError(f"mean length must be a positive multiple of 2, got {mean.size}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
-            raise InvalidCovarianceError("covariance matrix is not symmetric")
+        _check_covariance(cov, positive_definite=False)
         self.mean = mean
         self.cov = 0.5 * (cov + cov.T)
 
@@ -85,18 +82,11 @@ class GaussianState:
         return self.mean.size // 2
 
     def cholesky_factor(self) -> np.ndarray:
-        """Lower-triangular factor of ``cov``, cached for repeated sampling."""
-        if self._chol is None:
-            try:
-                self._chol = np.linalg.cholesky(self.cov)
-            except np.linalg.LinAlgError as exc:
-                raise InvalidCovarianceError(
-                    "covariance matrix is not positive definite"
-                ) from exc
-        return self._chol
-
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.mean.copy(), self.cov.copy())
+        """Lower-triangular factor of ``cov``."""
+        try:
+            return np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidCovarianceError("covariance matrix is not positive definite") from exc
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -153,6 +143,15 @@ def _as_cov(state_or_cov) -> np.ndarray:
     return cov
 
 
+def _check_covariance(covs: np.ndarray, positive_definite: bool = True) -> None:
+    """Raise InvalidCovarianceError unless each matrix of ``covs`` (..., d, d) is a covariance."""
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    if np.any(np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+        raise InvalidCovarianceError("covariance matrix is not symmetric")
+    if positive_definite and np.any(np.linalg.eigvalsh(covs).min(axis=-1) <= 0.0):
+        raise InvalidCovarianceError("covariance matrix is not positive definite")
+
+
 def symplectic_eigenvalues(cov) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted ascending.
 
@@ -165,11 +164,7 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
         If the matrix is not symmetric or not positive definite.
     """
     cov = _as_cov(cov)
-    scale = max(1.0, float(np.abs(cov).max()))
-    if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
-        raise InvalidCovarianceError("covariance matrix is not symmetric")
-    if np.linalg.eigvalsh(cov).min() <= 0.0:
-        raise InvalidCovarianceError("covariance matrix is not positive definite")
+    _check_covariance(cov)
     n = cov.shape[0] // 2
     spectrum = np.linalg.eigvals(symplectic_form(n) @ cov)
     # Eigenvalues of Omega*cov come in +/- i*nu pairs; |.| yields each nu twice.
@@ -186,37 +181,68 @@ def validate_physical(state_or_cov, tol: float = PHYS_TOL) -> bool:
     return bool(symplectic_eigenvalues(state_or_cov).min() >= 1.0 - tol)
 
 
-def _pt_cov(cov: np.ndarray) -> np.ndarray:
-    """Partial transposition of a two-mode covariance: sign flip of P_B."""
-    if cov.shape != (4, 4):
-        raise ValueError(f"partial transposition needs a two-mode (4x4) cov, got {cov.shape}")
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    return flip @ cov @ flip
+_PT_FORM = symplectic_form(2) * np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def pt_symplectic_spectrum(covs):
+    """Squared symplectic eigenvalues (nu_-^2, nu_+^2) of a two-mode partial transpose.
+
+    ``covs`` is a 4x4 covariance [[A, C], [C^T, B]] or a stack (..., 4, 4).
+    In closed form (Vidal and Werner 2002, PRA 65 032314; Serafini,
+    Illuminati and De Siena 2004, J. Phys. B 37 L21),
+    2 nu_+-^2 = D +- sqrt(D^2 - 4 det sigma) with D = det A + det B - 2 det C
+    = -tr((W sigma)^2) / 2, where W (``_PT_FORM``) is the symplectic form with
+    mode B's block negated, as flipping P_B does. nu_-^2 is taken as
+    2 det sigma / (D + sqrt(D^2 - 4 det sigma)), free of the difference form's
+    cancellation. Raises ValueError unless the matrices are 4x4, and
+    InvalidCovarianceError unless they are symmetric positive definite.
+    """
+    covs = np.asarray(covs, dtype=float)
+    if covs.shape[-2:] != (4, 4):
+        raise ValueError(f"partial transpose needs two-mode (4x4) covariances, got {covs.shape}")
+    _check_covariance(covs)
+    delta = -0.5 * np.einsum("...jk,...kj", _PT_FORM @ covs, _PT_FORM @ covs)
+    det = np.linalg.det(covs)
+    upper = delta + np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0))
+    return 2.0 * det / upper, 0.5 * upper
 
 
 def gaussian_log_negativity(state_or_cov) -> float:
     """Gaussian logarithmic negativity of a two-mode state, in bits.
 
-    Computed as -log2 of the smallest symplectic eigenvalue of the
-    partially transposed covariance matrix. The value is *not* clamped at
+    -log2 of nu_-, the smaller symplectic eigenvalue of the partially
+    transposed covariance (:func:`pt_symplectic_spectrum`). Not clamped at
     zero: a Gaussian fit to an unentangled mixture legitimately yields a
     negative number, and that number is meaningful for comparisons.
     """
-    cov = _as_cov(state_or_cov)
-    nu = symplectic_eigenvalues(_pt_cov(cov))
-    return float(-np.log2(nu.min()))
+    nu_minus_sq, _ = pt_symplectic_spectrum(_as_cov(state_or_cov))
+    return float(-0.5 * np.log2(nu_minus_sq))
 
 
-def pt_trace_norm(state_or_cov) -> float:
-    """Trace norm of the partially transposed two-mode Gaussian state.
+def log_negativity_gradient(state_or_cov) -> np.ndarray:
+    """Gradient G of :func:`gaussian_log_negativity`: dLN = sum_jk G_jk dsigma_jk.
 
-    Equals prod_k max(1, 1/nu_k) over the symplectic spectrum of the
-    partially transposed covariance; >= 1 always, and log2 of it equals
-    the logarithmic negativity when it is positive.
+    G is symmetric, so an off-diagonal entry, which moves sigma_jk and
+    sigma_kj together, has derivative 2 G_jk. From the closed form,
+    d(nu_-^2) = (d det sigma - nu_-^2 dD) / (nu_+^2 - nu_-^2) with
+    d det sigma = det(sigma) sigma^-1 : dsigma and dD = -W sigma W : dsigma.
+    Undefined where nu_- = nu_+.
     """
     cov = _as_cov(state_or_cov)
-    nu = symplectic_eigenvalues(_pt_cov(cov))
-    return float(np.prod(np.maximum(1.0, 1.0 / nu)))
+    nu_minus_sq, nu_plus_sq = pt_symplectic_spectrum(cov)
+    d_det = np.linalg.det(cov) * np.linalg.inv(cov)
+    d_nu_sq = (d_det + nu_minus_sq * (_PT_FORM @ cov @ _PT_FORM)) / (nu_plus_sq - nu_minus_sq)
+    return d_nu_sq / (-2.0 * np.log(2.0) * nu_minus_sq)
+
+
+def pt_trace_norm(state_or_covs):
+    """Trace norm of the partially transposed two-mode Gaussian state, prod max(1, 1/nu).
+
+    >= 1 always; log2 of it is the log-negativity when that is positive.
+    A stack of covariances gives one norm per matrix.
+    """
+    covs = state_or_covs.cov if isinstance(state_or_covs, GaussianState) else state_or_covs
+    return np.prod(np.maximum(1.0, np.stack(pt_symplectic_spectrum(covs)) ** -0.5), axis=0)
 
 
 def _beamsplitter_symplectic(n_modes: int, mode_a: int, mode_b: int, transmittance: float) -> np.ndarray:
@@ -254,18 +280,6 @@ def apply_beamsplitter(
         if not 0 <= m < n:
             raise ValueError(f"mode index {m} out of range for {n} modes")
     s = _beamsplitter_symplectic(n, mode_a, mode_b, transmittance)
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
-
-
-def apply_phase_rotation(state: GaussianState, mode: int, theta: float) -> GaussianState:
-    """Rotate one mode in phase space by angle theta (a local Gaussian unitary)."""
-    n = state.n_modes
-    if not 0 <= mode < n:
-        raise ValueError(f"mode index {mode} out of range for {n} modes")
-    s = np.eye(2 * n)
-    c, sn = np.cos(theta), np.sin(theta)
-    k = 2 * mode
-    s[k : k + 2, k : k + 2] = [[c, -sn], [sn, c]]
     return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 
 
@@ -317,15 +331,3 @@ def make_kerr_entangled(v_squeezed: float, v_antisqueezed: float) -> GaussianSta
     # Port assignment fixes the sign of the correlation blocks: the
     # X-squeezed beam enters the transmitted-signal port.
     return apply_beamsplitter(inputs, mode_a=1, mode_b=0, transmittance=0.5)
-
-
-def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Reduced state on the given modes (ascending mode order is kept)."""
-    n = state.n_modes
-    kept = sorted(set(int(m) for m in keep))
-    if not kept:
-        raise ValueError("keep set must not be empty")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise ValueError(f"keep set {kept} out of range for {n} modes")
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in kept])
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])

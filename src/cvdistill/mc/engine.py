@@ -40,7 +40,7 @@ import numpy as np
 
 from ..channel import MixtureState
 from ..distill import DegenerateSelectionError
-from ..gaussian import gaussian_log_negativity
+from ..gaussian import gaussian_log_negativity, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS
@@ -354,26 +354,14 @@ def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> 
     return jac @ (feat_cov / n) @ jac.T
 
 
-def _ln_gradient(cov: np.ndarray) -> np.ndarray:
-    """Numerical gradient of the log-negativity over the ten independent entries."""
-    grad = np.zeros(len(PAIRS))
-    for p, (j, k) in enumerate(PAIRS):
-        h = 1e-6 * max(1.0, abs(cov[j, k]))
-        basis = np.zeros((4, 4))
-        basis[j, k] = basis[k, j] = 1.0
-        grad[p] = (
-            gaussian_log_negativity(cov + h * basis) - gaussian_log_negativity(cov - h * basis)
-        ) / (2.0 * h)
-    return grad
-
-
 def ln_with_se(result: McResult):
     """Log-negativity of the Monte Carlo covariance and its standard error.
 
     The error propagates the run's empirical covariance-entry sampling
-    covariance through a numerical gradient of the log-negativity.
+    covariance through the analytic gradient of the log-negativity.
     """
     ln = gaussian_log_negativity(result.pooled_cov_hat)
-    grad = _ln_gradient(result.pooled_cov_hat)
+    g = log_negativity_gradient(result.pooled_cov_hat)
+    grad = np.array([g[j, k] if j == k else 2.0 * g[j, k] for j, k in PAIRS])
     var = float(grad @ result.cov_sampling @ grad)
     return ln, float(np.sqrt(max(var, 0.0)))

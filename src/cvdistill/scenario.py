@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,30 +67,30 @@ class RunReport:
     flags: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "engine": self.engine,
-            "calibration": self.calibration,
-            "ln_source": self.ln_source,
-            "ln_before": self.ln_before,
-            "upper_bound": self.upper_bound,
-            "channel": self.channel,
-            "thresholds": self.thresholds,
-            "histogram_edges": self.histogram_edges,
-            "provenance": self.provenance,
-            "flags": self.flags,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        fields = (
-            "scenario", "engine", "calibration", "ln_source", "ln_before", "upper_bound",
-            "channel", "thresholds", "histogram_edges", "provenance", "flags",
-        )
-        missing = [k for k in fields if k not in d]
-        if missing:
-            raise ValueError(f"report is missing keys {missing}")
-        return cls(**{k: d[k] for k in fields})
+        """Rebuild a stored report; ValueError if it lacks what ``emit_artifacts`` reads."""
+        names = [f.name for f in fields(cls)]
+        _require(d, names, "report")
+        _require(d, ["thresholds"], "report", list)
+        _require(d["provenance"], ["config"], "provenance")
+        if d["channel"] is not None:
+            _require(d["channel"], ["transmittances", "probabilities"], "channel", list)
+        n_levels = len(d["channel"]["transmittances"]) if d["channel"] is not None else 0
+        for row in d["thresholds"]:
+            _require(row, ["threshold"], "threshold row", (int, float, type(None)))
+            for section in filter(None, (row.get("analytic"), row.get("mc"))):
+                _require(section, ["success_probability", "gaussian_ln"], "threshold row")
+                _require(section, ["posterior_weights"], "threshold row", list)
+                if len(section["posterior_weights"]) < n_levels:
+                    raise ValueError("threshold row lacks posterior weights for some channel levels")
+            if row.get("mc") and d["histogram_edges"] is not None:
+                _require(row["mc"], ["histograms"], "mc section", dict)
+                for by_selection in row["mc"]["histograms"].values():
+                    _require(by_selection, ["pre", "post"], "mc histogram", list)
+        return cls(**{k: d[k] for k in names})
 
     @property
     def ln_after(self) -> list:
@@ -101,6 +101,15 @@ class RunReport:
             if section is not None:
                 rows.append((row["threshold"], section["gaussian_ln"], section["success_probability"]))
         return rows
+
+
+def _require(obj, keys, where: str, types=object) -> None:
+    """Raise ValueError unless ``obj`` is a dict with every key in ``keys`` holding a ``types``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    for k in keys:
+        if k not in obj or not isinstance(obj[k], types):
+            raise ValueError(f"{where} needs {k!r}" + ("" if types is object else f" as {types}"))
 
 
 def _resolve_source(config: ExperimentConfig):

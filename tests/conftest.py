@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cvdistill import (
+    GaussianState,
     TapConfig,
     apply_beamsplitter,
-    apply_phase_rotation,
     attach_tap,
     calibrate,
     discrete_channel,
@@ -13,6 +13,14 @@ from cvdistill import (
     squeezed_state,
     tensor,
 )
+
+
+def apply_phase_rotation(state, mode, theta):
+    """Rotate one mode in phase space by angle theta (a local Gaussian unitary)."""
+    s = np.eye(2 * state.n_modes)
+    c, sn = np.cos(theta), np.sin(theta)
+    s[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, -sn], [sn, c]]
+    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 
 
 def random_physical_state(rng, n_modes=2, max_thermal=5.0, max_squeeze=2.0):

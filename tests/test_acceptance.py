@@ -26,7 +26,6 @@ from cvdistill import (
     gaussification_metrics,
     herald,
     make_kerr_entangled,
-    partial_trace,
     pooled_cm,
     propagate,
     run_mc,
@@ -186,10 +185,8 @@ def test_criterion_8_invariant_suites(model):
         eta = rng.choice([0.0, 0.25, 0.5, 0.93, 1.0])
         mode = int(rng.integers(2))
         direct = apply_loss(state, mode, eta)
-        routed = partial_trace(
-            apply_beamsplitter(tensor(state, vacuum_state(1)), 2, mode, eta), [0, 1]
-        )
-        assert_allclose(direct.cov, routed.cov, atol=1e-12)
+        routed = apply_beamsplitter(tensor(state, vacuum_state(1)), 2, mode, eta)
+        assert_allclose(direct.cov, routed.cov[:4, :4], atol=1e-12)
 
     # heralding with no selection reproduces the pooled covariance
     sigma = max(np.sqrt(s.cov[4, 4]) for s in tapped.states)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cvdistill import (
@@ -7,11 +8,15 @@ from cvdistill import (
     calibrate,
     calibrate_envelope,
     envelope_exponential,
+    envelope_fading,
+    gaussian_log_negativity,
     parse_config,
+    pooled_cm,
     preset_config,
+    propagate,
     run_scenario,
 )
-from cvdistill.calibrate import semicontinuous_premix_ln
+from cvdistill.calibrate import _level_covs, _pooled_cov
 from cvdistill.cli import main
 from cvdistill.config import ConfigError
 from cvdistill.scenario import RunReport
@@ -50,25 +55,52 @@ class TestCalibrate:
             calibrate(ln_initial=-0.1)
 
 
+def pooled_premix_ln(source, channel):
+    """Log-negativity of the pooled channel output, through the mixture state."""
+    return gaussian_log_negativity(pooled_cm(propagate(source, channel))[1])
+
+
 class TestCalibrateEnvelope:
-    def test_fading_family_hits_target(self, calibration):
+    def test_fading_family_hits_target(self, calibration, calibrated_source):
         frac, chan = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
         assert chan.probabilities[-1] == pytest.approx(0.2, abs=1e-12)
-        ln = semicontinuous_premix_ln(calibration.v_squeezed, calibration.v_antisqueezed, chan)
-        assert ln == pytest.approx(-0.11, abs=1e-3)
+        assert pooled_premix_ln(calibrated_source, chan) == pytest.approx(-0.11, abs=1e-3)
         assert 0.0 < frac < 1.0
 
-    def test_exponential_family_hits_target(self, calibration):
+    def test_exponential_family_hits_target(self, calibration, calibrated_source):
         beta, chan = calibrate_envelope(
             calibration.v_squeezed, calibration.v_antisqueezed, family="exponential"
         )
-        ln = semicontinuous_premix_ln(calibration.v_squeezed, calibration.v_antisqueezed, chan)
-        assert ln == pytest.approx(-0.11, abs=1e-3)
+        assert pooled_premix_ln(calibrated_source, chan) == pytest.approx(-0.11, abs=1e-3)
         assert chan.probabilities[-1] == pytest.approx(0.2, abs=1e-12)
 
-    def test_root_at_trial_point(self, calibration):
+    @pytest.mark.parametrize("build, params", [
+        (envelope_fading, (0.0, 0.3, 1.0)),
+        (envelope_exponential, (-20.0, 0.0, 7.5)),
+    ], ids=["fading", "exponential"])
+    def test_reweighted_levels_equal_pooled_mixture(
+        self, calibration, calibrated_source, build, params
+    ):
+        for param in params:
+            chan = build(param)
+            covs = _level_covs(calibration.v_squeezed, calibration.v_antisqueezed, chan.transmittances)
+            expected = pooled_cm(propagate(calibrated_source, chan))[1]
+            assert np.abs(_pooled_cov(covs, chan.probabilities) - expected).max() <= 1e-14
+
+    def test_bisections_build_no_mixture_state(self, monkeypatch):
+        import cvdistill.channel
+
+        def forbidden(self):
+            raise AssertionError("a bisection built a MixtureState")
+
+        monkeypatch.setattr(cvdistill.channel.MixtureState, "__post_init__", forbidden)
+        cal = calibrate()
+        for family in ("fading", "exponential"):
+            calibrate_envelope(cal.v_squeezed, cal.v_antisqueezed, family=family)
+
+    def test_root_at_trial_point(self, calibration, calibrated_source):
         flat = envelope_exponential(0.0)
-        target = semicontinuous_premix_ln(calibration.v_squeezed, calibration.v_antisqueezed, flat)
+        target = pooled_premix_ln(calibrated_source, flat)
         beta, _ = calibrate_envelope(
             calibration.v_squeezed, calibration.v_antisqueezed,
             ln_premix=target, family="exponential",
@@ -415,3 +447,35 @@ class TestCliCommands:
 
     def test_report_command_bad_path(self, capsys):
         assert main(["report", "--report", "/nonexistent.json", "--out", "/tmp/x"]) == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["thresholds"][0].pop("threshold"),
+        lambda d: d["channel"].pop("probabilities"),
+        lambda d: d.update(thresholds=5),
+        lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].pop(),
+    ], ids=["row-without-threshold", "channel-without-probabilities", "thresholds-not-a-list",
+            "posterior-weights-short"])
+    def test_report_command_malformed_report(self, capsys, tmp_path, corrupt):
+        cfg = preset_config("discrete")
+        cfg.tap.thresholds = [2.0]
+        cfg.output.dir = str(tmp_path / "first")
+        run_scenario(cfg)
+        data = json.loads((tmp_path / "first" / "report.json").read_text())
+        corrupt(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["report", "--report", str(bad), "--out", str(tmp_path / "second")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load report")
+
+    def test_calibrate_out_is_directory(self, capsys, tmp_path):
+        assert main(["calibrate", "--skip-envelope", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_run_out_below_a_file(self, capsys, tmp_path):
+        cfg = preset_config("discrete")
+        cfg.tap.thresholds = [2.0]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        code = main(["run", "--config", str(cfg_path), "--out", str(cfg_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

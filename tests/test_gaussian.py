@@ -7,10 +7,10 @@ from cvdistill import (
     InvalidCovarianceError,
     apply_beamsplitter,
     apply_loss,
-    apply_phase_rotation,
     gaussian_log_negativity,
+    herald,
     make_kerr_entangled,
-    partial_trace,
+    pooled_cm,
     pt_trace_norm,
     squeezed_state,
     symplectic_eigenvalues,
@@ -18,8 +18,8 @@ from cvdistill import (
     vacuum_state,
     validate_physical,
 )
-from cvdistill.gaussian import symplectic_form
-from conftest import random_physical_state
+from cvdistill.gaussian import log_negativity_gradient, pt_symplectic_spectrum, symplectic_form
+from conftest import apply_phase_rotation, random_physical_state
 
 
 def two_mode_symplectic_eigenvalues_closed_form(cov):
@@ -148,6 +148,44 @@ class TestLogNegativity:
         with pytest.raises(ValueError):
             gaussian_log_negativity(vacuum_state(3))
 
+    def test_rejects_malformed_covariances(self):
+        asymmetric = np.eye(4)
+        asymmetric[0, 2] = 0.5
+        singular = np.eye(4)
+        singular[3, 3] = 0.0
+        for bad in (asymmetric, singular):
+            with pytest.raises(InvalidCovarianceError):
+                gaussian_log_negativity(bad)
+        for bad in (np.eye(2), np.eye(6), np.eye(3)):
+            with pytest.raises(ValueError):
+                gaussian_log_negativity(bad)
+
+
+class TestLogNegativityGradient:
+    @staticmethod
+    def central_difference(cov, h=1e-5):
+        grad = np.zeros((4, 4))
+        for j in range(4):
+            for k in range(j, 4):
+                step = np.zeros((4, 4))
+                step[j, k] = step[k, j] = h
+                diff = gaussian_log_negativity(cov + step) - gaussian_log_negativity(cov - step)
+                grad[j, k] = grad[k, j] = diff / (2 * h) / (1 if j == k else 2)
+        return grad
+
+    def test_matches_central_difference(self, discrete_mixture, discrete_tapped):
+        covs = [s.cov for s in discrete_mixture.states]
+        covs.append(pooled_cm(discrete_mixture)[1])
+        covs += [herald(discrete_tapped, t).pooled_cov for t in (0.0, 4.0, 9.0)]
+        rng = np.random.default_rng(14)
+        covs += [random_physical_state(rng, 2).cov for _ in range(20)]
+        for cov in covs:
+            grad = log_negativity_gradient(cov)
+            assert_allclose(grad, grad.T, rtol=0, atol=1e-15 * np.abs(grad).max())
+            assert_allclose(
+                grad, self.central_difference(cov), rtol=1e-6, atol=1e-9 * np.abs(grad).max()
+            )
+
 
 class TestPtTraceNorm:
     def test_two_mode_vacuum(self):
@@ -167,16 +205,19 @@ class TestPtTraceNorm:
 
     def test_at_least_one_everywhere(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            state = random_physical_state(rng, 2)
+        states = [random_physical_state(rng, 2) for _ in range(50)]
+        for state in states:
             norm = pt_trace_norm(state)
             assert norm >= 1.0
             flip = np.diag([1.0, 1.0, 1.0, -1.0])
             nu = symplectic_eigenvalues(flip @ state.cov @ flip)
+            assert_allclose(np.sqrt(pt_symplectic_spectrum(state.cov)), nu, rtol=1e-12)
             if np.sum(nu < 1.0) == 1:
                 assert norm == pytest.approx(
                     2.0 ** gaussian_log_negativity(state), rel=1e-9
                 )
+        stacked = pt_trace_norm(np.array([s.cov for s in states]))
+        assert_allclose(stacked, [pt_trace_norm(s) for s in states], rtol=1e-15)
 
 
 class TestBeamsplitter:
@@ -263,9 +304,9 @@ class TestLoss:
             extended = apply_beamsplitter(
                 tensor(state, vacuum_state(1)), mode_a=n_modes, mode_b=mode, transmittance=eta
             )
-            reduced = partial_trace(extended, range(n_modes))
-            assert_allclose(direct.cov, reduced.cov, atol=1e-12)
-            assert_allclose(direct.mean, reduced.mean, atol=1e-12)
+            kept = slice(0, 2 * n_modes)
+            assert_allclose(direct.cov, extended.cov[kept, kept], atol=1e-12)
+            assert_allclose(direct.mean, extended.mean[kept], atol=1e-12)
 
     def test_every_output_physical(self):
         rng = np.random.default_rng(11)
@@ -309,26 +350,7 @@ class TestMakeKerrEntangled:
     def test_output_physical(self, calibrated_source):
         assert validate_physical(calibrated_source)
 
-
-class TestPartialTrace:
-    def test_keep_all_is_identity(self):
-        rng = np.random.default_rng(13)
-        state = random_physical_state(rng, 3)
-        out = partial_trace(state, [0, 1, 2])
-        assert_allclose(out.cov, state.cov, atol=1e-15)
-
-    def test_vacuum_marginal(self):
-        out = partial_trace(vacuum_state(2), [0])
-        assert_allclose(out.cov, np.eye(2), atol=1e-15)
-
-    def test_thermal_marginal_of_entangled_state(self, calibration, calibrated_source):
+    def test_thermal_marginal(self, calibration, calibrated_source):
         s = (calibration.v_squeezed + calibration.v_antisqueezed) / 2.0
-        out = partial_trace(calibrated_source, [1])
-        assert_allclose(out.cov, np.diag([s, s]), atol=1e-12)
+        assert_allclose(calibrated_source.cov[2:, 2:], np.diag([s, s]), atol=1e-12)
 
-    def test_rejects_bad_keep_sets(self):
-        state = vacuum_state(2)
-        with pytest.raises(ValueError):
-            partial_trace(state, [])
-        with pytest.raises(ValueError):
-            partial_trace(state, [2])

@@ -10,7 +10,6 @@ from cvdistill import (
     McConfig,
     MixtureState,
     TapConfig,
-    apply_phase_rotation,
     attach_tap,
     discrete_channel,
     distilled_gln,
@@ -27,7 +26,7 @@ from cvdistill import (
 )
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
 from cvdistill.mc import _kernel_py, engine
-from conftest import batch_moments
+from conftest import apply_phase_rotation, batch_moments
 
 # A threshold below every shot: run_mc then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
@@ -360,10 +359,8 @@ class TestRunMc:
         assert errs[2] < 0.02
 
     def test_rejects_wrong_mode_count(self, tapped_discrete):
-        from cvdistill import partial_trace
-
         two_mode = MixtureState(
-            [(w, partial_trace(s, [0, 1])) for w, s in tapped_discrete.components]
+            [(w, GaussianState(s.mean[:4], s.cov[:4, :4])) for w, s in tapped_discrete.components]
         )
         with pytest.raises(ValueError):
             run_mc(two_mode, McConfig(n_shots=10, seed=1), 0.0)
