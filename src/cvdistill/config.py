@@ -39,6 +39,28 @@ class ConfigError(ValueError):
     """Configuration file or dictionary is invalid."""
 
 
+def threshold_tag(threshold) -> str:
+    """The part of a per-threshold artifact file name that names the threshold."""
+    return f"{threshold:g}"
+
+
+def check_threshold_tags(thresholds, where: str) -> None:
+    """ConfigError if two distinct thresholds would write the same artifact files.
+
+    Tags keep 6 significant digits, so 1.0000001 and 1.0000004 both tag
+    as "1" and the second threshold's tables would overwrite the first's.
+    Equal thresholds write equal tables and are allowed.
+    """
+    seen = {}
+    for th in thresholds:
+        first = seen.setdefault(threshold_tag(th), th)
+        if first != th:
+            raise ConfigError(
+                f"{where} {first!r} and {th!r} share the artifact file tag "
+                f"'th{threshold_tag(th)}'"
+            )
+
+
 def _require_keys(d: dict, allowed, context: str, required=()):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -216,6 +238,7 @@ class TapSettings:
         if not isinstance(thresholds, list) or not thresholds:
             raise ConfigError("tap.thresholds must be a non-empty list")
         ths = [_finite(th, f"tap.thresholds[{i}]") for i, th in enumerate(thresholds)]
+        check_threshold_tags(ths, "tap.thresholds")
         return cls(reflectivity=reflectivity, thresholds=ths)
 
     def to_dict(self) -> dict:

@@ -358,9 +358,14 @@ def ln_with_se(result: McResult):
     """Log-negativity of the Monte Carlo covariance and its standard error.
 
     The error propagates the run's empirical covariance-entry sampling
-    covariance through the analytic gradient of the log-negativity.
+    covariance through the analytic gradient of the log-negativity. It is
+    None when the run kept at most ``N_FEATURES`` shots: the sample
+    covariance of the features then has rank below ``N_FEATURES`` and the
+    delta method has nothing to stand on.
     """
     ln = gaussian_log_negativity(result.pooled_cov_hat)
+    if result.kept_count <= N_FEATURES:
+        return ln, None
     g = log_negativity_gradient(result.pooled_cov_hat)
     grad = np.array([g[j, k] if j == k else 2.0 * g[j, k] for j, k in PAIRS])
     var = float(grad @ result.cov_sampling @ grad)

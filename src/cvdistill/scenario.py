@@ -28,7 +28,7 @@ from .channel import (
     propagate,
     upper_bound_ln,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_threshold_tags, threshold_tag
 from .distill import (
     DegenerateSelectionError,
     TapConfig,
@@ -90,6 +90,8 @@ class RunReport:
                 _require(row["mc"], ["histograms"], "mc section", dict)
                 for by_selection in row["mc"]["histograms"].values():
                     _require(by_selection, ["pre", "post"], "mc histogram", list)
+        check_threshold_tags([row["threshold"] for row in d["thresholds"]
+                              if row["threshold"] is not None], "report thresholds")
         return cls(**{k: d[k] for k in names})
 
     @property
@@ -279,9 +281,11 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
             if row["analytic"] is not None and row["mc"] is not None:
                 success = row["analytic"]["success_probability"]
                 ln_se = row["mc"]["ln_se"]
-                diff = abs(row["mc"]["gaussian_ln"] - row["analytic"]["gaussian_ln"])
-                sigma = diff / ln_se if ln_se > 0 else (0.0 if diff == 0.0 else np.inf)
-                checked = success >= AGREEMENT_MIN_SUCCESS
+                sigma = None
+                if ln_se is not None:
+                    diff = abs(row["mc"]["gaussian_ln"] - row["analytic"]["gaussian_ln"])
+                    sigma = diff / ln_se if ln_se > 0 else (0.0 if diff == 0.0 else np.inf)
+                checked = sigma is not None and success >= AGREEMENT_MIN_SUCCESS
                 ok = (sigma <= AGREEMENT_SIGMA) if checked else True
                 row["agreement"] = {"ln_sigma_distance": sigma, "checked": checked, "ok": ok}
                 if not ok:
@@ -322,6 +326,11 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     return report
 
 
+SWEEP_HEADER = "threshold_snu,success_probability,gaussian_ln,weight_entropy\n"
+POSTERIOR_HEADER = "level_index,transmittance,prior_probability,posterior_weight,mc_posterior_weight\n"
+HISTOGRAM_HEADER = "bin_left,bin_right,count,series,selection\n"
+
+
 def _fmt(value) -> str:
     """CSV cell with full double precision (17 significant digits)."""
     if value is None:
@@ -331,12 +340,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str, header: str, data_rows) -> None:
+def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in data_rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing artifact {path}: {exc}") from exc
 
@@ -366,23 +373,27 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
         return written
 
     # Distillation curve: one row per threshold with usable results.
-    sweep_rows = []
+    lines = [SWEEP_HEADER]
     for row in report.thresholds:
         section = row.get("analytic") or row.get("mc")
         if section is None or row["threshold"] is None:
             continue
-        sweep_rows.append(
-            (row["threshold"], section["success_probability"], section["gaussian_ln"],
-             section.get("weight_entropy"))
-        )
+        cells = (row["threshold"], section["success_probability"], section["gaussian_ln"],
+                 section.get("weight_entropy"))
+        lines.append(",".join(map(_fmt, cells)) + "\n")
     path = os.path.join(out_dir, "sweep.csv")
-    _write_rows(path, "threshold_snu,success_probability,gaussian_ln,weight_entropy", sweep_rows)
+    _write_text(path, "".join(lines))
     written.append(path)
 
-    # Posterior weight tables (mixture composition after heralding).
+    # Posterior weight tables (mixture composition after heralding). The
+    # level columns are the same in every table, so they are rendered once.
     if report.channel is not None:
-        ts = report.channel["transmittances"]
-        ps = report.channel["probabilities"]
+        levels = [
+            f"{i},{_fmt(t)},{_fmt(p)},"
+            for i, (t, p) in enumerate(zip(report.channel["transmittances"],
+                                           report.channel["probabilities"]))
+        ]
+        no_weights = [None] * len(levels)
         for row in report.thresholds:
             if row["threshold"] is None:
                 continue
@@ -390,35 +401,53 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
             mc = row.get("mc")
             if analytic is None and mc is None:
                 continue
-            table = []
-            for i, (t, p) in enumerate(zip(ts, ps)):
-                table.append(
-                    (i, t, p,
-                     analytic["posterior_weights"][i] if analytic else None,
-                     mc["posterior_weights"][i] if mc else None)
-                )
-            path = os.path.join(out_dir, f"posterior_weights_th{row['threshold']:g}.csv")
-            _write_rows(
-                path,
-                "level_index,transmittance,prior_probability,posterior_weight,mc_posterior_weight",
-                table,
+            weights = analytic["posterior_weights"] if analytic else no_weights
+            mc_weights = mc["posterior_weights"] if mc else no_weights
+            text = "".join(
+                [POSTERIOR_HEADER]
+                + [f"{prefix}{_fmt(weights[i])},{_fmt(mc_weights[i])}\n"
+                   for i, prefix in enumerate(levels)]
             )
+            path = os.path.join(out_dir, f"posterior_weights_th{threshold_tag(row['threshold'])}.csv")
+            _write_text(path, text)
             written.append(path)
 
-    # Histograms (only present when the Monte Carlo engine ran).
+    # Histograms (only present when the Monte Carlo engine ran). The bin
+    # columns are rendered once; so is each distinct pre-selection block,
+    # which every threshold of one run shares. The key is the block's
+    # content, so a stored report whose blocks differ renders each as written.
     if report.histogram_edges is not None:
         edges = report.histogram_edges
+        bins = [f"{_fmt(left)},{_fmt(right)}," for left, right in zip(edges[:-1], edges[1:])]
+        pre_blocks = {}
         for row in report.thresholds:
             mc = row.get("mc")
             if mc is None or row["threshold"] is None:
                 continue
-            table = []
+            parts = [HISTOGRAM_HEADER]
             for series, by_sel in mc["histograms"].items():
-                for selection in ("pre", "post"):
-                    for left, right, count in zip(edges[:-1], edges[1:], by_sel[selection]):
-                        table.append((left, right, count, series, selection))
-            path = os.path.join(out_dir, f"histograms_th{row['threshold']:g}.csv")
-            _write_rows(path, "bin_left,bin_right,count,series,selection", table)
+                pre = _count_cells(by_sel["pre"])
+                key = (series, tuple(pre))
+                if key not in pre_blocks:
+                    pre_blocks[key] = _histogram_block(bins, pre, series, "pre")
+                parts.append(pre_blocks[key])
+                parts.append(_histogram_block(bins, _count_cells(by_sel["post"]), series, "post"))
+            path = os.path.join(out_dir, f"histograms_th{threshold_tag(row['threshold'])}.csv")
+            _write_text(path, "".join(parts))
             written.append(path)
 
     return written
+
+
+def _count_cells(counts) -> list:
+    """Histogram counts as values whose f-string is their ``_fmt`` cell.
+
+    That holds for an int as it is, so a list of ints is returned unchanged.
+    """
+    return counts if set(map(type, counts)) <= {int} else [_fmt(c) for c in counts]
+
+
+def _histogram_block(bins, cells, series, selection: str) -> str:
+    """CSV rows of one histogram: pre-rendered bin columns, then count, series, selection."""
+    tail = f",{series},{selection}\n"
+    return "".join([f"{b}{c}{tail}" for b, c in zip(bins, cells)])

@@ -19,7 +19,27 @@ from cvdistill import (
 from cvdistill.calibrate import _level_covs, _pooled_cov
 from cvdistill.cli import main
 from cvdistill.config import ConfigError
+from cvdistill.mc import SERIES
 from cvdistill.scenario import RunReport
+
+# Both engines over four thresholds; at 12 SNU the 20,000 shots keep none,
+# so that row has no Monte Carlo section and no histogram file.
+BOTH_THRESHOLDS = [0.0, 2.0, 4.0, 12.0]
+
+
+@pytest.fixture(scope="module")
+def both_run(tmp_path_factory):
+    """(output dir, stored report dict) of ``cvdistill run`` with both engines."""
+    base = tmp_path_factory.mktemp("both")
+    cfg = preset_config("discrete")
+    cfg.engine = "both"
+    cfg.tap.thresholds = list(BOTH_THRESHOLDS)
+    cfg.mc.n_shots = 20_000
+    cfg.mc.seed = 5
+    cfg_path = base / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["run", "--config", str(cfg_path), "--out", str(base / "first")]) == 0
+    return base / "first", json.loads((base / "first" / "report.json").read_text())
 
 
 class TestCalibrate:
@@ -335,6 +355,71 @@ class TestArtifacts:
         succ_text = sweep[1].split(",")[1]
         assert float(succ_text) == report.thresholds[0]["analytic"]["success_probability"]
 
+    def test_csv_content_matches_report(self, both_run):
+        out, report = both_run
+        rows = {row["threshold"]: row for row in report["thresholds"]}
+        assert rows[12.0]["mc"] is None and rows[4.0]["mc"]["kept_count"] > 0
+        edges = report["histogram_edges"]
+        levels = list(zip(report["channel"]["transmittances"], report["channel"]["probabilities"]))
+        pre_rows = []
+        for th in BOTH_THRESHOLDS:
+            post = (out / f"posterior_weights_th{th:g}.csv").read_text().splitlines()
+            assert post[0] == ("level_index,transmittance,prior_probability,"
+                               "posterior_weight,mc_posterior_weight")
+            assert post[1].startswith("0,0.25,0.5,")
+            assert len(post) == 1 + len(levels)
+            analytic, mc = rows[th]["analytic"], rows[th]["mc"]
+            for i, line in enumerate(post[1:]):
+                index, t, p, weight, mc_weight = line.split(",")
+                assert (int(index), float(t), float(p)) == (i, *levels[i])
+                assert float(weight) == analytic["posterior_weights"][i]
+                if mc is None:
+                    assert mc_weight == ""
+                else:
+                    assert float(mc_weight) == mc["posterior_weights"][i]
+
+            hist = out / f"histograms_th{th:g}.csv"
+            if mc is None:
+                assert not hist.exists()
+                continue
+            lines = hist.read_text().splitlines()
+            assert lines[0] == "bin_left,bin_right,count,series,selection"
+            assert lines[1].startswith("-25,-24.751243781094526,")
+            assert lines[1].endswith(",X_tap,pre")
+            cells = [line.split(",") for line in lines[1:]]
+            n_bins = len(edges) - 1
+            assert len(cells) == 2 * n_bins * len(SERIES)
+            for b, (left, right, count, series, selection) in enumerate(cells):
+                block, k = divmod(b, n_bins)
+                assert (series, selection) == (SERIES[block // 2], ("pre", "post")[block % 2])
+                assert (float(left), float(right)) == (edges[k], edges[k + 1])
+                assert int(count) == mc["histograms"][series][selection][k]
+            for block in range(1, 2 * len(SERIES), 2):
+                post_counts = [int(c[2]) for c in cells[block * n_bins:(block + 1) * n_bins]]
+                assert sum(post_counts) == mc["kept_count"]
+            pre_rows.append([line for line in lines if line.endswith(",pre")])
+        assert len(pre_rows) == 3
+        assert pre_rows[0] == pre_rows[1] == pre_rows[2]
+
+    def test_edited_pre_histograms_render_as_stored(self, capsys, tmp_path, both_run):
+        # Pre-selection blocks are shared by every threshold of a run; a
+        # stored report whose blocks differ must still render each as stored.
+        first, _ = both_run
+        report = json.loads((first / "report.json").read_text())
+        pre2 = report["thresholds"][1]["mc"]["histograms"]["X_tap"]["pre"]
+        pre4 = report["thresholds"][2]["mc"]["histograms"]["X_tap"]["pre"]
+        pre2[100] += 1
+        pre4[100] += 0.1
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(report))
+        assert main(["report", "--report", str(edited), "--out", str(tmp_path / "out")]) == 0
+        counts = {}
+        for th in (0, 2, 4):
+            lines = (tmp_path / "out" / f"histograms_th{th}.csv").read_text().splitlines()
+            counts[th] = lines[1 + 100].split(",")[2]
+        stored = report["thresholds"][0]["mc"]["histograms"]["X_tap"]["pre"][100]
+        assert counts == {0: str(stored), 2: str(stored + 1), 4: f"{stored + 0.1:.17g}"}
+
 
 class TestCliCommands:
     def test_calibrate_command(self, capsys, tmp_path):
@@ -405,6 +490,41 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("thresholds, code", [([1.0000001, 1.0000004], 2), ([2.0, 2.0], 0)],
+                             ids=["distinct-same-tag", "exact-duplicates"])
+    def test_run_threshold_tags_must_differ(self, capsys, tmp_path, thresholds, code):
+        # Artifact names keep 6 significant digits: distinct thresholds that
+        # share one would overwrite each other's tables.
+        raw = preset_config("discrete").to_dict()
+        raw["tap"]["thresholds"] = thresholds
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == code
+        if code == 2:
+            assert "tag 'th1'" in capsys.readouterr().err
+        else:
+            assert len((tmp_path / "art" / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_run_few_kept_shots_reports_no_standard_error(self, capsys, tmp_path):
+        # At 7.5 SNU (success 2.7e-4, so the agreement check would apply)
+        # this seed keeps 10 of 40,000 shots: fewer than the 14 features
+        # whose sample covariance the delta method needs.
+        cfg = preset_config("discrete")
+        cfg.engine = "both"
+        cfg.tap.thresholds = [2.0, 7.5]
+        cfg.mc.n_shots = 40_000
+        cfg.mc.seed = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == 0
+        rows = json.loads((tmp_path / "art" / "report.json").read_text())["thresholds"]
+        assert rows[0]["mc"]["kept_count"] > 14 and rows[0]["mc"]["ln_se"] > 0
+        assert rows[0]["agreement"]["checked"]
+        assert 2 <= rows[1]["mc"]["kept_count"] <= 14
+        assert rows[1]["analytic"]["success_probability"] >= 1e-4
+        assert rows[1]["mc"]["ln_se"] is None
+        assert rows[1]["agreement"] == {"ln_sigma_distance": None, "checked": False, "ok": True}
+
     def test_run_all_degenerate_exit_code(self, capsys, tmp_path):
         cfg = preset_config("discrete")
         cfg.tap.thresholds = [1e4]
@@ -430,20 +550,18 @@ class TestCliCommands:
         monkeypatch.setattr(cli_mod, "run_scenario", rigged)
         assert main(["run", "--config", str(cfg_path)]) == 4
 
-    def test_report_command_rerenders(self, capsys, tmp_path):
-        cfg = preset_config("discrete")
-        cfg.tap.thresholds = [2.0]
-        cfg.output.dir = str(tmp_path / "first")
-        run_scenario(cfg)
+    def test_report_command_rerenders(self, capsys, tmp_path, both_run):
+        first, _ = both_run
         code = main([
-            "report", "--report", str(tmp_path / "first" / "report.json"),
+            "report", "--report", str(first / "report.json"),
             "--out", str(tmp_path / "second"),
         ])
         assert code == 0
-        assert (tmp_path / "second" / "sweep.csv").exists()
-        first = (tmp_path / "first" / "sweep.csv").read_text()
-        second = (tmp_path / "second" / "sweep.csv").read_text()
-        assert first == second
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "second").iterdir())
+        assert "histograms_th4.csv" in names and "histograms_th12.csv" not in names
+        for name in names:
+            assert (first / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
 
     def test_report_command_bad_path(self, capsys):
         assert main(["report", "--report", "/nonexistent.json", "--out", "/tmp/x"]) == 2
@@ -453,8 +571,9 @@ class TestCliCommands:
         lambda d: d["channel"].pop("probabilities"),
         lambda d: d.update(thresholds=5),
         lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].pop(),
+        lambda d: d["thresholds"].append(dict(d["thresholds"][0], threshold=2.0000001)),
     ], ids=["row-without-threshold", "channel-without-probabilities", "thresholds-not-a-list",
-            "posterior-weights-short"])
+            "posterior-weights-short", "threshold-tags-collide"])
     def test_report_command_malformed_report(self, capsys, tmp_path, corrupt):
         cfg = preset_config("discrete")
         cfg.tap.thresholds = [2.0]
