@@ -40,7 +40,7 @@ import numpy as np
 
 from ..channel import MixtureState
 from ..distill import DegenerateSelectionError
-from ..gaussian import gaussian_log_negativity, log_negativity_gradient
+from ..gaussian import InvalidCovarianceError, gaussian_log_negativity, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS
@@ -362,7 +362,13 @@ def ln_with_se(result: McResult):
     None when the run kept at most ``N_FEATURES`` shots: the sample
     covariance of the features then has rank below ``N_FEATURES`` and the
     delta method has nothing to stand on.
+
+    Raises ``InvalidCovarianceError`` when the run kept at most 4 shots:
+    the 4x4 sample covariance of n shots has rank at most n - 1 < 4,
+    however its rounded eigenvalues come out.
     """
+    if result.kept_count <= result.pooled_cov_hat.shape[0]:
+        raise InvalidCovarianceError("covariance matrix is not positive definite")
     ln = gaussian_log_negativity(result.pooled_cov_hat)
     if result.kept_count <= N_FEATURES:
         return ln, None

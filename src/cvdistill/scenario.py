@@ -2,9 +2,9 @@
 
 ``run_scenario`` executes one configured experiment end to end: resolve
 the source (explicit variances or calibration), apply the channel, attach
-the tap, herald at every threshold with the analytic engine and/or the
-Monte Carlo engine (one pass over the shots for the whole threshold list),
-and collect everything into a JSON-serializable RunReport.
+the tap, herald the whole threshold list with the analytic engine (one
+``herald`` call on the grid) and/or the Monte Carlo engine (one pass over
+the shots), and collect everything into a JSON-serializable RunReport.
 ``emit_artifacts`` renders a report to flat files (JSON report, sweep
 curve CSV, histogram CSVs, posterior-weight tables).
 """
@@ -160,19 +160,24 @@ def _resolve_channel(config: ExperimentConfig, v_squeezed: float, v_antisqueezed
     return chan, info
 
 
-def _analytic_section(ensemble) -> dict:
+def _analytic_sections(tapped: MixtureState, thresholds) -> list:
+    """Per threshold, its analytic row section or the DegenerateSelectionError of ``herald``.
+
+    One ``herald`` call evaluates the whole grid; the metrics come from its
+    stacked fields, and this only formats one row section per threshold.
+    """
+    ensemble = herald(tapped, thresholds)
     entropy, max_dist = gaussification_metrics(ensemble)
     var_x, var_p = joint_quadrature_variances(ensemble.pooled_cov)
-    return {
-        "success_probability": ensemble.success_probability,
-        "gaussian_ln": distilled_gln(ensemble),
-        "weight_entropy": entropy,
-        "max_component_cov_distance": max_dist,
-        "posterior_weights": ensemble.posterior_weights.tolist(),
-        "joint_var_x_sum": var_x,
-        "joint_var_p_diff": var_p,
-        "pooled_cov": ensemble.pooled_cov.tolist(),
-    }
+    columns = (ensemble.success_probability, distilled_gln(ensemble), entropy, max_dist,
+               ensemble.posterior_weights, var_x, var_p, ensemble.pooled_cov)
+    sections = iter([
+        {"success_probability": p, "gaussian_ln": ln, "weight_entropy": h,
+         "max_component_cov_distance": d, "posterior_weights": w, "joint_var_x_sum": vx,
+         "joint_var_p_diff": vp, "pooled_cov": cov}
+        for p, ln, h, d, w, vx, vp, cov in zip(*(c.tolist() for c in columns))
+    ])
+    return [next(sections) if exc is None else exc for exc in ensemble.errors]
 
 
 def _mc_section(result) -> dict:
@@ -197,7 +202,8 @@ def _mc_section(result) -> dict:
 def run_scenario(config: ExperimentConfig) -> RunReport:
     """Execute one configured scenario and return its report.
 
-    The Monte Carlo engine runs once for all thresholds (``run_mc_sweep``).
+    Each engine runs once for all thresholds (``herald`` on the grid,
+    ``run_mc_sweep``); the loop over thresholds only assembles rows.
     Per-threshold engine failures (degenerate selection, or too few kept
     shots for a positive-definite covariance) are recorded in the
     corresponding row and the run continues; the report's ``flags`` say
@@ -249,6 +255,8 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         )
     else:
         tapped = attach_tap(mixture, TapConfig(reflectivity=config.tap.reflectivity))
+        if run_analytic:
+            analytic = _analytic_sections(tapped, config.tap.thresholds)
         if run_montecarlo:
             mc_conf = McConfig(
                 n_shots=config.mc.n_shots,
@@ -263,10 +271,10 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                    "agreement": None, "error": None}
             errors = []
             if run_analytic:
-                try:
-                    row["analytic"] = _analytic_section(herald(tapped, threshold))
-                except DegenerateSelectionError as exc:
-                    errors.append(f"analytic: {exc}")
+                if isinstance(analytic[i], DegenerateSelectionError):
+                    errors.append(f"analytic: {analytic[i]}")
+                else:
+                    row["analytic"] = analytic[i]
             if run_montecarlo:
                 result = mc_results[i]
                 try:

@@ -231,10 +231,13 @@ class TestRunScenario:
 
     def test_degenerate_threshold_recorded_not_fatal(self):
         cfg = preset_config("discrete")
-        cfg.tap.thresholds = [2.0, 1e4]
+        cfg.tap.thresholds = [2.0, 1e4, 3.0]
         report = run_scenario(cfg)
-        assert report.thresholds[0]["error"] is None
-        assert report.thresholds[1]["error"] is not None
+        assert [row["error"] for row in report.thresholds] == [
+            None, "analytic: success probability underflowed (0.0) at threshold 10000.0", None]
+        assert report.thresholds[1]["analytic"] is None
+        cfg.tap.thresholds = [3.0]
+        assert report.thresholds[2] == run_scenario(cfg).thresholds[0]
         assert not report.flags["all_degenerate"]
 
     def test_singular_kept_covariance_recorded_not_fatal(self):
@@ -249,6 +252,24 @@ class TestRunScenario:
         assert report.thresholds[2]["mc"] is None
         assert report.thresholds[2]["error"] == "mc: covariance matrix is not positive definite"
         assert not report.flags["all_degenerate"]
+
+    def test_three_kept_shots_recorded_not_nan(self, tmp_path):
+        # One lossless level, 20,000 shots, seed 12345: 3 shots pass 3.5 SNU. Their
+        # sample covariance has rank 2, yet its rounded eigenvalues can all come out
+        # positive, so the kept-shot count alone must make the row an error.
+        cfg = preset_config("discrete").to_dict()
+        cfg["channel"] = {"levels": [{"t": 0.0, "p": 1.0}]}
+        cfg["engine"] = "mc"
+        cfg["mc"].update(n_shots=20_000, seed=12345)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == 0
+        text = (tmp_path / "art" / "report.json").read_text()
+        rows = {row["threshold"]: row for row in json.loads(text, parse_constant=pytest.fail)["thresholds"]}
+        assert rows[3.0]["mc"]["kept_count"] > 4
+        assert rows[3.5]["mc"] is None
+        assert rows[3.5]["error"] == "mc: covariance matrix is not positive definite"
+        assert "nan" not in (tmp_path / "art" / "sweep.csv").read_text()
 
     def test_all_degenerate_flagged(self):
         cfg = preset_config("discrete")

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from cvdistill import (
     TapConfig,
     attach_tap,
     distilled_gln,
+    envelope_fading,
     gaussian_log_negativity,
     gaussian_tail,
     gaussification_metrics,
@@ -20,10 +22,12 @@ from cvdistill import (
     joint_quadrature_variances,
     make_kerr_entangled,
     pooled_cm,
+    propagate,
     tail_hazard,
     tensor,
     vacuum_state,
 )
+from cvdistill.distill import HERALD_BLOCK
 from conftest import random_physical_state
 
 
@@ -204,9 +208,9 @@ class TestHerald:
         with pytest.raises(DegenerateSelectionError):
             herald(discrete_tapped, 1e4)
 
-    @pytest.mark.parametrize("threshold", [-np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("threshold", [-np.inf, np.inf, np.nan, [2.0, np.nan], [np.inf]])
     def test_rejects_non_finite_threshold(self, discrete_tapped, threshold):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             herald(discrete_tapped, threshold)
 
 
@@ -228,8 +232,73 @@ class TestDistilledGln:
             assert distilled_gln(herald(discrete_tapped, th)) <= best + 1e-9
 
 
+def _assert_rows_close(actual, expected, key):
+    """|actual - expected| <= 1e-12 * max(1, |expected|), entry by entry."""
+    expected = np.asarray(expected)
+    assert np.shape(actual) == expected.shape, key
+    assert np.all(np.abs(actual - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected))), key
+
+
+def _grid_row_metrics(ens):
+    """Per-row values of every field and metric of a stacked ensemble, by name."""
+    entropy, max_dist = gaussification_metrics(ens)
+    var_x, var_p = joint_quadrature_variances(ens.pooled_cov)
+    out = {f.name: getattr(ens, f.name) for f in fields(ens) if f.name not in ("prior_weights", "errors")}
+    out.update(ln=distilled_gln(ens), entropy=entropy, max_dist=max_dist, var_x=var_x, var_p=var_p)
+    return out
+
+
+@pytest.fixture(scope="module")
+def fading_tapped(calibrated_source):
+    """A 45-level semi-continuous mixture with its tap attached."""
+    return attach_tap(propagate(calibrated_source, envelope_fading(0.3)), TapConfig())
+
+
 class TestThresholdSweep:
-    """``herald`` over threshold grids, one call per threshold."""
+    """``herald`` over threshold grids: one call, rows stacked in grid order."""
+
+    @pytest.mark.parametrize("name", ["discrete_tapped", "fading_tapped"])
+    def test_grid_rows_equal_scalar_calls(self, request, name):
+        tapped = request.getfixturevalue(name)
+        # Unsorted, with a duplicate, and longer than one block.
+        grid = np.concatenate([np.linspace(12.0, -3.0, 2 * HERALD_BLOCK + 5), [4.0, -1.0, 4.0]])
+        ens = herald(tapped, grid)
+        assert ens.errors == (None,) * grid.size
+        assert_allclose(ens.threshold_x, grid, rtol=0, atol=0)
+        stacked = _grid_row_metrics(ens)
+        for k, th in enumerate(grid):
+            alone = herald(tapped, th)
+            assert alone.errors == ()
+            assert_allclose(alone.prior_weights, ens.prior_weights, rtol=0, atol=0)
+            for key, value in _grid_row_metrics(alone).items():
+                _assert_rows_close(stacked[key][k], value, key)
+
+    def test_degenerate_grid_row_only(self, discrete_tapped):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = herald(discrete_tapped, [2.0, 1e4, 3.0])
+            metrics = _grid_row_metrics(ens)
+        assert ens.errors[0] is None and ens.errors[2] is None
+        assert isinstance(ens.errors[1], DegenerateSelectionError)
+        assert str(ens.errors[1]) == "success probability underflowed (0.0) at threshold 10000.0"
+        assert_allclose(ens.threshold_x, [2.0, 3.0], rtol=0, atol=0)
+        for k, th in enumerate((2.0, 3.0)):
+            alone = _grid_row_metrics(herald(discrete_tapped, th))
+            for key, value in alone.items():
+                _assert_rows_close(metrics[key][k], value, key)
+        with pytest.raises(DegenerateSelectionError, match="underflowed"):
+            herald(discrete_tapped, 1e4)
+
+    def test_all_degenerate_grid_has_empty_stacks(self, discrete_tapped):
+        ens = herald(discrete_tapped, [1e4, 2e4])
+        assert all(isinstance(e, DegenerateSelectionError) for e in ens.errors)
+        for value in _grid_row_metrics(ens).values():
+            assert np.shape(value)[:1] == (0,)
+
+    def test_rejects_nested_or_empty_grid(self, discrete_tapped):
+        for grid in ([], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="grid"):
+                herald(discrete_tapped, grid)
 
     def test_single_deep_negative_threshold(self, discrete_tapped):
         ens = herald(discrete_tapped, no_selection_threshold(discrete_tapped))
