@@ -144,12 +144,21 @@ def _as_cov(state_or_cov) -> np.ndarray:
 
 
 def _check_covariance(covs: np.ndarray, positive_definite: bool = True) -> None:
-    """Raise InvalidCovarianceError unless each matrix of ``covs`` (..., d, d) is a covariance."""
+    """Raise InvalidCovarianceError unless each matrix of ``covs`` (..., d, d) is a covariance.
+
+    Positive definite means the smallest eigenvalue exceeds d * eps times the
+    largest, the rank tolerance of ``numpy.linalg.matrix_rank``: a
+    rank-deficient matrix whose zero eigenvalues round to tiny positive
+    numbers is rejected, not passed on to give a NaN or meaningless result.
+    """
     scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
     if np.any(np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise InvalidCovarianceError("covariance matrix is not symmetric")
-    if positive_definite and np.any(np.linalg.eigvalsh(covs).min(axis=-1) <= 0.0):
-        raise InvalidCovarianceError("covariance matrix is not positive definite")
+    if positive_definite:
+        eig = np.linalg.eigvalsh(covs)
+        floor = covs.shape[-1] * np.finfo(float).eps * eig[..., -1]
+        if np.any(eig[..., 0] <= floor):
+            raise InvalidCovarianceError("covariance matrix is not positive definite")
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:

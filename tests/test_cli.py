@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cvdistill
 from cvdistill import (
     CalibrationError,
     calibrate,
@@ -443,6 +447,17 @@ class TestArtifacts:
 
 
 class TestCliCommands:
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; importing scipy would roughly
+        # double every invocation's start-up.
+        src = os.path.dirname(os.path.dirname(cvdistill.__file__))
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        code = "import sys, cvdistill, cvdistill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_calibrate_command(self, capsys, tmp_path):
         out_file = tmp_path / "cal.json"
         code = main(["calibrate", "--out", str(out_file)])

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import fields, replace
 
@@ -13,6 +14,7 @@ from cvdistill import (
     MixtureState,
     TapConfig,
     attach_tap,
+    calibrate_envelope,
     distilled_gln,
     envelope_fading,
     gaussian_log_negativity,
@@ -27,14 +29,36 @@ from cvdistill import (
     tensor,
     vacuum_state,
 )
-from cvdistill.distill import HERALD_BLOCK
+from cvdistill.config import DEFAULT_THRESHOLDS
+from cvdistill.distill import _CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR
 from conftest import random_physical_state
 
 
 def mp_tail(alpha, dps=50):
-    """High-precision upper-tail probability, independent of scipy."""
+    """High-precision upper-tail probability Q(alpha)."""
     with mpmath.workdps(dps):
         return float(mpmath.erfc(alpha / mpmath.sqrt(2)) / 2)
+
+
+def mp_hazard(alpha):
+    """High-precision phi(alpha)/Q(alpha).
+
+    The working precision grows with log10|alpha|: phi and Q are each
+    exp(-alpha^2/2) times a slowly varying factor, and the ratio keeps only
+    the digits that outlast alpha^2.
+    """
+    with mpmath.workdps(40 + 2 * int(math.log10(abs(alpha) + 1.0))):
+        a = mpmath.mpf(float(alpha))
+        phi = mpmath.exp(-a * a / 2) / mpmath.sqrt(2 * mpmath.pi)
+        return float(phi / (mpmath.erfc(a / mpmath.sqrt(2)) / 2))
+
+
+def _assert_rel(values, reference, rel, what):
+    """Relative error at most ``rel`` wherever ``reference`` is a normal float."""
+    values, reference = np.asarray(values), np.asarray(reference)
+    normal = np.abs(reference) >= np.finfo(float).tiny
+    err = np.abs(values[normal] - reference[normal]) / np.abs(reference[normal])
+    assert err.max() <= rel, f"{what}: {err.max():.3g} at {np.flatnonzero(normal)[err.argmax()]}"
 
 
 class TestTapConfig:
@@ -97,7 +121,7 @@ class TestGaussianTail:
         for alpha in np.linspace(-8.0, 8.0, 33):
             assert gaussian_tail(alpha) == pytest.approx(mp_tail(alpha), rel=1e-14)
         for alpha in (9.0, 10.5, 12.0):
-            assert gaussian_tail(alpha) == pytest.approx(mp_tail(alpha), rel=1e-10)
+            assert gaussian_tail(alpha) == pytest.approx(mp_tail(alpha), rel=1e-13)
 
     def test_symmetry(self):
         for alpha in np.linspace(-8.0, 8.0, 65):
@@ -112,6 +136,52 @@ class TestGaussianTail:
         lam = tail_hazard(300.0)
         assert np.isfinite(lam)
         assert lam == pytest.approx(300.0, rel=0.01)  # asymptotically alpha + 1/alpha
+
+
+class TestTailAccuracy:
+    """Q and the hazard against mpmath: relative error <= 1e-13 wherever the value is a normal float."""
+
+    GRID = np.concatenate([
+        np.linspace(-40.0, 40.0, 1601),
+        np.random.default_rng(11).uniform(-40.0, 40.0, 400),
+        # Both sides of the continued-fraction cut, down to one ulp.
+        [np.nextafter(_CF_CUT, -np.inf), _CF_CUT, np.nextafter(_CF_CUT, np.inf)],
+        _CF_CUT + np.array([-1e-9, -1e-3, 1e-3, 1e-9]),
+    ])
+    FAR = np.geomspace(40.0, 1e150, 150)
+
+    def test_tail_against_mpmath(self):
+        _assert_rel(gaussian_tail(self.GRID), [mp_tail(a) for a in self.GRID], 1e-13, "Q")
+
+    def test_hazard_against_mpmath(self):
+        _assert_rel(tail_hazard(self.GRID), [mp_hazard(a) for a in self.GRID], 1e-13, "hazard")
+
+    def test_hazard_far_upper_tail(self):
+        _assert_rel(tail_hazard(self.FAR), [mp_hazard(a) for a in self.FAR], 1e-13, "hazard")
+        assert np.all(gaussian_tail(self.FAR) == 0.0)  # Q underflows; never NaN
+
+    def test_cut_is_continuous(self):
+        below, at = np.nextafter(_CF_CUT, -np.inf), _CF_CUT
+        assert tail_hazard(below) == pytest.approx(tail_hazard(at), rel=1e-14)
+        assert gaussian_tail(below) == pytest.approx(gaussian_tail(at), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [40.0, -40.0, 1e5, -1e5, 1e300])
+    def test_extremes_warn_nothing_and_keep_shape(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (gaussian_tail, tail_hazard):
+                scalar = f(alpha)
+                assert type(scalar) is float and not math.isnan(scalar)
+                assert type(f(np.float64(alpha))) is float
+                assert type(f(np.array(alpha))) is float
+                arr = f(np.full((2, 3), alpha))
+                assert arr.shape == (2, 3) and arr.dtype == float
+                assert np.all(arr == scalar)
+
+    def test_extreme_values(self):
+        assert gaussian_tail(-1e5) == 1.0 and gaussian_tail(1e300) == 0.0
+        assert tail_hazard(-1e5) == 0.0 and tail_hazard(1e300) == 1e300
+        assert tail_hazard(1e5) == pytest.approx(1e5 + 1e-5, rel=1e-15)
 
 
 def no_selection_threshold(mixture3):
@@ -212,6 +282,51 @@ class TestHerald:
     def test_rejects_non_finite_threshold(self, discrete_tapped, threshold):
         with pytest.raises(ValueError, match="finite"):
             herald(discrete_tapped, threshold)
+
+
+def mp_success(tapped, threshold):
+    """Success probability of ``herald`` at one threshold, each Q from mpmath."""
+    alpha = threshold / np.sqrt(np.array([s.cov[4, 4] for s in tapped.states]))
+    with mpmath.workdps(50):
+        return sum(w * mpmath.erfc(mpmath.mpf(a) / mpmath.sqrt(2)) / 2
+                   for w, a in zip(tapped.weights.tolist(), alpha.tolist()))
+
+
+@pytest.fixture(scope="module")
+def preset_tapped(calibration, calibrated_source, discrete_tapped):
+    """The tapped mixtures of the 'discrete' and 'semicontinuous' presets."""
+    _, semi = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
+    semi_tapped = attach_tap(propagate(calibrated_source, semi), TapConfig())
+    return {"discrete": discrete_tapped, "semicontinuous": semi_tapped}
+
+
+class TestDegenerateRows:
+    @pytest.mark.parametrize("preset", ["discrete", "semicontinuous"])
+    def test_degenerate_rows_where_mpmath_puts_them(self, preset_tapped, preset):
+        """Rows fail exactly where the mpmath success is at or below SUCCESS_FLOOR.
+
+        The grid is the presets' plus thresholds within 1e-2..1e-6 (relative)
+        of the floor crossing: there the success moves by >= 1e-3 relative,
+        far more than the tail functions' rounding, so the knife-edge itself
+        is avoided.
+        """
+        tapped = preset_tapped[preset]
+        lo, hi = 1.0, 1e3
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mp_success(tapped, mid) > SUCCESS_FLOOR else (lo, mid)
+        near = [lo * (1.0 + d) for d in (-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2)]
+        grid = np.array(DEFAULT_THRESHOLDS + near + [1e4])
+        expected = [mp_success(tapped, t) <= SUCCESS_FLOOR for t in grid]
+        assert expected == [False] * (len(DEFAULT_THRESHOLDS) + 3) + [True] * 4
+        ens = herald(tapped, grid)
+        assert [isinstance(e, DegenerateSelectionError) for e in ens.errors] == expected
+        for t, bad in zip(grid, expected):
+            if bad:
+                with pytest.raises(DegenerateSelectionError):
+                    herald(tapped, t)
+            else:
+                assert herald(tapped, t).success_probability > SUCCESS_FLOOR
 
 
 class TestDistilledGln:

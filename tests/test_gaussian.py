@@ -11,7 +11,9 @@ from cvdistill import (
     herald,
     make_kerr_entangled,
     pooled_cm,
+    preset_config,
     pt_trace_norm,
+    run_scenario,
     squeezed_state,
     symplectic_eigenvalues,
     tensor,
@@ -147,6 +149,24 @@ class TestLogNegativity:
     def test_rejects_wrong_mode_count(self):
         with pytest.raises(ValueError):
             gaussian_log_negativity(vacuum_state(3))
+
+    def test_rejects_rank_deficient_sample_covariances(self):
+        # The sample covariance of 3 points in 4 dimensions has rank 2; its zero
+        # eigenvalues round to +-1e-16, and a sign test alone let them through.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            cov = np.cov(rng.standard_normal((3, 4)), rowvar=False)
+            for check in (gaussian_log_negativity, symplectic_eigenvalues, pt_symplectic_spectrum):
+                with pytest.raises(InvalidCovarianceError, match="positive definite"):
+                    check(cov)
+
+    @pytest.mark.parametrize("name", ["perfect", "discrete", "semicontinuous"])
+    def test_presets_physical_covariances_pass(self, name):
+        report = run_scenario(preset_config(name))
+        values = [report.ln_source, report.ln_before, report.upper_bound]
+        values += [row["analytic"]["gaussian_ln"] for row in report.thresholds]
+        assert all(row["error"] is None for row in report.thresholds)
+        assert np.all(np.isfinite(values))
 
     def test_rejects_malformed_covariances(self):
         asymmetric = np.eye(4)
