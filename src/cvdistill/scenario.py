@@ -28,7 +28,7 @@ from .channel import (
     propagate,
     upper_bound_ln,
 )
-from .config import ConfigError, ExperimentConfig, check_threshold_tags, threshold_tag
+from .config import ConfigError, ExperimentConfig, _finite, check_threshold_tags, threshold_tag
 from .distill import (
     DegenerateSelectionError,
     TapConfig,
@@ -79,17 +79,29 @@ class RunReport:
         if d["channel"] is not None:
             _require(d["channel"], ["transmittances", "probabilities"], "channel", list)
         n_levels = len(d["channel"]["transmittances"]) if d["channel"] is not None else 0
+        edges = d["histogram_edges"]
+        if edges is not None and (not isinstance(edges, list) or len(edges) < 2):
+            raise ValueError("report 'histogram_edges' must be null or a list of "
+                             "at least 2 finite numbers")
+        for i, edge in enumerate(edges or ()):
+            _finite(edge, f"report histogram_edges[{i}]")
         for row in d["thresholds"]:
-            _require(row, ["threshold"], "threshold row", (int, float, type(None)))
+            _require(row, ["threshold"], "threshold row")
+            if row["threshold"] is not None:
+                _finite(row["threshold"], "threshold row 'threshold', if not null,")
             for section in filter(None, (row.get("analytic"), row.get("mc"))):
                 _require(section, ["success_probability", "gaussian_ln"], "threshold row")
                 _require(section, ["posterior_weights"], "threshold row", list)
                 if len(section["posterior_weights"]) < n_levels:
                     raise ValueError("threshold row lacks posterior weights for some channel levels")
-            if row.get("mc") and d["histogram_edges"] is not None:
+            if row.get("mc") and edges is not None:
                 _require(row["mc"], ["histograms"], "mc section", dict)
                 for by_selection in row["mc"]["histograms"].values():
                     _require(by_selection, ["pre", "post"], "mc histogram", list)
+                    for counts in (by_selection["pre"], by_selection["post"]):
+                        if len(counts) != len(edges) - 1 or any(type(c) is not int for c in counts):
+                            raise ValueError(f"mc histogram counts must be {len(edges) - 1} "
+                                             "integers, one per bin")
         check_threshold_tags([row["threshold"] for row in d["thresholds"]
                               if row["threshold"] is not None], "report thresholds")
         return cls(**{k: d[k] for k in names})
@@ -356,25 +368,20 @@ def _write_text(path: str, text: str) -> None:
         raise OSError(f"failed writing artifact {path}: {exc}") from exc
 
 
-def _write_json(path: str, obj) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed writing artifact {path}: {exc}") from exc
-
-
 def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> list:
     """Write report artifacts to ``out_dir``; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
+    # The report is one compact line: json encodes it in C only without an
+    # indent. The small, hand-edited config keeps its indented layout.
     if "json" in formats:
-        for name, obj in (("report.json", report.to_dict()),
-                          ("config.json", report.provenance["config"])):
+        for name, text in (
+            ("report.json", json.dumps(report.to_dict(), separators=(",", ":"))),
+            ("config.json", json.dumps(report.provenance["config"], indent=2)),
+        ):
             path = os.path.join(out_dir, name)
-            _write_json(path, obj)
+            _write_text(path, text + "\n")
             written.append(path)
 
     if "csv" not in formats:
@@ -434,12 +441,11 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
                 continue
             parts = [HISTOGRAM_HEADER]
             for series, by_sel in mc["histograms"].items():
-                pre = _count_cells(by_sel["pre"])
-                key = (series, tuple(pre))
+                key = (series, tuple(by_sel["pre"]))
                 if key not in pre_blocks:
-                    pre_blocks[key] = _histogram_block(bins, pre, series, "pre")
+                    pre_blocks[key] = _histogram_block(bins, by_sel["pre"], series, "pre")
                 parts.append(pre_blocks[key])
-                parts.append(_histogram_block(bins, _count_cells(by_sel["post"]), series, "post"))
+                parts.append(_histogram_block(bins, by_sel["post"], series, "post"))
             path = os.path.join(out_dir, f"histograms_th{threshold_tag(row['threshold'])}.csv")
             _write_text(path, "".join(parts))
             written.append(path)
@@ -447,15 +453,10 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
     return written
 
 
-def _count_cells(counts) -> list:
-    """Histogram counts as values whose f-string is their ``_fmt`` cell.
+def _histogram_block(bins, counts, series, selection: str) -> str:
+    """CSV rows of one histogram: pre-rendered bin columns, then count, series, selection.
 
-    That holds for an int as it is, so a list of ints is returned unchanged.
+    Counts are ints, whose f-string is their ``_fmt`` cell.
     """
-    return counts if set(map(type, counts)) <= {int} else [_fmt(c) for c in counts]
-
-
-def _histogram_block(bins, cells, series, selection: str) -> str:
-    """CSV rows of one histogram: pre-rendered bin columns, then count, series, selection."""
     tail = f",{series},{selection}\n"
-    return "".join([f"{b}{c}{tail}" for b, c in zip(bins, cells)])
+    return "".join([f"{b}{c}{tail}" for b, c in zip(bins, counts)])

@@ -30,6 +30,10 @@ from cvdistill.scenario import RunReport
 # so that row has no Monte Carlo section and no histogram file.
 BOTH_THRESHOLDS = [0.0, 2.0, 4.0, 12.0]
 
+# What `cvdistill report` says about a malformed stored threshold or histogram.
+THRESHOLD_REASON = "threshold row 'threshold', if not null, must be a finite number"
+HISTOGRAM_REASON = "mc histogram counts must be 201 integers, one per bin"
+
 
 @pytest.fixture(scope="module")
 def both_run(tmp_path_factory):
@@ -434,7 +438,7 @@ class TestArtifacts:
         pre2 = report["thresholds"][1]["mc"]["histograms"]["X_tap"]["pre"]
         pre4 = report["thresholds"][2]["mc"]["histograms"]["X_tap"]["pre"]
         pre2[100] += 1
-        pre4[100] += 0.1
+        pre4[100] += 2
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(report))
         assert main(["report", "--report", str(edited), "--out", str(tmp_path / "out")]) == 0
@@ -443,7 +447,36 @@ class TestArtifacts:
             lines = (tmp_path / "out" / f"histograms_th{th}.csv").read_text().splitlines()
             counts[th] = lines[1 + 100].split(",")[2]
         stored = report["thresholds"][0]["mc"]["histograms"]["X_tap"]["pre"][100]
-        assert counts == {0: str(stored), 2: str(stored + 1), 4: f"{stored + 0.1:.17g}"}
+        assert counts == {0: str(stored), 2: str(stored + 1), 4: str(stored + 2)}
+
+    def test_report_json_is_one_compact_line(self, tmp_path):
+        cfg = preset_config("discrete")
+        cfg.engine = "both"
+        cfg.tap.thresholds = [0.0, 2.0]
+        cfg.mc.n_shots = 20_000
+        cfg.output.dir = str(tmp_path / "out")
+        report = run_scenario(cfg)
+        text = (tmp_path / "out" / "report.json").read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        stored = json.loads(text, parse_constant=pytest.fail)
+        assert stored == json.loads(json.dumps(report.to_dict()))
+        config_text = (tmp_path / "out" / "config.json").read_text()
+        assert config_text == json.dumps(report.provenance["config"], indent=2) + "\n"
+
+    def test_indented_report_renders_as_compact(self, capsys, tmp_path, both_run):
+        # report.json written with indent=2, as earlier versions did, must
+        # re-render byte for byte as the compact file does.
+        first, report = both_run
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(report, indent=2) + "\n")
+        for source, out in ((first / "report.json", "compact"), (indented, "indented")):
+            assert main(["report", "--report", str(source), "--out", str(tmp_path / out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "compact").iterdir())
+        assert "report.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "indented").iterdir())
+        for name in names:
+            assert ((tmp_path / "compact" / name).read_bytes()
+                    == (tmp_path / "indented" / name).read_bytes()), name
 
 
 class TestCliCommands:
@@ -602,25 +635,41 @@ class TestCliCommands:
     def test_report_command_bad_path(self, capsys):
         assert main(["report", "--report", "/nonexistent.json", "--out", "/tmp/x"]) == 2
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda d: d["thresholds"][0].pop("threshold"),
-        lambda d: d["channel"].pop("probabilities"),
-        lambda d: d.update(thresholds=5),
-        lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].pop(),
-        lambda d: d["thresholds"].append(dict(d["thresholds"][0], threshold=2.0000001)),
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda d: d["thresholds"][0].pop("threshold"), "threshold row needs 'threshold'"),
+        (lambda d: d["channel"].pop("probabilities"), "channel needs 'probabilities'"),
+        (lambda d: d.update(thresholds=5), "report needs 'thresholds'"),
+        (lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].pop(),
+         "lacks posterior weights"),
+        (lambda d: d["thresholds"].append(dict(d["thresholds"][0], threshold=2.0000001)),
+         "share the artifact file tag"),
+        (lambda d: d["thresholds"][1].update(threshold=True), THRESHOLD_REASON),
+        (lambda d: d["thresholds"][1].update(threshold=float("inf")), THRESHOLD_REASON),
+        (lambda d: d["thresholds"][1].update(threshold=float("nan")), THRESHOLD_REASON),
+        (lambda d: d["thresholds"][0]["mc"]["histograms"]["X_tap"].update(post=[1, 2, 3]),
+         HISTOGRAM_REASON),
+        (lambda d: d["thresholds"][0]["mc"]["histograms"]["X_B"]["pre"].__setitem__(7, 0.5),
+         HISTOGRAM_REASON),
+        (lambda d: d["thresholds"][0]["mc"]["histograms"]["P_B"]["pre"].__setitem__(7, True),
+         HISTOGRAM_REASON),
+        (lambda d: d.update(histogram_edges=[0.0]), "'histogram_edges' must be null or a list"),
+        (lambda d: d["histogram_edges"].__setitem__(0, float("-inf")),
+         "histogram_edges[0] must be a finite number"),
     ], ids=["row-without-threshold", "channel-without-probabilities", "thresholds-not-a-list",
-            "posterior-weights-short", "threshold-tags-collide"])
-    def test_report_command_malformed_report(self, capsys, tmp_path, corrupt):
-        cfg = preset_config("discrete")
-        cfg.tap.thresholds = [2.0]
-        cfg.output.dir = str(tmp_path / "first")
-        run_scenario(cfg)
-        data = json.loads((tmp_path / "first" / "report.json").read_text())
+            "posterior-weights-short", "threshold-tags-collide", "threshold-is-bool",
+            "threshold-is-infinite", "threshold-is-nan", "histogram-counts-short",
+            "histogram-count-fractional", "histogram-count-bool", "histogram-edges-too-few",
+            "histogram-edge-infinite"])
+    def test_report_command_malformed_report(self, capsys, tmp_path, both_run, corrupt, reason):
+        first, _ = both_run
+        data = json.loads((first / "report.json").read_text())
         corrupt(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["report", "--report", str(bad), "--out", str(tmp_path / "second")]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot load report")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load report")
+        assert reason in err
 
     def test_calibrate_out_is_directory(self, capsys, tmp_path):
         assert main(["calibrate", "--skip-envelope", "--out", str(tmp_path)]) == 2
