@@ -19,11 +19,10 @@ from .channel import (
     semicontinuous_levels,
     upper_bound_ln,
 )
-from .config import ExperimentConfig, load_config, parse_config, preset_config
+from .config import ExperimentConfig, McConfig, TapConfig, load_config, parse_config, preset_config
 from .distill import (
     DegenerateSelectionError,
     DistilledEnsemble,
-    TapConfig,
     attach_tap,
     distilled_gln,
     gaussian_tail,
@@ -46,12 +45,7 @@ from .gaussian import (
     vacuum_state,
     validate_physical,
 )
-from .mc import (
-    McConfig,
-    McResult,
-    run_mc,
-    run_mc_sweep,
-)
+from .mc import McResult, run_mc, run_mc_sweep
 from .scenario import RunReport, emit_artifacts, run_scenario
 
 __all__ = [

@@ -5,7 +5,8 @@ Subcommands:
 * ``calibrate`` - fit the source variances (and optionally the
   semi-continuous envelope) to measured log-negativities and print them.
 * ``run`` - execute a scenario described by a JSON config file, with flag
-  overrides for engine, shot count, seed and output directory.
+  overrides for engine, shot count, seed, worker count and output
+  directory. An override meets the checks of the config field it replaces.
 * ``report`` - re-render flat-file artifacts from a stored report.json.
 
 Exit codes: 0 success, 2 configuration error or unwritable output, 3 selection
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from ._version import __version__
 from .calibrate import (
@@ -24,11 +26,12 @@ from .calibrate import (
     DEFAULT_LN_INITIAL,
     DEFAULT_LN_SEMI_PREMIX,
     DEFAULT_P_FULL,
+    ENVELOPE_FAMILIES,
     CalibrationError,
     calibrate,
     calibrate_envelope,
 )
-from .config import ConfigError, load_config
+from .config import ENGINES, ConfigError, OutputSettings, load_config
 from .scenario import RunReport, emit_artifacts, run_scenario
 
 EXIT_OK = 0
@@ -54,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="measured pooled Gaussian LN after the semi-continuous channel")
     cal.add_argument("--p-full", type=float, default=DEFAULT_P_FULL,
                      help="probability of the full-transmission level")
-    cal.add_argument("--family", choices=("fading", "exponential"), default="fading",
+    cal.add_argument("--family", choices=ENVELOPE_FAMILIES, default=ENVELOPE_FAMILIES[0],
                      help="semi-continuous envelope family to fit")
     cal.add_argument("--skip-envelope", action="store_true",
                      help="fit only the source variances")
@@ -62,11 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario from a JSON config")
     run.add_argument("--config", required=True, metavar="PATH", help="experiment config (JSON)")
-    run.add_argument("--engine", choices=("analytic", "mc", "both"),
-                     help="override the config's engine")
-    run.add_argument("--shots", type=int, metavar="N", help="override mc.n_shots")
+    run.add_argument("--engine", choices=ENGINES, help="override the config's engine")
+    # Each Monte Carlo override's dest is its McConfig field.
+    run.add_argument("--shots", dest="n_shots", type=int, metavar="N", help="override mc.n_shots")
     run.add_argument("--seed", type=int, metavar="S", help="override mc.seed")
-    run.add_argument("--workers", type=int, metavar="W", help="override mc.n_workers")
+    run.add_argument("--workers", dest="n_workers", type=int, metavar="W",
+                     help="override mc.n_workers")
     run.add_argument("--out", metavar="DIR", help="override the output directory")
 
     rep = sub.add_parser("report", help="re-render artifacts from a stored report")
@@ -110,18 +114,9 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.engine:
         config.engine = args.engine
-    if args.shots is not None:
-        if args.shots < 1:
-            raise ConfigError("--shots must be >= 1")
-        config.mc.n_shots = args.shots
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        config.mc.seed = args.seed
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        config.mc.n_workers = args.workers
+    overrides = {k: getattr(args, k) for k in ("n_shots", "seed", "n_workers")
+                 if getattr(args, k) is not None}
+    config.mc = replace(config.mc, **overrides)
     if args.out:
         config.output.dir = args.out
 
@@ -147,17 +142,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    for f in formats:
-        if f not in ("json", "csv"):
-            raise ConfigError(f"unknown format {f!r}")
+    output = OutputSettings(args.out, [f.strip() for f in args.formats.split(",") if f.strip()])
     try:
         with open(args.report) as fh:
             data = json.load(fh)
         report = RunReport.from_dict(data)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"cannot load report {args.report}: {exc}") from exc
-    written = emit_artifacts(report, args.out, formats)
+    written = emit_artifacts(report, output.dir, output.formats)
     print(json.dumps({"written": written}, indent=2))
     return EXIT_OK
 

@@ -3,6 +3,14 @@
 Configs are strict: unknown keys are rejected everywhere so a typo cannot
 silently fall back to a default. ``to_dict`` materializes all defaults,
 which makes emitted configs hash-stable under a parse/emit round trip.
+
+``McConfig`` (the Monte Carlo settings that ``run_mc_sweep`` takes) and
+``TapConfig`` (the tap that ``attach_tap`` takes, and the thresholds of the
+sweep) are the library's settings objects as well as config sections: each
+checks every rule on its fields in ``__post_init__``, so a value set by a
+config file, a constructor call or ``dataclasses.replace`` (as the CLI
+overrides are) meets the same checks and the same messages. Their
+``from_dict`` only checks the keys.
 """
 
 from __future__ import annotations
@@ -10,16 +18,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
+from .calibrate import (
+    DEFAULT_LN_DISCRETE_PREMIX,
+    DEFAULT_LN_INITIAL,
+    DEFAULT_LN_SEMI_PREMIX,
+    DEFAULT_P_FULL,
+    ENVELOPE_FAMILIES,
+)
 from .channel import ChannelLevel, FluctuatingChannel
 
 __all__ = [
     "ConfigError",
     "SourceSettings",
     "ChannelSettings",
-    "TapSettings",
-    "McSettings",
+    "TapConfig",
+    "McConfig",
     "OutputSettings",
     "ExperimentConfig",
     "parse_config",
@@ -32,6 +47,7 @@ PRESET_NAMES = ("perfect", "discrete", "semicontinuous")
 ENGINES = ("analytic", "mc", "both")
 FORMATS = ("json", "csv")
 
+DEFAULT_TAP_REFLECTIVITY = 0.07
 DEFAULT_THRESHOLDS = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 
 
@@ -86,11 +102,17 @@ def _number(d: dict, key: str, context: str, default=None):
     return _finite(d.get(key, default), f"{context}.{key}")
 
 
-def _integer(d: dict, key: str, context: str, default=None):
-    val = d.get(key, default)
+def _integer(val, what: str) -> None:
     if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{context}.{key} must be an integer, got {val!r}")
-    return val
+        raise ConfigError(f"{what} must be an integer, got {val!r}")
+
+
+def _from_object(cls, d, where: str, kind: str = "an object"):
+    """``cls(**d)``: a missing key takes its field's default, an unknown key is an error."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be {kind}")
+    _require_keys(d, [f.name for f in fields(cls)], where)
+    return cls(**d)
 
 
 @dataclass
@@ -182,18 +204,19 @@ class ChannelSettings:
             return cls(preset="discrete")
         if preset != "semicontinuous":
             raise ConfigError(f"channel.preset must be 'discrete' or 'semicontinuous', got {preset!r}")
-        envelope = d.get("envelope", "fading")
-        if envelope not in ("fading", "exponential"):
-            raise ConfigError(f"channel.envelope must be 'fading' or 'exponential', got {envelope!r}")
+        envelope = d.get("envelope", ENVELOPE_FAMILIES[0])
+        if envelope not in ENVELOPE_FAMILIES:
+            raise ConfigError(f"channel.envelope must be {' or '.join(map(repr, ENVELOPE_FAMILIES))}, "
+                              f"got {envelope!r}")
         beta = d.get("beta")
         if beta is not None:
             beta = _number(d, "beta", "channel")
         return cls(
             preset="semicontinuous",
             beta=beta,
-            p_full=_number(d, "p_full", "channel", default=0.2),
+            p_full=_number(d, "p_full", "channel", default=DEFAULT_P_FULL),
             envelope=envelope,
-            ln_premix=_number(d, "ln_premix", "channel", default=-0.11),
+            ln_premix=_number(d, "ln_premix", "channel", default=DEFAULT_LN_SEMI_PREMIX),
         )
 
     def to_dict(self):
@@ -220,73 +243,57 @@ class ChannelSettings:
 
 
 @dataclass
-class TapSettings:
-    reflectivity: float = 0.07
+class TapConfig:
+    """Tap beam splitter reflectivity and the heralding thresholds (SNU) of the sweep."""
+
+    reflectivity: float = DEFAULT_TAP_REFLECTIVITY
     thresholds: list = field(default_factory=lambda: list(DEFAULT_THRESHOLDS))
 
-    @classmethod
-    def from_dict(cls, d) -> "TapSettings | None":
-        if d is None:
-            return None
-        if not isinstance(d, dict):
-            raise ConfigError("tap must be an object or null")
-        _require_keys(d, ("reflectivity", "thresholds"), "tap")
-        reflectivity = _number(d, "reflectivity", "tap", default=0.07)
-        if not 0.0 < reflectivity < 1.0:
-            raise ConfigError(f"tap.reflectivity must lie in (0, 1), got {reflectivity}")
-        thresholds = d.get("thresholds", list(DEFAULT_THRESHOLDS))
-        if not isinstance(thresholds, list) or not thresholds:
+    def __post_init__(self) -> None:
+        self.reflectivity = _finite(self.reflectivity, "tap.reflectivity")
+        if not 0.0 < self.reflectivity < 1.0:
+            raise ConfigError(f"tap.reflectivity must lie in (0, 1), got {self.reflectivity}")
+        if not isinstance(self.thresholds, list) or not self.thresholds:
             raise ConfigError("tap.thresholds must be a non-empty list")
-        ths = [_finite(th, f"tap.thresholds[{i}]") for i, th in enumerate(thresholds)]
-        check_threshold_tags(ths, "tap.thresholds")
-        return cls(reflectivity=reflectivity, thresholds=ths)
+        self.thresholds = [_finite(th, f"tap.thresholds[{i}]") for i, th in enumerate(self.thresholds)]
+        check_threshold_tags(self.thresholds, "tap.thresholds")
+
+    @classmethod
+    def from_dict(cls, d) -> "TapConfig | None":
+        return None if d is None else _from_object(cls, d, "tap", "an object or null")
 
     def to_dict(self) -> dict:
-        return {"reflectivity": self.reflectivity, "thresholds": list(self.thresholds)}
+        return asdict(self)
 
 
 @dataclass
-class McSettings:
+class McConfig:
+    """Monte Carlo run settings; the default shot count is desk scale."""
+
     n_shots: int = 10_000_000
     seed: int = 12345
     histogram_bins: int = 201
     histogram_range: float = 25.0
     n_workers: int = 1
 
-    @classmethod
-    def from_dict(cls, d) -> "McSettings":
-        if d is None:
-            return cls()
-        if not isinstance(d, dict):
-            raise ConfigError("mc must be an object")
-        _require_keys(d, ("n_shots", "seed", "histogram_bins", "histogram_range", "n_workers"), "mc")
-        out = cls(
-            n_shots=_integer(d, "n_shots", "mc", default=cls.n_shots),
-            seed=_integer(d, "seed", "mc", default=cls.seed),
-            histogram_bins=_integer(d, "histogram_bins", "mc", default=cls.histogram_bins),
-            histogram_range=_number(d, "histogram_range", "mc", default=cls.histogram_range),
-            n_workers=_integer(d, "n_workers", "mc", default=cls.n_workers),
-        )
-        if out.n_shots < 1:
-            raise ConfigError("mc.n_shots must be >= 1")
-        if out.seed < 0:
-            raise ConfigError("mc.seed must be >= 0")
-        if out.n_workers < 1:
-            raise ConfigError("mc.n_workers must be >= 1")
-        if out.histogram_bins < 2:
-            raise ConfigError("mc.histogram_bins must be >= 2")
-        if out.histogram_range <= 0:
+    def __post_init__(self) -> None:
+        _integer(self.n_shots, "mc.n_shots")
+        _integer(self.seed, "mc.seed")
+        _integer(self.histogram_bins, "mc.histogram_bins")
+        self.histogram_range = _finite(self.histogram_range, "mc.histogram_range")
+        _integer(self.n_workers, "mc.n_workers")
+        for name, least in (("n_shots", 1), ("seed", 0), ("n_workers", 1), ("histogram_bins", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"mc.{name} must be >= {least}")
+        if self.histogram_range <= 0:
             raise ConfigError("mc.histogram_range must be positive")
-        return out
+
+    @classmethod
+    def from_dict(cls, d) -> "McConfig":
+        return cls() if d is None else _from_object(cls, d, "mc")
 
     def to_dict(self) -> dict:
-        return {
-            "n_shots": self.n_shots,
-            "seed": self.seed,
-            "histogram_bins": self.histogram_bins,
-            "histogram_range": self.histogram_range,
-            "n_workers": self.n_workers,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -294,26 +301,22 @@ class OutputSettings:
     dir: str | None = None
     formats: list = field(default_factory=lambda: list(FORMATS))
 
-    @classmethod
-    def from_dict(cls, d) -> "OutputSettings":
-        if d is None:
-            return cls()
-        if not isinstance(d, dict):
-            raise ConfigError("output must be an object")
-        _require_keys(d, ("dir", "formats"), "output")
-        out_dir = d.get("dir")
-        if out_dir is not None and not isinstance(out_dir, str):
+    def __post_init__(self) -> None:
+        if self.dir is not None and not isinstance(self.dir, str):
             raise ConfigError("output.dir must be a string or null")
-        formats = d.get("formats", list(FORMATS))
-        if not isinstance(formats, list) or not formats:
+        if not isinstance(self.formats, list) or not self.formats:
             raise ConfigError("output.formats must be a non-empty list")
-        for f in formats:
+        for f in self.formats:
             if f not in FORMATS:
                 raise ConfigError(f"output.formats entries must be in {FORMATS}, got {f!r}")
-        return cls(dir=out_dir, formats=list(formats))
+        self.formats = list(self.formats)
+
+    @classmethod
+    def from_dict(cls, d) -> "OutputSettings":
+        return cls() if d is None else _from_object(cls, d, "output")
 
     def to_dict(self) -> dict:
-        return {"dir": self.dir, "formats": list(self.formats)}
+        return asdict(self)
 
 
 @dataclass
@@ -321,9 +324,9 @@ class ExperimentConfig:
     name: str
     source: SourceSettings
     channel: ChannelSettings | None
-    tap: TapSettings | None
+    tap: TapConfig | None
     engine: str = "analytic"
-    mc: McSettings = field(default_factory=McSettings)
+    mc: McConfig = field(default_factory=McConfig)
     output: OutputSettings = field(default_factory=OutputSettings)
 
     def to_dict(self) -> dict:
@@ -359,9 +362,9 @@ def parse_config(d: dict) -> ExperimentConfig:
         name=name,
         source=SourceSettings.from_dict(d["source"]),
         channel=ChannelSettings.from_dict(d.get("channel")),
-        tap=TapSettings.from_dict(d.get("tap")),
+        tap=TapConfig.from_dict(d.get("tap")),
         engine=engine,
-        mc=McSettings.from_dict(d.get("mc")),
+        mc=McConfig.from_dict(d.get("mc")),
         output=OutputSettings.from_dict(d.get("output")),
     )
 
@@ -378,27 +381,17 @@ def load_config(path) -> ExperimentConfig:
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    """Built-in scenario configs: 'perfect', 'discrete', 'semicontinuous'."""
-    calibrated = {"calibrate_to": {"ln_initial": 0.76, "ln_discrete_premix": -1.63}}
-    if name == "perfect":
-        raw = {"name": "perfect", "source": calibrated, "channel": None, "tap": None,
-               "engine": "analytic"}
-    elif name == "discrete":
-        raw = {
-            "name": "discrete",
-            "source": calibrated,
-            "channel": {"preset": "discrete"},
-            "tap": {"reflectivity": 0.07, "thresholds": list(DEFAULT_THRESHOLDS)},
-            "engine": "analytic",
-        }
-    elif name == "semicontinuous":
-        raw = {
-            "name": "semicontinuous",
-            "source": calibrated,
-            "channel": {"preset": "semicontinuous", "beta": None, "p_full": 0.2},
-            "tap": {"reflectivity": 0.07, "thresholds": list(DEFAULT_THRESHOLDS)},
-            "engine": "analytic",
-        }
-    else:
+    """Built-in scenario configs: 'perfect', 'discrete', 'semicontinuous'.
+
+    Each calibrates the source to the default measured values; the two
+    lossy presets take the default tap and thresholds.
+    """
+    if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return parse_config(raw)
+    return parse_config({
+        "name": name,
+        "source": {"calibrate_to": {"ln_initial": DEFAULT_LN_INITIAL,
+                                    "ln_discrete_premix": DEFAULT_LN_DISCRETE_PREMIX}},
+        "channel": None if name == "perfect" else {"preset": name},
+        "tap": None if name == "perfect" else {},
+    })

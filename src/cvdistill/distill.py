@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MixtureState
+from .config import DEFAULT_TAP_REFLECTIVITY, TapConfig
 from .gaussian import apply_beamsplitter, pt_symplectic_spectrum, tensor, vacuum_state
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "joint_quadrature_variances",
 ]
 
-DEFAULT_TAP_REFLECTIVITY = 0.07
 # Below this success probability the selection is reported as degenerate
 # instead of returning denormal/NaN-poisoned moments.
 SUCCESS_FLOOR = 1e-300
@@ -55,17 +55,6 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 # error grows like alpha^2 * eps from rounding alpha/sqrt2 (1.8e-13 at alpha 37).
 _CF_CUT = 5.0
 _CF_DEPTH = 40
-
-
-@dataclass(frozen=True)
-class TapConfig:
-    """Tap beam splitter reflectivity."""
-
-    reflectivity: float = DEFAULT_TAP_REFLECTIVITY
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.reflectivity < 1.0:
-            raise ValueError(f"reflectivity must lie in (0, 1), got {self.reflectivity}")
 
 
 class DegenerateSelectionError(RuntimeError):

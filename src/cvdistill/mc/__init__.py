@@ -1,9 +1,9 @@
 """Monte Carlo engine."""
 
+from ..config import McConfig
 from .accumulators import CovarianceAccumulator
 from .engine import (
     SERIES,
-    McConfig,
     McResult,
     ln_with_se,
     run_mc,

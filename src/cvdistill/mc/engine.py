@@ -29,6 +29,9 @@ are merged pairwise along one fixed binary tree over the block indices,
 the workers merging the subtrees that lie inside their range and the
 parent the rest. Output therefore depends on (mixture, n_shots, seed)
 only, not on the worker count, and is bit-identical on every run.
+
+The run settings are ``cvdistill.config.McConfig``, which is also the
+``mc`` section of an experiment config and validates itself when built.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import MixtureState
+from ..config import McConfig
 from ..distill import DegenerateSelectionError
 from ..gaussian import InvalidCovarianceError, gaussian_log_negativity, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
@@ -48,7 +52,6 @@ from ._kernel_py import N_FEATURES, PAIRS
 __all__ = [
     "SERIES",
     "PAIRS",
-    "McConfig",
     "McResult",
     "run_mc",
     "run_mc_sweep",
@@ -61,29 +64,6 @@ SERIES = ("X_tap", "X_B", "P_B", "X_A+X_B", "P_A-P_B")
 # Shots per block, each block with its own stream and one kernel call.
 # Fixed (not configurable): changing it would change the sampled shots.
 CHUNK_SHOTS = 1 << 16
-
-
-@dataclass
-class McConfig:
-    """Monte Carlo run settings; the default shot count is desk scale."""
-
-    n_shots: int = 10_000_000
-    seed: int = 12345
-    histogram_bins: int = 201
-    histogram_range: float = 25.0
-    n_workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.histogram_bins < 2:
-            raise ValueError("histogram_bins must be >= 2")
-        if self.histogram_range <= 0:
-            raise ValueError("histogram_range must be positive")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
 
 
 @dataclass(eq=False)

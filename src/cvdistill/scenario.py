@@ -31,7 +31,6 @@ from .channel import (
 from .config import ConfigError, ExperimentConfig, _finite, check_threshold_tags, threshold_tag
 from .distill import (
     DegenerateSelectionError,
-    TapConfig,
     attach_tap,
     distilled_gln,
     gaussification_metrics,
@@ -39,7 +38,7 @@ from .distill import (
     joint_quadrature_variances,
 )
 from .gaussian import InvalidCovarianceError, gaussian_log_negativity, make_kerr_entangled
-from .mc import McConfig, ln_with_se, run_mc_sweep
+from .mc import ln_with_se, run_mc_sweep
 
 __all__ = ["RunReport", "run_scenario", "emit_artifacts", "AGREEMENT_SIGMA", "AGREEMENT_MIN_SUCCESS"]
 
@@ -85,6 +84,8 @@ class RunReport:
                              "at least 2 finite numbers")
         for i, edge in enumerate(edges or ()):
             _finite(edge, f"report histogram_edges[{i}]")
+        if edges is not None and any(b <= a for a, b in zip(edges, edges[1:])):
+            raise ValueError("report 'histogram_edges' must increase strictly")
         for row in d["thresholds"]:
             _require(row, ["threshold"], "threshold row")
             if row["threshold"] is not None:
@@ -94,6 +95,10 @@ class RunReport:
                 _require(section, ["posterior_weights"], "threshold row", list)
                 if len(section["posterior_weights"]) < n_levels:
                     raise ValueError("threshold row lacks posterior weights for some channel levels")
+                for key in ("success_probability", "gaussian_ln"):
+                    _finite(section[key], f"threshold row {key!r}")
+                for i, weight in enumerate(section["posterior_weights"]):
+                    _finite(weight, f"threshold row 'posterior_weights'[{i}]")
             if row.get("mc") and edges is not None:
                 _require(row["mc"], ["histograms"], "mc section", dict)
                 for by_selection in row["mc"]["histograms"].values():
@@ -266,18 +271,11 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
             }
         )
     else:
-        tapped = attach_tap(mixture, TapConfig(reflectivity=config.tap.reflectivity))
+        tapped = attach_tap(mixture, config.tap)
         if run_analytic:
             analytic = _analytic_sections(tapped, config.tap.thresholds)
         if run_montecarlo:
-            mc_conf = McConfig(
-                n_shots=config.mc.n_shots,
-                seed=config.mc.seed,
-                histogram_bins=config.mc.histogram_bins,
-                histogram_range=config.mc.histogram_range,
-                n_workers=config.mc.n_workers,
-            )
-            mc_results = run_mc_sweep(tapped, mc_conf, config.tap.thresholds)
+            mc_results = run_mc_sweep(tapped, config.mc, config.tap.thresholds)
         for i, threshold in enumerate(config.tap.thresholds):
             row = {"threshold": threshold, "analytic": None, "mc": None,
                    "agreement": None, "error": None}

@@ -22,7 +22,7 @@ from cvdistill import (
 )
 from cvdistill.calibrate import _level_covs, _pooled_cov
 from cvdistill.cli import main
-from cvdistill.config import ConfigError
+from cvdistill.config import ConfigError, McConfig, TapConfig
 from cvdistill.mc import SERIES
 from cvdistill.scenario import RunReport
 
@@ -216,6 +216,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("continuous")
 
+    @pytest.mark.parametrize("name, digest", [
+        ("perfect", "2abc5be1fa87dd643ae2e6d8508b0512e83b45637572e224206b2eaee2a3b3a4"),
+        ("discrete", "7845db3c14ce75f73781f7e678eb5f512d468453bcee50eb4e309cd20f6f7cbc"),
+        ("semicontinuous", "2a5bac42393f0a50fbd574607c70b53831b3b2d0ef3f7009dc256de1c59c9872"),
+    ])
+    def test_preset_config_hash_pinned(self, name, digest):
+        # Stored reports carry this hash; a settings refactor must not move it.
+        assert preset_config(name).config_hash() == digest
+
+    def test_settings_constructors_validate(self):
+        with pytest.raises(ConfigError, match="mc.n_shots must be >= 1"):
+            McConfig(n_shots=0)
+        with pytest.raises(ConfigError, match=r"tap.reflectivity must lie in \(0, 1\)"):
+            TapConfig(reflectivity=1.0)
+        assert issubclass(ConfigError, ValueError)
+
 
 class TestRunScenario:
     def test_perfect_scenario(self):
@@ -236,6 +252,30 @@ class TestRunScenario:
         row = report.thresholds[0]["analytic"]
         assert 0.58 <= row["gaussian_ln"] <= 0.76
         assert 0.5 * 1.69e-5 <= row["success_probability"] <= 2.0 * 1.69e-5
+
+    def test_settings_objects_reach_the_engines_unchanged(self, monkeypatch):
+        import cvdistill.scenario as scenario_mod
+
+        seen = {}
+        real_tap, real_sweep = scenario_mod.attach_tap, scenario_mod.run_mc_sweep
+
+        def attach_tap(mixture, tap):
+            seen["tap"] = tap
+            return real_tap(mixture, tap)
+
+        def run_mc_sweep(mixture3, config, thresholds):
+            seen["mc"] = config
+            return real_sweep(mixture3, config, thresholds)
+
+        monkeypatch.setattr(scenario_mod, "attach_tap", attach_tap)
+        monkeypatch.setattr(scenario_mod, "run_mc_sweep", run_mc_sweep)
+        cfg = preset_config("discrete")
+        cfg.engine = "mc"
+        cfg.tap.thresholds = [1.0]
+        cfg.mc.n_shots = 1000
+        run_scenario(cfg)
+        assert seen["mc"] is cfg.mc
+        assert seen["tap"] is cfg.tap
 
     def test_degenerate_threshold_recorded_not_fatal(self):
         cfg = preset_config("discrete")
@@ -529,7 +569,25 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(preset_config("discrete").to_dict()))
         assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
-        assert "seed" in capsys.readouterr().err
+        assert "mc.seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--shots", "0", "mc.n_shots"), ("--workers", "0", "mc.n_workers"),
+        ("--seed", "-1", "mc.seed"),
+    ])
+    def test_run_flag_override_names_config_field(self, capsys, tmp_path, flag, value, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(preset_config("discrete").to_dict()))
+        assert main(["run", "--config", str(cfg_path), flag, value]) == 2
+        assert f"error: {field} must be >= " in capsys.readouterr().err
+
+    def test_run_bool_shot_count_is_config_error(self, capsys, tmp_path):
+        raw = preset_config("discrete").to_dict()
+        raw["mc"]["n_shots"] = True
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "mc.n_shots must be an integer, got True" in capsys.readouterr().err
 
     def test_run_invalid_config_is_config_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -635,6 +693,14 @@ class TestCliCommands:
     def test_report_command_bad_path(self, capsys):
         assert main(["report", "--report", "/nonexistent.json", "--out", "/tmp/x"]) == 2
 
+    def test_report_command_unknown_format(self, capsys, tmp_path, both_run):
+        first, _ = both_run
+        code = main(["report", "--report", str(first / "report.json"),
+                     "--out", str(tmp_path / "second"), "--formats", "json,xml"])
+        assert code == 2
+        assert "output.formats entries must be in ('json', 'csv'), got 'xml'" in capsys.readouterr().err
+        assert not (tmp_path / "second").exists()
+
     @pytest.mark.parametrize("corrupt, reason", [
         (lambda d: d["thresholds"][0].pop("threshold"), "threshold row needs 'threshold'"),
         (lambda d: d["channel"].pop("probabilities"), "channel needs 'probabilities'"),
@@ -655,11 +721,19 @@ class TestCliCommands:
         (lambda d: d.update(histogram_edges=[0.0]), "'histogram_edges' must be null or a list"),
         (lambda d: d["histogram_edges"].__setitem__(0, float("-inf")),
          "histogram_edges[0] must be a finite number"),
+        (lambda d: d["histogram_edges"].reverse(), "'histogram_edges' must increase strictly"),
+        (lambda d: d["thresholds"][0]["analytic"].update(success_probability="abc"),
+         "threshold row 'success_probability' must be a finite number"),
+        (lambda d: d["thresholds"][0]["mc"].update(gaussian_ln=None),
+         "threshold row 'gaussian_ln' must be a finite number"),
+        (lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].__setitem__(0, "x"),
+         "threshold row 'posterior_weights'[0] must be a finite number"),
     ], ids=["row-without-threshold", "channel-without-probabilities", "thresholds-not-a-list",
             "posterior-weights-short", "threshold-tags-collide", "threshold-is-bool",
             "threshold-is-infinite", "threshold-is-nan", "histogram-counts-short",
             "histogram-count-fractional", "histogram-count-bool", "histogram-edges-too-few",
-            "histogram-edge-infinite"])
+            "histogram-edge-infinite", "histogram-edges-reversed", "success-not-a-number",
+            "ln-not-a-number", "posterior-weight-not-a-number"])
     def test_report_command_malformed_report(self, capsys, tmp_path, both_run, corrupt, reason):
         first, _ = both_run
         data = json.loads((first / "report.json").read_text())
