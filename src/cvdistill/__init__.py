@@ -45,7 +45,7 @@ from .gaussian import (
     vacuum_state,
     validate_physical,
 )
-from .mc import McResult, run_mc, run_mc_sweep
+from .mc import McSweep, run_mc_sweep
 from .scenario import RunReport, emit_artifacts, run_scenario
 
 __all__ = [
@@ -91,8 +91,7 @@ __all__ = [
     "vacuum_state",
     "validate_physical",
     "McConfig",
-    "McResult",
-    "run_mc",
+    "McSweep",
     "run_mc_sweep",
     "RunReport",
     "emit_artifacts",

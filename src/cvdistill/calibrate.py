@@ -11,6 +11,7 @@ pre-distillation value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,11 @@ def calibrate(
     v_squeezed = 2**(-ln_initial) exactly (the source construction gives
     LN = -log2 of the squeezed variance); v_antisqueezed is found by
     bisection, using that the pooled two-level-channel entanglement
-    decreases monotonically in the antisqueezed variance.
+    decreases monotonically in the antisqueezed variance, over the bracket
+    [1/v_squeezed, bracket_hi] that the uncertainty relation leaves it.
     """
-    if ln_initial <= 0.0:
-        raise CalibrationError(f"ln_initial must be positive, got {ln_initial}")
+    if not 0.0 < ln_initial < math.log2(bracket_hi):
+        raise CalibrationError(f"ln_initial must lie in (0, log2(bracket_hi)), got {ln_initial}")
     v_squeezed = 2.0 ** (-ln_initial)
     lo = 1.0 / v_squeezed
     v_antisqueezed, achieved = _bisect(
@@ -143,7 +145,10 @@ def calibrate_envelope(
     else:
         raise CalibrationError(f"unknown envelope family {family!r}; use one of {ENVELOPE_FAMILIES}")
     # Zero-mean levels on one transmittance grid: each step only re-weights them.
-    covs = _level_covs(v_squeezed, v_antisqueezed, build(lo).transmittances)
+    try:
+        covs = _level_covs(v_squeezed, v_antisqueezed, build(lo).transmittances)
+    except ValueError as exc:
+        raise CalibrationError(f"cannot build the {family} envelope: {exc}") from exc
     param, _ = _bisect(
         lambda p: semicontinuous_premix_ln(covs, build(p).probabilities),
         lo,

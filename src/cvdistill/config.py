@@ -287,6 +287,9 @@ class McConfig:
                 raise ConfigError(f"mc.{name} must be >= {least}")
         if self.histogram_range <= 0:
             raise ConfigError("mc.histogram_range must be positive")
+        if not math.isfinite(2.0 * self.histogram_range):
+            raise ConfigError("mc.histogram_range must leave the histogram width "
+                              f"2 * histogram_range finite, got {self.histogram_range!r}")
 
     @classmethod
     def from_dict(cls, d) -> "McConfig":

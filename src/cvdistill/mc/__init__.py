@@ -4,9 +4,8 @@ from ..config import McConfig
 from .accumulators import CovarianceAccumulator
 from .engine import (
     SERIES,
-    McResult,
+    McSweep,
     ln_with_se,
-    run_mc,
     run_mc_sweep,
 )
 
@@ -14,8 +13,7 @@ __all__ = [
     "SERIES",
     "CovarianceAccumulator",
     "McConfig",
-    "McResult",
+    "McSweep",
     "ln_with_se",
-    "run_mc",
     "run_mc_sweep",
 ]

@@ -13,7 +13,9 @@ moments, post-selection histograms and per-level counts of its own stratum
 only. The statistics kept at threshold t_j are then the merge of strata
 j..top (Chan's update for the moments, sums for the counts), so a sweep
 costs one threshold's sampling however many thresholds it has, and its
-counts and histograms equal those of separate runs at each threshold.
+counts and histograms equal those of a one-threshold sweep at each
+threshold. The result is one ``McSweep``, stacked per threshold like
+``herald``'s grid ensemble, with the pre-selection histograms held once.
 
 Shots are sampled in fixed-size blocks. Block b draws its level counts
 (one multinomial draw) and five normals per shot from its own stream,
@@ -52,8 +54,7 @@ from ._kernel_py import N_FEATURES, PAIRS
 __all__ = [
     "SERIES",
     "PAIRS",
-    "McResult",
-    "run_mc",
+    "McSweep",
     "run_mc_sweep",
     "ln_with_se",
 ]
@@ -67,30 +68,49 @@ CHUNK_SHOTS = 1 << 16
 
 
 @dataclass(eq=False)
-class McResult:
-    """Post-selected statistics of one Monte Carlo run.
+class McSweep:
+    """Counts, histograms and moments of one Monte Carlo pass over a threshold grid.
 
-    ``histograms`` maps each series name to {"pre": (edges, counts),
-    "post": (edges, counts)}; pre-selection counts sum to ``total_count``,
-    post-selection counts to ``kept_count``. ``cov_sampling`` is the
-    empirical (distribution-free) sampling covariance of the ten
-    independent covariance-entry estimates, in the ordering of ``PAIRS``.
-    The statistics depend on (mixture, n_shots, seed) only; the worker
-    count is recorded as a setting and does not change them.
+    Shaped like ``herald``'s grid ensemble. Held once: the bin ``edges``
+    and the pre-selection histograms ``hist_pre`` (5, bins), each series
+    summing to ``total_count``. Per grid threshold, in input order with
+    duplicates: ``thresholds``, ``kept_count`` (T,), ``per_level_kept``
+    (T, L) and the post-selection histograms ``hist_post`` (T, 5, bins).
+    Histogram series k is ``SERIES[k]``.
+
+    The moment stacks ``pooled_mean`` (K, 4), ``pooled_cov`` and its
+    entrywise standard errors ``pooled_cov_se`` (K, 4, 4), and
+    ``cov_sampling`` (K, 10, 10), the empirical (distribution-free) sampling
+    covariance of the ten covariance-entry estimates in ``PAIRS`` order,
+    have one row per threshold that kept at least two shots, in grid order.
+    ``errors`` has one entry per grid threshold: None where the stacks have
+    a row for it, else its :class:`DegenerateSelectionError`. Nothing
+    depends on the worker count.
     """
 
-    kept_count: int
+    thresholds: np.ndarray
     total_count: int
-    success_probability_hat: float
-    success_probability_se: float
-    pooled_mean_hat: np.ndarray
-    pooled_cov_hat: np.ndarray
+    kept_count: np.ndarray
+    per_level_kept: np.ndarray
+    edges: np.ndarray
+    hist_pre: np.ndarray
+    hist_post: np.ndarray
+    pooled_mean: np.ndarray
+    pooled_cov: np.ndarray
     pooled_cov_se: np.ndarray
     cov_sampling: np.ndarray
-    histograms: dict
-    per_level_kept: np.ndarray
-    seed: int
-    n_workers: int
+    errors: tuple
+
+    @property
+    def success_probability(self) -> np.ndarray:
+        """Kept fraction of the shots per grid threshold, (T,)."""
+        return self.kept_count / self.total_count
+
+    @property
+    def success_se(self) -> np.ndarray:
+        """Binomial standard error of ``success_probability``, (T,)."""
+        p = self.success_probability
+        return np.sqrt(p * (1.0 - p) / self.total_count)
 
 
 def _prepare_components(mixture3: MixtureState):
@@ -184,37 +204,19 @@ def _push_block_node(stack, level, index, acc):
     stack.append((level, index, acc))
 
 
-def run_mc(mixture3: MixtureState, config: McConfig, threshold_x: float) -> McResult:
-    """Run the Monte Carlo pipeline on a three-mode (A, B, Tap) mixture.
-
-    Post-selects on the tap X quadrature exceeding ``threshold_x``: the
-    one-threshold case of :func:`run_mc_sweep`.
-
-    Raises
-    ------
-    DegenerateSelectionError
-        If fewer than two shots pass the threshold; the exception carries
-        the pre-selection statistics in its ``pre_stats`` attribute.
-    """
-    (result,) = run_mc_sweep(mixture3, config, [threshold_x])
-    if isinstance(result, DegenerateSelectionError):
-        raise result
-    return result
-
-
-def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> list:
+def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSweep:
     """Run the Monte Carlo pipeline once for every threshold in ``thresholds``.
 
-    All thresholds share one pass over the ``config.n_shots`` shots (see
-    the module docstring). The result at each threshold has the counts and
-    histograms of a separate :func:`run_mc` at that threshold with the same
-    config, and its moments differ from that run's only by float
-    reassociation.
+    Post-selects on the tap X quadrature of a three-mode (A, B, Tap)
+    mixture exceeding each threshold. All thresholds share one pass over
+    the ``config.n_shots`` shots (see the module docstring): a grid row has
+    the counts and histograms of the one-threshold sweep at that threshold
+    with the same config, and its moments differ from that sweep's only by
+    float reassociation.
 
-    Returns one entry per input threshold, in input order (duplicates
-    included): an :class:`McResult`, or, where fewer than two shots pass,
-    the :class:`DegenerateSelectionError` that :func:`run_mc` would raise,
-    with its ``pre_stats``.
+    Returns one :class:`McSweep`. A threshold that fewer than two shots
+    pass has a :class:`DegenerateSelectionError` in ``errors`` and no row
+    in the moment stacks.
 
     Raises
     ------
@@ -260,61 +262,37 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> list:
     # suffix merge of the moments, from the top threshold down.
     hist_post = np.cumsum(hist_post[::-1], axis=0)[::-1]
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
-    edges = np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1)
+    kept_count = np.cumsum(strata.count[::-1])[::-1]
+    moments = [np.zeros((grid.size,) + shape) for shape in ((4,), (4, 4), (4, 4), (len(PAIRS),) * 2)]
     kept_acc = CovarianceAccumulator(N_FEATURES)
-    results = [None] * grid.size
     for j in reversed(range(grid.size)):
         kept_acc.merge_moments(strata.count[j], strata.mean[j], strata.m2[j])
-        results[j] = _result(
-            kept_acc, float(grid[j]), edges, hist_pre, hist_post[j], per_level_kept[j].copy(),
-            config,
-        )
-    return [results[j] for j in grid_index]
+        if kept_count[j] >= 2:
+            for stack, value in zip(moments, _moments(kept_acc)):
+                stack[j] = value
 
-
-def _result(acc, threshold, edges, hist_pre, hist_post, per_level_kept, config):
-    """McResult of the shots ``acc`` kept at ``threshold``, or its DegenerateSelectionError."""
-    histograms = {
-        name: {"pre": (edges, hist_pre[k].copy()), "post": (edges, hist_post[k].copy())}
-        for k, name in enumerate(SERIES)
-    }
-    kept = int(acc.count)
     total = config.n_shots
-    if kept < 2:
-        exc = DegenerateSelectionError(
-            f"only {kept} of {total} shots passed threshold {threshold}"
-        )
-        exc.pre_stats = {
-            "kept_count": kept,
-            "total_count": total,
-            "histograms": {name: histograms[name]["pre"] for name in SERIES},
-            "per_level_kept": per_level_kept,
-        }
-        return exc
+    errors = tuple(
+        None if kept_count[j] >= 2 else DegenerateSelectionError(
+            f"only {kept_count[j]} of {total} shots passed threshold {float(grid[j])}")
+        for j in grid_index
+    )
+    rows = grid_index[kept_count[grid_index] >= 2]
+    return McSweep(
+        grid[grid_index], total, kept_count[grid_index], per_level_kept[grid_index],
+        np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1),
+        hist_pre, hist_post[grid_index], *(stack[rows] for stack in moments), errors,
+    )
 
-    p_hat = kept / total
-    p_se = float(np.sqrt(p_hat * (1.0 - p_hat) / total))
+
+def _moments(acc):
+    """(mean, covariance, its standard errors, cov_sampling) of the kept shots ``acc``."""
     feat_cov = acc.covariance(ddof=1)
-    cov = feat_cov[:4, :4].copy()
-    cov_sampling = _cov_entry_sampling(acc.mean, feat_cov, kept)
+    cov_sampling = _cov_entry_sampling(acc.mean, feat_cov, int(acc.count))
     cov_se = np.zeros((4, 4))
     for p, (j, k) in enumerate(PAIRS):
-        se = np.sqrt(max(cov_sampling[p, p], 0.0))
-        cov_se[j, k] = cov_se[k, j] = se
-    return McResult(
-        kept_count=kept,
-        total_count=total,
-        success_probability_hat=p_hat,
-        success_probability_se=p_se,
-        pooled_mean_hat=acc.mean[:4].copy(),
-        pooled_cov_hat=cov,
-        pooled_cov_se=cov_se,
-        cov_sampling=cov_sampling,
-        histograms=histograms,
-        per_level_kept=per_level_kept,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
+        cov_se[j, k] = cov_se[k, j] = np.sqrt(max(cov_sampling[p, p], 0.0))
+    return acc.mean[:4], feat_cov[:4, :4], cov_se, cov_sampling
 
 
 def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> np.ndarray:
@@ -334,25 +312,28 @@ def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> 
     return jac @ (feat_cov / n) @ jac.T
 
 
-def ln_with_se(result: McResult):
-    """Log-negativity of the Monte Carlo covariance and its standard error.
+def ln_with_se(sweep: McSweep, j: int):
+    """Log-negativity of the Monte Carlo covariance at grid threshold j and its standard error.
 
-    The error propagates the run's empirical covariance-entry sampling
+    The error propagates the empirical covariance-entry sampling
     covariance through the analytic gradient of the log-negativity. It is
-    None when the run kept at most ``N_FEATURES`` shots: the sample
+    None when the threshold kept at most ``N_FEATURES`` shots: the sample
     covariance of the features then has rank below ``N_FEATURES`` and the
     delta method has nothing to stand on.
 
-    Raises ``InvalidCovarianceError`` when the run kept at most 4 shots:
-    the 4x4 sample covariance of n shots has rank at most n - 1 < 4,
+    Raises ``InvalidCovarianceError`` when the threshold kept at most 4
+    shots: the 4x4 sample covariance of n shots has rank at most n - 1 < 4,
     however its rounded eigenvalues come out.
     """
-    if result.kept_count <= result.pooled_cov_hat.shape[0]:
+    kept = int(sweep.kept_count[j])
+    if kept <= 4:
         raise InvalidCovarianceError("covariance matrix is not positive definite")
-    ln = gaussian_log_negativity(result.pooled_cov_hat)
-    if result.kept_count <= N_FEATURES:
+    row = sum(exc is None for exc in sweep.errors[:j])
+    cov = sweep.pooled_cov[row]
+    ln = gaussian_log_negativity(cov)
+    if kept <= N_FEATURES:
         return ln, None
-    g = log_negativity_gradient(result.pooled_cov_hat)
-    grad = np.array([g[j, k] if j == k else 2.0 * g[j, k] for j, k in PAIRS])
-    var = float(grad @ result.cov_sampling @ grad)
+    g = log_negativity_gradient(cov)
+    grad = np.array([g[a, b] if a == b else 2.0 * g[a, b] for a, b in PAIRS])
+    var = float(grad @ sweep.cov_sampling[row] @ grad)
     return ln, float(np.sqrt(max(var, 0.0)))

@@ -3,8 +3,10 @@
 ``run_scenario`` executes one configured experiment end to end: resolve
 the source (explicit variances or calibration), apply the channel, attach
 the tap, herald the whole threshold list with the analytic engine (one
-``herald`` call on the grid) and/or the Monte Carlo engine (one pass over
-the shots), and collect everything into a JSON-serializable RunReport.
+``herald`` call on the grid) and/or the Monte Carlo engine (one
+``run_mc_sweep`` pass over the shots), and collect everything into a
+JSON-serializable RunReport. Each engine's stacked result becomes one row
+section or one error per threshold, and the rows treat both engines alike.
 ``emit_artifacts`` renders a report to flat files (JSON report, sweep
 curve CSV, histogram CSVs, posterior-weight tables).
 """
@@ -30,7 +32,6 @@ from .channel import (
 )
 from .config import ConfigError, ExperimentConfig, _finite, check_threshold_tags, threshold_tag
 from .distill import (
-    DegenerateSelectionError,
     attach_tap,
     distilled_gln,
     gaussification_metrics,
@@ -38,7 +39,7 @@ from .distill import (
     joint_quadrature_variances,
 )
 from .gaussian import InvalidCovarianceError, gaussian_log_negativity, make_kerr_entangled
-from .mc import ln_with_se, run_mc_sweep
+from .mc import SERIES, ln_with_se, run_mc_sweep
 
 __all__ = ["RunReport", "run_scenario", "emit_artifacts", "AGREEMENT_SIGMA", "AGREEMENT_MIN_SUCCESS"]
 
@@ -197,23 +198,36 @@ def _analytic_sections(tapped: MixtureState, thresholds) -> list:
     return [next(sections) if exc is None else exc for exc in ensemble.errors]
 
 
-def _mc_section(result) -> dict:
-    ln_hat, ln_se = ln_with_se(result)
-    posterior = result.per_level_kept / max(result.kept_count, 1)
-    return {
-        "kept_count": result.kept_count,
-        "total_count": result.total_count,
-        "success_probability": result.success_probability_hat,
-        "success_se": result.success_probability_se,
-        "gaussian_ln": ln_hat,
-        "ln_se": ln_se,
-        "posterior_weights": posterior.tolist(),
-        "pooled_cov": result.pooled_cov_hat.tolist(),
-        "histograms": {
-            name: {sel: counts.tolist() for sel, (_, counts) in series.items()}
-            for name, series in result.histograms.items()
-        },
-    }
+def _mc_sections(sweep) -> list:
+    """Per threshold, its Monte Carlo row section or the error that stands for it.
+
+    The twin of :func:`_analytic_sections` for one ``run_mc_sweep``. The
+    error is the sweep's DegenerateSelectionError, or else the
+    InvalidCovarianceError that ``ln_with_se`` raises where at most 4 shots
+    were kept (it raises for the degenerate thresholds too).
+    """
+    posterior = sweep.per_level_kept / np.maximum(sweep.kept_count, 1)[:, None]
+    columns = (sweep.kept_count, sweep.success_probability, sweep.success_se, posterior,
+               sweep.hist_post)
+    covs = iter(sweep.pooled_cov.tolist())
+    sections = []
+    for j, (exc, kept, p, p_se, w, post) in enumerate(
+        zip(sweep.errors, *(c.tolist() for c in columns))
+    ):
+        cov = next(covs) if exc is None else None
+        try:
+            ln_hat, ln_se = ln_with_se(sweep, j)
+        except InvalidCovarianceError as err:
+            sections.append(exc or err)
+            continue
+        histograms = {name: {"pre": pre, "post": post_k}
+                      for name, pre, post_k in zip(SERIES, sweep.hist_pre.tolist(), post)}
+        sections.append({
+            "kept_count": kept, "total_count": sweep.total_count, "success_probability": p,
+            "success_se": p_se, "gaussian_ln": ln_hat, "ln_se": ln_se, "posterior_weights": w,
+            "pooled_cov": cov, "histograms": histograms,
+        })
+    return sections
 
 
 def run_scenario(config: ExperimentConfig) -> RunReport:
@@ -272,30 +286,24 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         )
     else:
         tapped = attach_tap(mixture, config.tap)
+        thresholds = config.tap.thresholds
+        sections = {}
         if run_analytic:
-            analytic = _analytic_sections(tapped, config.tap.thresholds)
+            sections["analytic"] = _analytic_sections(tapped, thresholds)
         if run_montecarlo:
-            mc_results = run_mc_sweep(tapped, config.mc, config.tap.thresholds)
-        for i, threshold in enumerate(config.tap.thresholds):
+            sweep = run_mc_sweep(tapped, config.mc, thresholds)
+            sections["mc"] = _mc_sections(sweep)
+            if any(isinstance(section, dict) for section in sections["mc"]):
+                histogram_edges = sweep.edges.tolist()
+        for i, threshold in enumerate(thresholds):
             row = {"threshold": threshold, "analytic": None, "mc": None,
                    "agreement": None, "error": None}
             errors = []
-            if run_analytic:
-                if isinstance(analytic[i], DegenerateSelectionError):
-                    errors.append(f"analytic: {analytic[i]}")
+            for name, column in sections.items():
+                if isinstance(column[i], Exception):
+                    errors.append(f"{name}: {column[i]}")
                 else:
-                    row["analytic"] = analytic[i]
-            if run_montecarlo:
-                result = mc_results[i]
-                try:
-                    if isinstance(result, DegenerateSelectionError):
-                        raise result
-                    row["mc"] = _mc_section(result)
-                    if histogram_edges is None:
-                        edges, _ = result.histograms[next(iter(result.histograms))]["pre"]
-                        histogram_edges = edges.tolist()
-                except (DegenerateSelectionError, InvalidCovarianceError) as exc:
-                    errors.append(f"mc: {exc}")
+                    row[name] = column[i]
             if row["analytic"] is not None and row["mc"] is not None:
                 success = row["analytic"]["success_probability"]
                 ln_se = row["mc"]["ln_se"]

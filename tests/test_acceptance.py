@@ -28,7 +28,7 @@ from cvdistill import (
     make_kerr_entangled,
     pooled_cm,
     propagate,
-    run_mc,
+    run_mc_sweep,
     symplectic_eigenvalues,
     tensor,
     upper_bound_ln,
@@ -133,14 +133,14 @@ def test_criterion_6_mc_analytic_equivalence(model):
     _, _, _, tapped = model
     ens = herald(tapped, 4.0)
     start = time.perf_counter()
-    res = run_mc(tapped, McConfig(n_shots=10_000_000, seed=20260811), 4.0)
+    res = run_mc_sweep(tapped, McConfig(n_shots=10_000_000, seed=20260811), [4.0])
     elapsed = time.perf_counter() - start
 
-    z_succ = abs(res.success_probability_hat - ens.success_probability) / res.success_probability_se
+    z_succ = abs(res.success_probability[0] - ens.success_probability) / res.success_se[0]
     assert z_succ < 4.0
-    entry_dev = np.abs(res.pooled_cov_hat - ens.pooled_cov) / res.pooled_cov_se
+    entry_dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
     assert entry_dev.max() < 4.0
-    ln_mc, ln_se = ln_with_se(res)
+    ln_mc, ln_se = ln_with_se(res, 0)
     z_ln = abs(ln_mc - distilled_gln(ens)) / ln_se
     assert z_ln < 4.0
     assert elapsed < 60.0
@@ -156,12 +156,13 @@ def test_criterion_7_full_scale_head_count(model):
     _, _, _, tapped = model
     n_shots = 240_000_000
     start = time.perf_counter()
-    res = run_mc(tapped, McConfig(n_shots=n_shots, seed=8160, n_workers=4), 9.0)
+    res = run_mc_sweep(tapped, McConfig(n_shots=n_shots, seed=8160, n_workers=4), [9.0])
+    (kept,) = res.kept_count.tolist()
     elapsed = time.perf_counter() - start
-    assert 3000 <= res.kept_count <= 30000
+    assert 3000 <= kept <= 30000
     assert elapsed < 20 * 60
     print(
-        f"\ncriterion 7 PASS: kept {res.kept_count} of {n_shots} shots at threshold "
+        f"\ncriterion 7 PASS: kept {kept} of {n_shots} shots at threshold "
         f"9 SNU (band [3000, 30000]); {elapsed / 60:.1f} min with 4 workers"
     )
 
@@ -201,9 +202,9 @@ def test_criterion_8_invariant_suites(model):
 
     # Monte Carlo determinism
     conf = McConfig(n_shots=100_000, seed=31415)
-    first, second = run_mc(tapped, conf, 3.0), run_mc(tapped, conf, 3.0)
-    assert first.kept_count == second.kept_count
-    assert np.array_equal(first.pooled_cov_hat, second.pooled_cov_hat)
+    first, second = run_mc_sweep(tapped, conf, [3.0]), run_mc_sweep(tapped, conf, [3.0])
+    assert first.kept_count[0] == second.kept_count[0]
+    assert np.array_equal(first.pooled_cov[0], second.pooled_cov[0])
 
     # accumulator merge associativity
     x = rng.standard_normal((10_000, 4)) + 2.0

@@ -79,8 +79,10 @@ class TestCalibrate:
             calibrate(ln_initial=0.76, ln_discrete_premix=5.0)
 
     def test_unphysical_target_raises(self):
-        with pytest.raises(CalibrationError):
-            calibrate(ln_initial=-0.1)
+        # 2**ln_initial is the least antisqueezed variance: it must lie below the bracket's top.
+        for ln_initial in (-0.1, 0.0, float("nan"), 14.0, 2000.0):
+            with pytest.raises(CalibrationError):
+                calibrate(ln_initial=ln_initial)
 
 
 def pooled_premix_ln(source, channel):
@@ -757,3 +759,37 @@ class TestCliCommands:
         code = main(["run", "--config", str(cfg_path), "--out", str(cfg_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, edit", [
+        (["calibrate", "--p-full", "1.5"], None),
+        (["calibrate", "--p-full", "nan"], None),
+        (["calibrate", "--ln-initial", "nan"], None),
+        (["run"], lambda raw: raw["channel"].update(p_full=1.5)),
+        (["run"], lambda raw: raw["channel"].update(p_full=0)),
+        (["run"], lambda raw: raw["channel"].update(p_full=-0.2)),
+        (["run"], lambda raw: raw["source"]["calibrate_to"].update(ln_initial=2000)),
+    ], ids=["p-full-1.5", "p-full-nan", "ln-initial-nan", "config-p-full-1.5",
+            "config-p-full-0", "config-p-full-negative", "config-ln-initial-2000"])
+    def test_calibration_inputs_are_config_errors(self, capsys, tmp_path, argv, edit):
+        if edit is not None:
+            raw = preset_config("semicontinuous").to_dict()  # calibrated envelope, no beta
+            edit(raw)
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(raw))
+            argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "art")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_run_overflowing_histogram_range_is_config_error(self, capsys, tmp_path):
+        # The bin edges span 2 * histogram_range, which overflows to inf here.
+        raw = preset_config("discrete").to_dict()
+        raw["engine"], raw["mc"]["n_shots"], raw["mc"]["histogram_range"] = "mc", 1000, 1e308
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == 2
+        assert "error: mc.histogram_range must leave the histogram width" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
+        with pytest.raises(ConfigError, match="histogram_range"):
+            McConfig(histogram_range=1e308)
+        assert McConfig(histogram_range=8e307).histogram_range == 8e307

@@ -7,6 +7,7 @@ from cvdistill import (
     DegenerateSelectionError,
     FluctuatingChannel,
     GaussianState,
+    InvalidCovarianceError,
     McConfig,
     MixtureState,
     TapConfig,
@@ -18,9 +19,10 @@ from cvdistill import (
     joint_quadrature_variances,
     make_kerr_entangled,
     pooled_cm,
+    preset_config,
     propagate,
-    run_mc,
     run_mc_sweep,
+    run_scenario,
     tensor,
     vacuum_state,
 )
@@ -28,9 +30,14 @@ from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
 from cvdistill.mc import _kernel_py, engine
 from conftest import apply_phase_rotation, batch_moments
 
-# A threshold below every shot: run_mc then keeps all of them, so its kept
+# A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
 NO_SELECTION = -1e9
+
+
+def sweep_at(mixture3, config, threshold):
+    """The one-threshold sweep at ``threshold``."""
+    return run_mc_sweep(mixture3, config, [threshold])
 
 
 def uncorrelated_tap(state):
@@ -42,51 +49,51 @@ class TestSampleLevel:
     def test_single_level_always_zero(self):
         chan = FluctuatingChannel([ChannelLevel(1.0, 1.0)])
         tapped = attach_tap(propagate(make_kerr_entangled(0.6, 10.0), chan), TapConfig())
-        res = run_mc(tapped, McConfig(n_shots=1000, seed=0), NO_SELECTION)
-        assert np.array_equal(res.per_level_kept, [1000])
+        res = sweep_at(tapped, McConfig(n_shots=1000, seed=0), NO_SELECTION)
+        assert np.array_equal(res.per_level_kept[0], [1000])
 
     def test_discrete_frequencies(self, tapped_discrete):
         n = 1_000_000
-        res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=41), NO_SELECTION)
+        res = sweep_at(tapped_discrete, McConfig(n_shots=n, seed=41), NO_SELECTION)
         # 0.002 is four binomial standard errors of a weight of 0.5 at 1e6 shots.
-        assert_allclose(res.per_level_kept / n, tapped_discrete.weights, atol=0.002)
+        assert_allclose(res.per_level_kept[0] / n, tapped_discrete.weights, atol=0.002)
 
     def test_deterministic_under_fixed_seed(self, tapped_discrete):
         conf = McConfig(n_shots=1000, seed=7)
-        a = run_mc(tapped_discrete, conf, NO_SELECTION)
-        b = run_mc(tapped_discrete, conf, NO_SELECTION)
-        assert np.array_equal(a.per_level_kept, b.per_level_kept)
+        a = sweep_at(tapped_discrete, conf, NO_SELECTION)
+        b = sweep_at(tapped_discrete, conf, NO_SELECTION)
+        assert np.array_equal(a.per_level_kept[0], b.per_level_kept[0])
 
 
 class TestSamplePhasePoint:
     def test_vacuum_variances(self):
         vacuum = MixtureState([(1.0, vacuum_state(3))])
-        res = run_mc(vacuum, McConfig(n_shots=1_000_000, seed=42), NO_SELECTION)
-        assert_allclose(np.diag(res.pooled_cov_hat), np.ones(4), atol=0.005)
+        res = sweep_at(vacuum, McConfig(n_shots=1_000_000, seed=42), NO_SELECTION)
+        assert_allclose(np.diag(res.pooled_cov[0]), np.ones(4), atol=0.005)
 
     def test_deterministic_under_fixed_seed(self):
         mix = uncorrelated_tap(make_kerr_entangled(0.6, 10.0))
         conf = McConfig(n_shots=16, seed=3)
-        a = run_mc(mix, conf, NO_SELECTION)
-        b = run_mc(mix, conf, NO_SELECTION)
-        assert np.array_equal(a.pooled_mean_hat, b.pooled_mean_hat)
-        assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
+        a = sweep_at(mix, conf, NO_SELECTION)
+        b = sweep_at(mix, conf, NO_SELECTION)
+        assert np.array_equal(a.pooled_mean[0], b.pooled_mean[0])
+        assert np.array_equal(a.pooled_cov[0], b.pooled_cov[0])
 
     def test_joint_quadrature_variance(self):
         vs = 0.61
         n = 1_000_000
         mix = uncorrelated_tap(make_kerr_entangled(vs, 40.0))
-        res = run_mc(mix, McConfig(n_shots=n, seed=43), NO_SELECTION)
-        var_sum, _ = joint_quadrature_variances(res.pooled_cov_hat)
+        res = sweep_at(mix, McConfig(n_shots=n, seed=43), NO_SELECTION)
+        var_sum, _ = joint_quadrature_variances(res.pooled_cov[0])
         se = 2 * vs * np.sqrt(2.0 / n)
         assert abs(var_sum - 2 * vs) < 3 * se
 
     def test_covariance_reproduced(self):
         mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
         tapped = attach_tap(mix, TapConfig())
-        res = run_mc(tapped, McConfig(n_shots=200_000, seed=44), NO_SELECTION)
+        res = sweep_at(tapped, McConfig(n_shots=200_000, seed=44), NO_SELECTION)
         _, cov = pooled_cm(tapped)
-        assert_allclose(res.pooled_cov_hat, cov[:4, :4], atol=0.05)
+        assert_allclose(res.pooled_cov[0], cov[:4, :4], atol=0.05)
 
     def test_cross_quadrature_covariance_reproduced(self):
         # Rotating beam B correlates X and P quadratures, so the per-level
@@ -96,8 +103,8 @@ class TestSamplePhasePoint:
         tapped = attach_tap(rotated, TapConfig())
         _, cov = pooled_cm(tapped)
         assert np.abs(cov[0:4:2, 1:4:2]).max() > 0.5
-        res = run_mc(tapped, McConfig(n_shots=200_000, seed=49), NO_SELECTION)
-        assert np.all(np.abs(res.pooled_cov_hat - cov[:4, :4]) < 4 * res.pooled_cov_se)
+        res = sweep_at(tapped, McConfig(n_shots=200_000, seed=49), NO_SELECTION)
+        assert np.all(np.abs(res.pooled_cov[0] - cov[:4, :4]) < 4 * res.pooled_cov_se[0])
 
     def test_transform_matches_factor_product(self):
         # Displaced, phase-rotated fading mixture: nonzero means and X-P terms.
@@ -271,20 +278,19 @@ def tapped_fading():
 
 class TestRunMc:
     def test_no_threshold_keeps_everything(self, tapped_discrete):
-        res = run_mc(tapped_discrete, McConfig(n_shots=10_000, seed=1), -1e9)
-        assert res.success_probability_hat == 1.0
-        assert res.kept_count == res.total_count == 10_000
+        res = sweep_at(tapped_discrete, McConfig(n_shots=10_000, seed=1), -1e9)
+        assert res.success_probability[0] == 1.0
+        assert res.kept_count[0] == res.total_count == 10_000
 
     def test_histogram_count_invariants(self, tapped_discrete):
         conf = McConfig(n_shots=50_000, seed=2)
-        res = run_mc(tapped_discrete, conf, 2.0)
-        for name in SERIES:
-            edges, pre = res.histograms[name]["pre"]
-            _, post = res.histograms[name]["post"]
-            assert len(edges) == conf.histogram_bins + 1
+        res = sweep_at(tapped_discrete, conf, 2.0)
+        assert len(res.edges) == conf.histogram_bins + 1
+        assert res.hist_pre.shape == res.hist_post.shape[1:] == (len(SERIES), conf.histogram_bins)
+        for pre, post in zip(res.hist_pre, res.hist_post[0]):
             assert pre.sum() == res.total_count
-            assert post.sum() == res.kept_count
-        assert res.per_level_kept.sum() == res.kept_count
+            assert post.sum() == res.kept_count[0]
+        assert res.per_level_kept[0].sum() == res.kept_count[0]
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -292,55 +298,58 @@ class TestRunMc:
 
     def test_bit_identical_reruns(self, tapped_discrete):
         conf = McConfig(n_shots=200_000, seed=99)
-        a = run_mc(tapped_discrete, conf, 4.0)
-        b = run_mc(tapped_discrete, conf, 4.0)
-        assert a.kept_count == b.kept_count
-        assert np.array_equal(a.pooled_mean_hat, b.pooled_mean_hat)
-        assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
-        for name in SERIES:
-            for sel in ("pre", "post"):
-                assert np.array_equal(a.histograms[name][sel][1], b.histograms[name][sel][1])
+        a = sweep_at(tapped_discrete, conf, 4.0)
+        b = sweep_at(tapped_discrete, conf, 4.0)
+        assert a.kept_count[0] == b.kept_count[0]
+        assert np.array_equal(a.pooled_mean[0], b.pooled_mean[0])
+        assert np.array_equal(a.pooled_cov[0], b.pooled_cov[0])
+        assert np.array_equal(a.hist_pre, b.hist_pre)
+        assert np.array_equal(a.hist_post, b.hist_post)
 
     def test_workers_reproducible_and_recorded(self, tapped_discrete):
         conf = McConfig(n_shots=100_000, seed=5, n_workers=2)
-        a = run_mc(tapped_discrete, conf, 2.0)
-        b = run_mc(tapped_discrete, conf, 2.0)
-        assert a.n_workers == 2
-        assert a.kept_count == b.kept_count
-        assert np.array_equal(a.pooled_cov_hat, b.pooled_cov_hat)
+        a = sweep_at(tapped_discrete, conf, 2.0)
+        b = sweep_at(tapped_discrete, conf, 2.0)
+        assert a.kept_count[0] == b.kept_count[0]
+        assert np.array_equal(a.pooled_cov[0], b.pooled_cov[0])
+        # The worker count is a setting, recorded in the run report.
+        cfg = preset_config("discrete")
+        cfg.engine, cfg.mc, cfg.tap.thresholds = "mc", conf, [2.0]
+        assert run_scenario(cfg).provenance["n_workers"] == 2
 
-    def test_degenerate_selection_carries_pre_stats(self, tapped_discrete):
-        with pytest.raises(DegenerateSelectionError) as info:
-            run_mc(tapped_discrete, McConfig(n_shots=5_000, seed=3), 1e4)
-        pre = info.value.pre_stats
-        assert pre["total_count"] == 5_000
-        assert pre["kept_count"] == 0
-        _, counts = pre["histograms"]["X_tap"]
-        assert counts.sum() == 5_000
+    def test_degenerate_selection_error_and_counts(self, tapped_discrete):
+        res = sweep_at(tapped_discrete, McConfig(n_shots=5_000, seed=3), 1e4)
+        (error,) = res.errors
+        assert isinstance(error, DegenerateSelectionError)
+        assert str(error) == "only 0 of 5000 shots passed threshold 10000.0"
+        assert res.total_count == 5_000
+        assert res.kept_count[0] == 0
+        assert res.hist_pre[SERIES.index("X_tap")].sum() == 5_000
+        assert res.pooled_cov.shape == (0, 4, 4)
 
     def test_agreement_with_analytic_discrete(self, tapped_discrete):
         ens = herald(tapped_discrete, 4.0)
-        res = run_mc(tapped_discrete, McConfig(n_shots=1_000_000, seed=2026), 4.0)
-        z_succ = abs(res.success_probability_hat - ens.success_probability) / res.success_probability_se
+        res = sweep_at(tapped_discrete, McConfig(n_shots=1_000_000, seed=2026), 4.0)
+        z_succ = abs(res.success_probability[0] - ens.success_probability) / res.success_se[0]
         assert z_succ < 4.0
-        dev = np.abs(res.pooled_cov_hat - ens.pooled_cov) / res.pooled_cov_se
+        dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
         assert dev.max() < 4.0
-        ln_mc, ln_se = ln_with_se(res)
+        ln_mc, ln_se = ln_with_se(res, 0)
         assert abs(ln_mc - distilled_gln(ens)) < 4.0 * ln_se
 
     def test_agreement_with_analytic_fading(self, tapped_fading):
         ens = herald(tapped_fading, 2.0)
-        res = run_mc(tapped_fading, McConfig(n_shots=1_000_000, seed=2027), 2.0)
-        z_succ = abs(res.success_probability_hat - ens.success_probability) / res.success_probability_se
+        res = sweep_at(tapped_fading, McConfig(n_shots=1_000_000, seed=2027), 2.0)
+        z_succ = abs(res.success_probability[0] - ens.success_probability) / res.success_se[0]
         assert z_succ < 4.0
-        dev = np.abs(res.pooled_cov_hat - ens.pooled_cov) / res.pooled_cov_se
+        dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
         assert dev.max() < 4.0
 
     def test_posterior_weights_match_analytic(self, tapped_discrete):
         ens = herald(tapped_discrete, 4.0)
-        res = run_mc(tapped_discrete, McConfig(n_shots=1_000_000, seed=11), 4.0)
-        mc_post = res.per_level_kept / res.kept_count
-        se = np.sqrt(ens.posterior_weights * (1 - ens.posterior_weights) / res.kept_count)
+        res = sweep_at(tapped_discrete, McConfig(n_shots=1_000_000, seed=11), 4.0)
+        mc_post = res.per_level_kept[0] / res.kept_count[0]
+        se = np.sqrt(ens.posterior_weights * (1 - ens.posterior_weights) / res.kept_count[0])
         assert np.all(np.abs(mc_post - ens.posterior_weights) < 4 * se + 1e-12)
 
     def test_ln_converges_with_shots(self, tapped_discrete):
@@ -348,8 +357,8 @@ class TestRunMc:
         target = distilled_gln(ens)
         errs, ses = [], []
         for n in (100_000, 1_000_000, 10_000_000):
-            res = run_mc(tapped_discrete, McConfig(n_shots=n, seed=314), 4.0)
-            ln, se = ln_with_se(res)
+            res = sweep_at(tapped_discrete, McConfig(n_shots=n, seed=314), 4.0)
+            ln, se = ln_with_se(res, 0)
             errs.append(abs(ln - target))
             ses.append(se)
         # The standard error falls as 1/sqrt(n), about 3.2x per 10x shots,
@@ -363,20 +372,15 @@ class TestRunMc:
             [(w, GaussianState(s.mean[:4], s.cov[:4, :4])) for w, s in tapped_discrete.components]
         )
         with pytest.raises(ValueError):
-            run_mc(two_mode, McConfig(n_shots=10, seed=1), 0.0)
+            sweep_at(two_mode, McConfig(n_shots=10, seed=1), 0.0)
 
 
-def sweep_outputs(res):
-    """Every count, histogram and moment of one run_mc_sweep entry."""
-    if isinstance(res, DegenerateSelectionError):
-        pre = res.pre_stats
-        return [pre["kept_count"], pre["per_level_kept"]] + [
-            pre["histograms"][name][1] for name in SERIES
-        ]
-    return [
-        res.kept_count, res.per_level_kept, res.pooled_mean_hat, res.pooled_cov_hat,
-        res.pooled_cov_se, res.cov_sampling,
-    ] + [res.histograms[name][sel][1] for name in SERIES for sel in ("pre", "post")]
+def sweep_outputs(sweep):
+    """Every count, histogram, moment and error message of one run_mc_sweep."""
+    arrays = [sweep.thresholds, sweep.kept_count, sweep.per_level_kept, sweep.edges,
+              sweep.hist_pre, sweep.hist_post, sweep.pooled_mean, sweep.pooled_cov,
+              sweep.pooled_cov_se, sweep.cov_sampling]
+    return arrays + [[sweep.total_count], [str(exc) for exc in sweep.errors]]
 
 
 class TestRunMcSweep:
@@ -385,47 +389,60 @@ class TestRunMcSweep:
         grid = [4.0, 0.0, 2.0, 2.0, 1e4]
         conf = McConfig(n_shots=150_000, seed=21, n_workers=n_workers)
         sweep = run_mc_sweep(tapped_discrete, conf, grid)
-        assert len(sweep) == len(grid)
-        for th, res in zip(grid, sweep):
+        assert np.array_equal(sweep.thresholds, grid)
+        assert len(sweep.errors) == len(sweep.kept_count) == len(grid)
+        row = 0
+        for j, th in enumerate(grid):
+            ref = sweep_at(tapped_discrete, conf, th)
+            assert sweep.total_count == ref.total_count == 150_000
+            assert sweep.kept_count[j] == ref.kept_count[0]
+            assert np.array_equal(sweep.per_level_kept[j], ref.per_level_kept[0])
+            assert np.array_equal(sweep.edges, ref.edges)
+            assert np.array_equal(sweep.hist_pre, ref.hist_pre)
+            assert np.array_equal(sweep.hist_post[j], ref.hist_post[0])
+            assert sweep.success_probability[j] == ref.success_probability[0]
             if th == 1e4:
-                assert isinstance(res, DegenerateSelectionError)
-                with pytest.raises(DegenerateSelectionError) as info:
-                    run_mc(tapped_discrete, conf, th)
-                ref = info.value.pre_stats
-                assert res.pre_stats["kept_count"] == ref["kept_count"]
-                assert res.pre_stats["total_count"] == ref["total_count"] == 150_000
-                assert np.array_equal(res.pre_stats["per_level_kept"], ref["per_level_kept"])
-                for name in SERIES:
-                    assert np.array_equal(res.pre_stats["histograms"][name][1],
-                                          ref["histograms"][name][1])
+                assert isinstance(sweep.errors[j], DegenerateSelectionError)
+                assert str(sweep.errors[j]) == str(ref.errors[0])
+                assert ref.pooled_cov.shape == (0, 4, 4)
                 continue
-            ref = run_mc(tapped_discrete, conf, th)
-            assert res.kept_count == ref.kept_count
-            assert res.total_count == ref.total_count
-            assert res.n_workers == ref.n_workers == n_workers
-            assert np.array_equal(res.per_level_kept, ref.per_level_kept)
-            for name in SERIES:
-                for sel in ("pre", "post"):
-                    assert np.array_equal(res.histograms[name][sel][0], ref.histograms[name][sel][0])
-                    assert np.array_equal(res.histograms[name][sel][1], ref.histograms[name][sel][1])
+            assert sweep.errors[j] is None and ref.errors == (None,)
             # Moments differ only by merge order: relative to each array's largest entry.
-            for field in ("pooled_mean_hat", "pooled_cov_hat", "pooled_cov_se", "cov_sampling"):
-                a, b = getattr(res, field), getattr(ref, field)
+            for field in ("pooled_mean", "pooled_cov", "pooled_cov_se", "cov_sampling"):
+                a, b = getattr(sweep, field)[row], getattr(ref, field)[0]
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-            assert res.success_probability_hat == ref.success_probability_hat
+            assert ln_with_se(sweep, j) == pytest.approx(ln_with_se(ref, 0), rel=1e-9)
+            row += 1
+        assert row == len(sweep.pooled_cov)
 
     @pytest.mark.parametrize("n_shots", [400_000, 2 * 65_536, 65_536 + 1_000, 2])
     def test_independent_of_worker_count(self, tapped_discrete, n_shots):
         grid = [4.0, 0.0, 2.0, 2.0, 1e4]
-        runs = [
-            run_mc_sweep(tapped_discrete, McConfig(n_shots=n_shots, seed=23, n_workers=w), grid)
+        ref, *others = [
+            sweep_outputs(run_mc_sweep(
+                tapped_discrete, McConfig(n_shots=n_shots, seed=23, n_workers=w), grid))
             for w in (1, 2, 3)
         ]
-        for ref, *others in zip(*runs):
-            for res in others:
-                a, b = sweep_outputs(res), sweep_outputs(ref)
-                assert len(a) == len(b)
-                assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        for out in others:
+            assert len(out) == len(ref)
+            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+
+    def test_counts_sum_to_their_totals(self, tapped_discrete):
+        # Thresholds 9 and 1e4 keep fewer than two of 20,000 shots: counted, not stacked.
+        grid = [3.0, 1e4, 0.0, 9.0, 3.0]
+        sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=24), grid)
+        degenerate = [exc is not None for exc in sweep.errors]
+        assert degenerate == [False, True, False, True, False]
+        assert np.array_equal(sweep.hist_pre.sum(axis=1), [20_000] * len(SERIES))
+        assert np.array_equal(sweep.hist_post.sum(axis=2),
+                              np.repeat(sweep.kept_count[:, None], len(SERIES), axis=1))
+        assert np.array_equal(sweep.per_level_kept.sum(axis=1), sweep.kept_count)
+        assert np.all((sweep.kept_count < 2) == degenerate)
+        assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == degenerate.count(False)
+        # ln_with_se reads grid threshold j's stack row: rows 0 and 2 of the stacks.
+        assert ln_with_se(sweep, 4) == ln_with_se(sweep, 0) != ln_with_se(sweep, 2)
+        with pytest.raises(InvalidCovarianceError):
+            ln_with_se(sweep, 3)
 
     @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [-np.inf, 2.0], [[1.0, 2.0]]])
     def test_rejects_bad_grids(self, tapped_discrete, grid):
