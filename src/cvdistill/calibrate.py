@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import discrete_channel, envelope_exponential, envelope_fading
-from .gaussian import apply_loss, gaussian_log_negativity, make_kerr_entangled
+from .channel import (MixtureState, discrete_channel, envelope_exponential, envelope_fading,
+                      pooled_cm, propagate)
+from .gaussian import GaussianState, gaussian_log_negativity, make_kerr_entangled
 
 __all__ = [
     "CalibrationError",
@@ -30,6 +29,11 @@ DEFAULT_LN_INITIAL = 0.76
 DEFAULT_LN_DISCRETE_PREMIX = -1.63
 DEFAULT_LN_SEMI_PREMIX = -0.11
 DEFAULT_P_FULL = 0.2
+
+# Bisection tolerances on the fitted LN (bits); top of the antisqueezed-variance bracket.
+SOURCE_LN_TOL = 1e-6
+ENVELOPE_LN_TOL = 1e-4
+BRACKET_HI = 1e4
 
 ENVELOPE_FAMILIES = ("fading", "exponential")
 
@@ -68,29 +72,15 @@ def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: 
     raise CalibrationError(f"bisection did not reach tolerance {ln_tol}; last f = {fmid:.6g}")
 
 
-def _level_covs(v_squeezed: float, v_antisqueezed: float, transmittances) -> np.ndarray:
-    """Covariances of the zero-mean source after each loss t on mode B, stacked."""
-    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
-    return np.array([apply_loss(source, 1, t).cov for t in transmittances])
-
-
-def _pooled_cov(level_covs: np.ndarray, weights) -> np.ndarray:
-    """The pooled covariance that ``pooled_cm`` gives for the mixture of zero-mean levels."""
-    return np.einsum("i,ijk->jk", weights, level_covs)
-
-
 def discrete_premix_ln(v_squeezed: float, v_antisqueezed: float) -> float:
     """Gaussian-fitted log-negativity of the two-level channel's pooled output."""
-    channel = discrete_channel()
-    covs = _level_covs(v_squeezed, v_antisqueezed, channel.transmittances)
-    return gaussian_log_negativity(_pooled_cov(covs, channel.probabilities))
+    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
+    return gaussian_log_negativity(pooled_cm(propagate(source, discrete_channel()))[1])
 
 
 def calibrate(
     ln_initial: float = DEFAULT_LN_INITIAL,
     ln_discrete_premix: float = DEFAULT_LN_DISCRETE_PREMIX,
-    ln_tol: float = 1e-6,
-    bracket_hi: float = 1e4,
 ) -> SourceCalibration:
     """Fit (v_squeezed, v_antisqueezed) to the two measured log-negativities.
 
@@ -98,14 +88,16 @@ def calibrate(
     LN = -log2 of the squeezed variance); v_antisqueezed is found by
     bisection, using that the pooled two-level-channel entanglement
     decreases monotonically in the antisqueezed variance, over the bracket
-    [1/v_squeezed, bracket_hi] that the uncertainty relation leaves it.
+    [1/v_squeezed, BRACKET_HI] that the uncertainty relation leaves it, to
+    within ``SOURCE_LN_TOL``.
     """
-    if not 0.0 < ln_initial < math.log2(bracket_hi):
+    if not 0.0 < ln_initial < math.log2(BRACKET_HI):
         raise CalibrationError(f"ln_initial must lie in (0, log2(bracket_hi)), got {ln_initial}")
     v_squeezed = 2.0 ** (-ln_initial)
     lo = 1.0 / v_squeezed
     v_antisqueezed, achieved = _bisect(
-        lambda va: discrete_premix_ln(v_squeezed, va), lo, bracket_hi, ln_discrete_premix, ln_tol
+        lambda va: discrete_premix_ln(v_squeezed, va), lo, BRACKET_HI, ln_discrete_premix,
+        SOURCE_LN_TOL,
     )
     return SourceCalibration(
         v_squeezed=v_squeezed,
@@ -115,9 +107,9 @@ def calibrate(
     )
 
 
-def semicontinuous_premix_ln(level_covs: np.ndarray, weights) -> float:
-    """Gaussian-fitted log-negativity of the levels ``level_covs`` pooled with ``weights``."""
-    return gaussian_log_negativity(_pooled_cov(level_covs, weights))
+def semicontinuous_premix_ln(levels: GaussianState, weights) -> float:
+    """Gaussian-fitted log-negativity of the stacked ``levels`` pooled with ``weights``."""
+    return gaussian_log_negativity(pooled_cm(MixtureState(weights, levels))[1])
 
 
 def calibrate_envelope(
@@ -126,14 +118,14 @@ def calibrate_envelope(
     p_full: float = DEFAULT_P_FULL,
     ln_premix: float = DEFAULT_LN_SEMI_PREMIX,
     family: str = "fading",
-    ln_tol: float = 1e-4,
 ):
     """Fit the semi-continuous envelope's shape parameter to ``ln_premix``.
 
     For the 'fading' family the parameter is the deep-fade floor fraction
     (pooled entanglement decreases as the floor grows); for the
     'exponential' family it is the exponent beta (pooled entanglement
-    increases with beta). Returns (parameter, fitted channel).
+    increases with beta). The fit stops within ``ENVELOPE_LN_TOL``. Returns
+    (parameter, fitted channel).
     """
     if family == "fading":
         build = lambda frac: envelope_fading(frac, p_full=p_full)
@@ -144,16 +136,16 @@ def calibrate_envelope(
         lo, hi = -50.0, 50.0
     else:
         raise CalibrationError(f"unknown envelope family {family!r}; use one of {ENVELOPE_FAMILIES}")
-    # Zero-mean levels on one transmittance grid: each step only re-weights them.
+    # Every envelope shares one transmittance grid: each step only re-weights its levels.
     try:
-        covs = _level_covs(v_squeezed, v_antisqueezed, build(lo).transmittances)
+        levels = propagate(make_kerr_entangled(v_squeezed, v_antisqueezed), build(lo)).states
     except ValueError as exc:
         raise CalibrationError(f"cannot build the {family} envelope: {exc}") from exc
     param, _ = _bisect(
-        lambda p: semicontinuous_premix_ln(covs, build(p).probabilities),
+        lambda p: semicontinuous_premix_ln(levels, build(p).probabilities),
         lo,
         hi,
         ln_premix,
-        ln_tol,
+        ENVELOPE_LN_TOL,
     )
     return (-param if family == "exponential" else param), build(param)

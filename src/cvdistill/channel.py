@@ -2,7 +2,11 @@
 
 A channel is a discrete distribution over transmittance levels; sending one
 mode of a Gaussian state through it yields a convex mixture of Gaussian
-states (one per level), which is non-Gaussian as a whole. This module also
+states (one per level), which is non-Gaussian as a whole. A
+``MixtureState(weights, states)`` holds the level weights (L,) and the
+components as one stacked ``GaussianState``, mean (L, 2n) and covariance
+(L, 2n, 2n): ``propagate`` is one ``apply_loss`` over the (L,)
+transmittances, and every consumer reads the stacked arrays. This module also
 provides the pooled second moments of such a mixture (what a Gaussian fit
 to the transmitted ensemble would measure) and the convexity upper bound
 on its total logarithmic negativity.
@@ -92,47 +96,41 @@ class FluctuatingChannel:
 
 @dataclass(eq=False)
 class MixtureState:
-    """Convex mixture of equally-sized Gaussian states.
+    """Convex mixture of Gaussian states of one mode count.
 
-    ``components`` is an ordered list of (weight, GaussianState) pairs with
-    positive weights summing to one; every component must be physical.
+    ``weights`` (L,) are positive and sum to one; ``states`` is one
+    :class:`~cvdistill.gaussian.GaussianState` stacking the L components,
+    ``mean`` (L, 2n) and ``cov`` (L, 2n, 2n), in weight order. Every
+    component must be physical.
     """
 
-    components: list
+    weights: np.ndarray
+    states: GaussianState
 
     def __post_init__(self) -> None:
-        if not self.components:
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 1 or weights.size == 0:
             raise ValueError("mixture needs at least one component")
-        total = 0.0
-        n_modes = None
-        for w, state in self.components:
-            if w <= 0.0:
-                raise ValueError(f"component weights must be positive, got {w}")
-            if n_modes is None:
-                n_modes = state.n_modes
-            elif state.n_modes != n_modes:
-                raise ValueError("all components must have the same number of modes")
-            if not validate_physical(state):
-                raise ValueError("mixture contains an unphysical component")
-            total += w
+        if self.states.mean.shape[:-1] != weights.shape:
+            raise ValueError(f"mixture has {weights.size} weights but a stack of states "
+                             f"of shape {self.states.mean.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"component weights must be finite, got {weights}")
+        if np.any(weights <= 0.0):
+            raise ValueError(f"component weights must be positive, got {weights.min()}")
+        total = weights.sum()
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"component weights must sum to 1, got {total!r}")
-        self.components = [(float(w), s) for w, s in self.components]
+        if not np.all(validate_physical(self.states)):
+            raise ValueError("mixture contains an unphysical component")
+        self.weights = weights
 
     @property
     def n_modes(self) -> int:
-        return self.components[0][1].n_modes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.components])
-
-    @property
-    def states(self) -> list:
-        return [s for _, s in self.components]
+        return self.states.n_modes
 
     def __len__(self) -> int:
-        return len(self.components)
+        return self.weights.size
 
 
 def discrete_channel() -> FluctuatingChannel:
@@ -140,16 +138,12 @@ def discrete_channel() -> FluctuatingChannel:
     return FluctuatingChannel([ChannelLevel(0.25, 0.5), ChannelLevel(1.0, 0.5)])
 
 
-def semicontinuous_levels(n_levels: int = SEMICONTINUOUS_LEVELS) -> np.ndarray:
-    """Evenly spaced transmittance grid spanning [0.1, 1.0] inclusive."""
-    if n_levels < 2:
-        raise ValueError("need at least two levels")
-    return 0.1 + np.arange(n_levels) * (0.9 / (n_levels - 1))
+def semicontinuous_levels() -> np.ndarray:
+    """Evenly spaced grid of ``SEMICONTINUOUS_LEVELS`` transmittances spanning [0.1, 1.0]."""
+    return 0.1 + np.arange(SEMICONTINUOUS_LEVELS) * (0.9 / (SEMICONTINUOUS_LEVELS - 1))
 
 
-def envelope_exponential(
-    beta: float, p_full: float = 0.2, n_levels: int = SEMICONTINUOUS_LEVELS
-) -> FluctuatingChannel:
+def envelope_exponential(beta: float, p_full: float = 0.2) -> FluctuatingChannel:
     """Semi-continuous channel with an exponential probability envelope.
 
     The full-transmission level carries probability ``p_full``; the
@@ -158,7 +152,7 @@ def envelope_exponential(
     """
     if not 0.0 < p_full < 1.0:
         raise ValueError(f"p_full must lie in (0, 1), got {p_full}")
-    ts = semicontinuous_levels(n_levels)
+    ts = semicontinuous_levels()
     weights = np.exp(beta * ts[:-1])
     weights *= (1.0 - p_full) / weights.sum()
     probs = np.append(weights, p_full)
@@ -167,19 +161,14 @@ def envelope_exponential(
     return FluctuatingChannel([ChannelLevel(t, p) for t, p in zip(ts, probs)])
 
 
-def envelope_fading(
-    floor_fraction: float,
-    p_full: float = 0.2,
-    n_levels: int = SEMICONTINUOUS_LEVELS,
-    peak_rate: float = FADING_PEAK_RATE,
-) -> FluctuatingChannel:
+def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingChannel:
     """Semi-continuous channel with a fading-style probability envelope.
 
     Models a free-space link that transmits near its maximum most of the
     time but suffers occasional deep fades: the full-transmission level
     carries ``p_full``; of the remaining mass, a fraction ``floor_fraction``
     is spread uniformly over all lower levels (deep fades) and the rest
-    decays as exp(-peak_rate * (1 - t)) just below full transmission.
+    decays as exp(-FADING_PEAK_RATE * (1 - t)) just below full transmission.
 
     ``floor_fraction`` in [0, 1] is the single shape parameter used when
     calibrating the channel to a measured pre-distillation entanglement.
@@ -188,10 +177,10 @@ def envelope_fading(
         raise ValueError(f"p_full must lie in (0, 1), got {p_full}")
     if not 0.0 <= floor_fraction <= 1.0:
         raise ValueError(f"floor_fraction must lie in [0, 1], got {floor_fraction}")
-    ts = semicontinuous_levels(n_levels)
-    peak = np.exp(-peak_rate * (1.0 - ts[:-1]))
+    ts = semicontinuous_levels()
+    peak = np.exp(-FADING_PEAK_RATE * (1.0 - ts[:-1]))
     peak /= peak.sum()
-    floor = np.full(n_levels - 1, 1.0 / (n_levels - 1))
+    floor = np.full(SEMICONTINUOUS_LEVELS - 1, 1.0 / (SEMICONTINUOUS_LEVELS - 1))
     weights = (1.0 - p_full) * ((1.0 - floor_fraction) * peak + floor_fraction * floor)
     probs = np.append(weights, p_full)
     probs /= probs.sum()
@@ -206,9 +195,7 @@ def propagate(
     Returns one Gaussian component per channel level, weighted by the level
     probability, in channel order.
     """
-    return MixtureState(
-        [(lv.probability, apply_loss(state, mode, lv.transmittance)) for lv in channel.levels]
-    )
+    return MixtureState(channel.probabilities, apply_loss(state, mode, channel.transmittances))
 
 
 def pooled_cm(mixture: MixtureState):
@@ -218,9 +205,7 @@ def pooled_cm(mixture: MixtureState):
     moments of the overall distribution; the mean-spread term matters for
     heralded ensembles even though pre-channel means are zero.
     """
-    weights = mixture.weights
-    means = np.array([s.mean for s in mixture.states])
-    covs = np.array([s.cov for s in mixture.states])
+    weights, means, covs = mixture.weights, mixture.states.mean, mixture.states.cov
     mean = weights @ means
     cov = np.einsum("i,ijk->jk", weights, covs + means[:, :, None] * means[:, None, :])
     cov -= np.outer(mean, mean)
@@ -234,4 +219,4 @@ def upper_bound_ln(mixture: MixtureState) -> float:
     Gaussian components; bounds the total (non-Gaussian) logarithmic
     negativity of the mixed state from above and is >= 0 always.
     """
-    return float(np.log2(mixture.weights @ pt_trace_norm(np.array([s.cov for s in mixture.states]))))
+    return float(np.log2(mixture.weights @ pt_trace_norm(mixture.states)))

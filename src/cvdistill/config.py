@@ -20,6 +20,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from .calibrate import (
     DEFAULT_LN_DISCRETE_PREMIX,
     DEFAULT_LN_INITIAL,
@@ -290,6 +292,11 @@ class McConfig:
         if not math.isfinite(2.0 * self.histogram_range):
             raise ConfigError("mc.histogram_range must leave the histogram width "
                               f"2 * histogram_range finite, got {self.histogram_range!r}")
+        edges = np.linspace(-self.histogram_range, self.histogram_range, self.histogram_bins + 1)
+        if (not math.isfinite(self.histogram_bins / (2.0 * self.histogram_range))
+                or np.any(np.diff(edges) <= 0.0)):
+            raise ConfigError(f"mc.histogram_range must leave {self.histogram_bins} bins of "
+                              f"distinct edges and a finite scale, got {self.histogram_range!r}")
 
     @classmethod
     def from_dict(cls, d) -> "McConfig":

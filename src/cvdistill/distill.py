@@ -93,21 +93,16 @@ class DistilledEnsemble:
 def attach_tap(mixture: MixtureState, tap: TapConfig) -> MixtureState:
     """Append a vacuum tap mode and couple it to beam B.
 
-    Each two-mode component is extended to (A, B, Tap) and the tap beam
-    splitter of transmittance 1 - reflectivity is applied with the
+    The stack of two-mode components is extended to (A, B, Tap) and the
+    tap beam splitter of transmittance 1 - reflectivity is applied with the
     convention X_B' = sqrt(T) X_B - sqrt(1-T) X_Tap,
     X_Tap' = sqrt(T) X_Tap + sqrt(1-T) X_B.
     """
     if mixture.n_modes != 2:
         raise ValueError(f"expected a two-mode mixture, got {mixture.n_modes} modes")
-    t = 1.0 - tap.reflectivity
-    vac = vacuum_state(1)
-    return MixtureState(
-        [
-            (w, apply_beamsplitter(tensor(state, vac), mode_a=2, mode_b=1, transmittance=t))
-            for w, state in mixture.components
-        ]
-    )
+    extended = tensor(mixture.states, vacuum_state(1))
+    return MixtureState(mixture.weights, apply_beamsplitter(
+        extended, mode_a=2, mode_b=1, transmittance=1.0 - tap.reflectivity))
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -201,9 +196,7 @@ def herald(mixture3: MixtureState, threshold_x) -> DistilledEnsemble:
         raise ValueError(f"expected one threshold or a non-empty 1-d grid, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"threshold must be finite, got {threshold_x}")
-    prior = mixture3.weights
-    mean = np.array([s.mean for s in mixture3.states])  # (L, 6)
-    cov = np.array([s.cov for s in mixture3.states])  # (L, 6, 6)
+    prior, mean, cov = mixture3.weights, mixture3.states.mean, mixture3.states.cov
     if np.any(np.abs(mean[:, 4]) > 1e-12):
         raise ValueError("herald requires zero mean in the tap X quadrature")
     sigma = np.sqrt(cov[:, 4, 4])

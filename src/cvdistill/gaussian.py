@@ -5,7 +5,12 @@ Conventions used throughout the package:
 * shot-noise units (SNU): the vacuum has variance 1 in each quadrature,
 * quadratures are interleaved as (X1, P1, X2, P2, ...),
 * a Gaussian state is fully specified by its mean vector and covariance
-  matrix; all operations here are pure functions returning new states.
+  matrix; all operations here are pure functions returning new states,
+* a ``GaussianState`` may stack L states of one mode count (a mixture's
+  components), ``mean`` (L, 2n) and ``cov`` (L, 2n, 2n); ``tensor``,
+  ``apply_loss``, ``apply_beamsplitter``, ``cholesky_factor``,
+  ``symplectic_eigenvalues`` and ``validate_physical`` treat each stacked
+  state with the same arithmetic as one state.
 """
 
 from __future__ import annotations
@@ -50,11 +55,13 @@ class GaussianState:
 
     Parameters
     ----------
-    mean : array, shape (2n,)
-        Quadrature expectation values, ordered (X1, P1, ..., Xn, Pn).
-    cov : array, shape (2n, 2n)
-        Symmetric covariance matrix. It is symmetrized on construction;
-        asymmetry beyond a small tolerance is rejected.
+    mean : array, shape (2n,) or (L, 2n)
+        Quadrature expectation values, ordered (X1, P1, ..., Xn, Pn); a
+        leading axis stacks L states.
+    cov : array, shape (2n, 2n) or (L, 2n, 2n)
+        Symmetric covariance matrix, or one per stacked state. It is
+        symmetrized on construction; asymmetry beyond a small tolerance is
+        rejected.
 
     Physicality (uncertainty relation) is not enforced by the constructor
     so that :func:`validate_physical` stays a usable predicate; every state
@@ -67,22 +74,23 @@ class GaussianState:
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if mean.size % 2 != 0 or mean.size == 0:
-            raise ValueError(f"mean length must be a positive multiple of 2, got {mean.size}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        if mean.ndim not in (1, 2):
+            raise ValueError(f"mean must be a vector or a stack of vectors, got shape {mean.shape}")
+        dim = mean.shape[-1]
+        if dim % 2 != 0 or dim == 0:
+            raise ValueError(f"mean length must be a positive multiple of 2, got {dim}")
+        if cov.shape != mean.shape + (dim,):
+            raise ValueError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
         _check_covariance(cov, positive_definite=False)
         self.mean = mean
-        self.cov = 0.5 * (cov + cov.T)
+        self.cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
     @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
+        return self.mean.shape[-1] // 2
 
     def cholesky_factor(self) -> np.ndarray:
-        """Lower-triangular factor of ``cov``."""
+        """Lower-triangular factor of ``cov``, one per stacked state."""
         try:
             return np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError as exc:
@@ -109,16 +117,18 @@ def squeezed_state(var_x: float, var_p: float) -> GaussianState:
 
 
 def tensor(*states: GaussianState) -> GaussianState:
-    """Tensor product: concatenate means, block-diagonal covariances."""
+    """Tensor product: concatenate means, block-diagonal covariances (stacked if a factor is)."""
     if not states:
         raise ValueError("tensor requires at least one state")
-    mean = np.concatenate([s.mean for s in states])
-    dim = mean.size
-    cov = np.zeros((dim, dim))
+    lead = max((s.mean.shape[:-1] for s in states), key=len)
+    dim = sum(s.mean.shape[-1] for s in states)
+    mean = np.empty(lead + (dim,))
+    cov = np.zeros(lead + (dim, dim))
     k = 0
     for s in states:
-        d = s.mean.size
-        cov[k : k + d, k : k + d] = s.cov
+        d = s.mean.shape[-1]
+        mean[..., k : k + d] = s.mean
+        cov[..., k : k + d, k : k + d] = s.cov
         k += d
     return GaussianState(mean, cov)
 
@@ -138,8 +148,8 @@ def _as_cov(state_or_cov) -> np.ndarray:
     if isinstance(state_or_cov, GaussianState):
         return state_or_cov.cov
     cov = np.asarray(state_or_cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
-        raise InvalidCovarianceError(f"expected a 2n x 2n matrix, got shape {cov.shape}")
+    if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2 != 0:
+        raise InvalidCovarianceError(f"expected a 2n x 2n matrix or a stack, got shape {cov.shape}")
     return cov
 
 
@@ -166,6 +176,7 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 
     The values are the moduli of the eigenvalues of i*Omega*cov, each
     counted once (one per mode). For a physical state all values are >= 1.
+    A stack of L matrices gives one spectrum per matrix, (L, n).
 
     Raises
     ------
@@ -174,20 +185,22 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
     """
     cov = _as_cov(cov)
     _check_covariance(cov)
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     spectrum = np.linalg.eigvals(symplectic_form(n) @ cov)
     # Eigenvalues of Omega*cov come in +/- i*nu pairs; |.| yields each nu twice.
-    paired = np.sort(np.abs(spectrum))
-    return paired[::2].copy()
+    paired = np.sort(np.abs(spectrum), axis=-1)
+    return paired[..., ::2].copy()
 
 
-def validate_physical(state_or_cov, tol: float = PHYS_TOL) -> bool:
+def validate_physical(state_or_cov, tol: float = PHYS_TOL):
     """True iff the covariance matrix satisfies the uncertainty relation.
 
     Checks min symplectic eigenvalue >= 1 - tol; never raises on an
-    unphysical input, only on a malformed matrix.
+    unphysical input, only on a malformed matrix. A stack gives one bool
+    per state, as an array.
     """
-    return bool(symplectic_eigenvalues(state_or_cov).min() >= 1.0 - tol)
+    ok = symplectic_eigenvalues(state_or_cov).min(axis=-1) >= 1.0 - tol
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 _PT_FORM = symplectic_form(2) * np.array([1.0, 1.0, -1.0, -1.0])
@@ -278,7 +291,8 @@ def apply_beamsplitter(
         X_b' = sqrt(T) X_b - sqrt(1-T) X_a
         X_a' = sqrt(T) X_a + sqrt(1-T) X_b
 
-    and identically for the P quadratures.
+    and identically for the P quadratures. A stacked state is transformed
+    state by state.
     """
     n = state.n_modes
     if not 0.0 <= transmittance <= 1.0:
@@ -289,28 +303,29 @@ def apply_beamsplitter(
         if not 0 <= m < n:
             raise ValueError(f"mode index {m} out of range for {n} modes")
     s = _beamsplitter_symplectic(n, mode_a, mode_b, transmittance)
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
+    return GaussianState((s @ state.mean[..., None])[..., 0], s @ state.cov @ s.T)
 
 
-def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
+def apply_loss(state: GaussianState, mode: int, eta) -> GaussianState:
     """Pure attenuation of one mode with transmittance eta.
 
     Equivalent to mixing the mode with vacuum on a beam splitter of
     transmittance eta and discarding the ancilla: the mode's covariance
     block becomes eta*block + (1-eta)*I, cross blocks scale by sqrt(eta),
-    and the mode's mean scales by sqrt(eta).
+    and the mode's mean scales by sqrt(eta). ``eta`` is one transmittance
+    or an (L,) array of them, which gives a stack of L states.
     """
     n = state.n_modes
-    if not 0.0 <= eta <= 1.0:
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim > 1 or not np.all((0.0 <= eta) & (eta <= 1.0)):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if not 0 <= mode < n:
         raise ValueError(f"mode index {mode} out of range for {n} modes")
-    root = np.sqrt(eta)
-    scale = np.ones(2 * n)
-    scale[2 * mode : 2 * mode + 2] = root
-    cov = state.cov * np.outer(scale, scale)
-    cov[2 * mode, 2 * mode] += 1.0 - eta
-    cov[2 * mode + 1, 2 * mode + 1] += 1.0 - eta
+    scale = np.ones(eta.shape + (2 * n,))
+    scale[..., 2 * mode : 2 * mode + 2] = np.sqrt(eta)[..., None]
+    cov = state.cov * (scale[..., :, None] * scale[..., None, :])
+    cov[..., 2 * mode, 2 * mode] += 1.0 - eta
+    cov[..., 2 * mode + 1, 2 * mode + 1] += 1.0 - eta
     mean = state.mean * scale
     return GaussianState(mean, cov)
 

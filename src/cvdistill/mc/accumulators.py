@@ -20,7 +20,6 @@ class CovarianceAccumulator:
     """
 
     def __init__(self, dim: int, shape: tuple = ()):
-        self.dim = dim
         self.count = np.zeros(shape, dtype=np.int64)
         self.mean = np.zeros(shape + (dim,))
         self.m2 = np.zeros(shape + (dim, dim))
@@ -39,9 +38,9 @@ class CovarianceAccumulator:
         )
         self.count = total
 
-    def covariance(self, ddof: int = 1) -> np.ndarray:
-        """Central covariance estimate; requires count > ddof."""
-        if self.count <= ddof:
-            raise ValueError(f"need more than {ddof} samples, have {self.count}")
-        cov = self.m2 / (self.count - ddof)
+    def covariance(self) -> np.ndarray:
+        """Unbiased central covariance estimate (m2 / (count - 1)); requires count > 1."""
+        if self.count <= 1:
+            raise ValueError(f"need more than 1 samples, have {self.count}")
+        cov = self.m2 / (self.count - 1)
         return 0.5 * (cov + cov.T)

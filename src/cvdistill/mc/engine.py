@@ -122,14 +122,12 @@ def _prepare_components(mixture3: MixtureState):
     Per level, each row r becomes (r, factor[r, r], [(c, factor[r, c])
     for the nonzero c < r], mean[r]), last row first.
     """
-    components = []
-    for state in mixture3.states:
-        chol = state.cholesky_factor()
-        components.append([
-            (r, chol[r, r], [(c, chol[r, c]) for c in range(r) if chol[r, c] != 0.0], state.mean[r])
-            for r in reversed(range(5))
-        ])
-    return np.asarray(mixture3.weights, dtype=float), components
+    components = [
+        [(r, chol[r, r], [(c, chol[r, c]) for c in range(r) if chol[r, c] != 0.0], mean[r])
+         for r in reversed(range(5))]
+        for chol, mean in zip(mixture3.states.cholesky_factor(), mixture3.states.mean)
+    ]
+    return mixture3.weights, components
 
 
 def _transform(z, level_counts, components, tmp):
@@ -287,7 +285,7 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
 
 def _moments(acc):
     """(mean, covariance, its standard errors, cov_sampling) of the kept shots ``acc``."""
-    feat_cov = acc.covariance(ddof=1)
+    feat_cov = acc.covariance()
     cov_sampling = _cov_entry_sampling(acc.mean, feat_cov, int(acc.count))
     cov_se = np.zeros((4, 4))
     for p, (j, k) in enumerate(PAIRS):

@@ -38,7 +38,8 @@ from .distill import (
     herald,
     joint_quadrature_variances,
 )
-from .gaussian import InvalidCovarianceError, gaussian_log_negativity, make_kerr_entangled
+from .gaussian import (GaussianState, InvalidCovarianceError, gaussian_log_negativity,
+                       make_kerr_entangled)
 from .mc import SERIES, ln_with_se, run_mc_sweep
 
 __all__ = ["RunReport", "run_scenario", "emit_artifacts", "AGREEMENT_SIGMA", "AGREEMENT_MIN_SUCCESS"]
@@ -246,7 +247,7 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
 
     channel, channel_info = _resolve_channel(config, v_squeezed, v_antisqueezed)
     if channel is None:
-        mixture = MixtureState([(1.0, source)])
+        mixture = MixtureState([1.0], GaussianState(source.mean[None], source.cov[None]))
         channel_dict = None
     else:
         mixture = propagate(source, channel, mode=1)

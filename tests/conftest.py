@@ -3,6 +3,7 @@ import pytest
 
 from cvdistill import (
     GaussianState,
+    MixtureState,
     TapConfig,
     apply_beamsplitter,
     attach_tap,
@@ -44,6 +45,22 @@ def random_physical_state(rng, n_modes=2, max_thermal=5.0, max_squeeze=2.0):
     for m in range(n_modes):
         state = apply_phase_rotation(state, m, rng.uniform(0.0, 2.0 * np.pi))
     return state
+
+
+def stacked(*states):
+    """One GaussianState stacking ``states`` in order."""
+    return GaussianState(np.array([s.mean for s in states]), np.array([s.cov for s in states]))
+
+
+def mixture(components):
+    """MixtureState of (weight, GaussianState) pairs, their states stacked in order."""
+    weights, states = zip(*components)
+    return MixtureState(np.array(weights), stacked(*states))
+
+
+def level(mix, i):
+    """Component i of a mixture as a GaussianState of its own."""
+    return GaussianState(mix.states.mean[i], mix.states.cov[i])
 
 
 def batch_moments(x):

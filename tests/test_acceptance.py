@@ -190,7 +190,7 @@ def test_criterion_8_invariant_suites(model):
         assert_allclose(direct.cov, routed.cov[:4, :4], atol=1e-12)
 
     # heralding with no selection reproduces the pooled covariance
-    sigma = max(np.sqrt(s.cov[4, 4]) for s in tapped.states)
+    sigma = np.sqrt(tapped.states.cov[:, 4, 4]).max()
     ens = herald(tapped, -40.0 * sigma)
     mean, cov = pooled_cm(tapped)
     assert_allclose(ens.pooled_cov, cov[:4, :4], atol=1e-10)

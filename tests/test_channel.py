@@ -7,7 +7,11 @@ from cvdistill import (
     FluctuatingChannel,
     GaussianState,
     MixtureState,
+    TapConfig,
+    apply_beamsplitter,
     apply_loss,
+    attach_tap,
+    calibrate_envelope,
     discrete_channel,
     envelope_exponential,
     envelope_fading,
@@ -15,11 +19,16 @@ from cvdistill import (
     pooled_cm,
     propagate,
     semicontinuous_levels,
+    tensor,
     upper_bound_ln,
     vacuum_state,
     validate_physical,
 )
-from conftest import random_physical_state
+from conftest import level, mixture, random_physical_state, stacked
+
+
+VAC = vacuum_state(2)
+UNPHYSICAL = GaussianState(np.zeros(4), np.diag([0.5, 0.5, 1.0, 1.0]))
 
 
 def random_mixture(rng, n_comp, n_modes=2):
@@ -29,7 +38,7 @@ def random_mixture(rng, n_comp, n_modes=2):
     # fold rounding into the first weight so the sum is exactly 1
     total = sum(w for w, _ in comps)
     comps[0] = (comps[0][0] + (1.0 - total), comps[0][1])
-    return MixtureState(comps)
+    return mixture(comps)
 
 
 class TestChannelTypes:
@@ -50,9 +59,26 @@ class TestChannelTypes:
     def test_mixture_weight_validation(self):
         vac = vacuum_state(2)
         with pytest.raises(ValueError):
-            MixtureState([(0.5, vac), (0.6, vac)])
+            mixture([(0.5, vac), (0.6, vac)])
         with pytest.raises(ValueError):
-            MixtureState([(1.0, GaussianState(np.zeros(2), np.diag([0.5, 0.5])))])
+            mixture([(1.0, GaussianState(np.zeros(2), np.diag([0.5, 0.5])))])
+
+    @pytest.mark.parametrize("weights, states, reason", [
+        ([np.nan], stacked(VAC), "finite"),
+        ([0.5, np.nan], stacked(VAC, VAC), "finite"),
+        ([np.inf, 0.5], stacked(VAC, VAC), "finite"),
+        ([1.0, 0.0], stacked(VAC, VAC), "positive"),
+        ([1.5, -0.5], stacked(VAC, VAC), "positive"),
+        ([0.5, 0.6], stacked(VAC, VAC), "sum to 1"),
+        ([], stacked(VAC), "at least one"),
+        ([0.5, 0.5], stacked(VAC, VAC, VAC), "2 weights but a stack"),
+        ([1.0], VAC, "1 weights but a stack"),
+        ([0.5, 0.5], stacked(VAC, UNPHYSICAL), "unphysical"),
+    ], ids=["nan", "nan-second", "inf", "zero", "negative", "sum-1.1", "empty",
+            "longer-stack", "unstacked-state", "unphysical-level"])
+    def test_mixture_rejections(self, weights, states, reason):
+        with pytest.raises(ValueError, match=reason):
+            MixtureState(weights, states)
 
 
 class TestDiscreteChannel:
@@ -73,9 +99,6 @@ class TestSemicontinuousLevels:
         assert ts[0] == pytest.approx(0.1, abs=1e-15)
         assert ts[-1] == pytest.approx(1.0, abs=1e-15)
         assert_allclose(np.diff(ts), 0.9 / 44, rtol=1e-12)
-
-    def test_level_count_is_configurable(self):
-        assert len(semicontinuous_levels(20)) == 20
 
 
 class TestEnvelopes:
@@ -107,7 +130,7 @@ class TestPropagate:
         chan = FluctuatingChannel([ChannelLevel(1.0, 1.0)])
         mix = propagate(calibrated_source, chan)
         assert len(mix) == 1
-        assert_allclose(mix.components[0][1].cov, calibrated_source.cov, atol=1e-12)
+        assert_allclose(mix.states.cov[0], calibrated_source.cov, atol=1e-12)
 
     def test_discrete_weights(self, discrete_mixture):
         assert_allclose(discrete_mixture.weights, [0.5, 0.5])
@@ -119,25 +142,40 @@ class TestPropagate:
         assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_components_physical(self, discrete_mixture):
-        for _, state in discrete_mixture.components:
-            assert validate_physical(state)
+        for i in range(len(discrete_mixture)):
+            assert validate_physical(level(discrete_mixture, i))
+
+    def test_stacked_levels_equal_single_state_operations(self, calibration, calibrated_source):
+        # The calibrated semi-continuous preset: every level of the stacked
+        # loss and tap equals the one-state operation bit for bit.
+        _, chan = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
+        mix = propagate(calibrated_source, chan)
+        tapped = attach_tap(mix, TapConfig())
+        assert len(mix) == len(tapped) == 45
+        for i, t in enumerate(chan.transmittances.tolist()):
+            lossy = apply_loss(calibrated_source, 1, t)
+            tap = apply_beamsplitter(tensor(lossy, vacuum_state(1)), 2, 1,
+                                     1.0 - TapConfig().reflectivity)
+            for single, stack in ((lossy, mix.states), (tap, tapped.states)):
+                assert np.array_equal(stack.mean[i], single.mean)
+                assert np.array_equal(stack.cov[i], single.cov)
 
     def test_acts_on_requested_mode(self, calibrated_source):
         chan = FluctuatingChannel([ChannelLevel(0.25, 1.0)])
         mix = propagate(calibrated_source, chan, mode=0)
         expected = apply_loss(calibrated_source, 0, 0.25)
-        assert_allclose(mix.components[0][1].cov, expected.cov, atol=1e-12)
+        assert_allclose(mix.states.cov[0], expected.cov, atol=1e-12)
 
 
 class TestPooledCm:
     def test_single_component(self, calibrated_source):
-        mix = MixtureState([(1.0, calibrated_source)])
+        mix = mixture([(1.0, calibrated_source)])
         mean, cov = pooled_cm(mix)
         assert_allclose(mean, calibrated_source.mean, atol=1e-15)
         assert_allclose(cov, calibrated_source.cov, atol=1e-12)
 
     def test_two_identical_components(self, calibrated_source):
-        mix = MixtureState([(0.5, calibrated_source), (0.5, calibrated_source)])
+        mix = mixture([(0.5, calibrated_source), (0.5, calibrated_source)])
         _, cov = pooled_cm(mix)
         assert_allclose(cov, calibrated_source.cov, atol=1e-12)
 
@@ -145,7 +183,7 @@ class TestPooledCm:
         # two displaced vacua: pooled cov picks up the between-component spread
         a = GaussianState([2.0, 0.0], np.eye(2))
         b = GaussianState([-2.0, 0.0], np.eye(2))
-        mean, cov = pooled_cm(MixtureState([(0.5, a), (0.5, b)]))
+        mean, cov = pooled_cm(mixture([(0.5, a), (0.5, b)]))
         assert_allclose(mean, [0.0, 0.0], atol=1e-15)
         assert_allclose(cov, np.diag([5.0, 1.0]), atol=1e-12)
 
@@ -163,11 +201,11 @@ class TestPooledCm:
 
 class TestUpperBound:
     def test_single_separable_component(self):
-        mix = MixtureState([(1.0, vacuum_state(2))])
+        mix = mixture([(1.0, vacuum_state(2))])
         assert upper_bound_ln(mix) == pytest.approx(0.0, abs=1e-12)
 
     def test_tight_for_single_entangled_component(self, calibrated_source):
-        mix = MixtureState([(1.0, calibrated_source)])
+        mix = mixture([(1.0, calibrated_source)])
         ln = gaussian_log_negativity(calibrated_source)
         assert upper_bound_ln(mix) == pytest.approx(ln, rel=1e-9)
 

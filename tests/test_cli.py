@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import cvdistill
@@ -20,7 +19,7 @@ from cvdistill import (
     propagate,
     run_scenario,
 )
-from cvdistill.calibrate import _level_covs, _pooled_cov
+from cvdistill.calibrate import semicontinuous_premix_ln
 from cvdistill.cli import main
 from cvdistill.config import ConfigError, McConfig, TapConfig
 from cvdistill.mc import SERIES
@@ -111,22 +110,21 @@ class TestCalibrateEnvelope:
     def test_reweighted_levels_equal_pooled_mixture(
         self, calibration, calibrated_source, build, params
     ):
+        # The bisection propagates the source once and re-weights those levels.
+        levels = propagate(calibrated_source, build(params[0])).states
         for param in params:
             chan = build(param)
-            covs = _level_covs(calibration.v_squeezed, calibration.v_antisqueezed, chan.transmittances)
-            expected = pooled_cm(propagate(calibrated_source, chan))[1]
-            assert np.abs(_pooled_cov(covs, chan.probabilities) - expected).max() <= 1e-14
+            expected = pooled_premix_ln(calibrated_source, chan)
+            assert semicontinuous_premix_ln(levels, chan.probabilities) == expected
 
-    def test_bisections_build_no_mixture_state(self, monkeypatch):
-        import cvdistill.channel
-
-        def forbidden(self):
-            raise AssertionError("a bisection built a MixtureState")
-
-        monkeypatch.setattr(cvdistill.channel.MixtureState, "__post_init__", forbidden)
-        cal = calibrate()
+    def test_envelope_bisection_propagates_once(self, calibration, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sys.modules["cvdistill.calibrate"], "propagate",
+                            lambda *args: calls.append(args) or propagate(*args))
         for family in ("fading", "exponential"):
-            calibrate_envelope(cal.v_squeezed, cal.v_antisqueezed, family=family)
+            calls.clear()
+            calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed, family=family)
+            assert len(calls) == 1
 
     def test_root_at_trial_point(self, calibration, calibrated_source):
         flat = envelope_exponential(0.0)
@@ -793,3 +791,21 @@ class TestCliCommands:
         with pytest.raises(ConfigError, match="histogram_range"):
             McConfig(histogram_range=1e308)
         assert McConfig(histogram_range=8e307).histogram_range == 8e307
+
+    @pytest.mark.parametrize("histogram_range, code", [(1e-322, 2), (1e-300, 0), (25.0, 0)])
+    def test_run_histogram_range_edges_distinct(self, capsys, tmp_path, histogram_range, code):
+        # At 1e-322 the 202 bin edges collapse onto a few subnormals and the
+        # kernel's scale bins / (2 * range) is infinite: a config error, not
+        # a report that `cvdistill report` then refuses.
+        raw = preset_config("discrete").to_dict()
+        raw["engine"], raw["tap"]["thresholds"] = "mc", [1.0]
+        raw["mc"]["n_shots"], raw["mc"]["histogram_range"] = 1000, histogram_range
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == code
+        if code:
+            assert "error: mc.histogram_range must leave 201 bins" in capsys.readouterr().err
+            assert not (tmp_path / "art").exists()
+        else:
+            report = str(tmp_path / "art" / "report.json")
+            assert main(["report", "--report", report, "--out", str(tmp_path / "again")]) == 0

@@ -11,7 +11,6 @@ from cvdistill import (
     DegenerateSelectionError,
     DistilledEnsemble,
     GaussianState,
-    MixtureState,
     TapConfig,
     attach_tap,
     calibrate_envelope,
@@ -31,7 +30,7 @@ from cvdistill import (
 )
 from cvdistill.config import DEFAULT_THRESHOLDS
 from cvdistill.distill import _CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR
-from conftest import random_physical_state
+from conftest import mixture, random_physical_state
 
 
 def mp_tail(alpha, dps=50):
@@ -75,19 +74,19 @@ class TestTapConfig:
 class TestAttachTap:
     def test_vanishing_reflectivity_limit(self, discrete_mixture):
         tapped = attach_tap(discrete_mixture, TapConfig(reflectivity=1e-12))
-        for (_, before), (_, after) in zip(discrete_mixture.components, tapped.components):
-            assert_allclose(after.cov[:4, :4], before.cov, atol=1e-10)
-            assert_allclose(after.cov[4:, 4:], np.eye(2), atol=1e-10)
+        for before, after in zip(discrete_mixture.states.cov, tapped.states.cov):
+            assert_allclose(after[:4, :4], before, atol=1e-10)
+            assert_allclose(after[4:, 4:], np.eye(2), atol=1e-10)
 
     def test_tap_variance_closed_form(self, discrete_tapped, discrete_mixture):
-        for (_, tapped), (_, plain) in zip(discrete_tapped.components, discrete_mixture.components):
-            v = plain.cov[2, 2]
-            assert tapped.cov[4, 4] == pytest.approx(0.93 + 0.07 * v, rel=1e-12)
+        for tapped, plain in zip(discrete_tapped.states.cov, discrete_mixture.states.cov):
+            v = plain[2, 2]
+            assert tapped[4, 4] == pytest.approx(0.93 + 0.07 * v, rel=1e-12)
 
     def test_matches_explicit_symplectic(self):
         rng = np.random.default_rng(31)
         state = random_physical_state(rng, 2)
-        tapped = attach_tap(MixtureState([(1.0, state)]), TapConfig(reflectivity=0.07))
+        tapped = attach_tap(mixture([(1.0, state)]), TapConfig(reflectivity=0.07))
         ext = np.eye(6)
         ext[:4, :4] = state.cov
         s = np.eye(6)
@@ -97,7 +96,7 @@ class TestAttachTap:
             s[2 + off, 4 + off] = -sr
             s[4 + off, 4 + off] = st
             s[4 + off, 2 + off] = sr
-        assert_allclose(tapped.components[0][1].cov, s @ ext @ s.T, atol=1e-12)
+        assert_allclose(tapped.states.cov[0], s @ ext @ s.T, atol=1e-12)
 
     def test_rejects_wrong_mode_count(self, discrete_tapped):
         with pytest.raises(ValueError):
@@ -186,7 +185,7 @@ class TestTailAccuracy:
 
 def no_selection_threshold(mixture3):
     """Threshold at alpha <= -40 for every component: keeps everything."""
-    sigma = max(np.sqrt(s.cov[4, 4]) for s in mixture3.states)
+    sigma = np.sqrt(mixture3.states.cov[:, 4, 4]).max()
     return -40.0 * sigma
 
 
@@ -202,7 +201,7 @@ class TestHerald:
     def test_uncorrelated_tap_leaves_covariance_alone(self):
         rng = np.random.default_rng(32)
         state = random_physical_state(rng, 2)
-        mix = MixtureState([(1.0, tensor(state, vacuum_state(1)))])
+        mix = mixture([(1.0, tensor(state, vacuum_state(1)))])
         ens = herald(mix, 1.0)
         assert_allclose(ens.pooled_cov, state.cov, atol=1e-12)
         assert ens.success_probability == pytest.approx(gaussian_tail(1.0), rel=1e-12)
@@ -211,7 +210,7 @@ class TestHerald:
         # displaced two-mode vacuum with an uncorrelated tap: the kept
         # ensemble keeps the displacement, covariance untouched
         state = GaussianState([1.5, -0.5, 0.25, 0.0], np.eye(4))
-        mix = MixtureState([(1.0, tensor(state, vacuum_state(1)))])
+        mix = mixture([(1.0, tensor(state, vacuum_state(1)))])
         ens = herald(mix, 0.5)
         assert_allclose(ens.pooled_mean, state.mean, atol=1e-12)
         assert_allclose(ens.pooled_cov, np.eye(4), atol=1e-12)
@@ -237,10 +236,10 @@ class TestHerald:
                 central = second - np.outer(mu, mu)
                 assert np.linalg.eigvalsh(central).min() > 0.0
             # conditional covariance (deep-selection limit) is PSD
-            for _, state in discrete_tapped.components:
-                sigma2 = state.cov[4, 4]
-                cvec = state.cov[:4, 4]
-                cond = state.cov[:4, :4] - np.outer(cvec, cvec) / sigma2
+            for cov in discrete_tapped.states.cov:
+                sigma2 = cov[4, 4]
+                cvec = cov[:4, 4]
+                cond = cov[:4, :4] - np.outer(cvec, cvec) / sigma2
                 assert np.linalg.eigvalsh(cond).min() > -1e-12
 
     def test_each_level_matches_its_own_herald(self):
@@ -249,16 +248,16 @@ class TestHerald:
         rng = np.random.default_rng(33)
         components = []
         for weight, reflectivity in ((0.2, 0.05), (0.3, 0.2), (0.5, 0.5)):
-            plain = MixtureState([(1.0, random_physical_state(rng, 2))])
-            tapped = attach_tap(plain, TapConfig(reflectivity=reflectivity)).states[0]
+            plain = mixture([(1.0, random_physical_state(rng, 2))])
+            tapped = attach_tap(plain, TapConfig(reflectivity=reflectivity)).states
             mean = np.concatenate([rng.normal(0.0, 2.0, size=4), [0.0, 0.0]])
-            components.append((weight, GaussianState(mean, tapped.cov)))
-        mix = MixtureState(components)
-        assert len({s.cov[4, 4] for s in mix.states}) == 3
+            components.append((weight, GaussianState(mean, tapped.cov[0])))
+        mix = mixture(components)
+        assert len(set(mix.states.cov[:, 4, 4].tolist())) == 3
         for th in (-1.0, 0.5, 2.5):
             ens = herald(mix, th)
             for i, (_, state) in enumerate(components):
-                alone = herald(MixtureState([(1.0, state)]), th)
+                alone = herald(mixture([(1.0, state)]), th)
                 assert_allclose(ens.per_component_pass[i], alone.per_component_pass[0], rtol=1e-13)
                 assert_allclose(ens.component_means[i], alone.component_means[0], rtol=1e-13)
                 assert_allclose(
@@ -268,7 +267,7 @@ class TestHerald:
     def test_rejects_nonzero_tap_mean(self):
         state = GaussianState([0, 0, 0, 0, 0.5, 0], np.eye(6))
         with pytest.raises(ValueError):
-            herald(MixtureState([(1.0, state)]), 1.0)
+            herald(mixture([(1.0, state)]), 1.0)
 
     def test_rejects_wrong_mode_count(self, discrete_mixture):
         with pytest.raises(ValueError):
@@ -286,7 +285,7 @@ class TestHerald:
 
 def mp_success(tapped, threshold):
     """Success probability of ``herald`` at one threshold, each Q from mpmath."""
-    alpha = threshold / np.sqrt(np.array([s.cov[4, 4] for s in tapped.states]))
+    alpha = threshold / np.sqrt(tapped.states.cov[:, 4, 4])
     with mpmath.workdps(50):
         return sum(w * mpmath.erfc(mpmath.mpf(a) / mpmath.sqrt(2)) / 2
                    for w, a in zip(tapped.weights.tolist(), alpha.tolist()))
@@ -331,7 +330,7 @@ class TestDegenerateRows:
 
 class TestDistilledGln:
     def test_tap_only_cost_small(self, calibrated_source):
-        mix = MixtureState([(1.0, calibrated_source)])
+        mix = mixture([(1.0, calibrated_source)])
         tapped = attach_tap(mix, TapConfig())
         ens = herald(tapped, no_selection_threshold(tapped))
         ln = distilled_gln(ens)
@@ -342,7 +341,7 @@ class TestDistilledGln:
         assert 0.58 <= distilled_gln(ens) <= 0.76
 
     def test_never_exceeds_best_pretap_component(self, discrete_mixture, discrete_tapped):
-        best = max(gaussian_log_negativity(s) for s in discrete_mixture.states)
+        best = max(gaussian_log_negativity(cov) for cov in discrete_mixture.states.cov)
         for th in np.linspace(-2.0, 10.0, 25):
             assert distilled_gln(herald(discrete_tapped, th)) <= best + 1e-9
 
@@ -437,14 +436,14 @@ class TestThresholdSweep:
 
 class TestGaussification:
     def test_single_component(self, calibrated_source):
-        tapped = attach_tap(MixtureState([(1.0, calibrated_source)]), TapConfig())
+        tapped = attach_tap(mixture([(1.0, calibrated_source)]), TapConfig())
         ens = herald(tapped, 2.0)
         entropy, dist = gaussification_metrics(ens)
         assert entropy == pytest.approx(0.0, abs=1e-12)
         assert dist == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_identical_components(self, calibrated_source):
-        mix = MixtureState([(0.5, calibrated_source), (0.5, calibrated_source)])
+        mix = mixture([(0.5, calibrated_source), (0.5, calibrated_source)])
         ens = herald(attach_tap(mix, TapConfig()), 3.0)
         entropy, dist = gaussification_metrics(ens)
         assert entropy == pytest.approx(1.0, abs=1e-12)

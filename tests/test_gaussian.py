@@ -21,7 +21,7 @@ from cvdistill import (
     validate_physical,
 )
 from cvdistill.gaussian import log_negativity_gradient, pt_symplectic_spectrum, symplectic_form
-from conftest import apply_phase_rotation, random_physical_state
+from conftest import apply_phase_rotation, random_physical_state, stacked
 
 
 def two_mode_symplectic_eigenvalues_closed_form(cov):
@@ -56,6 +56,21 @@ class TestGaussianState:
     def test_n_modes(self):
         assert vacuum_state(3).n_modes == 3
 
+    def test_stack_of_states(self):
+        rng = np.random.default_rng(15)
+        states = [random_physical_state(rng, 2) for _ in range(3)]
+        stack = stacked(*states)
+        assert stack.n_modes == 2 and stack.mean.shape == (3, 4) and stack.cov.shape == (3, 4, 4)
+        for state, factor in zip(states, stack.cholesky_factor()):
+            assert np.array_equal(factor, state.cholesky_factor())
+        with pytest.raises(ValueError):
+            GaussianState(np.zeros((3, 4)), np.eye(4))
+        with pytest.raises(ValueError):
+            GaussianState(np.zeros((1, 3, 4)), np.zeros((1, 3, 4, 4)))
+        with pytest.raises(InvalidCovarianceError):
+            GaussianState(np.zeros((2, 4)), np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, -1.0])])
+                          ).cholesky_factor()
+
 
 class TestSymplecticForm:
     def test_blocks(self):
@@ -87,10 +102,14 @@ class TestSymplecticEigenvalues:
 
     def test_random_states_match_closed_form(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            cov = random_physical_state(rng, 2).cov
+        covs = [random_physical_state(rng, 2).cov for _ in range(20)]
+        for cov in covs:
             lo, hi = two_mode_symplectic_eigenvalues_closed_form(cov)
             assert_allclose(symplectic_eigenvalues(cov), [lo, hi], rtol=1e-9)
+        stack = symplectic_eigenvalues(np.array(covs))
+        assert stack.shape == (20, 2)
+        for cov, spectrum in zip(covs, stack):
+            assert np.array_equal(spectrum, symplectic_eigenvalues(cov))
 
     def test_rejects_asymmetric(self):
         bad = np.eye(4)
@@ -112,6 +131,10 @@ class TestValidatePhysical:
 
     def test_pure_squeezed(self):
         assert validate_physical(GaussianState(np.zeros(2), np.diag([0.5, 2.0]))) is True
+
+    def test_one_verdict_per_stacked_state(self):
+        covs = np.array([np.eye(2), np.diag([0.5, 0.5]), np.diag([0.5, 2.0])])
+        assert validate_physical(covs).tolist() == [True, False, True]
 
 
 class TestLogNegativity:
@@ -194,7 +217,7 @@ class TestLogNegativityGradient:
         return grad
 
     def test_matches_central_difference(self, discrete_mixture, discrete_tapped):
-        covs = [s.cov for s in discrete_mixture.states]
+        covs = list(discrete_mixture.states.cov)
         covs.append(pooled_cm(discrete_mixture)[1])
         covs += [herald(discrete_tapped, t).pooled_cov for t in (0.0, 4.0, 9.0)]
         rng = np.random.default_rng(14)
@@ -275,6 +298,13 @@ class TestBeamsplitter:
             s[4 + off, 4 + off] = st
             s[4 + off, 0 + off] = sr
         assert_allclose(out.cov, s @ state.cov @ s.T, atol=1e-12)
+        # A stack is transformed state by state, with the same arithmetic.
+        states = [state] + [random_physical_state(rng, 3) for _ in range(2)]
+        stack = apply_beamsplitter(stacked(*states), 2, 0, t)
+        for i, one in enumerate(states):
+            alone = apply_beamsplitter(one, 2, 0, t)
+            assert np.array_equal(stack.cov[i], alone.cov)
+            assert np.array_equal(stack.mean[i], alone.mean)
 
     def test_preserves_symplectic_spectrum(self):
         rng = np.random.default_rng(8)
@@ -328,6 +358,32 @@ class TestLoss:
             assert_allclose(direct.cov, extended.cov[kept, kept], atol=1e-12)
             assert_allclose(direct.mean, extended.mean[kept], atol=1e-12)
 
+    def test_stacked_inputs_act_level_by_level(self):
+        rng = np.random.default_rng(16)
+        states = [random_physical_state(rng, 2) for _ in range(4)]
+        etas = np.array([0.0, 0.25, 0.93, 1.0])
+        stack = stacked(*states)
+        # A stack with one eta, one state with one eta per level, a stack with one per level.
+        cases = [(apply_loss(stack, 1, 0.25), [(s, 0.25) for s in states]),
+                 (apply_loss(states[0], 1, etas), [(states[0], e) for e in etas]),
+                 (apply_loss(stack, 1, etas), list(zip(states, etas)))]
+        for out, pairs in cases:
+            assert out.mean.shape == (4, 4) and out.cov.shape == (4, 4, 4)
+            for i, (state, eta) in enumerate(pairs):
+                alone = apply_loss(state, 1, float(eta))
+                assert np.array_equal(out.cov[i], alone.cov)
+                assert np.array_equal(out.mean[i], alone.mean)
+        # A stack against a single state in either order, joined level by level.
+        vac = vacuum_state(1)
+        for joined, order in ((tensor(stack, vac), 0), (tensor(vac, stack), 1)):
+            assert joined.cov.shape == (4, 6, 6)
+            for i, state in enumerate(states):
+                alone = tensor(state, vac) if order == 0 else tensor(vac, state)
+                assert np.array_equal(joined.cov[i], alone.cov)
+                assert np.array_equal(joined.mean[i], alone.mean)
+        with pytest.raises(ValueError):
+            tensor(stack, stacked(vac, vac))
+
     def test_every_output_physical(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -340,6 +396,9 @@ class TestLoss:
             apply_loss(vacuum_state(1), 0, -0.1)
         with pytest.raises(ValueError):
             apply_loss(vacuum_state(1), 0, 1.1)
+        for bad in ([0.5, 1.1], [0.5, np.nan], [[0.5]]):
+            with pytest.raises(ValueError, match="eta must lie"):
+                apply_loss(vacuum_state(1), 0, bad)
 
 
 class TestMakeKerrEntangled:

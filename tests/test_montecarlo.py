@@ -28,7 +28,7 @@ from cvdistill import (
 )
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
 from cvdistill.mc import _kernel_py, engine
-from conftest import apply_phase_rotation, batch_moments
+from conftest import apply_phase_rotation, batch_moments, level, mixture
 
 # A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
@@ -42,7 +42,7 @@ def sweep_at(mixture3, config, threshold):
 
 def uncorrelated_tap(state):
     """Single-component (A, B, Tap) mixture whose tap is a vacuum mode."""
-    return MixtureState([(1.0, tensor(state, vacuum_state(1)))])
+    return mixture([(1.0, tensor(state, vacuum_state(1)))])
 
 
 class TestSampleLevel:
@@ -67,7 +67,7 @@ class TestSampleLevel:
 
 class TestSamplePhasePoint:
     def test_vacuum_variances(self):
-        vacuum = MixtureState([(1.0, vacuum_state(3))])
+        vacuum = mixture([(1.0, vacuum_state(3))])
         res = sweep_at(vacuum, McConfig(n_shots=1_000_000, seed=42), NO_SELECTION)
         assert_allclose(np.diag(res.pooled_cov[0]), np.ones(4), atol=0.005)
 
@@ -99,7 +99,8 @@ class TestSamplePhasePoint:
         # Rotating beam B correlates X and P quadratures, so the per-level
         # transform must apply its X-P coefficients as well.
         mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
-        rotated = MixtureState([(w, apply_phase_rotation(s, 1, 0.6)) for w, s in mix.components])
+        rotated = mixture([(w, apply_phase_rotation(level(mix, i), 1, 0.6))
+                           for i, w in enumerate(mix.weights)])
         tapped = attach_tap(rotated, TapConfig())
         _, cov = pooled_cm(tapped)
         assert np.abs(cov[0:4:2, 1:4:2]).max() > 0.5
@@ -109,9 +110,10 @@ class TestSamplePhasePoint:
     def test_transform_matches_factor_product(self):
         # Displaced, phase-rotated fading mixture: nonzero means and X-P terms.
         mix = propagate(make_kerr_entangled(0.7, 5.0), envelope_fading(0.2))
-        shifted = MixtureState([
-            (w, GaussianState(np.array([0.3, -0.2, 0.5, 0.1]), apply_phase_rotation(s, 1, 0.6).cov))
-            for w, s in mix.components
+        shifted = mixture([
+            (w, GaussianState(np.array([0.3, -0.2, 0.5, 0.1]),
+                              apply_phase_rotation(level(mix, i), 1, 0.6).cov))
+            for i, w in enumerate(mix.weights)
         ])
         tapped = attach_tap(shifted, TapConfig())
         weights, components = engine._prepare_components(tapped)
@@ -121,7 +123,8 @@ class TestSamplePhasePoint:
         x = z.copy()
         engine._transform(x, counts, components, np.empty(5000))
         start = 0
-        for count, state in zip(counts, tapped.states):
+        for i, count in enumerate(counts):
+            state = level(tapped, i)
             seg = slice(start, start + count)
             ref = state.cholesky_factor()[:5, :5] @ z[:, seg] + state.mean[:5, None]
             assert_allclose(x[:, seg], ref, rtol=1e-12, atol=1e-12)
@@ -235,7 +238,7 @@ class TestCovarianceAccumulator:
         acc = CovarianceAccumulator(4)
         acc.merge_moments(*batch_moments(x))
         assert_allclose(acc.mean, x.mean(axis=0), atol=1e-12)
-        assert_allclose(acc.covariance(ddof=1), np.cov(x.T, ddof=1), rtol=1e-10)
+        assert_allclose(acc.covariance(), np.cov(x.T, ddof=1), rtol=1e-10)
 
     def test_merge_associativity(self):
         rng = np.random.default_rng(47)
@@ -255,7 +258,7 @@ class TestCovarianceAccumulator:
         acc = CovarianceAccumulator(2)
         for chunk in np.array_split(x, 13):
             acc.merge_moments(*batch_moments(chunk))
-        assert_allclose(acc.covariance(ddof=1), np.cov(x.T, ddof=1), rtol=1e-10)
+        assert_allclose(acc.covariance(), np.cov(x.T, ddof=1), rtol=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -368,9 +371,9 @@ class TestRunMc:
         assert errs[2] < 0.02
 
     def test_rejects_wrong_mode_count(self, tapped_discrete):
-        two_mode = MixtureState(
-            [(w, GaussianState(s.mean[:4], s.cov[:4, :4])) for w, s in tapped_discrete.components]
-        )
+        states = tapped_discrete.states
+        two_mode = MixtureState(tapped_discrete.weights,
+                                GaussianState(states.mean[:, :4], states.cov[:, :4, :4]))
         with pytest.raises(ValueError):
             sweep_at(two_mode, McConfig(n_shots=10, seed=1), 0.0)
 
