@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .channel import (MixtureState, discrete_channel, envelope_exponential, envelope_fading,
                       pooled_cm, propagate)
-from .gaussian import GaussianState, gaussian_log_negativity, make_kerr_entangled
+from .gaussian import gaussian_log_negativity, make_kerr_entangled
 
 __all__ = [
     "CalibrationError",
@@ -92,7 +92,8 @@ def calibrate(
     within ``SOURCE_LN_TOL``.
     """
     if not 0.0 < ln_initial < math.log2(BRACKET_HI):
-        raise CalibrationError(f"ln_initial must lie in (0, log2(bracket_hi)), got {ln_initial}")
+        raise CalibrationError(f"ln_initial must lie in (0, log2(BRACKET_HI) = "
+                               f"{math.log2(BRACKET_HI):.2f}), got {ln_initial}")
     v_squeezed = 2.0 ** (-ln_initial)
     lo = 1.0 / v_squeezed
     v_antisqueezed, achieved = _bisect(
@@ -107,9 +108,9 @@ def calibrate(
     )
 
 
-def semicontinuous_premix_ln(levels: GaussianState, weights) -> float:
-    """Gaussian-fitted log-negativity of the stacked ``levels`` pooled with ``weights``."""
-    return gaussian_log_negativity(pooled_cm(MixtureState(weights, levels))[1])
+def semicontinuous_premix_ln(levels: MixtureState, weights) -> float:
+    """Gaussian-fitted log-negativity of the mixture ``levels`` re-weighted with ``weights``."""
+    return gaussian_log_negativity(pooled_cm(levels.reweighted(weights))[1])
 
 
 def calibrate_envelope(
@@ -138,7 +139,7 @@ def calibrate_envelope(
         raise CalibrationError(f"unknown envelope family {family!r}; use one of {ENVELOPE_FAMILIES}")
     # Every envelope shares one transmittance grid: each step only re-weights its levels.
     try:
-        levels = propagate(make_kerr_entangled(v_squeezed, v_antisqueezed), build(lo)).states
+        levels = propagate(make_kerr_entangled(v_squeezed, v_antisqueezed), build(lo))
     except ValueError as exc:
         raise CalibrationError(f"cannot build the {family} envelope: {exc}") from exc
     param, _ = _bisect(

@@ -14,6 +14,7 @@ on its total logarithmic negativity.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,12 @@ class MixtureState:
     states: GaussianState
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
+        self.weights = self._checked_weights(self.weights)
+        if not np.all(validate_physical(self.states)):
+            raise ValueError("mixture contains an unphysical component")
+
+    def _checked_weights(self, weights) -> np.ndarray:
+        weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("mixture needs at least one component")
         if self.states.mean.shape[:-1] != weights.shape:
@@ -121,9 +127,17 @@ class MixtureState:
         total = weights.sum()
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"component weights must sum to 1, got {total!r}")
-        if not np.all(validate_physical(self.states)):
-            raise ValueError("mixture contains an unphysical component")
-        self.weights = weights
+        return weights
+
+    def reweighted(self, weights) -> MixtureState:
+        """This mixture's components with new ``weights``, checked as the constructor checks them.
+
+        The components were validated when this mixture was built, so only
+        the weights are checked.
+        """
+        out = copy.copy(self)
+        out.weights = self._checked_weights(weights)
+        return out
 
     @property
     def n_modes(self) -> int:

@@ -16,6 +16,7 @@ so a grid row and the one-threshold call agree to float rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from .channel import MixtureState
 from .config import DEFAULT_TAP_REFLECTIVITY, TapConfig
-from .gaussian import apply_beamsplitter, pt_symplectic_spectrum, tensor, vacuum_state
+from .gaussian import (GaussianState, apply_beamsplitter, pt_symplectic_spectrum, tensor,
+                       vacuum_state)
 
 __all__ = [
     "DEFAULT_TAP_REFLECTIVITY",
@@ -34,6 +36,8 @@ __all__ = [
     "attach_tap",
     "gaussian_tail",
     "tail_hazard",
+    "bivariate_normal_cdf",
+    "series_bin_probabilities",
     "herald",
     "distilled_gln",
     "gaussification_metrics",
@@ -55,6 +59,11 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 # error grows like alpha^2 * eps from rounding alpha/sqrt2 (1.8e-13 at alpha 37).
 _CF_CUT = 5.0
 _CF_DEPTH = 40
+_TWOPI = 2.0 * np.pi
+# Genz's bivariate normal rules: Gauss-Legendre node count per |rho| band
+# [lo, hi). The last rule also serves his expansion from 0.925 up.
+_BVN_BANDS = ((0.0, 0.3, 6), (0.3, 0.75, 12), (0.75, 0.925, 20))
+_BVN_CLIP = 40.0
 
 
 class DegenerateSelectionError(RuntimeError):
@@ -166,6 +175,127 @@ def tail_hazard(alpha):
     lam[low] = _density(a[low]) / gaussian_tail(a[low])
     lam[~low] = _hazard_cf(a[~low])
     return _scalar_or_array(lam)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Built on first use, so importing this module does not load numpy.polynomial.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def bivariate_normal_cdf(h, k, rho):
+    """P(X < h, Y < k) for standard normals X and Y of correlation ``rho``.
+
+    Genz's algorithm (Stat. Comput. 14:251, 2004). Below |rho| = 0.925 it
+    integrates Sheppard's formula over arcsin(rho) with a Gauss-Legendre rule
+    of 6, 12 or 20 nodes by |rho| band; from 0.925 up it takes his
+    expansion about |rho| = 1 plus a 20-node rule for the remainder, exact
+    at rho = +-1. The absolute error is a few 1e-16.
+
+    h, k and rho broadcast together; h and k may be infinite. The node
+    terms depend on rho alone and are computed once per entry of ``rho`` as
+    passed, so pass it unbroadcast: (P, 1) against h of shape (P, E).
+    """
+    # Q(40) underflows to 0, so clipping there changes no value.
+    h, k = (np.clip(np.asarray(v, dtype=float), -_BVN_CLIP, _BVN_CLIP) for v in (h, k))
+    rho = np.asarray(rho, dtype=float)
+    shape = np.broadcast_shapes(h.shape, k.shape, rho.shape)
+    # Genz's upper orthant P(X > dh, Y > dk), at dh = -h and dk = -k.
+    dh, dk = (-np.broadcast_to(v, shape).ravel() for v in (h, k))
+    # Phi(h) and Phi(k) on the arrays as passed, before broadcasting.
+    ph, pk = (np.broadcast_to(gaussian_tail(-v), shape).ravel() for v in (h, k))
+    r = rho.ravel()
+    # Index into r of the rho that each output entry reads.
+    which = np.broadcast_to(np.arange(r.size).reshape(rho.shape), shape).ravel()
+    out = np.empty(dh.size)
+    for lo, hi, n in _BVN_BANDS:
+        band = (np.abs(r) >= lo) & (np.abs(r) < hi)
+        sel = np.flatnonzero(band[which])
+        if sel.size == 0:
+            continue
+        x, w = _gauss_legendre(n)
+        asr = np.arcsin(r[band])
+        sn = np.sin(asr[:, None] * (x + 1.0) / 2.0)
+        inv = 1.0 / (1.0 - sn * sn)
+        slot = (np.cumsum(band) - 1)[which[sel]]
+        a, b = dh[sel], dk[sel]
+        expo = (a * b)[:, None] * (sn * inv)[slot] - ((a * a + b * b) / 2.0)[:, None] * inv[slot]
+        out[sel] = (np.exp(expo) @ w) * asr[slot] / (2.0 * _TWOPI) + ph[sel] * pk[sel]
+    sel = np.flatnonzero((np.abs(r) >= _BVN_BANDS[-1][1])[which])
+    if sel.size:
+        out[sel] = _bvn_high(dh[sel], dk[sel], r[which[sel]])
+    return _scalar_or_array(out.reshape(shape))
+
+
+def _bvn_high(dh, dk, r):
+    """Genz's P(X > dh, Y > dk) for 0.925 <= |r| <= 1 (his BVND, |r| >= 0.925 branch)."""
+    neg = r < 0.0
+    dk = np.where(neg, -dk, dk)
+    hk = dh * dk
+    bvn = np.zeros(dh.size)
+    inner = np.flatnonzero(np.abs(r) < 1.0)
+    if inner.size:
+        x, w = _gauss_legendre(_BVN_BANDS[-1][2])
+        h, k, hk_in, r_in = dh[inner], dk[inner], hk[inner], r[inner]
+        a2 = (1.0 - r_in) * (1.0 + r_in)
+        a = np.sqrt(a2)
+        b2 = (h - k) ** 2
+        c = (4.0 - hk_in) / 8.0
+        d = (12.0 - hk_in) / 16.0
+        v = a * np.exp(-(b2 / a2 + hk_in) / 2.0) * (
+            1.0 - c * (b2 - a2) * (1.0 - d * b2 / 5.0) / 3.0 + c * d * a2 * a2 / 5.0)
+        tail = np.flatnonzero(hk_in > -160.0)  # below, exp(-hk/2) overflows and the term is 0
+        b = np.sqrt(b2[tail])
+        v[tail] -= (np.exp(-hk_in[tail] / 2.0) * np.sqrt(_TWOPI) * gaussian_tail(b / a[tail]) * b
+                    * (1.0 - c[tail] * b2[tail] * (1.0 - d[tail] * b2[tail] / 5.0) / 3.0))
+        xs = (a[:, None] * (x + 1.0) / 2.0) ** 2
+        rs = np.sqrt(1.0 - xs)
+        b2, hk_in, c, d = b2[:, None], hk_in[:, None], c[:, None], d[:, None]
+        terms = (np.exp(-b2 / (2.0 * xs) - hk_in / (1.0 + rs)) / rs
+                 - np.exp(-(b2 / xs + hk_in) / 2.0) * (1.0 + c * xs * (1.0 + d * xs)))
+        v += a / 2.0 * (terms @ w)
+        bvn[inner] = -v / _TWOPI
+    pos = ~neg
+    bvn[pos] += gaussian_tail(np.maximum(dh[pos], dk[pos]))
+    bvn[neg] = np.maximum(0.0, gaussian_tail(dh[neg]) - gaussian_tail(dk[neg])) - bvn[neg]
+    return bvn
+
+
+def series_bin_probabilities(states: GaussianState, coefficients, edges, below=np.inf) -> np.ndarray:
+    """Per stacked state, the law of each linear series' histogram bin given X_tap < ``below``.
+
+    ``states`` stacks L (A, B, Tap) states; series s is
+    ``coefficients[s]`` (S, 5) applied to (X_A, P_A, X_B, P_B, X_Tap). Bin j
+    spans ``edges[j]`` to ``edges[j + 1]``, except that the end bins are
+    open, as the Monte Carlo kernel clamps. Per state, a series and X_tap
+    are jointly normal, so P(series < e, X_tap < below) is one
+    :func:`bivariate_normal_cdf` per edge. ``below`` = inf gives the
+    unconditional bin probabilities.
+
+    Returns (L, S, bins), each row summing to 1. Raises
+    :class:`DegenerateSelectionError` where P(X_tap < below) underflows to 0.
+    """
+    mean, cov = states.mean[:, :5], states.cov[:, :5, :5]
+    coefficients = np.asarray(coefficients, dtype=float)
+    tap_sd = np.sqrt(cov[:, 4, 4])
+    k = (below - mean[:, 4]) / tap_sd
+    p_below = gaussian_tail(-k)
+    if np.any(p_below == 0.0):
+        raise DegenerateSelectionError(
+            f"P(X_tap < {below}) underflows to 0 for state(s) {np.flatnonzero(p_below == 0.0).tolist()}")
+    sd = np.sqrt(np.einsum("sj,ljk,sk->ls", coefficients, cov, coefficients))
+    rho = np.clip((cov[:, 4] @ coefficients.T) / (sd * tap_sd[:, None]), -1.0, 1.0)
+    h = (np.asarray(edges, dtype=float)[1:-1] - (mean @ coefficients.T)[..., None]) / sd[..., None]
+    cdf = bivariate_normal_cdf(h, k[:, None, None], rho[..., None]) / p_below[:, None, None]
+    # Rounding may leave the conditional CDF a few ulp out of order or above 1.
+    cdf = np.clip(np.maximum.accumulate(cdf, axis=-1), 0.0, 1.0)
+    return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
 
 
 def herald(mixture3: MixtureState, threshold_x) -> DistilledEnsemble:

@@ -23,17 +23,31 @@ N_FEATURES = 4 + len(PAIRS)
 _SERIES_OFFSET = np.arange(5)[:, None]
 
 
-def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hist_post, per_level_kept,
-                     series, idx):
-    """Bin every shot of a chunk and accumulate its kept shots by stratum.
+def bin_index(values, hist_range, n_bins, out):
+    """Write the histogram bin of each entry of float ``values`` to int64 ``out``.
 
-    x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap); shots
-        level_ends[i - 1]:level_ends[i] belong to channel level i
-    thresholds : (S,) sorted, distinct; a shot with X_Tap >= thresholds[0]
-        is kept in stratum j, thresholds[j] <= X_Tap < thresholds[j + 1]
-        (the top stratum has no upper edge)
-    hist_pre : (5, n_bins) int64; hist_post : (S, 5, n_bins) int64;
-    per_level_kept : (S, n_levels) int64; all incremented in place
+    ``values`` is overwritten. The bins clamp as the module docstring says.
+    """
+    values += hist_range
+    values *= n_bins / (2.0 * hist_range)
+    np.fmax(values, 0, out=values)  # NaN to 0
+    np.fmin(values, n_bins - 1, out=values)
+    np.copyto(out, values, casting="unsafe")
+
+
+def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_post, per_level_kept,
+                     series, idx):
+    """Bin the kept shots of a chunk and accumulate them by stratum.
+
+    x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap), every shot with
+        X_Tap >= thresholds[0]; shots level_ends[i - 1]:level_ends[i]
+        belong to channel level i
+    thresholds : (S,) sorted, distinct; a shot is kept in stratum j,
+        thresholds[j] <= X_Tap < thresholds[j + 1] (the top stratum has no
+        upper edge)
+    hist_post : (S, 5, n_bins) int64, the histograms of the series X_tap,
+        X_B, P_B, X_A+X_B and P_A-P_B; per_level_kept : (S, n_levels) int64;
+        both incremented in place
     series, idx : flat float64 and int64 scratch buffers of at least 5 m
         entries, overwritten, so one pair serves every chunk in turn
 
@@ -42,26 +56,20 @@ def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hi
     """
     m = x.shape[1]
     n_strata, n_levels = hist_post.shape[0], per_level_kept.shape[1]
-    series = series[: 5 * m].reshape(5, m)  # X_tap, X_B, P_B, X_A+X_B, P_A-P_B
+    series = series[: 5 * m].reshape(5, m)
     idx = idx[: 5 * m].reshape(5, m)
-    np.add(x[4], hist_range, out=series[0])
-    np.add(x[2:4], hist_range, out=series[1:3])
+    np.copyto(series[0], x[4])
+    np.copyto(series[1:3], x[2:4])
     np.add(x[0], x[2], out=series[3])
     np.subtract(x[1], x[3], out=series[4])
-    series[3:] += hist_range
-    series *= n_bins / (2.0 * hist_range)
-    np.fmax(series, 0, out=series)  # NaN to 0
-    np.fmin(series, n_bins - 1, out=series)
-    np.copyto(idx, series, casting="unsafe")
+    bin_index(series, hist_range, n_bins, idx)
     idx += _SERIES_OFFSET * n_bins
-    hist_pre += np.bincount(idx.ravel(), minlength=5 * n_bins).reshape(5, n_bins)
 
-    rows = np.flatnonzero(x[4] >= thresholds[0])
-    strata = np.searchsorted(thresholds, x[4, rows], side="right") - 1
+    strata = np.searchsorted(thresholds, x[4], side="right") - 1
     # A stable sort on the smallest integer type that holds the stratum
-    # index (a radix sort up to 16 bits) groups the kept shots by stratum.
-    order = np.argsort(strata.astype(np.min_scalar_type(n_strata)), kind="stable")
-    rows, strata = rows[order], strata[order]
+    # index (a radix sort up to 16 bits) groups the shots by stratum.
+    rows = np.argsort(strata.astype(np.min_scalar_type(n_strata)), kind="stable")
+    strata = strata[rows]
     hist_post += np.bincount(
         (np.take(idx, rows, axis=1) + strata * (5 * n_bins)).ravel(),
         minlength=n_strata * 5 * n_bins,
@@ -74,7 +82,7 @@ def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_pre, hi
     count = np.bincount(strata, minlength=n_strata)
     mean = np.zeros((n_strata, N_FEATURES))
     m2 = np.zeros((n_strata, N_FEATURES, N_FEATURES))
-    feats = np.empty((N_FEATURES, rows.size))
+    feats = np.empty((N_FEATURES, m))
     np.take(x[:4], rows, axis=1, out=feats[:4])
     start = 4
     for j in range(4):  # x_j * x_k for k >= j, in PAIRS order

@@ -1,10 +1,10 @@
 """Shot-by-shot Monte Carlo of the tap-and-threshold distillation pipeline.
 
-Each shot samples a channel level, draws a phase-space point from that
-component's Gaussian distribution, applies the heralding test to the tap X
-quadrature, and accumulates streaming statistics and histograms. Sampling
-the joint Gaussian is exact for every statistic reported here because each
-measured set involves at most one quadrature per mode.
+Each shot samples a channel level, draws its tap X quadrature, applies the
+heralding test to it and, when it can pass, draws its other quadratures
+given the tap X; the kept shots feed streaming statistics and histograms.
+Sampling the joint Gaussian is exact for every statistic reported here
+because each measured set involves at most one quadrature per mode.
 
 One pass over the shots serves a whole threshold sweep. The sorted
 thresholds t_0 < ... < t_top cut the tap X axis into strata
@@ -12,25 +12,47 @@ thresholds t_0 < ... < t_top cut the tap X axis into strata
 moments, post-selection histograms and per-level counts of its own stratum
 only. The statistics kept at threshold t_j are then the merge of strata
 j..top (Chan's update for the moments, sums for the counts), so a sweep
-costs one threshold's sampling however many thresholds it has, and its
-counts and histograms equal those of a one-threshold sweep at each
-threshold. The result is one ``McSweep``, stacked per threshold like
-``herald``'s grid ensemble, with the pre-selection histograms held once.
+costs one threshold's sampling however many thresholds it has. The result
+is one ``McSweep``, stacked per threshold like ``herald``'s grid ensemble,
+with the pre-selection histograms held once.
 
-Shots are sampled in fixed-size blocks. Block b draws its level counts
-(one multinomial draw) and five normals per shot from its own stream,
-``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed streams in the
-sense of Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
-3"), turns them into phase-space points with a per-level lower-triangular
-transform, and makes one kernel call. Each worker allocates its normals and
-the kernel's scratch buffers once and reuses them for every block; inside
-the block loop, only the kept shots' arrays and a one-byte-per-shot mask
-scale with the block. Each worker samples a contiguous
-range of blocks; the integer counts are summed, and the blocks' moments
-are merged pairwise along one fixed binary tree over the block indices,
-the workers merging the subtrees that lie inside their range and the
-parent the rest. Output therefore depends on (mixture, n_shots, seed)
-only, not on the worker count, and is bit-identical on every run.
+Tap-first sampling. Shots are sampled in fixed-size blocks, block b from
+its own stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed
+streams in the sense of Salmon et al. 2011, "Parallel random numbers: as
+easy as 1, 2, 3"). A block draws its level counts (one multinomial draw),
+then one normal per shot, scaled to the shot's tap X, which is binned into
+the pre-selection X_tap histogram. Only the candidates, the shots with
+X_tap >= t_0, draw four more normals, mapped to (X_A, P_A, X_B, P_B) by
+their level's regression on the tap normal and the Cholesky factor of the
+conditional covariance (the Schur complement of the tap variance). The
+candidates go to one kernel call, which keeps every one of them.
+
+What is shot-exact and what is not. Every shot's tap X, and so every kept
+count, per-level count, X_tap histogram, post-selection histogram and
+moment, is sampled shot by shot from the exact joint law. The other shots'
+off-tap quadratures are never drawn. Their pre-selection histograms of
+X_B, P_B, X_A+X_B and P_A-P_B are completed in the parent: the other
+shots of level i are i.i.d. from that level's law given X_tap < t_0, so the
+histogram of each series over them is exactly Multinomial(count,
+conditional bin probabilities), drawn from the stream ``SeedSequence(seed)``
+itself, whose key no block uses (every block key has one entry). Each
+pre-selection histogram therefore has its shot-by-shot law, sums to
+``n_shots`` and bounds every post-selection histogram bin by bin; the joint
+law of the other shots' off-tap histograms across series, and with their
+X_tap bins, is not reproduced. A sweep whose t_0 keeps every shot draws no
+composition. Which shots are candidates depends on t_0, so a grid row
+equals the same row of any sweep of the same lowest threshold, and the
+one-threshold sweep there in its counts and X_tap histograms.
+
+Each worker allocates its normals and the kernel's scratch buffers once and
+reuses them for every block; inside the block loop, only the candidates'
+arrays and a one-byte-per-shot mask scale with the block. Each worker
+samples a contiguous range of blocks; the integer counts are summed, and
+the blocks' moments are merged pairwise along one fixed binary tree over
+the block indices, the workers merging the subtrees that lie inside their
+range and the parent the rest. Output therefore depends on (mixture,
+n_shots, seed, thresholds) only, not on the worker count, and is
+bit-identical on every run.
 
 The run settings are ``cvdistill.config.McConfig``, which is also the
 ``mc`` section of an experiment config and validates itself when built.
@@ -38,18 +60,18 @@ The run settings are ``cvdistill.config.McConfig``, which is also the
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..channel import MixtureState
 from ..config import McConfig
-from ..distill import DegenerateSelectionError
-from ..gaussian import InvalidCovarianceError, gaussian_log_negativity, log_negativity_gradient
+from ..distill import DegenerateSelectionError, series_bin_probabilities
+from ..gaussian import (GaussianState, InvalidCovarianceError, gaussian_log_negativity,
+                        log_negativity_gradient)
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
-from ._kernel_py import N_FEATURES, PAIRS
+from ._kernel_py import N_FEATURES, PAIRS, bin_index
 
 __all__ = [
     "SERIES",
@@ -59,8 +81,16 @@ __all__ = [
     "ln_with_se",
 ]
 
-# Histogrammed series: tap X, transmitted-beam quadratures, joint quadratures.
+# Histogrammed series: tap X, transmitted-beam quadratures, joint quadratures,
+# each a row of coefficients over (X_A, P_A, X_B, P_B, X_Tap), as the kernel forms them.
 SERIES = ("X_tap", "X_B", "P_B", "X_A+X_B", "P_A-P_B")
+SERIES_COEFFICIENTS = np.array([
+    [0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 0],
+    [1, 0, 1, 0, 0],
+    [0, 1, 0, -1, 0],
+], dtype=float)
 
 # Shots per block, each block with its own stream and one kernel call.
 # Fixed (not configurable): changing it would change the sampled shots.
@@ -73,7 +103,9 @@ class McSweep:
 
     Shaped like ``herald``'s grid ensemble. Held once: the bin ``edges``
     and the pre-selection histograms ``hist_pre`` (5, bins), each series
-    summing to ``total_count``. Per grid threshold, in input order with
+    summing to ``total_count``; the off-tap rows of the shots below the
+    lowest threshold are drawn from their exact conditional law (see the
+    module docstring). Per grid threshold, in input order with
     duplicates: ``thresholds``, ``kept_count`` (T,), ``per_level_kept``
     (T, L) and the post-selection histograms ``hist_post`` (T, 5, bins).
     Histogram series k is ``SERIES[k]``.
@@ -114,31 +146,42 @@ class McSweep:
 
 
 def _prepare_components(mixture3: MixtureState):
-    """Level weights and, per level, the map of five normals to (X_A, P_A, X_B, P_B, X_Tap).
+    """Level weights, tap X scales and means, and per level the map of five normals to a point.
 
-    Each level's covariance factor is lower triangular in the order
-    (X_A, P_A, X_B, P_B, X_Tap, P_Tap), so its rows 0-4 read normals
-    z_0..z_4 only and P_Tap, which no statistic reads, is never drawn.
-    Per level, each row r becomes (r, factor[r, r], [(c, factor[r, c])
-    for the nonzero c < r], mean[r]), last row first.
+    Reordered tap first, (X_Tap, X_A, P_A, X_B, P_B, P_Tap), each level's
+    covariance has a lower-triangular factor whose first column holds the
+    tap's standard deviation and the regression of the others on the tap
+    normal, and whose lower block factors their conditional covariance (the
+    Schur complement of the tap variance). P_Tap, which no statistic reads,
+    is never drawn. A point (X_A, P_A, X_B, P_B, X_Tap) takes X_Tap from
+    normal z_4 alone and row r from z_4 and z_0..z_r. Per level, each row r
+    becomes (r, factor diagonal, [(c, factor entry) for the nonzero c
+    before it], mean[r]), the X_Tap row last.
     """
+    order = [4, 0, 1, 2, 3, 5]  # tap-first position -> quadrature
+    states = mixture3.states
+    tap_first = GaussianState(states.mean[:, order], states.cov[:, order][:, :, order])
+    factor, mean = tap_first.cholesky_factor(), tap_first.mean
     components = [
-        [(r, chol[r, r], [(c, chol[r, c]) for c in range(r) if chol[r, c] != 0.0], mean[r])
-         for r in reversed(range(5))]
-        for chol, mean in zip(mixture3.states.cholesky_factor(), mixture3.states.mean)
+        [(order[p], chol[p, p], [(order[c], chol[p, c]) for c in range(p) if chol[p, c] != 0.0], mu[p])
+         for p in reversed(range(5))]
+        for chol, mu in zip(factor, mean)
     ]
-    return mixture3.weights, components
+    return mixture3.weights, factor[:, 0, 0], mean[:, 0], components
 
 
 def _transform(z, level_counts, components, tmp):
     """Turn normals z (5, m), grouped by level in order, into phase-space points in place.
 
-    Row r of a point reads z_0..z_r only, so filling the rows from the last
-    one down overwrites no normal that a later row still needs. ``tmp`` is
-    a float64 buffer of at least m entries, overwritten.
+    Every row reads z_4 and lower rows only, and the rows are filled P_B
+    first and X_Tap last, so no normal is overwritten before the last row
+    that needs it. ``tmp`` is a float64 buffer of at least m entries,
+    overwritten.
     """
     start = 0
     for count, rows in zip(level_counts, components):
+        if count == 0:
+            continue
         seg = z[:, start : start + count]
         term = tmp[:count]
         for r, diag, lower, mean in rows:
@@ -151,40 +194,61 @@ def _transform(z, level_counts, components, tmp):
         start += count
 
 
-def _run_blocks(weights, components, thresholds, n_bins, hist_range, seed, n_shots, blocks):
+def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hist_range, seed,
+                n_shots, blocks):
     """Sample the shots of ``blocks`` (a range of block indices) and accumulate them by stratum.
 
     Block b holds shots b * CHUNK_SHOTS onward, at most CHUNK_SHOTS of them,
     drawn from its own stream ``SeedSequence(seed, spawn_key=(b,))``: one
-    multinomial draw of the level counts, then five normals per shot.
-    Stratum j holds the shots with thresholds[j] <= X_tap < thresholds[j + 1];
-    the top stratum has no upper edge.
+    multinomial draw of the level counts, one normal per shot for its tap
+    X, and four more normals per candidate, a shot with X_tap >=
+    thresholds[0], for its other quadratures. Stratum j holds the
+    candidates with thresholds[j] <= X_tap < thresholds[j + 1]; the top
+    stratum has no upper edge.
 
-    Returns the pre-selection histograms (5, n_bins), the per-stratum
-    post-selection histograms (n_strata, 5, n_bins) and per-level kept
-    counts (n_strata, n_levels), summed over the blocks, and the blocks'
-    per-stratum moments as the nodes of :func:`_push_block_node`'s stack.
+    Returns the pre-selection X_tap histogram (n_bins,), the per-stratum
+    post-selection histograms (n_strata, 5, n_bins), per-level kept counts
+    (n_strata, n_levels) and per-level counts of the other shots
+    (n_levels,), summed over the blocks, and the blocks' per-stratum
+    moments as the nodes of :func:`_push_block_node`'s stack.
     """
-    n_strata = thresholds.shape[0]
-    hist_pre = np.zeros((5, n_bins), dtype=np.int64)
+    n_strata, n_levels = thresholds.shape[0], weights.shape[0]
+    hist_tap = np.zeros(n_bins, dtype=np.int64)
     hist_post = np.zeros((n_strata, 5, n_bins), dtype=np.int64)
-    per_level_kept = np.zeros((n_strata, weights.shape[0]), dtype=np.int64)
+    per_level_kept = np.zeros((n_strata, n_levels), dtype=np.int64)
+    below = np.zeros(n_levels, dtype=np.int64)
     nodes = []
+    tap_normals = np.empty(CHUNK_SHOTS)
     normals, series = np.empty(5 * CHUNK_SHOTS), np.empty(5 * CHUNK_SHOTS)
     idx = np.empty(5 * CHUNK_SHOTS, dtype=np.int64)
     for b in blocks:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         m = min(CHUNK_SHOTS, n_shots - b * CHUNK_SHOTS)
         level_counts = rng.multinomial(m, weights)
-        x = rng.standard_normal(out=normals[: 5 * m].reshape(5, m))
-        _transform(x, level_counts, components, series)
+        level_ends = np.cumsum(level_counts)
+        z = rng.standard_normal(out=tap_normals[:m])
+        x_tap = series[:m]
+        for lo, hi, sigma, mean in zip(level_ends - level_counts, level_ends, tap_sigma, tap_mean):
+            np.multiply(z[lo:hi], sigma, out=x_tap[lo:hi])
+            if mean != 0.0:
+                x_tap[lo:hi] += mean
+        cand = np.flatnonzero(x_tap >= thresholds[0])
+        cand_ends = np.searchsorted(cand, level_ends)
+        cand_counts = np.diff(cand_ends, prepend=0)
+        below += level_counts - cand_counts
+        bin_index(x_tap, hist_range, n_bins, idx[:m])
+        hist_tap += np.bincount(idx[:m], minlength=n_bins)
+
+        x = normals[: 5 * cand.size].reshape(5, cand.size)
+        rng.standard_normal(out=x[:4])
+        np.take(z, cand, out=x[4])
+        _transform(x, cand_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
-            x, np.cumsum(level_counts), thresholds, hist_range, n_bins,
-            hist_pre, hist_post, per_level_kept, series, idx,
+            x, cand_ends, thresholds, hist_range, n_bins, hist_post, per_level_kept, series, idx,
         )
         _push_block_node(nodes, 0, b, acc)
-    return hist_pre, hist_post, per_level_kept, nodes
+    return hist_tap, hist_post, per_level_kept, below, nodes
 
 
 def _push_block_node(stack, level, index, acc):
@@ -208,9 +272,10 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     Post-selects on the tap X quadrature of a three-mode (A, B, Tap)
     mixture exceeding each threshold. All thresholds share one pass over
     the ``config.n_shots`` shots (see the module docstring): a grid row has
-    the counts and histograms of the one-threshold sweep at that threshold
-    with the same config, and its moments differ from that sweep's only by
-    float reassociation.
+    the kept count, per-level counts and X_tap histograms of the
+    one-threshold sweep at that threshold with the same config. Its other
+    histograms equal, and its moments differ only by float reassociation
+    from, those of any sweep with the same lowest threshold.
 
     Returns one :class:`McSweep`. A threshold that fewer than two shots
     pass has a :class:`DegenerateSelectionError` in ``errors`` and no row
@@ -230,11 +295,11 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     if not np.all(np.isfinite(thresholds)):
         raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
     grid, grid_index = np.unique(thresholds, return_inverse=True)
-    weights, components = _prepare_components(mixture3)
+    components = _prepare_components(mixture3)
     n_blocks = -(-config.n_shots // CHUNK_SHOTS)
     bounds = [n_blocks * w // config.n_workers for w in range(config.n_workers + 1)]
     jobs = [
-        (weights, components, grid, config.histogram_bins, config.histogram_range,
+        (*components, grid, config.histogram_bins, config.histogram_range,
          config.seed, config.n_shots, range(lo, hi))
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
@@ -242,15 +307,17 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     if len(jobs) == 1:
         outs = [_run_blocks(*jobs[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             outs = list(pool.map(_run_blocks, *zip(*jobs)))
 
     # Integer counts sum exactly, and the moments merge along the fixed tree
     # of _push_block_node, so the result does not depend on the workers.
-    hist_pre, hist_post, per_level_kept = (sum(out[k] for out in outs) for k in range(3))
+    hist_tap, hist_post, per_level_kept, below = (sum(out[k] for out in outs) for k in range(4))
     nodes = []
     for out in outs:
-        for node in out[3]:
+        for node in out[4]:
             _push_block_node(nodes, *node)
     strata = nodes[0][2]
     for _, _, acc in nodes[1:]:
@@ -259,6 +326,11 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     # Threshold j keeps strata j..top: suffix sums of the counts and a
     # suffix merge of the moments, from the top threshold down.
     hist_post = np.cumsum(hist_post[::-1], axis=0)[::-1]
+    edges = np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1)
+    # Every candidate is kept at the lowest threshold: its off-tap
+    # pre-selection counts are that threshold's post-selection counts.
+    hist_pre = np.concatenate([hist_tap[None], hist_post[0, 1:]])
+    hist_pre[1:] += _off_tap_below(mixture3, below, grid[0], edges, config.seed)
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
     kept_count = np.cumsum(strata.count[::-1])[::-1]
     moments = [np.zeros((grid.size,) + shape) for shape in ((4,), (4, 4), (4, 4), (len(PAIRS),) * 2)]
@@ -278,9 +350,26 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     rows = grid_index[kept_count[grid_index] >= 2]
     return McSweep(
         grid[grid_index], total, kept_count[grid_index], per_level_kept[grid_index],
-        np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1),
-        hist_pre, hist_post[grid_index], *(stack[rows] for stack in moments), errors,
+        edges, hist_pre, hist_post[grid_index], *(stack[rows] for stack in moments), errors,
     )
+
+
+def _off_tap_below(mixture3, below, t0, edges, seed):
+    """Off-tap pre-selection counts (4, bins) of the shots with X_tap < t0.
+
+    ``below`` (L,) counts those shots per level. They are i.i.d. from their
+    level's law given X_tap < t0, so each off-tap series' histogram over them
+    is exactly Multinomial(below[i], its conditional bin probabilities),
+    drawn from the stream ``SeedSequence(seed)``, whose key no block uses.
+    """
+    levels = np.flatnonzero(below)
+    if levels.size == 0:
+        return 0
+    states = mixture3.states
+    probs = series_bin_probabilities(
+        GaussianState(states.mean[levels], states.cov[levels]), SERIES_COEFFICIENTS[1:], edges, t0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.multinomial(below[levels, None], probs).sum(axis=0)
 
 
 def _moments(acc):

@@ -8,6 +8,7 @@ them). The full-scale head count is marked slow; deselect it with
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,6 +152,29 @@ def test_criterion_6_mc_analytic_equivalence(model):
     )
 
 
+def binomial_two_sided_p(k, n, p):
+    """Exact two-sided binomial tail 2 min(P(K <= k), P(K >= k)), capped at 1.
+
+    Sums the probability mass outward from k in mpmath, by the ratio of
+    neighbouring terms, until a term is below 1e-40 of its tail.
+    """
+    with mpmath.workdps(40):
+        n, p = mpmath.mpf(n), mpmath.mpf(p)
+        at_k = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                          + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+        odds = p / (1 - p)
+
+        def tail(step):
+            total, term, j = at_k, at_k, k
+            while 0 < j < n and term > total * mpmath.mpf(10) ** -40:
+                term *= (n - j) / (j + 1) * odds if step > 0 else j / (n - j + 1) / odds
+                j += step
+                total += term
+            return total
+
+        return float(min(1, 2 * min(tail(-1), tail(+1))))
+
+
 @pytest.mark.slow
 def test_criterion_7_full_scale_head_count(model):
     _, _, _, tapped = model
@@ -161,9 +185,13 @@ def test_criterion_7_full_scale_head_count(model):
     elapsed = time.perf_counter() - start
     assert 3000 <= kept <= 30000
     assert elapsed < 20 * 60
+    # The kept count is Binomial(n_shots, p) at the analytic pass probability.
+    p_value = binomial_two_sided_p(kept, n_shots, herald(tapped, 9.0).success_probability)
+    assert p_value >= 1e-6
     print(
         f"\ncriterion 7 PASS: kept {kept} of {n_shots} shots at threshold "
-        f"9 SNU (band [3000, 30000]); {elapsed / 60:.1f} min with 4 workers"
+        f"9 SNU (band [3000, 30000]), exact binomial p = {p_value:.3g} (>= 1e-6); "
+        f"{elapsed / 60:.1f} min with 4 workers"
     )
 
 

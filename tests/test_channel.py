@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,6 +81,27 @@ class TestChannelTypes:
     def test_mixture_rejections(self, weights, states, reason):
         with pytest.raises(ValueError, match=reason):
             MixtureState(weights, states)
+
+    @pytest.mark.parametrize("weights, reason", [
+        ([0.5, np.nan], "finite"),
+        ([np.inf, 0.5], "finite"),
+        ([1.0, 0.0], "positive"),
+        ([1.5, -0.5], "positive"),
+        ([0.5, 0.6], "sum to 1"),
+        ([1.0], "1 weights but a stack"),
+    ], ids=["nan", "inf", "zero", "negative", "sum-1.1", "shorter"])
+    def test_reweighted_rejections(self, weights, reason):
+        mix = MixtureState([0.25, 0.75], stacked(VAC, VAC))
+        with pytest.raises(ValueError, match=reason):
+            mix.reweighted(weights)
+        assert np.array_equal(mix.weights, [0.25, 0.75])
+
+    def test_reweighted_checks_only_the_weights(self, monkeypatch):
+        mix = MixtureState([0.25, 0.75], stacked(VAC, VAC))
+        monkeypatch.setattr(sys.modules["cvdistill.channel"], "validate_physical", pytest.fail)
+        again = mix.reweighted([0.5, 0.5])
+        assert np.array_equal(again.weights, [0.5, 0.5]) and again.states is mix.states
+        assert np.array_equal(mix.weights, [0.25, 0.75])
 
 
 class TestDiscreteChannel:

@@ -111,7 +111,7 @@ class TestCalibrateEnvelope:
         self, calibration, calibrated_source, build, params
     ):
         # The bisection propagates the source once and re-weights those levels.
-        levels = propagate(calibrated_source, build(params[0])).states
+        levels = propagate(calibrated_source, build(params[0]))
         for param in params:
             chan = build(param)
             expected = pooled_premix_ln(calibrated_source, chan)
@@ -526,10 +526,18 @@ class TestCliCommands:
         src = os.path.dirname(os.path.dirname(cvdistill.__file__))
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        code = "import sys, cvdistill, cvdistill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # A process pool is started, and its module imported, only for n_workers > 1.
+        code = ("import sys, cvdistill, cvdistill.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m.startswith('concurrent.futures')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              timeout=120, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_calibrate_out_of_range_names_the_bound(self, capsys):
+        assert main(["calibrate", "--ln-initial", "14"]) == 2
+        err = capsys.readouterr().err
+        assert "ln_initial must lie in (0, log2(BRACKET_HI) = 13.29), got 14.0" in err
 
     def test_calibrate_command(self, capsys, tmp_path):
         out_file = tmp_path / "cal.json"

@@ -29,7 +29,8 @@ from cvdistill import (
     vacuum_state,
 )
 from cvdistill.config import DEFAULT_THRESHOLDS
-from cvdistill.distill import _CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR
+from cvdistill.distill import (_CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR, bivariate_normal_cdf,
+                               series_bin_probabilities)
 from conftest import mixture, random_physical_state
 
 
@@ -181,6 +182,102 @@ class TestTailAccuracy:
         assert gaussian_tail(-1e5) == 1.0 and gaussian_tail(1e300) == 0.0
         assert tail_hazard(-1e5) == 0.0 and tail_hazard(1e300) == 1e300
         assert tail_hazard(1e5) == pytest.approx(1e5 + 1e-5, rel=1e-15)
+
+
+def mp_bivariate_cdf(h, k, rho):
+    """P(X < h, Y < k) by Sheppard's formula, Phi(h) Phi(k) plus an mpmath quadrature over rho."""
+    if -math.inf in (h, k):
+        return 0.0
+    if math.inf in (h, k):
+        return float(mpmath.ncdf(min(h, k)))
+    with mpmath.workdps(20):
+        h, k = mpmath.mpf(h), mpmath.mpf(k)
+        density = lambda r: (mpmath.exp(-(h * h - 2 * r * h * k + k * k) / (2 * (1 - r * r)))
+                             / mpmath.sqrt(1 - r * r))
+        return float(mpmath.ncdf(h) * mpmath.ncdf(k) + mpmath.quad(density, [0, rho]) / (2 * mpmath.pi))
+
+
+class TestBivariateNormalCdf:
+    # Genz's second branch (|rho| >= 0.925) at both signs, and every band of his first.
+    RHOS = [-0.999, -0.95, -0.9, -0.5, 0.0, 0.2, 0.5, 0.8, 0.93, 0.999]
+    POINTS = [-math.inf, -40.0, -6.0, -1.3, 0.0, 0.8, 2.5, 40.0, math.inf]
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_against_mpmath(self, rho):
+        h, k = np.meshgrid(self.POINTS, self.POINTS, indexing="ij")
+        got = bivariate_normal_cdf(h, k, rho)
+        ref = {}
+        for a, b in zip(h.ravel().tolist(), k.ravel().tolist()):
+            ref[a, b] = ref.get((b, a)) or mp_bivariate_cdf(a, b, rho)  # symmetric in (h, k)
+        assert np.max(np.abs(got - np.reshape(list(ref.values()), got.shape))) <= 1e-14
+
+    def test_perfect_correlation_limits(self):
+        h, k = np.array([-1.0, 0.5, 2.0]), np.array([0.3, 0.5, -0.7])
+        assert_allclose(bivariate_normal_cdf(h, k, 1.0), gaussian_tail(-np.minimum(h, k)), atol=1e-16)
+        assert_allclose(bivariate_normal_cdf(h, k, -1.0),
+                        np.maximum(0.0, gaussian_tail(-h) - gaussian_tail(k)), atol=1e-16)
+
+    def test_broadcasts_and_keeps_shape(self):
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=(3, 7)) * 3.0
+        k = rng.normal(size=(3, 1))
+        rho = np.array([[-0.96], [0.1], [0.8]])
+        got = bivariate_normal_cdf(h, k, rho)
+        assert got.shape == (3, 7)
+        for i in range(3):
+            assert_allclose(got[i], bivariate_normal_cdf(h[i], k[i, 0], rho[i, 0]), rtol=0, atol=0)
+        assert type(bivariate_normal_cdf(0.0, 0.0, 0.5)) is float
+        assert bivariate_normal_cdf(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-16)
+
+
+def mp_conditional_bin(mean, cov, coef, lo, hi, below):
+    """P(coef . x in [lo, hi) | X_tap < below) for x ~ N(mean, cov), by mpmath quadrature over X_tap."""
+    mu_y, mu_t = coef @ mean[:5], mean[4]
+    var_y, sd_t, c = coef @ cov[:5, :5] @ coef, np.sqrt(cov[4, 4]), coef @ cov[:5, 4]
+    # Given the standardised tap outcome u, the series is normal with mean
+    # mu_y + slope u and standard deviation sd_c.
+    slope, sd_c = c / sd_t, np.sqrt(var_y - (c / sd_t) ** 2)
+    k = (below - mu_t) / sd_t
+    with mpmath.workdps(16):
+        def joint(u):
+            m = mu_y + slope * u
+            return mpmath.npdf(u) * (mpmath.ncdf((hi - m) / sd_c) - mpmath.ncdf((lo - m) / sd_c))
+
+        return float(mpmath.quad(joint, [-mpmath.inf, min(0.0, k), k]) / mpmath.ncdf(k))
+
+
+class TestSeriesBinProbabilities:
+    COEFFS = np.array([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 1, 0, 0], [0, 1, 0, -1, 0]], float)
+    EDGES = np.linspace(-25.0, 25.0, 202)
+
+    @pytest.mark.parametrize("below", [9.0, -2.0])
+    def test_conditional_against_mpmath(self, discrete_tapped, below):
+        probs = series_bin_probabilities(discrete_tapped.states, self.COEFFS, self.EDGES, below)
+        assert probs.shape == (2, 4, 201)
+        assert np.all(probs >= 0.0)
+        assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
+        edges = [-math.inf, *self.EDGES[1:-1], math.inf]  # the end bins are open
+        states = discrete_tapped.states
+        for i in range(2):
+            for s, coef in enumerate(self.COEFFS):
+                for j in (0, 100, 200):
+                    ref = mp_conditional_bin(states.mean[i], states.cov[i], coef, edges[j], edges[j + 1],
+                                             below)
+                    assert probs[i, s, j] == pytest.approx(ref, abs=1e-13)
+
+    def test_unconditional_is_univariate(self, discrete_tapped):
+        # X_tap itself (correlation 1) included: item 10's closed form is the below = inf case.
+        coeffs = np.vstack([[0, 0, 0, 0, 1], self.COEFFS])
+        probs = series_bin_probabilities(discrete_tapped.states, coeffs, self.EDGES)
+        mean, cov = discrete_tapped.states.mean[:, :5], discrete_tapped.states.cov[:, :5, :5]
+        sd = np.sqrt(np.einsum("sj,ljk,sk->ls", coeffs, cov, coeffs))
+        upper = gaussian_tail((self.EDGES[1:-1] - (mean @ coeffs.T)[..., None]) / sd[..., None])
+        cdf = np.concatenate([np.zeros((2, 5, 1)), 1.0 - upper, np.ones((2, 5, 1))], axis=-1)
+        assert_allclose(probs, np.diff(cdf, axis=-1), rtol=0, atol=1e-15)
+
+    def test_underflowing_condition_raises(self, discrete_tapped):
+        with pytest.raises(DegenerateSelectionError, match="underflows"):
+            series_bin_probabilities(discrete_tapped.states, self.COEFFS, self.EDGES, -1e3)
 
 
 def no_selection_threshold(mixture3):

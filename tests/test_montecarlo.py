@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +28,7 @@ from cvdistill import (
     vacuum_state,
 )
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
+from cvdistill.distill import series_bin_probabilities
 from cvdistill.mc import _kernel_py, engine
 from conftest import apply_phase_rotation, batch_moments, level, mixture
 
@@ -116,34 +118,36 @@ class TestSamplePhasePoint:
             for i, w in enumerate(mix.weights)
         ])
         tapped = attach_tap(shifted, TapConfig())
-        weights, components = engine._prepare_components(tapped)
+        weights, tap_sigma, tap_mean, components = engine._prepare_components(tapped)
         rng = np.random.default_rng(50)
         counts = rng.multinomial(5000, weights)
         z = rng.standard_normal((5, 5000))
         x = z.copy()
         engine._transform(x, counts, components, np.empty(5000))
+        # The tap-first factor of (X_Tap, X_A, P_A, X_B, P_B), its rows and
+        # columns put back in (X_A, P_A, X_B, P_B, X_Tap) order.
+        order = [4, 0, 1, 2, 3]
+        back = np.argsort(order)
         start = 0
         for i, count in enumerate(counts):
             state = level(tapped, i)
             seg = slice(start, start + count)
-            ref = state.cholesky_factor()[:5, :5] @ z[:, seg] + state.mean[:5, None]
+            cov = state.cov[:5, :5]
+            factor = np.linalg.cholesky(cov[order][:, order])[back][:, back]
+            assert_allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-12)
+            ref = factor @ z[:, seg] + state.mean[:5, None]
             assert_allclose(x[:, seg], ref, rtol=1e-12, atol=1e-12)
+            # X_Tap is the engine's all-shot tap value, bit for bit.
+            assert np.array_equal(x[4, seg], z[4, seg] * tap_sigma[i] + tap_mean[i])
             start += count
 
 
 def bin_tap_values(values, bins, hist_range):
-    """Pre-selection X_tap counts of ``values`` from the shot kernel."""
-    values = np.asarray(values, dtype=float)
-    x = np.zeros((5, values.size))
-    x[4] = values
-    pre = np.zeros((5, bins), dtype=np.int64)
-    post = np.zeros((1, 5, bins), dtype=np.int64)
-    per_level = np.zeros((1, 1), dtype=np.int64)
-    _kernel_py.accumulate_chunk(
-        x, np.array([values.size]), np.array([np.inf]), hist_range, bins, pre, post, per_level,
-        np.empty(5 * values.size), np.empty(5 * values.size, dtype=np.int64),
-    )
-    return pre[0]
+    """Pre-selection X_tap counts of ``values``, binned as the engine bins every shot."""
+    values = np.array(values, dtype=float)
+    idx = np.empty(values.size, dtype=np.int64)
+    _kernel_py.bin_index(values, hist_range, bins, idx)
+    return np.bincount(idx, minlength=bins)
 
 
 def test_kernel_routes_kept_shots_by_stratum_and_level():
@@ -152,18 +156,23 @@ def test_kernel_routes_kept_shots_by_stratum_and_level():
     x[4, [0, 999, 1000, 2999]] = [0.0, 1.0, 2.5, -0.2]  # kept shots at the level edges
     level = np.repeat([0, 1, 2], [1000, 0, 2000])  # level 1 draws no shot
     thresholds = np.array([-0.5, 0.7, 1.9])
+    # The engine passes the candidates only: the shots at or above the lowest threshold.
+    cand = x[4] >= thresholds[0]
+    x, level = np.ascontiguousarray(x[:, cand]), level[cand]
+    m = x.shape[1]
     bins, hist_range = 41, 10.0
-    pre = np.zeros((5, bins), dtype=np.int64)
     post = np.zeros((3, 5, bins), dtype=np.int64)
     per_level = np.zeros((3, 3), dtype=np.int64)
     count, mean, m2 = _kernel_py.accumulate_chunk(
-        x, np.array([1000, 1000, 3000]), thresholds, hist_range, bins, pre, post, per_level,
-        np.empty(5 * 3000), np.empty(5 * 3000, dtype=np.int64),
+        x, np.cumsum(np.bincount(level, minlength=3)), thresholds, hist_range, bins, post,
+        per_level, np.empty(5 * m), np.empty(5 * m, dtype=np.int64),
     )
-    series = np.array([x[4], x[2], x[3], x[0] + x[2], x[1] - x[3]])
+    series = engine.SERIES_COEFFICIENTS @ x
+    assert np.array_equal(series, [x[4], x[2], x[3], x[0] + x[2], x[1] - x[3]])
     idx = np.clip(((series + hist_range) * bins / (2 * hist_range)).astype(int), 0, bins - 1)
     stratum = np.searchsorted(thresholds, x[4], side="right") - 1
-    assert np.array_equal(pre, [np.bincount(row, minlength=bins) for row in idx])
+    # Over all strata, every series of every candidate: the candidates' pre-selection counts.
+    assert np.array_equal(post.sum(axis=0), [np.bincount(row, minlength=bins) for row in idx])
     for j in range(3):
         sel = stratum == j
         xs = x[:4, sel].T
@@ -182,10 +191,11 @@ def test_kernel_reused_scratch_leaks_nothing():
     rng = np.random.default_rng(52)
     first, second = rng.standard_normal((5, 3000)) * 2.0, rng.standard_normal((5, 1700)) * 2.0
     thresholds, bins, hist_range = np.array([-0.5, 0.7, 1.9]), 41, 10.0
+    for x in (first, second):  # candidates only, as the engine passes them
+        x[4] = np.abs(x[4]) + thresholds[0]
 
     def run(x, series, idx):
-        out = [np.zeros((5, bins), np.int64), np.zeros((3, 5, bins), np.int64),
-               np.zeros((3, 2), np.int64)]
+        out = [np.zeros((3, 5, bins), np.int64), np.zeros((3, 2), np.int64)]
         moments = _kernel_py.accumulate_chunk(
             x, np.array([700, x.shape[1]]), thresholds, hist_range, bins, *out, series, idx
         )
@@ -378,6 +388,46 @@ class TestRunMc:
             sweep_at(two_mode, McConfig(n_shots=10, seed=1), 0.0)
 
 
+def chi_square_p(counts, probs):
+    """Pearson chi-square tail of ``counts`` against ``probs``, bins pooled to expected counts >= 5."""
+    expected = probs * counts.sum()
+    pooled_obs, pooled_exp, obs, exp = [], [], 0, 0.0
+    for o, e in zip(counts, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            pooled_obs.append(obs)
+            pooled_exp.append(exp)
+            obs, exp = 0, 0.0
+    pooled_obs[-1] += obs
+    pooled_exp[-1] += exp
+    o, e = np.array(pooled_obs), np.array(pooled_exp)
+    stat = float(((o - e) ** 2 / e).sum())
+    return float(mpmath.gammainc((len(o) - 1) / 2.0, stat / 2.0, regularized=True))
+
+
+class TestPreSelectionHistograms:
+    @pytest.mark.parametrize("grid", [[9.0], [0.5, 3.0, 6.0, 9.0]])
+    def test_every_series_sums_to_the_shots_and_bounds_post(self, tapped_fading, grid):
+        sweep = run_mc_sweep(tapped_fading, McConfig(n_shots=200_000, seed=61), grid)
+        assert np.array_equal(sweep.hist_pre.sum(axis=1), [200_000] * len(SERIES))
+        assert np.all(sweep.hist_post <= sweep.hist_pre[None])
+
+    def test_no_composition_when_every_shot_is_a_candidate(self, tapped_discrete, monkeypatch):
+        monkeypatch.setattr(engine, "series_bin_probabilities", pytest.fail)
+        sweep = sweep_at(tapped_discrete, McConfig(n_shots=100_000, seed=62), NO_SELECTION)
+        assert np.array_equal(sweep.hist_pre, sweep.hist_post[0])
+
+    @pytest.mark.parametrize("grid", [[9.0], [0.0, 4.0]])
+    def test_match_the_closed_form(self, tapped_fading, grid):
+        # The X_tap row is sampled shot by shot; the off-tap rows are the
+        # candidates' sampled bins plus the composition of the other shots.
+        sweep = run_mc_sweep(tapped_fading, McConfig(n_shots=1_000_000, seed=63), grid)
+        probs = tapped_fading.weights @ series_bin_probabilities(
+            tapped_fading.states, engine.SERIES_COEFFICIENTS, sweep.edges).swapaxes(0, 1)
+        for counts, p in zip(sweep.hist_pre, probs):
+            assert chi_square_p(counts, p) >= 1e-6
+
+
 def sweep_outputs(sweep):
     """Every count, histogram, moment and error message of one run_mc_sweep."""
     arrays = [sweep.thresholds, sweep.kept_count, sweep.per_level_kept, sweep.edges,
@@ -396,25 +446,33 @@ class TestRunMcSweep:
         assert len(sweep.errors) == len(sweep.kept_count) == len(grid)
         row = 0
         for j, th in enumerate(grid):
-            ref = sweep_at(tapped_discrete, conf, th)
+            # The lowest threshold decides which shots draw their off-tap
+            # quadratures, so the reference sweep shares it: its row 1 is th.
+            ref = run_mc_sweep(tapped_discrete, conf, [min(grid), th])
             assert sweep.total_count == ref.total_count == 150_000
-            assert sweep.kept_count[j] == ref.kept_count[0]
-            assert np.array_equal(sweep.per_level_kept[j], ref.per_level_kept[0])
+            assert sweep.kept_count[j] == ref.kept_count[1]
+            assert np.array_equal(sweep.per_level_kept[j], ref.per_level_kept[1])
             assert np.array_equal(sweep.edges, ref.edges)
             assert np.array_equal(sweep.hist_pre, ref.hist_pre)
-            assert np.array_equal(sweep.hist_post[j], ref.hist_post[0])
-            assert sweep.success_probability[j] == ref.success_probability[0]
+            assert np.array_equal(sweep.hist_post[j], ref.hist_post[1])
+            assert sweep.success_probability[j] == ref.success_probability[1]
+            # Counts that read only the tap X equal the one-threshold sweep's.
+            alone = sweep_at(tapped_discrete, conf, th)
+            assert sweep.kept_count[j] == alone.kept_count[0]
+            assert np.array_equal(sweep.per_level_kept[j], alone.per_level_kept[0])
+            assert np.array_equal(sweep.hist_pre[0], alone.hist_pre[0])
+            assert np.array_equal(sweep.hist_post[j, 0], alone.hist_post[0, 0])
             if th == 1e4:
                 assert isinstance(sweep.errors[j], DegenerateSelectionError)
-                assert str(sweep.errors[j]) == str(ref.errors[0])
-                assert ref.pooled_cov.shape == (0, 4, 4)
+                assert str(sweep.errors[j]) == str(ref.errors[1])
+                assert ref.pooled_cov.shape == (1, 4, 4)
                 continue
-            assert sweep.errors[j] is None and ref.errors == (None,)
+            assert sweep.errors[j] is None and ref.errors[1] is None
             # Moments differ only by merge order: relative to each array's largest entry.
             for field in ("pooled_mean", "pooled_cov", "pooled_cov_se", "cov_sampling"):
-                a, b = getattr(sweep, field)[row], getattr(ref, field)[0]
+                a, b = getattr(sweep, field)[row], getattr(ref, field)[1]
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-            assert ln_with_se(sweep, j) == pytest.approx(ln_with_se(ref, 0), rel=1e-9)
+            assert ln_with_se(sweep, j) == pytest.approx(ln_with_se(ref, 1), rel=1e-9)
             row += 1
         assert row == len(sweep.pooled_cov)
 
