@@ -53,7 +53,6 @@ HERALD_BLOCK = 32
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 # From this alpha up the tail functions use Laplace's continued fraction, exact
 # to rounding there at depth _CF_DEPTH; below it erfc(alpha/sqrt2), whose relative
 # error grows like alpha^2 * eps from rounding alpha/sqrt2 (1.8e-13 at alpha 37).
@@ -155,7 +154,8 @@ def gaussian_tail(alpha):
     a = np.asarray(alpha, dtype=float)
     q = np.empty_like(a)
     low = a < _CF_CUT
-    q[low] = 0.5 * np.asarray(_ERFC(a[low] / _SQRT2), dtype=float)
+    scaled = a[low] / _SQRT2
+    q[low] = 0.5 * np.fromiter(map(math.erfc, scaled.tolist()), float, scaled.size)
     q[~low] = _density(a[~low]) / _hazard_cf(a[~low])
     return _scalar_or_array(q)
 

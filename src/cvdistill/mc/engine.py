@@ -25,7 +25,10 @@ the pre-selection X_tap histogram. Only the candidates, the shots with
 X_tap >= t_0, draw four more normals, mapped to (X_A, P_A, X_B, P_B) by
 their level's regression on the tap normal and the Cholesky factor of the
 conditional covariance (the Schur complement of the tap variance). The
-candidates go to one kernel call, which keeps every one of them.
+candidates go to one kernel call, which keeps every one of them. The
+kernel's one BLAS call is a (14, n) product per stratum for the moments'
+M2, which OpenBLAS runs on one thread with bits that do not depend on the
+thread count (see ``_kernel_py``); the rest of the block is plain numpy.
 
 What is shot-exact and what is not. Every shot's tap X, and so every kept
 count, per-level count, X_tap histogram, post-selection histogram and

@@ -519,19 +519,49 @@ class TestArtifacts:
                     == (tmp_path / "indented" / name).read_bytes()), name
 
 
+def package_env(**extra):
+    """The environment of a fresh interpreter that imports this package, plus ``extra``."""
+    src = os.path.dirname(os.path.dirname(cvdistill.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+class TestDeterminism:
+    # Four blocks of shots, so that three workers split them unevenly and
+    # the moments merge across processes.
+    CODE = (
+        "import json, sys, cvdistill\n"
+        "c = cvdistill.preset_config(sys.argv[1])\n"
+        "c.engine, c.mc.n_shots, c.mc.n_workers = 'both', 200_000, int(sys.argv[2])\n"
+        "c.tap.thresholds = [0.0, 3.0, 6.0, 9.0]\n"
+        "report = cvdistill.run_scenario(c).to_dict()\n"
+        "del report['provenance']\n"
+        "print(json.dumps(report))\n"
+    )
+
+    @pytest.mark.parametrize("preset", ["discrete", "semicontinuous"])
+    def test_report_independent_of_blas_threads_and_workers(self, preset):
+        outs = [
+            subprocess.run([sys.executable, "-c", self.CODE, preset, workers],
+                           env=package_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                           text=True, timeout=300, check=True).stdout
+            for threads, workers in (("1", "1"), ("2", "3"))
+        ]
+        assert outs[0] == outs[1]  # every float by its repr, the flags included
+        report = json.loads(outs[0])
+        assert [row["mc"] is not None for row in report["thresholds"]][:3] == [True] * 3
+
+
 class TestCliCommands:
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; importing scipy would roughly
         # double every invocation's start-up.
-        src = os.path.dirname(os.path.dirname(cvdistill.__file__))
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         # A process pool is started, and its module imported, only for n_workers > 1.
         code = ("import sys, cvdistill, cvdistill.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
                 "or m.startswith('concurrent.futures')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             timeout=120, check=True)
+        out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
+                             text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
 
     def test_calibrate_out_of_range_names_the_bound(self, capsys):

@@ -165,6 +165,19 @@ class TestTailAccuracy:
         assert tail_hazard(below) == pytest.approx(tail_hazard(at), rel=1e-14)
         assert gaussian_tail(below) == pytest.approx(gaussian_tail(at), rel=1e-14)
 
+    def test_below_the_cut_is_math_erfc_entry_by_entry(self):
+        below, above = np.nextafter(_CF_CUT, -np.inf), np.nextafter(_CF_CUT, np.inf)
+        alpha = np.concatenate([[-np.inf], np.linspace(-8.0, 4.95, 260), [below, above, np.inf]])
+        q = gaussian_tail(alpha)
+        erfc = np.array([0.5 * math.erfc(a / math.sqrt(2.0)) for a in alpha.tolist()])
+        low = alpha < _CF_CUT
+        assert low.tolist() == [True] * 262 + [False] * 2
+        assert q[low].tolist() == erfc[low].tolist()  # bit for bit
+        assert q[-2] == pytest.approx(erfc[-2], rel=1e-14)  # the continued fraction
+        assert q[-1] == erfc[-1] == 0.0
+        empty = gaussian_tail(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float
+
     @pytest.mark.parametrize("alpha", [40.0, -40.0, 1e5, -1e5, 1e300])
     def test_extremes_warn_nothing_and_keep_shape(self, alpha):
         with warnings.catch_warnings():

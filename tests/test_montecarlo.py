@@ -208,6 +208,57 @@ def test_kernel_reused_scratch_leaks_nothing():
     assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
 
 
+def kernel_edge_case(name):
+    """(candidates x (5, m), level counts, thresholds) of one kernel edge case."""
+    rng = np.random.default_rng(53)
+    thresholds = np.array([-0.5, 0.7, 1.9])
+    if name == "no candidates":  # most blocks of a high-threshold sweep
+        return np.empty((5, 0)), [0, 0, 0], thresholds
+    if name == "one candidate":
+        x = rng.standard_normal((5, 1))
+        x[4] = 1.0
+        return x, [0, 1, 0], thresholds
+    # Strata 0 and 2 hold many shots and stratum 1 exactly one; levels 1 and
+    # 3 draw no shot, between levels that do.
+    x = rng.standard_normal((5, 400))
+    x[4] = rng.choice([-0.5, 2.5], size=400) + rng.uniform(0.0, 0.5, size=400)
+    x[4, 137] = 1.0
+    return x, [150, 0, 200, 0, 50], thresholds
+
+
+@pytest.mark.parametrize(
+    "case", ["no candidates", "one candidate", "one-shot stratum, empty levels"])
+def test_kernel_edge_cases(case):
+    x, level_counts, thresholds = kernel_edge_case(case)
+    m, n_levels, n_strata = x.shape[1], len(level_counts), thresholds.size
+    bins, hist_range = 41, 10.0
+    post = np.zeros((n_strata, 5, bins), dtype=np.int64)
+    per_level = np.zeros((n_strata, n_levels), dtype=np.int64)
+    count, mean, m2 = _kernel_py.accumulate_chunk(
+        x, np.cumsum(level_counts), thresholds, hist_range, bins, post, per_level,
+        np.empty(5 * m), np.empty(5 * m, dtype=np.int64),
+    )
+    series = engine.SERIES_COEFFICIENTS @ x
+    idx = np.clip(((series + hist_range) * bins / (2 * hist_range)).astype(int), 0, bins - 1)
+    stratum = np.searchsorted(thresholds, x[4], side="right") - 1
+    level = np.repeat(np.arange(n_levels), level_counts)
+    for j in range(n_strata):
+        sel = stratum == j
+        assert count[j] == sel.sum()
+        assert np.array_equal(per_level[j], np.bincount(level[sel], minlength=n_levels))
+        assert np.array_equal(post[j], [np.bincount(row[sel], minlength=bins) for row in idx])
+        if not sel.any():
+            assert not mean[j].any() and not m2[j].any()
+            continue
+        xs = x[:4, sel].T
+        feats = np.hstack([xs, [[v[a] * v[b] for a, b in _kernel_py.PAIRS] for v in xs]])
+        _, ref_mean, ref_m2 = batch_moments(feats)
+        assert_allclose(mean[j], ref_mean, rtol=1e-12, atol=1e-12)
+        assert_allclose(m2[j], ref_m2, rtol=1e-10, atol=1e-9)
+        if sel.sum() == 1:
+            assert np.array_equal(mean[j], feats[0]) and not m2[j].any()
+
+
 class TestHistogram:
     def test_empty_stream(self):
         counts = bin_tap_values([], bins=11, hist_range=5.0)
