@@ -248,11 +248,12 @@ def log_negativity_gradient(state_or_cov) -> np.ndarray:
     sigma_kj together, has derivative 2 G_jk. From the closed form,
     d(nu_-^2) = (d det sigma - nu_-^2 dD) / (nu_+^2 - nu_-^2) with
     d det sigma = det(sigma) sigma^-1 : dsigma and dD = -W sigma W : dsigma.
-    Undefined where nu_- = nu_+.
+    Undefined where nu_- = nu_+. A stack of covariances gives one gradient
+    per matrix.
     """
     cov = _as_cov(state_or_cov)
-    nu_minus_sq, nu_plus_sq = pt_symplectic_spectrum(cov)
-    d_det = np.linalg.det(cov) * np.linalg.inv(cov)
+    nu_minus_sq, nu_plus_sq = (nu[..., None, None] for nu in pt_symplectic_spectrum(cov))
+    d_det = np.linalg.det(cov)[..., None, None] * np.linalg.inv(cov)
     d_nu_sq = (d_det + nu_minus_sq * (_PT_FORM @ cov @ _PT_FORM)) / (nu_plus_sq - nu_minus_sq)
     return d_nu_sq / (-2.0 * np.log(2.0) * nu_minus_sq)
 

@@ -14,7 +14,8 @@ only. The statistics kept at threshold t_j are then the merge of strata
 j..top (Chan's update for the moments, sums for the counts), so a sweep
 costs one threshold's sampling however many thresholds it has. The result
 is one ``McSweep``, stacked per threshold like ``herald``'s grid ensemble,
-with the pre-selection histograms held once.
+with the pre-selection histograms held once and ``errors`` naming the
+thresholds without a moment row; ``ln_with_se`` is stacked the same way.
 
 Tap-first sampling. Shots are sampled in fixed-size blocks, block b from
 its own stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed
@@ -69,9 +70,8 @@ import numpy as np
 
 from ..channel import MixtureState
 from ..config import McConfig
-from ..distill import DegenerateSelectionError, series_bin_probabilities
-from ..gaussian import (GaussianState, InvalidCovarianceError, gaussian_log_negativity,
-                        log_negativity_gradient)
+from ..distill import DegenerateSelectionError, distilled_gln, series_bin_probabilities
+from ..gaussian import GaussianState, InvalidCovarianceError, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS, bin_index
@@ -99,6 +99,10 @@ SERIES_COEFFICIENTS = np.array([
 # Fixed (not configurable): changing it would change the sampled shots.
 CHUNK_SHOTS = 1 << 16
 
+# Fewest kept shots that give a moment-stack row: the 4x4 sample covariance
+# of n shots has rank at most n - 1, so below 5 it cannot be positive definite.
+MIN_KEPT = 5
+
 
 @dataclass(eq=False)
 class McSweep:
@@ -113,13 +117,14 @@ class McSweep:
     (T, L) and the post-selection histograms ``hist_post`` (T, 5, bins).
     Histogram series k is ``SERIES[k]``.
 
-    The moment stacks ``pooled_mean`` (K, 4), ``pooled_cov`` and its
-    entrywise standard errors ``pooled_cov_se`` (K, 4, 4), and
+    The moment stacks ``pooled_mean`` (K, 4), ``pooled_cov`` (K, 4, 4) and
     ``cov_sampling`` (K, 10, 10), the empirical (distribution-free) sampling
     covariance of the ten covariance-entry estimates in ``PAIRS`` order,
-    have one row per threshold that kept at least two shots, in grid order.
-    ``errors`` has one entry per grid threshold: None where the stacks have
-    a row for it, else its :class:`DegenerateSelectionError`. Nothing
+    have one row per threshold that kept at least ``MIN_KEPT`` shots, in
+    grid order. ``errors`` has one entry per grid threshold: None where the
+    stacks have a row for it, else a :class:`DegenerateSelectionError`
+    (fewer than two shots kept) or an :class:`InvalidCovarianceError` (two
+    to four kept, too few for a positive-definite covariance). Nothing
     depends on the worker count.
     """
 
@@ -132,9 +137,17 @@ class McSweep:
     hist_post: np.ndarray
     pooled_mean: np.ndarray
     pooled_cov: np.ndarray
-    pooled_cov_se: np.ndarray
     cov_sampling: np.ndarray
     errors: tuple
+
+    @property
+    def pooled_cov_se(self) -> np.ndarray:
+        """Entrywise standard errors of ``pooled_cov`` (K, 4, 4), off ``cov_sampling``'s diagonal."""
+        se = np.zeros(self.pooled_cov.shape)
+        rows, cols = np.array(PAIRS).T
+        se[:, rows, cols] = se[:, cols, rows] = np.sqrt(np.maximum(
+            np.diagonal(self.cov_sampling, axis1=1, axis2=2), 0.0))
+        return se
 
     @property
     def success_probability(self) -> np.ndarray:
@@ -280,9 +293,8 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     histograms equal, and its moments differ only by float reassociation
     from, those of any sweep with the same lowest threshold.
 
-    Returns one :class:`McSweep`. A threshold that fewer than two shots
-    pass has a :class:`DegenerateSelectionError` in ``errors`` and no row
-    in the moment stacks.
+    Returns one :class:`McSweep`. A threshold that fewer than ``MIN_KEPT``
+    shots pass has its error in ``errors`` and no row in the moment stacks.
 
     Raises
     ------
@@ -336,24 +348,29 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     hist_pre[1:] += _off_tap_below(mixture3, below, grid[0], edges, config.seed)
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
     kept_count = np.cumsum(strata.count[::-1])[::-1]
-    moments = [np.zeros((grid.size,) + shape) for shape in ((4,), (4, 4), (4, 4), (len(PAIRS),) * 2)]
+    mean, cov, cov_sampling = (np.zeros((grid.size,) + shape)
+                               for shape in ((4,), (4, 4), (len(PAIRS),) * 2))
     kept_acc = CovarianceAccumulator(N_FEATURES)
     for j in reversed(range(grid.size)):
         kept_acc.merge_moments(strata.count[j], strata.mean[j], strata.m2[j])
-        if kept_count[j] >= 2:
-            for stack, value in zip(moments, _moments(kept_acc)):
-                stack[j] = value
+        if kept_count[j] >= MIN_KEPT:
+            feat_cov = kept_acc.covariance()
+            mean[j], cov[j] = kept_acc.mean[:4], feat_cov[:4, :4]
+            cov_sampling[j] = _cov_entry_sampling(kept_acc.mean, feat_cov, int(kept_acc.count))
 
     total = config.n_shots
     errors = tuple(
-        None if kept_count[j] >= 2 else DegenerateSelectionError(
+        None if kept_count[j] >= MIN_KEPT
+        else InvalidCovarianceError("covariance matrix is not positive definite")
+        if kept_count[j] >= 2
+        else DegenerateSelectionError(
             f"only {kept_count[j]} of {total} shots passed threshold {float(grid[j])}")
         for j in grid_index
     )
-    rows = grid_index[kept_count[grid_index] >= 2]
+    rows = grid_index[kept_count[grid_index] >= MIN_KEPT]
     return McSweep(
-        grid[grid_index], total, kept_count[grid_index], per_level_kept[grid_index],
-        edges, hist_pre, hist_post[grid_index], *(stack[rows] for stack in moments), errors,
+        thresholds, total, kept_count[grid_index], per_level_kept[grid_index], edges, hist_pre,
+        hist_post[grid_index], mean[rows], cov[rows], cov_sampling[rows], errors,
     )
 
 
@@ -375,16 +392,6 @@ def _off_tap_below(mixture3, below, t0, edges, seed):
     return rng.multinomial(below[levels, None], probs).sum(axis=0)
 
 
-def _moments(acc):
-    """(mean, covariance, its standard errors, cov_sampling) of the kept shots ``acc``."""
-    feat_cov = acc.covariance()
-    cov_sampling = _cov_entry_sampling(acc.mean, feat_cov, int(acc.count))
-    cov_se = np.zeros((4, 4))
-    for p, (j, k) in enumerate(PAIRS):
-        cov_se[j, k] = cov_se[k, j] = np.sqrt(max(cov_sampling[p, p], 0.0))
-    return acc.mean[:4], feat_cov[:4, :4], cov_se, cov_sampling
-
-
 def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> np.ndarray:
     """Sampling covariance of the ten covariance-entry estimates.
 
@@ -402,28 +409,18 @@ def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> 
     return jac @ (feat_cov / n) @ jac.T
 
 
-def ln_with_se(sweep: McSweep, j: int):
-    """Log-negativity of the Monte Carlo covariance at grid threshold j and its standard error.
+def ln_with_se(sweep: McSweep):
+    """Log-negativity of each moment-stack row of ``sweep`` and its standard error.
 
-    The error propagates the empirical covariance-entry sampling
-    covariance through the analytic gradient of the log-negativity. It is
-    None when the threshold kept at most ``N_FEATURES`` shots: the sample
-    covariance of the features then has rank below ``N_FEATURES`` and the
-    delta method has nothing to stand on.
-
-    Raises ``InvalidCovarianceError`` when the threshold kept at most 4
-    shots: the 4x4 sample covariance of n shots has rank at most n - 1 < 4,
-    however its rounded eigenvalues come out.
+    Returns (ln, se), one entry per stack row: ``distilled_gln``, as for
+    ``herald``, and the empirical covariance-entry sampling covariance
+    propagated through the analytic gradient of the log-negativity. ``se``
+    is an object array, None where the threshold kept at most
+    ``N_FEATURES`` shots: the features' sample covariance then has rank
+    below ``N_FEATURES`` and the delta method has nothing to stand on.
     """
-    kept = int(sweep.kept_count[j])
-    if kept <= 4:
-        raise InvalidCovarianceError("covariance matrix is not positive definite")
-    row = sum(exc is None for exc in sweep.errors[:j])
-    cov = sweep.pooled_cov[row]
-    ln = gaussian_log_negativity(cov)
-    if kept <= N_FEATURES:
-        return ln, None
-    g = log_negativity_gradient(cov)
-    grad = np.array([g[a, b] if a == b else 2.0 * g[a, b] for a, b in PAIRS])
-    var = float(grad @ sweep.cov_sampling[row] @ grad)
-    return ln, float(np.sqrt(max(var, 0.0)))
+    rows, cols = np.array(PAIRS).T
+    grad = np.where(rows == cols, 1.0, 2.0) * log_negativity_gradient(sweep.pooled_cov)[:, rows, cols]
+    var = (grad[:, None] @ sweep.cov_sampling @ grad[:, :, None])[:, 0, 0]
+    kept = sweep.kept_count[[exc is None for exc in sweep.errors]]
+    return distilled_gln(sweep), np.where(kept > N_FEATURES, np.sqrt(np.maximum(var, 0.0)), None)

@@ -6,7 +6,8 @@ the tap, herald the whole threshold list with the analytic engine (one
 ``herald`` call on the grid) and/or the Monte Carlo engine (one
 ``run_mc_sweep`` pass over the shots), and collect everything into a
 JSON-serializable RunReport. Each engine's stacked result becomes one row
-section or one error per threshold, and the rows treat both engines alike.
+section or one error per threshold, ``ln_agreement`` compares the two at
+once, and the loop over thresholds only copies cells into rows.
 ``emit_artifacts`` renders a report to flat files (JSON report, sweep
 curve CSV, histogram CSVs, posterior-weight tables).
 """
@@ -38,11 +39,11 @@ from .distill import (
     herald,
     joint_quadrature_variances,
 )
-from .gaussian import (GaussianState, InvalidCovarianceError, gaussian_log_negativity,
-                       make_kerr_entangled)
+from .gaussian import GaussianState, gaussian_log_negativity, make_kerr_entangled
 from .mc import SERIES, ln_with_se, run_mc_sweep
 
-__all__ = ["RunReport", "run_scenario", "emit_artifacts", "AGREEMENT_SIGMA", "AGREEMENT_MIN_SUCCESS"]
+__all__ = ["RunReport", "run_scenario", "emit_artifacts", "ln_agreement", "AGREEMENT_SIGMA",
+           "AGREEMENT_MIN_SUCCESS"]
 
 # MC/analytic agreement policy: flag the run as failed if the engines
 # disagree on the log-negativity by more than this many standard errors at
@@ -179,56 +180,45 @@ def _resolve_channel(config: ExperimentConfig, v_squeezed: float, v_antisqueezed
     return chan, info
 
 
-def _analytic_sections(tapped: MixtureState, thresholds) -> list:
-    """Per threshold, its analytic row section or the DegenerateSelectionError of ``herald``.
+def _sections(errors, columns: dict) -> list:
+    """Per threshold, its row section or the error that stands for it.
 
-    One ``herald`` call evaluates the whole grid; the metrics come from its
-    stacked fields, and this only formats one row section per threshold.
+    ``columns`` maps each section key, in the section's key order, to a
+    stacked column (array or list) with one row per threshold whose
+    ``errors`` entry is None, in grid order.
     """
-    ensemble = herald(tapped, thresholds)
-    entropy, max_dist = gaussification_metrics(ensemble)
-    var_x, var_p = joint_quadrature_variances(ensemble.pooled_cov)
-    columns = (ensemble.success_probability, distilled_gln(ensemble), entropy, max_dist,
-               ensemble.posterior_weights, var_x, var_p, ensemble.pooled_cov)
-    sections = iter([
-        {"success_probability": p, "gaussian_ln": ln, "weight_entropy": h,
-         "max_component_cov_distance": d, "posterior_weights": w, "joint_var_x_sum": vx,
-         "joint_var_p_diff": vp, "pooled_cov": cov}
-        for p, ln, h, d, w, vx, vp, cov in zip(*(c.tolist() for c in columns))
-    ])
-    return [next(sections) if exc is None else exc for exc in ensemble.errors]
+    cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    sections = iter([dict(zip(columns, row)) for row in zip(*cells)])
+    return [next(sections) if exc is None else exc for exc in errors]
 
 
-def _mc_sections(sweep) -> list:
-    """Per threshold, its Monte Carlo row section or the error that stands for it.
+def _has_row(errors) -> np.ndarray:
+    """Whether each grid threshold has a stack row: its ``errors`` entry is None."""
+    return np.array([exc is None for exc in errors], dtype=bool)
 
-    The twin of :func:`_analytic_sections` for one ``run_mc_sweep``. The
-    error is the sweep's DegenerateSelectionError, or else the
-    InvalidCovarianceError that ``ln_with_se`` raises where at most 4 shots
-    were kept (it raises for the degenerate thresholds too).
+
+def ln_agreement(ensemble, sweep):
+    """The LN check per grid threshold of ``herald``'s ``ensemble`` and ``run_mc_sweep``'s ``sweep``.
+
+    Returns (T,) arrays ``ln_sigma_distance``, |LN_mc - LN_analytic| over
+    the Monte Carlo standard error (0 or inf where it is 0, None where it
+    is None or an engine has no row); ``checked``, where a distance exists
+    and the analytic success is at least ``AGREEMENT_MIN_SUCCESS``; and
+    ``ok``, False only where a checked distance exceeds ``AGREEMENT_SIGMA``.
     """
-    posterior = sweep.per_level_kept / np.maximum(sweep.kept_count, 1)[:, None]
-    columns = (sweep.kept_count, sweep.success_probability, sweep.success_se, posterior,
-               sweep.hist_post)
-    covs = iter(sweep.pooled_cov.tolist())
-    sections = []
-    for j, (exc, kept, p, p_se, w, post) in enumerate(
-        zip(sweep.errors, *(c.tolist() for c in columns))
-    ):
-        cov = next(covs) if exc is None else None
-        try:
-            ln_hat, ln_se = ln_with_se(sweep, j)
-        except InvalidCovarianceError as err:
-            sections.append(exc or err)
-            continue
-        histograms = {name: {"pre": pre, "post": post_k}
-                      for name, pre, post_k in zip(SERIES, sweep.hist_pre.tolist(), post)}
-        sections.append({
-            "kept_count": kept, "total_count": sweep.total_count, "success_probability": p,
-            "success_se": p_se, "gaussian_ln": ln_hat, "ln_se": ln_se, "posterior_weights": w,
-            "pooled_cov": cov, "histograms": histograms,
-        })
-    return sections
+    in_analytic, in_mc = _has_row(ensemble.errors), _has_row(sweep.errors)
+    both = in_analytic & in_mc
+    mc_ln, mc_se = (column[both[in_mc]] for column in ln_with_se(sweep))
+    diff = np.abs(mc_ln - distilled_gln(ensemble)[both[in_analytic]])
+    se = np.array([np.nan if x is None else x for x in mc_se], dtype=float)
+    sigma = np.divide(diff, se, out=np.where(diff == 0.0, 0.0, np.inf), where=se > 0)
+    distance = np.full(both.size, None, dtype=object)
+    checked, ok = np.zeros(both.size, dtype=bool), np.ones(both.size, dtype=bool)
+    distance[both] = np.where(np.isnan(se), None, sigma)
+    checked[both] = ~np.isnan(se) & (
+        ensemble.success_probability[both[in_analytic]] >= AGREEMENT_MIN_SUCCESS)
+    ok[both] = ~checked[both] | (sigma <= AGREEMENT_SIGMA)
+    return distance, checked, ok
 
 
 def run_scenario(config: ExperimentConfig) -> RunReport:
@@ -259,43 +249,53 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     ln_before = gaussian_log_negativity(pooled_cov)
     upper_bound = upper_bound_ln(mixture)
 
-    run_analytic = config.engine in ("analytic", "both")
-    run_montecarlo = config.engine in ("mc", "both")
     rows = []
     agreement_failed = False
     histogram_edges = None
 
     if config.tap is None:
         var_x, var_p = joint_quadrature_variances(pooled_cov)
-        rows.append(
-            {
-                "threshold": None,
-                "analytic": {
-                    "success_probability": 1.0,
-                    "gaussian_ln": ln_before,
-                    "weight_entropy": None,
+        untapped = {"success_probability": 1.0, "gaussian_ln": ln_before, "weight_entropy": None,
                     "max_component_cov_distance": None,
-                    "posterior_weights": mixture.weights.tolist(),
-                    "joint_var_x_sum": var_x,
-                    "joint_var_p_diff": var_p,
-                    "pooled_cov": pooled_cov.tolist(),
-                },
-                "mc": None,
-                "agreement": None,
-                "error": None,
-            }
-        )
+                    "posterior_weights": mixture.weights.tolist(), "joint_var_x_sum": var_x,
+                    "joint_var_p_diff": var_p, "pooled_cov": pooled_cov.tolist()}
+        rows.append({"threshold": None, "analytic": untapped, "mc": None, "agreement": None,
+                     "error": None})
     else:
         tapped = attach_tap(mixture, config.tap)
         thresholds = config.tap.thresholds
         sections = {}
-        if run_analytic:
-            sections["analytic"] = _analytic_sections(tapped, thresholds)
-        if run_montecarlo:
+        if config.engine != "mc":
+            ensemble = herald(tapped, thresholds)
+            entropy, max_dist = gaussification_metrics(ensemble)
+            var_x, var_p = joint_quadrature_variances(ensemble.pooled_cov)
+            sections["analytic"] = _sections(ensemble.errors, {
+                "success_probability": ensemble.success_probability,
+                "gaussian_ln": distilled_gln(ensemble), "weight_entropy": entropy,
+                "max_component_cov_distance": max_dist,
+                "posterior_weights": ensemble.posterior_weights, "joint_var_x_sum": var_x,
+                "joint_var_p_diff": var_p, "pooled_cov": ensemble.pooled_cov,
+            })
+        if config.engine != "analytic":
             sweep = run_mc_sweep(tapped, config.mc, thresholds)
-            sections["mc"] = _mc_sections(sweep)
-            if any(isinstance(section, dict) for section in sections["mc"]):
+            has_row = _has_row(sweep.errors)
+            kept = sweep.kept_count[has_row]
+            ln, ln_se = ln_with_se(sweep)
+            pre = sweep.hist_pre.tolist()
+            sections["mc"] = _sections(sweep.errors, {
+                "kept_count": kept, "total_count": [sweep.total_count] * kept.size,
+                "success_probability": sweep.success_probability[has_row],
+                "success_se": sweep.success_se[has_row], "gaussian_ln": ln, "ln_se": ln_se,
+                "posterior_weights": sweep.per_level_kept[has_row] / kept[:, None],
+                "pooled_cov": sweep.pooled_cov,
+                "histograms": [{name: {"pre": p, "post": q} for name, p, q in zip(SERIES, pre, post)}
+                               for post in sweep.hist_post[has_row].tolist()],
+            })
+            if has_row.any():
                 histogram_edges = sweep.edges.tolist()
+        if len(sections) == 2:
+            distance, checked, ok = (a.tolist() for a in ln_agreement(ensemble, sweep))
+            agreement_failed = not all(ok)
         for i, threshold in enumerate(thresholds):
             row = {"threshold": threshold, "analytic": None, "mc": None,
                    "agreement": None, "error": None}
@@ -306,17 +306,8 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                 else:
                     row[name] = column[i]
             if row["analytic"] is not None and row["mc"] is not None:
-                success = row["analytic"]["success_probability"]
-                ln_se = row["mc"]["ln_se"]
-                sigma = None
-                if ln_se is not None:
-                    diff = abs(row["mc"]["gaussian_ln"] - row["analytic"]["gaussian_ln"])
-                    sigma = diff / ln_se if ln_se > 0 else (0.0 if diff == 0.0 else np.inf)
-                checked = sigma is not None and success >= AGREEMENT_MIN_SUCCESS
-                ok = (sigma <= AGREEMENT_SIGMA) if checked else True
-                row["agreement"] = {"ln_sigma_distance": sigma, "checked": checked, "ok": ok}
-                if not ok:
-                    agreement_failed = True
+                row["agreement"] = {"ln_sigma_distance": distance[i], "checked": checked[i],
+                                    "ok": ok[i]}
             if errors and row["analytic"] is None and row["mc"] is None:
                 row["error"] = "; ".join(errors)
             elif errors:

@@ -2,28 +2,34 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import cvdistill
 from cvdistill import (
     CalibrationError,
+    attach_tap,
     calibrate,
     calibrate_envelope,
+    discrete_channel,
     envelope_exponential,
     envelope_fading,
     gaussian_log_negativity,
+    make_kerr_entangled,
     parse_config,
     pooled_cm,
     preset_config,
     propagate,
     run_scenario,
 )
+import cvdistill.scenario as scenario
 from cvdistill.calibrate import semicontinuous_premix_ln
 from cvdistill.cli import main
 from cvdistill.config import ConfigError, McConfig, TapConfig
 from cvdistill.mc import SERIES
-from cvdistill.scenario import RunReport
+from cvdistill.scenario import AGREEMENT_MIN_SUCCESS, RunReport, ln_agreement
 
 # Both engines over four thresholds; at 12 SNU the 20,000 shots keep none,
 # so that row has no Monte Carlo section and no histogram file.
@@ -371,6 +377,68 @@ class TestRunScenario:
         assert len(report.channel["transmittances"]) == 45
 
 
+def rigged_agreement(monkeypatch, success, analytic_ln, mc_ln, mc_se):
+    """The agreement block and ``agreement_failed`` of a run with the engines' results forced.
+
+    Both engines run at 1 SNU; their success probability, LNs and Monte
+    Carlo LN error are then replaced by the given values.
+    """
+    real_herald = scenario.herald
+
+    def herald(mixture3, thresholds):
+        ensemble = real_herald(mixture3, thresholds)
+        ensemble.success_probability = np.full_like(ensemble.success_probability, success)
+        return ensemble
+
+    def column(stack, value, dtype=float):
+        return np.full(len(stack.pooled_cov), value, dtype=dtype)
+
+    monkeypatch.setattr(scenario, "herald", herald)
+    monkeypatch.setattr(scenario, "distilled_gln", lambda ens: column(ens, analytic_ln))
+    monkeypatch.setattr(scenario, "ln_with_se",
+                        lambda sweep: (column(sweep, mc_ln), column(sweep, mc_se, object)))
+    cfg = preset_config("discrete")
+    cfg.engine = "both"
+    cfg.tap.thresholds = [1.0]
+    cfg.mc.n_shots = 20_000
+    report = run_scenario(cfg)
+    return report.thresholds[0]["agreement"], report.flags["agreement_failed"]
+
+
+JUST_BELOW_FLOOR = float(np.nextafter(AGREEMENT_MIN_SUCCESS, 0.0))
+ABOVE_FOUR = float(np.nextafter(1.5, 2.0))  # |ABOVE_FOUR - 0.5| / 0.25 > 4
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("success, analytic_ln, mc_ln, mc_se, expected", [
+        (0.5, 0.5, 0.6, None, (None, False, True)),
+        (0.5, 0.5, 0.5, 0.0, (0.0, True, True)),
+        (0.5, 0.5, 0.6, 0.0, (float("inf"), True, False)),
+        (JUST_BELOW_FLOOR, 0.5, 1.5, 0.25, (4.0, False, True)),
+        (JUST_BELOW_FLOOR, 0.5, 9.5, 0.25, (36.0, False, True)),
+        (AGREEMENT_MIN_SUCCESS, 0.5, 1.5, 0.25, (4.0, True, True)),
+        (0.5, 0.5, ABOVE_FOUR, 0.25, ((ABOVE_FOUR - 0.5) / 0.25, True, False)),
+    ])
+    def test_each_branch(self, monkeypatch, success, analytic_ln, mc_ln, mc_se, expected):
+        agreement, failed = rigged_agreement(monkeypatch, success, analytic_ln, mc_ln, mc_se)
+        distance, checked, ok = expected
+        assert agreement == {"ln_sigma_distance": distance, "checked": checked, "ok": ok}
+        assert failed is not ok
+
+    def test_rows_are_matched_by_threshold(self, monkeypatch):
+        # Thresholds 0-3: both engines, analytic only, Monte Carlo only, neither.
+        analytic = SimpleNamespace(errors=(None, None, ValueError(), ValueError()),
+                                   success_probability=np.array([0.5, 0.5]))
+        mc = SimpleNamespace(errors=(None, ValueError(), None, ValueError()))
+        monkeypatch.setattr(scenario, "distilled_gln", lambda ens: np.array([0.5, 9.0]))
+        monkeypatch.setattr(scenario, "ln_with_se",
+                            lambda sweep: (np.array([1.0, 9.0]), np.array([0.25, None], dtype=object)))
+        distance, checked, ok = (a.tolist() for a in ln_agreement(analytic, mc))
+        assert distance == [2.0, None, None, None]
+        assert checked == [True, False, False, False]
+        assert ok == [True, True, True, True]
+
+
 class TestArtifacts:
     def test_emitted_files_and_round_trip(self, tmp_path):
         cfg = preset_config("discrete")
@@ -714,6 +782,31 @@ class TestCliCommands:
 
         monkeypatch.setattr(cli_mod, "run_scenario", rigged)
         assert main(["run", "--config", str(cfg_path)]) == 4
+
+    def test_engines_that_disagree_fail_the_run(self, capsys, tmp_path, monkeypatch):
+        # The analytic engine heralds the mixture tapped at reflectivity
+        # 0.15 while the Monte Carlo samples it tapped at the preset's 0.07.
+        cal = calibrate()
+        mixture = propagate(make_kerr_entangled(cal.v_squeezed, cal.v_antisqueezed),
+                            discrete_channel())
+        expected = attach_tap(mixture, TapConfig(reflectivity=0.07))
+        wrong = attach_tap(mixture, TapConfig(reflectivity=0.15))
+        real_herald = scenario.herald
+
+        def herald(tapped, thresholds):
+            assert np.array_equal(tapped.states.cov, expected.states.cov)
+            return real_herald(wrong, thresholds)
+
+        monkeypatch.setattr(scenario, "herald", herald)
+        cfg = preset_config("discrete")
+        cfg.engine = "both"
+        cfg.tap.thresholds = [0.0, 1.0, 2.0, 3.0, 4.0]
+        cfg.mc.n_shots = 200_000
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == 4
+        report = json.loads((tmp_path / "art" / "report.json").read_text())
+        assert report["flags"]["agreement_failed"]
 
     def test_report_command_rerenders(self, capsys, tmp_path, both_run):
         first, _ = both_run

@@ -229,6 +229,14 @@ class TestLogNegativityGradient:
                 grad, self.central_difference(cov), rtol=1e-6, atol=1e-9 * np.abs(grad).max()
             )
 
+    def test_stack_gives_each_matrix_its_gradient(self, discrete_mixture, discrete_tapped):
+        covs = np.stack([herald(discrete_tapped, t).pooled_cov for t in (0.0, 4.0, 9.0)]
+                        + list(discrete_mixture.states.cov))
+        stacked = log_negativity_gradient(covs)
+        assert stacked.shape == covs.shape
+        for cov, grad in zip(covs, stacked):
+            assert_allclose(grad, log_negativity_gradient(cov), rtol=1e-14, atol=0)
+
 
 class TestPtTraceNorm:
     def test_two_mode_vacuum(self):

@@ -398,7 +398,7 @@ class TestRunMc:
         assert z_succ < 4.0
         dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
         assert dev.max() < 4.0
-        ln_mc, ln_se = ln_with_se(res, 0)
+        ln_mc, ln_se = (column[0] for column in ln_with_se(res))
         assert abs(ln_mc - distilled_gln(ens)) < 4.0 * ln_se
 
     def test_agreement_with_analytic_fading(self, tapped_fading):
@@ -422,7 +422,7 @@ class TestRunMc:
         errs, ses = [], []
         for n in (100_000, 1_000_000, 10_000_000):
             res = sweep_at(tapped_discrete, McConfig(n_shots=n, seed=314), 4.0)
-            ln, se = ln_with_se(res, 0)
+            ln, se = (column[0] for column in ln_with_se(res))
             errs.append(abs(ln - target))
             ses.append(se)
         # The standard error falls as 1/sqrt(n), about 3.2x per 10x shots,
@@ -488,12 +488,16 @@ def sweep_outputs(sweep):
 
 
 class TestRunMcSweep:
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_equals_per_threshold_runs(self, tapped_discrete, n_workers):
-        grid = [4.0, 0.0, 2.0, 2.0, 1e4]
+    @pytest.mark.parametrize("n_workers, grid", [
+        pytest.param(1, [4.0, 0.0, 2.0, 2.0, 1e4], id="1"),
+        pytest.param(2, [4.0, 0.0, 2.0, 2.0, 1e4], id="2"),
+        pytest.param(1, [0.0, -0.0, 2.0], id="signed-zeros"),
+    ])
+    def test_equals_per_threshold_runs(self, tapped_discrete, n_workers, grid):
         conf = McConfig(n_shots=150_000, seed=21, n_workers=n_workers)
         sweep = run_mc_sweep(tapped_discrete, conf, grid)
         assert np.array_equal(sweep.thresholds, grid)
+        assert np.array_equal(np.signbit(sweep.thresholds), np.signbit(grid))
         assert len(sweep.errors) == len(sweep.kept_count) == len(grid)
         row = 0
         for j, th in enumerate(grid):
@@ -523,7 +527,8 @@ class TestRunMcSweep:
             for field in ("pooled_mean", "pooled_cov", "pooled_cov_se", "cov_sampling"):
                 a, b = getattr(sweep, field)[row], getattr(ref, field)[1]
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-            assert ln_with_se(sweep, j) == pytest.approx(ln_with_se(ref, 1), rel=1e-9)
+            assert ([column[row] for column in ln_with_se(sweep)]
+                    == pytest.approx([column[1] for column in ln_with_se(ref)], rel=1e-9))
             row += 1
         assert row == len(sweep.pooled_cov)
 
@@ -540,7 +545,7 @@ class TestRunMcSweep:
             assert all(np.array_equal(u, v) for u, v in zip(out, ref))
 
     def test_counts_sum_to_their_totals(self, tapped_discrete):
-        # Thresholds 9 and 1e4 keep fewer than two of 20,000 shots: counted, not stacked.
+        # Thresholds 9 and 1e4 keep fewer than five of 20,000 shots: counted, not stacked.
         grid = [3.0, 1e4, 0.0, 9.0, 3.0]
         sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=24), grid)
         degenerate = [exc is not None for exc in sweep.errors]
@@ -549,12 +554,30 @@ class TestRunMcSweep:
         assert np.array_equal(sweep.hist_post.sum(axis=2),
                               np.repeat(sweep.kept_count[:, None], len(SERIES), axis=1))
         assert np.array_equal(sweep.per_level_kept.sum(axis=1), sweep.kept_count)
-        assert np.all((sweep.kept_count < 2) == degenerate)
+        assert np.all((sweep.kept_count < 5) == degenerate)
         assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == degenerate.count(False)
-        # ln_with_se reads grid threshold j's stack row: rows 0 and 2 of the stacks.
-        assert ln_with_se(sweep, 4) == ln_with_se(sweep, 0) != ln_with_se(sweep, 2)
-        with pytest.raises(InvalidCovarianceError):
-            ln_with_se(sweep, 3)
+        # ln_with_se has one entry per stack row: grid thresholds 0, 2 and 4.
+        ln, se = ln_with_se(sweep)
+        assert len(ln) == len(se) == 3
+        assert ln[2] == ln[0] != ln[1] and se[2] == se[0] != se[1]
+
+    def test_rows_and_errors_follow_the_kept_count(self, tapped_discrete):
+        # Kept 17, 9, 3, 2, 1 and 0 of 20,000 shots: a row with an LN error,
+        # a row without one, two too few for a positive-definite covariance
+        # and two too few for any moment.
+        grid = [6.5, 7.0, 7.75, 8.25, 8.5, 9.0]
+        sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=24), grid)
+        assert sweep.kept_count.tolist() == [17, 9, 3, 2, 1, 0]
+        assert sweep.errors[:2] == (None, None)
+        for exc in sweep.errors[2:4]:
+            assert type(exc) is InvalidCovarianceError
+            assert str(exc) == "covariance matrix is not positive definite"
+        for exc, kept, th in zip(sweep.errors[4:], (1, 0), grid[4:]):
+            assert type(exc) is DegenerateSelectionError
+            assert str(exc) == f"only {kept} of 20000 shots passed threshold {th}"
+        assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == len(sweep.cov_sampling) == 2
+        ln, se = ln_with_se(sweep)
+        assert np.all(np.isfinite(ln)) and se[0] > 0 and se[1] is None
 
     @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [-np.inf, 2.0], [[1.0, 2.0]]])
     def test_rejects_bad_grids(self, tapped_discrete, grid):
