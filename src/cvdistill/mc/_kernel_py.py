@@ -15,6 +15,23 @@ transpose, f @ f.T; the moments only feed Chan's merge, so any exact
 centred M2 serves. OpenBLAS 0.3.31 runs that (14, n) product on one
 thread at every size a chunk can give it (n <= 65,536), and gives the same
 bits at 1, 2 and 4 threads.
+
+Strata from the tap bin. A candidate's stratum, the number of thresholds
+t_1 < ... < t_top at or below its X_tap, is read off its X_tap histogram
+bin, which the engine has already computed, with no binary search.
+``bin_index`` is monotone non-decreasing in the value: it adds, multiplies
+by a positive scale, clamps and truncates, each step monotone in floating
+point. So a threshold binned below a candidate's bin b lies below the
+candidate, and a threshold binned above b lies above it (else the
+candidate's bin would be at least, or at most, the threshold's). Only the
+thresholds that fall in bin b itself need a comparison. ``stratum_lookup``
+bins the thresholds once with the same arithmetic and returns ``base``,
+where base[b] counts the thresholds binned below b, and ``table`` (k,
+bins), whose column b holds the thresholds binned into b, padded with NaN,
+k being the most thresholds that share a bin. The stratum is then
+base[b] + sum_i (X_tap >= table[i, b]), exactly searchsorted's answer at
+any grid, in k + 1 gathers per candidate. No X_tap reaches the NaN
+padding; +inf padding would count an X_tap of +inf once too often.
 """
 
 from __future__ import annotations
@@ -41,16 +58,39 @@ def bin_index(values, hist_range, n_bins, out):
     np.copyto(out, values, casting="unsafe")
 
 
-def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_post, per_level_kept,
-                     series, idx):
+def stratum_lookup(thresholds, hist_range, n_bins):
+    """(base, table) of the stratum lookup of sorted, distinct ``thresholds``.
+
+    base (n_bins,) counts the thresholds above thresholds[0] whose bin is
+    below each bin; column b of table (k, n_bins) holds, in order and padded
+    with NaN, the ones binned into b. See the module docstring.
+    """
+    edges = np.asarray(thresholds[1:], dtype=float)
+    edge_bin = np.empty(edges.size, dtype=np.int64)
+    bin_index(edges.copy(), hist_range, n_bins, edge_bin)
+    base = np.searchsorted(edge_bin, np.arange(n_bins))
+    table = np.full((np.bincount(edge_bin, minlength=1).max(), n_bins), np.nan)
+    table[np.arange(edges.size) - base[edge_bin], edge_bin] = edges
+    return base, table
+
+
+def accumulate_chunk(x, tap_bin, level_ends, lookup, hist_range, n_bins, hist_post,
+                     per_level_kept, series, idx):
     """Bin the kept shots of a chunk and accumulate them by stratum.
 
     x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap), every shot with
         X_Tap >= thresholds[0]; shots level_ends[i - 1]:level_ends[i]
         belong to channel level i
-    thresholds : (S,) sorted, distinct; a shot is kept in stratum j,
+    tap_bin : (m,) int64, ``bin_index`` of x[4], which the kernel does not
+        bin again
+    lookup : ``stratum_lookup(thresholds, hist_range, n_bins)`` of the
+        sorted, distinct thresholds; a shot is kept in stratum j,
         thresholds[j] <= X_Tap < thresholds[j + 1] (the top stratum has no
-        upper edge)
+        upper edge). ``bin_index`` is monotone, so the thresholds binned
+        below a shot's tap bin lie below its X_Tap and those binned above
+        lie above it: j is base[tap_bin] plus the thresholds of its own
+        bin that X_Tap reaches, searchsorted's answer with no search (see
+        the module docstring)
     hist_post : (S, 5, n_bins) int64, the histograms of the series X_tap,
         X_B, P_B, X_A+X_B and P_A-P_B; per_level_kept : (S, n_levels) int64;
         both incremented in place
@@ -65,14 +105,18 @@ def accumulate_chunk(x, level_ends, thresholds, hist_range, n_bins, hist_post, p
     n_strata, n_levels = hist_post.shape[0], per_level_kept.shape[1]
     series = series[: 5 * m].reshape(5, m)
     idx = idx[: 5 * m].reshape(5, m)
-    np.copyto(series[0], x[4])
     np.copyto(series[1:3], x[2:4])
     np.add(x[0], x[2], out=series[3])
     np.subtract(x[1], x[3], out=series[4])
-    bin_index(series, hist_range, n_bins, idx)
+    bin_index(series[1:], hist_range, n_bins, idx[1:])
+    np.copyto(idx[0], tap_bin)
     idx += _SERIES_OFFSET * n_bins
 
-    strata = np.searchsorted(thresholds[1:], x[4], side="right")  # every shot is >= thresholds[0]
+    # Every bin is in range, so "clip" never clips: it skips the bounds check.
+    base, table = lookup
+    strata = np.take(base, tap_bin, mode="clip")
+    for row in table:
+        strata += x[4] >= np.take(row, tap_bin, out=series[0], mode="clip")
     # bincount needs no order: the histograms and level counts take the
     # candidates as they arrive, level by level.
     idx += strata * (5 * n_bins)

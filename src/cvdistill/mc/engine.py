@@ -26,7 +26,10 @@ the pre-selection X_tap histogram. Only the candidates, the shots with
 X_tap >= t_0, draw four more normals, mapped to (X_A, P_A, X_B, P_B) by
 their level's regression on the tap normal and the Cholesky factor of the
 conditional covariance (the Schur complement of the tap variance). The
-candidates go to one kernel call, which keeps every one of them. The
+candidates go to one kernel call, which keeps every one of them. X_tap is
+binned once per shot: the kernel takes the candidates' tap bins from that
+pre-selection binning and reads each candidate's stratum off its bin
+(``_kernel_py.stratum_lookup``), so it bins only the four other series. The
 kernel's one BLAS call is a (14, n) product per stratum for the moments'
 M2, which OpenBLAS runs on one thread with bits that do not depend on the
 thread count (see ``_kernel_py``); the rest of the block is plain numpy.
@@ -56,7 +59,8 @@ the blocks' moments are merged pairwise along one fixed binary tree over
 the block indices, the workers merging the subtrees that lie inside their
 range and the parent the rest. Output therefore depends on (mixture,
 n_shots, seed, thresholds) only, not on the worker count, and is
-bit-identical on every run.
+bit-identical on every run. The pool starts at most one process per usable
+CPU, whatever ``n_workers`` asks for; the extra ranges queue.
 
 The run settings are ``cvdistill.config.McConfig``, which is also the
 ``mc`` section of an experiment config and validates itself when built.
@@ -64,6 +68,7 @@ The run settings are ``cvdistill.config.McConfig``, which is also the
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +239,7 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
     per_level_kept = np.zeros((n_strata, n_levels), dtype=np.int64)
     below = np.zeros(n_levels, dtype=np.int64)
     nodes = []
+    lookup = _kernel_py.stratum_lookup(thresholds, hist_range, n_bins)
     tap_normals = np.empty(CHUNK_SHOTS)
     normals, series = np.empty(5 * CHUNK_SHOTS), np.empty(5 * CHUNK_SHOTS)
     idx = np.empty(5 * CHUNK_SHOTS, dtype=np.int64)
@@ -254,6 +260,10 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
         below += level_counts - cand_counts
         bin_index(x_tap, hist_range, n_bins, idx[:m])
         hist_tap += np.bincount(idx[:m], minlength=n_bins)
+        # The candidates' tap X after _transform is x_tap bit for bit (the
+        # same scale and mean add), so the kernel takes their bins from here,
+        # before it reuses idx; cand < m, so "clip" never clips.
+        tap_bin = np.take(idx, cand, mode="clip")
 
         x = normals[: 5 * cand.size].reshape(5, cand.size)
         rng.standard_normal(out=x[:4])
@@ -261,7 +271,8 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
         _transform(x, cand_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
-            x, cand_ends, thresholds, hist_range, n_bins, hist_post, per_level_kept, series, idx,
+            x, tap_bin, cand_ends, lookup, hist_range, n_bins, hist_post, per_level_kept,
+            series, idx,
         )
         _push_block_node(nodes, 0, b, acc)
     return hist_tap, hist_post, per_level_kept, below, nodes
@@ -324,7 +335,13 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        # No more processes than usable CPUs; the jobs stay as split, so
+        # the output cannot change.
+        try:
+            n_cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            n_cpus = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(len(jobs), n_cpus)) as pool:
             outs = list(pool.map(_run_blocks, *zip(*jobs)))
 
     # Integer counts sum exactly, and the moments merge along the fixed tree

@@ -1,6 +1,11 @@
+import concurrent.futures
+import dataclasses
+import os
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cvdistill import (
@@ -150,6 +155,15 @@ def bin_tap_values(values, bins, hist_range):
     return np.bincount(idx, minlength=bins)
 
 
+def run_kernel(x, level_ends, thresholds, hist_range, bins, *out_and_scratch):
+    """``accumulate_chunk`` at ``thresholds``, given the tap bins and lookup the engine passes."""
+    tap_bin = np.empty(x.shape[1], dtype=np.int64)
+    _kernel_py.bin_index(x[4].copy(), hist_range, bins, tap_bin)
+    lookup = _kernel_py.stratum_lookup(thresholds, hist_range, bins)
+    return _kernel_py.accumulate_chunk(
+        x, tap_bin, level_ends, lookup, hist_range, bins, *out_and_scratch)
+
+
 def test_kernel_routes_kept_shots_by_stratum_and_level():
     rng = np.random.default_rng(51)
     x = rng.standard_normal((5, 3000)) * 2.0
@@ -163,7 +177,7 @@ def test_kernel_routes_kept_shots_by_stratum_and_level():
     bins, hist_range = 41, 10.0
     post = np.zeros((3, 5, bins), dtype=np.int64)
     per_level = np.zeros((3, 3), dtype=np.int64)
-    count, mean, m2 = _kernel_py.accumulate_chunk(
+    count, mean, m2 = run_kernel(
         x, np.cumsum(np.bincount(level, minlength=3)), thresholds, hist_range, bins, post,
         per_level, np.empty(5 * m), np.empty(5 * m, dtype=np.int64),
     )
@@ -196,7 +210,7 @@ def test_kernel_reused_scratch_leaks_nothing():
 
     def run(x, series, idx):
         out = [np.zeros((3, 5, bins), np.int64), np.zeros((3, 2), np.int64)]
-        moments = _kernel_py.accumulate_chunk(
+        moments = run_kernel(
             x, np.array([700, x.shape[1]]), thresholds, hist_range, bins, *out, series, idx
         )
         return out + list(moments)
@@ -234,7 +248,7 @@ def test_kernel_edge_cases(case):
     bins, hist_range = 41, 10.0
     post = np.zeros((n_strata, 5, bins), dtype=np.int64)
     per_level = np.zeros((n_strata, n_levels), dtype=np.int64)
-    count, mean, m2 = _kernel_py.accumulate_chunk(
+    count, mean, m2 = run_kernel(
         x, np.cumsum(level_counts), thresholds, hist_range, bins, post, per_level,
         np.empty(5 * m), np.empty(5 * m, dtype=np.int64),
     )
@@ -257,6 +271,59 @@ def test_kernel_edge_cases(case):
         assert_allclose(m2[j], ref_m2, rtol=1e-10, atol=1e-9)
         if sel.sum() == 1:
             assert np.array_equal(mean[j], feats[0]) and not m2[j].any()
+
+
+def ulp_neighbours(values):
+    """Each of ``values`` with the floats one ulp below and above it."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+# (thresholds, histogram bins, histogram range) of the stratum lookup cases.
+# Edges of 41 bins over [-10, 10] fall at -10 + 20 k / 41.
+LOOKUP_EDGES = np.linspace(-10.0, 10.0, 42)
+LOOKUP_GRIDS = {
+    "bin edges and their ulps": (ulp_neighbours(LOOKUP_EDGES[18:26]), 41, 10.0),
+    "several in one bin": ([0.0, 0.1, 0.2, 0.21, 0.3, 0.4, 0.45, 1.0], 41, 10.0),
+    "every threshold in one of two bins": ([0.0, 0.5, 2.0, 2.0 + 1e-12, 7.0, 9.99], 2, 10.0),
+    "every threshold past the range": ([11.0, 12.0, 15.0, 1e300], 41, 10.0),
+    "negative and signed zero": ([-12.0, -7.3, -2.5, -1.0, -0.0, 1.5], 41, 10.0),
+    "one threshold": ([0.3], 41, 10.0),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOKUP_GRIDS))
+def test_kernel_strata_equal_a_binary_search(case):
+    # Candidates on every threshold and bin edge, one ulp to either side,
+    # at +inf and spread over the grid; the strata must be searchsorted's.
+    thresholds, bins, hist_range = LOOKUP_GRIDS[case]
+    thresholds = np.unique(np.asarray(thresholds, dtype=float))
+    edges = np.linspace(-hist_range, hist_range, bins + 1)
+    rng = np.random.default_rng(54)
+    tap = np.concatenate([
+        ulp_neighbours(thresholds), ulp_neighbours(edges), [0.0, -0.0, np.inf, 1e300],
+        rng.uniform(thresholds[0], thresholds[-1] + 1.0, 300),
+    ])
+    tap = tap[tap >= thresholds[0]]  # the engine passes candidates only
+    m = tap.size
+    x = np.vstack([rng.standard_normal((4, m)), tap])
+    level_counts = [m // 3, m - m // 3]
+    n_strata = thresholds.size
+    post = np.zeros((n_strata, 5, bins), dtype=np.int64)
+    per_level = np.zeros((n_strata, 2), dtype=np.int64)
+    count, _, _ = run_kernel(x, np.cumsum(level_counts), thresholds, hist_range, bins, post,
+                             per_level, np.empty(5 * m), np.empty(5 * m, dtype=np.int64))
+
+    stratum = np.searchsorted(thresholds[1:], tap, side="right")
+    series = engine.SERIES_COEFFICIENTS[1:, :4] @ x[:4]  # tap X may be inf
+    idx = np.empty((5, m), dtype=np.int64)
+    _kernel_py.bin_index(np.vstack([tap, series]), hist_range, bins, idx)
+    level = np.repeat([0, 1], level_counts)
+    assert np.array_equal(count, np.bincount(stratum, minlength=n_strata))
+    for j in range(n_strata):
+        sel = stratum == j
+        assert np.array_equal(per_level[j], np.bincount(level[sel], minlength=2))
+        assert np.array_equal(post[j], [np.bincount(row[sel], minlength=bins) for row in idx])
 
 
 class TestHistogram:
@@ -487,6 +554,16 @@ def sweep_outputs(sweep):
     return arrays + [[sweep.total_count], [str(exc) for exc in sweep.errors]]
 
 
+@st.composite
+def random_grids(draw):
+    """Unsorted threshold grids with duplicates, some on histogram bin edges or an ulp off."""
+    edges = np.linspace(-25.0, 25.0, 202)[96:114]  # the default bins' edges from -1.2 to 3.3
+    value = st.floats(-1.5, 6.0) | st.sampled_from(ulp_neighbours(edges).tolist())
+    distinct = draw(st.lists(value, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=3))
+    return draw(st.permutations(distinct + repeats))
+
+
 class TestRunMcSweep:
     @pytest.mark.parametrize("n_workers, grid", [
         pytest.param(1, [4.0, 0.0, 2.0, 2.0, 1e4], id="1"),
@@ -542,6 +619,56 @@ class TestRunMcSweep:
         ]
         for out in others:
             assert len(out) == len(ref)
+            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(grid=random_grids())
+    def test_random_grids_match_one_threshold_sweeps(self, tapped_discrete, grid):
+        # Two blocks, so that two workers split them.
+        conf = McConfig(n_shots=65_536 + 4_000, seed=27)
+        sweep = run_mc_sweep(tapped_discrete, conf, grid)
+        two = run_mc_sweep(tapped_discrete, dataclasses.replace(conf, n_workers=2), grid)
+        assert all(np.array_equal(u, v) for u, v in zip(sweep_outputs(sweep), sweep_outputs(two)))
+        for j, th in enumerate(grid):
+            alone = sweep_at(tapped_discrete, conf, th)
+            assert sweep.kept_count[j] == alone.kept_count[0]
+            assert np.array_equal(sweep.per_level_kept[j], alone.per_level_kept[0])
+            assert np.array_equal(sweep.hist_pre[0], alone.hist_pre[0])
+            assert np.array_equal(sweep.hist_post[j, 0], alone.hist_post[0, 0])
+
+    def test_pool_has_at_most_one_process_per_usable_cpu(self, tapped_discrete, monkeypatch):
+        # A stand-in pool records its size and runs the jobs in this process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        grid, conf = [3.0, 0.5, 6.0], McConfig(n_shots=5 * 65_536 - 7, seed=28)  # five blocks
+
+        def outputs(n_workers):
+            return sweep_outputs(run_mc_sweep(
+                tapped_discrete, dataclasses.replace(conf, n_workers=n_workers), grid))
+
+        ref = outputs(1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        runs = [outputs(5000)]  # five jobs, two processes
+        # Without sched_getaffinity the pool falls back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        runs += [outputs(4), outputs(2)]
+        assert sizes == [2, 3, 2]
+        for out in runs:
             assert all(np.array_equal(u, v) for u, v in zip(out, ref))
 
     def test_counts_sum_to_their_totals(self, tapped_discrete):
