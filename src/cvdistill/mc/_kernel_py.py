@@ -31,7 +31,10 @@ bins), whose column b holds the thresholds binned into b, padded with NaN,
 k being the most thresholds that share a bin. The stratum is then
 base[b] + sum_i (X_tap >= table[i, b]), exactly searchsorted's answer at
 any grid, in k + 1 gathers per candidate. No X_tap reaches the NaN
-padding; +inf padding would count an X_tap of +inf once too often.
+padding; +inf padding would count an X_tap of +inf once too often. A bin
+that holds more than ``MAX_PER_BIN`` thresholds, as the end bins do when
+the grid runs past the histogram range, is left out of the table, and its
+candidates are binary-searched, which bounds k.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
 N_FEATURES = 4 + len(PAIRS)
 # Offset of each histogrammed series in one flat bincount.
 _SERIES_OFFSET = np.arange(5)[:, None]
+# Most thresholds a histogram bin may hold in the stratum lookup's table.
+# Each table row costs a candidate a gather, a comparison and an add, about
+# a fifteenth of a binary search over 18 thresholds, so the candidates of
+# a bin holding more are binary-searched instead.
+MAX_PER_BIN = 8
 
 
 def bin_index(values, hist_range, n_bins, out):
@@ -59,19 +67,24 @@ def bin_index(values, hist_range, n_bins, out):
 
 
 def stratum_lookup(thresholds, hist_range, n_bins):
-    """(base, table) of the stratum lookup of sorted, distinct ``thresholds``.
+    """(base, table, crowded, edges) of the stratum lookup of sorted, distinct ``thresholds``.
 
-    base (n_bins,) counts the thresholds above thresholds[0] whose bin is
+    ``edges`` is thresholds[1:]; base (n_bins,) counts the edges binned
     below each bin; column b of table (k, n_bins) holds, in order and padded
-    with NaN, the ones binned into b. See the module docstring.
+    with NaN, the edges binned into b, unless b holds more than
+    ``MAX_PER_BIN`` of them. ``crowded`` (n_bins,) bool marks such bins, or
+    is None if there are none. See the module docstring.
     """
     edges = np.asarray(thresholds[1:], dtype=float)
     edge_bin = np.empty(edges.size, dtype=np.int64)
     bin_index(edges.copy(), hist_range, n_bins, edge_bin)
-    base = np.searchsorted(edge_bin, np.arange(n_bins))
-    table = np.full((np.bincount(edge_bin, minlength=1).max(), n_bins), np.nan)
-    table[np.arange(edges.size) - base[edge_bin], edge_bin] = edges
-    return base, table
+    per_bin = np.bincount(edge_bin, minlength=n_bins)
+    base = np.cumsum(per_bin) - per_bin
+    crowded = per_bin > MAX_PER_BIN
+    listed = ~crowded[edge_bin]
+    table = np.full((per_bin[~crowded].max(initial=0), n_bins), np.nan)
+    table[(np.arange(edges.size) - base[edge_bin])[listed], edge_bin[listed]] = edges[listed]
+    return base, table, crowded if crowded.any() else None, edges
 
 
 def accumulate_chunk(x, tap_bin, level_ends, lookup, hist_range, n_bins, hist_post,
@@ -89,8 +102,8 @@ def accumulate_chunk(x, tap_bin, level_ends, lookup, hist_range, n_bins, hist_po
         upper edge). ``bin_index`` is monotone, so the thresholds binned
         below a shot's tap bin lie below its X_Tap and those binned above
         lie above it: j is base[tap_bin] plus the thresholds of its own
-        bin that X_Tap reaches, searchsorted's answer with no search (see
-        the module docstring)
+        bin that X_Tap reaches, searchsorted's answer with no search except
+        in a crowded bin (see the module docstring)
     hist_post : (S, 5, n_bins) int64, the histograms of the series X_tap,
         X_B, P_B, X_A+X_B and P_A-P_B; per_level_kept : (S, n_levels) int64;
         both incremented in place
@@ -113,10 +126,13 @@ def accumulate_chunk(x, tap_bin, level_ends, lookup, hist_range, n_bins, hist_po
     idx += _SERIES_OFFSET * n_bins
 
     # Every bin is in range, so "clip" never clips: it skips the bounds check.
-    base, table = lookup
+    base, table, crowded, edges = lookup
     strata = np.take(base, tap_bin, mode="clip")
     for row in table:
         strata += x[4] >= np.take(row, tap_bin, out=series[0], mode="clip")
+    if crowded is not None:
+        searched = np.flatnonzero(np.take(crowded, tap_bin, mode="clip"))
+        strata[searched] = np.searchsorted(edges, x[4, searched], side="right")
     # bincount needs no order: the histograms and level counts take the
     # candidates as they arrive, level by level.
     idx += strata * (5 * n_bins)

@@ -279,16 +279,22 @@ def ulp_neighbours(values):
     return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
 
 
-# (thresholds, histogram bins, histogram range) of the stratum lookup cases.
-# Edges of 41 bins over [-10, 10] fall at -10 + 20 k / 41.
+# (thresholds, histogram bins, histogram range, whether a bin is crowded)
+# of the stratum lookup cases. Edges of 41 bins over [-10, 10] fall at
+# -10 + 20 k / 41; bin 20 holds [-0.24, 0.24). A bin holding more than
+# MAX_PER_BIN thresholds is crowded: its candidates are binary-searched.
 LOOKUP_EDGES = np.linspace(-10.0, 10.0, 42)
+FULL_BIN = (0.03 * np.arange(_kernel_py.MAX_PER_BIN)).tolist()
 LOOKUP_GRIDS = {
-    "bin edges and their ulps": (ulp_neighbours(LOOKUP_EDGES[18:26]), 41, 10.0),
-    "several in one bin": ([0.0, 0.1, 0.2, 0.21, 0.3, 0.4, 0.45, 1.0], 41, 10.0),
-    "every threshold in one of two bins": ([0.0, 0.5, 2.0, 2.0 + 1e-12, 7.0, 9.99], 2, 10.0),
-    "every threshold past the range": ([11.0, 12.0, 15.0, 1e300], 41, 10.0),
-    "negative and signed zero": ([-12.0, -7.3, -2.5, -1.0, -0.0, 1.5], 41, 10.0),
-    "one threshold": ([0.3], 41, 10.0),
+    "bin edges and their ulps": (ulp_neighbours(LOOKUP_EDGES[18:26]), 41, 10.0, False),
+    "several in one bin": ([0.0, 0.1, 0.2, 0.21, 0.3, 0.4, 0.45, 1.0], 41, 10.0, False),
+    "a full bin": ([-1.0] + FULL_BIN + [1.0], 41, 10.0, False),
+    "a crowded bin": ([-1.0] + FULL_BIN + [0.235, 1.0, 1.1], 41, 10.0, True),
+    "every threshold in one of two bins": (np.linspace(0.0, 9.99, 15), 2, 10.0, True),
+    "a grid past the range": (np.arange(0.0, 13.25, 0.25), 41, 10.0, True),
+    "every threshold past the range": ([11.0, 12.0, 15.0, 1e300], 41, 10.0, False),
+    "negative and signed zero": ([-12.0, -7.3, -2.5, -1.0, -0.0, 1.5], 41, 10.0, False),
+    "one threshold": ([0.3], 41, 10.0, False),
 }
 
 
@@ -296,8 +302,9 @@ LOOKUP_GRIDS = {
 def test_kernel_strata_equal_a_binary_search(case):
     # Candidates on every threshold and bin edge, one ulp to either side,
     # at +inf and spread over the grid; the strata must be searchsorted's.
-    thresholds, bins, hist_range = LOOKUP_GRIDS[case]
+    thresholds, bins, hist_range, crowded = LOOKUP_GRIDS[case]
     thresholds = np.unique(np.asarray(thresholds, dtype=float))
+    assert (_kernel_py.stratum_lookup(thresholds, hist_range, bins)[2] is not None) == crowded
     edges = np.linspace(-hist_range, hist_range, bins + 1)
     rng = np.random.default_rng(54)
     tap = np.concatenate([
