@@ -8,7 +8,6 @@ reproducible Monte Carlo pipeline that mimics the experimental data flow.
 from ._version import __version__
 from .calibrate import CalibrationError, SourceCalibration, calibrate, calibrate_envelope
 from .channel import (
-    ChannelLevel,
     FluctuatingChannel,
     MixtureState,
     discrete_channel,
@@ -54,7 +53,6 @@ __all__ = [
     "SourceCalibration",
     "calibrate",
     "calibrate_envelope",
-    "ChannelLevel",
     "FluctuatingChannel",
     "MixtureState",
     "discrete_channel",

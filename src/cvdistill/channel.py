@@ -1,8 +1,9 @@
 """Fluctuating-loss channels and the non-Gaussian mixture states they produce.
 
-A channel is a discrete distribution over transmittance levels; sending one
-mode of a Gaussian state through it yields a convex mixture of Gaussian
-states (one per level), which is non-Gaussian as a whole. A
+A channel is a discrete distribution over transmittance levels, held as two
+(L,) arrays of transmittances and probabilities; sending one mode of a
+Gaussian state through it yields a convex mixture of Gaussian states (one
+per level), which is non-Gaussian as a whole. A
 ``MixtureState(weights, states)`` holds the level weights (L,) and the
 components as one stacked ``GaussianState``, mean (L, 2n) and covariance
 (L, 2n, 2n): ``propagate`` is one ``apply_loss`` over the (L,)
@@ -23,7 +24,6 @@ from .gaussian import GaussianState, apply_loss, pt_trace_norm, validate_physica
 
 __all__ = [
     "WEIGHT_TOL",
-    "ChannelLevel",
     "FluctuatingChannel",
     "MixtureState",
     "discrete_channel",
@@ -45,54 +45,53 @@ SEMICONTINUOUS_LEVELS = 45
 FADING_PEAK_RATE = 25.0
 
 
-@dataclass(frozen=True)
-class ChannelLevel:
-    """One attenuation level: transmittance t occurring with probability p."""
+def _check_weights(weights, what: str) -> np.ndarray:
+    """``weights`` as a float array, checked: 1-d, non-empty, finite, positive, summing to 1.
 
-    transmittance: float
-    probability: float
+    The sum may miss 1 by ``WEIGHT_TOL``. ``what`` names the weights in the
+    ``ValueError`` messages. Mixture weights and channel level probabilities
+    both follow this rule.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError(f"{what} need at least one entry in a 1-d array, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"{what} must be finite, got {weights}")
+    if np.any(weights <= 0.0):
+        raise ValueError(f"{what} must be positive, got {weights.min()}")
+    total = weights.sum()
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"{what} must sum to 1, got {total!r}")
+    return weights
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance must lie in [0, 1], got {self.transmittance}")
-        if not 0.0 < self.probability <= 1.0:
-            raise ValueError(f"probability must lie in (0, 1], got {self.probability}")
 
-
-@dataclass
+@dataclass(eq=False)
 class FluctuatingChannel:
-    """Distribution over transmittance levels, strictly increasing in t.
+    """Distribution over transmittance levels: ``transmittances`` (L,) and ``probabilities`` (L,).
 
-    Levels with zero probability are not representable; drop them before
-    construction.
+    The transmittances lie in [0, 1] and strictly increase; the
+    probabilities are checked as mixture weights are. Both are copied into
+    float arrays and checked once, on construction. Levels with zero
+    probability are not representable; drop them before construction.
     """
 
-    levels: list
+    transmittances: np.ndarray
+    probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        levels = [
-            lv if isinstance(lv, ChannelLevel) else ChannelLevel(*lv) for lv in self.levels
-        ]
-        if not levels:
-            raise ValueError("channel needs at least one level")
-        ts = [lv.transmittance for lv in levels]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        self.probabilities = _check_weights(np.array(self.probabilities, dtype=float),
+                                           "level probabilities")
+        ts = self.transmittances = np.array(self.transmittances, dtype=float)
+        if ts.shape != self.probabilities.shape:
+            raise ValueError(f"channel has {self.probabilities.size} probabilities but "
+                             f"transmittances of shape {ts.shape}")
+        if not np.all((ts >= 0.0) & (ts <= 1.0)):
+            raise ValueError(f"transmittances must lie in [0, 1], got {ts.tolist()}")
+        if np.any(np.diff(ts) <= 0.0):
             raise ValueError("transmittances must be strictly increasing")
-        total = sum(lv.probability for lv in levels)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"level probabilities must sum to 1, got {total!r}")
-        self.levels = levels
-
-    @property
-    def transmittances(self) -> np.ndarray:
-        return np.array([lv.transmittance for lv in self.levels])
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([lv.probability for lv in self.levels])
 
     def __len__(self) -> int:
-        return len(self.levels)
+        return self.transmittances.size
 
 
 @dataclass(eq=False)
@@ -114,19 +113,10 @@ class MixtureState:
             raise ValueError("mixture contains an unphysical component")
 
     def _checked_weights(self, weights) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("mixture needs at least one component")
+        weights = _check_weights(weights, "component weights")
         if self.states.mean.shape[:-1] != weights.shape:
             raise ValueError(f"mixture has {weights.size} weights but a stack of states "
                              f"of shape {self.states.mean.shape}")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError(f"component weights must be finite, got {weights}")
-        if np.any(weights <= 0.0):
-            raise ValueError(f"component weights must be positive, got {weights.min()}")
-        total = weights.sum()
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"component weights must sum to 1, got {total!r}")
         return weights
 
     def reweighted(self, weights) -> MixtureState:
@@ -149,7 +139,7 @@ class MixtureState:
 
 def discrete_channel() -> FluctuatingChannel:
     """Two-level channel: 25% and full transmission, each with probability 1/2."""
-    return FluctuatingChannel([ChannelLevel(0.25, 0.5), ChannelLevel(1.0, 0.5)])
+    return FluctuatingChannel([0.25, 1.0], [0.5, 0.5])
 
 
 def semicontinuous_levels() -> np.ndarray:
@@ -172,7 +162,7 @@ def envelope_exponential(beta: float, p_full: float = 0.2) -> FluctuatingChannel
     probs = np.append(weights, p_full)
     # Renormalize away float rounding so the sum is exactly 1.
     probs /= probs.sum()
-    return FluctuatingChannel([ChannelLevel(t, p) for t, p in zip(ts, probs)])
+    return FluctuatingChannel(ts, probs)
 
 
 def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingChannel:
@@ -198,7 +188,7 @@ def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingCh
     weights = (1.0 - p_full) * ((1.0 - floor_fraction) * peak + floor_fraction * floor)
     probs = np.append(weights, p_full)
     probs /= probs.sum()
-    return FluctuatingChannel([ChannelLevel(t, p) for t, p in zip(ts, probs)])
+    return FluctuatingChannel(ts, probs)
 
 
 def propagate(

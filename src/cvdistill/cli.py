@@ -98,9 +98,8 @@ def _cmd_calibrate(args) -> int:
             "family": args.family,
             "param": param,
             "p_full": args.p_full,
-            "levels": [
-                {"t": lv.transmittance, "p": lv.probability} for lv in channel.levels
-            ],
+            "levels": [{"t": t, "p": p} for t, p in zip(channel.transmittances.tolist(),
+                                                        channel.probabilities.tolist())],
         }
     blob = json.dumps(result, indent=2)
     print(blob)

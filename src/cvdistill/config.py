@@ -10,7 +10,8 @@ sweep) are the library's settings objects as well as config sections: each
 checks every rule on its fields in ``__post_init__``, so a value set by a
 config file, a constructor call or ``dataclasses.replace`` (as the CLI
 overrides are) meets the same checks and the same messages. Their
-``from_dict`` only checks the keys.
+``from_dict`` only checks the keys. ``ExperimentConfig`` checks its own
+``name`` and ``engine`` the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .calibrate import (
     DEFAULT_P_FULL,
     ENVELOPE_FAMILIES,
 )
-from .channel import ChannelLevel, FluctuatingChannel
+from .channel import FluctuatingChannel
 
 __all__ = [
     "ConfigError",
@@ -239,7 +240,7 @@ class ChannelSettings:
         if self.levels is None:
             raise ConfigError("channel has no explicit levels")
         try:
-            return FluctuatingChannel([ChannelLevel(t, p) for t, p in self.levels])
+            return FluctuatingChannel([t for t, _ in self.levels], [p for _, p in self.levels])
         except ValueError as exc:
             raise ConfigError(f"invalid channel levels: {exc}") from exc
 
@@ -339,6 +340,12 @@ class ExperimentConfig:
     mc: McConfig = field(default_factory=McConfig)
     output: OutputSettings = field(default_factory=OutputSettings)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError("name must be a string")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -362,18 +369,12 @@ def parse_config(d: dict) -> ExperimentConfig:
         d, ("name", "source", "channel", "tap", "engine", "mc", "output"), "config",
         required=("source",),
     )
-    name = d.get("name", "experiment")
-    if not isinstance(name, str):
-        raise ConfigError("name must be a string")
-    engine = d.get("engine", "analytic")
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     return ExperimentConfig(
-        name=name,
+        name=d.get("name", "experiment"),
         source=SourceSettings.from_dict(d["source"]),
         channel=ChannelSettings.from_dict(d.get("channel")),
         tap=TapConfig.from_dict(d.get("tap")),
-        engine=engine,
+        engine=d.get("engine", "analytic"),
         mc=McConfig.from_dict(d.get("mc")),
         output=OutputSettings.from_dict(d.get("output")),
     )

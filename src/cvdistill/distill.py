@@ -10,8 +10,7 @@ is computed in closed form rather than by sampling.
 A threshold sweep is one array pass: ``herald`` takes a grid of thresholds
 and evaluates every quantity as a (threshold, level, ...) array expression,
 block by block of ``HERALD_BLOCK`` thresholds, and the metrics of this module
-accept the stacked ensemble it returns. One threshold is the one-entry grid,
-so a grid row and the one-threshold call agree to float rounding.
+accept the stacked ensemble it returns. One threshold is the one-entry grid.
 """
 
 from __future__ import annotations
@@ -78,24 +77,23 @@ class DistilledEnsemble:
     uncentered. ``pooled_cov`` is the central covariance of the pooled kept
     ensemble (mean subtracted after pooling).
 
-    For a grid of thresholds (see :func:`herald`) every field but
-    ``prior_weights`` and ``errors`` gains a leading axis with one entry per
-    threshold whose selection is not degenerate, in grid order. ``errors``
-    then has one entry per grid threshold: None where the stacks have a row
-    for it, else its :class:`DegenerateSelectionError`. For one threshold
-    it is empty.
+    Every field but ``prior_weights`` and ``errors`` has a leading axis
+    with one entry per grid threshold (see :func:`herald`) whose selection
+    is not degenerate, in grid order. ``errors`` has one entry per grid
+    threshold: None where the stacks have a row for it, else its
+    :class:`DegenerateSelectionError`.
     """
 
-    threshold_x: float | np.ndarray
-    success_probability: float | np.ndarray
+    threshold_x: np.ndarray  # (K,)
+    success_probability: np.ndarray  # (K,)
     prior_weights: np.ndarray  # (L,)
-    posterior_weights: np.ndarray  # (..., L)
-    per_component_pass: np.ndarray  # (..., L)
-    component_means: np.ndarray  # (..., L, 4)
-    component_second_moments: np.ndarray  # (..., L, 4, 4), uncentered
-    pooled_mean: np.ndarray  # (..., 4)
-    pooled_cov: np.ndarray  # (..., 4, 4)
-    errors: tuple = ()
+    posterior_weights: np.ndarray  # (K, L)
+    per_component_pass: np.ndarray  # (K, L)
+    component_means: np.ndarray  # (K, L, 4)
+    component_second_moments: np.ndarray  # (K, L, 4, 4), uncentered
+    pooled_mean: np.ndarray  # (K, 4)
+    pooled_cov: np.ndarray  # (K, 4, 4)
+    errors: tuple
 
 
 def attach_tap(mixture: MixtureState, tap: TapConfig) -> MixtureState:
@@ -298,8 +296,8 @@ def series_bin_probabilities(states: GaussianState, coefficients, edges, below=n
     return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
 
 
-def herald(mixture3: MixtureState, threshold_x) -> DistilledEnsemble:
-    """Post-select on the tap X quadrature exceeding ``threshold_x``.
+def herald(mixture3: MixtureState, thresholds) -> DistilledEnsemble:
+    """Post-select on the tap X quadrature exceeding each of ``thresholds``.
 
     The tap must be the third mode and must have zero mean in X (true for
     every state this pipeline produces). For component i with tap variance
@@ -307,30 +305,27 @@ def herald(mixture3: MixtureState, threshold_x) -> DistilledEnsemble:
     two-mode moments follow from the exact conditional moments of a
     Gaussian given a one-sided truncation of one linear combination.
 
-    ``threshold_x`` is one threshold or a 1-d grid of them (unsorted and
-    repeated values allowed). A grid is evaluated as array expressions over
-    blocks of ``HERALD_BLOCK`` thresholds, so its temporaries do not grow
-    with its length, and gives stacked fields (see
-    :class:`DistilledEnsemble`): one threshold is the one-entry grid, its
-    leading axis dropped. A grid threshold whose success probability is at
-    or below ``SUCCESS_FLOOR`` gets an entry in ``errors`` and no row.
+    ``thresholds`` is a non-empty 1-d grid (unsorted and repeated values
+    allowed), evaluated as array expressions over blocks of
+    ``HERALD_BLOCK`` thresholds, so the temporaries do not grow with its
+    length. The fields are stacked (see :class:`DistilledEnsemble`). A
+    threshold whose success probability is at or below ``SUCCESS_FLOOR``
+    gets a :class:`DegenerateSelectionError` in ``errors`` and no row.
 
-    Raises ``ValueError`` for a non-finite threshold and, for one
-    threshold, :class:`DegenerateSelectionError` when the success
-    probability underflows.
+    Raises ``ValueError`` for a grid that is not 1-d, is empty or holds a
+    non-finite threshold.
     """
     if mixture3.n_modes != 3:
         raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
-    grid = np.asarray(threshold_x, dtype=float)
-    if grid.ndim > 1 or grid.size == 0:
-        raise ValueError(f"expected one threshold or a non-empty 1-d grid, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"threshold must be finite, got {threshold_x}")
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.ndim != 1 or thresholds.size == 0:
+        raise ValueError("thresholds must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
     prior, mean, cov = mixture3.weights, mixture3.states.mean, mixture3.states.cov
     if np.any(np.abs(mean[:, 4]) > 1e-12):
         raise ValueError("herald requires zero mean in the tap X quadrature")
     sigma = np.sqrt(cov[:, 4, 4])
-    thresholds = grid.reshape(-1)
     alpha = thresholds[:, None] / sigma  # (T, L)
     passes = gaussian_tail(alpha)
     success = (passes[:, None, :] @ prior[:, None])[:, 0, 0]  # one dot per threshold
@@ -340,8 +335,6 @@ def herald(mixture3: MixtureState, threshold_x) -> DistilledEnsemble:
             f"success probability underflowed ({s!r}) at threshold {t}")
         for t, s in zip(thresholds.tolist(), success.tolist())
     )
-    if grid.ndim == 0 and errors[0] is not None:
-        raise errors[0]
 
     # Regression of (X_A,P_A,X_B,P_B) on the standardised tap outcome Z:
     # given Z > alpha, E[Z] = lam and E[Z^2] = 1 + alpha*lam, so the mean
@@ -375,10 +368,8 @@ def herald(mixture3: MixtureState, threshold_x) -> DistilledEnsemble:
         pc = np.einsum("ti,tijk->tjk", w, s2) - mu[:, :, None] * mu[:, None, :]
         pooled_cov[block] = 0.5 * (pc + pc.swapaxes(-1, -2))
 
-    stacks = (posterior, passes[kept], cond_mean, seconds, pooled_mean, pooled_cov)
-    if grid.ndim == 0:
-        return DistilledEnsemble(float(grid), float(success[0]), prior, *(x[0] for x in stacks))
-    return DistilledEnsemble(thresholds[kept], success[kept], prior, *stacks, errors=errors)
+    return DistilledEnsemble(thresholds[kept], success[kept], prior, posterior, passes[kept],
+                             cond_mean, seconds, pooled_mean, pooled_cov, errors)
 
 
 def _blocks(n: int):
@@ -387,14 +378,13 @@ def _blocks(n: int):
 
 
 def distilled_gln(ensemble: DistilledEnsemble):
-    """Gaussian logarithmic negativity of the heralded pooled covariance.
+    """Gaussian logarithmic negativity of the heralded pooled covariance, one per stack row.
 
-    A float, or one value per row of a stacked ensemble, from one
-    :func:`pt_symplectic_spectrum` call (the LN of
-    :func:`gaussian_log_negativity`).
+    One :func:`pt_symplectic_spectrum` call over the (K, 4, 4) stack (the
+    LN of :func:`gaussian_log_negativity`).
     """
     nu_minus_sq, _ = pt_symplectic_spectrum(ensemble.pooled_cov)
-    return _scalar_or_array(-0.5 * np.log2(nu_minus_sq))
+    return -0.5 * np.log2(nu_minus_sq)
 
 
 def gaussification_metrics(ensemble: DistilledEnsemble):
@@ -404,31 +394,25 @@ def gaussification_metrics(ensemble: DistilledEnsemble):
     entropy of the posterior weights in bits, and the largest Frobenius
     distance between any component of posterior weight above 1e-6 and the
     pooled covariance, the component's central covariance taken about the
-    pooled mean. Both vanish for a single-component ensemble. Each is a
-    float, or one value per row of a stacked ensemble, evaluated over
-    blocks of ``HERALD_BLOCK`` rows.
+    pooled mean. Both vanish for a single-component ensemble. Each has one
+    value per stack row, evaluated over blocks of ``HERALD_BLOCK`` rows.
     """
     w = ensemble.posterior_weights
-    n_levels = w.shape[-1]
     log_w = np.log2(w, out=np.zeros_like(w), where=w > 0.0)
-    entropy = -(w[..., None, :] @ log_w[..., :, None])[..., 0, 0]
-    keep = (w > 1e-6).reshape(-1, n_levels)
-    means = ensemble.component_means.reshape(-1, n_levels, 4)
-    seconds = ensemble.component_second_moments.reshape(-1, n_levels, 4, 4)
-    pooled_mean = ensemble.pooled_mean.reshape(-1, 4)
-    pooled_cov = ensemble.pooled_cov.reshape(-1, 4, 4)
-    max_dist = np.empty(keep.shape[0])
-    for block in _blocks(keep.shape[0]):
-        mu = means[block]
-        shift = mu - pooled_mean[block, None, :]
+    entropy = -(w[:, None, :] @ log_w[:, :, None])[:, 0, 0]
+    keep = w > 1e-6
+    max_dist = np.empty(w.shape[0])
+    for block in _blocks(w.shape[0]):
+        mu = ensemble.component_means[block]
+        shift = mu - ensemble.pooled_mean[block, None, :]
         centered = (
-            seconds[block]
+            ensemble.component_second_moments[block]
             - mu[:, :, :, None] * mu[:, :, None, :]
             + shift[:, :, :, None] * shift[:, :, None, :]
         )
-        dist = np.linalg.norm(centered - pooled_cov[block, None], axis=(-2, -1))
+        dist = np.linalg.norm(centered - ensemble.pooled_cov[block, None], axis=(-2, -1))
         max_dist[block] = np.where(keep[block], dist, 0.0).max(axis=-1, initial=0.0)
-    return _scalar_or_array(entropy), _scalar_or_array(max_dist.reshape(w.shape[:-1]))
+    return entropy, max_dist
 
 
 def joint_quadrature_variances(cov):

@@ -146,15 +146,6 @@ class McSweep:
     errors: tuple
 
     @property
-    def pooled_cov_se(self) -> np.ndarray:
-        """Entrywise standard errors of ``pooled_cov`` (K, 4, 4), off ``cov_sampling``'s diagonal."""
-        se = np.zeros(self.pooled_cov.shape)
-        rows, cols = np.array(PAIRS).T
-        se[:, rows, cols] = se[:, cols, rows] = np.sqrt(np.maximum(
-            np.diagonal(self.cov_sampling, axis1=1, axis2=2), 0.0))
-        return se
-
-    @property
     def success_probability(self) -> np.ndarray:
         """Kept fraction of the shots per grid threshold, (T,)."""
         return self.kept_count / self.total_count

@@ -14,6 +14,7 @@ from cvdistill import (
     squeezed_state,
     tensor,
 )
+from cvdistill.mc.engine import PAIRS
 
 
 def apply_phase_rotation(state, mode, theta):
@@ -61,6 +62,15 @@ def mixture(components):
 def level(mix, i):
     """Component i of a mixture as a GaussianState of its own."""
     return GaussianState(mix.states.mean[i], mix.states.cov[i])
+
+
+def pooled_cov_se(sweep):
+    """Entrywise standard errors of a sweep's ``pooled_cov`` (K, 4, 4), off ``cov_sampling``'s diagonal."""
+    se = np.zeros(sweep.pooled_cov.shape)
+    rows, cols = np.array(PAIRS).T
+    se[:, rows, cols] = se[:, cols, rows] = np.sqrt(np.maximum(
+        np.diagonal(sweep.cov_sampling, axis1=1, axis2=2), 0.0))
+    return se
 
 
 def batch_moments(x):

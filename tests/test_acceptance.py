@@ -36,7 +36,7 @@ from cvdistill import (
     vacuum_state,
 )
 from cvdistill.mc import CovarianceAccumulator, ln_with_se
-from conftest import batch_moments, random_physical_state
+from conftest import batch_moments, pooled_cov_se, random_physical_state
 
 THRESHOLD_GRID = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 
@@ -75,15 +75,15 @@ def test_criterion_2_upper_bound(model):
 def test_criterion_3_distillation_point(model):
     _, _, _, tapped = model
     start = time.perf_counter()
-    ens = herald(tapped, 9.0)
-    ln = distilled_gln(ens)
+    ens = herald(tapped, [9.0])
+    (ln,), (success,) = distilled_gln(ens), ens.success_probability
     elapsed = time.perf_counter() - start
     assert 0.58 <= ln <= 0.76
-    assert 1.69e-5 / 2.0 <= ens.success_probability <= 1.69e-5 * 2.0
+    assert 1.69e-5 / 2.0 <= success <= 1.69e-5 * 2.0
     assert elapsed < 1.0
     print(
         f"\ncriterion 3 PASS: threshold 9 SNU gives LN {ln:.4f} (band [0.58, 0.76]) "
-        f"at success {ens.success_probability:.3e} (within 2x of 1.69e-5)"
+        f"at success {success:.3e} (within 2x of 1.69e-5)"
     )
 
 
@@ -91,8 +91,9 @@ def test_criterion_4_crossing(model):
     _, _, mixture, tapped = model
     start = time.perf_counter()
     bound = upper_bound_ln(mixture)
-    points = [(th, herald(tapped, th)) for th in THRESHOLD_GRID]
-    points = [(th, ens.success_probability, distilled_gln(ens)) for th, ens in points]
+    ens = herald(tapped, THRESHOLD_GRID)
+    assert ens.errors == (None,) * len(THRESHOLD_GRID)
+    points = list(zip(THRESHOLD_GRID, ens.success_probability, distilled_gln(ens)))
     elapsed = time.perf_counter() - start
     crossing = [
         (th, succ, ln) for th, succ, ln in points
@@ -116,8 +117,11 @@ def test_criterion_5_semicontinuous(model):
     _, pooled = pooled_cm(mixture)
     assert gaussian_log_negativity(pooled) == pytest.approx(-0.11, abs=1e-3)
     tapped = attach_tap(mixture, TapConfig())
-    lns = {th: distilled_gln(herald(tapped, th)) for th in np.arange(8.0, 12.01, 0.5)}
-    posterior_full = herald(tapped, 10.0).posterior_weights[-1]
+    grid = np.arange(8.0, 12.01, 0.5)
+    ens = herald(tapped, grid)
+    assert ens.errors == (None,) * grid.size
+    lns = dict(zip(grid, distilled_gln(ens)))
+    posterior_full = herald(tapped, [10.0]).posterior_weights[0, -1]
     elapsed = time.perf_counter() - start
     best_th, best_ln = max(lns.items(), key=lambda kv: kv[1])
     assert best_ln >= 0.30
@@ -132,17 +136,17 @@ def test_criterion_5_semicontinuous(model):
 
 def test_criterion_6_mc_analytic_equivalence(model):
     _, _, _, tapped = model
-    ens = herald(tapped, 4.0)
+    ens = herald(tapped, [4.0])
     start = time.perf_counter()
     res = run_mc_sweep(tapped, McConfig(n_shots=10_000_000, seed=20260811), [4.0])
     elapsed = time.perf_counter() - start
 
-    z_succ = abs(res.success_probability[0] - ens.success_probability) / res.success_se[0]
+    z_succ = abs(res.success_probability[0] - ens.success_probability[0]) / res.success_se[0]
     assert z_succ < 4.0
-    entry_dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
+    entry_dev = np.abs(res.pooled_cov[0] - ens.pooled_cov[0]) / pooled_cov_se(res)[0]
     assert entry_dev.max() < 4.0
     ln_mc, ln_se = (column[0] for column in ln_with_se(res))
-    z_ln = abs(ln_mc - distilled_gln(ens)) / ln_se
+    z_ln = abs(ln_mc - distilled_gln(ens)[0]) / ln_se
     assert z_ln < 4.0
     assert elapsed < 60.0
     print(
@@ -186,7 +190,7 @@ def test_criterion_7_full_scale_head_count(model):
     assert 3000 <= kept <= 30000
     assert elapsed < 20 * 60
     # The kept count is Binomial(n_shots, p) at the analytic pass probability.
-    p_value = binomial_two_sided_p(kept, n_shots, herald(tapped, 9.0).success_probability)
+    p_value = binomial_two_sided_p(kept, n_shots, herald(tapped, [9.0]).success_probability[0])
     assert p_value >= 1e-6
     print(
         f"\ncriterion 7 PASS: kept {kept} of {n_shots} shots at threshold "
@@ -219,13 +223,14 @@ def test_criterion_8_invariant_suites(model):
 
     # heralding with no selection reproduces the pooled covariance
     sigma = np.sqrt(tapped.states.cov[:, 4, 4]).max()
-    ens = herald(tapped, -40.0 * sigma)
+    ens = herald(tapped, [-40.0 * sigma])
     mean, cov = pooled_cm(tapped)
-    assert_allclose(ens.pooled_cov, cov[:4, :4], atol=1e-10)
-    assert_allclose(ens.pooled_mean, mean[:4], atol=1e-10)
+    assert_allclose(ens.pooled_cov[0], cov[:4, :4], atol=1e-10)
+    assert_allclose(ens.pooled_mean[0], mean[:4], atol=1e-10)
 
     # success probability strictly decreasing in threshold
-    succ = [herald(tapped, th).success_probability for th in np.linspace(-5, 10, 50)]
+    succ = herald(tapped, np.linspace(-5, 10, 50)).success_probability
+    assert succ.size == 50
     assert all(b < a for a, b in zip(succ, succ[1:]))
 
     # Monte Carlo determinism
@@ -252,10 +257,9 @@ def test_criterion_8_invariant_suites(model):
 def test_criterion_9_gaussification(model):
     _, _, _, tapped = model
     start = time.perf_counter()
-    entropies = []
-    for th in THRESHOLD_GRID:
-        ens = herald(tapped, th)
-        entropies.append(gaussification_metrics(ens)[0])
+    ens = herald(tapped, THRESHOLD_GRID)
+    assert ens.errors == (None,) * len(THRESHOLD_GRID)
+    entropies = gaussification_metrics(ens)[0].tolist()
     elapsed = time.perf_counter() - start
     assert all(b <= a + 1e-12 for a, b in zip(entropies, entropies[1:]))
     by_nine = entropies[THRESHOLD_GRID.index(9.0)]

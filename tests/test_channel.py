@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvdistill import (
-    ChannelLevel,
     FluctuatingChannel,
     GaussianState,
     MixtureState,
@@ -45,18 +44,40 @@ def random_mixture(rng, n_comp, n_modes=2):
 
 class TestChannelTypes:
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            ChannelLevel(1.2, 0.5)
-        with pytest.raises(ValueError):
-            ChannelLevel(0.5, 0.0)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            FluctuatingChannel([0.25, 1.2], [0.5, 0.5])
+        with pytest.raises(ValueError, match="positive"):
+            FluctuatingChannel([0.5], [0.0])
 
     def test_channel_requires_increasing_transmittance(self):
-        with pytest.raises(ValueError):
-            FluctuatingChannel([ChannelLevel(0.5, 0.5), ChannelLevel(0.5, 0.5)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FluctuatingChannel([0.5, 0.5], [0.5, 0.5])
 
     def test_channel_requires_normalized_probabilities(self):
-        with pytest.raises(ValueError):
-            FluctuatingChannel([ChannelLevel(0.5, 0.3), ChannelLevel(1.0, 0.3)])
+        with pytest.raises(ValueError, match="sum to 1"):
+            FluctuatingChannel([0.5, 1.0], [0.3, 0.3])
+
+    @pytest.mark.parametrize("transmittances, probabilities, reason", [
+        ([0.5, 1.0], [0.5, np.nan], "level probabilities must be finite"),
+        ([0.5, 1.0], [1.5, -0.5], "level probabilities must be positive"),
+        ([np.nan], [1.0], r"lie in \[0, 1\]"),
+        ([-0.1], [1.0], r"lie in \[0, 1\]"),
+        ([0.5, 1.0], [1.0], "1 probabilities but transmittances of shape"),
+        ([], [], "at least one"),
+        ([[1.0]], [[1.0]], "at least one"),
+    ], ids=["nan-probability", "negative", "nan-transmittance", "below-zero", "shorter",
+            "empty", "nested"])
+    def test_channel_rejections(self, transmittances, probabilities, reason):
+        with pytest.raises(ValueError, match=reason):
+            FluctuatingChannel(transmittances, probabilities)
+
+    def test_channel_holds_checked_copies(self):
+        ts, ps = np.array([0.25, 1.0]), np.array([0.5, 0.5])
+        chan = FluctuatingChannel(ts, ps)
+        ts[0], ps[0] = 2.0, -1.0
+        assert chan.transmittances.tolist() == [0.25, 1.0]
+        assert chan.probabilities.tolist() == [0.5, 0.5]
+        assert len(chan) == 2
 
     def test_mixture_weight_validation(self):
         vac = vacuum_state(2)
@@ -150,7 +171,7 @@ class TestEnvelopes:
 
 class TestPropagate:
     def test_trivial_channel(self, calibrated_source):
-        chan = FluctuatingChannel([ChannelLevel(1.0, 1.0)])
+        chan = FluctuatingChannel([1.0], [1.0])
         mix = propagate(calibrated_source, chan)
         assert len(mix) == 1
         assert_allclose(mix.states.cov[0], calibrated_source.cov, atol=1e-12)
@@ -184,7 +205,7 @@ class TestPropagate:
                 assert np.array_equal(stack.cov[i], single.cov)
 
     def test_acts_on_requested_mode(self, calibrated_source):
-        chan = FluctuatingChannel([ChannelLevel(0.25, 1.0)])
+        chan = FluctuatingChannel([0.25], [1.0])
         mix = propagate(calibrated_source, chan, mode=0)
         expected = apply_loss(calibrated_source, 0, 0.25)
         assert_allclose(mix.states.cov[0], expected.cov, atol=1e-12)
@@ -249,7 +270,7 @@ class TestLossMonotonicity:
     def test_single_level_ln_non_increasing_in_loss(self, calibrated_source):
         lns = []
         for t in np.arange(1.0, 0.05, -0.1):
-            chan = FluctuatingChannel([ChannelLevel(float(t), 1.0)])
+            chan = FluctuatingChannel([t], [1.0])
             _, cov = pooled_cm(propagate(calibrated_source, chan))
             lns.append(gaussian_log_negativity(cov))
         assert all(b <= a + 1e-12 for a, b in zip(lns, lns[1:]))

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -237,6 +239,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"tap.reflectivity must lie in \(0, 1\)"):
             TapConfig(reflectivity=1.0)
         assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"engine": "Monte Carlo"},
+         "engine must be one of ('analytic', 'mc', 'both'), got 'Monte Carlo'"),
+        ({"name": 7}, "name must be a string"),
+    ], ids=["engine", "name"])
+    def test_experiment_config_validates_name_and_engine(self, change, message):
+        # dataclasses.replace meets the checks, and the messages, of parse_config.
+        with pytest.raises(ConfigError) as replaced:
+            replace(preset_config("discrete"), **change)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config({**preset_config("discrete").to_dict(), **change})
+        assert str(replaced.value) == str(parsed.value) == message
 
 
 class TestRunScenario:
@@ -618,6 +633,15 @@ class TestDeterminism:
         assert outs[0] == outs[1]  # every float by its repr, the flags included
         report = json.loads(outs[0])
         assert [row["mc"] is not None for row in report["thresholds"]][:3] == [True] * 3
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" block runs as written, so an API change cannot leave it stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "[0.25 1.  ] [0.5 0.5]" in out and "underflowed" in out
 
 
 class TestCliCommands:

@@ -5,12 +5,15 @@ from dataclasses import fields, replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cvdistill import (
     DegenerateSelectionError,
     DistilledEnsemble,
+    FluctuatingChannel,
     GaussianState,
+    McConfig,
     TapConfig,
     attach_tap,
     calibrate_envelope,
@@ -24,6 +27,7 @@ from cvdistill import (
     make_kerr_entangled,
     pooled_cm,
     propagate,
+    run_mc_sweep,
     tail_hazard,
     tensor,
     vacuum_state,
@@ -301,56 +305,53 @@ def no_selection_threshold(mixture3):
 
 class TestHerald:
     def test_no_selection_limit_reproduces_pooled_cm(self, discrete_tapped):
-        ens = herald(discrete_tapped, no_selection_threshold(discrete_tapped))
+        ens = herald(discrete_tapped, [no_selection_threshold(discrete_tapped)])
         mean, cov = pooled_cm(discrete_tapped)
-        assert ens.success_probability == pytest.approx(1.0, abs=1e-14)
-        assert_allclose(ens.posterior_weights, discrete_tapped.weights, atol=1e-14)
-        assert_allclose(ens.pooled_mean, mean[:4], atol=1e-10)
-        assert_allclose(ens.pooled_cov, cov[:4, :4], atol=1e-10)
+        assert ens.success_probability[0] == pytest.approx(1.0, abs=1e-14)
+        assert_allclose(ens.posterior_weights[0], discrete_tapped.weights, atol=1e-14)
+        assert_allclose(ens.pooled_mean[0], mean[:4], atol=1e-10)
+        assert_allclose(ens.pooled_cov[0], cov[:4, :4], atol=1e-10)
 
     def test_uncorrelated_tap_leaves_covariance_alone(self):
         rng = np.random.default_rng(32)
         state = random_physical_state(rng, 2)
         mix = mixture([(1.0, tensor(state, vacuum_state(1)))])
-        ens = herald(mix, 1.0)
-        assert_allclose(ens.pooled_cov, state.cov, atol=1e-12)
-        assert ens.success_probability == pytest.approx(gaussian_tail(1.0), rel=1e-12)
+        ens = herald(mix, [1.0])
+        assert_allclose(ens.pooled_cov[0], state.cov, atol=1e-12)
+        assert ens.success_probability[0] == pytest.approx(gaussian_tail(1.0), rel=1e-12)
 
     def test_offset_means_shift_with_selection(self):
         # displaced two-mode vacuum with an uncorrelated tap: the kept
         # ensemble keeps the displacement, covariance untouched
         state = GaussianState([1.5, -0.5, 0.25, 0.0], np.eye(4))
         mix = mixture([(1.0, tensor(state, vacuum_state(1)))])
-        ens = herald(mix, 0.5)
-        assert_allclose(ens.pooled_mean, state.mean, atol=1e-12)
-        assert_allclose(ens.pooled_cov, np.eye(4), atol=1e-12)
+        ens = herald(mix, [0.5])
+        assert_allclose(ens.pooled_mean[0], state.mean, atol=1e-12)
+        assert_allclose(ens.pooled_cov[0], np.eye(4), atol=1e-12)
 
     def test_discrete_threshold_nine_gaussifies(self, discrete_tapped):
-        ens = herald(discrete_tapped, 9.0)
-        assert ens.posterior_weights[1] > 0.99
+        ens = herald(discrete_tapped, [9.0])
+        assert ens.posterior_weights[0, 1] > 0.99
 
     def test_weight_bookkeeping_identities(self, discrete_tapped):
-        for th in (0.0, 4.0, 9.0):
-            ens = herald(discrete_tapped, th)
-            assert ens.success_probability == pytest.approx(
-                float(ens.prior_weights @ ens.per_component_pass), rel=1e-14
-            )
-            expected = ens.prior_weights * ens.per_component_pass / ens.success_probability
-            assert_allclose(ens.posterior_weights, expected, rtol=1e-14)
-            assert ens.posterior_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        ens = herald(discrete_tapped, [0.0, 4.0, 9.0])
+        assert_allclose(ens.success_probability, ens.per_component_pass @ ens.prior_weights,
+                        rtol=1e-14)
+        expected = ens.prior_weights * ens.per_component_pass / ens.success_probability[:, None]
+        assert_allclose(ens.posterior_weights, expected, rtol=1e-14)
+        assert_allclose(ens.posterior_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_component_moment_matrices_well_formed(self, discrete_tapped):
-        for th in (0.0, 3.0, 6.0, 9.0):
-            ens = herald(discrete_tapped, th)
-            for mu, second in zip(ens.component_means, ens.component_second_moments):
-                central = second - np.outer(mu, mu)
-                assert np.linalg.eigvalsh(central).min() > 0.0
-            # conditional covariance (deep-selection limit) is PSD
-            for cov in discrete_tapped.states.cov:
-                sigma2 = cov[4, 4]
-                cvec = cov[:4, 4]
-                cond = cov[:4, :4] - np.outer(cvec, cvec) / sigma2
-                assert np.linalg.eigvalsh(cond).min() > -1e-12
+        ens = herald(discrete_tapped, [0.0, 3.0, 6.0, 9.0])
+        centrals = (ens.component_second_moments
+                    - ens.component_means[..., :, None] * ens.component_means[..., None, :])
+        assert np.linalg.eigvalsh(centrals).min() > 0.0
+        # conditional covariance (deep-selection limit) is PSD
+        for cov in discrete_tapped.states.cov:
+            sigma2 = cov[4, 4]
+            cvec = cov[:4, 4]
+            cond = cov[:4, :4] - np.outer(cvec, cvec) / sigma2
+            assert np.linalg.eigvalsh(cond).min() > -1e-12
 
     def test_each_level_matches_its_own_herald(self):
         # Components differ in weight, tap variance and (A, B) mean, so a
@@ -364,33 +365,34 @@ class TestHerald:
             components.append((weight, GaussianState(mean, tapped.cov[0])))
         mix = mixture(components)
         assert len(set(mix.states.cov[:, 4, 4].tolist())) == 3
-        for th in (-1.0, 0.5, 2.5):
-            ens = herald(mix, th)
-            for i, (_, state) in enumerate(components):
-                alone = herald(mixture([(1.0, state)]), th)
-                assert_allclose(ens.per_component_pass[i], alone.per_component_pass[0], rtol=1e-13)
-                assert_allclose(ens.component_means[i], alone.component_means[0], rtol=1e-13)
-                assert_allclose(
-                    ens.component_second_moments[i], alone.component_second_moments[0], rtol=1e-13
-                )
+        grid = [-1.0, 0.5, 2.5]
+        ens = herald(mix, grid)
+        for i, (_, state) in enumerate(components):
+            alone = herald(mixture([(1.0, state)]), grid)
+            assert_allclose(ens.per_component_pass[:, i], alone.per_component_pass[:, 0], rtol=1e-13)
+            assert_allclose(ens.component_means[:, i], alone.component_means[:, 0], rtol=1e-13)
+            assert_allclose(
+                ens.component_second_moments[:, i], alone.component_second_moments[:, 0], rtol=1e-13
+            )
 
     def test_rejects_nonzero_tap_mean(self):
         state = GaussianState([0, 0, 0, 0, 0.5, 0], np.eye(6))
         with pytest.raises(ValueError):
-            herald(mixture([(1.0, state)]), 1.0)
+            herald(mixture([(1.0, state)]), [1.0])
 
     def test_rejects_wrong_mode_count(self, discrete_mixture):
         with pytest.raises(ValueError):
-            herald(discrete_mixture, 1.0)
+            herald(discrete_mixture, [1.0])
 
-    def test_degenerate_selection_raises(self, discrete_tapped):
-        with pytest.raises(DegenerateSelectionError):
-            herald(discrete_tapped, 1e4)
+    def test_degenerate_selection_recorded(self, discrete_tapped):
+        ens = herald(discrete_tapped, [1e4])
+        assert isinstance(ens.errors[0], DegenerateSelectionError)
+        assert ens.success_probability.shape == (0,) and ens.pooled_cov.shape == (0, 4, 4)
 
     @pytest.mark.parametrize("threshold", [-np.inf, np.inf, np.nan, [2.0, np.nan], [np.inf]])
     def test_rejects_non_finite_threshold(self, discrete_tapped, threshold):
         with pytest.raises(ValueError, match="finite"):
-            herald(discrete_tapped, threshold)
+            herald(discrete_tapped, np.atleast_1d(threshold))
 
 
 def mp_success(tapped, threshold):
@@ -431,29 +433,27 @@ class TestDegenerateRows:
         ens = herald(tapped, grid)
         assert [isinstance(e, DegenerateSelectionError) for e in ens.errors] == expected
         for t, bad in zip(grid, expected):
-            if bad:
-                with pytest.raises(DegenerateSelectionError):
-                    herald(tapped, t)
-            else:
-                assert herald(tapped, t).success_probability > SUCCESS_FLOOR
+            alone = herald(tapped, [t])
+            assert isinstance(alone.errors[0], DegenerateSelectionError) == bad
+            assert np.all(alone.success_probability > SUCCESS_FLOOR)
+            assert alone.success_probability.size == (0 if bad else 1)
 
 
 class TestDistilledGln:
     def test_tap_only_cost_small(self, calibrated_source):
         mix = mixture([(1.0, calibrated_source)])
         tapped = attach_tap(mix, TapConfig())
-        ens = herald(tapped, no_selection_threshold(tapped))
-        ln = distilled_gln(ens)
+        (ln,) = distilled_gln(herald(tapped, [no_selection_threshold(tapped)]))
         assert 0.65 < ln < 0.76  # slightly below the lossless 0.76
 
     def test_discrete_threshold_nine_value(self, discrete_tapped):
-        ens = herald(discrete_tapped, 9.0)
-        assert 0.58 <= distilled_gln(ens) <= 0.76
+        ens = herald(discrete_tapped, [9.0])
+        assert 0.58 <= distilled_gln(ens)[0] <= 0.76
 
     def test_never_exceeds_best_pretap_component(self, discrete_mixture, discrete_tapped):
         best = max(gaussian_log_negativity(cov) for cov in discrete_mixture.states.cov)
-        for th in np.linspace(-2.0, 10.0, 25):
-            assert distilled_gln(herald(discrete_tapped, th)) <= best + 1e-9
+        lns = distilled_gln(herald(discrete_tapped, np.linspace(-2.0, 10.0, 25)))
+        assert lns.shape == (25,) and np.all(lns <= best + 1e-9)
 
 
 def _assert_rows_close(actual, expected, key):
@@ -482,7 +482,7 @@ class TestThresholdSweep:
     """``herald`` over threshold grids: one call, rows stacked in grid order."""
 
     @pytest.mark.parametrize("name", ["discrete_tapped", "fading_tapped"])
-    def test_grid_rows_equal_scalar_calls(self, request, name):
+    def test_grid_rows_equal_one_entry_grids(self, request, name):
         tapped = request.getfixturevalue(name)
         # Unsorted, with a duplicate, and longer than one block.
         grid = np.concatenate([np.linspace(12.0, -3.0, 2 * HERALD_BLOCK + 5), [4.0, -1.0, 4.0]])
@@ -491,11 +491,11 @@ class TestThresholdSweep:
         assert_allclose(ens.threshold_x, grid, rtol=0, atol=0)
         stacked = _grid_row_metrics(ens)
         for k, th in enumerate(grid):
-            alone = herald(tapped, th)
-            assert alone.errors == ()
+            alone = herald(tapped, [th])
+            assert alone.errors == (None,)
             assert_allclose(alone.prior_weights, ens.prior_weights, rtol=0, atol=0)
             for key, value in _grid_row_metrics(alone).items():
-                _assert_rows_close(stacked[key][k], value, key)
+                _assert_rows_close(stacked[key][k], value[0], key)
 
     def test_degenerate_grid_row_only(self, discrete_tapped):
         with warnings.catch_warnings():
@@ -507,11 +507,11 @@ class TestThresholdSweep:
         assert str(ens.errors[1]) == "success probability underflowed (0.0) at threshold 10000.0"
         assert_allclose(ens.threshold_x, [2.0, 3.0], rtol=0, atol=0)
         for k, th in enumerate((2.0, 3.0)):
-            alone = _grid_row_metrics(herald(discrete_tapped, th))
+            alone = _grid_row_metrics(herald(discrete_tapped, [th]))
             for key, value in alone.items():
-                _assert_rows_close(metrics[key][k], value, key)
-        with pytest.raises(DegenerateSelectionError, match="underflowed"):
-            herald(discrete_tapped, 1e4)
+                _assert_rows_close(metrics[key][k], value[0], key)
+        (error,) = herald(discrete_tapped, [1e4]).errors
+        assert str(error) == str(ens.errors[1])
 
     def test_all_degenerate_grid_has_empty_stacks(self, discrete_tapped):
         ens = herald(discrete_tapped, [1e4, 2e4])
@@ -520,42 +520,98 @@ class TestThresholdSweep:
             assert np.shape(value)[:1] == (0,)
 
     def test_rejects_nested_or_empty_grid(self, discrete_tapped):
-        for grid in ([], [[1.0, 2.0]]):
-            with pytest.raises(ValueError, match="grid"):
+        # Scalars included: a single threshold is the one-entry grid.
+        for grid in ([], [[1.0, 2.0]], [[1.0]], 9.0, np.float64(9.0)):
+            with pytest.raises(ValueError) as analytic:
                 herald(discrete_tapped, grid)
+            with pytest.raises(ValueError) as sampled:
+                run_mc_sweep(discrete_tapped, McConfig(n_shots=10), grid)
+            assert str(analytic.value) == str(sampled.value) == (
+                "thresholds must be a non-empty 1-d sequence")
 
     def test_single_deep_negative_threshold(self, discrete_tapped):
-        ens = herald(discrete_tapped, no_selection_threshold(discrete_tapped))
-        assert ens.success_probability == pytest.approx(1.0, abs=1e-14)
+        ens = herald(discrete_tapped, [no_selection_threshold(discrete_tapped)])
+        assert ens.success_probability[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_success_strictly_decreasing(self, discrete_tapped):
-        succ = [herald(discrete_tapped, th).success_probability
-                for th in np.linspace(-5.0, 10.0, 50)]
-        assert all(b < a for a, b in zip(succ, succ[1:]))
+        succ = herald(discrete_tapped, np.linspace(-5.0, 10.0, 50)).success_probability
+        assert succ.size == 50 and np.all(np.diff(succ) < 0.0)
 
     def test_high_transmission_weight_non_decreasing(self, discrete_tapped):
-        w_top = [herald(discrete_tapped, th).posterior_weights[1]
-                 for th in np.linspace(0.0, 10.0, 21)]
-        assert all(b >= a - 1e-12 for a, b in zip(w_top, w_top[1:]))
+        w_top = herald(discrete_tapped, np.linspace(0.0, 10.0, 21)).posterior_weights[:, 1]
+        assert w_top.size == 21 and np.all(np.diff(w_top) >= -1e-12)
 
-    def test_degenerate_point_raises(self, discrete_tapped):
-        assert np.isfinite(distilled_gln(herald(discrete_tapped, 0.0)))
-        with pytest.raises(DegenerateSelectionError):
-            herald(discrete_tapped, 1e4)
+
+def floor_crossing(tapped):
+    """The threshold where the mpmath success falls to SUCCESS_FLOOR, to 1e-12 relative.
+
+    Every level has alpha >= 40 at 40 tap deviations, where Q < 1e-300.
+    """
+    lo, hi = 0.0, 40.0 * np.sqrt(tapped.states.cov[:, 4, 4]).max()
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mp_success(tapped, mid) > SUCCESS_FLOOR else (lo, mid)
+    return hi
+
+
+@st.composite
+def heralding_cases(draw):
+    """A random physical tapped mixture of 1-6 levels and a grid reaching past its floor crossing.
+
+    The grid's thresholds are fractions of the crossing, some a relative
+    1e-2, 1e-4 or 1e-6 from it, and the last past it. A threshold whose mpmath
+    success lies within 1e-3 (relative) of SUCCESS_FLOOR is dropped: the
+    knife edge is left to rounding.
+    """
+    n = draw(st.integers(1, 6))
+    transmittances = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True)))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    channel = FluctuatingChannel(transmittances, raw / raw.sum())
+    source = random_physical_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 2)
+    tap = TapConfig(reflectivity=draw(st.floats(0.01, 0.5)))
+    tapped = attach_tap(propagate(source, channel), tap)
+    crossing = floor_crossing(tapped)
+    near = st.sampled_from([1.0 + d for d in (-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2)])
+    fractions = draw(st.lists(st.floats(-0.3, 1.3) | near, min_size=1, max_size=10))
+    grid = np.array(fractions + [draw(st.floats(1.01, 2.0))]) * crossing
+    success = np.array([float(mp_success(tapped, t)) for t in grid])
+    clear = np.abs(success - SUCCESS_FLOOR) > 1e-3 * SUCCESS_FLOOR
+    return tapped, grid[clear], success[clear]
+
+
+class TestGridContract:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=heralding_cases())
+    def test_rows_errors_and_one_entry_grids(self, case):
+        tapped, grid, success = case
+        ens = herald(tapped, grid)
+        degenerate = success <= SUCCESS_FLOOR
+        assert degenerate[-1]
+        assert [isinstance(e, DegenerateSelectionError) for e in ens.errors] == degenerate.tolist()
+        assert [e is None for e in ens.errors] == (~degenerate).tolist()
+        assert np.array_equal(ens.threshold_x, grid[~degenerate])
+        if not degenerate.all():
+            _assert_rel(ens.success_probability, success[~degenerate], 1e-12, "success")
+        stacked = _grid_row_metrics(ens)
+        for k, th in enumerate(ens.threshold_x):
+            alone = herald(tapped, [th])
+            assert alone.errors == (None,)
+            for key, value in _grid_row_metrics(alone).items():
+                _assert_rows_close(stacked[key][k], value[0], key)
 
 
 class TestGaussification:
     def test_single_component(self, calibrated_source):
         tapped = attach_tap(mixture([(1.0, calibrated_source)]), TapConfig())
-        ens = herald(tapped, 2.0)
-        entropy, dist = gaussification_metrics(ens)
+        ens = herald(tapped, [2.0])
+        (entropy,), (dist,) = gaussification_metrics(ens)
         assert entropy == pytest.approx(0.0, abs=1e-12)
         assert dist == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_identical_components(self, calibrated_source):
         mix = mixture([(0.5, calibrated_source), (0.5, calibrated_source)])
-        ens = herald(attach_tap(mix, TapConfig()), 3.0)
-        entropy, dist = gaussification_metrics(ens)
+        ens = herald(attach_tap(mix, TapConfig()), [3.0])
+        (entropy,), (dist,) = gaussification_metrics(ens)
         assert entropy == pytest.approx(1.0, abs=1e-12)
         assert dist == pytest.approx(0.0, abs=1e-9)
 
@@ -570,27 +626,28 @@ class TestGaussification:
                             3.0 * np.eye(4) + np.outer(means[1], means[1])])
         weights = np.array([0.25, 0.75])
         ens = DistilledEnsemble(
-            threshold_x=0.0,
-            success_probability=1.0,
+            threshold_x=np.zeros(1),
+            success_probability=np.ones(1),
             prior_weights=weights,
-            posterior_weights=weights,
-            per_component_pass=np.ones(2),
-            component_means=means,
-            component_second_moments=seconds,
-            pooled_mean=np.zeros(4),
-            pooled_cov=np.diag([3.25, 2.5, 2.5, 2.5]),
+            posterior_weights=weights[None],
+            per_component_pass=np.ones((1, 2)),
+            component_means=means[None],
+            component_second_moments=seconds[None],
+            pooled_mean=np.zeros((1, 4)),
+            pooled_cov=np.diag([3.25, 2.5, 2.5, 2.5])[None],
+            errors=(None,),
         )
-        entropy, dist = gaussification_metrics(ens)
+        (entropy,), (dist,) = gaussification_metrics(ens)
         assert entropy == pytest.approx(-(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), rel=1e-14)
         assert dist == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
         # A component with posterior weight <= 1e-6 is left out of the maximum.
-        faint = replace(ens, posterior_weights=np.array([1e-6, 1.0 - 1e-6]))
-        assert gaussification_metrics(faint)[1] == pytest.approx(0.5 * np.sqrt(3.0), rel=1e-14)
-        kept = replace(ens, posterior_weights=np.array([2e-6, 1.0 - 2e-6]))
-        assert gaussification_metrics(kept)[1] == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
+        faint = replace(ens, posterior_weights=np.array([[1e-6, 1.0 - 1e-6]]))
+        assert gaussification_metrics(faint)[1][0] == pytest.approx(0.5 * np.sqrt(3.0), rel=1e-14)
+        kept = replace(ens, posterior_weights=np.array([[2e-6, 1.0 - 2e-6]]))
+        assert gaussification_metrics(kept)[1][0] == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
 
     def test_discrete_threshold_nine_entropy(self, discrete_tapped):
-        entropy, _ = gaussification_metrics(herald(discrete_tapped, 9.0))
+        (entropy,), _ = gaussification_metrics(herald(discrete_tapped, [9.0]))
         assert entropy < 0.1
 
 
@@ -605,7 +662,7 @@ class TestJointQuadratureVariances:
         assert var_diff == pytest.approx(2 * vs, rel=1e-12)
 
     def test_distilled_below_shot_noise(self, discrete_tapped):
-        ens = herald(discrete_tapped, 9.0)
-        var_sum, var_diff = joint_quadrature_variances(ens.pooled_cov)
+        ens = herald(discrete_tapped, [9.0])
+        (var_sum,), (var_diff,) = joint_quadrature_variances(ens.pooled_cov)
         assert var_sum < 2.0
         assert var_diff < 2.0

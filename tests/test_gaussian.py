@@ -219,7 +219,7 @@ class TestLogNegativityGradient:
     def test_matches_central_difference(self, discrete_mixture, discrete_tapped):
         covs = list(discrete_mixture.states.cov)
         covs.append(pooled_cm(discrete_mixture)[1])
-        covs += [herald(discrete_tapped, t).pooled_cov for t in (0.0, 4.0, 9.0)]
+        covs += list(herald(discrete_tapped, [0.0, 4.0, 9.0]).pooled_cov)
         rng = np.random.default_rng(14)
         covs += [random_physical_state(rng, 2).cov for _ in range(20)]
         for cov in covs:
@@ -230,8 +230,8 @@ class TestLogNegativityGradient:
             )
 
     def test_stack_gives_each_matrix_its_gradient(self, discrete_mixture, discrete_tapped):
-        covs = np.stack([herald(discrete_tapped, t).pooled_cov for t in (0.0, 4.0, 9.0)]
-                        + list(discrete_mixture.states.cov))
+        covs = np.concatenate([herald(discrete_tapped, [0.0, 4.0, 9.0]).pooled_cov,
+                               discrete_mixture.states.cov])
         stacked = log_negativity_gradient(covs)
         assert stacked.shape == covs.shape
         for cov, grad in zip(covs, stacked):

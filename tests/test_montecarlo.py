@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cvdistill import (
-    ChannelLevel,
     DegenerateSelectionError,
     FluctuatingChannel,
     GaussianState,
@@ -35,7 +34,7 @@ from cvdistill import (
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
 from cvdistill.distill import series_bin_probabilities
 from cvdistill.mc import _kernel_py, engine
-from conftest import apply_phase_rotation, batch_moments, level, mixture
+from conftest import apply_phase_rotation, batch_moments, level, mixture, pooled_cov_se
 
 # A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
@@ -54,7 +53,7 @@ def uncorrelated_tap(state):
 
 class TestSampleLevel:
     def test_single_level_always_zero(self):
-        chan = FluctuatingChannel([ChannelLevel(1.0, 1.0)])
+        chan = FluctuatingChannel([1.0], [1.0])
         tapped = attach_tap(propagate(make_kerr_entangled(0.6, 10.0), chan), TapConfig())
         res = sweep_at(tapped, McConfig(n_shots=1000, seed=0), NO_SELECTION)
         assert np.array_equal(res.per_level_kept[0], [1000])
@@ -112,7 +111,7 @@ class TestSamplePhasePoint:
         _, cov = pooled_cm(tapped)
         assert np.abs(cov[0:4:2, 1:4:2]).max() > 0.5
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=49), NO_SELECTION)
-        assert np.all(np.abs(res.pooled_cov[0] - cov[:4, :4]) < 4 * res.pooled_cov_se[0])
+        assert np.all(np.abs(res.pooled_cov[0] - cov[:4, :4]) < 4 * pooled_cov_se(res)[0])
 
     def test_transform_matches_factor_product(self):
         # Displaced, phase-rotated fading mixture: nonzero means and X-P terms.
@@ -466,33 +465,32 @@ class TestRunMc:
         assert res.pooled_cov.shape == (0, 4, 4)
 
     def test_agreement_with_analytic_discrete(self, tapped_discrete):
-        ens = herald(tapped_discrete, 4.0)
+        ens = herald(tapped_discrete, [4.0])
         res = sweep_at(tapped_discrete, McConfig(n_shots=1_000_000, seed=2026), 4.0)
-        z_succ = abs(res.success_probability[0] - ens.success_probability) / res.success_se[0]
+        z_succ = abs(res.success_probability[0] - ens.success_probability[0]) / res.success_se[0]
         assert z_succ < 4.0
-        dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
+        dev = np.abs(res.pooled_cov[0] - ens.pooled_cov[0]) / pooled_cov_se(res)[0]
         assert dev.max() < 4.0
         ln_mc, ln_se = (column[0] for column in ln_with_se(res))
-        assert abs(ln_mc - distilled_gln(ens)) < 4.0 * ln_se
+        assert abs(ln_mc - distilled_gln(ens)[0]) < 4.0 * ln_se
 
     def test_agreement_with_analytic_fading(self, tapped_fading):
-        ens = herald(tapped_fading, 2.0)
+        ens = herald(tapped_fading, [2.0])
         res = sweep_at(tapped_fading, McConfig(n_shots=1_000_000, seed=2027), 2.0)
-        z_succ = abs(res.success_probability[0] - ens.success_probability) / res.success_se[0]
+        z_succ = abs(res.success_probability[0] - ens.success_probability[0]) / res.success_se[0]
         assert z_succ < 4.0
-        dev = np.abs(res.pooled_cov[0] - ens.pooled_cov) / res.pooled_cov_se[0]
+        dev = np.abs(res.pooled_cov[0] - ens.pooled_cov[0]) / pooled_cov_se(res)[0]
         assert dev.max() < 4.0
 
     def test_posterior_weights_match_analytic(self, tapped_discrete):
-        ens = herald(tapped_discrete, 4.0)
+        post = herald(tapped_discrete, [4.0]).posterior_weights[0]
         res = sweep_at(tapped_discrete, McConfig(n_shots=1_000_000, seed=11), 4.0)
         mc_post = res.per_level_kept[0] / res.kept_count[0]
-        se = np.sqrt(ens.posterior_weights * (1 - ens.posterior_weights) / res.kept_count[0])
-        assert np.all(np.abs(mc_post - ens.posterior_weights) < 4 * se + 1e-12)
+        se = np.sqrt(post * (1 - post) / res.kept_count[0])
+        assert np.all(np.abs(mc_post - post) < 4 * se + 1e-12)
 
     def test_ln_converges_with_shots(self, tapped_discrete):
-        ens = herald(tapped_discrete, 4.0)
-        target = distilled_gln(ens)
+        (target,) = distilled_gln(herald(tapped_discrete, [4.0]))
         errs, ses = [], []
         for n in (100_000, 1_000_000, 10_000_000):
             res = sweep_at(tapped_discrete, McConfig(n_shots=n, seed=314), 4.0)
@@ -553,11 +551,15 @@ class TestPreSelectionHistograms:
             assert chi_square_p(counts, p) >= 1e-6
 
 
+def sweep_moments(sweep):
+    """The moment stacks of one run_mc_sweep, with the standard errors of its covariances."""
+    return [sweep.pooled_mean, sweep.pooled_cov, pooled_cov_se(sweep), sweep.cov_sampling]
+
+
 def sweep_outputs(sweep):
     """Every count, histogram, moment and error message of one run_mc_sweep."""
     arrays = [sweep.thresholds, sweep.kept_count, sweep.per_level_kept, sweep.edges,
-              sweep.hist_pre, sweep.hist_post, sweep.pooled_mean, sweep.pooled_cov,
-              sweep.pooled_cov_se, sweep.cov_sampling]
+              sweep.hist_pre, sweep.hist_post, *sweep_moments(sweep)]
     return arrays + [[sweep.total_count], [str(exc) for exc in sweep.errors]]
 
 
@@ -608,8 +610,8 @@ class TestRunMcSweep:
                 continue
             assert sweep.errors[j] is None and ref.errors[1] is None
             # Moments differ only by merge order: relative to each array's largest entry.
-            for field in ("pooled_mean", "pooled_cov", "pooled_cov_se", "cov_sampling"):
-                a, b = getattr(sweep, field)[row], getattr(ref, field)[1]
+            for a, b in zip(sweep_moments(sweep), sweep_moments(ref)):
+                a, b = a[row], b[1]
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
             assert ([column[row] for column in ln_with_se(sweep)]
                     == pytest.approx([column[1] for column in ln_with_se(ref)], rel=1e-9))
