@@ -357,8 +357,14 @@ class ExperimentConfig:
             "output": self.output.to_dict(),
         }
 
+    def recorded_dict(self) -> dict:
+        """``to_dict`` with ``output.dir`` null, as a run records and hashes it."""
+        d = self.to_dict()
+        d["output"]["dir"] = None
+        return d
+
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.recorded_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

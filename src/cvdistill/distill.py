@@ -296,6 +296,22 @@ def series_bin_probabilities(states: GaussianState, coefficients, edges, below=n
     return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
 
 
+def check_grid(mixture3: MixtureState, thresholds) -> np.ndarray:
+    """``thresholds`` as a float array, checked as both engines take a grid.
+
+    Raises ``ValueError`` for a mixture that is not three-mode (A, B, Tap),
+    or a grid that is not 1-d, is empty or holds a non-finite threshold.
+    """
+    if mixture3.n_modes != 3:
+        raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.ndim != 1 or thresholds.size == 0:
+        raise ValueError("thresholds must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
+    return thresholds
+
+
 def herald(mixture3: MixtureState, thresholds) -> DistilledEnsemble:
     """Post-select on the tap X quadrature exceeding each of ``thresholds``.
 
@@ -312,16 +328,9 @@ def herald(mixture3: MixtureState, thresholds) -> DistilledEnsemble:
     threshold whose success probability is at or below ``SUCCESS_FLOOR``
     gets a :class:`DegenerateSelectionError` in ``errors`` and no row.
 
-    Raises ``ValueError`` for a grid that is not 1-d, is empty or holds a
-    non-finite threshold.
+    Raises ``ValueError`` as :func:`check_grid` does.
     """
-    if mixture3.n_modes != 3:
-        raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.ndim != 1 or thresholds.size == 0:
-        raise ValueError("thresholds must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(thresholds)):
-        raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
+    thresholds = check_grid(mixture3, thresholds)
     prior, mean, cov = mixture3.weights, mixture3.states.mean, mixture3.states.cov
     if np.any(np.abs(mean[:, 4]) > 1e-12):
         raise ValueError("herald requires zero mean in the tap X quadrature")

@@ -18,7 +18,7 @@ bits at 1, 2 and 4 threads.
 
 Strata from the tap bin. A candidate's stratum, the number of thresholds
 t_1 < ... < t_top at or below its X_tap, is read off its X_tap histogram
-bin, which the engine has already computed, with no binary search.
+bin, binned with the other four series in one call, with no binary search.
 ``bin_index`` is monotone non-decreasing in the value: it adds, multiplies
 by a positive scale, clamps and truncates, each step monotone in floating
 point. So a threshold binned below a candidate's bin b lies below the
@@ -87,21 +87,19 @@ def stratum_lookup(thresholds, hist_range, n_bins):
     return base, table, crowded if crowded.any() else None, edges
 
 
-def accumulate_chunk(x, tap_bin, level_ends, lookup, hist_range, n_bins, hist_post,
-                     per_level_kept, series, idx):
+def accumulate_chunk(x, level_ends, lookup, hist_range, n_bins, hist_post, per_level_kept,
+                     series, idx):
     """Bin the kept shots of a chunk and accumulate them by stratum.
 
     x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap), every shot with
         X_Tap >= thresholds[0]; shots level_ends[i - 1]:level_ends[i]
         belong to channel level i
-    tap_bin : (m,) int64, ``bin_index`` of x[4], which the kernel does not
-        bin again
     lookup : ``stratum_lookup(thresholds, hist_range, n_bins)`` of the
         sorted, distinct thresholds; a shot is kept in stratum j,
         thresholds[j] <= X_Tap < thresholds[j + 1] (the top stratum has no
         upper edge). ``bin_index`` is monotone, so the thresholds binned
-        below a shot's tap bin lie below its X_Tap and those binned above
-        lie above it: j is base[tap_bin] plus the thresholds of its own
+        below a shot's tap bin b lie below its X_Tap and those binned above
+        lie above it: j is base[b] plus the thresholds of its own
         bin that X_Tap reaches, searchsorted's answer with no search except
         in a crowded bin (see the module docstring)
     hist_post : (S, 5, n_bins) int64, the histograms of the series X_tap,
@@ -118,14 +116,16 @@ def accumulate_chunk(x, tap_bin, level_ends, lookup, hist_range, n_bins, hist_po
     n_strata, n_levels = hist_post.shape[0], per_level_kept.shape[1]
     series = series[: 5 * m].reshape(5, m)
     idx = idx[: 5 * m].reshape(5, m)
+    np.copyto(series[0], x[4])
     np.copyto(series[1:3], x[2:4])
     np.add(x[0], x[2], out=series[3])
     np.subtract(x[1], x[3], out=series[4])
-    bin_index(series[1:], hist_range, n_bins, idx[1:])
-    np.copyto(idx[0], tap_bin)
+    bin_index(series, hist_range, n_bins, idx)
     idx += _SERIES_OFFSET * n_bins
 
-    # Every bin is in range, so "clip" never clips: it skips the bounds check.
+    # Series 0 has offset 0: idx[0] is the tap bin. Every bin is in range,
+    # so "clip" never clips: it skips the bounds check.
+    tap_bin = idx[0]
     base, table, crowded, edges = lookup
     strata = np.take(base, tap_bin, mode="clip")
     for row in table:

@@ -21,35 +21,34 @@ Tap-first sampling. Shots are sampled in fixed-size blocks, block b from
 its own stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed
 streams in the sense of Salmon et al. 2011, "Parallel random numbers: as
 easy as 1, 2, 3"). A block draws its level counts (one multinomial draw),
-then one normal per shot, scaled to the shot's tap X, which is binned into
-the pre-selection X_tap histogram. Only the candidates, the shots with
-X_tap >= t_0, draw four more normals, mapped to (X_A, P_A, X_B, P_B) by
-their level's regression on the tap normal and the Cholesky factor of the
-conditional covariance (the Schur complement of the tap variance). The
-candidates go to one kernel call, which keeps every one of them. X_tap is
-binned once per shot: the kernel takes the candidates' tap bins from that
-pre-selection binning and reads each candidate's stratum off its bin
-(``_kernel_py.stratum_lookup``), so it bins only the four other series. The
+then one normal per shot, scaled to the shot's tap X. Only the candidates,
+the shots with X_tap >= t_0, draw four more normals, mapped to (X_A, P_A,
+X_B, P_B) by their level's regression on the tap normal and the Cholesky
+factor of the conditional covariance (the Schur complement of the tap
+variance). The candidates go to one kernel call, which keeps every one of
+them, bins all five series and reads each candidate's stratum off its
+X_tap bin (``_kernel_py.stratum_lookup``); no other shot is binned. The
 kernel's one BLAS call is a (14, n) product per stratum for the moments'
 M2, which OpenBLAS runs on one thread with bits that do not depend on the
 thread count (see ``_kernel_py``); the rest of the block is plain numpy.
 
 What is shot-exact and what is not. Every shot's tap X, and so every kept
-count, per-level count, X_tap histogram, post-selection histogram and
-moment, is sampled shot by shot from the exact joint law. The other shots'
-off-tap quadratures are never drawn. Their pre-selection histograms of
-X_B, P_B, X_A+X_B and P_A-P_B are completed in the parent: the other
-shots of level i are i.i.d. from that level's law given X_tap < t_0, so the
-histogram of each series over them is exactly Multinomial(count,
-conditional bin probabilities), drawn from the stream ``SeedSequence(seed)``
-itself, whose key no block uses (every block key has one entry). Each
-pre-selection histogram therefore has its shot-by-shot law, sums to
-``n_shots`` and bounds every post-selection histogram bin by bin; the joint
-law of the other shots' off-tap histograms across series, and with their
-X_tap bins, is not reproduced. A sweep whose t_0 keeps every shot draws no
-composition. Which shots are candidates depends on t_0, so a grid row
-equals the same row of any sweep of the same lowest threshold, and the
-one-threshold sweep there in its counts and X_tap histograms.
+count, per-level count, post-selection histogram and moment, is sampled
+shot by shot from the exact joint law. The other shots are never binned
+and their off-tap quadratures never drawn: every pre-selection histogram
+is the lowest threshold's post-selection one plus their histogram,
+composed in the parent. The other shots of level i are i.i.d. from that
+level's law given X_tap < t_0, so the histogram of each series over them,
+X_tap included, is exactly Multinomial(count, conditional bin
+probabilities), drawn from the stream ``SeedSequence(seed)`` itself, whose
+key no block uses (every block key has one entry). Each pre-selection
+histogram therefore has its shot-by-shot law, sums to ``n_shots`` and
+bounds every post-selection histogram bin by bin; the joint law of the
+other shots' histograms across series is not reproduced. A sweep whose t_0
+keeps every shot draws no composition. Which shots are candidates depends
+on t_0, so a grid row equals the same row of any sweep of the same lowest
+threshold, and the one-threshold sweep there in its counts and post-selection
+X_tap histogram.
 
 Each worker allocates its normals and the kernel's scratch buffers once and
 reuses them for every block; inside the block loop, only the candidates'
@@ -75,11 +74,12 @@ import numpy as np
 
 from ..channel import MixtureState
 from ..config import McConfig
-from ..distill import DegenerateSelectionError, distilled_gln, series_bin_probabilities
+from ..distill import (DegenerateSelectionError, check_grid, distilled_gln,
+                       series_bin_probabilities)
 from ..gaussian import GaussianState, InvalidCovarianceError, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
-from ._kernel_py import N_FEATURES, PAIRS, bin_index
+from ._kernel_py import N_FEATURES, PAIRS
 
 __all__ = [
     "SERIES",
@@ -115,12 +115,12 @@ class McSweep:
 
     Shaped like ``herald``'s grid ensemble. Held once: the bin ``edges``
     and the pre-selection histograms ``hist_pre`` (5, bins), each series
-    summing to ``total_count``; the off-tap rows of the shots below the
-    lowest threshold are drawn from their exact conditional law (see the
-    module docstring). Per grid threshold, in input order with
-    duplicates: ``thresholds``, ``kept_count`` (T,), ``per_level_kept``
-    (T, L) and the post-selection histograms ``hist_post`` (T, 5, bins).
-    Histogram series k is ``SERIES[k]``.
+    summing to ``total_count``, whose counts of the shots below the lowest
+    threshold are drawn from their exact conditional law (see the module
+    docstring). Per grid threshold, in input order with duplicates:
+    ``thresholds``, ``kept_count`` (T,), ``per_level_kept`` (T, L) and the
+    post-selection histograms ``hist_post`` (T, 5, bins). Histogram series
+    k is ``SERIES[k]``.
 
     The moment stacks ``pooled_mean`` (K, 4), ``pooled_cov`` (K, 4, 4) and
     ``cov_sampling`` (K, 10, 10), the empirical (distribution-free) sampling
@@ -218,14 +218,13 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
     candidates with thresholds[j] <= X_tap < thresholds[j + 1]; the top
     stratum has no upper edge.
 
-    Returns the pre-selection X_tap histogram (n_bins,), the per-stratum
-    post-selection histograms (n_strata, 5, n_bins), per-level kept counts
-    (n_strata, n_levels) and per-level counts of the other shots
-    (n_levels,), summed over the blocks, and the blocks' per-stratum
-    moments as the nodes of :func:`_push_block_node`'s stack.
+    Returns the per-stratum post-selection histograms (n_strata, 5,
+    n_bins), per-level kept counts (n_strata, n_levels) and per-level
+    counts of the other shots (n_levels,), summed over the blocks, and the
+    blocks' per-stratum moments as the nodes of :func:`_push_block_node`'s
+    stack.
     """
     n_strata, n_levels = thresholds.shape[0], weights.shape[0]
-    hist_tap = np.zeros(n_bins, dtype=np.int64)
     hist_post = np.zeros((n_strata, 5, n_bins), dtype=np.int64)
     per_level_kept = np.zeros((n_strata, n_levels), dtype=np.int64)
     below = np.zeros(n_levels, dtype=np.int64)
@@ -249,12 +248,6 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
         cand_ends = np.searchsorted(cand, level_ends)
         cand_counts = np.diff(cand_ends, prepend=0)
         below += level_counts - cand_counts
-        bin_index(x_tap, hist_range, n_bins, idx[:m])
-        hist_tap += np.bincount(idx[:m], minlength=n_bins)
-        # The candidates' tap X after _transform is x_tap bit for bit (the
-        # same scale and mean add), so the kernel takes their bins from here,
-        # before it reuses idx; cand < m, so "clip" never clips.
-        tap_bin = np.take(idx, cand, mode="clip")
 
         x = normals[: 5 * cand.size].reshape(5, cand.size)
         rng.standard_normal(out=x[:4])
@@ -262,11 +255,9 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
         _transform(x, cand_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
-            x, tap_bin, cand_ends, lookup, hist_range, n_bins, hist_post, per_level_kept,
-            series, idx,
-        )
+            x, cand_ends, lookup, hist_range, n_bins, hist_post, per_level_kept, series, idx)
         _push_block_node(nodes, 0, b, acc)
-    return hist_tap, hist_post, per_level_kept, below, nodes
+    return hist_post, per_level_kept, below, nodes
 
 
 def _push_block_node(stack, level, index, acc):
@@ -290,27 +281,18 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     Post-selects on the tap X quadrature of a three-mode (A, B, Tap)
     mixture exceeding each threshold. All thresholds share one pass over
     the ``config.n_shots`` shots (see the module docstring): a grid row has
-    the kept count, per-level counts and X_tap histograms of the
-    one-threshold sweep at that threshold with the same config. Its other
-    histograms equal, and its moments differ only by float reassociation
-    from, those of any sweep with the same lowest threshold.
+    the kept count, per-level counts and X_tap post-selection histogram of
+    the one-threshold sweep at that threshold with the same config. Its
+    other histograms and the sweep's ``hist_pre`` equal those of any sweep
+    with the same lowest threshold, and its moments differ from theirs only
+    by float reassociation.
 
     Returns one :class:`McSweep`. A threshold that fewer than ``MIN_KEPT``
     shots pass has its error in ``errors`` and no row in the moment stacks.
 
-    Raises
-    ------
-    ValueError
-        If the mixture is not three-mode, or ``thresholds`` is empty or
-        holds a non-finite value.
+    Raises ``ValueError`` as :func:`cvdistill.distill.check_grid` does.
     """
-    if mixture3.n_modes != 3:
-        raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.ndim != 1 or thresholds.size == 0:
-        raise ValueError("thresholds must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(thresholds)):
-        raise ValueError(f"thresholds must be finite, got {thresholds.tolist()}")
+    thresholds = check_grid(mixture3, thresholds)
     grid, grid_index = np.unique(thresholds, return_inverse=True)
     components = _prepare_components(mixture3)
     n_blocks = -(-config.n_shots // CHUNK_SHOTS)
@@ -337,10 +319,10 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
 
     # Integer counts sum exactly, and the moments merge along the fixed tree
     # of _push_block_node, so the result does not depend on the workers.
-    hist_tap, hist_post, per_level_kept, below = (sum(out[k] for out in outs) for k in range(4))
+    hist_post, per_level_kept, below = (sum(out[k] for out in outs) for k in range(3))
     nodes = []
     for out in outs:
-        for node in out[4]:
+        for node in out[3]:
             _push_block_node(nodes, *node)
     strata = nodes[0][2]
     for _, _, acc in nodes[1:]:
@@ -350,10 +332,9 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     # suffix merge of the moments, from the top threshold down.
     hist_post = np.cumsum(hist_post[::-1], axis=0)[::-1]
     edges = np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1)
-    # Every candidate is kept at the lowest threshold: its off-tap
-    # pre-selection counts are that threshold's post-selection counts.
-    hist_pre = np.concatenate([hist_tap[None], hist_post[0, 1:]])
-    hist_pre[1:] += _off_tap_below(mixture3, below, grid[0], edges, config.seed)
+    # Every candidate is kept at the lowest threshold: its pre-selection
+    # counts are that threshold's post-selection counts.
+    hist_pre = hist_post[0] + _off_tap_below(mixture3, below, grid[0], edges, config.seed)
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
     kept_count = np.cumsum(strata.count[::-1])[::-1]
     mean, cov, cov_sampling = (np.zeros((grid.size,) + shape)
@@ -383,19 +364,20 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
 
 
 def _off_tap_below(mixture3, below, t0, edges, seed):
-    """Off-tap pre-selection counts (4, bins) of the shots with X_tap < t0.
+    """Pre-selection counts (5, bins) of the shots with X_tap < t0, every series.
 
     ``below`` (L,) counts those shots per level. They are i.i.d. from their
-    level's law given X_tap < t0, so each off-tap series' histogram over them
-    is exactly Multinomial(below[i], its conditional bin probabilities),
-    drawn from the stream ``SeedSequence(seed)``, whose key no block uses.
+    level's law given X_tap < t0, so each series' histogram over them, X_tap
+    included, is exactly Multinomial(below[i], its conditional bin
+    probabilities), drawn from the stream ``SeedSequence(seed)``, whose key
+    no block uses.
     """
     levels = np.flatnonzero(below)
     if levels.size == 0:
         return 0
     states = mixture3.states
     probs = series_bin_probabilities(
-        GaussianState(states.mean[levels], states.cov[levels]), SERIES_COEFFICIENTS[1:], edges, t0)
+        GaussianState(states.mean[levels], states.cov[levels]), SERIES_COEFFICIENTS, edges, t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.multinomial(below[levels, None], probs).sum(axis=0)
 

@@ -330,7 +330,7 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         thresholds=rows,
         histogram_edges=histogram_edges,
         provenance={
-            "config": config.to_dict(),
+            "config": config.recorded_dict(),
             "config_hash": config.config_hash(),
             "seed": config.mc.seed,
             "n_workers": config.mc.n_workers,

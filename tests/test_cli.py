@@ -634,6 +634,19 @@ class TestDeterminism:
         report = json.loads(outs[0])
         assert [row["mc"] is not None for row in report["thresholds"]][:3] == [True] * 3
 
+    def test_artifacts_independent_of_the_output_directory(self, both_run, capsys):
+        first, report = both_run
+        cfg_path = first.parent / "cfg.json"
+        second = first.parent / "a-directory-with-a-longer-name"
+        assert main(["run", "--config", str(cfg_path), "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        assert all((first / n).read_bytes() == (second / n).read_bytes() for n in names)
+        # The hash is the config's without a directory, as config.json records it.
+        assert report["provenance"]["config"]["output"]["dir"] is None
+        assert report["provenance"]["config_hash"] == parse_config(
+            json.loads(cfg_path.read_text())).config_hash()
+
 
 def test_readme_library_use_runs(capsys):
     """README's "Library use" block runs as written, so an API change cannot leave it stale."""

@@ -292,6 +292,22 @@ class TestSeriesBinProbabilities:
         cdf = np.concatenate([np.zeros((2, 5, 1)), 1.0 - upper, np.ones((2, 5, 1))], axis=-1)
         assert_allclose(probs, np.diff(cdf, axis=-1), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("below", [0.0, 4.0, 9.0])
+    @pytest.mark.parametrize("name", ["discrete_tapped", "fading_tapped"])
+    def test_conditional_tap_row_is_univariate(self, request, name, below):
+        # The Monte Carlo composes X_tap too. Series and tap are then one
+        # variable, so the row is a truncated normal; rho rounds to 1 or to an
+        # ulp below it, which takes the bivariate CDF's |rho| < 1 branch.
+        states = request.getfixturevalue(name).states
+        probs = series_bin_probabilities(states, [[0, 0, 0, 0, 1]], self.EDGES, below)[:, 0]
+        sigma = np.sqrt(states.cov[:, 4, 4])[:, None]
+        lo = np.concatenate([[-np.inf], self.EDGES[1:-1]])
+        hi = np.minimum(np.concatenate([self.EDGES[1:-1], [np.inf]]), below)
+        mass = gaussian_tail(-hi / sigma) - gaussian_tail(-lo / sigma)
+        ref = np.maximum(mass, 0.0) / gaussian_tail(-below / sigma)
+        assert_allclose(probs, ref, rtol=0, atol=1e-15)
+        assert not probs[:, lo >= below].any()  # no shot below t0 lands at or above it
+
     def test_underflowing_condition_raises(self, discrete_tapped):
         with pytest.raises(DegenerateSelectionError, match="underflows"):
             series_bin_probabilities(discrete_tapped.states, self.COEFFS, self.EDGES, -1e3)

@@ -147,7 +147,7 @@ class TestSamplePhasePoint:
 
 
 def bin_tap_values(values, bins, hist_range):
-    """Pre-selection X_tap counts of ``values``, binned as the engine bins every shot."""
+    """X_tap counts of ``values``, binned as the kernel bins every series."""
     values = np.array(values, dtype=float)
     idx = np.empty(values.size, dtype=np.int64)
     _kernel_py.bin_index(values, hist_range, bins, idx)
@@ -155,12 +155,9 @@ def bin_tap_values(values, bins, hist_range):
 
 
 def run_kernel(x, level_ends, thresholds, hist_range, bins, *out_and_scratch):
-    """``accumulate_chunk`` at ``thresholds``, given the tap bins and lookup the engine passes."""
-    tap_bin = np.empty(x.shape[1], dtype=np.int64)
-    _kernel_py.bin_index(x[4].copy(), hist_range, bins, tap_bin)
+    """``accumulate_chunk`` at ``thresholds``, given the lookup the engine passes."""
     lookup = _kernel_py.stratum_lookup(thresholds, hist_range, bins)
-    return _kernel_py.accumulate_chunk(
-        x, tap_bin, level_ends, lookup, hist_range, bins, *out_and_scratch)
+    return _kernel_py.accumulate_chunk(x, level_ends, lookup, hist_range, bins, *out_and_scratch)
 
 
 def test_kernel_routes_kept_shots_by_stratum_and_level():
@@ -542,8 +539,8 @@ class TestPreSelectionHistograms:
 
     @pytest.mark.parametrize("grid", [[9.0], [0.0, 4.0]])
     def test_match_the_closed_form(self, tapped_fading, grid):
-        # The X_tap row is sampled shot by shot; the off-tap rows are the
-        # candidates' sampled bins plus the composition of the other shots.
+        # Each row is the candidates' sampled bins plus the composition of
+        # the other shots.
         sweep = run_mc_sweep(tapped_fading, McConfig(n_shots=1_000_000, seed=63), grid)
         probs = tapped_fading.weights @ series_bin_probabilities(
             tapped_fading.states, engine.SERIES_COEFFICIENTS, sweep.edges).swapaxes(0, 1)
@@ -601,7 +598,6 @@ class TestRunMcSweep:
             alone = sweep_at(tapped_discrete, conf, th)
             assert sweep.kept_count[j] == alone.kept_count[0]
             assert np.array_equal(sweep.per_level_kept[j], alone.per_level_kept[0])
-            assert np.array_equal(sweep.hist_pre[0], alone.hist_pre[0])
             assert np.array_equal(sweep.hist_post[j, 0], alone.hist_post[0, 0])
             if th == 1e4:
                 assert isinstance(sweep.errors[j], DegenerateSelectionError)
@@ -642,8 +638,9 @@ class TestRunMcSweep:
             alone = sweep_at(tapped_discrete, conf, th)
             assert sweep.kept_count[j] == alone.kept_count[0]
             assert np.array_equal(sweep.per_level_kept[j], alone.per_level_kept[0])
-            assert np.array_equal(sweep.hist_pre[0], alone.hist_pre[0])
             assert np.array_equal(sweep.hist_post[j, 0], alone.hist_post[0, 0])
+        # Every pre-selection histogram depends on the lowest threshold alone.
+        assert np.array_equal(sweep.hist_pre, sweep_at(tapped_discrete, conf, min(grid)).hist_pre)
 
     def test_pool_has_at_most_one_process_per_usable_cpu(self, tapped_discrete, monkeypatch):
         # A stand-in pool records its size and runs the jobs in this process.
