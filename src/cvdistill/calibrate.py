@@ -35,7 +35,13 @@ SOURCE_LN_TOL = 1e-6
 ENVELOPE_LN_TOL = 1e-4
 BRACKET_HI = 1e4
 
-ENVELOPE_FAMILIES = ("fading", "exponential")
+# Each semi-continuous envelope family: its builder, called as build(param, p_full=...),
+# and the bracket that its envelope fit searches for the parameter.
+ENVELOPES = {
+    "fading": (envelope_fading, (0.0, 1.0)),
+    "exponential": (envelope_exponential, (-50.0, 50.0)),
+}
+ENVELOPE_FAMILIES = tuple(ENVELOPES)
 
 
 class CalibrationError(ValueError):
@@ -53,9 +59,13 @@ class SourceCalibration:
 
 
 def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: int = 200):
-    """Bisection on a monotone decreasing function until |f - target| <= ln_tol."""
+    """Bisection on a monotone function, either way round, until |f - target| <= ln_tol.
+
+    An increasing f is bisected as -f, exactly: its iterates mirror those of f(-x) on [-hi, -lo].
+    """
     flo, fhi = func(lo), func(hi)
-    if not (flo >= target >= fhi):
+    sign = 1.0 if flo >= fhi else -1.0
+    if not (sign * flo >= sign * target >= sign * fhi):
         raise CalibrationError(
             f"target {target} not bracketed: f({lo}) = {flo:.6g}, f({hi}) = {fhi:.6g}"
         )
@@ -65,7 +75,7 @@ def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: 
         fmid = func(mid)
         if abs(fmid - target) <= ln_tol:
             return mid, fmid
-        if fmid > target:
+        if sign * fmid > sign * target:
             lo = mid
         else:
             hi = mid
@@ -122,21 +132,17 @@ def calibrate_envelope(
 ):
     """Fit the semi-continuous envelope's shape parameter to ``ln_premix``.
 
-    For the 'fading' family the parameter is the deep-fade floor fraction
-    (pooled entanglement decreases as the floor grows); for the
-    'exponential' family it is the exponent beta (pooled entanglement
-    increases with beta). The fit stops within ``ENVELOPE_LN_TOL``. Returns
-    (parameter, fitted channel).
+    ``family`` names an entry of ``ENVELOPES``, which gives the envelope's
+    builder and the bracket searched for its parameter: for 'fading' the
+    deep-fade floor fraction in [0, 1] (pooled entanglement decreases as
+    the floor grows), for 'exponential' the exponent beta in [-50, 50]
+    (pooled entanglement increases with beta). The fit stops within
+    ``ENVELOPE_LN_TOL``. Returns (parameter, fitted channel).
     """
-    if family == "fading":
-        build = lambda frac: envelope_fading(frac, p_full=p_full)
-        lo, hi = 0.0, 1.0
-    elif family == "exponential":
-        # Decreasing orientation for the shared bisection: flip the sign.
-        build = lambda b: envelope_exponential(-b, p_full=p_full)
-        lo, hi = -50.0, 50.0
-    else:
+    if family not in ENVELOPE_FAMILIES:
         raise CalibrationError(f"unknown envelope family {family!r}; use one of {ENVELOPE_FAMILIES}")
+    envelope, (lo, hi) = ENVELOPES[family]
+    build = lambda param: envelope(param, p_full=p_full)
     # Every envelope shares one transmittance grid: each step only re-weights its levels.
     try:
         levels = propagate(make_kerr_entangled(v_squeezed, v_antisqueezed), build(lo))
@@ -149,4 +155,4 @@ def calibrate_envelope(
         ln_premix,
         ENVELOPE_LN_TOL,
     )
-    return (-param if family == "exponential" else param), build(param)
+    return param, build(param)

@@ -4,14 +4,14 @@ Configs are strict: unknown keys are rejected everywhere so a typo cannot
 silently fall back to a default. ``to_dict`` materializes all defaults,
 which makes emitted configs hash-stable under a parse/emit round trip.
 
-``McConfig`` (the Monte Carlo settings that ``run_mc_sweep`` takes) and
-``TapConfig`` (the tap that ``attach_tap`` takes, and the thresholds of the
-sweep) are the library's settings objects as well as config sections: each
-checks every rule on its fields in ``__post_init__``, so a value set by a
-config file, a constructor call or ``dataclasses.replace`` (as the CLI
-overrides are) meets the same checks and the same messages. Their
-``from_dict`` only checks the keys. ``ExperimentConfig`` checks its own
-``name`` and ``engine`` the same way.
+Every section checks every rule on its fields in ``__post_init__``, so a
+value set by a config file, a constructor call or ``dataclasses.replace``
+(as the CLI overrides are) meets the same checks and messages; ``from_dict``
+only maps the JSON shape. ``TapConfig`` and ``McConfig`` are what
+``attach_tap`` and ``run_mc_sweep`` take. ``SourceSettings.variances()`` and
+``ChannelSettings.build()`` make the source variances and the channel, and
+calibrate where a section gives targets instead of values: only the
+targets wait for that calibration to be checked.
 """
 
 from __future__ import annotations
@@ -29,8 +29,12 @@ from .calibrate import (
     DEFAULT_LN_SEMI_PREMIX,
     DEFAULT_P_FULL,
     ENVELOPE_FAMILIES,
+    ENVELOPES,
+    calibrate,
+    calibrate_envelope,
 )
-from .channel import FluctuatingChannel
+from .channel import FluctuatingChannel, discrete_channel
+from .gaussian import make_kerr_entangled, validate_physical
 
 __all__ = [
     "ConfigError",
@@ -101,10 +105,6 @@ def _finite(val, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {val!r}")
 
 
-def _number(d: dict, key: str, context: str, default=None):
-    return _finite(d.get(key, default), f"{context}.{key}")
-
-
 def _integer(val, what: str) -> None:
     if not isinstance(val, int) or isinstance(val, bool):
         raise ConfigError(f"{what} must be an integer, got {val!r}")
@@ -120,45 +120,52 @@ def _from_object(cls, d, where: str, kind: str = "an object"):
 
 @dataclass
 class SourceSettings:
-    """Either explicit squeezing variances or calibration targets."""
+    """Exactly one full pair: physical squeezing variances, or the ``calibrate_to`` targets."""
 
     v_squeezed: float | None = None
     v_antisqueezed: float | None = None
     ln_initial: float | None = None
     ln_discrete_premix: float | None = None
 
-    @property
-    def is_calibrated(self) -> bool:
-        return self.ln_initial is not None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SourceSettings":
-        _require_keys(d, ("v_squeezed", "v_antisqueezed", "calibrate_to"), "source")
-        explicit = "v_squeezed" in d or "v_antisqueezed" in d
-        calibrated = "calibrate_to" in d
-        if explicit == calibrated:
+    def __post_init__(self) -> None:
+        explicit = self.v_squeezed is not None or self.v_antisqueezed is not None
+        if explicit == (self.ln_initial is not None or self.ln_discrete_premix is not None):
             raise ConfigError(
                 "source must give exactly one of (v_squeezed, v_antisqueezed) or calibrate_to"
             )
+        where, names = (("source", ("v_squeezed", "v_antisqueezed")) if explicit
+                        else ("source.calibrate_to", ("ln_initial", "ln_discrete_premix")))
+        _require_keys([n for n in names if getattr(self, n) is not None], names, where,
+                      required=names)
+        for name in names:
+            setattr(self, name, _finite(getattr(self, name), f"{where}.{name}"))
         if explicit:
-            _require_keys(d, ("v_squeezed", "v_antisqueezed"), "source",
-                          required=("v_squeezed", "v_antisqueezed"))
-            return cls(
-                v_squeezed=_number(d, "v_squeezed", "source"),
-                v_antisqueezed=_number(d, "v_antisqueezed", "source"),
-            )
-        targets = d["calibrate_to"]
+            try:
+                if not validate_physical(make_kerr_entangled(self.v_squeezed, self.v_antisqueezed)):
+                    raise ValueError("the source state fails the uncertainty relation check")
+            except ValueError as exc:
+                raise ConfigError(f"invalid source variances: {exc}") from exc
+
+    @classmethod
+    def from_dict(cls, d) -> "SourceSettings":
+        if not isinstance(d, dict):
+            raise ConfigError("source must be an object")
+        _require_keys(d, ("v_squeezed", "v_antisqueezed", "calibrate_to"), "source")
+        targets = d.get("calibrate_to", {})
         if not isinstance(targets, dict):
             raise ConfigError("source.calibrate_to must be an object")
-        _require_keys(targets, ("ln_initial", "ln_discrete_premix"), "source.calibrate_to",
-                      required=("ln_initial", "ln_discrete_premix"))
-        return cls(
-            ln_initial=_number(targets, "ln_initial", "source.calibrate_to"),
-            ln_discrete_premix=_number(targets, "ln_discrete_premix", "source.calibrate_to"),
-        )
+        _require_keys(targets, ("ln_initial", "ln_discrete_premix"), "source.calibrate_to")
+        return cls(**{k: v for k, v in d.items() if k != "calibrate_to"}, **targets)
+
+    def variances(self) -> tuple:
+        """(v_squeezed, v_antisqueezed): the given pair, or the one calibrated to the targets."""
+        if self.ln_initial is None:
+            return self.v_squeezed, self.v_antisqueezed
+        cal = calibrate(ln_initial=self.ln_initial, ln_discrete_premix=self.ln_discrete_premix)
+        return cal.v_squeezed, cal.v_antisqueezed
 
     def to_dict(self) -> dict:
-        if self.is_calibrated:
+        if self.ln_initial is not None:
             return {
                 "calibrate_to": {
                     "ln_initial": self.ln_initial,
@@ -170,7 +177,12 @@ class SourceSettings:
 
 @dataclass
 class ChannelSettings:
-    """A preset channel, an explicit level list, or None (lossless link)."""
+    """Explicit (t, p) ``levels``, or a preset: 'discrete' or 'semicontinuous'.
+
+    A None ``envelope``, ``p_full`` or ``ln_premix`` of the semicontinuous
+    preset takes its default; a None ``beta`` fits the envelope to
+    ``ln_premix``. A field of another kind must be None.
+    """
 
     preset: str | None = None
     beta: float | None = None
@@ -179,48 +191,58 @@ class ChannelSettings:
     ln_premix: float | None = None
     levels: list | None = None
 
+    def __post_init__(self) -> None:
+        if self.levels is not None:
+            own, where = ("levels",), "channel"
+        elif self.preset == "discrete":
+            own, where = ("preset",), "channel (discrete preset)"
+        else:
+            own, where = ("preset", "beta", "p_full", "envelope", "ln_premix"), "channel"
+        _require_keys([f.name for f in fields(self) if getattr(self, f.name) is not None], own,
+                      where, required=() if self.levels is not None else ("preset",))
+        if self.levels is not None:
+            if not isinstance(self.levels, list) or not self.levels:
+                raise ConfigError("channel.levels must be a non-empty list")
+            pairs = []
+            for i, level in enumerate(self.levels):
+                if not isinstance(level, (tuple, list)) or len(level) != 2:
+                    raise ConfigError(f"channel.levels[{i}] must be a (t, p) pair")
+                pairs.append(tuple(_finite(x, f"channel.levels[{i}].{name}")
+                                   for x, name in zip(level, "tp")))
+            self.levels = pairs
+        elif self.preset == "semicontinuous":
+            if self.envelope is None:
+                self.envelope = ENVELOPE_FAMILIES[0]
+            if self.envelope not in ENVELOPE_FAMILIES:
+                raise ConfigError(f"channel.envelope must be "
+                                  f"{' or '.join(map(repr, ENVELOPE_FAMILIES))}, got {self.envelope!r}")
+            if self.beta is not None:
+                self.beta = _finite(self.beta, "channel.beta")
+            self.p_full = _finite(DEFAULT_P_FULL if self.p_full is None else self.p_full,
+                                  "channel.p_full")
+            self.ln_premix = _finite(DEFAULT_LN_SEMI_PREMIX if self.ln_premix is None
+                                     else self.ln_premix, "channel.ln_premix")
+        elif self.preset != "discrete":
+            raise ConfigError(f"channel.preset must be 'discrete' or 'semicontinuous', "
+                              f"got {self.preset!r}")
+        try:
+            self._fixed_channel()
+        except ValueError as exc:
+            what = "channel levels" if self.levels is not None else "envelope parameters"
+            raise ConfigError(f"invalid {what}: {exc}") from exc
+
     @classmethod
     def from_dict(cls, d) -> "ChannelSettings | None":
         if d is None:
             return None
-        if not isinstance(d, dict):
-            raise ConfigError("channel must be an object or null")
-        if "levels" in d:
-            _require_keys(d, ("levels",), "channel")
-            levels = d["levels"]
-            if not isinstance(levels, list) or not levels:
-                raise ConfigError("channel.levels must be a non-empty list")
-            parsed = []
+        levels = d.get("levels") if isinstance(d, dict) else None
+        if isinstance(levels, list):
             for i, lv in enumerate(levels):
                 if not isinstance(lv, dict):
                     raise ConfigError(f"channel.levels[{i}] must be an object")
                 _require_keys(lv, ("t", "p"), f"channel.levels[{i}]", required=("t", "p"))
-                parsed.append(
-                    (_number(lv, "t", f"channel.levels[{i}]"), _number(lv, "p", f"channel.levels[{i}]"))
-                )
-            return cls(levels=parsed)
-        _require_keys(d, ("preset", "beta", "p_full", "envelope", "ln_premix"), "channel",
-                      required=("preset",))
-        preset = d["preset"]
-        if preset == "discrete":
-            _require_keys(d, ("preset",), "channel (discrete preset)")
-            return cls(preset="discrete")
-        if preset != "semicontinuous":
-            raise ConfigError(f"channel.preset must be 'discrete' or 'semicontinuous', got {preset!r}")
-        envelope = d.get("envelope", ENVELOPE_FAMILIES[0])
-        if envelope not in ENVELOPE_FAMILIES:
-            raise ConfigError(f"channel.envelope must be {' or '.join(map(repr, ENVELOPE_FAMILIES))}, "
-                              f"got {envelope!r}")
-        beta = d.get("beta")
-        if beta is not None:
-            beta = _number(d, "beta", "channel")
-        return cls(
-            preset="semicontinuous",
-            beta=beta,
-            p_full=_number(d, "p_full", "channel", default=DEFAULT_P_FULL),
-            envelope=envelope,
-            ln_premix=_number(d, "ln_premix", "channel", default=DEFAULT_LN_SEMI_PREMIX),
-        )
+            d = {**d, "levels": [(lv["t"], lv["p"]) for lv in levels]}
+        return _from_object(cls, d, "channel", "an object or null")
 
     def to_dict(self):
         if self.levels is not None:
@@ -235,14 +257,25 @@ class ChannelSettings:
             "ln_premix": self.ln_premix,
         }
 
-    def explicit_channel(self) -> FluctuatingChannel:
-        """Channel for explicit-level configs (presets are built at run time)."""
-        if self.levels is None:
-            raise ConfigError("channel has no explicit levels")
-        try:
+    def _fixed_channel(self) -> FluctuatingChannel | None:
+        """The channel, if these settings fix it without a calibration; else None."""
+        if self.levels is not None:
             return FluctuatingChannel([t for t, _ in self.levels], [p for _, p in self.levels])
-        except ValueError as exc:
-            raise ConfigError(f"invalid channel levels: {exc}") from exc
+        if self.preset == "discrete":
+            return discrete_channel()
+        if self.beta is None:
+            return None
+        envelope, _ = ENVELOPES[self.envelope]
+        return envelope(self.beta, p_full=self.p_full)
+
+    def build(self, v_squeezed: float, v_antisqueezed: float):
+        """(channel, envelope parameter or None); an envelope without ``beta`` is fitted to this source."""
+        channel = self._fixed_channel()
+        if channel is not None:
+            return channel, self.beta
+        param, channel = calibrate_envelope(v_squeezed, v_antisqueezed, p_full=self.p_full,
+                                            ln_premix=self.ln_premix, family=self.envelope)
+        return channel, param
 
 
 @dataclass

@@ -287,8 +287,10 @@ def series_bin_probabilities(states: GaussianState, coefficients, edges, below=n
     if np.any(p_below == 0.0):
         raise DegenerateSelectionError(
             f"P(X_tap < {below}) underflows to 0 for state(s) {np.flatnonzero(p_below == 0.0).tolist()}")
-    sd = np.sqrt(np.einsum("sj,ljk,sk->ls", coefficients, cov, coefficients))
-    rho = np.clip((cov[:, 4] @ coefficients.T) / (sd * tap_sd[:, None]), -1.0, 1.0)
+    var = np.einsum("sj,ljk,sk->ls", coefficients, cov, coefficients)
+    sd = np.sqrt(var)
+    # One square root of the product: X_tap's own series gets rho = 1 exactly.
+    rho = np.clip((cov[:, 4] @ coefficients.T) / np.sqrt(var * cov[:, 4, 4, None]), -1.0, 1.0)
     h = (np.asarray(edges, dtype=float)[1:-1] - (mean @ coefficients.T)[..., None]) / sd[..., None]
     cdf = bivariate_normal_cdf(h, k[:, None, None], rho[..., None]) / p_below[:, None, None]
     # Rounding may leave the conditional CDF a few ulp out of order or above 1.

@@ -1,13 +1,14 @@
 """Experiment orchestration: build, propagate, distill, verify, report.
 
-``run_scenario`` executes one configured experiment end to end: resolve
-the source (explicit variances or calibration), apply the channel, attach
-the tap, herald the whole threshold list with the analytic engine (one
-``herald`` call on the grid) and/or the Monte Carlo engine (one
-``run_mc_sweep`` pass over the shots), and collect everything into a
-JSON-serializable RunReport. Each engine's stacked result becomes one row
-section or one error per threshold, ``ln_agreement`` compares the two at
-once, and the loop over thresholds only copies cells into rows.
+``run_scenario`` executes one configured experiment end to end: build
+the source and the channel from their config sections (calibrating where
+a section gives targets), propagate, attach the tap, herald the whole
+threshold list with the analytic engine (one ``herald`` call on the grid)
+and/or the Monte Carlo engine (one ``run_mc_sweep`` pass over the shots),
+and collect everything into a JSON-serializable RunReport. Each engine's
+stacked result becomes one row section or one error per threshold,
+``ln_agreement`` compares the two at once, and the loop over thresholds
+only copies cells into rows.
 ``emit_artifacts`` renders a report to flat files (JSON report, sweep
 curve CSV, histogram CSVs, posterior-weight tables).
 """
@@ -21,17 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._version import __version__
-from .calibrate import calibrate, calibrate_envelope
-from .channel import (
-    MixtureState,
-    discrete_channel,
-    envelope_exponential,
-    envelope_fading,
-    pooled_cm,
-    propagate,
-    upper_bound_ln,
-)
-from .config import ConfigError, ExperimentConfig, _finite, check_threshold_tags, threshold_tag
+from .channel import MixtureState, pooled_cm, propagate, upper_bound_ln
+from .config import ExperimentConfig, _finite, check_threshold_tags, threshold_tag
 from .distill import (
     attach_tap,
     distilled_gln,
@@ -134,52 +126,6 @@ def _require(obj, keys, where: str, types=object) -> None:
             raise ValueError(f"{where} needs {k!r}" + ("" if types is object else f" as {types}"))
 
 
-def _resolve_source(config: ExperimentConfig):
-    src = config.source
-    if src.is_calibrated:
-        cal = calibrate(ln_initial=src.ln_initial, ln_discrete_premix=src.ln_discrete_premix)
-        return cal.v_squeezed, cal.v_antisqueezed
-    try:
-        make_kerr_entangled(src.v_squeezed, src.v_antisqueezed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid source variances: {exc}") from exc
-    return src.v_squeezed, src.v_antisqueezed
-
-
-def _resolve_channel(config: ExperimentConfig, v_squeezed: float, v_antisqueezed: float):
-    """Returns (channel or None, calibration info dict)."""
-    settings = config.channel
-    info = {"envelope_family": None, "envelope_param": None}
-    if settings is None:
-        return None, info
-    if settings.levels is not None:
-        return settings.explicit_channel(), info
-    if settings.preset == "discrete":
-        return discrete_channel(), info
-    family = settings.envelope
-    info["envelope_family"] = family
-    info["envelope_note"] = (
-        "envelope shape is a calibrated stand-in; only its fitted scalar "
-        "constraints are measurement-backed"
-    )
-    if settings.beta is not None:
-        info["envelope_param"] = settings.beta
-        builder = envelope_fading if family == "fading" else envelope_exponential
-        try:
-            return builder(settings.beta, p_full=settings.p_full), info
-        except ValueError as exc:
-            raise ConfigError(f"invalid envelope parameters: {exc}") from exc
-    param, chan = calibrate_envelope(
-        v_squeezed,
-        v_antisqueezed,
-        p_full=settings.p_full,
-        ln_premix=settings.ln_premix,
-        family=family,
-    )
-    info["envelope_param"] = param
-    return chan, info
-
-
 def _sections(errors, columns: dict) -> list:
     """Per threshold, its row section or the error that stands for it.
 
@@ -231,15 +177,23 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     corresponding row and the run continues; the report's ``flags`` say
     whether every threshold failed or the engines disagreed.
     """
-    v_squeezed, v_antisqueezed = _resolve_source(config)
+    v_squeezed, v_antisqueezed = config.source.variances()
     source = make_kerr_entangled(v_squeezed, v_antisqueezed)
     ln_source = gaussian_log_negativity(source.cov)
 
-    channel, channel_info = _resolve_channel(config, v_squeezed, v_antisqueezed)
-    if channel is None:
+    calibration = {"v_squeezed": v_squeezed, "v_antisqueezed": v_antisqueezed,
+                   "envelope_family": None, "envelope_param": None}
+    if config.channel is None:
         mixture = MixtureState([1.0], GaussianState(source.mean[None], source.cov[None]))
         channel_dict = None
     else:
+        channel, calibration["envelope_param"] = config.channel.build(v_squeezed, v_antisqueezed)
+        if config.channel.envelope is not None:
+            calibration["envelope_family"] = config.channel.envelope
+            calibration["envelope_note"] = (
+                "envelope shape is a calibrated stand-in; only its fitted scalar "
+                "constraints are measurement-backed"
+            )
         mixture = propagate(source, channel, mode=1)
         channel_dict = {
             "transmittances": channel.transmittances.tolist(),
@@ -318,11 +272,7 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     report = RunReport(
         scenario=config.name,
         engine=config.engine,
-        calibration={
-            "v_squeezed": v_squeezed,
-            "v_antisqueezed": v_antisqueezed,
-            **channel_info,
-        },
+        calibration=calibration,
         ln_source=ln_source,
         ln_before=ln_before,
         upper_bound=upper_bound,

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cvdistill
 from cvdistill import (
@@ -29,7 +32,7 @@ from cvdistill import (
 import cvdistill.scenario as scenario
 from cvdistill.calibrate import semicontinuous_premix_ln
 from cvdistill.cli import main
-from cvdistill.config import ConfigError, McConfig, TapConfig
+from cvdistill.config import ChannelSettings, ConfigError, McConfig, SourceSettings, TapConfig
 from cvdistill.mc import SERIES
 from cvdistill.scenario import AGREEMENT_MIN_SUCCESS, RunReport, ln_agreement
 
@@ -187,15 +190,34 @@ class TestConfig:
     def test_explicit_levels_channel(self):
         raw = preset_config("discrete").to_dict()
         raw["channel"] = {"levels": [{"t": 0.5, "p": 0.25}, {"t": 1.0, "p": 0.75}]}
-        cfg = parse_config(raw)
-        chan = cfg.channel.explicit_channel()
-        assert len(chan) == 2
+        chan, param = parse_config(raw).channel.build(0.6, 50.0)
+        assert chan.transmittances.tolist() == [0.5, 1.0]
+        assert chan.probabilities.tolist() == [0.25, 0.75]
+        assert param is None
 
     def test_invalid_levels_rejected(self):
+        # The levels are checked when the config is parsed, not when a run builds the channel.
         raw = preset_config("discrete").to_dict()
         raw["channel"] = {"levels": [{"t": 0.5, "p": 0.5}, {"t": 0.4, "p": 0.5}]}
-        with pytest.raises(ConfigError):
-            parse_config(raw).channel.explicit_channel()
+        with pytest.raises(ConfigError,
+                           match="^invalid channel levels: transmittances must be strictly increasing$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("family, builder, beta", [
+        ("fading", envelope_fading, 0.3), ("exponential", envelope_exponential, 2.5),
+    ])
+    def test_channel_settings_build_the_family_envelope(self, calibration, family, builder, beta):
+        variances = calibration.v_squeezed, calibration.v_antisqueezed
+        explicit = ChannelSettings(preset="semicontinuous", envelope=family, beta=beta)
+        chan, param = explicit.build(*variances)
+        assert param == beta
+        assert np.array_equal(chan.transmittances, builder(beta).transmittances)
+        assert np.array_equal(chan.probabilities, builder(beta).probabilities)
+        # Without beta the envelope is fitted, as calibrate_envelope fits it.
+        chan, param = replace(explicit, beta=None).build(*variances)
+        fitted, ref = calibrate_envelope(*variances, family=family)
+        assert param == fitted
+        assert np.array_equal(chan.probabilities, ref.probabilities)
 
     def test_empty_thresholds_rejected(self):
         raw = preset_config("discrete").to_dict()
@@ -239,6 +261,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"tap.reflectivity must lie in \(0, 1\)"):
             TapConfig(reflectivity=1.0)
         assert issubclass(ConfigError, ValueError)
+        semicontinuous = ChannelSettings(preset="semicontinuous", beta=0.1)
+        for build, message in [
+            (lambda: replace(semicontinuous, envelope="fadnig"),
+             "channel.envelope must be 'fading' or 'exponential', got 'fadnig'"),
+            (lambda: SourceSettings(v_squeezed=0.5), "missing key(s) ['v_antisqueezed'] in source"),
+            (lambda: SourceSettings(ln_initial=0.76),
+             "missing key(s) ['ln_discrete_premix'] in source.calibrate_to"),
+            (lambda: ChannelSettings(preset="discrete", beta=3.0),
+             "unknown key(s) ['beta'] in channel (discrete preset)"),
+            (SourceSettings,
+             "source must give exactly one of (v_squeezed, v_antisqueezed) or calibrate_to"),
+            (lambda: ChannelSettings(levels=[(0.5, 0.5), (0.4, 0.5)]),
+             "invalid channel levels: transmittances must be strictly increasing"),
+        ]:
+            with pytest.raises(ConfigError) as raised:
+                build()
+            assert str(raised.value) == message
 
     @pytest.mark.parametrize("change, message", [
         ({"engine": "Monte Carlo"},
@@ -252,6 +291,58 @@ class TestConfig:
         with pytest.raises(ConfigError) as parsed:
             parse_config({**preset_config("discrete").to_dict(), **change})
         assert str(replaced.value) == str(parsed.value) == message
+
+
+# Config dicts for the fuzz test: the presets, and variants with an explicit
+# source and with explicit channel levels.
+FUZZ_BASES = [preset_config(name).to_dict() for name in ("perfect", "discrete", "semicontinuous")]
+FUZZ_BASES += [
+    {**FUZZ_BASES[1], "source": {"v_squeezed": 0.6, "v_antisqueezed": 50.0}},
+    {**FUZZ_BASES[1], "channel": {"levels": [{"t": 0.5, "p": 0.25}, {"t": 1.0, "p": 0.75}]}},
+]
+DELETE = object()
+FUZZ_VALUES = [DELETE, None, True, False, 0, -1, 2, 7, 0.5, 1e300, math.nan, math.inf, "x",
+               [], [0.5, 2], {}, {"t": 0.5}]
+
+
+def _paths(node, path=()):
+    """The key path of every entry below ``node``, depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A fuzz base with one or two entries deleted or replaced by a ``FUZZ_VALUES`` value."""
+    raw = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(list(_paths(raw))))
+        node = raw
+        for parent in parents:
+            node = node[parent]
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    return raw
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(raw=mutated_configs())
+    @example(raw={**FUZZ_BASES[1], "source": None})
+    @example(raw={**FUZZ_BASES[1], "source": 0.5})
+    @example(raw={**FUZZ_BASES[1], "source": True})
+    @example(raw={**FUZZ_BASES[1], "source": {"v_squeezed": 0.5, "v_antisqueezed": 1e300}})
+    def test_mutated_configs_fail_as_config_errors_or_round_trip(self, raw):
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 class TestRunScenario:
@@ -743,6 +834,19 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("source", [
+        None, 7, True, {"v_squeezed": 0.5, "v_antisqueezed": 1e300},
+        {"v_squeezed": 0.5, "v_antisqueezed": 1e15}, {"v_squeezed": 1e-7, "v_antisqueezed": 1e7},
+    ], ids=["null", "number", "bool", "v_antisqueezed-1e300", "v_antisqueezed-1e15", "unphysical"])
+    def test_run_malformed_source_is_config_error(self, capsys, tmp_path, source):
+        raw = preset_config("discrete").to_dict()
+        raw["source"] = source
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_run_bad_envelope_param_is_config_error(self, capsys, tmp_path):
         raw = preset_config("semicontinuous").to_dict()

@@ -32,6 +32,7 @@ from cvdistill import (
     tensor,
     vacuum_state,
 )
+import cvdistill.distill as distill
 from cvdistill.config import DEFAULT_THRESHOLDS
 from cvdistill.distill import (_CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR, bivariate_normal_cdf,
                                series_bin_probabilities)
@@ -296,8 +297,7 @@ class TestSeriesBinProbabilities:
     @pytest.mark.parametrize("name", ["discrete_tapped", "fading_tapped"])
     def test_conditional_tap_row_is_univariate(self, request, name, below):
         # The Monte Carlo composes X_tap too. Series and tap are then one
-        # variable, so the row is a truncated normal; rho rounds to 1 or to an
-        # ulp below it, which takes the bivariate CDF's |rho| < 1 branch.
+        # variable, so the row is a truncated normal.
         states = request.getfixturevalue(name).states
         probs = series_bin_probabilities(states, [[0, 0, 0, 0, 1]], self.EDGES, below)[:, 0]
         sigma = np.sqrt(states.cov[:, 4, 4])[:, None]
@@ -307,6 +307,19 @@ class TestSeriesBinProbabilities:
         ref = np.maximum(mass, 0.0) / gaussian_tail(-below / sigma)
         assert_allclose(probs, ref, rtol=0, atol=1e-15)
         assert not probs[:, lo >= below].any()  # no shot below t0 lands at or above it
+
+    @pytest.mark.parametrize("name", ["discrete_tapped", "fading_tapped"])
+    def test_tap_series_correlation_is_exactly_one(self, request, monkeypatch, name):
+        # X_tap against itself takes the bivariate CDF's exact rho = 1 branch on
+        # every level, not its 20-node quadrature with rho an ulp below 1.
+        seen = []
+        monkeypatch.setattr(distill, "bivariate_normal_cdf",
+                            lambda h, k, r: seen.append(r) or bivariate_normal_cdf(h, k, r))
+        states = request.getfixturevalue(name).states
+        series_bin_probabilities(states, np.vstack([[0, 0, 0, 0, 1], self.COEFFS]), self.EDGES, 4.0)
+        (rho,) = seen
+        assert np.all(rho[:, 0] == 1.0)
+        assert np.all(np.abs(rho[:, 1:]) < 1.0)
 
     def test_underflowing_condition_raises(self, discrete_tapped):
         with pytest.raises(DegenerateSelectionError, match="underflows"):
