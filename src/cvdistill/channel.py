@@ -152,17 +152,21 @@ def envelope_exponential(beta: float, p_full: float = 0.2) -> FluctuatingChannel
 
     The full-transmission level carries probability ``p_full``; the
     remaining mass is spread over the lower levels proportionally to
-    exp(beta * t), so beta = 0 gives a flat envelope.
+    exp(beta * t), so beta = 0 gives a flat envelope. The exponent is
+    taken relative to its largest value, so no beta overflows it; a level
+    whose weight still underflows to 0 (|beta| beyond ~850) is dropped, as
+    ``FluctuatingChannel`` holds no zero-probability level.
     """
     if not 0.0 < p_full < 1.0:
         raise ValueError(f"p_full must lie in (0, 1), got {p_full}")
     ts = semicontinuous_levels()
-    weights = np.exp(beta * ts[:-1])
+    exponent = beta * ts[:-1]
+    weights = np.exp(exponent - exponent.max())
     weights *= (1.0 - p_full) / weights.sum()
     probs = np.append(weights, p_full)
     # Renormalize away float rounding so the sum is exactly 1.
     probs /= probs.sum()
-    return FluctuatingChannel(ts, probs)
+    return FluctuatingChannel(ts[probs > 0.0], probs[probs > 0.0])
 
 
 def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingChannel:

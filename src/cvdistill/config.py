@@ -56,6 +56,9 @@ FORMATS = ("json", "csv")
 
 DEFAULT_TAP_REFLECTIVITY = 0.07
 DEFAULT_THRESHOLDS = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
+# Most histogram bins a Monte Carlo run may ask for: each worker holds
+# (strata, 5, bins) int64 counts, and the report one row per bin and series.
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -321,6 +324,9 @@ class McConfig:
         for name, least in (("n_shots", 1), ("seed", 0), ("n_workers", 1), ("histogram_bins", 2)):
             if getattr(self, name) < least:
                 raise ConfigError(f"mc.{name} must be >= {least}")
+        if self.histogram_bins > MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"mc.histogram_bins must be <= {MAX_HISTOGRAM_BINS}, "
+                              f"got {self.histogram_bins}")
         if self.histogram_range <= 0:
             raise ConfigError("mc.histogram_range must be positive")
         if not math.isfinite(2.0 * self.histogram_range):

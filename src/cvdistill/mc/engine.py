@@ -1,10 +1,11 @@
 """Shot-by-shot Monte Carlo of the tap-and-threshold distillation pipeline.
 
-Each shot samples a channel level, draws its tap X quadrature, applies the
-heralding test to it and, when it can pass, draws its other quadratures
-given the tap X; the kept shots feed streaming statistics and histograms.
-Sampling the joint Gaussian is exact for every statistic reported here
-because each measured set involves at most one quadrature per mode.
+Each shot samples a channel level and is a candidate when its tap X
+quadrature reaches the lowest threshold; a candidate draws its tap X and
+then its other quadratures given the tap X, and the kept shots feed
+streaming statistics and histograms. Sampling the joint Gaussian is exact
+for every statistic reported here because each measured set involves at
+most one quadrature per mode.
 
 One pass over the shots serves a whole threshold sweep. The sorted
 thresholds t_0 < ... < t_top cut the tap X axis into strata
@@ -17,24 +18,44 @@ is one ``McSweep``, stacked per threshold like ``herald``'s grid ensemble,
 with the pre-selection histograms held once and ``errors`` naming the
 thresholds without a moment row; ``ln_with_se`` is stacked the same way.
 
-Tap-first sampling. Shots are sampled in fixed-size blocks, block b from
-its own stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed
-streams in the sense of Salmon et al. 2011, "Parallel random numbers: as
-easy as 1, 2, 3"). A block draws its level counts (one multinomial draw),
-then one normal per shot, scaled to the shot's tap X. Only the candidates,
-the shots with X_tap >= t_0, draw four more normals, mapped to (X_A, P_A,
-X_B, P_B) by their level's regression on the tap normal and the Cholesky
-factor of the conditional covariance (the Schur complement of the tap
-variance). The candidates go to one kernel call, which keeps every one of
-them, bins all five series and reads each candidate's stratum off its
-X_tap bin (``_kernel_py.stratum_lookup``); no other shot is binned. The
-kernel's one BLAS call is a (14, n) product per stratum for the moments'
-M2, which OpenBLAS runs on one thread with bits that do not depend on the
-thread count (see ``_kernel_py``); the rest of the block is plain numpy.
+Sampling by level. Shots are sampled in blocks, block b from its own
+stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed streams in
+the sense of Salmon et al. 2011, "Parallel random numbers: as easy as 1,
+2, 3"). A block draws its level counts (one multinomial draw). Level i's
+shots are candidates when their standard tap normal z reaches alpha_i =
+(t_0 - tap mean_i) / tap SD_i, which happens with probability
+Q(alpha_i), ``gaussian_tail`` computed once per sweep. A common level,
+alpha_i < ``RARE_ALPHA``, draws one standard normal per shot, all common
+levels in one call in level order, and its candidates are the normals at
+or above alpha_i. A rare level draws its candidate count, Binomial(n_i,
+Q(alpha_i)), and then that many normals from the tail above alpha_i by
+Robert's exponential rejection (``_tail_normals``), so its cost scales
+with its candidates, not its shots; every rare level's count comes from
+one binomial call. The candidates, in level order, then draw four more
+normals each, mapped to (X_A, P_A, X_B, P_B) by their level's regression
+on the tap normal and the Cholesky factor of the conditional covariance
+(the Schur complement of the tap variance). They go to one kernel call,
+which keeps every one of them, bins all five series and reads each
+candidate's stratum off its X_tap bin (``_kernel_py.stratum_lookup``); no
+other shot is binned. The kernel's one BLAS call is a (14, n) product per
+stratum for the moments' M2, which OpenBLAS runs on one thread with bits
+that do not depend on the thread count (see ``_kernel_py``); the rest of
+the block is plain numpy.
 
-What is shot-exact and what is not. Every shot's tap X, and so every kept
-count, per-level count, post-selection histogram and moment, is sampled
-shot by shot from the exact joint law. The other shots are never binned
+Blocks. A block holds CHUNK_SHOTS * 2**k shots, k the least k >= 0 at
+which it expects CHUNK_SHOTS / 4 candidates or holds every shot
+(``_block_shots``), so that its fixed cost is spread over enough
+candidates while it never expects more of them than CHUNK_SHOTS. The
+size is a function of (mixture, t_0, n_shots), the same for every worker.
+A sweep with no rare level has k = 0, since at alpha < 0.5 a third or
+more of the shots are candidates, and draws a tap normal for every shot.
+
+What is shot-exact and what is not. Every candidate, and so every kept
+shot, post-selection histogram and moment, is sampled shot by shot from
+the exact joint law. The kept and per-level counts have their exact law
+too, but a rare level's count is drawn as one binomial at
+``gaussian_tail``'s Q(alpha_i), the value ``herald`` uses, not counted
+from sampled tap normals. The other shots are never binned
 and their off-tap quadratures never drawn: every pre-selection histogram
 is the lowest threshold's post-selection one plus their histogram,
 composed in the parent. The other shots of level i are i.i.d. from that
@@ -45,14 +66,16 @@ key no block uses (every block key has one entry). Each pre-selection
 histogram therefore has its shot-by-shot law, sums to ``n_shots`` and
 bounds every post-selection histogram bin by bin; the joint law of the
 other shots' histograms across series is not reproduced. A sweep whose t_0
-keeps every shot draws no composition. Which shots are candidates depends
-on t_0, so a grid row equals the same row of any sweep of the same lowest
-threshold, and the one-threshold sweep there in its counts and post-selection
-X_tap histogram.
+keeps every shot draws no composition. The candidates, the block size and
+which levels are rare depend on t_0, so a grid row equals the same row of
+any sweep with the same lowest threshold, not the one-threshold sweep at
+its own threshold.
 
-Each worker allocates its normals and the kernel's scratch buffers once and
-reuses them for every block; inside the block loop, only the candidates'
-arrays and a one-byte-per-shot mask scale with the block. Each worker
+Each worker allocates its common levels' tap normals, their mask and the
+candidates' normals and kernel scratch buffers once, sized from the block
+plan (eight binomial SDs above the expected counts, at most a block), and
+reuses them for every block; a block that needs more gets larger buffers,
+which only a count eight SDs above its mean can ask for. Each worker
 samples a contiguous range of blocks; the integer counts are summed, and
 the blocks' moments are merged pairwise along one fixed binary tree over
 the block indices, the workers merging the subtrees that lie inside their
@@ -67,6 +90,7 @@ The run settings are ``cvdistill.config.McConfig``, which is also the
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -74,7 +98,7 @@ import numpy as np
 
 from ..channel import MixtureState
 from ..config import McConfig
-from ..distill import (DegenerateSelectionError, check_grid, distilled_gln,
+from ..distill import (DegenerateSelectionError, check_grid, distilled_gln, gaussian_tail,
                        series_bin_probabilities)
 from ..gaussian import GaussianState, InvalidCovarianceError, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
@@ -100,9 +124,16 @@ SERIES_COEFFICIENTS = np.array([
     [0, 1, 0, -1, 0],
 ], dtype=float)
 
-# Shots per block, each block with its own stream and one kernel call.
-# Fixed (not configurable): changing it would change the sampled shots.
+# Shots per block, each block with its own stream and one kernel call, when
+# the candidates are common; a sweep whose candidates are rarer takes blocks
+# of CHUNK_SHOTS * 2**k shots (see _block_shots). Fixed (not configurable):
+# changing it would change the sampled shots.
 CHUNK_SHOTS = 1 << 16
+# A level whose standardised lowest threshold alpha is at least this draws its
+# candidate count and their tap normals from the tail; a level below it draws
+# one tap normal per shot. At alpha = 0.5 a third of the shots are candidates,
+# and Robert's rejection accepts ~0.83 of its proposals.
+RARE_ALPHA = 0.5
 
 # Fewest kept shots that give a moment-stack row: the 4x4 sample covariance
 # of n shots has rank at most n - 1, so below 5 it cannot be positive definite.
@@ -120,7 +151,9 @@ class McSweep:
     docstring). Per grid threshold, in input order with duplicates:
     ``thresholds``, ``kept_count`` (T,), ``per_level_kept`` (T, L) and the
     post-selection histograms ``hist_post`` (T, 5, bins). Histogram series
-    k is ``SERIES[k]``.
+    k is ``SERIES[k]``. Every field depends on the grid through its lowest
+    threshold and its own threshold only: a row equals the same row of any
+    sweep with the same lowest threshold.
 
     The moment stacks ``pooled_mean`` (K, 4), ``pooled_cov`` (K, 4, 4) and
     ``cov_sampling`` (K, 10, 10), the empirical (distribution-free) sampling
@@ -206,17 +239,60 @@ def _transform(z, level_counts, components, tmp):
         start += count
 
 
-def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hist_range, seed,
-                n_shots, blocks):
+def _block_shots(p, n_shots):
+    """Shots per block at candidate probability ``p``: CHUNK_SHOTS * 2**k.
+
+    k is the least k >= 0 at which a block expects CHUNK_SHOTS / 4
+    candidates or holds all ``n_shots``.
+    """
+    block = CHUNK_SHOTS
+    while block * p < CHUNK_SHOTS / 4 and block < n_shots:
+        block *= 2
+    return block
+
+
+def _capacity(mean, block):
+    """Buffer entries for a per-block count of this mean: eight SDs above it, at most ``block``."""
+    return int(min(block, math.ceil(mean + 8.0 * math.sqrt(mean) + 16.0)))
+
+
+def _tail_normals(rng, alpha):
+    """Standard normals conditioned on z >= alpha, one per entry of the array ``alpha``.
+
+    Robert's exponential rejection (Stat. Comput. 5:121, 1995): propose
+    z = alpha + E / lam with E ~ Exp(1) and lam = (alpha + sqrt(alpha^2 + 4)) / 2,
+    and accept when (z - lam)^2 <= 2 E' for a second E' ~ Exp(1), that is with
+    probability exp(-(z - lam)^2 / 2). Exact, with an acceptance that rises
+    from ~0.83 at alpha = 0.5 towards 1. Each round draws (2, pending)
+    exponentials, so the stream used depends on ``alpha`` and ``rng`` alone.
+    """
+    lam = (alpha + np.sqrt(alpha * alpha + 4.0)) / 2.0
+    out = np.empty(alpha.size)
+    todo = np.arange(alpha.size)
+    while todo.size:
+        e = rng.standard_exponential((2, todo.size))
+        z = alpha[todo] + e[0] / lam[todo]
+        ok = np.square(z - lam[todo]) <= 2.0 * e[1]
+        out[todo[ok]] = z[ok]
+        todo = todo[~ok]
+    return out
+
+
+def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_range, seed,
+                n_shots, block, blocks):
     """Sample the shots of ``blocks`` (a range of block indices) and accumulate them by stratum.
 
-    Block b holds shots b * CHUNK_SHOTS onward, at most CHUNK_SHOTS of them,
-    drawn from its own stream ``SeedSequence(seed, spawn_key=(b,))``: one
-    multinomial draw of the level counts, one normal per shot for its tap
-    X, and four more normals per candidate, a shot with X_tap >=
-    thresholds[0], for its other quadratures. Stratum j holds the
-    candidates with thresholds[j] <= X_tap < thresholds[j + 1]; the top
-    stratum has no upper edge.
+    Block b holds shots b * block onward, at most ``block`` of them, drawn
+    from its own stream ``SeedSequence(seed, spawn_key=(b,))``: one
+    multinomial draw of the level counts; one standard normal per shot of
+    the common levels (alpha < ``RARE_ALPHA``), in level order, whose
+    candidates are the normals at or above their level's alpha; the rare
+    levels' candidate counts, Binomial(n_i, tail_q[i]) in one call, and
+    their tap normals by :func:`_tail_normals`; then four more normals per
+    candidate for its other quadratures. alpha[i] is (thresholds[0] - tap
+    mean) / tap SD of level i, and tail_q[i] its ``gaussian_tail``. Stratum j
+    holds the candidates with thresholds[j] <= X_tap < thresholds[j + 1];
+    the top stratum has no upper edge.
 
     Returns the per-stratum post-selection histograms (n_strata, 5,
     n_bins), per-level kept counts (n_strata, n_levels) and per-level
@@ -230,28 +306,48 @@ def _run_blocks(weights, tap_sigma, tap_mean, components, thresholds, n_bins, hi
     below = np.zeros(n_levels, dtype=np.int64)
     nodes = []
     lookup = _kernel_py.stratum_lookup(thresholds, hist_range, n_bins)
-    tap_normals = np.empty(CHUNK_SHOTS)
-    normals, series = np.empty(5 * CHUNK_SHOTS), np.empty(5 * CHUNK_SHOTS)
-    idx = np.empty(5 * CHUNK_SHOTS, dtype=np.int64)
+    rare = alpha >= RARE_ALPHA
+    any_rare = bool(rare.any())
+    common = [(i, a) for i, a in enumerate(alpha.tolist()) if not rare[i]]
+    # Sized from the block plan: a block's common shots and candidates
+    # practically never exceed these, and one that does gets larger buffers.
+    tap_normals = np.empty(_capacity(block * weights[~rare].sum(), block))
+    mask = np.empty(tap_normals.size, dtype=bool)
+    size = _capacity(block * (weights @ tail_q), block)
+    normals, series = np.empty(5 * size), np.empty(5 * size)
+    idx = np.empty(5 * size, dtype=np.int64)
     for b in blocks:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        m = min(CHUNK_SHOTS, n_shots - b * CHUNK_SHOTS)
-        level_counts = rng.multinomial(m, weights)
-        level_ends = np.cumsum(level_counts)
-        z = rng.standard_normal(out=tap_normals[:m])
-        x_tap = series[:m]
-        for lo, hi, sigma, mean in zip(level_ends - level_counts, level_ends, tap_sigma, tap_mean):
-            np.multiply(z[lo:hi], sigma, out=x_tap[lo:hi])
-            if mean != 0.0:
-                x_tap[lo:hi] += mean
-        cand = np.flatnonzero(x_tap >= thresholds[0])
-        cand_ends = np.searchsorted(cand, level_ends)
-        cand_counts = np.diff(cand_ends, prepend=0)
+        level_counts = rng.multinomial(min(block, n_shots - b * block), weights)
+        common_counts = np.where(rare, 0, level_counts)
+        common_ends = np.cumsum(common_counts)
+        n_common = int(common_ends[-1])
+        if n_common > tap_normals.size:
+            tap_normals, mask = np.empty(n_common), np.empty(n_common, dtype=bool)
+        z = rng.standard_normal(out=tap_normals[:n_common])
+        starts, stops = (common_ends - common_counts).tolist(), common_ends.tolist()
+        for i, a in common:
+            np.greater_equal(z[starts[i] : stops[i]], a, out=mask[starts[i] : stops[i]])
+        cand = np.flatnonzero(mask[:n_common])
+        cand_counts = np.diff(np.searchsorted(cand, common_ends), prepend=0)
+        if any_rare:
+            cand_counts[rare] = rng.binomial(level_counts[rare], tail_q[rare])
+            tail = _tail_normals(rng, np.repeat(alpha[rare], cand_counts[rare]))
         below += level_counts - cand_counts
+        cand_ends = np.cumsum(cand_counts)
+        n = int(cand_ends[-1])
+        if 5 * n > normals.size:
+            normals, series = np.empty(5 * n), np.empty(5 * n)
+            idx = np.empty(5 * n, dtype=np.int64)
 
-        x = normals[: 5 * cand.size].reshape(5, cand.size)
+        x = normals[: 5 * n].reshape(5, n)
         rng.standard_normal(out=x[:4])
-        np.take(z, cand, out=x[4])
+        if any_rare:
+            in_tail = np.repeat(rare, cand_counts)
+            x[4, in_tail] = tail
+            x[4, ~in_tail] = z[cand]
+        else:
+            np.take(z, cand, out=x[4])
         _transform(x, cand_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
@@ -280,12 +376,13 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
 
     Post-selects on the tap X quadrature of a three-mode (A, B, Tap)
     mixture exceeding each threshold. All thresholds share one pass over
-    the ``config.n_shots`` shots (see the module docstring): a grid row has
-    the kept count, per-level counts and X_tap post-selection histogram of
-    the one-threshold sweep at that threshold with the same config. Its
-    other histograms and the sweep's ``hist_pre`` equal those of any sweep
-    with the same lowest threshold, and its moments differ from theirs only
-    by float reassociation.
+    the ``config.n_shots`` shots (see the module docstring), whose sampling
+    the lowest threshold t_0 sets: a grid row's counts and histograms, and
+    the sweep's ``hist_pre``, equal those of any sweep with the same config
+    and the same lowest threshold, and its moments differ from theirs only
+    by float reassociation. A row need not equal the one-threshold sweep at
+    its own threshold, which samples from another t_0: only the row at t_0
+    does.
 
     Returns one :class:`McSweep`. A threshold that fewer than ``MIN_KEPT``
     shots pass has its error in ``errors`` and no row in the moment stacks.
@@ -294,12 +391,15 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     """
     thresholds = check_grid(mixture3, thresholds)
     grid, grid_index = np.unique(thresholds, return_inverse=True)
-    components = _prepare_components(mixture3)
-    n_blocks = -(-config.n_shots // CHUNK_SHOTS)
+    weights, tap_sigma, tap_mean, components = _prepare_components(mixture3)
+    alpha = (grid[0] - tap_mean) / tap_sigma
+    tail_q = gaussian_tail(alpha)
+    block = _block_shots(weights @ tail_q, config.n_shots)
+    n_blocks = -(-config.n_shots // block)
     bounds = [n_blocks * w // config.n_workers for w in range(config.n_workers + 1)]
     jobs = [
-        (*components, grid, config.histogram_bins, config.histogram_range,
-         config.seed, config.n_shots, range(lo, hi))
+        (weights, alpha, tail_q, components, grid, config.histogram_bins,
+         config.histogram_range, config.seed, config.n_shots, block, range(lo, hi))
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
     ]

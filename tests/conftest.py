@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,29 @@ def batch_moments(x):
     mean = x.mean(axis=0)
     d = x - mean
     return x.shape[0], mean, d.T @ d
+
+
+def binomial_two_sided_p(k, n, p):
+    """Exact two-sided binomial tail 2 min(P(K <= k), P(K >= k)), capped at 1.
+
+    Sums the probability mass outward from k in mpmath, by the ratio of
+    neighbouring terms, until a term is below 1e-40 of its tail.
+    """
+    with mpmath.workdps(40):
+        n, p = mpmath.mpf(n), mpmath.mpf(p)
+        at_k = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                          + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+        odds = p / (1 - p)
+
+        def tail(step):
+            total, term, j = at_k, at_k, k
+            while 0 < j < n and term > total * mpmath.mpf(10) ** -40:
+                term *= (n - j) / (j + 1) * odds if step > 0 else j / (n - j + 1) / odds
+                j += step
+                total += term
+            return total
+
+        return float(min(1, 2 * min(tail(-1), tail(+1))))
 
 
 @pytest.fixture(scope="session")

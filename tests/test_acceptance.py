@@ -2,13 +2,11 @@
 
 Each test checks one criterion at its stated tolerance and prints one
 PASS line with the measured numbers (run with ``pytest -v -s`` to see
-them). The full-scale head count is marked slow; deselect it with
-``-m "not slow"`` for a quick run.
+them).
 """
 
 import time
 
-import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -36,7 +34,7 @@ from cvdistill import (
     vacuum_state,
 )
 from cvdistill.mc import CovarianceAccumulator, ln_with_se
-from conftest import batch_moments, pooled_cov_se, random_physical_state
+from conftest import batch_moments, binomial_two_sided_p, pooled_cov_se, random_physical_state
 
 THRESHOLD_GRID = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 
@@ -156,30 +154,6 @@ def test_criterion_6_mc_analytic_equivalence(model):
     )
 
 
-def binomial_two_sided_p(k, n, p):
-    """Exact two-sided binomial tail 2 min(P(K <= k), P(K >= k)), capped at 1.
-
-    Sums the probability mass outward from k in mpmath, by the ratio of
-    neighbouring terms, until a term is below 1e-40 of its tail.
-    """
-    with mpmath.workdps(40):
-        n, p = mpmath.mpf(n), mpmath.mpf(p)
-        at_k = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
-                          + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
-        odds = p / (1 - p)
-
-        def tail(step):
-            total, term, j = at_k, at_k, k
-            while 0 < j < n and term > total * mpmath.mpf(10) ** -40:
-                term *= (n - j) / (j + 1) * odds if step > 0 else j / (n - j + 1) / odds
-                j += step
-                total += term
-            return total
-
-        return float(min(1, 2 * min(tail(-1), tail(+1))))
-
-
-@pytest.mark.slow
 def test_criterion_7_full_scale_head_count(model):
     _, _, _, tapped = model
     n_shots = 240_000_000
@@ -195,7 +169,32 @@ def test_criterion_7_full_scale_head_count(model):
     print(
         f"\ncriterion 7 PASS: kept {kept} of {n_shots} shots at threshold "
         f"9 SNU (band [3000, 30000]), exact binomial p = {p_value:.3g} (>= 1e-6); "
-        f"{elapsed / 60:.1f} min with 4 workers"
+        f"{elapsed:.2f} s with 4 workers"
+    )
+
+
+def test_deep_tail_head_count(model):
+    # The curve's end, 9-12 SNU, at 1e11 shots: count-first sampling draws
+    # only the ~2e6 candidates, so the run takes about half a second.
+    _, _, _, tapped = model
+    grid, n_shots = [9.0, 10.0, 11.0, 12.0], 100_000_000_000
+    start = time.perf_counter()
+    res = run_mc_sweep(tapped, McConfig(n_shots=n_shots, seed=9120), grid)
+    elapsed = time.perf_counter() - start
+    ens = herald(tapped, grid)
+    assert res.errors == ens.errors == (None,) * len(grid)
+    # Each row's kept count is Binomial(n_shots, success) at its threshold.
+    p_values = [binomial_two_sided_p(int(kept), n_shots, p)
+                for kept, p in zip(res.kept_count, ens.success_probability)]
+    assert min(p_values) >= 1e-6
+    ln_mc, ln_se = ln_with_se(res)
+    z_ln = np.abs(ln_mc - distilled_gln(ens)) / ln_se.astype(float)
+    assert z_ln.max() < 4.0
+    assert elapsed < 10.0
+    print(
+        f"\ndeep tail PASS: kept {res.kept_count.tolist()} of {n_shots:.0e} shots at "
+        f"{grid} SNU, exact binomial p >= {min(p_values):.3g}, LN within "
+        f"{z_ln.max():.2f} SE of the analytic engine; {elapsed:.2f} s"
     )
 
 

@@ -25,6 +25,7 @@ from cvdistill import (
     vacuum_state,
     validate_physical,
 )
+from cvdistill.config import ChannelSettings
 from conftest import level, mixture, random_physical_state, stacked
 
 
@@ -154,6 +155,18 @@ class TestEnvelopes:
     def test_exponential_flat_at_beta_zero(self):
         chan = envelope_exponential(0.0, p_full=0.2)
         assert_allclose(chan.probabilities[:-1], 0.8 / 44, rtol=1e-12)
+
+    @pytest.mark.parametrize("beta, n_levels", [(800.0, 45), (-7000.0, 7)])
+    def test_exponential_extreme_beta_builds_a_channel(self, beta, n_levels):
+        # Past |beta| ~ 725 exp(beta * t) itself over- or underflows; the
+        # envelope relative to its peak does not. Levels whose weight is
+        # below the smallest float are dropped.
+        chan = envelope_exponential(beta, p_full=0.2)
+        assert len(chan) == n_levels
+        assert chan.probabilities[-1] == pytest.approx(0.2, abs=1e-12)
+        peak = -2 if beta > 0 else 0
+        assert chan.probabilities[peak] == pytest.approx(0.8, rel=1e-6)
+        assert ChannelSettings(preset="semicontinuous", envelope="exponential", beta=beta).beta == beta
 
     def test_fading_full_transmission_probability(self):
         chan = envelope_fading(0.3, p_full=0.2)

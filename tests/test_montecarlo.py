@@ -32,9 +32,10 @@ from cvdistill import (
     vacuum_state,
 )
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
-from cvdistill.distill import series_bin_probabilities
+from cvdistill.distill import gaussian_tail, series_bin_probabilities
 from cvdistill.mc import _kernel_py, engine
-from conftest import apply_phase_rotation, batch_moments, level, mixture, pooled_cov_se
+from conftest import (apply_phase_rotation, batch_moments, binomial_two_sided_p, level, mixture,
+                      pooled_cov_se)
 
 # A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
@@ -141,7 +142,7 @@ class TestSamplePhasePoint:
             assert_allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-12)
             ref = factor @ z[:, seg] + state.mean[:5, None]
             assert_allclose(x[:, seg], ref, rtol=1e-12, atol=1e-12)
-            # X_Tap is the engine's all-shot tap value, bit for bit.
+            # X_Tap is the tap normal scaled and shifted to the level, bit for bit.
             assert np.array_equal(x[4, seg], z[4, seg] * tap_sigma[i] + tap_mean[i])
             start += count
 
@@ -548,6 +549,78 @@ class TestPreSelectionHistograms:
             assert chi_square_p(counts, p) >= 1e-6
 
 
+def truncated_normal_moments(alpha):
+    """Mean, variance and fourth central moment of N(0, 1) given z >= alpha, by mpmath quadrature.
+
+    Integrates over u = z - alpha against phi(alpha + u) / phi(alpha), whose
+    scale 1 / (alpha + 1) the breakpoints follow, so a deep tail is resolved.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        points = [0, 1 / (a + 1), 10 / (a + 1), mpmath.inf]
+
+        def weight(u):
+            return mpmath.exp(-a * u - u * u / 2)
+
+        norm = mpmath.quad(weight, points)
+
+        def moment(f):
+            return mpmath.quad(lambda u: f(a + u) * weight(u), points) / norm
+
+        mean = moment(lambda t: t)
+        return tuple(float(v) for v in (mean, moment(lambda t: (t - mean) ** 2),
+                                        moment(lambda t: (t - mean) ** 4)))
+
+
+@pytest.fixture(scope="module", params=["discrete", "semicontinuous"])
+def tapped_preset(request):
+    """The (A, B, Tap) mixture of a preset, built as ``run_scenario`` builds it."""
+    cfg = preset_config(request.param)
+    variances = cfg.source.variances()
+    channel, _ = cfg.channel.build(*variances)
+    return attach_tap(propagate(make_kerr_entangled(*variances), channel), cfg.tap)
+
+
+class TestCountFirst:
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 2.0, 5.0, 8.0, 30.0])
+    def test_tail_normals_follow_the_truncated_normal(self, alpha):
+        n = 200_000
+        z = engine._tail_normals(np.random.default_rng(71), np.full(n, alpha))
+        assert z.min() >= alpha
+        mean, var, mu4 = truncated_normal_moments(alpha)
+        assert abs(z.mean() - mean) < 4.0 * np.sqrt(var / n)
+        assert abs(z.var() - var) < 4.0 * np.sqrt((mu4 - var * var) / n)
+        # Bins a quarter SD wide from alpha, the last one open, against
+        # differences of gaussian_tail.
+        edges = alpha + np.sqrt(var) * np.arange(25) / 4.0
+        probs = -np.diff(gaussian_tail(np.append(edges, np.inf))) / gaussian_tail(alpha)
+        counts = np.bincount(np.searchsorted(edges, z, side="right") - 1, minlength=edges.size)
+        assert chi_square_p(counts, probs) >= 1e-6
+
+    def test_one_threshold_splits_the_levels_by_alpha(self, tapped_preset):
+        # At 1 SNU alpha spans 0.44-0.84: both sampling rules are exercised.
+        _, tap_sigma, tap_mean, _ = engine._prepare_components(tapped_preset)
+        alpha = (1.0 - tap_mean) / tap_sigma
+        assert np.any(alpha < engine.RARE_ALPHA) and np.any(alpha >= engine.RARE_ALPHA)
+
+    def test_per_level_kept_counts_and_tap_histogram(self, tapped_preset):
+        n = 1_000_000
+        sweep = sweep_at(tapped_preset, McConfig(n_shots=n, seed=72), 1.0)
+        ens = herald(tapped_preset, [1.0])
+        # Each level's kept count is Binomial(n, w_i q_i): the level counts
+        # are multinomial and each shot passes on its own.
+        for kept, p in zip(sweep.per_level_kept[0], tapped_preset.weights * ens.per_component_pass[0]):
+            assert binomial_two_sided_p(int(kept), n, p) >= 1e-6
+        # The kept X_tap histogram: per level, P(bin and X_tap >= 1) is the
+        # unconditional bin probability less that given X_tap < 1 times 1 - q_i.
+        coefficients = engine.SERIES_COEFFICIENTS[:1]
+        above = (series_bin_probabilities(tapped_preset.states, coefficients, sweep.edges)[:, 0]
+                 - series_bin_probabilities(tapped_preset.states, coefficients, sweep.edges, 1.0)[:, 0]
+                 * (1.0 - ens.per_component_pass[0])[:, None])
+        probs = np.clip(tapped_preset.weights @ above, 0.0, None) / ens.success_probability[0]
+        assert chi_square_p(sweep.hist_post[0, 0], probs) >= 1e-6
+
+
 def sweep_moments(sweep):
     """The moment stacks of one run_mc_sweep, with the standard errors of its covariances."""
     return [sweep.pooled_mean, sweep.pooled_cov, pooled_cov_se(sweep), sweep.cov_sampling]
@@ -594,11 +667,6 @@ class TestRunMcSweep:
             assert np.array_equal(sweep.hist_pre, ref.hist_pre)
             assert np.array_equal(sweep.hist_post[j], ref.hist_post[1])
             assert sweep.success_probability[j] == ref.success_probability[1]
-            # Counts that read only the tap X equal the one-threshold sweep's.
-            alone = sweep_at(tapped_discrete, conf, th)
-            assert sweep.kept_count[j] == alone.kept_count[0]
-            assert np.array_equal(sweep.per_level_kept[j], alone.per_level_kept[0])
-            assert np.array_equal(sweep.hist_post[j, 0], alone.hist_post[0, 0])
             if th == 1e4:
                 assert isinstance(sweep.errors[j], DegenerateSelectionError)
                 assert str(sweep.errors[j]) == str(ref.errors[1])
@@ -614,9 +682,18 @@ class TestRunMcSweep:
             row += 1
         assert row == len(sweep.pooled_cov)
 
-    @pytest.mark.parametrize("n_shots", [400_000, 2 * 65_536, 65_536 + 1_000, 2])
-    def test_independent_of_worker_count(self, tapped_discrete, n_shots):
-        grid = [4.0, 0.0, 2.0, 2.0, 1e4]
+    @pytest.mark.parametrize("n_shots, grid", [
+        pytest.param(n, [4.0, 0.0, 2.0, 2.0, 1e4], id=str(n))
+        for n in (400_000, 2 * 65_536, 65_536 + 1_000, 2)
+    ] + [
+        # Lowest threshold 6 SNU: both levels are rare, and the blocks hold
+        # 2**23 shots each, nine of them.
+        pytest.param(8 * 2**23 + 1_000, [7.0, 6.0, 9.0, 7.0, 1e4], id="rare-t6"),
+    ])
+    def test_independent_of_worker_count(self, tapped_discrete, n_shots, grid):
+        if min(grid) == 6.0:
+            p = herald(tapped_discrete, [6.0]).success_probability[0]
+            assert engine._block_shots(p, n_shots) == 2**23
         ref, *others = [
             sweep_outputs(run_mc_sweep(
                 tapped_discrete, McConfig(n_shots=n_shots, seed=23, n_workers=w), grid))
@@ -629,18 +706,24 @@ class TestRunMcSweep:
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(grid=random_grids())
     def test_random_grids_match_one_threshold_sweeps(self, tapped_discrete, grid):
-        # Two blocks, so that two workers split them.
+        # Two blocks where the lowest threshold is common, so that two workers split them.
         conf = McConfig(n_shots=65_536 + 4_000, seed=27)
         sweep = run_mc_sweep(tapped_discrete, conf, grid)
         two = run_mc_sweep(tapped_discrete, dataclasses.replace(conf, n_workers=2), grid)
         assert all(np.array_equal(u, v) for u, v in zip(sweep_outputs(sweep), sweep_outputs(two)))
+        # A row's counts equal those of any sweep with the same lowest
+        # threshold, and the lowest threshold's row those of its own sweep.
+        alone = sweep_at(tapped_discrete, conf, min(grid))
         for j, th in enumerate(grid):
-            alone = sweep_at(tapped_discrete, conf, th)
-            assert sweep.kept_count[j] == alone.kept_count[0]
-            assert np.array_equal(sweep.per_level_kept[j], alone.per_level_kept[0])
-            assert np.array_equal(sweep.hist_post[j, 0], alone.hist_post[0, 0])
+            ref = run_mc_sweep(tapped_discrete, conf, [min(grid), th])
+            assert sweep.kept_count[j] == ref.kept_count[1]
+            assert np.array_equal(sweep.per_level_kept[j], ref.per_level_kept[1])
+            assert np.array_equal(sweep.hist_post[j], ref.hist_post[1])
+            if th == min(grid):
+                assert sweep.kept_count[j] == alone.kept_count[0]
+                assert np.array_equal(sweep.hist_post[j], alone.hist_post[0])
         # Every pre-selection histogram depends on the lowest threshold alone.
-        assert np.array_equal(sweep.hist_pre, sweep_at(tapped_discrete, conf, min(grid)).hist_pre)
+        assert np.array_equal(sweep.hist_pre, alone.hist_pre)
 
     def test_pool_has_at_most_one_process_per_usable_cpu(self, tapped_discrete, monkeypatch):
         # A stand-in pool records its size and runs the jobs in this process.
@@ -695,12 +778,12 @@ class TestRunMcSweep:
         assert ln[2] == ln[0] != ln[1] and se[2] == se[0] != se[1]
 
     def test_rows_and_errors_follow_the_kept_count(self, tapped_discrete):
-        # Kept 17, 9, 3, 2, 1 and 0 of 20,000 shots: a row with an LN error,
+        # Kept 16, 7, 4, 3, 1 and 0 of 20,000 shots: a row with an LN error,
         # a row without one, two too few for a positive-definite covariance
         # and two too few for any moment.
         grid = [6.5, 7.0, 7.75, 8.25, 8.5, 9.0]
-        sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=24), grid)
-        assert sweep.kept_count.tolist() == [17, 9, 3, 2, 1, 0]
+        sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=13), grid)
+        assert sweep.kept_count.tolist() == [16, 7, 4, 3, 1, 0]
         assert sweep.errors[:2] == (None, None)
         for exc in sweep.errors[2:4]:
             assert type(exc) is InvalidCovarianceError
