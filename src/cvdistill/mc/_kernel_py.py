@@ -92,8 +92,9 @@ def accumulate_chunk(x, level_ends, lookup, hist_range, n_bins, hist_post, per_l
     """Bin the kept shots of a chunk and accumulate them by stratum.
 
     x : (5, m) float64, rows (X_A, P_A, X_B, P_B, X_Tap), every shot with
-        X_Tap >= thresholds[0]; shots level_ends[i - 1]:level_ends[i]
-        belong to channel level i
+        X_Tap >= thresholds[0] up to rounding at thresholds[0] (a shot
+        rounded below it is kept in stratum 0); shots
+        level_ends[i - 1]:level_ends[i] belong to channel level i
     lookup : ``stratum_lookup(thresholds, hist_range, n_bins)`` of the
         sorted, distinct thresholds; a shot is kept in stratum j,
         thresholds[j] <= X_Tap < thresholds[j + 1] (the top stratum has no

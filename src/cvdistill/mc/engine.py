@@ -31,7 +31,10 @@ or above alpha_i. A rare level draws its candidate count, Binomial(n_i,
 Q(alpha_i)), and then that many normals from the tail above alpha_i by
 Robert's exponential rejection (``_tail_normals``), so its cost scales
 with its candidates, not its shots; every rare level's count comes from
-one binomial call. The candidates, in level order, then draw four more
+one binomial call. Both rules test the standard normal against alpha_i,
+so rounding in alpha_i and in the map back to X_tap can put a candidate's
+X_tap an ulp below t_0, or leave out a shot an ulp above it; the kernel
+keeps such a candidate in the lowest stratum. The candidates, in level order, then draw four more
 normals each, mapped to (X_A, P_A, X_B, P_B) by their level's regression
 on the tap normal and the Cholesky factor of the conditional covariance
 (the Schur complement of the tap variance). They go to one kernel call,
@@ -307,8 +310,11 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
     nodes = []
     lookup = _kernel_py.stratum_lookup(thresholds, hist_range, n_bins)
     rare = alpha >= RARE_ALPHA
-    any_rare = bool(rare.any())
     common = [(i, a) for i, a in enumerate(alpha.tolist()) if not rare[i]]
+    # Maximal runs [lo, hi) of consecutive levels that are all rare or all
+    # common: each run's candidates take their tap normals from one source.
+    cuts = [0, *(np.flatnonzero(rare[1:] != rare[:-1]) + 1).tolist(), n_levels]
+    runs = [(lo, hi, bool(rare[lo])) for lo, hi in zip(cuts, cuts[1:])]
     # Sized from the block plan: a block's common shots and candidates
     # practically never exceed these, and one that does gets larger buffers.
     tap_normals = np.empty(_capacity(block * weights[~rare].sum(), block))
@@ -330,9 +336,8 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
             np.greater_equal(z[starts[i] : stops[i]], a, out=mask[starts[i] : stops[i]])
         cand = np.flatnonzero(mask[:n_common])
         cand_counts = np.diff(np.searchsorted(cand, common_ends), prepend=0)
-        if any_rare:
-            cand_counts[rare] = rng.binomial(level_counts[rare], tail_q[rare])
-            tail = _tail_normals(rng, np.repeat(alpha[rare], cand_counts[rare]))
+        cand_counts[rare] = rng.binomial(level_counts[rare], tail_q[rare])
+        tail = _tail_normals(rng, np.repeat(alpha[rare], cand_counts[rare]))
         below += level_counts - cand_counts
         cand_ends = np.cumsum(cand_counts)
         n = int(cand_ends[-1])
@@ -342,12 +347,15 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
 
         x = normals[: 5 * n].reshape(5, n)
         rng.standard_normal(out=x[:4])
-        if any_rare:
-            in_tail = np.repeat(rare, cand_counts)
-            x[4, in_tail] = tail
-            x[4, ~in_tail] = z[cand]
-        else:
-            np.take(z, cand, out=x[4])
+        cand_starts, cand_stops = (cand_ends - cand_counts).tolist(), cand_ends.tolist()
+        n_tail = 0  # tail normals placed so far; the other candidates before are common
+        for lo, hi, from_tail in runs:
+            start, stop = cand_starts[lo], cand_stops[hi - 1]
+            if from_tail:
+                x[4, start:stop] = tail[n_tail : n_tail + stop - start]
+                n_tail += stop - start
+            else:
+                np.take(z, cand[start - n_tail : stop - n_tail], out=x[4, start:stop])
         _transform(x, cand_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(

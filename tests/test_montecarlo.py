@@ -603,21 +603,31 @@ class TestCountFirst:
         alpha = (1.0 - tap_mean) / tap_sigma
         assert np.any(alpha < engine.RARE_ALPHA) and np.any(alpha >= engine.RARE_ALPHA)
 
-    def test_per_level_kept_counts_and_tap_histogram(self, tapped_preset):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_per_level_kept_counts_and_tap_histogram(self, tapped_preset, reverse):
+        # The presets list their rare levels first at 1 SNU; reversed, the
+        # common ones come first, and both orders place each candidate's
+        # tap normal in its own level.
+        mixture = tapped_preset
+        if reverse:
+            states = mixture.states
+            mixture = MixtureState(mixture.weights[::-1].copy(),
+                                   GaussianState(states.mean[::-1].copy(), states.cov[::-1].copy()))
         n = 1_000_000
-        sweep = sweep_at(tapped_preset, McConfig(n_shots=n, seed=72), 1.0)
-        ens = herald(tapped_preset, [1.0])
+        sweep = run_mc_sweep(mixture, McConfig(n_shots=n, seed=72), [1.0, 2.0])
+        ens = herald(mixture, [1.0, 2.0])
         # Each level's kept count is Binomial(n, w_i q_i): the level counts
         # are multinomial and each shot passes on its own.
-        for kept, p in zip(sweep.per_level_kept[0], tapped_preset.weights * ens.per_component_pass[0]):
-            assert binomial_two_sided_p(int(kept), n, p) >= 1e-6
+        for kept, q in zip(sweep.per_level_kept, ens.per_component_pass):
+            for k, p in zip(kept, mixture.weights * q):
+                assert binomial_two_sided_p(int(k), n, p) >= 1e-6
         # The kept X_tap histogram: per level, P(bin and X_tap >= 1) is the
         # unconditional bin probability less that given X_tap < 1 times 1 - q_i.
         coefficients = engine.SERIES_COEFFICIENTS[:1]
-        above = (series_bin_probabilities(tapped_preset.states, coefficients, sweep.edges)[:, 0]
-                 - series_bin_probabilities(tapped_preset.states, coefficients, sweep.edges, 1.0)[:, 0]
+        above = (series_bin_probabilities(mixture.states, coefficients, sweep.edges)[:, 0]
+                 - series_bin_probabilities(mixture.states, coefficients, sweep.edges, 1.0)[:, 0]
                  * (1.0 - ens.per_component_pass[0])[:, None])
-        probs = np.clip(tapped_preset.weights @ above, 0.0, None) / ens.success_probability[0]
+        probs = np.clip(mixture.weights @ above, 0.0, None) / ens.success_probability[0]
         assert chi_square_p(sweep.hist_post[0, 0], probs) >= 1e-6
 
 
