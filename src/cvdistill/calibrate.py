@@ -7,6 +7,13 @@ entanglement of the two-level lossy channel's output (which fixes the
 antisqueezed variance by a one-dimensional root find). The semi-continuous
 channel envelope is calibrated the same way against its measured
 pre-distillation value.
+
+Each step of the source fit builds the channel's pooled 4x4 covariance in
+closed form from the source's covariance blocks and builds no state
+(:func:`discrete_premix_ln`); only the log-negativity's own symmetry and
+positive-definiteness checks run per step. The fitted source is built as
+a state once, by ``calibrate`` for its initial log-negativity, and a run
+validates it once, when ``propagate`` builds the channel's mixture.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import (MixtureState, discrete_channel, envelope_exponential, envelope_fading,
                       pooled_cm, propagate)
-from .gaussian import gaussian_log_negativity, make_kerr_entangled
+from .gaussian import gaussian_log_negativity, kerr_variances, make_kerr_entangled
 
 __all__ = [
     "CalibrationError",
@@ -83,9 +92,28 @@ def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: 
 
 
 def discrete_premix_ln(v_squeezed: float, v_antisqueezed: float) -> float:
-    """Gaussian-fitted log-negativity of the two-level channel's pooled output."""
-    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
-    return gaussian_log_negativity(pooled_cm(propagate(source, discrete_channel()))[1])
+    """Gaussian-fitted log-negativity of the two-level channel's pooled output.
+
+    Computed in closed form, with no state built. The source
+    (``make_kerr_entangled``) has blocks A = B = s*I and C = diag(c, -c),
+    s = (Vs + Va)/2 and c = (Vs - Va)/2, and zero mean; loss t on mode B
+    makes B = t*s + 1 - t and C = sqrt(t)*C. With zero means the pooled
+    covariance is the probability-weighted sum of the levels' blocks, and
+    :func:`gaussian_log_negativity` checks it and takes its spectrum. The
+    variances meet ``make_kerr_entangled``'s checks and ValueErrors.
+    """
+    vs, va = kerr_variances(v_squeezed, v_antisqueezed)
+    channel = discrete_channel()
+    t, p = channel.transmittances, channel.probabilities
+    s, c = 0.5 * (vs + va), 0.5 * (vs - va)
+    b = float(p @ (t * s + (1.0 - t)))
+    cb = float(p @ (np.sqrt(t) * c))
+    return gaussian_log_negativity(np.array([
+        [s, 0.0, cb, 0.0],
+        [0.0, s, 0.0, -cb],
+        [cb, 0.0, b, 0.0],
+        [0.0, -cb, 0.0, b],
+    ]))
 
 
 def calibrate(

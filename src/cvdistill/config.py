@@ -59,6 +59,8 @@ DEFAULT_THRESHOLDS = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 # Most histogram bins a Monte Carlo run may ask for: each worker holds
 # (strata, 5, bins) int64 counts, and the report one row per bin and series.
 MAX_HISTOGRAM_BINS = 1_000_000
+# Most shots a Monte Carlo run may ask for: shot and level counts are int64.
+MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -324,6 +326,9 @@ class McConfig:
         for name, least in (("n_shots", 1), ("seed", 0), ("n_workers", 1), ("histogram_bins", 2)):
             if getattr(self, name) < least:
                 raise ConfigError(f"mc.{name} must be >= {least}")
+        if self.n_shots > MAX_SHOTS:
+            raise ConfigError(f"mc.n_shots must be <= {MAX_SHOTS} (2**63 - 1, the limit of the "
+                              f"int64 shot counts), got {self.n_shots}")
         if self.histogram_bins > MAX_HISTOGRAM_BINS:
             raise ConfigError(f"mc.histogram_bins must be <= {MAX_HISTOGRAM_BINS}, "
                               f"got {self.histogram_bins}")

@@ -36,6 +36,7 @@ __all__ = [
     "pt_trace_norm",
     "apply_beamsplitter",
     "apply_loss",
+    "kerr_variances",
     "make_kerr_entangled",
 ]
 
@@ -331,6 +332,24 @@ def apply_loss(state: GaussianState, mode: int, eta) -> GaussianState:
     return GaussianState(mean, cov)
 
 
+def kerr_variances(v_squeezed: float, v_antisqueezed: float) -> tuple:
+    """(v_squeezed, v_antisqueezed) as floats, if they describe a physical Kerr source.
+
+    Raises ValueError unless 0 < v_squeezed <= 1, v_antisqueezed >= 1 and
+    v_squeezed * v_antisqueezed >= 1 - PHYS_TOL.
+    """
+    vs, va = float(v_squeezed), float(v_antisqueezed)
+    if not 0.0 < vs <= 1.0:
+        raise ValueError(f"v_squeezed must lie in (0, 1], got {vs}")
+    if va < 1.0:
+        raise ValueError(f"v_antisqueezed must be >= 1, got {va}")
+    if vs * va < 1.0 - PHYS_TOL:
+        raise ValueError(
+            f"v_squeezed * v_antisqueezed = {vs * va:.6g} violates the uncertainty relation"
+        )
+    return vs, va
+
+
 def make_kerr_entangled(v_squeezed: float, v_antisqueezed: float) -> GaussianState:
     """Two-mode entangled state from two squeezed beams on a 50/50 beam splitter.
 
@@ -343,15 +362,7 @@ def make_kerr_entangled(v_squeezed: float, v_antisqueezed: float) -> GaussianSta
 
     so the joint quadratures satisfy Var(X_A+X_B) = Var(P_A-P_B) = 2*Vs.
     """
-    vs, va = float(v_squeezed), float(v_antisqueezed)
-    if not 0.0 < vs <= 1.0:
-        raise ValueError(f"v_squeezed must lie in (0, 1], got {vs}")
-    if va < 1.0:
-        raise ValueError(f"v_antisqueezed must be >= 1, got {va}")
-    if vs * va < 1.0 - PHYS_TOL:
-        raise ValueError(
-            f"v_squeezed * v_antisqueezed = {vs * va:.6g} violates the uncertainty relation"
-        )
+    vs, va = kerr_variances(v_squeezed, v_antisqueezed)
     inputs = tensor(squeezed_state(vs, va), squeezed_state(va, vs))
     # Port assignment fixes the sign of the correlation blocks: the
     # X-squeezed beam enters the transmitted-signal port.

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import cvdistill
 from cvdistill import (
     CalibrationError,
+    GaussianState,
     attach_tap,
     calibrate,
     calibrate_envelope,
@@ -28,9 +29,11 @@ from cvdistill import (
     preset_config,
     propagate,
     run_scenario,
+    validate_physical,
 )
 import cvdistill.scenario as scenario
-from cvdistill.calibrate import semicontinuous_premix_ln
+from cvdistill.calibrate import (BRACKET_HI, DEFAULT_LN_DISCRETE_PREMIX, SOURCE_LN_TOL, _bisect,
+                                 discrete_premix_ln, semicontinuous_premix_ln)
 from cvdistill.cli import main
 from cvdistill.config import ChannelSettings, ConfigError, McConfig, SourceSettings, TapConfig
 from cvdistill.mc import SERIES
@@ -98,6 +101,81 @@ class TestCalibrate:
 def pooled_premix_ln(source, channel):
     """Log-negativity of the pooled channel output, through the mixture state."""
     return gaussian_log_negativity(pooled_cm(propagate(source, channel))[1])
+
+
+def state_path_premix_ln(v_squeezed, v_antisqueezed):
+    """``discrete_premix_ln`` through the source state and its channel mixture."""
+    return pooled_premix_ln(make_kerr_entangled(v_squeezed, v_antisqueezed), discrete_channel())
+
+
+class TestClosedFormSourceFit:
+    """The source fit's closed-form pooled covariance against the state path."""
+
+    @pytest.mark.parametrize("ln_initial", [0.05, 0.76, 2.0, 6.0])
+    def test_closed_form_matches_state_path(self, ln_initial):
+        vs = 2.0 ** -ln_initial
+        for va in [1.0 / vs, 1.0001 / vs, 2.0 / vs, 122.83446271865805, 1e3, BRACKET_HI]:
+            if va < 1.0 / vs:
+                continue
+            assert discrete_premix_ln(vs, va) == pytest.approx(state_path_premix_ln(vs, va),
+                                                              rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("vs, va", [(1.2, 2.0), (0.0, 2.0), (0.5, 0.9), (0.5, 1.5)])
+    def test_source_guards_match_make_kerr_entangled(self, vs, va):
+        with pytest.raises(ValueError) as built:
+            make_kerr_entangled(vs, va)
+        with pytest.raises(ValueError) as closed:
+            discrete_premix_ln(vs, va)
+        assert str(closed.value) == str(built.value)
+
+    def test_default_fit_pinned(self):
+        assert calibrate().v_antisqueezed == 122.83446271865805
+
+    def test_fit_matches_state_path_bisection(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            ln_initial = rng.uniform(0.05, 4.0)
+            vs = 2.0 ** -ln_initial
+            lo, hi = 1.0 / vs, BRACKET_HI
+            target = rng.uniform(state_path_premix_ln(vs, hi), state_path_premix_ln(vs, lo))
+            va, achieved = _bisect(lambda v: state_path_premix_ln(vs, v), lo, hi, target,
+                                   SOURCE_LN_TOL)
+            cal = calibrate(ln_initial=ln_initial, ln_discrete_premix=target)
+            assert cal.v_antisqueezed == va
+            assert cal.ln_discrete_premix == pytest.approx(achieved, rel=1e-13, abs=0.0)
+
+    def test_fit_cost_does_not_grow_with_steps(self, monkeypatch):
+        # Each bisection step builds no state and checks no physicality:
+        # only the fitted source is built, once.
+        counts = {"steps": 0, "states": 0, "physical": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        calibrate_module = sys.modules["cvdistill.calibrate"]
+        monkeypatch.setattr(calibrate_module, "discrete_premix_ln",
+                            counted("steps", discrete_premix_ln))
+        monkeypatch.setattr(GaussianState, "__post_init__",
+                            counted("states", GaussianState.__post_init__))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cvdistill") and getattr(module, "validate_physical", None) is validate_physical:
+                monkeypatch.setattr(module, "validate_physical",
+                                    counted("physical", validate_physical))
+        vs = 2.0 ** -0.76
+        # A target met at the bracket's first midpoint ends the fit after three evaluations.
+        mid_target = discrete_premix_ln(vs, 0.5 * (1.0 / vs + BRACKET_HI))
+        seen = []
+        for target in (mid_target, DEFAULT_LN_DISCRETE_PREMIX):
+            counts.update(steps=0, states=0, physical=0)
+            calibrate(ln_initial=0.76, ln_discrete_premix=target)
+            seen.append(dict(counts))
+        assert seen[0]["steps"] == 3 and seen[1]["steps"] > 20
+        for c in seen:
+            assert c["physical"] == seen[0]["physical"] and c["states"] == seen[0]["states"]
+            assert c["physical"] + c["states"] <= 5
 
 
 class TestCalibrateEnvelope:
@@ -254,6 +332,14 @@ class TestConfig:
     def test_preset_config_hash_pinned(self, name, digest):
         # Stored reports carry this hash; a settings refactor must not move it.
         assert preset_config(name).config_hash() == digest
+
+    def test_shot_count_bounded_by_int64_counts(self):
+        assert McConfig(n_shots=2**63 - 1).n_shots == 2**63 - 1
+        raw = preset_config("discrete").to_dict()
+        raw["mc"]["n_shots"] = 10**20
+        for build in (lambda: McConfig(n_shots=2**63), lambda: parse_config(raw)):
+            with pytest.raises(ConfigError, match=r"^mc.n_shots must be <= 9223372036854775807 "):
+                build()
 
     def test_settings_constructors_validate(self):
         with pytest.raises(ConfigError, match="mc.n_shots must be >= 1"):
@@ -814,6 +900,21 @@ class TestCliCommands:
         cfg_path.write_text(json.dumps(preset_config("discrete").to_dict()))
         assert main(["run", "--config", str(cfg_path), flag, value]) == 2
         assert f"error: {field} must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_run_shot_count_beyond_int64_is_config_error(self, capsys, tmp_path, via):
+        # A 30 SNU threshold keeps both levels on the count-first path, whose
+        # one block would hold every shot.
+        raw = preset_config("discrete").to_dict()
+        raw["engine"], raw["tap"]["thresholds"] = "mc", [30.0]
+        if via == "config":
+            raw["mc"]["n_shots"] = 10**20
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        flags = ["--shots", str(10**20)] if via == "flag" else []
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mc.n_shots must be <= ") and err.count("\n") == 1
 
     def test_run_bool_shot_count_is_config_error(self, capsys, tmp_path):
         raw = preset_config("discrete").to_dict()
