@@ -8,9 +8,9 @@ antisqueezed variance by a one-dimensional root find). The semi-continuous
 channel envelope is calibrated the same way against its measured
 pre-distillation value.
 
-Each step of the source fit builds the channel's pooled 4x4 covariance in
-closed form from the source's covariance blocks and builds no state
-(:func:`discrete_premix_ln`); only the log-negativity's own symmetry and
+Both fits are closed form: each bisection step builds the channel's pooled
+4x4 covariance from the source's covariance blocks and builds no state
+(:func:`premix_ln`); only the log-negativity's own symmetry and
 positive-definiteness checks run per step. The fitted source is built as
 a state once, by ``calibrate`` for its initial log-negativity, and a run
 validates it once, when ``propagate`` builds the channel's mixture.
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (MixtureState, discrete_channel, envelope_exponential, envelope_fading,
-                      pooled_cm, propagate)
+from .channel import FluctuatingChannel, discrete_channel, envelope_exponential, envelope_fading
 from .gaussian import gaussian_log_negativity, kerr_variances, make_kerr_entangled
 
 __all__ = [
@@ -91,8 +90,8 @@ def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: 
     raise CalibrationError(f"bisection did not reach tolerance {ln_tol}; last f = {fmid:.6g}")
 
 
-def discrete_premix_ln(v_squeezed: float, v_antisqueezed: float) -> float:
-    """Gaussian-fitted log-negativity of the two-level channel's pooled output.
+def premix_ln(v_squeezed: float, v_antisqueezed: float, channel: FluctuatingChannel) -> float:
+    """Gaussian-fitted log-negativity of ``channel``'s pooled output for the Kerr source.
 
     Computed in closed form, with no state built. The source
     (``make_kerr_entangled``) has blocks A = B = s*I and C = diag(c, -c),
@@ -103,7 +102,6 @@ def discrete_premix_ln(v_squeezed: float, v_antisqueezed: float) -> float:
     variances meet ``make_kerr_entangled``'s checks and ValueErrors.
     """
     vs, va = kerr_variances(v_squeezed, v_antisqueezed)
-    channel = discrete_channel()
     t, p = channel.transmittances, channel.probabilities
     s, c = 0.5 * (vs + va), 0.5 * (vs - va)
     b = float(p @ (t * s + (1.0 - t)))
@@ -134,8 +132,9 @@ def calibrate(
                                f"{math.log2(BRACKET_HI):.2f}), got {ln_initial}")
     v_squeezed = 2.0 ** (-ln_initial)
     lo = 1.0 / v_squeezed
+    channel = discrete_channel()
     v_antisqueezed, achieved = _bisect(
-        lambda va: discrete_premix_ln(v_squeezed, va), lo, BRACKET_HI, ln_discrete_premix,
+        lambda va: premix_ln(v_squeezed, va, channel), lo, BRACKET_HI, ln_discrete_premix,
         SOURCE_LN_TOL,
     )
     return SourceCalibration(
@@ -144,11 +143,6 @@ def calibrate(
         ln_initial=gaussian_log_negativity(make_kerr_entangled(v_squeezed, v_antisqueezed).cov),
         ln_discrete_premix=achieved,
     )
-
-
-def semicontinuous_premix_ln(levels: MixtureState, weights) -> float:
-    """Gaussian-fitted log-negativity of the mixture ``levels`` re-weighted with ``weights``."""
-    return gaussian_log_negativity(pooled_cm(levels.reweighted(weights))[1])
 
 
 def calibrate_envelope(
@@ -165,22 +159,19 @@ def calibrate_envelope(
     deep-fade floor fraction in [0, 1] (pooled entanglement decreases as
     the floor grows), for 'exponential' the exponent beta in [-50, 50]
     (pooled entanglement increases with beta). The fit stops within
-    ``ENVELOPE_LN_TOL``. Returns (parameter, fitted channel).
+    ``ENVELOPE_LN_TOL``; each step is one :func:`premix_ln`, so no state is
+    built. Variances or a ``p_full`` that cannot build the envelope raise
+    ``CalibrationError`` before the first step. Returns (parameter, fitted
+    channel).
     """
     if family not in ENVELOPE_FAMILIES:
         raise CalibrationError(f"unknown envelope family {family!r}; use one of {ENVELOPE_FAMILIES}")
     envelope, (lo, hi) = ENVELOPES[family]
     build = lambda param: envelope(param, p_full=p_full)
-    # Every envelope shares one transmittance grid: each step only re-weights its levels.
     try:
-        levels = propagate(make_kerr_entangled(v_squeezed, v_antisqueezed), build(lo))
+        vs, va = kerr_variances(v_squeezed, v_antisqueezed)
+        build(lo)
     except ValueError as exc:
         raise CalibrationError(f"cannot build the {family} envelope: {exc}") from exc
-    param, _ = _bisect(
-        lambda p: semicontinuous_premix_ln(levels, build(p).probabilities),
-        lo,
-        hi,
-        ln_premix,
-        ENVELOPE_LN_TOL,
-    )
+    param, _ = _bisect(lambda p: premix_ln(vs, va, build(p)), lo, hi, ln_premix, ENVELOPE_LN_TOL)
     return param, build(param)

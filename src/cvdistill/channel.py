@@ -15,7 +15,6 @@ on its total logarithmic negativity.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,26 +107,12 @@ class MixtureState:
     states: GaussianState
 
     def __post_init__(self) -> None:
-        self.weights = self._checked_weights(self.weights)
+        self.weights = _check_weights(self.weights, "component weights")
+        if self.states.mean.shape[:-1] != self.weights.shape:
+            raise ValueError(f"mixture has {self.weights.size} weights but a stack of states "
+                             f"of shape {self.states.mean.shape}")
         if not np.all(validate_physical(self.states)):
             raise ValueError("mixture contains an unphysical component")
-
-    def _checked_weights(self, weights) -> np.ndarray:
-        weights = _check_weights(weights, "component weights")
-        if self.states.mean.shape[:-1] != weights.shape:
-            raise ValueError(f"mixture has {weights.size} weights but a stack of states "
-                             f"of shape {self.states.mean.shape}")
-        return weights
-
-    def reweighted(self, weights) -> MixtureState:
-        """This mixture's components with new ``weights``, checked as the constructor checks them.
-
-        The components were validated when this mixture was built, so only
-        the weights are checked.
-        """
-        out = copy.copy(self)
-        out.weights = self._checked_weights(weights)
-        return out
 
     @property
     def n_modes(self) -> int:
@@ -147,6 +132,23 @@ def semicontinuous_levels() -> np.ndarray:
     return 0.1 + np.arange(SEMICONTINUOUS_LEVELS) * (0.9 / (SEMICONTINUOUS_LEVELS - 1))
 
 
+def _semicontinuous_channel(lower, p_full: float) -> FluctuatingChannel:
+    """The semi-continuous grid with ``p_full`` at full transmission and ``lower(1 - p_full)`` below.
+
+    ``lower`` maps the mass left below full transmission to the lower
+    levels' probabilities; it is called once ``p_full`` is checked. The
+    probabilities are renormalized away from float rounding, so that they
+    sum to exactly 1, and a level whose probability is 0 is dropped, as
+    ``FluctuatingChannel`` holds no zero-probability level.
+    """
+    if not 0.0 < p_full < 1.0:
+        raise ValueError(f"p_full must lie in (0, 1), got {p_full}")
+    probs = np.append(lower(1.0 - p_full), p_full)
+    probs /= probs.sum()
+    keep = probs > 0.0
+    return FluctuatingChannel(semicontinuous_levels()[keep], probs[keep])
+
+
 def envelope_exponential(beta: float, p_full: float = 0.2) -> FluctuatingChannel:
     """Semi-continuous channel with an exponential probability envelope.
 
@@ -154,19 +156,11 @@ def envelope_exponential(beta: float, p_full: float = 0.2) -> FluctuatingChannel
     remaining mass is spread over the lower levels proportionally to
     exp(beta * t), so beta = 0 gives a flat envelope. The exponent is
     taken relative to its largest value, so no beta overflows it; a level
-    whose weight still underflows to 0 (|beta| beyond ~850) is dropped, as
-    ``FluctuatingChannel`` holds no zero-probability level.
+    whose weight still underflows to 0 (|beta| beyond ~850) is dropped.
     """
-    if not 0.0 < p_full < 1.0:
-        raise ValueError(f"p_full must lie in (0, 1), got {p_full}")
-    ts = semicontinuous_levels()
-    exponent = beta * ts[:-1]
+    exponent = beta * semicontinuous_levels()[:-1]
     weights = np.exp(exponent - exponent.max())
-    weights *= (1.0 - p_full) / weights.sum()
-    probs = np.append(weights, p_full)
-    # Renormalize away float rounding so the sum is exactly 1.
-    probs /= probs.sum()
-    return FluctuatingChannel(ts[probs > 0.0], probs[probs > 0.0])
+    return _semicontinuous_channel(lambda rest: weights * (rest / weights.sum()), p_full)
 
 
 def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingChannel:
@@ -181,18 +175,13 @@ def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingCh
     ``floor_fraction`` in [0, 1] is the single shape parameter used when
     calibrating the channel to a measured pre-distillation entanglement.
     """
-    if not 0.0 < p_full < 1.0:
-        raise ValueError(f"p_full must lie in (0, 1), got {p_full}")
     if not 0.0 <= floor_fraction <= 1.0:
         raise ValueError(f"floor_fraction must lie in [0, 1], got {floor_fraction}")
-    ts = semicontinuous_levels()
-    peak = np.exp(-FADING_PEAK_RATE * (1.0 - ts[:-1]))
+    peak = np.exp(-FADING_PEAK_RATE * (1.0 - semicontinuous_levels()[:-1]))
     peak /= peak.sum()
     floor = np.full(SEMICONTINUOUS_LEVELS - 1, 1.0 / (SEMICONTINUOUS_LEVELS - 1))
-    weights = (1.0 - p_full) * ((1.0 - floor_fraction) * peak + floor_fraction * floor)
-    probs = np.append(weights, p_full)
-    probs /= probs.sum()
-    return FluctuatingChannel(ts, probs)
+    shape = (1.0 - floor_fraction) * peak + floor_fraction * floor
+    return _semicontinuous_channel(lambda rest: rest * shape, p_full)
 
 
 def propagate(

@@ -1,4 +1,4 @@
-import sys
+import dataclasses
 
 import numpy as np
 import pytest
@@ -96,10 +96,11 @@ class TestChannelTypes:
         ([0.5, 0.6], stacked(VAC, VAC), "sum to 1"),
         ([], stacked(VAC), "at least one"),
         ([0.5, 0.5], stacked(VAC, VAC, VAC), "2 weights but a stack"),
+        ([1.0], stacked(VAC, VAC), "1 weights but a stack"),
         ([1.0], VAC, "1 weights but a stack"),
         ([0.5, 0.5], stacked(VAC, UNPHYSICAL), "unphysical"),
     ], ids=["nan", "nan-second", "inf", "zero", "negative", "sum-1.1", "empty",
-            "longer-stack", "unstacked-state", "unphysical-level"])
+            "longer-stack", "shorter-stack", "unstacked-state", "unphysical-level"])
     def test_mixture_rejections(self, weights, states, reason):
         with pytest.raises(ValueError, match=reason):
             MixtureState(weights, states)
@@ -110,19 +111,13 @@ class TestChannelTypes:
         ([1.0, 0.0], "positive"),
         ([1.5, -0.5], "positive"),
         ([0.5, 0.6], "sum to 1"),
-        ([1.0], "1 weights but a stack"),
-    ], ids=["nan", "inf", "zero", "negative", "sum-1.1", "shorter"])
+    ], ids=["nan", "inf", "zero", "negative", "sum-1.1"])
     def test_reweighted_rejections(self, weights, reason):
+        # Re-weighting a built mixture over its own stack goes through the
+        # constructor's checks and leaves the original mixture as it was.
         mix = MixtureState([0.25, 0.75], stacked(VAC, VAC))
         with pytest.raises(ValueError, match=reason):
-            mix.reweighted(weights)
-        assert np.array_equal(mix.weights, [0.25, 0.75])
-
-    def test_reweighted_checks_only_the_weights(self, monkeypatch):
-        mix = MixtureState([0.25, 0.75], stacked(VAC, VAC))
-        monkeypatch.setattr(sys.modules["cvdistill.channel"], "validate_physical", pytest.fail)
-        again = mix.reweighted([0.5, 0.5])
-        assert np.array_equal(again.weights, [0.5, 0.5]) and again.states is mix.states
+            dataclasses.replace(mix, weights=weights)
         assert np.array_equal(mix.weights, [0.25, 0.75])
 
 
@@ -156,7 +151,7 @@ class TestEnvelopes:
         chan = envelope_exponential(0.0, p_full=0.2)
         assert_allclose(chan.probabilities[:-1], 0.8 / 44, rtol=1e-12)
 
-    @pytest.mark.parametrize("beta, n_levels", [(800.0, 45), (-7000.0, 7)])
+    @pytest.mark.parametrize("beta, n_levels", [(800.0, 45), (-800.0, 45), (-7000.0, 7)])
     def test_exponential_extreme_beta_builds_a_channel(self, beta, n_levels):
         # Past |beta| ~ 725 exp(beta * t) itself over- or underflows; the
         # envelope relative to its peak does not. Levels whose weight is
@@ -176,6 +171,13 @@ class TestEnvelopes:
     def test_fading_pure_floor_is_flat(self):
         chan = envelope_fading(1.0, p_full=0.2)
         assert_allclose(chan.probabilities[:-1], 0.8 / 44, rtol=1e-12)
+
+    @pytest.mark.parametrize("build, param", [(envelope_exponential, 0.0), (envelope_fading, 0.3)],
+                             ids=["exponential", "fading"])
+    @pytest.mark.parametrize("p_full", [0.0, 1.0, 1.5, np.nan])
+    def test_p_full_rejected_by_both_families(self, build, param, p_full):
+        with pytest.raises(ValueError, match=rf"^p_full must lie in \(0, 1\), got {p_full}$"):
+            build(param, p_full=p_full)
 
     def test_envelopes_normalized(self):
         for chan in (envelope_exponential(4.6), envelope_fading(0.18)):

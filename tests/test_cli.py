@@ -4,17 +4,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cvdistill
 from cvdistill import (
     CalibrationError,
+    FluctuatingChannel,
     GaussianState,
     attach_tap,
     calibrate,
@@ -32,8 +35,8 @@ from cvdistill import (
     validate_physical,
 )
 import cvdistill.scenario as scenario
-from cvdistill.calibrate import (BRACKET_HI, DEFAULT_LN_DISCRETE_PREMIX, SOURCE_LN_TOL, _bisect,
-                                 discrete_premix_ln, semicontinuous_premix_ln)
+from cvdistill.calibrate import (BRACKET_HI, DEFAULT_LN_DISCRETE_PREMIX, ENVELOPE_FAMILIES,
+                                 ENVELOPE_LN_TOL, ENVELOPES, SOURCE_LN_TOL, _bisect, premix_ln)
 from cvdistill.cli import main
 from cvdistill.config import ChannelSettings, ConfigError, McConfig, SourceSettings, TapConfig
 from cvdistill.mc import SERIES
@@ -80,10 +83,8 @@ class TestCalibrate:
 
     def test_pure_state_limit(self):
         vs = 2.0 ** (-0.76)
-        target = 0.0  # pooled LN of the discrete mixture at the bracket edge
-        from cvdistill.calibrate import discrete_premix_ln
-
-        target = discrete_premix_ln(vs, 1.0 / vs)
+        # The pooled LN of the discrete mixture at the bracket edge.
+        target = premix_ln(vs, 1.0 / vs, discrete_channel())
         cal = calibrate(ln_initial=0.76, ln_discrete_premix=target)
         assert cal.v_antisqueezed == pytest.approx(1.0 / vs, rel=1e-2)
 
@@ -98,13 +99,46 @@ class TestCalibrate:
                 calibrate(ln_initial=ln_initial)
 
 
+@pytest.fixture
+def construction_counts(monkeypatch):
+    """Counts of ``GaussianState`` constructions and ``validate_physical`` calls from here on."""
+    counts = {"states": 0, "physical": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GaussianState, "__post_init__",
+                        counted("states", GaussianState.__post_init__))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cvdistill") and getattr(module, "validate_physical", None) is validate_physical:
+            monkeypatch.setattr(module, "validate_physical", counted("physical", validate_physical))
+    return counts
+
+
+def premix_ln_mp(v_squeezed, v_antisqueezed, channel):
+    """``premix_ln``'s pooled covariance and log-negativity in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        vs, va = mpmath.mpf(v_squeezed), mpmath.mpf(v_antisqueezed)
+        s, c = (vs + va) / 2, (vs - va) / 2
+        levels = [(mpmath.mpf(t), mpmath.mpf(p))
+                  for t, p in zip(channel.transmittances.tolist(), channel.probabilities.tolist())]
+        b = sum(p * (t * s + 1 - t) for t, p in levels)
+        cb = sum(p * mpmath.sqrt(t) * c for t, p in levels)
+        # 2 nu_-^2 = D - sqrt(D^2 - 4 det), D = det A + det B - 2 det C, det C = -cb^2.
+        d, det = s * s + b * b + 2 * cb * cb, (s * b - cb * cb) ** 2
+        return float(-mpmath.log((d - mpmath.sqrt(d * d - 4 * det)) / 2, 2) / 2)
+
+
 def pooled_premix_ln(source, channel):
     """Log-negativity of the pooled channel output, through the mixture state."""
     return gaussian_log_negativity(pooled_cm(propagate(source, channel))[1])
 
 
 def state_path_premix_ln(v_squeezed, v_antisqueezed):
-    """``discrete_premix_ln`` through the source state and its channel mixture."""
+    """``premix_ln`` of the two-level channel, through the source state and its channel mixture."""
     return pooled_premix_ln(make_kerr_entangled(v_squeezed, v_antisqueezed), discrete_channel())
 
 
@@ -115,15 +149,15 @@ class TestClosedFormSourceFit:
     def test_closed_form_matches_state_path(self, ln_initial):
         vs = 2.0 ** -ln_initial
         for va in [1.0 / vs, 1.0001 / vs, 2.0 / vs, 122.83446271865805, 1e3, BRACKET_HI]:
-            assert discrete_premix_ln(vs, va) == pytest.approx(state_path_premix_ln(vs, va),
-                                                              rel=1e-13, abs=0.0)
+            assert premix_ln(vs, va, discrete_channel()) == pytest.approx(
+                state_path_premix_ln(vs, va), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("vs, va", [(1.2, 2.0), (0.0, 2.0), (0.5, 0.9), (0.5, 1.5)])
     def test_source_guards_match_make_kerr_entangled(self, vs, va):
         with pytest.raises(ValueError) as built:
             make_kerr_entangled(vs, va)
         with pytest.raises(ValueError) as closed:
-            discrete_premix_ln(vs, va)
+            premix_ln(vs, va, discrete_channel())
         assert str(closed.value) == str(built.value)
 
     def test_default_fit_pinned(self):
@@ -142,38 +176,29 @@ class TestClosedFormSourceFit:
             assert cal.v_antisqueezed == va
             assert cal.ln_discrete_premix == pytest.approx(achieved, rel=1e-13, abs=0.0)
 
-    def test_fit_cost_does_not_grow_with_steps(self, monkeypatch):
+    def test_fit_cost_does_not_grow_with_steps(self, monkeypatch, construction_counts):
         # Each bisection step builds no state and checks no physicality:
         # only the fitted source is built, once.
-        counts = {"steps": 0, "states": 0, "physical": 0}
-
-        def counted(name, func):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return func(*args, **kwargs)
-            return wrapper
-
-        calibrate_module = sys.modules["cvdistill.calibrate"]
-        monkeypatch.setattr(calibrate_module, "discrete_premix_ln",
-                            counted("steps", discrete_premix_ln))
-        monkeypatch.setattr(GaussianState, "__post_init__",
-                            counted("states", GaussianState.__post_init__))
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cvdistill") and getattr(module, "validate_physical", None) is validate_physical:
-                monkeypatch.setattr(module, "validate_physical",
-                                    counted("physical", validate_physical))
+        steps = []
+        monkeypatch.setattr(sys.modules["cvdistill.calibrate"], "premix_ln",
+                            lambda *args: steps.append(args) or premix_ln(*args))
         vs = 2.0 ** -0.76
         # A target met at the bracket's first midpoint ends the fit after three evaluations.
-        mid_target = discrete_premix_ln(vs, 0.5 * (1.0 / vs + BRACKET_HI))
+        mid_target = premix_ln(vs, 0.5 * (1.0 / vs + BRACKET_HI), discrete_channel())
         seen = []
         for target in (mid_target, DEFAULT_LN_DISCRETE_PREMIX):
-            counts.update(steps=0, states=0, physical=0)
+            steps.clear()
+            construction_counts.update(states=0, physical=0)
             calibrate(ln_initial=0.76, ln_discrete_premix=target)
-            seen.append(dict(counts))
+            seen.append(dict(construction_counts, steps=len(steps)))
         assert seen[0]["steps"] == 3 and seen[1]["steps"] > 20
         for c in seen:
             assert c["physical"] == seen[0]["physical"] and c["states"] == seen[0]["states"]
             assert c["physical"] + c["states"] <= 5
+
+
+# The envelope fits of the two families at the default targets.
+PRESET_ENVELOPE_PARAMS = {"fading": 0.17767333984375, "exponential": 4.62493896484375}
 
 
 class TestCalibrateEnvelope:
@@ -190,28 +215,88 @@ class TestCalibrateEnvelope:
         assert pooled_premix_ln(calibrated_source, chan) == pytest.approx(-0.11, abs=1e-3)
         assert chan.probabilities[-1] == pytest.approx(0.2, abs=1e-12)
 
-    @pytest.mark.parametrize("build, params", [
-        (envelope_fading, (0.0, 0.3, 1.0)),
-        (envelope_exponential, (-20.0, 0.0, 7.5)),
-    ], ids=["fading", "exponential"])
-    def test_reweighted_levels_equal_pooled_mixture(
-        self, calibration, calibrated_source, build, params
-    ):
-        # The bisection propagates the source once and re-weights those levels.
-        levels = propagate(calibrated_source, build(params[0]))
-        for param in params:
-            chan = build(param)
-            expected = pooled_premix_ln(calibrated_source, chan)
-            assert semicontinuous_premix_ln(levels, chan.probabilities) == expected
+    @pytest.mark.parametrize("channel", [
+        discrete_channel(),
+        FluctuatingChannel([0.1, 0.6, 1.0], [0.3, 0.5, 0.2]),
+        *(envelope_fading(f) for f in (0.0, 0.3, PRESET_ENVELOPE_PARAMS["fading"], 1.0)),
+        envelope_fading(0.6, p_full=0.5),
+        *(envelope_exponential(b) for b in (-50.0, -7.5, 0.0, PRESET_ENVELOPE_PARAMS["exponential"],
+                                            50.0)),
+        envelope_exponential(2.0, p_full=0.05),
+    ], ids=["discrete", "three-level", "fading-0", "fading-0.3", "fading-preset", "fading-1",
+            "fading-p0.5", "exponential--50", "exponential--7.5", "exponential-0",
+            "exponential-preset", "exponential-50", "exponential-p0.05"])
+    def test_premix_ln_matches_state_path(self, calibration, channel):
+        sources = [(calibration.v_squeezed, calibration.v_antisqueezed),
+                   (calibration.v_squeezed, 1.0 / calibration.v_squeezed), (0.05, 1e3)]
+        for vs, va in sources:
+            expected = pooled_premix_ln(make_kerr_entangled(vs, va), channel)
+            assert premix_ln(vs, va, channel) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # Where the LN nears 0 both paths lose ~1e-13 of it to rounding (here LN ~ 0.02 for
+        # the flat envelopes), so this source is held to a 50-digit evaluation instead.
+        for vs, va in sources + [(0.3, 40.0)]:
+            assert premix_ln(vs, va, channel) == pytest.approx(premix_ln_mp(vs, va, channel),
+                                                               rel=1e-12, abs=0.0)
 
-    def test_envelope_bisection_propagates_once(self, calibration, monkeypatch):
-        calls = []
-        monkeypatch.setattr(sys.modules["cvdistill.calibrate"], "propagate",
-                            lambda *args: calls.append(args) or propagate(*args))
-        for family in ("fading", "exponential"):
-            calls.clear()
-            calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed, family=family)
-            assert len(calls) == 1
+    @pytest.mark.parametrize("family", ENVELOPE_FAMILIES)
+    def test_fit_matches_state_path_bisection(self, family):
+        # The closed-form fit takes the steps of the same bisection over the mixture state.
+        build, (lo, hi) = ENVELOPES[family]
+        rng = np.random.default_rng(2025)
+        for _ in range(50):
+            vs = 2.0 ** -rng.uniform(0.2, 3.0)
+            va = 10.0 ** rng.uniform(0.0, 2.5) / vs
+            p_full = rng.uniform(0.05, 0.6)
+            source = make_kerr_entangled(vs, va)
+            state_path = lambda param: pooled_premix_ln(source, build(param, p_full=p_full))
+            target = rng.uniform(*sorted((state_path(lo), state_path(hi))))
+            expected, _ = _bisect(state_path, lo, hi, target, ENVELOPE_LN_TOL)
+            param, chan = calibrate_envelope(vs, va, p_full=p_full, ln_premix=target, family=family)
+            assert param == expected
+            assert np.array_equal(chan.probabilities, build(expected, p_full=p_full).probabilities)
+
+    @pytest.mark.parametrize("family", ENVELOPE_FAMILIES)
+    def test_preset_fit_pinned(self, calibration, family):
+        param, _ = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed,
+                                      family=family)
+        assert param == PRESET_ENVELOPE_PARAMS[family]
+
+    @pytest.mark.parametrize("family", ENVELOPE_FAMILIES)
+    def test_fit_builds_no_state(self, calibration, construction_counts, family):
+        calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed, family=family)
+        assert construction_counts == {"states": 0, "physical": 0}
+
+    @pytest.mark.parametrize("family", ENVELOPE_FAMILIES)
+    @pytest.mark.parametrize("vs, va, p_full, reason", [
+        (1.2, 2.0, 0.2, "v_squeezed must lie in (0, 1], got 1.2"),
+        (0.5, 0.9, 0.2, "v_antisqueezed must be >= 1, got 0.9"),
+        (0.5, 1.5, 0.2, "v_squeezed * v_antisqueezed = 0.75 violates the uncertainty relation"),
+        (0.6, 50.0, 1.5, "p_full must lie in (0, 1), got 1.5"),
+    ], ids=["squeezed", "antisqueezed", "uncertainty", "p_full"])
+    def test_bad_inputs_raise_before_the_bisection(self, monkeypatch, family, vs, va, p_full,
+                                                   reason):
+        steps = []
+        monkeypatch.setattr(sys.modules["cvdistill.calibrate"], "premix_ln",
+                            lambda *args: steps.append(args))
+        with pytest.raises(CalibrationError) as raised:
+            calibrate_envelope(vs, va, p_full=p_full, family=family)
+        assert str(raised.value) == f"cannot build the {family} envelope: {reason}"
+        assert steps == []
+
+    @pytest.mark.parametrize("family", ENVELOPE_FAMILIES)
+    @pytest.mark.parametrize("source, p_full", [
+        ({"v_squeezed": 0.5, "v_antisqueezed": 1.5}, 0.2),
+        ({"v_squeezed": 0.6, "v_antisqueezed": 50.0}, 1.5),
+    ], ids=["variances", "p_full"])
+    def test_bad_inputs_exit_2_through_run(self, tmp_path, capsys, family, source, p_full):
+        raw = preset_config("semicontinuous").to_dict()
+        raw["source"] = source
+        raw["channel"].update(envelope=family, p_full=p_full)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_root_at_trial_point(self, calibration, calibrated_source):
         flat = envelope_exponential(0.0)
@@ -427,6 +512,32 @@ class TestConfigFuzz:
         except ConfigError:
             return
         assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=mutated_configs())
+    # An unreachable envelope target and an out-of-range p_full (exit 2), every threshold
+    # degenerate (exit 3), and both engines.
+    @example(raw={**FUZZ_BASES[2], "channel": {**FUZZ_BASES[2]["channel"], "ln_premix": 2}})
+    @example(raw={**FUZZ_BASES[2], "channel": {**FUZZ_BASES[2]["channel"], "p_full": 2}})
+    @example(raw={**FUZZ_BASES[1], "tap": {"thresholds": [1e4]}})
+    @example(raw={**FUZZ_BASES[2], "engine": "both"})
+    def test_accepted_configs_run(self, tmp_path, raw):
+        # Each accepted config runs to an exit code, never a traceback, on at most
+        # 2e4 shots and one worker, and its report holds no NaN or infinity.
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "cfg.json").write_text(json.dumps(raw))
+        shots = str(min(cfg.mc.n_shots, 20_000))
+        code = main(["run", "--config", str(work / "cfg.json"), "--shots", shots, "--workers", "1",
+                     "--out", str(work / "out")])
+        assert code in (0, 2, 3, 4)
+        if code != 2 and "json" in cfg.output.formats:
+            json.loads((work / "out" / "report.json").read_text(),
+                       parse_constant=lambda name: pytest.fail(f"report.json holds {name}"))
 
 
 class TestRunScenario:
