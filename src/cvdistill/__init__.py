@@ -22,6 +22,7 @@ from .config import ExperimentConfig, McConfig, TapConfig, load_config, parse_co
 from .distill import (
     DegenerateSelectionError,
     DistilledEnsemble,
+    TapModel,
     attach_tap,
     distilled_gln,
     gaussian_tail,
@@ -69,6 +70,7 @@ __all__ = [
     "DegenerateSelectionError",
     "DistilledEnsemble",
     "TapConfig",
+    "TapModel",
     "attach_tap",
     "distilled_gln",
     "gaussian_tail",

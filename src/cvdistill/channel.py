@@ -114,10 +114,6 @@ class MixtureState:
         if not np.all(validate_physical(self.states)):
             raise ValueError("mixture contains an unphysical component")
 
-    @property
-    def n_modes(self) -> int:
-        return self.states.n_modes
-
     def __len__(self) -> int:
         return self.weights.size
 

@@ -2,10 +2,10 @@
 
 The distiller reflects a small fraction of beam B onto a tap mode, measures
 the tap's X quadrature, and keeps the remaining two-mode state only when
-the outcome exceeds a threshold. For each Gaussian component of the input
-mixture the post-selected first and second moments are exact truncated-
-Gaussian expressions, so the heralded ensemble (weights, means, covariance)
-is computed in closed form rather than by sampling.
+the outcome exceeds a threshold. For each level of the :class:`TapModel`
+that ``attach_tap`` returns and both engines read, the post-selected first and
+second moments are exact truncated-Gaussian expressions, so the heralded
+ensemble (weights, means, covariance) is computed in closed form, not sampled.
 
 A threshold sweep is one array pass: ``herald`` takes a grid of thresholds
 and evaluates every quantity as a (threshold, level, ...) array expression,
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MixtureState
+from .channel import MixtureState, _check_weights
 from .config import DEFAULT_TAP_REFLECTIVITY, TapConfig
-from .gaussian import (GaussianState, apply_beamsplitter, pt_symplectic_spectrum, tensor,
+from .gaussian import (InvalidCovarianceError, apply_beamsplitter, pt_symplectic_spectrum, tensor,
                        vacuum_state)
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "TapConfig",
     "DegenerateSelectionError",
     "DistilledEnsemble",
+    "TapModel",
     "attach_tap",
     "gaussian_tail",
     "tail_hazard",
@@ -96,19 +97,57 @@ class DistilledEnsemble:
     errors: tuple
 
 
-def attach_tap(mixture: MixtureState, tap: TapConfig) -> MixtureState:
-    """Append a vacuum tap mode and couple it to beam B.
+@dataclass(eq=False)
+class TapModel:
+    """Per channel level, the law of (X_A, P_A, X_B, P_B, X_tap) that both engines read.
 
-    The stack of two-mode components is extended to (A, B, Tap) and the
-    tap beam splitter of transmittance 1 - reflectivity is applied with the
-    convention X_B' = sqrt(T) X_B - sqrt(1-T) X_Tap,
-    X_Tap' = sqrt(T) X_Tap + sqrt(1-T) X_B.
+    From ``weights`` (L,), checked as mixture weights are, ``mean`` (L, 5) and ``cov`` (L, 5, 5)
+    come X_tap's SD ``tap_sd``, the regression ``beta`` = cov[:, :4, 4] / tap_sd on
+    the standardised tap outcome z, and ``factor``, the lower Cholesky factor of
+    cov[:, :4, :4] - beta beta^T: a level's point is mean[:4] + beta z + factor w, w
+    four standard normals, and X_tap = mean[4] + tap_sd z. Raises ``ValueError`` for bad
+    weights or shapes, and ``InvalidCovarianceError`` for non-finite moments, a
+    non-positive X_tap variance or a ``factor`` that does not exist.
     """
-    if mixture.n_modes != 2:
-        raise ValueError(f"expected a two-mode mixture, got {mixture.n_modes} modes")
+
+    weights: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    tap_sd: np.ndarray = field(init=False)
+    beta: np.ndarray = field(init=False)
+    factor: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.weights = _check_weights(self.weights, "level weights")
+        self.mean, self.cov = (np.asarray(a, dtype=float) for a in (self.mean, self.cov))
+        n = self.weights.size
+        if (self.mean.shape, self.cov.shape) != ((n, 5), (n, 5, 5)):
+            raise ValueError(f"expected mean (L, 5) and cov (L, 5, 5) for L = {n} weights, got "
+                             f"{self.mean.shape} and {self.cov.shape}")
+        finite = np.isfinite(self.mean).all() and np.isfinite(self.cov).all()
+        if not (finite and (self.cov[:, 4, 4] > 0.0).all()):
+            raise InvalidCovarianceError("moments must be finite, with a positive X_tap variance")
+        self.tap_sd = np.sqrt(self.cov[:, 4, 4])
+        self.beta = self.cov[:, :4, 4] / self.tap_sd[:, None]
+        try:
+            self.factor = np.linalg.cholesky(
+                self.cov[:, :4, :4] - self.beta[:, :, None] * self.beta[:, None, :])
+        except np.linalg.LinAlgError as exc:
+            raise InvalidCovarianceError("covariance matrix is not positive definite") from exc
+
+
+def attach_tap(mixture: MixtureState, tap: TapConfig) -> TapModel:
+    """The :class:`TapModel` of a two-mode mixture whose beam B is coupled to a vacuum tap.
+
+    The components are extended to (A, B, Tap) and the tap beam splitter of transmittance
+    T = 1 - reflectivity applied, X_B' = sqrt(T) X_B - sqrt(1-T) X_Tap and X_Tap' =
+    sqrt(T) X_Tap + sqrt(1-T) X_B. P_Tap, which no statistic reads, is left out.
+    """
+    if mixture.states.n_modes != 2:
+        raise ValueError(f"expected a two-mode mixture, got {mixture.states.n_modes} modes")
     extended = tensor(mixture.states, vacuum_state(1))
-    return MixtureState(mixture.weights, apply_beamsplitter(
-        extended, mode_a=2, mode_b=1, transmittance=1.0 - tap.reflectivity))
+    tapped = apply_beamsplitter(extended, mode_a=2, mode_b=1, transmittance=1.0 - tap.reflectivity)
+    return TapModel(mixture.weights, tapped.mean[:, :5], tapped.cov[:, :5, :5])
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -136,7 +175,8 @@ def _hazard_cf(a: np.ndarray) -> np.ndarray:
     """
     f = a.copy()
     for k in range(_CF_DEPTH, 0, -1):
-        f = a + k / f
+        np.divide(k, f, out=f)
+        f += a
     return f
 
 
@@ -265,28 +305,26 @@ def _bvn_high(dh, dk, r):
     return bvn
 
 
-def series_bin_probabilities(states: GaussianState, coefficients, edges, below=np.inf) -> np.ndarray:
-    """Per stacked state, the law of each linear series' histogram bin given X_tap < ``below``.
+def series_bin_probabilities(model: TapModel, coefficients, edges, below=np.inf) -> np.ndarray:
+    """Per level of ``model``, the law of each linear series' histogram bin given X_tap < ``below``.
 
-    ``states`` stacks L (A, B, Tap) states; series s is
-    ``coefficients[s]`` (S, 5) applied to (X_A, P_A, X_B, P_B, X_Tap). Bin j
-    spans ``edges[j]`` to ``edges[j + 1]``, except that the end bins are
-    open, as the Monte Carlo kernel clamps. Per state, a series and X_tap
-    are jointly normal, so P(series < e, X_tap < below) is one
+    Series s is ``coefficients[s]`` (S, 5) applied to (X_A, P_A, X_B, P_B,
+    X_tap). Bin j spans ``edges[j]`` to ``edges[j + 1]``, except that the
+    end bins are open, as the Monte Carlo kernel clamps. Per level, a series
+    and X_tap are jointly normal, so P(series < e, X_tap < below) is one
     :func:`bivariate_normal_cdf` per edge. ``below`` = inf gives the
     unconditional bin probabilities.
 
     Returns (L, S, bins), each row summing to 1. Raises
     :class:`DegenerateSelectionError` where P(X_tap < below) underflows to 0.
     """
-    mean, cov = states.mean[:, :5], states.cov[:, :5, :5]
+    mean, cov, tap_sd = model.mean, model.cov, model.tap_sd
     coefficients = np.asarray(coefficients, dtype=float)
-    tap_sd = np.sqrt(cov[:, 4, 4])
     k = (below - mean[:, 4]) / tap_sd
     p_below = gaussian_tail(-k)
     if np.any(p_below == 0.0):
         raise DegenerateSelectionError(
-            f"P(X_tap < {below}) underflows to 0 for state(s) {np.flatnonzero(p_below == 0.0).tolist()}")
+            f"P(X_tap < {below}) underflows to 0 for level(s) {np.flatnonzero(p_below == 0.0).tolist()}")
     var = np.einsum("sj,ljk,sk->ls", coefficients, cov, coefficients)
     sd = np.sqrt(var)
     # One square root of the product: X_tap's own series gets rho = 1 exactly.
@@ -298,14 +336,8 @@ def series_bin_probabilities(states: GaussianState, coefficients, edges, below=n
     return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
 
 
-def check_grid(mixture3: MixtureState, thresholds) -> np.ndarray:
-    """``thresholds`` as a float array, checked as both engines take a grid.
-
-    Raises ``ValueError`` for a mixture that is not three-mode (A, B, Tap),
-    or a grid that is not 1-d, is empty or holds a non-finite threshold.
-    """
-    if mixture3.n_modes != 3:
-        raise ValueError(f"expected a three-mode (A, B, Tap) mixture, got {mixture3.n_modes}")
+def check_grid(thresholds) -> np.ndarray:
+    """``thresholds`` as a float array; ``ValueError`` unless it is a non-empty, finite 1-d grid."""
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise ValueError("thresholds must be a non-empty 1-d sequence")
@@ -314,30 +346,24 @@ def check_grid(mixture3: MixtureState, thresholds) -> np.ndarray:
     return thresholds
 
 
-def herald(mixture3: MixtureState, thresholds) -> DistilledEnsemble:
+def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     """Post-select on the tap X quadrature exceeding each of ``thresholds``.
 
-    The tap must be the third mode and must have zero mean in X (true for
-    every state this pipeline produces). For component i with tap variance
-    sigma_i^2, tap pass probability q_i = Q(threshold/sigma_i); the kept
-    two-mode moments follow from the exact conditional moments of a
-    Gaussian given a one-sided truncation of one linear combination.
+    Level i of ``model`` passes with probability q_i = Q(alpha_i), alpha_i =
+    (threshold - tap mean_i) / tap SD_i as the Monte Carlo takes it, and its
+    kept two-mode moments are exact truncated-Gaussian moments.
 
     ``thresholds`` is a non-empty 1-d grid (unsorted and repeated values
     allowed), evaluated as array expressions over blocks of
     ``HERALD_BLOCK`` thresholds, so the temporaries do not grow with its
     length. The fields are stacked (see :class:`DistilledEnsemble`). A
     threshold whose success probability is at or below ``SUCCESS_FLOOR``
-    gets a :class:`DegenerateSelectionError` in ``errors`` and no row.
-
-    Raises ``ValueError`` as :func:`check_grid` does.
+    gets a :class:`DegenerateSelectionError` in ``errors`` and no row. Raises
+    ``ValueError`` as :func:`check_grid` does.
     """
-    thresholds = check_grid(mixture3, thresholds)
-    prior, mean, cov = mixture3.weights, mixture3.states.mean, mixture3.states.cov
-    if np.any(np.abs(mean[:, 4]) > 1e-12):
-        raise ValueError("herald requires zero mean in the tap X quadrature")
-    sigma = np.sqrt(cov[:, 4, 4])
-    alpha = thresholds[:, None] / sigma  # (T, L)
+    thresholds = check_grid(thresholds)
+    prior, mean, cov, reg = model.weights, model.mean, model.cov, model.beta
+    alpha = (thresholds[:, None] - mean[:, 4]) / model.tap_sd  # (T, L)
     passes = gaussian_tail(alpha)
     success = (passes[:, None, :] @ prior[:, None])[:, 0, 0]  # one dot per threshold
     kept = np.flatnonzero(success > SUCCESS_FLOOR)
@@ -347,11 +373,9 @@ def herald(mixture3: MixtureState, thresholds) -> DistilledEnsemble:
         for t, s in zip(thresholds.tolist(), success.tolist())
     )
 
-    # Regression of (X_A,P_A,X_B,P_B) on the standardised tap outcome Z:
-    # given Z > alpha, E[Z] = lam and E[Z^2] = 1 + alpha*lam, so the mean
-    # shifts along reg, the explained part reg reg^T gains alpha*lam and
-    # the residual is intact.
-    reg = cov[:, :4, 4] / sigma[:, None]
+    # reg regresses (X_A,P_A,X_B,P_B) on the standardised tap outcome Z: given
+    # Z > alpha, E[Z] = lam and E[Z^2] = 1 + alpha*lam, so the mean shifts along
+    # reg, the explained part reg reg^T gains alpha*lam and the residual is intact.
     explained = reg[:, :, None] * reg[:, None, :]
     m = mean[:, :4]
     n_kept, n_levels = kept.size, prior.size

@@ -8,9 +8,9 @@ Conventions used throughout the package:
   matrix; all operations here are pure functions returning new states,
 * a ``GaussianState`` may stack L states of one mode count (a mixture's
   components), ``mean`` (L, 2n) and ``cov`` (L, 2n, 2n); ``tensor``,
-  ``apply_loss``, ``apply_beamsplitter``, ``cholesky_factor``,
-  ``symplectic_eigenvalues`` and ``validate_physical`` treat each stacked
-  state with the same arithmetic as one state.
+  ``apply_loss``, ``apply_beamsplitter``, ``symplectic_eigenvalues`` and
+  ``validate_physical`` treat each stacked state with the same arithmetic
+  as one state.
 """
 
 from __future__ import annotations
@@ -89,13 +89,6 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.mean.shape[-1] // 2
-
-    def cholesky_factor(self) -> np.ndarray:
-        """Lower-triangular factor of ``cov``, one per stacked state."""
-        try:
-            return np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidCovarianceError("covariance matrix is not positive definite") from exc
 
 
 def vacuum_state(n_modes: int) -> GaussianState:

@@ -35,9 +35,9 @@ one binomial call. Both rules test the standard normal against alpha_i,
 so rounding in alpha_i and in the map back to X_tap can put a candidate's
 X_tap an ulp below t_0, or leave out a shot an ulp above it; the kernel
 keeps such a candidate in the lowest stratum. The candidates, in level order, then draw four more
-normals each, mapped to (X_A, P_A, X_B, P_B) by their level's regression
-on the tap normal and the Cholesky factor of the conditional covariance
-(the Schur complement of the tap variance). They go to one kernel call,
+normals each, mapped to (X_A, P_A, X_B, P_B) by their level's ``beta`` and
+``factor`` in the ``TapModel`` that ``herald`` reads too: the regression on
+the tap normal and the Cholesky factor of the rest. They go to one kernel call,
 which keeps every one of them, bins all five series and reads each
 candidate's stratum off its X_tap bin (``_kernel_py.stratum_lookup``); no
 other shot is binned. The kernel's one BLAS call is a (14, n) product per
@@ -49,7 +49,7 @@ Blocks. A block holds CHUNK_SHOTS * 2**k shots, k the least k >= 0 at
 which it expects CHUNK_SHOTS / 4 candidates or holds every shot
 (``_block_shots``), so that its fixed cost is spread over enough
 candidates while it never expects more of them than CHUNK_SHOTS. The
-size is a function of (mixture, t_0, n_shots), the same for every worker.
+size is a function of (model, t_0, n_shots), the same for every worker.
 A sweep with no rare level has k = 0, since at alpha < 0.5 a third or
 more of the shots are candidates, and draws a tap normal for every shot.
 
@@ -82,7 +82,7 @@ which only a count eight SDs above its mean can ask for. Each worker
 samples a contiguous range of blocks; the integer counts are summed, and
 the blocks' moments are merged pairwise along one fixed binary tree over
 the block indices, the workers merging the subtrees that lie inside their
-range and the parent the rest. Output therefore depends on (mixture,
+range and the parent the rest. Output therefore depends on (model,
 n_shots, seed, thresholds) only, not on the worker count, and is
 bit-identical on every run. The pool starts at most one process per usable
 CPU, whatever ``n_workers`` asks for; the extra ranges queue.
@@ -99,11 +99,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import MixtureState
 from ..config import McConfig
-from ..distill import (DegenerateSelectionError, check_grid, distilled_gln, gaussian_tail,
-                       series_bin_probabilities)
-from ..gaussian import GaussianState, InvalidCovarianceError, log_negativity_gradient
+from ..distill import (DegenerateSelectionError, TapModel, check_grid, distilled_gln,
+                       gaussian_tail, series_bin_probabilities)
+from ..gaussian import InvalidCovarianceError, log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS
@@ -193,29 +192,15 @@ class McSweep:
         return np.sqrt(p * (1.0 - p) / self.total_count)
 
 
-def _prepare_components(mixture3: MixtureState):
-    """Level weights, tap X scales and means, and per level the map of five normals to a point.
+def _components(model: TapModel):
+    """Per level of ``model``, the rows mapping five normals to (X_A, P_A, X_B, P_B, X_Tap).
 
-    Reordered tap first, (X_Tap, X_A, P_A, X_B, P_B, P_Tap), each level's
-    covariance has a lower-triangular factor whose first column holds the
-    tap's standard deviation and the regression of the others on the tap
-    normal, and whose lower block factors their conditional covariance (the
-    Schur complement of the tap variance). P_Tap, which no statistic reads,
-    is never drawn. A point (X_A, P_A, X_B, P_B, X_Tap) takes X_Tap from
-    normal z_4 alone and row r from z_4 and z_0..z_r. Per level, each row r
-    becomes (r, factor diagonal, [(c, factor entry) for the nonzero c
-    before it], mean[r]), the X_Tap row last.
+    Row r < 4 is (r, factor[r, r], [(c, coef) for the nonzero beta[r] of z_4 and
+    factor[r, c] of z_c, c < r], mean[r]), P_B first; X_Tap, last, is tap SD * z_4 + mean[4].
     """
-    order = [4, 0, 1, 2, 3, 5]  # tap-first position -> quadrature
-    states = mixture3.states
-    tap_first = GaussianState(states.mean[:, order], states.cov[:, order][:, :, order])
-    factor, mean = tap_first.cholesky_factor(), tap_first.mean
-    components = [
-        [(order[p], chol[p, p], [(order[c], chol[p, c]) for c in range(p) if chol[p, c] != 0.0], mu[p])
-         for p in reversed(range(5))]
-        for chol, mu in zip(factor, mean)
-    ]
-    return mixture3.weights, factor[:, 0, 0], mean[:, 0], components
+    return [[(r, f[r, r], [(c, x) for c, x in [(4, b[r]), *enumerate(f[r, :r])] if x != 0.0], mu[r])
+             for r in (3, 2, 1, 0)] + [(4, sd, [], mu[4])]
+            for f, b, sd, mu in zip(model.factor, model.beta, model.tap_sd, model.mean)]
 
 
 def _transform(z, level_counts, components, tmp):
@@ -379,11 +364,11 @@ def _push_block_node(stack, level, index, acc):
     stack.append((level, index, acc))
 
 
-def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSweep:
+def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     """Run the Monte Carlo pipeline once for every threshold in ``thresholds``.
 
-    Post-selects on the tap X quadrature of a three-mode (A, B, Tap)
-    mixture exceeding each threshold. All thresholds share one pass over
+    Post-selects on the tap X quadrature of :func:`~cvdistill.distill.attach_tap`'s
+    ``model`` exceeding each threshold. All thresholds share one pass over
     the ``config.n_shots`` shots (see the module docstring), whose sampling
     the lowest threshold t_0 sets: a grid row's counts and histograms, and
     the sweep's ``hist_pre``, equal those of any sweep with the same config
@@ -397,10 +382,10 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
 
     Raises ``ValueError`` as :func:`cvdistill.distill.check_grid` does.
     """
-    thresholds = check_grid(mixture3, thresholds)
+    thresholds = check_grid(thresholds)
     grid, grid_index = np.unique(thresholds, return_inverse=True)
-    weights, tap_sigma, tap_mean, components = _prepare_components(mixture3)
-    alpha = (grid[0] - tap_mean) / tap_sigma
+    weights, components = model.weights, _components(model)
+    alpha = (grid[0] - model.mean[:, 4]) / model.tap_sd
     tail_q = gaussian_tail(alpha)
     block = _block_shots(weights @ tail_q, config.n_shots)
     n_blocks = -(-config.n_shots // block)
@@ -442,7 +427,7 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     edges = np.linspace(-config.histogram_range, config.histogram_range, config.histogram_bins + 1)
     # Every candidate is kept at the lowest threshold: its pre-selection
     # counts are that threshold's post-selection counts.
-    hist_pre = hist_post[0] + _off_tap_below(mixture3, below, grid[0], edges, config.seed)
+    hist_pre = hist_post[0] + _off_tap_below(model, below, grid[0], edges, config.seed)
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
     kept_count = np.cumsum(strata.count[::-1])[::-1]
     mean, cov, cov_sampling = (np.zeros((grid.size,) + shape)
@@ -471,21 +456,20 @@ def run_mc_sweep(mixture3: MixtureState, config: McConfig, thresholds) -> McSwee
     )
 
 
-def _off_tap_below(mixture3, below, t0, edges, seed):
+def _off_tap_below(model, below, t0, edges, seed):
     """Pre-selection counts (5, bins) of the shots with X_tap < t0, every series.
 
     ``below`` (L,) counts those shots per level. They are i.i.d. from their
     level's law given X_tap < t0, so each series' histogram over them, X_tap
     included, is exactly Multinomial(below[i], its conditional bin
     probabilities), drawn from the stream ``SeedSequence(seed)``, whose key
-    no block uses.
+    no block uses. Only the levels with such shots are composed.
     """
     levels = np.flatnonzero(below)
     if levels.size == 0:
         return 0
-    states = mixture3.states
-    probs = series_bin_probabilities(
-        GaussianState(states.mean[levels], states.cov[levels]), SERIES_COEFFICIENTS, edges, t0)
+    w, mean, cov = (a[levels] for a in (model.weights, model.mean, model.cov))
+    probs = series_bin_probabilities(TapModel(w / w.sum(), mean, cov), SERIES_COEFFICIENTS, edges, t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.multinomial(below[levels, None], probs).sum(axis=0)
 

@@ -34,7 +34,8 @@ from cvdistill import (
     vacuum_state,
 )
 from cvdistill.mc import CovarianceAccumulator, ln_with_se
-from conftest import batch_moments, binomial_two_sided_p, pooled_cov_se, random_physical_state
+from conftest import (batch_moments, binomial_two_sided_p, model_pooled, pooled_cov_se,
+                      random_physical_state)
 
 THRESHOLD_GRID = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 
@@ -221,9 +222,8 @@ def test_criterion_8_invariant_suites(model):
         assert_allclose(direct.cov, routed.cov[:4, :4], atol=1e-12)
 
     # heralding with no selection reproduces the pooled covariance
-    sigma = np.sqrt(tapped.states.cov[:, 4, 4]).max()
-    ens = herald(tapped, [-40.0 * sigma])
-    mean, cov = pooled_cm(tapped)
+    ens = herald(tapped, [-40.0 * tapped.tap_sd.max()])
+    mean, cov = model_pooled(tapped)
     assert_allclose(ens.pooled_cov[0], cov[:4, :4], atol=1e-10)
     assert_allclose(ens.pooled_mean[0], mean[:4], atol=1e-10)
 

@@ -210,14 +210,15 @@ class TestPropagate:
         _, chan = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
         mix = propagate(calibrated_source, chan)
         tapped = attach_tap(mix, TapConfig())
-        assert len(mix) == len(tapped) == 45
+        assert len(mix) == tapped.weights.size == 45
         for i, t in enumerate(chan.transmittances.tolist()):
             lossy = apply_loss(calibrated_source, 1, t)
             tap = apply_beamsplitter(tensor(lossy, vacuum_state(1)), 2, 1,
                                      1.0 - TapConfig().reflectivity)
-            for single, stack in ((lossy, mix.states), (tap, tapped.states)):
-                assert np.array_equal(stack.mean[i], single.mean)
-                assert np.array_equal(stack.cov[i], single.cov)
+            assert np.array_equal(mix.states.mean[i], lossy.mean)
+            assert np.array_equal(mix.states.cov[i], lossy.cov)
+            assert np.array_equal(tapped.mean[i], tap.mean[:5])
+            assert np.array_equal(tapped.cov[i], tap.cov[:5, :5])
 
     def test_acts_on_requested_mode(self, calibrated_source):
         chan = FluctuatingChannel([0.25], [1.0])

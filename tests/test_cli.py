@@ -1,7 +1,9 @@
 import copy
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -943,6 +945,39 @@ def test_readme_library_use_runs(capsys):
     assert "[0.25 1.  ] [0.5 0.5]" in out and "underflowed" in out
 
 
+class TestConsoleScriptTwins:
+    """The checks of CI's installed-console-script step, run in process on the checkout."""
+
+    def test_project_scripts_entry_point(self, capsys):
+        # Read without tomllib, which Python 3.10 lacks.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        entries = re.findall(r'^\s*([\w-]+)\s*=\s*"([\w.]+):(\w+)"\s*$', section, re.M)
+        assert entries == [("cvdistill", "cvdistill.cli", "main")]
+        _, module, attr = entries[0]
+        assert getattr(importlib.import_module(module), attr) is main
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == f"cvdistill {cvdistill.__version__}\n"
+
+    @pytest.mark.parametrize("family", ENVELOPE_FAMILIES)
+    def test_calibrated_levels_run_as_an_explicit_channel(self, capsys, tmp_path, family):
+        assert main(["calibrate", "--family", family]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        envelope = fit["envelope"]
+        assert envelope["param"] == PRESET_ENVELOPE_PARAMS[family]
+        assert len(envelope["levels"]) == 45
+        assert abs(sum(level["p"] for level in envelope["levels"]) - 1.0) < 1e-12
+        config = {"source": {"v_squeezed": fit["v_squeezed"], "v_antisqueezed": fit["v_antisqueezed"]},
+                  "channel": {"levels": envelope["levels"]}, "tap": {"thresholds": [9.0]}}
+        path = tmp_path / f"levels-{family}.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["scenario"] == "experiment"
+
+
 class TestCliCommands:
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; importing scipy would roughly
@@ -1145,7 +1180,7 @@ class TestCliCommands:
         real_herald = scenario.herald
 
         def herald(tapped, thresholds):
-            assert np.array_equal(tapped.states.cov, expected.states.cov)
+            assert np.array_equal(tapped.cov, expected.cov)
             return real_herald(wrong, thresholds)
 
         monkeypatch.setattr(scenario, "herald", herald)
@@ -1248,8 +1283,10 @@ class TestCliCommands:
         (["run"], lambda raw: raw["channel"].update(p_full=0)),
         (["run"], lambda raw: raw["channel"].update(p_full=-0.2)),
         (["run"], lambda raw: raw["source"]["calibrate_to"].update(ln_initial=2000)),
+        (["run"], lambda raw: raw["channel"].update(envelope="fadnig")),
     ], ids=["p-full-1.5", "p-full-nan", "ln-initial-nan", "config-p-full-1.5",
-            "config-p-full-0", "config-p-full-negative", "config-ln-initial-2000"])
+            "config-p-full-0", "config-p-full-negative", "config-ln-initial-2000",
+            "config-envelope-fadnig"])
     def test_calibration_inputs_are_config_errors(self, capsys, tmp_path, argv, edit):
         if edit is not None:
             raw = preset_config("semicontinuous").to_dict()  # calibrated envelope, no beta

@@ -13,8 +13,11 @@ from cvdistill import (
     DistilledEnsemble,
     FluctuatingChannel,
     GaussianState,
+    InvalidCovarianceError,
     McConfig,
     TapConfig,
+    TapModel,
+    apply_beamsplitter,
     attach_tap,
     calibrate_envelope,
     distilled_gln,
@@ -25,7 +28,6 @@ from cvdistill import (
     herald,
     joint_quadrature_variances,
     make_kerr_entangled,
-    pooled_cm,
     propagate,
     run_mc_sweep,
     tail_hazard,
@@ -36,7 +38,7 @@ import cvdistill.distill as distill
 from cvdistill.config import DEFAULT_THRESHOLDS
 from cvdistill.distill import (_CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR, bivariate_normal_cdf,
                                series_bin_probabilities)
-from conftest import mixture, random_physical_state
+from conftest import mixture, model_pooled, random_physical_state, uncorrelated_tap
 
 
 def mp_tail(alpha, dps=50):
@@ -80,12 +82,12 @@ class TestTapConfig:
 class TestAttachTap:
     def test_vanishing_reflectivity_limit(self, discrete_mixture):
         tapped = attach_tap(discrete_mixture, TapConfig(reflectivity=1e-12))
-        for before, after in zip(discrete_mixture.states.cov, tapped.states.cov):
+        for before, after in zip(discrete_mixture.states.cov, tapped.cov):
             assert_allclose(after[:4, :4], before, atol=1e-10)
-            assert_allclose(after[4:, 4:], np.eye(2), atol=1e-10)
+            assert after[4, 4] == pytest.approx(1.0, abs=1e-10)
 
     def test_tap_variance_closed_form(self, discrete_tapped, discrete_mixture):
-        for tapped, plain in zip(discrete_tapped.states.cov, discrete_mixture.states.cov):
+        for tapped, plain in zip(discrete_tapped.cov, discrete_mixture.states.cov):
             v = plain[2, 2]
             assert tapped[4, 4] == pytest.approx(0.93 + 0.07 * v, rel=1e-12)
 
@@ -102,11 +104,90 @@ class TestAttachTap:
             s[2 + off, 4 + off] = -sr
             s[4 + off, 4 + off] = st
             s[4 + off, 2 + off] = sr
-        assert_allclose(tapped.states.cov[0], s @ ext @ s.T, atol=1e-12)
+        assert_allclose(tapped.cov[0], (s @ ext @ s.T)[:5, :5], atol=1e-12)
 
-    def test_rejects_wrong_mode_count(self, discrete_tapped):
-        with pytest.raises(ValueError):
-            attach_tap(discrete_tapped, TapConfig())
+    def test_rejects_wrong_mode_count(self):
+        with pytest.raises(ValueError, match="two-mode"):
+            attach_tap(mixture([(1.0, vacuum_state(3))]), TapConfig())
+
+
+def three_mode_path(model_input, tap):
+    """The tapped (A, B, Tap) states and the Cholesky factors of their 6x6 covariances, tap first.
+
+    The state path that the tap model is checked against.
+    """
+    extended = tensor(model_input.states, vacuum_state(1))
+    states = apply_beamsplitter(extended, mode_a=2, mode_b=1, transmittance=1.0 - tap.reflectivity)
+    order = [4, 0, 1, 2, 3, 5]  # X_Tap first, then (X_A, P_A, X_B, P_B), P_Tap last
+    return states, np.linalg.cholesky(states.cov[:, order][:, :, order])
+
+
+def random_mixtures():
+    """Random physical two-mode mixtures of 1-6 levels, with random displacements, and random taps."""
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        weights = rng.uniform(0.05, 1.0, n)
+        states = [random_physical_state(rng, 2) for _ in range(n)]
+        shifted = [GaussianState(rng.normal(0.0, 2.0, 4), st.cov) for st in states]
+        yield mixture(list(zip(weights / weights.sum(), shifted))), TapConfig(
+            reflectivity=float(rng.uniform(0.01, 0.5)))
+
+
+class TestTapModel:
+    """The tap model against the three-mode state path it replaces."""
+
+    @staticmethod
+    def assert_matches_state_path(plain, tap):
+        model = attach_tap(plain, tap)
+        states, chol = three_mode_path(plain, tap)
+        # The moments are the state path's first five quadratures, bit for bit.
+        assert np.array_equal(model.weights, plain.weights)
+        assert np.array_equal(model.mean, states.mean[:, :5])
+        assert np.array_equal(model.cov, states.cov[:, :5, :5])
+        # The tap-first factor's first column holds the tap SD and beta, and
+        # its (X_A, P_A, X_B, P_B) block the conditional factor.
+        assert np.array_equal(model.tap_sd, chol[:, 0, 0])
+        scale = np.abs(model.cov[:, :4, :4]).max(axis=(1, 2))
+        for field, ref in ((model.beta, chol[:, 1:5, 0]), (model.factor, chol[:, 1:5, 1:5])):
+            err = np.abs(field - ref).reshape(len(scale), -1).max(axis=1)
+            assert np.all(err <= 1e-14 * np.sqrt(scale)), err / np.sqrt(scale)
+        assert np.all(np.triu(model.factor, 1) == 0.0)
+        explained = model.beta[:, :, None] * model.beta[:, None, :]
+        err = np.abs(model.factor @ model.factor.swapaxes(1, 2) + explained - model.cov[:, :4, :4])
+        assert np.all(err.max(axis=(1, 2)) <= 1e-14 * scale)
+
+    def test_presets_match_state_path(self, calibration, calibrated_source):
+        _, semi = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
+        for channel in (semi, envelope_fading(0.3), FluctuatingChannel([0.25, 1.0], [0.5, 0.5])):
+            self.assert_matches_state_path(propagate(calibrated_source, channel), TapConfig())
+
+    def test_random_mixtures_match_state_path(self):
+        for plain, tap in random_mixtures():
+            self.assert_matches_state_path(plain, tap)
+
+    def test_rejects_weights_as_a_mixture_does(self, discrete_tapped):
+        with pytest.raises(ValueError, match="level weights must sum to 1"):
+            TapModel([0.5, 0.4], discrete_tapped.mean, discrete_tapped.cov)
+
+    def test_rejects_singular_conditional_covariance(self):
+        # X_A is a copy of X_tap: nothing of it is left given the tap.
+        cov = np.eye(5)
+        cov[0, 4] = cov[4, 0] = 1.0
+        with pytest.raises(InvalidCovarianceError, match="not positive definite"):
+            TapModel([1.0], np.zeros((1, 5)), cov[None])
+
+    @pytest.mark.parametrize("entry, value", [((4, 4), 0.0), ((4, 4), -1.0), ((4, 4), np.nan),
+                                              ((1, 2), np.inf), ((0, 0), np.nan), (None, np.nan)])
+    def test_rejects_moments_that_give_no_factor(self, entry, value):
+        # Checked before any square root or division, so neither a warning nor a NaN gets out.
+        mean, cov = np.zeros(5), np.eye(5)
+        if entry is None:
+            mean[2] = value
+        else:
+            cov[entry] = cov[entry[::-1]] = value
+        with pytest.raises(InvalidCovarianceError, match="finite, with a positive X_tap variance"):
+            TapModel([1.0], mean[None], cov[None])
 
 
 class TestGaussianTail:
@@ -270,24 +351,23 @@ class TestSeriesBinProbabilities:
 
     @pytest.mark.parametrize("below", [9.0, -2.0])
     def test_conditional_against_mpmath(self, discrete_tapped, below):
-        probs = series_bin_probabilities(discrete_tapped.states, self.COEFFS, self.EDGES, below)
+        probs = series_bin_probabilities(discrete_tapped, self.COEFFS, self.EDGES, below)
         assert probs.shape == (2, 4, 201)
         assert np.all(probs >= 0.0)
         assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
         edges = [-math.inf, *self.EDGES[1:-1], math.inf]  # the end bins are open
-        states = discrete_tapped.states
         for i in range(2):
             for s, coef in enumerate(self.COEFFS):
                 for j in (0, 100, 200):
-                    ref = mp_conditional_bin(states.mean[i], states.cov[i], coef, edges[j], edges[j + 1],
-                                             below)
+                    ref = mp_conditional_bin(discrete_tapped.mean[i], discrete_tapped.cov[i], coef,
+                                             edges[j], edges[j + 1], below)
                     assert probs[i, s, j] == pytest.approx(ref, abs=1e-13)
 
     def test_unconditional_is_univariate(self, discrete_tapped):
         # X_tap itself (correlation 1) included: item 10's closed form is the below = inf case.
         coeffs = np.vstack([[0, 0, 0, 0, 1], self.COEFFS])
-        probs = series_bin_probabilities(discrete_tapped.states, coeffs, self.EDGES)
-        mean, cov = discrete_tapped.states.mean[:, :5], discrete_tapped.states.cov[:, :5, :5]
+        probs = series_bin_probabilities(discrete_tapped, coeffs, self.EDGES)
+        mean, cov = discrete_tapped.mean, discrete_tapped.cov
         sd = np.sqrt(np.einsum("sj,ljk,sk->ls", coeffs, cov, coeffs))
         upper = gaussian_tail((self.EDGES[1:-1] - (mean @ coeffs.T)[..., None]) / sd[..., None])
         cdf = np.concatenate([np.zeros((2, 5, 1)), 1.0 - upper, np.ones((2, 5, 1))], axis=-1)
@@ -298,9 +378,9 @@ class TestSeriesBinProbabilities:
     def test_conditional_tap_row_is_univariate(self, request, name, below):
         # The Monte Carlo composes X_tap too. Series and tap are then one
         # variable, so the row is a truncated normal.
-        states = request.getfixturevalue(name).states
-        probs = series_bin_probabilities(states, [[0, 0, 0, 0, 1]], self.EDGES, below)[:, 0]
-        sigma = np.sqrt(states.cov[:, 4, 4])[:, None]
+        model = request.getfixturevalue(name)
+        probs = series_bin_probabilities(model, [[0, 0, 0, 0, 1]], self.EDGES, below)[:, 0]
+        sigma = np.sqrt(model.cov[:, 4, 4])[:, None]
         lo = np.concatenate([[-np.inf], self.EDGES[1:-1]])
         hi = np.minimum(np.concatenate([self.EDGES[1:-1], [np.inf]]), below)
         mass = gaussian_tail(-hi / sigma) - gaussian_tail(-lo / sigma)
@@ -315,27 +395,26 @@ class TestSeriesBinProbabilities:
         seen = []
         monkeypatch.setattr(distill, "bivariate_normal_cdf",
                             lambda h, k, r: seen.append(r) or bivariate_normal_cdf(h, k, r))
-        states = request.getfixturevalue(name).states
-        series_bin_probabilities(states, np.vstack([[0, 0, 0, 0, 1], self.COEFFS]), self.EDGES, 4.0)
+        series_bin_probabilities(request.getfixturevalue(name), np.vstack([[0, 0, 0, 0, 1], self.COEFFS]),
+                                 self.EDGES, 4.0)
         (rho,) = seen
         assert np.all(rho[:, 0] == 1.0)
         assert np.all(np.abs(rho[:, 1:]) < 1.0)
 
     def test_underflowing_condition_raises(self, discrete_tapped):
         with pytest.raises(DegenerateSelectionError, match="underflows"):
-            series_bin_probabilities(discrete_tapped.states, self.COEFFS, self.EDGES, -1e3)
+            series_bin_probabilities(discrete_tapped, self.COEFFS, self.EDGES, -1e3)
 
 
-def no_selection_threshold(mixture3):
-    """Threshold at alpha <= -40 for every component: keeps everything."""
-    sigma = np.sqrt(mixture3.states.cov[:, 4, 4]).max()
-    return -40.0 * sigma
+def no_selection_threshold(model):
+    """Threshold at alpha <= -40 for every level of a model with zero tap mean: keeps everything."""
+    return -40.0 * np.sqrt(model.cov[:, 4, 4]).max()
 
 
 class TestHerald:
     def test_no_selection_limit_reproduces_pooled_cm(self, discrete_tapped):
         ens = herald(discrete_tapped, [no_selection_threshold(discrete_tapped)])
-        mean, cov = pooled_cm(discrete_tapped)
+        mean, cov = model_pooled(discrete_tapped)
         assert ens.success_probability[0] == pytest.approx(1.0, abs=1e-14)
         assert_allclose(ens.posterior_weights[0], discrete_tapped.weights, atol=1e-14)
         assert_allclose(ens.pooled_mean[0], mean[:4], atol=1e-10)
@@ -344,8 +423,7 @@ class TestHerald:
     def test_uncorrelated_tap_leaves_covariance_alone(self):
         rng = np.random.default_rng(32)
         state = random_physical_state(rng, 2)
-        mix = mixture([(1.0, tensor(state, vacuum_state(1)))])
-        ens = herald(mix, [1.0])
+        ens = herald(uncorrelated_tap(state), [1.0])
         assert_allclose(ens.pooled_cov[0], state.cov, atol=1e-12)
         assert ens.success_probability[0] == pytest.approx(gaussian_tail(1.0), rel=1e-12)
 
@@ -353,8 +431,7 @@ class TestHerald:
         # displaced two-mode vacuum with an uncorrelated tap: the kept
         # ensemble keeps the displacement, covariance untouched
         state = GaussianState([1.5, -0.5, 0.25, 0.0], np.eye(4))
-        mix = mixture([(1.0, tensor(state, vacuum_state(1)))])
-        ens = herald(mix, [0.5])
+        ens = herald(uncorrelated_tap(state), [0.5])
         assert_allclose(ens.pooled_mean[0], state.mean, atol=1e-12)
         assert_allclose(ens.pooled_cov[0], np.eye(4), atol=1e-12)
 
@@ -376,7 +453,7 @@ class TestHerald:
                     - ens.component_means[..., :, None] * ens.component_means[..., None, :])
         assert np.linalg.eigvalsh(centrals).min() > 0.0
         # conditional covariance (deep-selection limit) is PSD
-        for cov in discrete_tapped.states.cov:
+        for cov in discrete_tapped.cov:
             sigma2 = cov[4, 4]
             cvec = cov[:4, 4]
             cond = cov[:4, :4] - np.outer(cvec, cvec) / sigma2
@@ -389,29 +466,45 @@ class TestHerald:
         components = []
         for weight, reflectivity in ((0.2, 0.05), (0.3, 0.2), (0.5, 0.5)):
             plain = mixture([(1.0, random_physical_state(rng, 2))])
-            tapped = attach_tap(plain, TapConfig(reflectivity=reflectivity)).states
-            mean = np.concatenate([rng.normal(0.0, 2.0, size=4), [0.0, 0.0]])
-            components.append((weight, GaussianState(mean, tapped.cov[0])))
-        mix = mixture(components)
-        assert len(set(mix.states.cov[:, 4, 4].tolist())) == 3
+            tapped = attach_tap(plain, TapConfig(reflectivity=reflectivity))
+            mean = np.concatenate([rng.normal(0.0, 2.0, size=4), [0.0]])
+            components.append((weight, mean, tapped.cov[0]))
+        model = TapModel(*(np.array(column) for column in zip(*components)))
+        assert len(set(model.cov[:, 4, 4].tolist())) == 3
         grid = [-1.0, 0.5, 2.5]
-        ens = herald(mix, grid)
-        for i, (_, state) in enumerate(components):
-            alone = herald(mixture([(1.0, state)]), grid)
+        ens = herald(model, grid)
+        for i, (_, mean, cov) in enumerate(components):
+            alone = herald(TapModel([1.0], mean[None], cov[None]), grid)
             assert_allclose(ens.per_component_pass[:, i], alone.per_component_pass[:, 0], rtol=1e-13)
             assert_allclose(ens.component_means[:, i], alone.component_means[:, 0], rtol=1e-13)
             assert_allclose(
                 ens.component_second_moments[:, i], alone.component_second_moments[:, 0], rtol=1e-13
             )
 
-    def test_rejects_nonzero_tap_mean(self):
-        state = GaussianState([0, 0, 0, 0, 0.5, 0], np.eye(6))
-        with pytest.raises(ValueError):
-            herald(mixture([(1.0, state)]), [1.0])
+    @pytest.mark.parametrize("threshold", [-1.5, 2.0, 9.0])
+    def test_displaced_tap_against_mpmath(self, displaced_tapped, threshold):
+        # The tap mean differs per level and from 0: herald standardises each
+        # threshold by it, as the Monte Carlo does.
+        assert np.all(np.abs(displaced_tapped.mean[:, 4]) > 0.05)
+        assert len(set(displaced_tapped.mean[:, 4].tolist())) == 2
+        ens = herald(displaced_tapped, [threshold])
+        ref = mp_heralded(displaced_tapped, threshold)
+        assert ens.errors == (None,)
+        _assert_rel(ens.success_probability, [ref["success"]], 1e-13, "success")
+        _assert_rel(ens.per_component_pass[0], ref["passes"], 1e-13, "passes")
+        for key in ("posterior_weights", "component_means", "component_second_moments",
+                    "pooled_mean", "pooled_cov"):
+            _assert_rows_close(getattr(ens, key)[0], ref[key], key)
 
     def test_rejects_wrong_mode_count(self, discrete_mixture):
-        with pytest.raises(ValueError):
-            herald(discrete_mixture, [1.0])
+        # The model holds five quadratures, one weight per level: a two-mode
+        # mixture's four are rejected when it is built, before any engine
+        # reads it, as is a weight missing.
+        weights, states = discrete_mixture.weights, discrete_mixture.states
+        for args in ((weights, states.mean, states.cov),
+                     ([1.0], np.zeros((2, 5)), np.stack([np.eye(5)] * 2))):
+            with pytest.raises(ValueError, match="mean \\(L, 5\\)"):
+                herald(TapModel(*args), [1.0])
 
     def test_degenerate_selection_recorded(self, discrete_tapped):
         ens = herald(discrete_tapped, [1e4])
@@ -424,9 +517,52 @@ class TestHerald:
             herald(discrete_tapped, np.atleast_1d(threshold))
 
 
+def mp_heralded(model, threshold):
+    """``herald``'s fields at one threshold by mpmath quadrature over each level's tap outcome.
+
+    Given its tap outcome u, a level's (X_A, P_A, X_B, P_B) is normal with
+    mean m + c (u - mu) / sd^2 and covariance S - c c^T / sd^2, so the kept
+    moments need the tap's truncated moments E[(u - mu)^k | u > threshold],
+    k = 0, 1, 2, which are integrated here in the standardised
+    z = (u - mu) / sd, with breakpoints that follow the integrand's scale.
+    """
+    out = {key: [] for key in ("passes", "component_means", "component_second_moments")}
+    with mpmath.workdps(30):
+        for mean, cov in zip(model.mean.tolist(), model.cov.tolist()):
+            mean, cov = mpmath.matrix(mean), mpmath.matrix(cov)
+            sd = mpmath.sqrt(cov[4, 4])
+            alpha = (mpmath.mpf(threshold) - mean[4]) / sd
+            top = max(alpha, 0)
+            points = sorted({alpha, top, top + 1 / (top + 1), top + 10 / (top + 1)}) + [mpmath.inf]
+            moments = [mpmath.quad(lambda z, k=k: z ** k * mpmath.npdf(z), points) for k in range(3)]
+            q, e1, e2 = moments[0], moments[1] / moments[0], moments[2] / moments[0]
+            m = mean[:4, 0]
+            c = cov[:4, 4] / sd  # the regression on z
+            s = cov[:4, :4] - c * c.T
+            out["passes"].append(q)
+            out["component_means"].append(m + c * e1)
+            out["component_second_moments"].append(s + m * m.T + (m * c.T + c * m.T) * e1
+                                                   + c * c.T * e2)
+        weights = [mpmath.mpf(w) for w in model.weights.tolist()]
+        success = mpmath.fsum(w * q for w, q in zip(weights, out["passes"]))
+        post = [w * q / success for w, q in zip(weights, out["passes"])]
+        pooled_mean = sum((w * mu for w, mu in zip(post, out["component_means"])), mpmath.zeros(4, 1))
+        pooled_second = sum((w * s2 for w, s2 in zip(post, out["component_second_moments"])),
+                            mpmath.zeros(4, 4))
+        to_array = lambda v: np.array(v.tolist(), dtype=float)
+        return {
+            "success": float(success), "passes": [float(q) for q in out["passes"]],
+            "posterior_weights": [float(w) for w in post],
+            "component_means": np.array([to_array(mu)[:, 0] for mu in out["component_means"]]),
+            "component_second_moments": np.array([to_array(s2) for s2 in out["component_second_moments"]]),
+            "pooled_mean": to_array(pooled_mean)[:, 0],
+            "pooled_cov": to_array(pooled_second - pooled_mean * pooled_mean.T),
+        }
+
+
 def mp_success(tapped, threshold):
     """Success probability of ``herald`` at one threshold, each Q from mpmath."""
-    alpha = threshold / np.sqrt(tapped.states.cov[:, 4, 4])
+    alpha = (threshold - tapped.mean[:, 4]) / np.sqrt(tapped.cov[:, 4, 4])
     with mpmath.workdps(50):
         return sum(w * mpmath.erfc(mpmath.mpf(a) / mpmath.sqrt(2)) / 2
                    for w, a in zip(tapped.weights.tolist(), alpha.tolist()))
@@ -576,7 +712,7 @@ def floor_crossing(tapped):
 
     Every level has alpha >= 40 at 40 tap deviations, where Q < 1e-300.
     """
-    lo, hi = 0.0, 40.0 * np.sqrt(tapped.states.cov[:, 4, 4]).max()
+    lo, hi = 0.0, 40.0 * np.sqrt(tapped.cov[:, 4, 4]).max()
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mp_success(tapped, mid) > SUCCESS_FLOOR else (lo, mid)

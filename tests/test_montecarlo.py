@@ -14,8 +14,8 @@ from cvdistill import (
     GaussianState,
     InvalidCovarianceError,
     McConfig,
-    MixtureState,
     TapConfig,
+    TapModel,
     attach_tap,
     discrete_channel,
     distilled_gln,
@@ -23,33 +23,26 @@ from cvdistill import (
     herald,
     joint_quadrature_variances,
     make_kerr_entangled,
-    pooled_cm,
     preset_config,
     propagate,
     run_mc_sweep,
     run_scenario,
-    tensor,
     vacuum_state,
 )
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
 from cvdistill.distill import gaussian_tail, series_bin_probabilities
 from cvdistill.mc import _kernel_py, engine
 from conftest import (apply_phase_rotation, batch_moments, binomial_two_sided_p, level, mixture,
-                      pooled_cov_se)
+                      model_pooled, pooled_cov_se, uncorrelated_tap)
 
 # A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
 NO_SELECTION = -1e9
 
 
-def sweep_at(mixture3, config, threshold):
+def sweep_at(model, config, threshold):
     """The one-threshold sweep at ``threshold``."""
-    return run_mc_sweep(mixture3, config, [threshold])
-
-
-def uncorrelated_tap(state):
-    """Single-component (A, B, Tap) mixture whose tap is a vacuum mode."""
-    return mixture([(1.0, tensor(state, vacuum_state(1)))])
+    return run_mc_sweep(model, config, [threshold])
 
 
 class TestSampleLevel:
@@ -74,7 +67,7 @@ class TestSampleLevel:
 
 class TestSamplePhasePoint:
     def test_vacuum_variances(self):
-        vacuum = mixture([(1.0, vacuum_state(3))])
+        vacuum = uncorrelated_tap(vacuum_state(2))
         res = sweep_at(vacuum, McConfig(n_shots=1_000_000, seed=42), NO_SELECTION)
         assert_allclose(np.diag(res.pooled_cov[0]), np.ones(4), atol=0.005)
 
@@ -99,7 +92,7 @@ class TestSamplePhasePoint:
         mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
         tapped = attach_tap(mix, TapConfig())
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=44), NO_SELECTION)
-        _, cov = pooled_cm(tapped)
+        _, cov = model_pooled(tapped)
         assert_allclose(res.pooled_cov[0], cov[:4, :4], atol=0.05)
 
     def test_cross_quadrature_covariance_reproduced(self):
@@ -109,7 +102,7 @@ class TestSamplePhasePoint:
         rotated = mixture([(w, apply_phase_rotation(level(mix, i), 1, 0.6))
                            for i, w in enumerate(mix.weights)])
         tapped = attach_tap(rotated, TapConfig())
-        _, cov = pooled_cm(tapped)
+        _, cov = model_pooled(tapped)
         assert np.abs(cov[0:4:2, 1:4:2]).max() > 0.5
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=49), NO_SELECTION)
         assert np.all(np.abs(res.pooled_cov[0] - cov[:4, :4]) < 4 * pooled_cov_se(res)[0])
@@ -123,27 +116,26 @@ class TestSamplePhasePoint:
             for i, w in enumerate(mix.weights)
         ])
         tapped = attach_tap(shifted, TapConfig())
-        weights, tap_sigma, tap_mean, components = engine._prepare_components(tapped)
+        assert np.all(tapped.mean[:, 4] != 0.0)
         rng = np.random.default_rng(50)
-        counts = rng.multinomial(5000, weights)
+        counts = rng.multinomial(5000, tapped.weights)
         z = rng.standard_normal((5, 5000))
         x = z.copy()
-        engine._transform(x, counts, components, np.empty(5000))
+        engine._transform(x, counts, engine._components(tapped), np.empty(5000))
         # The tap-first factor of (X_Tap, X_A, P_A, X_B, P_B), its rows and
         # columns put back in (X_A, P_A, X_B, P_B, X_Tap) order.
         order = [4, 0, 1, 2, 3]
         back = np.argsort(order)
         start = 0
         for i, count in enumerate(counts):
-            state = level(tapped, i)
+            mean, cov = tapped.mean[i], tapped.cov[i]
             seg = slice(start, start + count)
-            cov = state.cov[:5, :5]
             factor = np.linalg.cholesky(cov[order][:, order])[back][:, back]
             assert_allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-12)
-            ref = factor @ z[:, seg] + state.mean[:5, None]
+            ref = factor @ z[:, seg] + mean[:, None]
             assert_allclose(x[:, seg], ref, rtol=1e-12, atol=1e-12)
             # X_Tap is the tap normal scaled and shifted to the level, bit for bit.
-            assert np.array_equal(x[4, seg], z[4, seg] * tap_sigma[i] + tap_mean[i])
+            assert np.array_equal(x[4, seg], z[4, seg] * tapped.tap_sd[i] + mean[4])
             start += count
 
 
@@ -502,11 +494,27 @@ class TestRunMc:
         assert errs[2] < 0.02
 
     def test_rejects_wrong_mode_count(self, tapped_discrete):
-        states = tapped_discrete.states
-        two_mode = MixtureState(tapped_discrete.weights,
-                                GaussianState(states.mean[:, :4], states.cov[:, :4, :4]))
-        with pytest.raises(ValueError):
-            sweep_at(two_mode, McConfig(n_shots=10, seed=1), 0.0)
+        # A model of the three modes (A, B, Tap), P_Tap included, is rejected
+        # when built: the engines read five quadratures.
+        mean = np.append(tapped_discrete.mean, np.zeros((2, 1)), axis=1)
+        cov = np.stack([np.eye(6)] * 2)
+        cov[:, :5, :5] = tapped_discrete.cov
+        with pytest.raises(ValueError, match="mean \\(L, 5\\)"):
+            sweep_at(TapModel(tapped_discrete.weights, mean, cov), McConfig(n_shots=10, seed=1), 0.0)
+
+    @pytest.mark.parametrize("threshold", [2.0, 4.0])
+    def test_agreement_with_analytic_displaced_tap(self, displaced_tapped, threshold):
+        # A tap mean that differs per level and from 0: both engines
+        # standardise the threshold by it.
+        assert np.all(np.abs(displaced_tapped.mean[:, 4]) > 0.05)
+        ens = herald(displaced_tapped, [threshold])
+        n = 1_000_000
+        res = sweep_at(displaced_tapped, McConfig(n_shots=n, seed=2028), threshold)
+        assert binomial_two_sided_p(int(res.kept_count[0]), n, ens.success_probability[0]) >= 1e-6
+        ln_mc, ln_se = (column[0] for column in ln_with_se(res))
+        assert abs(ln_mc - distilled_gln(ens)[0]) < 4.0 * ln_se
+        dev = np.abs(res.pooled_mean[0] - ens.pooled_mean[0])
+        assert np.all(dev < 4.0 * np.sqrt(np.diag(res.pooled_cov[0]) / res.kept_count[0]))
 
 
 def chi_square_p(counts, probs):
@@ -544,7 +552,7 @@ class TestPreSelectionHistograms:
         # the other shots.
         sweep = run_mc_sweep(tapped_fading, McConfig(n_shots=1_000_000, seed=63), grid)
         probs = tapped_fading.weights @ series_bin_probabilities(
-            tapped_fading.states, engine.SERIES_COEFFICIENTS, sweep.edges).swapaxes(0, 1)
+            tapped_fading, engine.SERIES_COEFFICIENTS, sweep.edges).swapaxes(0, 1)
         for counts, p in zip(sweep.hist_pre, probs):
             assert chi_square_p(counts, p) >= 1e-6
 
@@ -574,7 +582,7 @@ def truncated_normal_moments(alpha):
 
 @pytest.fixture(scope="module", params=["discrete", "semicontinuous"])
 def tapped_preset(request):
-    """The (A, B, Tap) mixture of a preset, built as ``run_scenario`` builds it."""
+    """The tap model of a preset, built as ``run_scenario`` builds it."""
     cfg = preset_config(request.param)
     variances = cfg.source.variances()
     channel, _ = cfg.channel.build(*variances)
@@ -599,8 +607,7 @@ class TestCountFirst:
 
     def test_one_threshold_splits_the_levels_by_alpha(self, tapped_preset):
         # At 1 SNU alpha spans 0.44-0.84: both sampling rules are exercised.
-        _, tap_sigma, tap_mean, _ = engine._prepare_components(tapped_preset)
-        alpha = (1.0 - tap_mean) / tap_sigma
+        alpha = (1.0 - tapped_preset.mean[:, 4]) / tapped_preset.tap_sd
         assert np.any(alpha < engine.RARE_ALPHA) and np.any(alpha >= engine.RARE_ALPHA)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -610,9 +617,7 @@ class TestCountFirst:
         # tap normal in its own level.
         mixture = tapped_preset
         if reverse:
-            states = mixture.states
-            mixture = MixtureState(mixture.weights[::-1].copy(),
-                                   GaussianState(states.mean[::-1].copy(), states.cov[::-1].copy()))
+            mixture = TapModel(*(a[::-1].copy() for a in (mixture.weights, mixture.mean, mixture.cov)))
         n = 1_000_000
         sweep = run_mc_sweep(mixture, McConfig(n_shots=n, seed=72), [1.0, 2.0])
         ens = herald(mixture, [1.0, 2.0])
@@ -624,8 +629,8 @@ class TestCountFirst:
         # The kept X_tap histogram: per level, P(bin and X_tap >= 1) is the
         # unconditional bin probability less that given X_tap < 1 times 1 - q_i.
         coefficients = engine.SERIES_COEFFICIENTS[:1]
-        above = (series_bin_probabilities(mixture.states, coefficients, sweep.edges)[:, 0]
-                 - series_bin_probabilities(mixture.states, coefficients, sweep.edges, 1.0)[:, 0]
+        above = (series_bin_probabilities(mixture, coefficients, sweep.edges)[:, 0]
+                 - series_bin_probabilities(mixture, coefficients, sweep.edges, 1.0)[:, 0]
                  * (1.0 - ens.per_component_pass[0])[:, None])
         probs = np.clip(mixture.weights @ above, 0.0, None) / ens.success_probability[0]
         assert chi_square_p(sweep.hist_post[0, 0], probs) >= 1e-6
