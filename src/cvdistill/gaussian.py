@@ -154,8 +154,13 @@ def _check_covariance(covs: np.ndarray, positive_definite: bool = True) -> None:
     largest, the rank tolerance of ``numpy.linalg.matrix_rank``: a
     rank-deficient matrix whose zero eigenvalues round to tiny positive
     numbers is rejected, not passed on to give a NaN or meaningless result.
+    A NaN or infinite entry is rejected too: ``scale``, each matrix's
+    largest |entry|, is then NaN or inf, and every comparison with NaN is
+    false. An empty stack passes.
     """
     scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    if not scale.max(initial=1.0) < np.inf:
+        raise InvalidCovarianceError("covariance matrix has a NaN or infinite entry")
     if np.any(np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise InvalidCovarianceError("covariance matrix is not symmetric")
     if positive_definite:

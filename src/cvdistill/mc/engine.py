@@ -74,15 +74,30 @@ which levels are rare depend on t_0, so a grid row equals the same row of
 any sweep with the same lowest threshold, not the one-threshold sweep at
 its own threshold.
 
-Each worker allocates its common levels' tap normals, their mask and the
-candidates' normals and kernel scratch buffers once, sized from the block
-plan (eight binomial SDs above the expected counts, at most a block), and
-reuses them for every block; a block that needs more gets larger buffers,
-which only a count eight SDs above its mean can ask for. Each worker
-samples a contiguous range of blocks; the integer counts are summed, and
-the blocks' moments are merged pairwise along one fixed binary tree over
-the block indices, the workers merging the subtrees that lie inside their
-range and the parent the rest. Output therefore depends on (model,
+Each block is drawn, then consumed. The draw step fills one buffer set
+(``_DrawBuffers``): the level multinomial, the common levels' tap normals
+and their mask, the rare counts and tail normals, and the candidates' four
+other normals beside their X_tap row. The consume step transforms those
+normals and runs the kernel on them into the sums and the moment tree.
+Buffer sets and kernel scratch are allocated once per worker, sized from
+the block plan (eight binomial SDs above the expected counts, at most a
+block), and reused for every block; a block that needs more gets larger
+buffers, which only a count eight SDs above its mean can ask for. When
+``run_mc_sweep`` runs its one job in its own process, the job has two or
+more blocks and two or more CPUs are usable, one helper thread draws
+block k + 1 into a second buffer set while the calling thread consumes
+block k: numpy's generator fills release the GIL, so the draws run on the
+otherwise idle CPU. Every block still draws from its own stream and the
+blocks are consumed in block order, so the output is bit-identical to the
+inline loop, which runs otherwise (one block, one usable CPU, or jobs in
+the process pool, whose processes hold the CPUs already). The helper is
+joined before ``run_mc_sweep`` returns or raises: no thread outlives the
+call, and none exists when the process pool starts.
+
+Each worker samples a contiguous range of blocks; the integer counts are
+summed, and the blocks' moments are merged pairwise along one fixed
+binary tree over the block indices, the workers merging the subtrees that
+lie inside their range and the parent the rest. Output therefore depends on (model,
 n_shots, seed, thresholds) only, not on the worker count, and is
 bit-identical on every run. The pool starts at most one process per usable
 CPU, whatever ``n_workers`` asks for; the extra ranges queue.
@@ -266,8 +281,20 @@ def _tail_normals(rng, alpha):
     return out
 
 
+class _DrawBuffers:
+    """A block's draw buffers: common-level tap normals and their mask, candidates' normals.
+
+    Sized for ``n_common`` common shots and ``n_cand`` candidates; a block
+    that outgrows a buffer replaces it.
+    """
+
+    def __init__(self, n_common, n_cand):
+        self.tap_normals, self.mask = np.empty(n_common), np.empty(n_common, dtype=bool)
+        self.normals = np.empty(5 * n_cand)
+
+
 def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_range, seed,
-                n_shots, block, blocks):
+                n_shots, block, blocks, prefetch=False):
     """Sample the shots of ``blocks`` (a range of block indices) and accumulate them by stratum.
 
     Block b holds shots b * block onward, at most ``block`` of them, drawn
@@ -280,7 +307,9 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
     candidate for its other quadratures. alpha[i] is (thresholds[0] - tap
     mean) / tap SD of level i, and tail_q[i] its ``gaussian_tail``. Stratum j
     holds the candidates with thresholds[j] <= X_tap < thresholds[j + 1];
-    the top stratum has no upper edge.
+    the top stratum has no upper edge. With ``prefetch`` and at least two
+    blocks, one helper thread draws block k + 1 while this thread consumes
+    block k (see the module docstring); the output is the same bits.
 
     Returns the per-stratum post-selection histograms (n_strata, 5,
     n_bins), per-level kept counts (n_strata, n_levels) and per-level
@@ -300,37 +329,30 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
     # common: each run's candidates take their tap normals from one source.
     cuts = [0, *(np.flatnonzero(rare[1:] != rare[:-1]) + 1).tolist(), n_levels]
     runs = [(lo, hi, bool(rare[lo])) for lo, hi in zip(cuts, cuts[1:])]
-    # Sized from the block plan: a block's common shots and candidates
-    # practically never exceed these, and one that does gets larger buffers.
-    tap_normals = np.empty(_capacity(block * weights[~rare].sum(), block))
-    mask = np.empty(tap_normals.size, dtype=bool)
-    size = _capacity(block * (weights @ tail_q), block)
-    normals, series = np.empty(5 * size), np.empty(5 * size)
-    idx = np.empty(5 * size, dtype=np.int64)
-    for b in blocks:
+
+    def draw(b, bufs):
+        """Draw block b into ``bufs``: level counts, candidate counts and ends, normals (5, n)."""
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         level_counts = rng.multinomial(min(block, n_shots - b * block), weights)
         common_counts = np.where(rare, 0, level_counts)
         common_ends = np.cumsum(common_counts)
         n_common = int(common_ends[-1])
-        if n_common > tap_normals.size:
-            tap_normals, mask = np.empty(n_common), np.empty(n_common, dtype=bool)
-        z = rng.standard_normal(out=tap_normals[:n_common])
+        if n_common > bufs.tap_normals.size:
+            bufs.tap_normals, bufs.mask = np.empty(n_common), np.empty(n_common, dtype=bool)
+        z, mask = bufs.tap_normals[:n_common], bufs.mask[:n_common]
+        rng.standard_normal(out=z)
         starts, stops = (common_ends - common_counts).tolist(), common_ends.tolist()
         for i, a in common:
             np.greater_equal(z[starts[i] : stops[i]], a, out=mask[starts[i] : stops[i]])
-        cand = np.flatnonzero(mask[:n_common])
+        cand = np.flatnonzero(mask)
         cand_counts = np.diff(np.searchsorted(cand, common_ends), prepend=0)
         cand_counts[rare] = rng.binomial(level_counts[rare], tail_q[rare])
         tail = _tail_normals(rng, np.repeat(alpha[rare], cand_counts[rare]))
-        below += level_counts - cand_counts
         cand_ends = np.cumsum(cand_counts)
         n = int(cand_ends[-1])
-        if 5 * n > normals.size:
-            normals, series = np.empty(5 * n), np.empty(5 * n)
-            idx = np.empty(5 * n, dtype=np.int64)
-
-        x = normals[: 5 * n].reshape(5, n)
+        if 5 * n > bufs.normals.size:
+            bufs.normals = np.empty(5 * n)
+        x = bufs.normals[: 5 * n].reshape(5, n)
         rng.standard_normal(out=x[:4])
         cand_starts, cand_stops = (cand_ends - cand_counts).tolist(), cand_ends.tolist()
         n_tail = 0  # tail normals placed so far; the other candidates before are common
@@ -341,11 +363,43 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
                 n_tail += stop - start
             else:
                 np.take(z, cand[start - n_tail : stop - n_tail], out=x[4, start:stop])
+        return level_counts, cand_counts, cand_ends, x
+
+    # Sized from the block plan: a block's common shots and candidates
+    # practically never exceed these, and one that does gets larger buffers.
+    n_common = _capacity(block * weights[~rare].sum(), block)
+    size = _capacity(block * (weights @ tail_q), block)
+    series, idx = np.empty(5 * size), np.empty(5 * size, dtype=np.int64)
+
+    def consume(b, level_counts, cand_counts, cand_ends, x):
+        """Transform and accumulate block b's draws into the sums and the node stack."""
+        nonlocal below, series, idx
+        below += level_counts - cand_counts
+        if x.size > series.size:
+            series, idx = np.empty(x.size), np.empty(x.size, dtype=np.int64)
         _transform(x, cand_counts, components, series)
         acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
         acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
             x, cand_ends, lookup, hist_range, n_bins, hist_post, per_level_kept, series, idx)
         _push_block_node(nodes, 0, b, acc)
+
+    if not prefetch or len(blocks) < 2:
+        bufs = _DrawBuffers(n_common, size)
+        for b in blocks:
+            consume(b, *draw(b, bufs))
+        return hist_post, per_level_kept, below, nodes
+    # Two buffer sets in turn: block k + 1 is drawn into one while block k,
+    # in the other, is consumed. Leaving the with block joins the helper.
+    from concurrent.futures import ThreadPoolExecutor
+
+    sets = [_DrawBuffers(n_common, size) for _ in range(2)]
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, blocks[0], sets[0])
+        for k, b in enumerate(blocks):
+            drawn = pending.result()
+            if k + 1 < len(blocks):
+                pending = helper.submit(draw, blocks[k + 1], sets[(k + 1) % 2])
+            consume(b, *drawn)
     return hist_post, per_level_kept, below, nodes
 
 
@@ -396,17 +450,18 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
     ]
+    try:
+        n_cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        n_cpus = os.cpu_count() or 1
     if len(jobs) == 1:
-        outs = [_run_blocks(*jobs[0])]
+        # One job in this process: a second usable CPU draws ahead of it.
+        outs = [_run_blocks(*jobs[0], prefetch=n_cpus >= 2)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # No more processes than usable CPUs; the jobs stay as split, so
         # the output cannot change.
-        try:
-            n_cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no sched_getaffinity on this platform
-            n_cpus = os.cpu_count() or 1
         with ProcessPoolExecutor(max_workers=min(len(jobs), n_cpus)) as pool:
             outs = list(pool.map(_run_blocks, *zip(*jobs)))
 

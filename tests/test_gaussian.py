@@ -202,6 +202,25 @@ class TestLogNegativity:
                 gaussian_log_negativity(bad)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_entries(self, value):
+        # Every comparison with NaN is False, so a NaN entry passed the symmetry
+        # and eigenvalue tests and reached numpy's LinAlgError; inf did the same.
+        checks = (lambda cov: GaussianState(np.zeros(4), cov), symplectic_eigenvalues,
+                  validate_physical, gaussian_log_negativity, pt_symplectic_spectrum)
+        for entry in [(0, 0), (1, 2)]:
+            cov = np.eye(4)
+            cov[entry] = value
+            for check in checks:
+                with pytest.raises(InvalidCovarianceError, match="NaN or infinite"):
+                    check(cov)
+            with pytest.raises(InvalidCovarianceError, match="NaN or infinite"):
+                symplectic_eigenvalues(np.stack([np.eye(4), cov]))
+        # An empty stack, as a sweep with no moment row gives, has nothing to reject.
+        assert [a.shape for a in pt_symplectic_spectrum(np.zeros((0, 4, 4)))] == [(0,), (0,)]
+
+
 class TestLogNegativityGradient:
     @staticmethod
     def central_difference(cov, h=1e-5):

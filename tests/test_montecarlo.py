@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
 import os
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -580,13 +582,17 @@ def truncated_normal_moments(alpha):
                                         moment(lambda t: (t - mean) ** 4)))
 
 
-@pytest.fixture(scope="module", params=["discrete", "semicontinuous"])
-def tapped_preset(request):
+def preset_tap_model(name):
     """The tap model of a preset, built as ``run_scenario`` builds it."""
-    cfg = preset_config(request.param)
+    cfg = preset_config(name)
     variances = cfg.source.variances()
     channel, _ = cfg.channel.build(*variances)
     return attach_tap(propagate(make_kerr_entangled(*variances), channel), cfg.tap)
+
+
+@pytest.fixture(scope="module", params=["discrete", "semicontinuous"])
+def tapped_preset(request):
+    return preset_tap_model(request.param)
 
 
 class TestCountFirst:
@@ -814,3 +820,162 @@ class TestRunMcSweep:
     def test_rejects_bad_grids(self, tapped_discrete, grid):
         with pytest.raises(ValueError):
             run_mc_sweep(tapped_discrete, McConfig(n_shots=10, seed=1), grid)
+
+
+@pytest.fixture(scope="module")
+def tapped_semicontinuous():
+    return preset_tap_model("semicontinuous")
+
+
+def usable_cpus(monkeypatch, n):
+    """Make run_mc_sweep see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The sizes of the ThreadPoolExecutors started, each a real pool with its helper thread."""
+    sizes = []
+
+    class RecordedThreads(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedThreads)
+    return sizes
+
+
+@pytest.fixture
+def fast_switching():
+    """A thread switch every microsecond, so that a helper and its caller interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def sampling_plan(model, n_shots, t0):
+    """(levels rare at t0, blocks) of a sweep of ``n_shots`` whose lowest threshold is t0."""
+    alpha = (t0 - model.mean[:, 4]) / model.tap_sd
+    block = engine._block_shots(model.weights @ gaussian_tail(alpha), n_shots)
+    return alpha >= engine.RARE_ALPHA, -(-n_shots // block)
+
+
+class TestBlockPrefetch:
+    """A one-worker sweep draws block k + 1 on a helper thread while it consumes block k."""
+
+    @pytest.mark.parametrize("preset, n_shots, grid, rare_levels", [
+        pytest.param("semicontinuous", 3 * 65_536 + 500, [0.0, 2.0, 4.0], "none", id="common-only"),
+        pytest.param("discrete", 10**10, [10.0, 9.0, 12.0], "all", id="rare-only"),
+        pytest.param("semicontinuous", 3 * 65_536 + 500, [3.0, 1.0], "some", id="mixed"),
+    ])
+    def test_helper_and_inline_give_the_same_bits(self, tapped_discrete, tapped_semicontinuous,
+                                                  helpers, fast_switching, monkeypatch, preset,
+                                                  n_shots, grid, rare_levels):
+        model = tapped_discrete if preset == "discrete" else tapped_semicontinuous
+        rare, n_blocks = sampling_plan(model, n_shots, min(grid))
+        assert {"none": not rare.any(), "all": rare.all(),
+                "some": rare.any() and not rare.all()}[rare_levels]
+        assert n_blocks >= 3
+        conf = McConfig(n_shots=n_shots, seed=29)
+        outs = []
+        for n_cpus in (1, 2):
+            usable_cpus(monkeypatch, n_cpus)
+            outs.append(sweep_outputs(run_mc_sweep(model, conf, grid)))
+        assert helpers == [1]  # at two CPUs only
+        assert all(np.array_equal(u, v) for u, v in zip(*outs))
+
+    def test_both_buffer_sets_grow(self, tapped_semicontinuous, helpers, fast_switching,
+                                   monkeypatch):
+        model, grid = tapped_semicontinuous, [3.0, 1.0]
+        conf = McConfig(n_shots=3 * 65_536 + 500, seed=30)
+        usable_cpus(monkeypatch, 1)
+        ref = sweep_outputs(run_mc_sweep(model, conf, grid))
+        # Buffers of one entry: each set outgrows them on its first block.
+        sets = []
+
+        class RecordedBuffers(engine._DrawBuffers):
+            def __init__(self, n_common, n_cand):
+                assert n_common == n_cand == 1
+                sets.append(self)
+                super().__init__(n_common, n_cand)
+
+        monkeypatch.setattr(engine, "_capacity", lambda mean, block: 1)
+        monkeypatch.setattr(engine, "_DrawBuffers", RecordedBuffers)
+        for n_cpus in (2, 1):
+            usable_cpus(monkeypatch, n_cpus)
+            out = sweep_outputs(run_mc_sweep(model, conf, grid))
+            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+        assert helpers == [1] and len(sets) == 3
+        for bufs in sets:
+            assert bufs.tap_normals.size > 1 and bufs.mask.size > 1 and bufs.normals.size > 5
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_failed_draw_propagates_and_leaves_no_thread(self, tapped_semicontinuous, helpers,
+                                                          monkeypatch, n_cpus):
+        # _tail_normals runs once per block, in block order: its third call draws block 2.
+        calls = []
+        tail_normals = engine._tail_normals
+
+        def failing(rng, alpha):
+            calls.append(alpha.size)
+            if len(calls) == 3:
+                raise RuntimeError("draw of block 2 failed")
+            return tail_normals(rng, alpha)
+
+        monkeypatch.setattr(engine, "_tail_normals", failing)
+        usable_cpus(monkeypatch, n_cpus)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 2"):
+            run_mc_sweep(tapped_semicontinuous, McConfig(n_shots=5 * 65_536, seed=31), [1.0])
+        assert threading.active_count() == threads
+        assert len(calls) == 3 and helpers == [1] * (n_cpus - 1)
+
+    def test_no_helper_with_one_cpu_one_block_or_the_process_pool(self, tapped_discrete,
+                                                                  monkeypatch):
+        # Stand-ins record each helper and pool; the helper runs each draw at
+        # once, and the pool runs the jobs in this process after checking
+        # that no other thread is alive.
+        helpers, pools, threads = [], [], threading.active_count()
+
+        class SerialThreads:
+            def __init__(self, max_workers):
+                helpers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        class SerialPool(SerialThreads):
+            def __init__(self, max_workers):
+                assert threading.active_count() == threads
+                pools.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialThreads)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        grid, conf = [3.0, 0.5, 6.0], McConfig(n_shots=5 * 65_536 - 7, seed=28)  # five blocks
+
+        def outputs(n_cpus, **changes):
+            usable_cpus(monkeypatch, n_cpus)
+            return sweep_outputs(run_mc_sweep(tapped_discrete, dataclasses.replace(conf, **changes),
+                                              grid))
+
+        ref = outputs(2)
+        assert helpers == [1] and pools == []
+        runs = [outputs(1), outputs(2, n_workers=2), outputs(2, n_workers=5)]
+        assert sampling_plan(tapped_discrete, 65_536, min(grid))[1] == 1
+        outputs(2, n_shots=65_536)  # one block
+        assert helpers == [1] and pools == [2, 2]
+        for out in runs:
+            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
