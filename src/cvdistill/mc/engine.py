@@ -99,8 +99,8 @@ summed, and the blocks' moments are merged pairwise along one fixed
 binary tree over the block indices, the workers merging the subtrees that
 lie inside their range and the parent the rest. Output therefore depends on (model,
 n_shots, seed, thresholds) only, not on the worker count, and is
-bit-identical on every run. The pool starts at most one process per usable
-CPU, whatever ``n_workers`` asks for; the extra ranges queue.
+bit-identical on every run. The blocks are split into min(n_workers,
+blocks, usable CPUs) ranges, one per process, whatever ``n_workers`` asks for.
 
 The run settings are ``cvdistill.config.McConfig``, which is also the
 ``mc`` section of an experiment config and validates itself when built.
@@ -443,26 +443,25 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     tail_q = gaussian_tail(alpha)
     block = _block_shots(weights @ tail_q, config.n_shots)
     n_blocks = -(-config.n_shots // block)
-    bounds = [n_blocks * w // config.n_workers for w in range(config.n_workers + 1)]
-    jobs = [
-        (weights, alpha, tail_q, components, grid, config.histogram_bins,
-         config.histogram_range, config.seed, config.n_shots, block, range(lo, hi))
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
     try:
         n_cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         n_cpus = os.cpu_count() or 1
+    # One job per process, none empty; the output does not depend on the split.
+    n_jobs = min(config.n_workers, n_blocks, n_cpus)
+    bounds = [n_blocks * w // n_jobs for w in range(n_jobs + 1)]
+    jobs = [
+        (weights, alpha, tail_q, components, grid, config.histogram_bins,
+         config.histogram_range, config.seed, config.n_shots, block, range(lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
     if len(jobs) == 1:
         # One job in this process: a second usable CPU draws ahead of it.
         outs = [_run_blocks(*jobs[0], prefetch=n_cpus >= 2)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # No more processes than usable CPUs; the jobs stay as split, so
-        # the output cannot change.
-        with ProcessPoolExecutor(max_workers=min(len(jobs), n_cpus)) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             outs = list(pool.map(_run_blocks, *zip(*jobs)))
 
     # Integer counts sum exactly, and the moments merge along the fixed tree

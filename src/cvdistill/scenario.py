@@ -70,9 +70,15 @@ class RunReport:
         _require(d, names, "report")
         _require(d, ["thresholds"], "report", list)
         _require(d["provenance"], ["config"], "provenance")
+        n_levels = 0
         if d["channel"] is not None:
             _require(d["channel"], ["transmittances", "probabilities"], "channel", list)
-        n_levels = len(d["channel"]["transmittances"]) if d["channel"] is not None else 0
+            n_levels = len(d["channel"]["transmittances"])
+            if len(d["channel"]["probabilities"]) != n_levels:
+                raise ValueError("channel 'transmittances' and 'probabilities' differ in length")
+            for key in ("transmittances", "probabilities"):
+                for i, value in enumerate(d["channel"][key]):
+                    _finite(value, f"channel {key!r}[{i}]")
         edges = d["histogram_edges"]
         if edges is not None and (not isinstance(edges, list) or len(edges) < 2):
             raise ValueError("report 'histogram_edges' must be null or a list of "
@@ -92,6 +98,8 @@ class RunReport:
                     raise ValueError("threshold row lacks posterior weights for some channel levels")
                 for key in ("success_probability", "gaussian_ln"):
                     _finite(section[key], f"threshold row {key!r}")
+                if section.get("weight_entropy") is not None:
+                    _finite(section["weight_entropy"], "threshold row 'weight_entropy', if not null,")
                 for i, weight in enumerate(section["posterior_weights"]):
                     _finite(weight, f"threshold row 'posterior_weights'[{i}]")
             if row.get("mc") and edges is not None:

@@ -52,6 +52,9 @@ BOTH_THRESHOLDS = [0.0, 2.0, 4.0, 12.0]
 THRESHOLD_REASON = "threshold row 'threshold', if not null, must be a finite number"
 HISTOGRAM_REASON = "mc histogram counts must be 201 integers, one per bin"
 
+# The default source fit's antisqueezed variance, bit for bit.
+PINNED_V_ANTISQUEEZED = 122.83446271865805
+
 
 @pytest.fixture(scope="module")
 def both_run(tmp_path_factory):
@@ -163,7 +166,7 @@ class TestClosedFormSourceFit:
         assert str(closed.value) == str(built.value)
 
     def test_default_fit_pinned(self):
-        assert calibrate().v_antisqueezed == 122.83446271865805
+        assert calibrate().v_antisqueezed == PINNED_V_ANTISQUEEZED
 
     def test_fit_matches_state_path_bisection(self):
         rng = np.random.default_rng(2024)
@@ -465,12 +468,14 @@ class TestConfig:
 
 
 # Config dicts for the fuzz test: the presets, and variants with an explicit
-# source and with explicit channel levels.
+# source and with explicit channel levels, run again by the Monte Carlo
+# (engine "mc") and by both engines.
 FUZZ_BASES = [preset_config(name).to_dict() for name in ("perfect", "discrete", "semicontinuous")]
 FUZZ_BASES += [
     {**FUZZ_BASES[1], "source": {"v_squeezed": 0.6, "v_antisqueezed": 50.0}},
     {**FUZZ_BASES[1], "channel": {"levels": [{"t": 0.5, "p": 0.25}, {"t": 1.0, "p": 0.75}]}},
 ]
+FUZZ_BASES += [{**FUZZ_BASES[3], "engine": "mc"}, {**FUZZ_BASES[4], "engine": "both"}]
 DELETE = object()
 FUZZ_VALUES = [DELETE, None, True, False, 0, -1, 2, 7, 0.5, 1e300, math.nan, math.inf, "x",
                [], [0.5, 2], {}, {"t": 0.5}]
@@ -946,7 +951,11 @@ def test_readme_library_use_runs(capsys):
 
 
 class TestConsoleScriptTwins:
-    """The checks of CI's installed-console-script step, run in process on the checkout."""
+    """The console script's answers, checked in process on the checkout.
+
+    CI no longer runs these checks on the installed script; it only runs
+    ``cvdistill --version`` and one small run there.
+    """
 
     def test_project_scripts_entry_point(self, capsys):
         # Read without tomllib, which Python 3.10 lacks.
@@ -1001,6 +1010,7 @@ class TestCliCommands:
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["v_squeezed"] == pytest.approx(2.0 ** (-0.76), rel=1e-12)
+        assert blob["v_antisqueezed"] == PINNED_V_ANTISQUEEZED
         assert blob["envelope"]["p_full"] == 0.2
         assert json.loads(out_file.read_text()) == blob
 
@@ -1245,12 +1255,19 @@ class TestCliCommands:
          "threshold row 'gaussian_ln' must be a finite number"),
         (lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].__setitem__(0, "x"),
          "threshold row 'posterior_weights'[0] must be a finite number"),
+        (lambda d: d["channel"]["probabilities"].pop(),
+         "channel 'transmittances' and 'probabilities' differ in length"),
+        (lambda d: d["channel"]["transmittances"].__setitem__(0, "x"),
+         "channel 'transmittances'[0] must be a finite number"),
+        (lambda d: d["thresholds"][0]["analytic"].update(weight_entropy=float("nan")),
+         "threshold row 'weight_entropy', if not null, must be a finite number"),
     ], ids=["row-without-threshold", "channel-without-probabilities", "thresholds-not-a-list",
             "posterior-weights-short", "threshold-tags-collide", "threshold-is-bool",
             "threshold-is-infinite", "threshold-is-nan", "histogram-counts-short",
             "histogram-count-fractional", "histogram-count-bool", "histogram-edges-too-few",
             "histogram-edge-infinite", "histogram-edges-reversed", "success-not-a-number",
-            "ln-not-a-number", "posterior-weight-not-a-number"])
+            "ln-not-a-number", "posterior-weight-not-a-number", "channel-lists-differ",
+            "transmittance-not-a-number", "weight-entropy-nan"])
     def test_report_command_malformed_report(self, capsys, tmp_path, both_run, corrupt, reason):
         first, _ = both_run
         data = json.loads((first / "report.json").read_text())

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -772,7 +773,7 @@ class TestRunMcSweep:
 
         ref = outputs(1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        runs = [outputs(5000)]  # five jobs, two processes
+        runs = [outputs(5000)]  # two jobs, two processes
         # Without sched_getaffinity the pool falls back to the CPU count.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -780,6 +781,24 @@ class TestRunMcSweep:
         assert sizes == [2, 3, 2]
         for out in runs:
             assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+
+    def test_worker_count_costs_no_memory_beyond_the_jobs(self, tapped_discrete):
+        # One block, so no pool starts: a million workers split it no finer than one.
+        conf = McConfig(n_shots=1_000, seed=28)
+        assert sampling_plan(tapped_discrete, conf.n_shots, 3.0)[1] == 1
+
+        def peak(n_workers):
+            tracemalloc.start()
+            try:
+                out = sweep_outputs(run_mc_sweep(
+                    tapped_discrete, dataclasses.replace(conf, n_workers=n_workers), [3.0]))
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (ref, one), (out, million) = peak(1), peak(10**6)
+        assert million - one <= 2**20
+        assert all(np.array_equal(u, v) for u, v in zip(out, ref))
 
     def test_counts_sum_to_their_totals(self, tapped_discrete):
         # Thresholds 9 and 1e4 keep fewer than five of 20,000 shots: counted, not stacked.
