@@ -67,28 +67,6 @@ class ConfigError(ValueError):
     """Configuration file or dictionary is invalid."""
 
 
-def threshold_tag(threshold) -> str:
-    """The part of a per-threshold artifact file name that names the threshold."""
-    return f"{threshold:g}"
-
-
-def check_threshold_tags(thresholds, where: str) -> None:
-    """ConfigError if two distinct thresholds would write the same artifact files.
-
-    Tags keep 6 significant digits, so 1.0000001 and 1.0000004 both tag
-    as "1" and the second threshold's tables would overwrite the first's.
-    Equal thresholds write equal tables and are allowed.
-    """
-    seen = {}
-    for th in thresholds:
-        first = seen.setdefault(threshold_tag(th), th)
-        if first != th:
-            raise ConfigError(
-                f"{where} {first!r} and {th!r} share the artifact file tag "
-                f"'th{threshold_tag(th)}'"
-            )
-
-
 def _require_keys(d: dict, allowed, context: str, required=()):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -297,7 +275,6 @@ class TapConfig:
         if not isinstance(self.thresholds, list) or not self.thresholds:
             raise ConfigError("tap.thresholds must be a non-empty list")
         self.thresholds = [_finite(th, f"tap.thresholds[{i}]") for i, th in enumerate(self.thresholds)]
-        check_threshold_tags(self.thresholds, "tap.thresholds")
 
     @classmethod
     def from_dict(cls, d) -> "TapConfig | None":

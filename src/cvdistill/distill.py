@@ -78,16 +78,13 @@ class DistilledEnsemble:
     uncentered. ``pooled_cov`` is the central covariance of the pooled kept
     ensemble (mean subtracted after pooling).
 
-    Every field but ``prior_weights`` and ``errors`` has a leading axis
-    with one entry per grid threshold (see :func:`herald`) whose selection
-    is not degenerate, in grid order. ``errors`` has one entry per grid
-    threshold: None where the stacks have a row for it, else its
-    :class:`DegenerateSelectionError`.
+    Every field but ``errors`` has a leading axis with one entry per grid
+    threshold (see :func:`herald`) whose selection is not degenerate, in
+    grid order. ``errors`` has one entry per grid threshold: None where
+    the stacks have a row for it, else its :class:`DegenerateSelectionError`.
     """
 
-    threshold_x: np.ndarray  # (K,)
     success_probability: np.ndarray  # (K,)
-    prior_weights: np.ndarray  # (L,)
     posterior_weights: np.ndarray  # (K, L)
     per_component_pass: np.ndarray  # (K, L)
     component_means: np.ndarray  # (K, L, 4)
@@ -403,8 +400,8 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
         pc = np.einsum("ti,tijk->tjk", w, s2) - mu[:, :, None] * mu[:, None, :]
         pooled_cov[block] = 0.5 * (pc + pc.swapaxes(-1, -2))
 
-    return DistilledEnsemble(thresholds[kept], success[kept], prior, posterior, passes[kept],
-                             cond_mean, seconds, pooled_mean, pooled_cov, errors)
+    return DistilledEnsemble(success[kept], posterior, passes[kept], cond_mean, seconds,
+                             pooled_mean, pooled_cov, errors)
 
 
 def _blocks(n: int):

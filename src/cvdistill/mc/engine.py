@@ -117,7 +117,7 @@ import numpy as np
 from ..config import McConfig
 from ..distill import (DegenerateSelectionError, TapModel, check_grid, distilled_gln,
                        gaussian_tail, series_bin_probabilities)
-from ..gaussian import InvalidCovarianceError, log_negativity_gradient
+from ..gaussian import log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS
@@ -178,9 +178,8 @@ class McSweep:
     have one row per threshold that kept at least ``MIN_KEPT`` shots, in
     grid order. ``errors`` has one entry per grid threshold: None where the
     stacks have a row for it, else a :class:`DegenerateSelectionError`
-    (fewer than two shots kept) or an :class:`InvalidCovarianceError` (two
-    to four kept, too few for a positive-definite covariance). Nothing
-    depends on the worker count.
+    naming its kept count, below ``MIN_KEPT``. Nothing depends on the
+    worker count.
     """
 
     thresholds: np.ndarray
@@ -496,11 +495,9 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
 
     total = config.n_shots
     errors = tuple(
-        None if kept_count[j] >= MIN_KEPT
-        else InvalidCovarianceError("covariance matrix is not positive definite")
-        if kept_count[j] >= 2
-        else DegenerateSelectionError(
-            f"only {kept_count[j]} of {total} shots passed threshold {float(grid[j])}")
+        None if kept_count[j] >= MIN_KEPT else DegenerateSelectionError(
+            f"only {kept_count[j]} of {total} shots passed threshold {float(grid[j])}, "
+            f"fewer than MIN_KEPT = {MIN_KEPT}")
         for j in grid_index
     )
     rows = grid_index[kept_count[grid_index] >= MIN_KEPT]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .channel import MixtureState, pooled_cm, propagate, upper_bound_ln
-from .config import ExperimentConfig, _finite, check_threshold_tags, threshold_tag
+from .config import ExperimentConfig, _finite
 from .distill import (
     attach_tap,
     distilled_gln,
@@ -110,8 +110,6 @@ class RunReport:
                         if len(counts) != len(edges) - 1 or any(type(c) is not int for c in counts):
                             raise ValueError(f"mc histogram counts must be {len(edges) - 1} "
                                              "integers, one per bin")
-        check_threshold_tags([row["threshold"] for row in d["thresholds"]
-                              if row["threshold"] is not None], "report thresholds")
         return cls(**{k: d[k] for k in names})
 
     @property
@@ -180,8 +178,8 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
 
     Each engine runs once for all thresholds (``herald`` on the grid,
     ``run_mc_sweep``); the loop over thresholds only assembles rows.
-    Per-threshold engine failures (degenerate selection, or too few kept
-    shots for a positive-definite covariance) are recorded in the
+    Per-threshold engine failures (a degenerate selection: the success
+    underflowed, or too few shots were kept) are recorded in the
     corresponding row and the run continues; the report's ``flags`` say
     whether every threshold failed or the engines disagreed.
     """
@@ -324,6 +322,19 @@ def _write_text(path: str, text: str) -> None:
         raise OSError(f"failed writing artifact {path}: {exc}") from exc
 
 
+def _file_tag(threshold) -> str:
+    """The part of a per-threshold file name that names ``threshold``; parses back to it exactly.
+
+    ``{:g}`` where it round-trips, which every grid of a few significant
+    digits does, else the shortest round-tripping ``repr``, so distinct
+    thresholds never share a file. ``float`` first: numpy scalars ``repr``
+    as ``np.float64(...)``.
+    """
+    threshold = float(threshold)
+    tag = f"{threshold:g}"
+    return tag if float(tag) == threshold else repr(threshold)
+
+
 def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> list:
     """Write report artifacts to ``out_dir``; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
@@ -379,7 +390,7 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
                 + [f"{prefix}{_fmt(weights[i])},{_fmt(mc_weights[i])}\n"
                    for i, prefix in enumerate(levels)]
             )
-            path = os.path.join(out_dir, f"posterior_weights_th{threshold_tag(row['threshold'])}.csv")
+            path = os.path.join(out_dir, f"posterior_weights_th{_file_tag(row['threshold'])}.csv")
             _write_text(path, text)
             written.append(path)
 
@@ -402,7 +413,7 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
                     pre_blocks[key] = _histogram_block(bins, by_sel["pre"], series, "pre")
                 parts.append(pre_blocks[key])
                 parts.append(_histogram_block(bins, by_sel["post"], series, "post"))
-            path = os.path.join(out_dir, f"histograms_th{threshold_tag(row['threshold'])}.csv")
+            path = os.path.join(out_dir, f"histograms_th{_file_tag(row['threshold'])}.csv")
             _write_text(path, "".join(parts))
             written.append(path)
 

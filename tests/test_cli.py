@@ -40,7 +40,8 @@ import cvdistill.scenario as scenario
 from cvdistill.calibrate import (BRACKET_HI, DEFAULT_LN_DISCRETE_PREMIX, ENVELOPE_FAMILIES,
                                  ENVELOPE_LN_TOL, ENVELOPES, SOURCE_LN_TOL, _bisect, premix_ln)
 from cvdistill.cli import main
-from cvdistill.config import ChannelSettings, ConfigError, McConfig, SourceSettings, TapConfig
+from cvdistill.config import (DEFAULT_THRESHOLDS, ChannelSettings, ConfigError, McConfig,
+                              SourceSettings, TapConfig)
 from cvdistill.mc import SERIES
 from cvdistill.scenario import AGREEMENT_MIN_SUCCESS, RunReport, ln_agreement
 
@@ -612,7 +613,8 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert report.thresholds[0]["mc"]["kept_count"] > 4
         assert report.thresholds[2]["mc"] is None
-        assert report.thresholds[2]["error"] == "mc: covariance matrix is not positive definite"
+        assert report.thresholds[2]["error"] == (
+            "mc: only 3 of 300000 shots passed threshold 9.5, fewer than MIN_KEPT = 5")
         assert not report.flags["all_degenerate"]
 
     def test_three_kept_shots_recorded_not_nan(self, tmp_path):
@@ -630,7 +632,8 @@ class TestRunScenario:
         rows = {row["threshold"]: row for row in json.loads(text, parse_constant=pytest.fail)["thresholds"]}
         assert rows[3.0]["mc"]["kept_count"] > 4
         assert rows[3.5]["mc"] is None
-        assert rows[3.5]["error"] == "mc: covariance matrix is not positive definite"
+        assert rows[3.5]["error"] == (
+            "mc: only 3 of 20000 shots passed threshold 3.5, fewer than MIN_KEPT = 5")
         assert "nan" not in (tmp_path / "art" / "sweep.csv").read_text()
 
     def test_all_degenerate_flagged(self):
@@ -774,6 +777,24 @@ class TestArtifacts:
 
         cfg2 = parse_config(json.loads((out / "config.json").read_text()))
         assert cfg2.config_hash() == cfg.config_hash()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_file_tag_parses_back_to_its_threshold(self, a, b):
+        tag = scenario._file_tag(a)
+        assert float(tag) == a
+        if float(f"{a:g}") == a:
+            assert tag == f"{a:g}"
+        assert scenario._file_tag(np.float64(a)) == tag
+        if a != b:  # 0.0 and -0.0 are one threshold, written as th0 and th-0
+            assert scenario._file_tag(b) != tag
+
+    @pytest.mark.parametrize("grid", [
+        DEFAULT_THRESHOLDS, [12.0 * k / 240 for k in range(241)], [12.0 * k / 24 for k in range(25)],
+    ], ids=["default", "benchmark-0.05-snu", "benchmark-quick-0.5-snu"])
+    def test_file_tag_renames_no_grid_file(self, grid):
+        assert [scenario._file_tag(t) for t in grid] == [f"{t:g}" for t in grid]
 
     def test_header_only_sweep_when_everything_degenerate(self, tmp_path):
         cfg = preset_config("discrete")
@@ -1119,20 +1140,39 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("thresholds, code", [([1.0000001, 1.0000004], 2), ([2.0, 2.0], 0)],
-                             ids=["distinct-same-tag", "exact-duplicates"])
-    def test_run_threshold_tags_must_differ(self, capsys, tmp_path, thresholds, code):
-        # Artifact names keep 6 significant digits: distinct thresholds that
-        # share one would overwrite each other's tables.
-        raw = preset_config("discrete").to_dict()
-        raw["tap"]["thresholds"] = thresholds
+    @pytest.mark.parametrize("thresholds, tags", [
+        ([1.0000001, 1.0000004], ["1.0000001", "1.0000004"]), ([2.0, 2.0], ["2"]),
+    ], ids=["distinct-close", "exact-duplicates"])
+    def test_run_writes_each_threshold_its_own_files(self, capsys, tmp_path, thresholds, tags):
+        # 1.0000001 and 1.0000004 agree to 6 significant digits, which is all
+        # that {:g} keeps; their file names keep every digit instead.
+        cfg = preset_config("discrete")
+        cfg.engine = "both"
+        cfg.tap.thresholds = thresholds
+        cfg.mc.n_shots = 20_000
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == code
-        if code == 2:
-            assert "tag 'th1'" in capsys.readouterr().err
-        else:
-            assert len((tmp_path / "art" / "sweep.csv").read_text().splitlines()) == 3
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        first = tmp_path / "art"
+        assert main(["run", "--config", str(cfg_path), "--out", str(first)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(["config.json", "report.json", "sweep.csv"]
+                               + [f"{kind}_th{tag}.csv" for kind in ("histograms", "posterior_weights")
+                                  for tag in tags])
+        rows = json.loads((first / "report.json").read_text())["thresholds"]
+        assert len((first / "sweep.csv").read_text().splitlines()) == 1 + len(rows)
+        for row in rows:
+            tag = tags[sorted(set(thresholds)).index(row["threshold"])]
+            post = (first / f"posterior_weights_th{tag}.csv").read_text().splitlines()[1:]
+            assert [float(line.split(",")[3]) for line in post] == row["analytic"]["posterior_weights"]
+            assert [float(line.split(",")[4]) for line in post] == row["mc"]["posterior_weights"]
+            hist = (first / f"histograms_th{tag}.csv").read_text().splitlines()[1:]
+            post_x_tap = [int(line.split(",")[2]) for line in hist if line.endswith(",X_tap,post")]
+            assert post_x_tap == row["mc"]["histograms"]["X_tap"]["post"]
+        second = tmp_path / "second"
+        assert main(["report", "--report", str(first / "report.json"), "--out", str(second)]) == 0
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_run_few_kept_shots_reports_no_standard_error(self, capsys, tmp_path):
         # At 7.5 SNU (success 2.7e-4, so the agreement check would apply)
@@ -1234,8 +1274,6 @@ class TestCliCommands:
         (lambda d: d.update(thresholds=5), "report needs 'thresholds'"),
         (lambda d: d["thresholds"][0]["analytic"]["posterior_weights"].pop(),
          "lacks posterior weights"),
-        (lambda d: d["thresholds"].append(dict(d["thresholds"][0], threshold=2.0000001)),
-         "share the artifact file tag"),
         (lambda d: d["thresholds"][1].update(threshold=True), THRESHOLD_REASON),
         (lambda d: d["thresholds"][1].update(threshold=float("inf")), THRESHOLD_REASON),
         (lambda d: d["thresholds"][1].update(threshold=float("nan")), THRESHOLD_REASON),
@@ -1262,7 +1300,7 @@ class TestCliCommands:
         (lambda d: d["thresholds"][0]["analytic"].update(weight_entropy=float("nan")),
          "threshold row 'weight_entropy', if not null, must be a finite number"),
     ], ids=["row-without-threshold", "channel-without-probabilities", "thresholds-not-a-list",
-            "posterior-weights-short", "threshold-tags-collide", "threshold-is-bool",
+            "posterior-weights-short", "threshold-is-bool",
             "threshold-is-infinite", "threshold-is-nan", "histogram-counts-short",
             "histogram-count-fractional", "histogram-count-bool", "histogram-edges-too-few",
             "histogram-edge-infinite", "histogram-edges-reversed", "success-not-a-number",

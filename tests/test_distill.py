@@ -441,9 +441,9 @@ class TestHerald:
 
     def test_weight_bookkeeping_identities(self, discrete_tapped):
         ens = herald(discrete_tapped, [0.0, 4.0, 9.0])
-        assert_allclose(ens.success_probability, ens.per_component_pass @ ens.prior_weights,
-                        rtol=1e-14)
-        expected = ens.prior_weights * ens.per_component_pass / ens.success_probability[:, None]
+        prior = discrete_tapped.weights
+        assert_allclose(ens.success_probability, ens.per_component_pass @ prior, rtol=1e-14)
+        expected = prior * ens.per_component_pass / ens.success_probability[:, None]
         assert_allclose(ens.posterior_weights, expected, rtol=1e-14)
         assert_allclose(ens.posterior_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -632,7 +632,7 @@ def _grid_row_metrics(ens):
     """Per-row values of every field and metric of a stacked ensemble, by name."""
     entropy, max_dist = gaussification_metrics(ens)
     var_x, var_p = joint_quadrature_variances(ens.pooled_cov)
-    out = {f.name: getattr(ens, f.name) for f in fields(ens) if f.name not in ("prior_weights", "errors")}
+    out = {f.name: getattr(ens, f.name) for f in fields(ens) if f.name != "errors"}
     out.update(ln=distilled_gln(ens), entropy=entropy, max_dist=max_dist, var_x=var_x, var_p=var_p)
     return out
 
@@ -653,12 +653,10 @@ class TestThresholdSweep:
         grid = np.concatenate([np.linspace(12.0, -3.0, 2 * HERALD_BLOCK + 5), [4.0, -1.0, 4.0]])
         ens = herald(tapped, grid)
         assert ens.errors == (None,) * grid.size
-        assert_allclose(ens.threshold_x, grid, rtol=0, atol=0)
         stacked = _grid_row_metrics(ens)
         for k, th in enumerate(grid):
             alone = herald(tapped, [th])
             assert alone.errors == (None,)
-            assert_allclose(alone.prior_weights, ens.prior_weights, rtol=0, atol=0)
             for key, value in _grid_row_metrics(alone).items():
                 _assert_rows_close(stacked[key][k], value[0], key)
 
@@ -670,7 +668,6 @@ class TestThresholdSweep:
         assert ens.errors[0] is None and ens.errors[2] is None
         assert isinstance(ens.errors[1], DegenerateSelectionError)
         assert str(ens.errors[1]) == "success probability underflowed (0.0) at threshold 10000.0"
-        assert_allclose(ens.threshold_x, [2.0, 3.0], rtol=0, atol=0)
         for k, th in enumerate((2.0, 3.0)):
             alone = _grid_row_metrics(herald(discrete_tapped, [th]))
             for key, value in alone.items():
@@ -754,11 +751,10 @@ class TestGridContract:
         assert degenerate[-1]
         assert [isinstance(e, DegenerateSelectionError) for e in ens.errors] == degenerate.tolist()
         assert [e is None for e in ens.errors] == (~degenerate).tolist()
-        assert np.array_equal(ens.threshold_x, grid[~degenerate])
         if not degenerate.all():
             _assert_rel(ens.success_probability, success[~degenerate], 1e-12, "success")
         stacked = _grid_row_metrics(ens)
-        for k, th in enumerate(ens.threshold_x):
+        for k, th in enumerate(grid[~degenerate]):
             alone = herald(tapped, [th])
             assert alone.errors == (None,)
             for key, value in _grid_row_metrics(alone).items():
@@ -791,9 +787,7 @@ class TestGaussification:
                             3.0 * np.eye(4) + np.outer(means[1], means[1])])
         weights = np.array([0.25, 0.75])
         ens = DistilledEnsemble(
-            threshold_x=np.zeros(1),
             success_probability=np.ones(1),
-            prior_weights=weights,
             posterior_weights=weights[None],
             per_component_pass=np.ones((1, 2)),
             component_means=means[None],

@@ -15,7 +15,6 @@ from cvdistill import (
     DegenerateSelectionError,
     FluctuatingChannel,
     GaussianState,
-    InvalidCovarianceError,
     McConfig,
     TapConfig,
     TapModel,
@@ -451,7 +450,7 @@ class TestRunMc:
         res = sweep_at(tapped_discrete, McConfig(n_shots=5_000, seed=3), 1e4)
         (error,) = res.errors
         assert isinstance(error, DegenerateSelectionError)
-        assert str(error) == "only 0 of 5000 shots passed threshold 10000.0"
+        assert str(error) == "only 0 of 5000 shots passed threshold 10000.0, fewer than MIN_KEPT = 5"
         assert res.total_count == 5_000
         assert res.kept_count[0] == 0
         assert res.hist_pre[SERIES.index("X_tap")].sum() == 5_000
@@ -819,18 +818,16 @@ class TestRunMcSweep:
 
     def test_rows_and_errors_follow_the_kept_count(self, tapped_discrete):
         # Kept 16, 7, 4, 3, 1 and 0 of 20,000 shots: a row with an LN error,
-        # a row without one, two too few for a positive-definite covariance
-        # and two too few for any moment.
+        # a row without one, and four below MIN_KEPT, too few for a
+        # positive-definite covariance, with one error for all four.
         grid = [6.5, 7.0, 7.75, 8.25, 8.5, 9.0]
         sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=13), grid)
         assert sweep.kept_count.tolist() == [16, 7, 4, 3, 1, 0]
         assert sweep.errors[:2] == (None, None)
-        for exc in sweep.errors[2:4]:
-            assert type(exc) is InvalidCovarianceError
-            assert str(exc) == "covariance matrix is not positive definite"
-        for exc, kept, th in zip(sweep.errors[4:], (1, 0), grid[4:]):
+        for exc, kept, th in zip(sweep.errors[2:], (4, 3, 1, 0), grid[2:]):
             assert type(exc) is DegenerateSelectionError
-            assert str(exc) == f"only {kept} of 20000 shots passed threshold {th}"
+            assert str(exc) == (f"only {kept} of 20000 shots passed threshold {th}, "
+                                "fewer than MIN_KEPT = 5")
         assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == len(sweep.cov_sampling) == 2
         ln, se = ln_with_se(sweep)
         assert np.all(np.isfinite(ln)) and se[0] > 0 and se[1] is None
