@@ -26,7 +26,6 @@ from .distill import (
     attach_tap,
     distilled_gln,
     gaussian_tail,
-    gaussification_metrics,
     herald,
     joint_quadrature_variances,
     tail_hazard,
@@ -74,7 +73,6 @@ __all__ = [
     "attach_tap",
     "distilled_gln",
     "gaussian_tail",
-    "gaussification_metrics",
     "herald",
     "joint_quadrature_variances",
     "tail_hazard",

@@ -8,9 +8,11 @@ second moments are exact truncated-Gaussian expressions, so the heralded
 ensemble (weights, means, covariance) is computed in closed form, not sampled.
 
 A threshold sweep is one array pass: ``herald`` takes a grid of thresholds
-and evaluates every quantity as a (threshold, level, ...) array expression,
-block by block of ``HERALD_BLOCK`` thresholds, and the metrics of this module
-accept the stacked ensemble it returns. One threshold is the one-entry grid.
+and evaluates every quantity, the Gaussification measures included, as a
+(threshold, level, ...) array expression, block by block of ``HERALD_BLOCK``
+thresholds. The per-level moments live only inside a block; the stacked
+ensemble keeps what the report reads, and ``distilled_gln`` accepts it. One
+threshold is the one-entry grid.
 """
 
 from __future__ import annotations
@@ -40,15 +42,14 @@ __all__ = [
     "series_bin_probabilities",
     "herald",
     "distilled_gln",
-    "gaussification_metrics",
     "joint_quadrature_variances",
 ]
 
 # Below this success probability the selection is reported as degenerate
 # instead of returning denormal/NaN-poisoned moments.
 SUCCESS_FLOOR = 1e-300
-# Thresholds per block of a threshold grid: bounds the (block, L, 4, 4)
-# temporaries of herald and gaussification_metrics, whatever the grid's length.
+# Thresholds per block of a threshold grid: bounds herald's (block, L, 4, 4)
+# per-level moments, whatever the grid's length.
 HERALD_BLOCK = 32
 
 _SQRT2 = np.sqrt(2.0)
@@ -73,10 +74,16 @@ class DegenerateSelectionError(RuntimeError):
 class DistilledEnsemble:
     """Heralded mixture after tap measurement and thresholding.
 
-    Component moments refer to the kept two-mode (A, B) state conditioned
-    on the tap outcome exceeding the threshold; second moments are
-    uncentered. ``pooled_cov`` is the central covariance of the pooled kept
-    ensemble (mean subtracted after pooling).
+    Moments refer to the kept two-mode (A, B) state conditioned on the tap
+    outcome exceeding the threshold. ``pooled_cov`` is the central
+    covariance of the pooled kept ensemble (mean subtracted after pooling).
+
+    Two measures say how close the heralded mixture is to one Gaussian
+    (Gaussification): ``weight_entropy``, the Shannon entropy of the
+    posterior weights in bits, and ``max_component_cov_distance``, the
+    largest Frobenius distance between ``pooled_cov`` and the central
+    covariance of any level of posterior weight above 1e-6, taken about
+    the pooled mean. Both vanish for a single-level ensemble.
 
     Every field but ``errors`` has a leading axis with one entry per grid
     threshold (see :func:`herald`) whose selection is not degenerate, in
@@ -87,10 +94,10 @@ class DistilledEnsemble:
     success_probability: np.ndarray  # (K,)
     posterior_weights: np.ndarray  # (K, L)
     per_component_pass: np.ndarray  # (K, L)
-    component_means: np.ndarray  # (K, L, 4)
-    component_second_moments: np.ndarray  # (K, L, 4, 4), uncentered
     pooled_mean: np.ndarray  # (K, 4)
     pooled_cov: np.ndarray  # (K, 4, 4)
+    weight_entropy: np.ndarray  # (K,)
+    max_component_cov_distance: np.ndarray  # (K,)
     errors: tuple
 
 
@@ -352,10 +359,11 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
 
     ``thresholds`` is a non-empty 1-d grid (unsorted and repeated values
     allowed), evaluated as array expressions over blocks of
-    ``HERALD_BLOCK`` thresholds, so the temporaries do not grow with its
-    length. The fields are stacked (see :class:`DistilledEnsemble`). A
-    threshold whose success probability is at or below ``SUCCESS_FLOOR``
-    gets a :class:`DegenerateSelectionError` in ``errors`` and no row. Raises
+    ``HERALD_BLOCK`` thresholds: the per-level moments exist one block at
+    a time, so only the (K, L) and smaller outputs grow with its length.
+    The fields are stacked (see :class:`DistilledEnsemble`). A threshold
+    whose success probability is at or below ``SUCCESS_FLOOR`` gets a
+    :class:`DegenerateSelectionError` in ``errors`` and no row. Raises
     ``ValueError`` as :func:`check_grid` does.
     """
     thresholds = check_grid(thresholds)
@@ -377,16 +385,16 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     m = mean[:, :4]
     n_kept, n_levels = kept.size, prior.size
     posterior = np.empty((n_kept, n_levels))
-    cond_mean = np.empty((n_kept, n_levels, 4))
-    seconds = np.empty((n_kept, n_levels, 4, 4))
     pooled_mean = np.empty((n_kept, 4))
     pooled_cov = np.empty((n_kept, 4, 4))
+    max_dist = np.empty(n_kept)
     hazard = tail_hazard(alpha[kept])
-    for block in _blocks(n_kept):
+    for lo in range(0, n_kept, HERALD_BLOCK):
+        block = slice(lo, lo + HERALD_BLOCK)
         rows = kept[block]
         a = alpha[rows]
         lam = hazard[block]
-        c = cond_mean[block] = m + reg * lam[:, :, None]
+        c = m + reg * lam[:, :, None]
         second = (
             cov[:, :4, :4]
             + explained * (a * lam)[:, :, None, None]
@@ -394,19 +402,22 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
             + c[:, :, :, None] * m[:, None, :]
             - m[:, :, None] * m[:, None, :]
         )
-        s2 = seconds[block] = 0.5 * (second + second.swapaxes(-1, -2))
+        s2 = 0.5 * (second + second.swapaxes(-1, -2))
         w = posterior[block] = prior * passes[rows] / success[rows, None]
         mu = pooled_mean[block] = (w[:, None, :] @ c)[:, 0]
         pc = np.einsum("ti,tijk->tjk", w, s2) - mu[:, :, None] * mu[:, None, :]
-        pooled_cov[block] = 0.5 * (pc + pc.swapaxes(-1, -2))
+        pc = pooled_cov[block] = 0.5 * (pc + pc.swapaxes(-1, -2))
+        # Each level's central covariance, taken about the pooled mean.
+        shift = c - mu[:, None, :]
+        centered = (s2 - c[:, :, :, None] * c[:, :, None, :]
+                    + shift[:, :, :, None] * shift[:, :, None, :])
+        dist = np.linalg.norm(centered - pc[:, None], axis=(-2, -1))
+        max_dist[block] = np.where(w > 1e-6, dist, 0.0).max(axis=-1, initial=0.0)
 
-    return DistilledEnsemble(success[kept], posterior, passes[kept], cond_mean, seconds,
-                             pooled_mean, pooled_cov, errors)
-
-
-def _blocks(n: int):
-    """Slices of ``range(n)`` in consecutive blocks of ``HERALD_BLOCK``."""
-    return [slice(lo, lo + HERALD_BLOCK) for lo in range(0, n, HERALD_BLOCK)]
+    log_w = np.log2(posterior, out=np.zeros_like(posterior), where=posterior > 0.0)
+    entropy = -(posterior[:, None, :] @ log_w[:, :, None])[:, 0, 0]
+    return DistilledEnsemble(success[kept], posterior, passes[kept], pooled_mean, pooled_cov,
+                             entropy, max_dist, errors)
 
 
 def distilled_gln(ensemble: DistilledEnsemble):
@@ -417,34 +428,6 @@ def distilled_gln(ensemble: DistilledEnsemble):
     """
     nu_minus_sq, _ = pt_symplectic_spectrum(ensemble.pooled_cov)
     return -0.5 * np.log2(nu_minus_sq)
-
-
-def gaussification_metrics(ensemble: DistilledEnsemble):
-    """How close the heralded mixture is to a single Gaussian.
-
-    Returns (weight_entropy, max_component_cov_distance): the Shannon
-    entropy of the posterior weights in bits, and the largest Frobenius
-    distance between any component of posterior weight above 1e-6 and the
-    pooled covariance, the component's central covariance taken about the
-    pooled mean. Both vanish for a single-component ensemble. Each has one
-    value per stack row, evaluated over blocks of ``HERALD_BLOCK`` rows.
-    """
-    w = ensemble.posterior_weights
-    log_w = np.log2(w, out=np.zeros_like(w), where=w > 0.0)
-    entropy = -(w[:, None, :] @ log_w[:, :, None])[:, 0, 0]
-    keep = w > 1e-6
-    max_dist = np.empty(w.shape[0])
-    for block in _blocks(w.shape[0]):
-        mu = ensemble.component_means[block]
-        shift = mu - ensemble.pooled_mean[block, None, :]
-        centered = (
-            ensemble.component_second_moments[block]
-            - mu[:, :, :, None] * mu[:, :, None, :]
-            + shift[:, :, :, None] * shift[:, :, None, :]
-        )
-        dist = np.linalg.norm(centered - ensemble.pooled_cov[block, None], axis=(-2, -1))
-        max_dist[block] = np.where(keep[block], dist, 0.0).max(axis=-1, initial=0.0)
-    return entropy, max_dist
 
 
 def joint_quadrature_variances(cov):

@@ -165,8 +165,8 @@ class McSweep:
     and the pre-selection histograms ``hist_pre`` (5, bins), each series
     summing to ``total_count``, whose counts of the shots below the lowest
     threshold are drawn from their exact conditional law (see the module
-    docstring). Per grid threshold, in input order with duplicates:
-    ``thresholds``, ``kept_count`` (T,), ``per_level_kept`` (T, L) and the
+    docstring). Per grid threshold, in the caller's grid order with
+    duplicates: ``kept_count`` (T,), ``per_level_kept`` (T, L) and the
     post-selection histograms ``hist_post`` (T, 5, bins). Histogram series
     k is ``SERIES[k]``. Every field depends on the grid through its lowest
     threshold and its own threshold only: a row equals the same row of any
@@ -182,7 +182,6 @@ class McSweep:
     worker count.
     """
 
-    thresholds: np.ndarray
     total_count: int
     kept_count: np.ndarray
     per_level_kept: np.ndarray
@@ -324,10 +323,6 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
     lookup = _kernel_py.stratum_lookup(thresholds, hist_range, n_bins)
     rare = alpha >= RARE_ALPHA
     common = [(i, a) for i, a in enumerate(alpha.tolist()) if not rare[i]]
-    # Maximal runs [lo, hi) of consecutive levels that are all rare or all
-    # common: each run's candidates take their tap normals from one source.
-    cuts = [0, *(np.flatnonzero(rare[1:] != rare[:-1]) + 1).tolist(), n_levels]
-    runs = [(lo, hi, bool(rare[lo])) for lo, hi in zip(cuts, cuts[1:])]
 
     def draw(b, bufs):
         """Draw block b into ``bufs``: level counts, candidate counts and ends, normals (5, n)."""
@@ -353,15 +348,10 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
             bufs.normals = np.empty(5 * n)
         x = bufs.normals[: 5 * n].reshape(5, n)
         rng.standard_normal(out=x[:4])
-        cand_starts, cand_stops = (cand_ends - cand_counts).tolist(), cand_ends.tolist()
-        n_tail = 0  # tail normals placed so far; the other candidates before are common
-        for lo, hi, from_tail in runs:
-            start, stop = cand_starts[lo], cand_stops[hi - 1]
-            if from_tail:
-                x[4, start:stop] = tail[n_tail : n_tail + stop - start]
-                n_tail += stop - start
-            else:
-                np.take(z, cand[start - n_tail : stop - n_tail], out=x[4, start:stop])
+        # Both sources are in level order, as the candidates are.
+        from_tail = np.repeat(rare, cand_counts)
+        x[4, from_tail] = tail
+        x[4, ~from_tail] = z[cand]
         return level_counts, cand_counts, cand_ends, x
 
     # Sized from the block plan: a block's common shots and candidates
@@ -502,7 +492,7 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     )
     rows = grid_index[kept_count[grid_index] >= MIN_KEPT]
     return McSweep(
-        thresholds, total, kept_count[grid_index], per_level_kept[grid_index], edges, hist_pre,
+        total, kept_count[grid_index], per_level_kept[grid_index], edges, hist_pre,
         hist_post[grid_index], mean[rows], cov[rows], cov_sampling[rows], errors,
     )
 

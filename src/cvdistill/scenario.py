@@ -27,7 +27,6 @@ from .config import ExperimentConfig, _finite
 from .distill import (
     attach_tap,
     distilled_gln,
-    gaussification_metrics,
     herald,
     joint_quadrature_variances,
 )
@@ -227,12 +226,12 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         sections = {}
         if config.engine != "mc":
             ensemble = herald(tapped, thresholds)
-            entropy, max_dist = gaussification_metrics(ensemble)
             var_x, var_p = joint_quadrature_variances(ensemble.pooled_cov)
             sections["analytic"] = _sections(ensemble.errors, {
                 "success_probability": ensemble.success_probability,
-                "gaussian_ln": distilled_gln(ensemble), "weight_entropy": entropy,
-                "max_component_cov_distance": max_dist,
+                "gaussian_ln": distilled_gln(ensemble),
+                "weight_entropy": ensemble.weight_entropy,
+                "max_component_cov_distance": ensemble.max_component_cov_distance,
                 "posterior_weights": ensemble.posterior_weights, "joint_var_x_sum": var_x,
                 "joint_var_p_diff": var_p, "pooled_cov": ensemble.pooled_cov,
             })
@@ -336,7 +335,7 @@ def _file_tag(threshold) -> str:
 
 
 def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> list:
-    """Write report artifacts to ``out_dir``; returns the paths written."""
+    """Write report artifacts to ``out_dir``; returns the paths written, each once."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -367,6 +366,12 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
     _write_text(path, "".join(lines))
     written.append(path)
 
+    # Per-threshold files: a repeated threshold has one, from its first row.
+    first_rows = {}
+    for row in report.thresholds:
+        if row["threshold"] is not None:
+            first_rows.setdefault(_file_tag(row["threshold"]), row)
+
     # Posterior weight tables (mixture composition after heralding). The
     # level columns are the same in every table, so they are rendered once.
     if report.channel is not None:
@@ -376,9 +381,7 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
                                            report.channel["probabilities"]))
         ]
         no_weights = [None] * len(levels)
-        for row in report.thresholds:
-            if row["threshold"] is None:
-                continue
+        for tag, row in first_rows.items():
             analytic = row.get("analytic")
             mc = row.get("mc")
             if analytic is None and mc is None:
@@ -390,7 +393,7 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
                 + [f"{prefix}{_fmt(weights[i])},{_fmt(mc_weights[i])}\n"
                    for i, prefix in enumerate(levels)]
             )
-            path = os.path.join(out_dir, f"posterior_weights_th{_file_tag(row['threshold'])}.csv")
+            path = os.path.join(out_dir, f"posterior_weights_th{tag}.csv")
             _write_text(path, text)
             written.append(path)
 
@@ -402,9 +405,9 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
         edges = report.histogram_edges
         bins = [f"{_fmt(left)},{_fmt(right)}," for left, right in zip(edges[:-1], edges[1:])]
         pre_blocks = {}
-        for row in report.thresholds:
+        for tag, row in first_rows.items():
             mc = row.get("mc")
-            if mc is None or row["threshold"] is None:
+            if mc is None:
                 continue
             parts = [HISTOGRAM_HEADER]
             for series, by_sel in mc["histograms"].items():
@@ -413,7 +416,7 @@ def emit_artifacts(report: RunReport, out_dir: str, formats=("json", "csv")) -> 
                     pre_blocks[key] = _histogram_block(bins, by_sel["pre"], series, "pre")
                 parts.append(pre_blocks[key])
                 parts.append(_histogram_block(bins, by_sel["post"], series, "post"))
-            path = os.path.join(out_dir, f"histograms_th{_file_tag(row['threshold'])}.csv")
+            path = os.path.join(out_dir, f"histograms_th{tag}.csv")
             _write_text(path, "".join(parts))
             written.append(path)
 

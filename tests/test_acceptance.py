@@ -22,7 +22,6 @@ from cvdistill import (
     discrete_channel,
     distilled_gln,
     gaussian_log_negativity,
-    gaussification_metrics,
     herald,
     make_kerr_entangled,
     pooled_cm,
@@ -258,7 +257,7 @@ def test_criterion_9_gaussification(model):
     start = time.perf_counter()
     ens = herald(tapped, THRESHOLD_GRID)
     assert ens.errors == (None,) * len(THRESHOLD_GRID)
-    entropies = gaussification_metrics(ens)[0].tolist()
+    entropies = ens.weight_entropy.tolist()
     elapsed = time.perf_counter() - start
     assert all(b <= a + 1e-12 for a, b in zip(entropies, entropies[1:]))
     by_nine = entropies[THRESHOLD_GRID.index(9.0)]

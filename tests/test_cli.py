@@ -986,6 +986,14 @@ class TestConsoleScriptTwins:
         assert entries == [("cvdistill", "cvdistill.cli", "main")]
         _, module, attr = entries[0]
         assert getattr(importlib.import_module(module), attr) is main
+        # The package version has one source, which the build reads.
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r'^dynamic\s*=\s*\["version"\]\s*$', project, re.M)
+        assert not re.findall(r'^version\s*=', project, re.M)
+        dynamic = text.split("\n[tool.setuptools.dynamic]\n", 1)[1].split("\n[", 1)[0]
+        (source,) = re.findall(r'^version\s*=\s*\{\s*attr\s*=\s*"([\w.]+)"\s*\}\s*$', dynamic, re.M)
+        module, attr = source.rsplit(".", 1)
+        assert getattr(importlib.import_module(module), attr) == cvdistill.__version__
         with pytest.raises(SystemExit) as exit_:
             main(["--version"])
         assert exit_.value.code == 0
@@ -1169,7 +1177,11 @@ class TestCliCommands:
             post_x_tap = [int(line.split(",")[2]) for line in hist if line.endswith(",X_tap,post")]
             assert post_x_tap == row["mc"]["histograms"]["X_tap"]["post"]
         second = tmp_path / "second"
+        capsys.readouterr()
         assert main(["report", "--report", str(first / "report.json"), "--out", str(second)]) == 0
+        # Each file is written, and listed, once however often its threshold repeats.
+        written = json.loads(capsys.readouterr().out)["written"]
+        assert sorted(os.path.basename(path) for path in written) == names
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from cvdistill import (
     DegenerateSelectionError,
-    DistilledEnsemble,
     FluctuatingChannel,
     GaussianState,
     InvalidCovarianceError,
@@ -24,7 +23,6 @@ from cvdistill import (
     envelope_fading,
     gaussian_log_negativity,
     gaussian_tail,
-    gaussification_metrics,
     herald,
     joint_quadrature_variances,
     make_kerr_entangled,
@@ -448,10 +446,10 @@ class TestHerald:
         assert_allclose(ens.posterior_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_component_moment_matrices_well_formed(self, discrete_tapped):
-        ens = herald(discrete_tapped, [0.0, 3.0, 6.0, 9.0])
-        centrals = (ens.component_second_moments
-                    - ens.component_means[..., :, None] * ens.component_means[..., None, :])
-        assert np.linalg.eigvalsh(centrals).min() > 0.0
+        # A one-level herald's pooled covariance is that level's kept central covariance.
+        for mean, cov in zip(discrete_tapped.mean, discrete_tapped.cov):
+            alone = herald(TapModel([1.0], mean[None], cov[None]), [0.0, 3.0, 6.0, 9.0])
+            assert np.linalg.eigvalsh(alone.pooled_cov).min() > 0.0
         # conditional covariance (deep-selection limit) is PSD
         for cov in discrete_tapped.cov:
             sigma2 = cov[4, 4]
@@ -473,13 +471,19 @@ class TestHerald:
         assert len(set(model.cov[:, 4, 4].tolist())) == 3
         grid = [-1.0, 0.5, 2.5]
         ens = herald(model, grid)
+        pooled_mean, pooled_second = 0.0, 0.0
         for i, (_, mean, cov) in enumerate(components):
             alone = herald(TapModel([1.0], mean[None], cov[None]), grid)
             assert_allclose(ens.per_component_pass[:, i], alone.per_component_pass[:, 0], rtol=1e-13)
-            assert_allclose(ens.component_means[:, i], alone.component_means[:, 0], rtol=1e-13)
-            assert_allclose(
-                ens.component_second_moments[:, i], alone.component_second_moments[:, 0], rtol=1e-13
-            )
+            # The mixture's kept moments pool the levels' by posterior weight.
+            w = ens.posterior_weights[:, i, None]
+            mu = alone.pooled_mean
+            pooled_mean = pooled_mean + w * mu
+            pooled_second = pooled_second + w[:, :, None] * (
+                alone.pooled_cov + mu[:, :, None] * mu[:, None, :])
+        assert_allclose(ens.pooled_mean, pooled_mean, rtol=1e-13, atol=1e-13)
+        pooled_cov = pooled_second - pooled_mean[:, :, None] * pooled_mean[:, None, :]
+        assert_allclose(ens.pooled_cov, pooled_cov, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("threshold", [-1.5, 2.0, 9.0])
     def test_displaced_tap_against_mpmath(self, displaced_tapped, threshold):
@@ -492,8 +496,8 @@ class TestHerald:
         assert ens.errors == (None,)
         _assert_rel(ens.success_probability, [ref["success"]], 1e-13, "success")
         _assert_rel(ens.per_component_pass[0], ref["passes"], 1e-13, "passes")
-        for key in ("posterior_weights", "component_means", "component_second_moments",
-                    "pooled_mean", "pooled_cov"):
+        for key in ("posterior_weights", "pooled_mean", "pooled_cov", "weight_entropy",
+                    "max_component_cov_distance"):
             _assert_rows_close(getattr(ens, key)[0], ref[key], key)
 
     def test_rejects_wrong_mode_count(self, discrete_mixture):
@@ -549,14 +553,20 @@ def mp_heralded(model, threshold):
         pooled_mean = sum((w * mu for w, mu in zip(post, out["component_means"])), mpmath.zeros(4, 1))
         pooled_second = sum((w * s2 for w, s2 in zip(post, out["component_second_moments"])),
                             mpmath.zeros(4, 4))
+        pooled_cov = pooled_second - pooled_mean * pooled_mean.T
+        # Each level's central covariance about the pooled mean, against the pooled one.
+        dists = [mpmath.mnorm(s2 - mu * mu.T + (mu - pooled_mean) * (mu - pooled_mean).T
+                              - pooled_cov, "f")
+                 for w, mu, s2 in zip(post, out["component_means"], out["component_second_moments"])
+                 if w > 1e-6]
         to_array = lambda v: np.array(v.tolist(), dtype=float)
         return {
             "success": float(success), "passes": [float(q) for q in out["passes"]],
             "posterior_weights": [float(w) for w in post],
-            "component_means": np.array([to_array(mu)[:, 0] for mu in out["component_means"]]),
-            "component_second_moments": np.array([to_array(s2) for s2 in out["component_second_moments"]]),
             "pooled_mean": to_array(pooled_mean)[:, 0],
-            "pooled_cov": to_array(pooled_second - pooled_mean * pooled_mean.T),
+            "pooled_cov": to_array(pooled_cov),
+            "weight_entropy": float(-mpmath.fsum(w * mpmath.log(w, 2) for w in post)),
+            "max_component_cov_distance": float(max(dists, default=0)),
         }
 
 
@@ -630,10 +640,9 @@ def _assert_rows_close(actual, expected, key):
 
 def _grid_row_metrics(ens):
     """Per-row values of every field and metric of a stacked ensemble, by name."""
-    entropy, max_dist = gaussification_metrics(ens)
     var_x, var_p = joint_quadrature_variances(ens.pooled_cov)
     out = {f.name: getattr(ens, f.name) for f in fields(ens) if f.name != "errors"}
-    out.update(ln=distilled_gln(ens), entropy=entropy, max_dist=max_dist, var_x=var_x, var_p=var_p)
+    out.update(ln=distilled_gln(ens), var_x=var_x, var_p=var_p)
     return out
 
 
@@ -765,49 +774,47 @@ class TestGaussification:
     def test_single_component(self, calibrated_source):
         tapped = attach_tap(mixture([(1.0, calibrated_source)]), TapConfig())
         ens = herald(tapped, [2.0])
-        (entropy,), (dist,) = gaussification_metrics(ens)
-        assert entropy == pytest.approx(0.0, abs=1e-12)
-        assert dist == pytest.approx(0.0, abs=1e-9)
+        assert ens.weight_entropy[0] == pytest.approx(0.0, abs=1e-12)
+        assert ens.max_component_cov_distance[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_identical_components(self, calibrated_source):
         mix = mixture([(0.5, calibrated_source), (0.5, calibrated_source)])
         ens = herald(attach_tap(mix, TapConfig()), [3.0])
-        (entropy,), (dist,) = gaussification_metrics(ens)
-        assert entropy == pytest.approx(1.0, abs=1e-12)
-        assert dist == pytest.approx(0.0, abs=1e-9)
+        assert ens.weight_entropy[0] == pytest.approx(1.0, abs=1e-12)
+        assert ens.max_component_cov_distance[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_unequal_covariances_distance(self):
-        # Central covariances I and 3I, means (1.5, 0, 0, 0) and (-0.5, 0, 0, 0)
-        # with weights 1/4 and 3/4: the pooled mean is 0 and the pooled
-        # covariance diag(3.25, 2.5, 2.5, 2.5). About the pooled mean the
-        # components are diag(3.25, 1, 1, 1) and diag(3.25, 3, 3, 3), at
-        # Frobenius distances 1.5*sqrt(3) and 0.5*sqrt(3).
-        means = np.array([[1.5, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0]])
-        seconds = np.array([np.eye(4) + np.outer(means[0], means[0]),
-                            3.0 * np.eye(4) + np.outer(means[1], means[1])])
-        weights = np.array([0.25, 0.75])
-        ens = DistilledEnsemble(
-            success_probability=np.ones(1),
-            posterior_weights=weights[None],
-            per_component_pass=np.ones((1, 2)),
-            component_means=means[None],
-            component_second_moments=seconds[None],
-            pooled_mean=np.zeros((1, 4)),
-            pooled_cov=np.diag([3.25, 2.5, 2.5, 2.5])[None],
-            errors=(None,),
-        )
-        (entropy,), (dist,) = gaussification_metrics(ens)
-        assert entropy == pytest.approx(-(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), rel=1e-14)
-        assert dist == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
-        # A component with posterior weight <= 1e-6 is left out of the maximum.
-        faint = replace(ens, posterior_weights=np.array([[1e-6, 1.0 - 1e-6]]))
-        assert gaussification_metrics(faint)[1][0] == pytest.approx(0.5 * np.sqrt(3.0), rel=1e-14)
-        kept = replace(ens, posterior_weights=np.array([[2e-6, 1.0 - 2e-6]]))
-        assert gaussification_metrics(kept)[1][0] == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
+        def ensemble(w):
+            # Levels of weights w and 1 - w with (A, B) means (1.5, 0, 0, 0) and
+            # (-0.5, 0, 0, 0) and covariances I and 3I, and one tap uncorrelated
+            # with them: at threshold 0 the posterior is the prior, and the
+            # kept moments are the levels' own.
+            mean = np.zeros((2, 5))
+            mean[:, 0] = 1.5, -0.5
+            model = TapModel([w, 1.0 - w], mean, np.stack([np.eye(5), np.diag([3, 3, 3, 3, 1.0])]))
+            assert np.all(model.beta == 0.0)
+            return herald(model, [0.0])
+
+        # At w = 1/4 the pooled mean is 0 and the pooled covariance
+        # diag(3.25, 2.5, 2.5, 2.5). About the pooled mean the levels are
+        # diag(3.25, 1, 1, 1) and diag(3.25, 3, 3, 3), at Frobenius distances
+        # 1.5*sqrt(3) and 0.5*sqrt(3).
+        ens = ensemble(0.25)
+        assert ens.weight_entropy[0] == pytest.approx(
+            -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), rel=1e-14)
+        assert ens.max_component_cov_distance[0] == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
+        # A level of posterior weight <= 1e-6 is left out of the maximum. At
+        # weight w the levels lie at Frobenius distances
+        # sqrt((2 - 10w + 8w^2)^2 + 12(1 - w)^2) and sqrt((8w^2 - 2w)^2 + 12w^2).
+        w = 1e-7
+        assert ensemble(w).max_component_cov_distance[0] == pytest.approx(
+            np.hypot(8.0 * w * w - 2.0 * w, np.sqrt(12.0) * w), rel=1e-6)
+        w = 2e-6
+        assert ensemble(w).max_component_cov_distance[0] == pytest.approx(
+            np.hypot(2.0 - 10.0 * w + 8.0 * w * w, np.sqrt(12.0) * (1.0 - w)), rel=1e-12)
 
     def test_discrete_threshold_nine_entropy(self, discrete_tapped):
-        (entropy,), _ = gaussification_metrics(herald(discrete_tapped, [9.0]))
-        assert entropy < 0.1
+        assert herald(discrete_tapped, [9.0]).weight_entropy[0] < 0.1
 
 
 class TestJointQuadratureVariances:
