@@ -1,6 +1,6 @@
 """Continuous-variable entanglement distillation simulator.
 
-Covariance-matrix engine for Gaussian states, fluctuating-loss channels,
+Closed-form covariances of a Kerr source sent through fluctuating-loss channels,
 tap-and-threshold heralding with exact truncated-Gaussian moments, and a
 reproducible Monte Carlo pipeline that mimics the experimental data flow.
 """
@@ -9,13 +9,12 @@ from ._version import __version__
 from .calibrate import CalibrationError, SourceCalibration, calibrate, calibrate_envelope
 from .channel import (
     FluctuatingChannel,
-    MixtureState,
     discrete_channel,
     envelope_exponential,
     envelope_fading,
-    pooled_cm,
-    propagate,
+    kerr_blocks,
     semicontinuous_levels,
+    two_mode_cov,
     upper_bound_ln,
 )
 from .config import ExperimentConfig, McConfig, TapConfig, load_config, parse_config, preset_config
@@ -30,20 +29,7 @@ from .distill import (
     joint_quadrature_variances,
     tail_hazard,
 )
-from .gaussian import (
-    GaussianState,
-    InvalidCovarianceError,
-    apply_beamsplitter,
-    apply_loss,
-    gaussian_log_negativity,
-    make_kerr_entangled,
-    pt_trace_norm,
-    squeezed_state,
-    symplectic_eigenvalues,
-    tensor,
-    vacuum_state,
-    validate_physical,
-)
+from .gaussian import InvalidCovarianceError, gaussian_log_negativity, pt_trace_norm
 from .mc import McSweep, run_mc_sweep
 from .scenario import RunReport, emit_artifacts, run_scenario
 
@@ -54,13 +40,12 @@ __all__ = [
     "calibrate",
     "calibrate_envelope",
     "FluctuatingChannel",
-    "MixtureState",
     "discrete_channel",
     "envelope_exponential",
     "envelope_fading",
-    "pooled_cm",
-    "propagate",
+    "kerr_blocks",
     "semicontinuous_levels",
+    "two_mode_cov",
     "upper_bound_ln",
     "ExperimentConfig",
     "load_config",
@@ -76,18 +61,9 @@ __all__ = [
     "herald",
     "joint_quadrature_variances",
     "tail_hazard",
-    "GaussianState",
     "InvalidCovarianceError",
-    "apply_beamsplitter",
-    "apply_loss",
     "gaussian_log_negativity",
-    "make_kerr_entangled",
     "pt_trace_norm",
-    "squeezed_state",
-    "symplectic_eigenvalues",
-    "tensor",
-    "vacuum_state",
-    "validate_physical",
     "McConfig",
     "McSweep",
     "run_mc_sweep",

@@ -9,11 +9,10 @@ channel envelope is calibrated the same way against its measured
 pre-distillation value.
 
 Both fits are closed form: each bisection step builds the channel's pooled
-4x4 covariance from the source's covariance blocks and builds no state
-(:func:`premix_ln`); only the log-negativity's own symmetry and
-positive-definiteness checks run per step. The fitted source is built as
-a state once, by ``calibrate`` for its initial log-negativity, and a run
-validates it once, when ``propagate`` builds the channel's mixture.
+4x4 covariance from the levels' blocks (:func:`premix_ln`); only the
+log-negativity's own symmetry and positive-definiteness checks run per
+step. The source's physicality is checked once per step, on its two
+variances, by :func:`~cvdistill.gaussian.kerr_variances`.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import FluctuatingChannel, discrete_channel, envelope_exponential, envelope_fading
-from .gaussian import gaussian_log_negativity, kerr_variances, make_kerr_entangled
+from .channel import (FluctuatingChannel, discrete_channel, envelope_exponential, envelope_fading,
+                      kerr_blocks, two_mode_cov)
+from .gaussian import gaussian_log_negativity, kerr_variances
 
 __all__ = [
     "CalibrationError",
@@ -93,25 +91,16 @@ def _bisect(func, lo: float, hi: float, target: float, ln_tol: float, max_iter: 
 def premix_ln(v_squeezed: float, v_antisqueezed: float, channel: FluctuatingChannel) -> float:
     """Gaussian-fitted log-negativity of ``channel``'s pooled output for the Kerr source.
 
-    Computed in closed form, with no state built. The source
-    (``make_kerr_entangled``) has blocks A = B = s*I and C = diag(c, -c),
-    s = (Vs + Va)/2 and c = (Vs - Va)/2, and zero mean; loss t on mode B
-    makes B = t*s + 1 - t and C = sqrt(t)*C. With zero means the pooled
-    covariance is the probability-weighted sum of the levels' blocks, and
-    :func:`gaussian_log_negativity` checks it and takes its spectrum. The
-    variances meet ``make_kerr_entangled``'s checks and ValueErrors.
+    The levels' blocks come from :func:`~cvdistill.channel.kerr_blocks`. With
+    zero means the pooled covariance is the probability-weighted sum of the
+    levels' covariances, so its B and C blocks are the weighted sums of b
+    and c, and :func:`gaussian_log_negativity` checks it and takes its
+    spectrum. A one-level channel at t = 1 gives the source's own LN.
+    Raises ValueError as ``kerr_blocks`` does.
     """
-    vs, va = kerr_variances(v_squeezed, v_antisqueezed)
-    t, p = channel.transmittances, channel.probabilities
-    s, c = 0.5 * (vs + va), 0.5 * (vs - va)
-    b = float(p @ (t * s + (1.0 - t)))
-    cb = float(p @ (np.sqrt(t) * c))
-    return gaussian_log_negativity(np.array([
-        [s, 0.0, cb, 0.0],
-        [0.0, s, 0.0, -cb],
-        [cb, 0.0, b, 0.0],
-        [0.0, -cb, 0.0, b],
-    ]))
+    s, b, c = kerr_blocks(v_squeezed, v_antisqueezed, channel)
+    p = channel.probabilities
+    return gaussian_log_negativity(two_mode_cov(s, float(p @ b), float(p @ c)))
 
 
 def calibrate(
@@ -140,7 +129,7 @@ def calibrate(
     return SourceCalibration(
         v_squeezed=v_squeezed,
         v_antisqueezed=v_antisqueezed,
-        ln_initial=gaussian_log_negativity(make_kerr_entangled(v_squeezed, v_antisqueezed).cov),
+        ln_initial=premix_ln(v_squeezed, v_antisqueezed, FluctuatingChannel([1.0], [1.0])),
         ln_discrete_premix=achieved,
     )
 

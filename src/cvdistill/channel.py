@@ -1,16 +1,19 @@
-"""Fluctuating-loss channels and the non-Gaussian mixture states they produce.
+"""Fluctuating-loss channels and the closed-form states they carry.
 
 A channel is a discrete distribution over transmittance levels, held as two
-(L,) arrays of transmittances and probabilities; sending one mode of a
-Gaussian state through it yields a convex mixture of Gaussian states (one
-per level), which is non-Gaussian as a whole. A
-``MixtureState(weights, states)`` holds the level weights (L,) and the
-components as one stacked ``GaussianState``, mean (L, 2n) and covariance
-(L, 2n, 2n): ``propagate`` is one ``apply_loss`` over the (L,)
-transmittances, and every consumer reads the stacked arrays. This module also
-provides the pooled second moments of such a mixture (what a Gaussian fit
-to the transmitted ensemble would measure) and the convexity upper bound
-on its total logarithmic negativity.
+(L,) arrays of transmittances and probabilities. The package models one
+layout: a Kerr two-mode source whose beam B goes through the channel.
+Level i then carries a zero-mean two-mode Gaussian state whose 4x4
+covariance has the blocks that :func:`kerr_blocks` returns,
+
+    A = s I,   B = b_i I,   C = sqrt(t_i) diag(c, -c),
+
+with s = (Vs + Va)/2, c = (Vs - Va)/2 and b_i = t_i s + 1 - t_i; the
+mixture over levels is non-Gaussian as a whole. Loss maps a physical state
+to a physical state, so the source's variance test
+(:func:`~cvdistill.gaussian.kerr_variances`) is the only physicality
+check. This module also gives the convexity upper bound on a mixture's
+total logarithmic negativity.
 """
 
 from __future__ import annotations
@@ -19,18 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, apply_loss, pt_trace_norm, validate_physical
+from .gaussian import kerr_variances, pt_trace_norm
 
 __all__ = [
     "WEIGHT_TOL",
     "FluctuatingChannel",
-    "MixtureState",
     "discrete_channel",
     "semicontinuous_levels",
     "envelope_exponential",
     "envelope_fading",
-    "propagate",
-    "pooled_cm",
+    "kerr_blocks",
+    "two_mode_cov",
     "upper_bound_ln",
 ]
 
@@ -48,8 +50,8 @@ def _check_weights(weights, what: str) -> np.ndarray:
     """``weights`` as a float array, checked: 1-d, non-empty, finite, positive, summing to 1.
 
     The sum may miss 1 by ``WEIGHT_TOL``. ``what`` names the weights in the
-    ``ValueError`` messages. Mixture weights and channel level probabilities
-    both follow this rule.
+    ``ValueError`` messages. Channel level probabilities and a tap model's
+    level weights both follow this rule.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
@@ -69,9 +71,9 @@ class FluctuatingChannel:
     """Distribution over transmittance levels: ``transmittances`` (L,) and ``probabilities`` (L,).
 
     The transmittances lie in [0, 1] and strictly increase; the
-    probabilities are checked as mixture weights are. Both are copied into
-    float arrays and checked once, on construction. Levels with zero
-    probability are not representable; drop them before construction.
+    probabilities are checked as a tap model's level weights are. Both are
+    copied into float arrays and checked once, on construction. Levels with
+    zero probability are not representable; drop them before construction.
     """
 
     transmittances: np.ndarray
@@ -91,31 +93,6 @@ class FluctuatingChannel:
 
     def __len__(self) -> int:
         return self.transmittances.size
-
-
-@dataclass(eq=False)
-class MixtureState:
-    """Convex mixture of Gaussian states of one mode count.
-
-    ``weights`` (L,) are positive and sum to one; ``states`` is one
-    :class:`~cvdistill.gaussian.GaussianState` stacking the L components,
-    ``mean`` (L, 2n) and ``cov`` (L, 2n, 2n), in weight order. Every
-    component must be physical.
-    """
-
-    weights: np.ndarray
-    states: GaussianState
-
-    def __post_init__(self) -> None:
-        self.weights = _check_weights(self.weights, "component weights")
-        if self.states.mean.shape[:-1] != self.weights.shape:
-            raise ValueError(f"mixture has {self.weights.size} weights but a stack of states "
-                             f"of shape {self.states.mean.shape}")
-        if not np.all(validate_physical(self.states)):
-            raise ValueError("mixture contains an unphysical component")
-
-    def __len__(self) -> int:
-        return self.weights.size
 
 
 def discrete_channel() -> FluctuatingChannel:
@@ -180,36 +157,37 @@ def envelope_fading(floor_fraction: float, p_full: float = 0.2) -> FluctuatingCh
     return _semicontinuous_channel(lambda rest: rest * shape, p_full)
 
 
-def propagate(
-    state: GaussianState, channel: FluctuatingChannel, mode: int = 1
-) -> MixtureState:
-    """Send one mode of a Gaussian state through a fluctuating-loss channel.
+def kerr_blocks(v_squeezed: float, v_antisqueezed: float, channel: FluctuatingChannel):
+    """(s, b, c): per level of ``channel``, the blocks of the Kerr source whose beam B crosses it.
 
-    Returns one Gaussian component per channel level, weighted by the level
-    probability, in channel order.
+    The level's covariance is ``two_mode_cov(s, b[i], c[i])``: s = (Vs + Va)/2
+    (a float), b = t s + 1 - t and c = sqrt(t) (Vs - Va)/2, (L,) arrays over
+    the transmittances t. A level at t = 1 gives the source's blocks bit for
+    bit. Raises ValueError as :func:`~cvdistill.gaussian.kerr_variances` does.
     """
-    return MixtureState(channel.probabilities, apply_loss(state, mode, channel.transmittances))
+    vs, va = kerr_variances(v_squeezed, v_antisqueezed)
+    t = channel.transmittances
+    s = 0.5 * (vs + va)
+    return s, t * s + (1.0 - t), np.sqrt(t) * (0.5 * (vs - va))
 
 
-def pooled_cm(mixture: MixtureState):
-    """Mean and central covariance of the pooled (Gaussian-fitted) ensemble.
-
-    cov = sum_i w_i (cov_i + mu_i mu_i^T) - mu mu^T, i.e. the second central
-    moments of the overall distribution; the mean-spread term matters for
-    heralded ensembles even though pre-channel means are zero.
-    """
-    weights, means, covs = mixture.weights, mixture.states.mean, mixture.states.cov
-    mean = weights @ means
-    cov = np.einsum("i,ijk->jk", weights, covs + means[:, :, None] * means[:, None, :])
-    cov -= np.outer(mean, mean)
-    return mean, 0.5 * (cov + cov.T)
+def two_mode_cov(s, b, c) -> np.ndarray:
+    """The covariance [[s I, C], [C, b I]], C = diag(c, -c); (L,) ``b`` and ``c`` give (L, 4, 4)."""
+    b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+    cov = np.zeros(b.shape + (4, 4))
+    cov[..., 0, 0] = cov[..., 1, 1] = s
+    cov[..., 2, 2] = cov[..., 3, 3] = b
+    cov[..., 0, 2] = cov[..., 2, 0] = c
+    cov[..., 1, 3] = cov[..., 3, 1] = -c
+    return cov
 
 
-def upper_bound_ln(mixture: MixtureState) -> float:
+def upper_bound_ln(weights, covs) -> float:
     """Convexity upper bound on the logarithmic negativity of a mixture.
 
-    log2 of the weighted sum of the partial-transpose trace norms of the
-    Gaussian components; bounds the total (non-Gaussian) logarithmic
-    negativity of the mixed state from above and is >= 0 always.
+    log2 of the ``weights``-weighted sum of the partial-transpose trace
+    norms of the Gaussian components, whose covariances ``covs`` (L, 4, 4)
+    stacks; bounds the total (non-Gaussian) logarithmic negativity of the
+    mixed state from above and is >= 0 always.
     """
-    return float(np.log2(mixture.weights @ pt_trace_norm(mixture.states)))
+    return float(np.log2(np.asarray(weights, dtype=float) @ pt_trace_norm(covs)))

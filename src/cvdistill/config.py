@@ -34,7 +34,7 @@ from .calibrate import (
     calibrate_envelope,
 )
 from .channel import FluctuatingChannel, discrete_channel
-from .gaussian import make_kerr_entangled, validate_physical
+from .gaussian import kerr_variances
 
 __all__ = [
     "ConfigError",
@@ -124,8 +124,7 @@ class SourceSettings:
             setattr(self, name, _finite(getattr(self, name), f"{where}.{name}"))
         if explicit:
             try:
-                if not validate_physical(make_kerr_entangled(self.v_squeezed, self.v_antisqueezed)):
-                    raise ValueError("the source state fails the uncertainty relation check")
+                kerr_variances(self.v_squeezed, self.v_antisqueezed)
             except ValueError as exc:
                 raise ConfigError(f"invalid source variances: {exc}") from exc
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MixtureState, _check_weights
+from .channel import FluctuatingChannel, _check_weights, kerr_blocks, two_mode_cov
 from .config import DEFAULT_TAP_REFLECTIVITY, TapConfig
-from .gaussian import (InvalidCovarianceError, apply_beamsplitter, pt_symplectic_spectrum, tensor,
-                       vacuum_state)
+from .gaussian import InvalidCovarianceError, pt_symplectic_spectrum
 
 __all__ = [
     "DEFAULT_TAP_REFLECTIVITY",
@@ -140,18 +139,28 @@ class TapModel:
             raise InvalidCovarianceError("covariance matrix is not positive definite") from exc
 
 
-def attach_tap(mixture: MixtureState, tap: TapConfig) -> TapModel:
-    """The :class:`TapModel` of a two-mode mixture whose beam B is coupled to a vacuum tap.
+def attach_tap(v_squeezed: float, v_antisqueezed: float, channel: FluctuatingChannel,
+               tap: TapConfig) -> TapModel:
+    """The :class:`TapModel` of the Kerr source whose beam B crosses ``channel`` and then the tap.
 
-    The components are extended to (A, B, Tap) and the tap beam splitter of transmittance
-    T = 1 - reflectivity applied, X_B' = sqrt(T) X_B - sqrt(1-T) X_Tap and X_Tap' =
-    sqrt(T) X_Tap + sqrt(1-T) X_B. P_Tap, which no statistic reads, is left out.
+    The tap is a beam splitter of reflectivity R and T = 1 - R with vacuum in
+    its other port: X_B' = sqrt(T) X_B - sqrt(R) X_vac and X_tap = sqrt(T)
+    X_vac + sqrt(R) X_B, and the same for P; P_tap, which no statistic reads,
+    is left out. From a level's blocks (s, b, c) of
+    :func:`~cvdistill.channel.kerr_blocks`, X_A and P_A keep variance s,
+    X_B' and P_B' get T b + R and X_tap gets R b + T; cov(X_A, X_B') =
+    -cov(P_A, P_B') = sqrt(T) c, cov(X_A, X_tap) = sqrt(R) c and
+    cov(X_B', X_tap) = sqrt(T R) (b - 1). The mean is zero.
     """
-    if mixture.states.n_modes != 2:
-        raise ValueError(f"expected a two-mode mixture, got {mixture.states.n_modes} modes")
-    extended = tensor(mixture.states, vacuum_state(1))
-    tapped = apply_beamsplitter(extended, mode_a=2, mode_b=1, transmittance=1.0 - tap.reflectivity)
-    return TapModel(mixture.weights, tapped.mean[:, :5], tapped.cov[:, :5, :5])
+    s, b, c = kerr_blocks(v_squeezed, v_antisqueezed, channel)
+    r = tap.reflectivity
+    t_tap = 1.0 - r
+    cov = np.zeros((b.size, 5, 5))
+    cov[:, :4, :4] = two_mode_cov(s, t_tap * b + r, np.sqrt(t_tap) * c)
+    cov[:, 4, 4] = r * b + t_tap
+    cov[:, 0, 4] = cov[:, 4, 0] = np.sqrt(r) * c
+    cov[:, 2, 4] = cov[:, 4, 2] = np.sqrt(t_tap * r) * (b - 1.0)
+    return TapModel(channel.probabilities, np.zeros((b.size, 5)), cov)
 
 
 def _scalar_or_array(out: np.ndarray):

@@ -1,8 +1,10 @@
-"""Experiment orchestration: build, propagate, distill, verify, report.
+"""Experiment orchestration: build, distill, verify, report.
 
 ``run_scenario`` executes one configured experiment end to end: build
 the source and the channel from their config sections (calibrating where
-a section gives targets), propagate, attach the tap, herald the whole
+a section gives targets), take the levels' closed-form covariances
+(:func:`~cvdistill.channel.kerr_blocks`; no channel is the one level
+t = 1), attach the tap, herald the whole
 threshold list with the analytic engine (one ``herald`` call on the grid)
 and/or the Monte Carlo engine (one ``run_mc_sweep`` pass over the shots),
 and collect everything into a JSON-serializable RunReport. Each engine's
@@ -22,15 +24,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._version import __version__
-from .channel import MixtureState, pooled_cm, propagate, upper_bound_ln
-from .config import ExperimentConfig, _finite
+from .calibrate import premix_ln
+from .channel import FluctuatingChannel, kerr_blocks, two_mode_cov, upper_bound_ln
+from .config import ConfigError, ExperimentConfig, _finite
 from .distill import (
     attach_tap,
     distilled_gln,
     herald,
     joint_quadrature_variances,
 )
-from .gaussian import GaussianState, gaussian_log_negativity, make_kerr_entangled
+from .gaussian import InvalidCovarianceError, gaussian_log_negativity
 from .mc import SERIES, ln_with_se, run_mc_sweep
 
 __all__ = ["RunReport", "run_scenario", "emit_artifacts", "ln_agreement", "AGREEMENT_SIGMA",
@@ -93,8 +96,8 @@ class RunReport:
             for section in filter(None, (row.get("analytic"), row.get("mc"))):
                 _require(section, ["success_probability", "gaussian_ln"], "threshold row")
                 _require(section, ["posterior_weights"], "threshold row", list)
-                if len(section["posterior_weights"]) < n_levels:
-                    raise ValueError("threshold row lacks posterior weights for some channel levels")
+                if d["channel"] is not None and len(section["posterior_weights"]) != n_levels:
+                    raise ValueError("threshold row needs one posterior weight per channel level")
                 for key in ("success_probability", "gaussian_ln"):
                     _finite(section[key], f"threshold row {key!r}")
                 if section.get("weight_entropy") is not None:
@@ -183,14 +186,11 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     whether every threshold failed or the engines disagreed.
     """
     v_squeezed, v_antisqueezed = config.source.variances()
-    source = make_kerr_entangled(v_squeezed, v_antisqueezed)
-    ln_source = gaussian_log_negativity(source.cov)
-
     calibration = {"v_squeezed": v_squeezed, "v_antisqueezed": v_antisqueezed,
                    "envelope_family": None, "envelope_param": None}
+    no_loss = FluctuatingChannel([1.0], [1.0])
     if config.channel is None:
-        mixture = MixtureState([1.0], GaussianState(source.mean[None], source.cov[None]))
-        channel_dict = None
+        channel, channel_dict = no_loss, None
     else:
         channel, calibration["envelope_param"] = config.channel.build(v_squeezed, v_antisqueezed)
         if config.channel.envelope is not None:
@@ -199,14 +199,24 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                 "envelope shape is a calibrated stand-in; only its fitted scalar "
                 "constraints are measurement-backed"
             )
-        mixture = propagate(source, channel, mode=1)
         channel_dict = {
             "transmittances": channel.transmittances.tolist(),
             "probabilities": channel.probabilities.tolist(),
         }
-    _, pooled_cov = pooled_cm(mixture)
-    ln_before = gaussian_log_negativity(pooled_cov)
-    upper_bound = upper_bound_ln(mixture)
+    # A source that float64 cannot resolve (pure squeezing above about 75 dB)
+    # fails a covariance check here, before any engine runs.
+    try:
+        weights = channel.probabilities
+        s, b, c = kerr_blocks(v_squeezed, v_antisqueezed, channel)
+        ln_source = premix_ln(v_squeezed, v_antisqueezed, no_loss)
+        pooled_cov = two_mode_cov(s, float(weights @ b), float(weights @ c))
+        ln_before = gaussian_log_negativity(pooled_cov)
+        upper_bound = upper_bound_ln(weights, two_mode_cov(s, b, c))
+        if config.tap is not None:
+            tapped = attach_tap(v_squeezed, v_antisqueezed, channel, config.tap)
+    except InvalidCovarianceError as exc:
+        raise ConfigError(f"the source (v_squeezed {v_squeezed!r}, v_antisqueezed "
+                          f"{v_antisqueezed!r}) has no float64 model: {exc}") from exc
 
     rows = []
     agreement_failed = False
@@ -216,12 +226,11 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         var_x, var_p = joint_quadrature_variances(pooled_cov)
         untapped = {"success_probability": 1.0, "gaussian_ln": ln_before, "weight_entropy": None,
                     "max_component_cov_distance": None,
-                    "posterior_weights": mixture.weights.tolist(), "joint_var_x_sum": var_x,
+                    "posterior_weights": weights.tolist(), "joint_var_x_sum": var_x,
                     "joint_var_p_diff": var_p, "pooled_cov": pooled_cov.tolist()}
         rows.append({"threshold": None, "analytic": untapped, "mc": None, "agreement": None,
                      "error": None})
     else:
-        tapped = attach_tap(mixture, config.tap)
         thresholds = config.tap.thresholds
         sections = {}
         if config.engine != "mc":

@@ -2,29 +2,138 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvdistill import (
-    GaussianState,
-    MixtureState,
-    TapConfig,
-    TapModel,
-    apply_beamsplitter,
-    attach_tap,
-    calibrate,
-    discrete_channel,
-    make_kerr_entangled,
-    propagate,
-    squeezed_state,
-    tensor,
-)
+from cvdistill import (TapConfig, TapModel, attach_tap, calibrate, discrete_channel, kerr_blocks,
+                       two_mode_cov)
+from cvdistill.gaussian import PHYS_TOL, _check_covariance, kerr_variances
 from cvdistill.mc.engine import PAIRS
 
 
-def apply_phase_rotation(state, mode, theta):
+# The reference construction of the optical layout, on n-mode Gaussian states
+# held as (mean, cov) array pairs: mean (2n,) and cov (2n, 2n), or (L, 2n) and
+# (L, 2n, 2n) for a stack of L states of one mode count. Quadratures are
+# interleaved (X1, P1, X2, P2, ...). The closed forms of cvdistill.channel and
+# cvdistill.distill are tested against it.
+
+
+def vacuum(n_modes):
+    """The n-mode vacuum: zero mean, identity covariance."""
+    return np.zeros(2 * n_modes), np.eye(2 * n_modes)
+
+
+def squeezed(var_x, var_p):
+    """Single-mode state with uncorrelated quadrature variances; ValueError unless physical."""
+    if var_x <= 0 or var_p <= 0 or var_x * var_p < 1.0 - PHYS_TOL:
+        raise ValueError(f"variances ({var_x}, {var_p}) violate the uncertainty relation")
+    return np.zeros(2), np.diag([float(var_x), float(var_p)])
+
+
+def tensor(*states):
+    """Concatenated means and block-diagonal covariances; a stacked factor stacks the product."""
+    lead = max((mean.shape[:-1] for mean, _ in states), key=len)
+    dim = sum(mean.shape[-1] for mean, _ in states)
+    out_mean, out_cov = np.empty(lead + (dim,)), np.zeros(lead + (dim, dim))
+    k = 0
+    for mean, cov in states:
+        d = mean.shape[-1]
+        out_mean[..., k:k + d] = mean
+        out_cov[..., k:k + d, k:k + d] = cov
+        k += d
+    return out_mean, out_cov
+
+
+def symplectic_form(n_modes):
+    """Block diagonal [[0, 1], [-1, 0]] per mode."""
+    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def symplectic_eigenvalues(cov):
+    """Symplectic spectrum, ascending, one value per mode (per stacked matrix).
+
+    InvalidCovarianceError unless each matrix is symmetric positive definite.
+    """
+    cov = np.asarray(cov, dtype=float)
+    _check_covariance(cov)
+    spectrum = np.linalg.eigvals(symplectic_form(cov.shape[-1] // 2) @ cov)
+    # Eigenvalues of Omega*cov come in +/- i*nu pairs; |.| yields each nu twice.
+    return np.sort(np.abs(spectrum), axis=-1)[..., ::2]
+
+
+def is_physical(cov):
+    """Whether each covariance meets the uncertainty relation: min nu >= 1 - PHYS_TOL."""
+    ok = symplectic_eigenvalues(cov).min(axis=-1) >= 1.0 - PHYS_TOL
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def symplectic(state, s):
+    """The state after the symplectic map ``s``: mean s m, covariance s cov s^T, symmetrized."""
+    mean, cov = state
+    cov = s @ cov @ s.T
+    mean = (s @ np.asarray(mean, dtype=float)[..., None])[..., 0]
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def beamsplitter(state, mode_a, mode_b, transmittance):
+    """Mix two modes: X_b' = sqrt(T) X_b - sqrt(1-T) X_a, X_a' = sqrt(T) X_a + sqrt(1-T) X_b.
+
+    The P quadratures mix alike.
+    """
+    n = state[0].shape[-1] // 2
+    if not 0.0 <= transmittance <= 1.0 or mode_a == mode_b or not {mode_a, mode_b} <= set(range(n)):
+        raise ValueError(f"bad beam splitter: modes {mode_a}, {mode_b} of {n}, T = {transmittance}")
+    t, r = np.sqrt(transmittance), np.sqrt(1.0 - transmittance)
+    s = np.eye(2 * n)
+    for off in (0, 1):
+        a, b = 2 * mode_a + off, 2 * mode_b + off
+        s[b, b], s[b, a], s[a, a], s[a, b] = t, -r, t, r
+    return symplectic(state, s)
+
+
+def rotation(state, mode, theta):
     """Rotate one mode in phase space by angle theta (a local Gaussian unitary)."""
-    s = np.eye(2 * state.n_modes)
+    s = np.eye(state[0].shape[-1])
     c, sn = np.cos(theta), np.sin(theta)
-    s[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, -sn], [sn, c]]
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
+    s[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, -sn], [sn, c]]
+    return symplectic(state, s)
+
+
+def loss(state, mode, eta):
+    """Attenuate one mode with transmittance eta: mix it with vacuum and drop the ancilla.
+
+    The mode's block becomes eta*block + (1-eta)*I, its cross blocks and mean
+    scale by sqrt(eta). An (L,) array of etas gives a stack of L states.
+    """
+    mean, cov = state
+    n = mean.shape[-1] // 2
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim > 1 or not np.all((0.0 <= eta) & (eta <= 1.0)) or not 0 <= mode < n:
+        raise ValueError(f"eta must lie in [0, 1] and mode in range, got {eta} and {mode}")
+    scale = np.ones(eta.shape + (2 * n,))
+    scale[..., 2 * mode:2 * mode + 2] = np.sqrt(eta)[..., None]
+    cov = cov * (scale[..., :, None] * scale[..., None, :])
+    cov[..., 2 * mode, 2 * mode] += 1.0 - eta
+    cov[..., 2 * mode + 1, 2 * mode + 1] += 1.0 - eta
+    return mean * scale, cov
+
+
+def kerr_source(v_squeezed, v_antisqueezed):
+    """Two squeezed beams, X-squeezed (Vs, Va) and P-squeezed (Va, Vs), on a 50/50 beam splitter."""
+    vs, va = kerr_variances(v_squeezed, v_antisqueezed)
+    # The X-squeezed beam enters the transmitted-signal port.
+    return beamsplitter(tensor(squeezed(vs, va), squeezed(va, vs)), 1, 0, 0.5)
+
+
+def reference_tap(weights, state, reflectivity):
+    """The TapModel of a stacked two-mode state whose mode B meets a vacuum tap."""
+    mean, cov = beamsplitter(tensor(state, vacuum(1)), 2, 1, 1.0 - reflectivity)
+    return TapModel(weights, mean[:, :5], cov[:, :5, :5])
+
+
+def pooled(weights, state):
+    """Mean and central covariance of a stack of states pooled with ``weights``."""
+    mean, cov = state
+    mu = weights @ mean
+    second = np.einsum("i,ijk->jk", weights, cov + mean[:, :, None] * mean[:, None, :])
+    return mu, second - np.outer(mu, mu)
 
 
 def random_physical_state(rng, n_modes=2, max_thermal=5.0, max_squeeze=2.0):
@@ -37,48 +146,35 @@ def random_physical_state(rng, n_modes=2, max_thermal=5.0, max_squeeze=2.0):
     for _ in range(n_modes):
         nu = 1.0 + rng.uniform(0.0, max_thermal - 1.0)
         r = rng.uniform(0.0, max_squeeze)
-        modes.append(squeezed_state(nu * np.exp(-r), nu * np.exp(r)))
-    state = tensor(*modes) if n_modes > 1 else modes[0]
+        modes.append(squeezed(nu * np.exp(-r), nu * np.exp(r)))
+    state = tensor(*modes)
     for m in range(n_modes):
-        state = apply_phase_rotation(state, m, rng.uniform(0.0, 2.0 * np.pi))
+        state = rotation(state, m, rng.uniform(0.0, 2.0 * np.pi))
     for _ in range(2 * n_modes):
         a, b = rng.choice(n_modes, size=2, replace=False) if n_modes > 1 else (0, 0)
         if a != b:
-            state = apply_beamsplitter(state, int(a), int(b), rng.uniform(0.0, 1.0))
+            state = beamsplitter(state, int(a), int(b), rng.uniform(0.0, 1.0))
     for m in range(n_modes):
-        state = apply_phase_rotation(state, m, rng.uniform(0.0, 2.0 * np.pi))
+        state = rotation(state, m, rng.uniform(0.0, 2.0 * np.pi))
     return state
 
 
 def stacked(*states):
-    """One GaussianState stacking ``states`` in order."""
-    return GaussianState(np.array([s.mean for s in states]), np.array([s.cov for s in states]))
-
-
-def mixture(components):
-    """MixtureState of (weight, GaussianState) pairs, their states stacked in order."""
-    weights, states = zip(*components)
-    return MixtureState(np.array(weights), stacked(*states))
-
-
-def level(mix, i):
-    """Component i of a mixture as a GaussianState of its own."""
-    return GaussianState(mix.states.mean[i], mix.states.cov[i])
+    """One stacked state of ``states`` in order."""
+    return np.array([mean for mean, _ in states]), np.array([cov for _, cov in states])
 
 
 def uncorrelated_tap(state):
     """One-level TapModel of a two-mode state whose tap X is an uncorrelated vacuum quadrature."""
-    cov = np.eye(5)
-    cov[:4, :4] = state.cov
-    return TapModel([1.0], np.append(state.mean, 0.0)[None], cov[None])
+    mean, cov = state
+    full = np.eye(5)
+    full[:4, :4] = cov
+    return TapModel([1.0], np.append(mean, 0.0)[None], full[None])
 
 
 def model_pooled(model):
-    """Mean (5,) and central covariance (5, 5) of a TapModel's levels pooled, as ``pooled_cm`` pools."""
-    mean = model.weights @ model.mean
-    second = np.einsum("i,ijk->jk", model.weights,
-                       model.cov + model.mean[:, :, None] * model.mean[:, None, :])
-    return mean, second - np.outer(mean, mean)
+    """Mean (5,) and central covariance (5, 5) of a TapModel's levels pooled."""
+    return pooled(model.weights, (model.mean, model.cov))
 
 
 def pooled_cov_se(sweep):
@@ -166,21 +262,30 @@ def calibration():
 
 @pytest.fixture(scope="session")
 def calibrated_source(calibration):
-    return make_kerr_entangled(calibration.v_squeezed, calibration.v_antisqueezed)
+    """The calibrated source's (mean, cov) by the reference construction."""
+    return kerr_source(calibration.v_squeezed, calibration.v_antisqueezed)
 
 
 @pytest.fixture(scope="session")
-def discrete_mixture(calibrated_source):
-    return propagate(calibrated_source, discrete_channel())
+def discrete_levels(calibration):
+    """The discrete preset's level covariances (2, 4, 4), in closed form."""
+    return two_mode_cov(*kerr_blocks(calibration.v_squeezed, calibration.v_antisqueezed,
+                                     discrete_channel()))
 
 
 @pytest.fixture(scope="session")
-def discrete_tapped(discrete_mixture):
-    return attach_tap(discrete_mixture, TapConfig())
+def discrete_tapped(calibration):
+    return attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, discrete_channel(),
+                      TapConfig())
 
 
 @pytest.fixture(scope="session")
 def displaced_tapped(calibrated_source):
-    """The discrete preset's channel on the calibrated source displaced in both modes, tapped."""
-    source = GaussianState([0.4, -0.7, 1.3, 0.5], calibrated_source.cov)
-    return attach_tap(propagate(source, discrete_channel()), TapConfig())
+    """The discrete preset's channel on the calibrated source displaced in both modes, tapped.
+
+    Built by the reference: the closed form has zero mean.
+    """
+    channel = discrete_channel()
+    levels = loss((np.array([0.4, -0.7, 1.3, 0.5]), calibrated_source[1]), 1,
+                  channel.transmittances)
+    return reference_tap(channel.probabilities, levels, TapConfig().reflectivity)

@@ -14,27 +14,22 @@ from numpy.testing import assert_allclose
 from cvdistill import (
     McConfig,
     TapConfig,
-    apply_beamsplitter,
-    apply_loss,
     attach_tap,
     calibrate,
     calibrate_envelope,
     discrete_channel,
     distilled_gln,
-    gaussian_log_negativity,
     herald,
-    make_kerr_entangled,
-    pooled_cm,
-    propagate,
+    kerr_blocks,
     run_mc_sweep,
-    symplectic_eigenvalues,
-    tensor,
+    two_mode_cov,
     upper_bound_ln,
-    vacuum_state,
 )
+from cvdistill.calibrate import premix_ln
 from cvdistill.mc import CovarianceAccumulator, ln_with_se
-from conftest import (batch_moments, binomial_two_sided_p, model_pooled, pooled_cov_se,
-                      random_physical_state)
+from conftest import (batch_moments, binomial_two_sided_p, beamsplitter, kerr_source, loss,
+                      model_pooled, pooled_cov_se, random_physical_state, symplectic_eigenvalues,
+                      tensor, vacuum)
 
 THRESHOLD_GRID = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 
@@ -42,10 +37,10 @@ THRESHOLD_GRID = [0.5 * k for k in range(25)]  # 0 .. 12 SNU
 @pytest.fixture(scope="module")
 def model():
     cal = calibrate()
-    source = make_kerr_entangled(cal.v_squeezed, cal.v_antisqueezed)
-    mixture = propagate(source, discrete_channel())
-    tapped = attach_tap(mixture, TapConfig())
-    return cal, source, mixture, tapped
+    channel = discrete_channel()
+    levels = two_mode_cov(*kerr_blocks(cal.v_squeezed, cal.v_antisqueezed, channel))
+    tapped = attach_tap(cal.v_squeezed, cal.v_antisqueezed, channel, TapConfig())
+    return cal, channel, levels, tapped
 
 
 def test_criterion_1_calibration_fit(model):
@@ -64,8 +59,8 @@ def test_criterion_1_calibration_fit(model):
 
 
 def test_criterion_2_upper_bound(model):
-    _, _, mixture, _ = model
-    bound = upper_bound_ln(mixture)
+    _, channel, levels, _ = model
+    bound = upper_bound_ln(channel.probabilities, levels)
     assert bound == pytest.approx(0.49, abs=0.08)
     print(f"\ncriterion 2 PASS: upper bound LN {bound:.4f} (target 0.49 +- 0.08)")
 
@@ -86,9 +81,9 @@ def test_criterion_3_distillation_point(model):
 
 
 def test_criterion_4_crossing(model):
-    _, _, mixture, tapped = model
+    _, channel, levels, tapped = model
     start = time.perf_counter()
-    bound = upper_bound_ln(mixture)
+    bound = upper_bound_ln(channel.probabilities, levels)
     ens = herald(tapped, THRESHOLD_GRID)
     assert ens.errors == (None,) * len(THRESHOLD_GRID)
     points = list(zip(THRESHOLD_GRID, ens.success_probability, distilled_gln(ens)))
@@ -107,14 +102,12 @@ def test_criterion_4_crossing(model):
 
 
 def test_criterion_5_semicontinuous(model):
-    cal, source, _, _ = model
+    cal, _, _, _ = model
     start = time.perf_counter()
     frac, channel = calibrate_envelope(cal.v_squeezed, cal.v_antisqueezed)
     assert channel.probabilities[-1] == pytest.approx(0.2, abs=1e-12)
-    mixture = propagate(source, channel)
-    _, pooled = pooled_cm(mixture)
-    assert gaussian_log_negativity(pooled) == pytest.approx(-0.11, abs=1e-3)
-    tapped = attach_tap(mixture, TapConfig())
+    assert premix_ln(cal.v_squeezed, cal.v_antisqueezed, channel) == pytest.approx(-0.11, abs=1e-3)
+    tapped = attach_tap(cal.v_squeezed, cal.v_antisqueezed, channel, TapConfig())
     grid = np.arange(8.0, 12.01, 0.5)
     ens = herald(tapped, grid)
     assert ens.errors == (None,) * grid.size
@@ -199,26 +192,28 @@ def test_deep_tail_head_count(model):
 
 
 def test_criterion_8_invariant_suites(model):
-    _, _, _, tapped = model
+    cal, channel, levels, tapped = model
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
 
-    # beam splitters preserve the symplectic spectrum
+    # the reference's beam splitters preserve the symplectic spectrum
     for _ in range(5):
         state = random_physical_state(rng, 2)
-        mixed = apply_beamsplitter(state, 0, 1, rng.uniform(0, 1))
-        assert_allclose(
-            symplectic_eigenvalues(mixed.cov), symplectic_eigenvalues(state.cov), atol=1e-9
-        )
+        _, mixed = beamsplitter(state, 0, 1, rng.uniform(0, 1))
+        assert_allclose(symplectic_eigenvalues(mixed), symplectic_eigenvalues(state[1]), atol=1e-9)
 
-    # loss equals beam splitter with a vacuum ancilla plus partial trace
+    # the reference's loss equals beam splitter with a vacuum ancilla plus partial trace
     for _ in range(10):
         state = random_physical_state(rng, 2)
         eta = rng.choice([0.0, 0.25, 0.5, 0.93, 1.0])
         mode = int(rng.integers(2))
-        direct = apply_loss(state, mode, eta)
-        routed = apply_beamsplitter(tensor(state, vacuum_state(1)), 2, mode, eta)
-        assert_allclose(direct.cov, routed.cov[:4, :4], atol=1e-12)
+        _, direct = loss(state, mode, eta)
+        _, routed = beamsplitter(tensor(state, vacuum(1)), 2, mode, eta)
+        assert_allclose(direct, routed[:4, :4], atol=1e-12)
+
+    # the closed-form levels are the reference's loss on the source's beam B
+    _, reference = loss(kerr_source(cal.v_squeezed, cal.v_antisqueezed), 1, channel.transmittances)
+    assert_allclose(levels, reference, rtol=0, atol=1e-13 * np.abs(reference).max())
 
     # heralding with no selection reproduces the pooled covariance
     ens = herald(tapped, [-40.0 * tapped.tap_sd.max()])

@@ -6,41 +6,40 @@ from numpy.testing import assert_allclose
 
 from cvdistill import (
     FluctuatingChannel,
-    GaussianState,
-    MixtureState,
     TapConfig,
-    apply_beamsplitter,
-    apply_loss,
+    TapModel,
     attach_tap,
     calibrate_envelope,
     discrete_channel,
     envelope_exponential,
     envelope_fading,
     gaussian_log_negativity,
-    pooled_cm,
-    propagate,
+    kerr_blocks,
     semicontinuous_levels,
-    tensor,
+    two_mode_cov,
     upper_bound_ln,
-    vacuum_state,
-    validate_physical,
 )
+from cvdistill.calibrate import premix_ln
 from cvdistill.config import ChannelSettings
-from conftest import level, mixture, random_physical_state, stacked
+from conftest import (is_physical, loss, pooled, random_physical_state, reference_tap, stacked,
+                      vacuum)
 
 
-VAC = vacuum_state(2)
-UNPHYSICAL = GaussianState(np.zeros(4), np.diag([0.5, 0.5, 1.0, 1.0]))
+VAC5 = np.eye(5)
 
 
 def random_mixture(rng, n_comp, n_modes=2):
+    """Weights summing to exactly 1 and a stack of that many random physical states."""
     weights = rng.dirichlet(np.ones(n_comp))
     weights /= weights.sum()
-    comps = [(w, random_physical_state(rng, n_modes)) for w in weights]
     # fold rounding into the first weight so the sum is exactly 1
-    total = sum(w for w, _ in comps)
-    comps[0] = (comps[0][0] + (1.0 - total), comps[0][1])
-    return mixture(comps)
+    weights[0] += 1.0 - weights.sum()
+    return weights, stacked(*(random_physical_state(rng, n_modes) for _ in weights))
+
+
+def level_covs(calibration, channel):
+    """The calibrated source's level covariances (L, 4, 4) through ``channel``, in closed form."""
+    return two_mode_cov(*kerr_blocks(calibration.v_squeezed, calibration.v_antisqueezed, channel))
 
 
 class TestChannelTypes:
@@ -81,29 +80,33 @@ class TestChannelTypes:
         assert len(chan) == 2
 
     def test_mixture_weight_validation(self):
-        vac = vacuum_state(2)
+        # A tap model is the mixture both engines read: its level weights
+        # and its quadrature count are checked on construction.
         with pytest.raises(ValueError):
-            mixture([(0.5, vac), (0.6, vac)])
+            TapModel([0.5, 0.6], np.zeros((2, 5)), np.stack([VAC5, VAC5]))
         with pytest.raises(ValueError):
-            mixture([(1.0, GaussianState(np.zeros(2), np.diag([0.5, 0.5])))])
+            TapModel([1.0], np.zeros((1, 2)), np.diag([0.5, 0.5])[None])
 
-    @pytest.mark.parametrize("weights, states, reason", [
-        ([np.nan], stacked(VAC), "finite"),
-        ([0.5, np.nan], stacked(VAC, VAC), "finite"),
-        ([np.inf, 0.5], stacked(VAC, VAC), "finite"),
-        ([1.0, 0.0], stacked(VAC, VAC), "positive"),
-        ([1.5, -0.5], stacked(VAC, VAC), "positive"),
-        ([0.5, 0.6], stacked(VAC, VAC), "sum to 1"),
-        ([], stacked(VAC), "at least one"),
-        ([0.5, 0.5], stacked(VAC, VAC, VAC), "2 weights but a stack"),
-        ([1.0], stacked(VAC, VAC), "1 weights but a stack"),
-        ([1.0], VAC, "1 weights but a stack"),
-        ([0.5, 0.5], stacked(VAC, UNPHYSICAL), "unphysical"),
+    @pytest.mark.parametrize("weights, levels, reason", [
+        ([np.nan], 1, "finite"),
+        ([0.5, np.nan], 2, "finite"),
+        ([np.inf, 0.5], 2, "finite"),
+        ([1.0, 0.0], 2, "positive"),
+        ([1.5, -0.5], 2, "positive"),
+        ([0.5, 0.6], 2, "sum to 1"),
+        ([], 1, "at least one"),
+        ([0.5, 0.5], 3, r"L = 2 weights"),
+        ([1.0], 2, r"L = 1 weights"),
+        ([1.0], None, r"L = 1 weights"),
     ], ids=["nan", "nan-second", "inf", "zero", "negative", "sum-1.1", "empty",
-            "longer-stack", "shorter-stack", "unstacked-state", "unphysical-level"])
-    def test_mixture_rejections(self, weights, states, reason):
+            "longer-stack", "shorter-stack", "unstacked-state"])
+    def test_mixture_rejections(self, weights, levels, reason):
+        if levels is None:
+            mean, cov = np.zeros(5), VAC5
+        else:
+            mean, cov = np.zeros((levels, 5)), np.stack([VAC5] * levels)
         with pytest.raises(ValueError, match=reason):
-            MixtureState(weights, states)
+            TapModel(weights, mean, cov)
 
     @pytest.mark.parametrize("weights, reason", [
         ([0.5, np.nan], "finite"),
@@ -113,12 +116,12 @@ class TestChannelTypes:
         ([0.5, 0.6], "sum to 1"),
     ], ids=["nan", "inf", "zero", "negative", "sum-1.1"])
     def test_reweighted_rejections(self, weights, reason):
-        # Re-weighting a built mixture over its own stack goes through the
-        # constructor's checks and leaves the original mixture as it was.
-        mix = MixtureState([0.25, 0.75], stacked(VAC, VAC))
+        # Re-weighting a built tap model over its own levels goes through the
+        # constructor's checks and leaves the original model as it was.
+        model = TapModel([0.25, 0.75], np.zeros((2, 5)), np.stack([VAC5, VAC5]))
         with pytest.raises(ValueError, match=reason):
-            dataclasses.replace(mix, weights=weights)
-        assert np.array_equal(mix.weights, [0.25, 0.75])
+            dataclasses.replace(model, weights=weights)
+        assert np.array_equal(model.weights, [0.25, 0.75])
 
 
 class TestDiscreteChannel:
@@ -185,108 +188,119 @@ class TestEnvelopes:
 
 
 class TestPropagate:
-    def test_trivial_channel(self, calibrated_source):
-        chan = FluctuatingChannel([1.0], [1.0])
-        mix = propagate(calibrated_source, chan)
-        assert len(mix) == 1
-        assert_allclose(mix.states.cov[0], calibrated_source.cov, atol=1e-12)
+    """The closed-form levels of ``kerr_blocks`` against the reference's loss on mode B."""
 
-    def test_discrete_weights(self, discrete_mixture):
-        assert_allclose(discrete_mixture.weights, [0.5, 0.5])
+    def test_trivial_channel(self, calibration, calibrated_source):
+        covs = level_covs(calibration, FluctuatingChannel([1.0], [1.0]))
+        assert covs.shape == (1, 4, 4)
+        assert_allclose(covs[0], calibrated_source[1], atol=1e-12)
+        # The lossless level is the source's blocks bit for bit.
+        vs, va = calibration.v_squeezed, calibration.v_antisqueezed
+        assert np.array_equal(covs[0], two_mode_cov(0.5 * (vs + va), 0.5 * (vs + va),
+                                                    0.5 * (vs - va)))
 
-    def test_component_count_matches_levels(self, calibrated_source):
+    def test_discrete_weights(self, discrete_tapped):
+        assert_allclose(discrete_tapped.weights, [0.5, 0.5])
+
+    def test_component_count_matches_levels(self, calibration):
         chan = envelope_fading(0.2)
-        mix = propagate(calibrated_source, chan)
-        assert len(mix) == len(chan)
-        assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        s, b, c = kerr_blocks(calibration.v_squeezed, calibration.v_antisqueezed, chan)
+        assert isinstance(s, float) and b.shape == c.shape == (len(chan),)
+        assert chan.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_components_physical(self, discrete_mixture):
-        for i in range(len(discrete_mixture)):
-            assert validate_physical(level(discrete_mixture, i))
+    def test_components_physical(self, discrete_levels):
+        assert np.all(is_physical(discrete_levels))
 
     def test_stacked_levels_equal_single_state_operations(self, calibration, calibrated_source):
-        # The calibrated semi-continuous preset: every level of the stacked
-        # loss and tap equals the one-state operation bit for bit.
+        # The calibrated semi-continuous preset: every level of the reference's
+        # stacked loss and tap equals its one-state operation bit for bit, and
+        # the closed form matches each level to rounding.
         _, chan = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
-        mix = propagate(calibrated_source, chan)
-        tapped = attach_tap(mix, TapConfig())
-        assert len(mix) == tapped.weights.size == 45
+        levels = loss(calibrated_source, 1, chan.transmittances)
+        tapped = reference_tap(chan.probabilities, levels, TapConfig().reflectivity)
+        closed = attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, chan, TapConfig())
+        assert len(chan) == tapped.weights.size == closed.weights.size == 45
         for i, t in enumerate(chan.transmittances.tolist()):
-            lossy = apply_loss(calibrated_source, 1, t)
-            tap = apply_beamsplitter(tensor(lossy, vacuum_state(1)), 2, 1,
-                                     1.0 - TapConfig().reflectivity)
-            assert np.array_equal(mix.states.mean[i], lossy.mean)
-            assert np.array_equal(mix.states.cov[i], lossy.cov)
-            assert np.array_equal(tapped.mean[i], tap.mean[:5])
-            assert np.array_equal(tapped.cov[i], tap.cov[:5, :5])
+            lossy = loss(calibrated_source, 1, t)
+            one = reference_tap([1.0], stacked(lossy), TapConfig().reflectivity)
+            assert np.array_equal(levels[0][i], lossy[0])
+            assert np.array_equal(levels[1][i], lossy[1])
+            assert np.array_equal(tapped.mean[i], one.mean[0])
+            assert np.array_equal(tapped.cov[i], one.cov[0])
+        scale = np.abs(tapped.cov).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(closed.cov - tapped.cov) <= 1e-13 * scale)
+        assert np.array_equal(closed.mean, np.zeros((45, 5)))
 
-    def test_acts_on_requested_mode(self, calibrated_source):
-        chan = FluctuatingChannel([0.25], [1.0])
-        mix = propagate(calibrated_source, chan, mode=0)
-        expected = apply_loss(calibrated_source, 0, 0.25)
-        assert_allclose(mix.states.cov[0], expected.cov, atol=1e-12)
+    def test_acts_on_requested_mode(self, calibration, calibrated_source):
+        # The source is symmetric in its modes, so loss on A gives loss on B's
+        # blocks with the modes swapped: the closed form's choice of B is general.
+        _, on_a = loss(calibrated_source, 0, 0.25)
+        swap = [2, 3, 0, 1]
+        closed = level_covs(calibration, FluctuatingChannel([0.25], [1.0]))[0]
+        assert_allclose(on_a, closed[swap][:, swap], atol=1e-12)
 
 
 class TestPooledCm:
-    def test_single_component(self, calibrated_source):
-        mix = mixture([(1.0, calibrated_source)])
-        mean, cov = pooled_cm(mix)
-        assert_allclose(mean, calibrated_source.mean, atol=1e-15)
-        assert_allclose(cov, calibrated_source.cov, atol=1e-12)
+    def test_single_component(self, calibration, calibrated_source):
+        mean, cov = pooled(np.array([1.0]), stacked(calibrated_source))
+        assert_allclose(mean, calibrated_source[0], atol=1e-15)
+        assert_allclose(cov, calibrated_source[1], atol=1e-12)
+        assert premix_ln(calibration.v_squeezed, calibration.v_antisqueezed,
+                         FluctuatingChannel([1.0], [1.0])) == pytest.approx(
+            gaussian_log_negativity(calibrated_source[1]), abs=1e-12)
 
     def test_two_identical_components(self, calibrated_source):
-        mix = mixture([(0.5, calibrated_source), (0.5, calibrated_source)])
-        _, cov = pooled_cm(mix)
-        assert_allclose(cov, calibrated_source.cov, atol=1e-12)
+        _, cov = pooled(np.array([0.5, 0.5]), stacked(calibrated_source, calibrated_source))
+        assert_allclose(cov, calibrated_source[1], atol=1e-12)
 
     def test_mean_spread_term(self):
         # two displaced vacua: pooled cov picks up the between-component spread
-        a = GaussianState([2.0, 0.0], np.eye(2))
-        b = GaussianState([-2.0, 0.0], np.eye(2))
-        mean, cov = pooled_cm(mixture([(0.5, a), (0.5, b)]))
+        a = (np.array([2.0, 0.0]), np.eye(2))
+        b = (np.array([-2.0, 0.0]), np.eye(2))
+        mean, cov = pooled(np.array([0.5, 0.5]), stacked(a, b))
         assert_allclose(mean, [0.0, 0.0], atol=1e-15)
         assert_allclose(cov, np.diag([5.0, 1.0]), atol=1e-12)
 
-    def test_calibrated_discrete_mixture_ln(self, discrete_mixture):
-        _, cov = pooled_cm(discrete_mixture)
-        assert gaussian_log_negativity(cov) == pytest.approx(-1.63, abs=1e-4)
+    def test_calibrated_discrete_mixture_ln(self, calibration, calibrated_source):
+        # The closed-form pooled LN against the reference's pooled levels.
+        chan = discrete_channel()
+        ln = premix_ln(calibration.v_squeezed, calibration.v_antisqueezed, chan)
+        _, cov = pooled(chan.probabilities, loss(calibrated_source, 1, chan.transmittances))
+        assert ln == pytest.approx(-1.63, abs=1e-4)
+        assert ln == pytest.approx(gaussian_log_negativity(cov), abs=1e-12)
 
     def test_positive_definite_for_random_mixtures(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            _, cov = pooled_cm(random_mixture(rng, int(rng.integers(1, 5))))
+            _, cov = pooled(*random_mixture(rng, int(rng.integers(1, 5))))
             assert_allclose(cov, cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(cov).min() > 0
 
 
 class TestUpperBound:
     def test_single_separable_component(self):
-        mix = mixture([(1.0, vacuum_state(2))])
-        assert upper_bound_ln(mix) == pytest.approx(0.0, abs=1e-12)
+        assert upper_bound_ln([1.0], vacuum(2)[1][None]) == pytest.approx(0.0, abs=1e-12)
 
     def test_tight_for_single_entangled_component(self, calibrated_source):
-        mix = mixture([(1.0, calibrated_source)])
-        ln = gaussian_log_negativity(calibrated_source)
-        assert upper_bound_ln(mix) == pytest.approx(ln, rel=1e-9)
+        ln = gaussian_log_negativity(calibrated_source[1])
+        assert upper_bound_ln([1.0], calibrated_source[1][None]) == pytest.approx(ln, rel=1e-9)
 
-    def test_calibrated_discrete_value(self, discrete_mixture):
-        assert upper_bound_ln(discrete_mixture) == pytest.approx(0.49, abs=0.08)
+    def test_calibrated_discrete_value(self, discrete_levels):
+        bound = upper_bound_ln(discrete_channel().probabilities, discrete_levels)
+        assert bound == pytest.approx(0.49, abs=0.08)
 
     def test_never_negative_and_dominates_gaussian_fit(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
-            mix = random_mixture(rng, int(rng.integers(1, 5)))
-            bound = upper_bound_ln(mix)
-            _, cov = pooled_cm(mix)
+            weights, states = random_mixture(rng, int(rng.integers(1, 5)))
+            bound = upper_bound_ln(weights, states[1])
+            _, cov = pooled(weights, states)
             assert bound >= -1e-12
             assert bound >= gaussian_log_negativity(cov) - 1e-9
 
 
 class TestLossMonotonicity:
-    def test_single_level_ln_non_increasing_in_loss(self, calibrated_source):
-        lns = []
-        for t in np.arange(1.0, 0.05, -0.1):
-            chan = FluctuatingChannel([t], [1.0])
-            _, cov = pooled_cm(propagate(calibrated_source, chan))
-            lns.append(gaussian_log_negativity(cov))
+    def test_single_level_ln_non_increasing_in_loss(self, calibration):
+        lns = [premix_ln(calibration.v_squeezed, calibration.v_antisqueezed,
+                         FluctuatingChannel([t], [1.0])) for t in np.arange(1.0, 0.05, -0.1)]
         assert all(b <= a + 1e-12 for a, b in zip(lns, lns[1:]))

@@ -11,32 +11,30 @@ from numpy.testing import assert_allclose
 from cvdistill import (
     DegenerateSelectionError,
     FluctuatingChannel,
-    GaussianState,
     InvalidCovarianceError,
     McConfig,
     TapConfig,
     TapModel,
-    apply_beamsplitter,
     attach_tap,
     calibrate_envelope,
+    discrete_channel,
     distilled_gln,
     envelope_fading,
     gaussian_log_negativity,
     gaussian_tail,
     herald,
     joint_quadrature_variances,
-    make_kerr_entangled,
-    propagate,
+    kerr_blocks,
     run_mc_sweep,
     tail_hazard,
-    tensor,
-    vacuum_state,
+    two_mode_cov,
 )
 import cvdistill.distill as distill
 from cvdistill.config import DEFAULT_THRESHOLDS
 from cvdistill.distill import (_CF_CUT, HERALD_BLOCK, SUCCESS_FLOOR, bivariate_normal_cdf,
                                series_bin_probabilities)
-from conftest import mixture, model_pooled, random_physical_state, uncorrelated_tap
+from conftest import (beamsplitter, kerr_source, loss, model_pooled, random_physical_state,
+                      reference_tap, stacked, tensor, uncorrelated_tap, vacuum)
 
 
 def mp_tail(alpha, dps=50):
@@ -78,23 +76,24 @@ class TestTapConfig:
 
 
 class TestAttachTap:
-    def test_vanishing_reflectivity_limit(self, discrete_mixture):
-        tapped = attach_tap(discrete_mixture, TapConfig(reflectivity=1e-12))
-        for before, after in zip(discrete_mixture.states.cov, tapped.cov):
+    def test_vanishing_reflectivity_limit(self, calibration, discrete_levels):
+        tapped = attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, discrete_channel(),
+                            TapConfig(reflectivity=1e-12))
+        for before, after in zip(discrete_levels, tapped.cov):
             assert_allclose(after[:4, :4], before, atol=1e-10)
             assert after[4, 4] == pytest.approx(1.0, abs=1e-10)
 
-    def test_tap_variance_closed_form(self, discrete_tapped, discrete_mixture):
-        for tapped, plain in zip(discrete_tapped.cov, discrete_mixture.states.cov):
+    def test_tap_variance_closed_form(self, discrete_tapped, discrete_levels):
+        for tapped, plain in zip(discrete_tapped.cov, discrete_levels):
             v = plain[2, 2]
             assert tapped[4, 4] == pytest.approx(0.93 + 0.07 * v, rel=1e-12)
 
-    def test_matches_explicit_symplectic(self):
+    def test_matches_explicit_symplectic(self, calibration):
         rng = np.random.default_rng(31)
         state = random_physical_state(rng, 2)
-        tapped = attach_tap(mixture([(1.0, state)]), TapConfig(reflectivity=0.07))
+        tapped = reference_tap([1.0], stacked(state), 0.07)
         ext = np.eye(6)
-        ext[:4, :4] = state.cov
+        ext[:4, :4] = state[1]
         s = np.eye(6)
         st, sr = np.sqrt(0.93), np.sqrt(0.07)
         for off in (0, 1):
@@ -103,10 +102,16 @@ class TestAttachTap:
             s[4 + off, 4 + off] = st
             s[4 + off, 2 + off] = sr
         assert_allclose(tapped.cov[0], (s @ ext @ s.T)[:5, :5], atol=1e-12)
+        # The closed form on the Kerr source, against the same explicit map.
+        vs, va = calibration.v_squeezed, calibration.v_antisqueezed
+        closed = attach_tap(vs, va, FluctuatingChannel([1.0], [1.0]), TapConfig(reflectivity=0.07))
+        ext[:4, :4] = kerr_source(vs, va)[1]
+        assert_allclose(closed.cov[0], (s @ ext @ s.T)[:5, :5], atol=1e-12)
 
     def test_rejects_wrong_mode_count(self):
-        with pytest.raises(ValueError, match="two-mode"):
-            attach_tap(mixture([(1.0, vacuum_state(3))]), TapConfig())
+        # The reference tap needs the two-mode state it extends by one vacuum mode.
+        with pytest.raises(ValueError, match="modes 2, 1 of 2"):
+            reference_tap([1.0], stacked(vacuum(1)), 0.07)
 
 
 def three_mode_path(model_input, tap):
@@ -114,10 +119,9 @@ def three_mode_path(model_input, tap):
 
     The state path that the tap model is checked against.
     """
-    extended = tensor(model_input.states, vacuum_state(1))
-    states = apply_beamsplitter(extended, mode_a=2, mode_b=1, transmittance=1.0 - tap.reflectivity)
+    states = beamsplitter(tensor(model_input, vacuum(1)), 2, 1, 1.0 - tap.reflectivity)
     order = [4, 0, 1, 2, 3, 5]  # X_Tap first, then (X_A, P_A, X_B, P_B), P_Tap last
-    return states, np.linalg.cholesky(states.cov[:, order][:, :, order])
+    return states, np.linalg.cholesky(states[1][:, order][:, :, order])
 
 
 def random_mixtures():
@@ -127,42 +131,85 @@ def random_mixtures():
         n = int(rng.integers(1, 7))
         weights = rng.uniform(0.05, 1.0, n)
         states = [random_physical_state(rng, 2) for _ in range(n)]
-        shifted = [GaussianState(rng.normal(0.0, 2.0, 4), st.cov) for st in states]
-        yield mixture(list(zip(weights / weights.sum(), shifted))), TapConfig(
+        shifted = [(rng.normal(0.0, 2.0, 4), cov) for _, cov in states]
+        yield weights / weights.sum(), stacked(*shifted), TapConfig(
             reflectivity=float(rng.uniform(0.01, 0.5)))
 
 
 class TestTapModel:
-    """The tap model against the three-mode state path it replaces."""
+    """The tap model against the three-mode state path of the reference."""
 
     @staticmethod
-    def assert_matches_state_path(plain, tap):
-        model = attach_tap(plain, tap)
+    def assert_matches_state_path(model, weights, plain, tap, rel):
+        """``model`` against the reference's tapped ``plain`` levels.
+
+        Each moment matrix matches to ``rel`` of its largest entry (0: bit for bit).
+        """
         states, chol = three_mode_path(plain, tap)
-        # The moments are the state path's first five quadratures, bit for bit.
-        assert np.array_equal(model.weights, plain.weights)
-        assert np.array_equal(model.mean, states.mean[:, :5])
-        assert np.array_equal(model.cov, states.cov[:, :5, :5])
+        assert np.array_equal(model.weights, weights)
+        for ours, ref in ((model.mean, states[0][:, :5]), (model.cov, states[1][:, :5, :5]),
+                          (model.tap_sd, chol[:, 0, 0])):
+            axes = tuple(range(1, ref.ndim))
+            bound = rel * np.abs(ref).max(axis=axes, initial=0.0)
+            assert np.all(np.abs(ours - ref).max(axis=axes, initial=0.0) <= bound)
         # The tap-first factor's first column holds the tap SD and beta, and
         # its (X_A, P_A, X_B, P_B) block the conditional factor.
-        assert np.array_equal(model.tap_sd, chol[:, 0, 0])
         scale = np.abs(model.cov[:, :4, :4]).max(axis=(1, 2))
         for field, ref in ((model.beta, chol[:, 1:5, 0]), (model.factor, chol[:, 1:5, 1:5])):
             err = np.abs(field - ref).reshape(len(scale), -1).max(axis=1)
-            assert np.all(err <= 1e-14 * np.sqrt(scale)), err / np.sqrt(scale)
+            assert np.all(err <= (1e-14 + rel) * np.sqrt(scale)), err / np.sqrt(scale)
         assert np.all(np.triu(model.factor, 1) == 0.0)
         explained = model.beta[:, :, None] * model.beta[:, None, :]
         err = np.abs(model.factor @ model.factor.swapaxes(1, 2) + explained - model.cov[:, :4, :4])
         assert np.all(err.max(axis=(1, 2)) <= 1e-14 * scale)
 
     def test_presets_match_state_path(self, calibration, calibrated_source):
-        _, semi = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
+        vs, va = calibration.v_squeezed, calibration.v_antisqueezed
+        _, semi = calibrate_envelope(vs, va)
         for channel in (semi, envelope_fading(0.3), FluctuatingChannel([0.25, 1.0], [0.5, 0.5])):
-            self.assert_matches_state_path(propagate(calibrated_source, channel), TapConfig())
+            self.assert_matches_state_path(
+                attach_tap(vs, va, channel, TapConfig()), channel.probabilities,
+                loss(calibrated_source, 1, channel.transmittances), TapConfig(), 1e-13)
 
     def test_random_mixtures_match_state_path(self):
-        for plain, tap in random_mixtures():
-            self.assert_matches_state_path(plain, tap)
+        for weights, plain, tap in random_mixtures():
+            model = reference_tap(weights, plain, tap.reflectivity)
+            self.assert_matches_state_path(model, weights, plain, tap, 0.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(log_vs=st.floats(-2.0, 0.0), log_excess=st.floats(0.0, 2.0),
+           transmittances=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True),
+           reflectivity=st.floats(1e-6, 1.0 - 1e-6))
+    def test_closed_form_matches_reference(self, log_vs, log_excess, transmittances, reflectivity):
+        # Vs from 0.01 to 1, Va from 1/Vs up to 100 times that: entries up to ~5e3.
+        vs = 10.0 ** log_vs
+        va = 10.0 ** (log_excess - log_vs)
+        channel = FluctuatingChannel(sorted(transmittances),
+                                     np.full(len(transmittances), 1.0 / len(transmittances)))
+        tap = TapConfig(reflectivity=reflectivity)
+        model = attach_tap(vs, va, channel, tap)
+        levels = loss(kerr_source(vs, va), 1, channel.transmittances)
+        reference = reference_tap(channel.probabilities, levels, reflectivity)
+        scale = np.abs(reference.cov).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(model.cov - reference.cov) <= 1e-13 * scale)
+        assert np.array_equal(model.mean, reference.mean)
+        # The untapped levels, too.
+        covs = two_mode_cov(*kerr_blocks(vs, va, channel))
+        assert np.all(np.abs(covs - levels[1]) <= 1e-13 * scale)
+
+    def test_displaced_reference_tap(self, calibration, displaced_tapped):
+        # A displacement moves the means only: the displaced reference model
+        # has the closed form's covariances and the displaced mean sent through
+        # loss on B and the tap.
+        closed = attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, discrete_channel(),
+                            TapConfig())
+        scale = np.abs(closed.cov).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(displaced_tapped.cov - closed.cov) <= 1e-13 * scale)
+        r, t = TapConfig().reflectivity, discrete_channel().transmittances
+        xb = 1.3 * np.sqrt(t)
+        expected = np.stack([np.full(2, 0.4), np.full(2, -0.7), np.sqrt(1.0 - r) * xb,
+                             np.sqrt(1.0 - r) * 0.5 * np.sqrt(t), np.sqrt(r) * xb], axis=1)
+        assert_allclose(displaced_tapped.mean, expected, rtol=1e-14, atol=1e-15)
 
     def test_rejects_weights_as_a_mixture_does(self, discrete_tapped):
         with pytest.raises(ValueError, match="level weights must sum to 1"):
@@ -422,15 +469,15 @@ class TestHerald:
         rng = np.random.default_rng(32)
         state = random_physical_state(rng, 2)
         ens = herald(uncorrelated_tap(state), [1.0])
-        assert_allclose(ens.pooled_cov[0], state.cov, atol=1e-12)
+        assert_allclose(ens.pooled_cov[0], state[1], atol=1e-12)
         assert ens.success_probability[0] == pytest.approx(gaussian_tail(1.0), rel=1e-12)
 
     def test_offset_means_shift_with_selection(self):
         # displaced two-mode vacuum with an uncorrelated tap: the kept
         # ensemble keeps the displacement, covariance untouched
-        state = GaussianState([1.5, -0.5, 0.25, 0.0], np.eye(4))
+        state = (np.array([1.5, -0.5, 0.25, 0.0]), np.eye(4))
         ens = herald(uncorrelated_tap(state), [0.5])
-        assert_allclose(ens.pooled_mean[0], state.mean, atol=1e-12)
+        assert_allclose(ens.pooled_mean[0], state[0], atol=1e-12)
         assert_allclose(ens.pooled_cov[0], np.eye(4), atol=1e-12)
 
     def test_discrete_threshold_nine_gaussifies(self, discrete_tapped):
@@ -463,8 +510,7 @@ class TestHerald:
         rng = np.random.default_rng(33)
         components = []
         for weight, reflectivity in ((0.2, 0.05), (0.3, 0.2), (0.5, 0.5)):
-            plain = mixture([(1.0, random_physical_state(rng, 2))])
-            tapped = attach_tap(plain, TapConfig(reflectivity=reflectivity))
+            tapped = reference_tap([1.0], stacked(random_physical_state(rng, 2)), reflectivity)
             mean = np.concatenate([rng.normal(0.0, 2.0, size=4), [0.0]])
             components.append((weight, mean, tapped.cov[0]))
         model = TapModel(*(np.array(column) for column in zip(*components)))
@@ -500,12 +546,12 @@ class TestHerald:
                     "max_component_cov_distance"):
             _assert_rows_close(getattr(ens, key)[0], ref[key], key)
 
-    def test_rejects_wrong_mode_count(self, discrete_mixture):
+    def test_rejects_wrong_mode_count(self, discrete_levels):
         # The model holds five quadratures, one weight per level: a two-mode
         # mixture's four are rejected when it is built, before any engine
         # reads it, as is a weight missing.
-        weights, states = discrete_mixture.weights, discrete_mixture.states
-        for args in ((weights, states.mean, states.cov),
+        weights = discrete_channel().probabilities
+        for args in ((weights, np.zeros((2, 4)), discrete_levels),
                      ([1.0], np.zeros((2, 5)), np.stack([np.eye(5)] * 2))):
             with pytest.raises(ValueError, match="mean \\(L, 5\\)"):
                 herald(TapModel(*args), [1.0])
@@ -579,10 +625,11 @@ def mp_success(tapped, threshold):
 
 
 @pytest.fixture(scope="module")
-def preset_tapped(calibration, calibrated_source, discrete_tapped):
+def preset_tapped(calibration, discrete_tapped):
     """The tapped mixtures of the 'discrete' and 'semicontinuous' presets."""
-    _, semi = calibrate_envelope(calibration.v_squeezed, calibration.v_antisqueezed)
-    semi_tapped = attach_tap(propagate(calibrated_source, semi), TapConfig())
+    vs, va = calibration.v_squeezed, calibration.v_antisqueezed
+    _, semi = calibrate_envelope(vs, va)
+    semi_tapped = attach_tap(vs, va, semi, TapConfig())
     return {"discrete": discrete_tapped, "semicontinuous": semi_tapped}
 
 
@@ -615,9 +662,9 @@ class TestDegenerateRows:
 
 
 class TestDistilledGln:
-    def test_tap_only_cost_small(self, calibrated_source):
-        mix = mixture([(1.0, calibrated_source)])
-        tapped = attach_tap(mix, TapConfig())
+    def test_tap_only_cost_small(self, calibration):
+        tapped = attach_tap(calibration.v_squeezed, calibration.v_antisqueezed,
+                            FluctuatingChannel([1.0], [1.0]), TapConfig())
         (ln,) = distilled_gln(herald(tapped, [no_selection_threshold(tapped)]))
         assert 0.65 < ln < 0.76  # slightly below the lossless 0.76
 
@@ -625,8 +672,8 @@ class TestDistilledGln:
         ens = herald(discrete_tapped, [9.0])
         assert 0.58 <= distilled_gln(ens)[0] <= 0.76
 
-    def test_never_exceeds_best_pretap_component(self, discrete_mixture, discrete_tapped):
-        best = max(gaussian_log_negativity(cov) for cov in discrete_mixture.states.cov)
+    def test_never_exceeds_best_pretap_component(self, discrete_levels, discrete_tapped):
+        best = max(gaussian_log_negativity(cov) for cov in discrete_levels)
         lns = distilled_gln(herald(discrete_tapped, np.linspace(-2.0, 10.0, 25)))
         assert lns.shape == (25,) and np.all(lns <= best + 1e-9)
 
@@ -647,9 +694,10 @@ def _grid_row_metrics(ens):
 
 
 @pytest.fixture(scope="module")
-def fading_tapped(calibrated_source):
+def fading_tapped(calibration):
     """A 45-level semi-continuous mixture with its tap attached."""
-    return attach_tap(propagate(calibrated_source, envelope_fading(0.3)), TapConfig())
+    return attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, envelope_fading(0.3),
+                      TapConfig())
 
 
 class TestThresholdSweep:
@@ -740,7 +788,8 @@ def heralding_cases(draw):
     channel = FluctuatingChannel(transmittances, raw / raw.sum())
     source = random_physical_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 2)
     tap = TapConfig(reflectivity=draw(st.floats(0.01, 0.5)))
-    tapped = attach_tap(propagate(source, channel), tap)
+    tapped = reference_tap(channel.probabilities, loss(source, 1, channel.transmittances),
+                           tap.reflectivity)
     crossing = floor_crossing(tapped)
     near = st.sampled_from([1.0 + d for d in (-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2)])
     fractions = draw(st.lists(st.floats(-0.3, 1.3) | near, min_size=1, max_size=10))
@@ -771,15 +820,16 @@ class TestGridContract:
 
 
 class TestGaussification:
-    def test_single_component(self, calibrated_source):
-        tapped = attach_tap(mixture([(1.0, calibrated_source)]), TapConfig())
+    def test_single_component(self, calibration):
+        tapped = attach_tap(calibration.v_squeezed, calibration.v_antisqueezed,
+                            FluctuatingChannel([1.0], [1.0]), TapConfig())
         ens = herald(tapped, [2.0])
         assert ens.weight_entropy[0] == pytest.approx(0.0, abs=1e-12)
         assert ens.max_component_cov_distance[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_identical_components(self, calibrated_source):
-        mix = mixture([(0.5, calibrated_source), (0.5, calibrated_source)])
-        ens = herald(attach_tap(mix, TapConfig()), [3.0])
+        mix = stacked(calibrated_source, calibrated_source)
+        ens = herald(reference_tap([0.5, 0.5], mix, TapConfig().reflectivity), [3.0])
         assert ens.weight_entropy[0] == pytest.approx(1.0, abs=1e-12)
         assert ens.max_component_cov_distance[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -823,7 +873,8 @@ class TestJointQuadratureVariances:
 
     def test_source_closed_form(self):
         vs, va = 0.7, 4.0
-        var_sum, var_diff = joint_quadrature_variances(make_kerr_entangled(vs, va).cov)
+        var_sum, var_diff = joint_quadrature_variances(
+            two_mode_cov(*kerr_blocks(vs, va, FluctuatingChannel([1.0], [1.0])))[0])
         assert var_sum == pytest.approx(2 * vs, rel=1e-12)
         assert var_diff == pytest.approx(2 * vs, rel=1e-12)
 

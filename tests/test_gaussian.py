@@ -3,25 +3,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvdistill import (
-    GaussianState,
+    FluctuatingChannel,
     InvalidCovarianceError,
-    apply_beamsplitter,
-    apply_loss,
+    discrete_channel,
     gaussian_log_negativity,
     herald,
-    make_kerr_entangled,
-    pooled_cm,
+    kerr_blocks,
     preset_config,
     pt_trace_norm,
     run_scenario,
-    squeezed_state,
-    symplectic_eigenvalues,
-    tensor,
-    vacuum_state,
-    validate_physical,
+    two_mode_cov,
 )
-from cvdistill.gaussian import log_negativity_gradient, pt_symplectic_spectrum, symplectic_form
-from conftest import apply_phase_rotation, random_physical_state, stacked
+from cvdistill.gaussian import (_PT_FORM, PHYS_TOL, kerr_variances, log_negativity_gradient,
+                                pt_symplectic_spectrum)
+from conftest import (beamsplitter, is_physical, kerr_source, loss, random_physical_state, rotation,
+                      squeezed, stacked, symplectic_eigenvalues, symplectic_form, tensor, vacuum)
+
+
+def kerr_cov(vs, va):
+    """The source's covariance in closed form: the blocks of the one-level channel at t = 1."""
+    return two_mode_cov(*kerr_blocks(vs, va, FluctuatingChannel([1.0], [1.0])))[0]
 
 
 def two_mode_symplectic_eigenvalues_closed_form(cov):
@@ -34,53 +35,17 @@ def two_mode_symplectic_eigenvalues_closed_form(cov):
     return np.sqrt((delta - disc) / 2.0), np.sqrt((delta + disc) / 2.0)
 
 
-class TestGaussianState:
-    def test_symmetrizes_on_construction(self):
-        cov = np.eye(2)
-        cov[0, 1] = 1e-12  # below tolerance, symmetrized away
-        state = GaussianState(np.zeros(2), cov)
-        assert state.cov[0, 1] == state.cov[1, 0]
-
-    def test_rejects_asymmetric(self):
-        cov = np.eye(2)
-        cov[0, 1] = 1e-3
-        with pytest.raises(InvalidCovarianceError):
-            GaussianState(np.zeros(2), cov)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), np.eye(4))
-
-    def test_n_modes(self):
-        assert vacuum_state(3).n_modes == 3
-
-    def test_stack_of_states(self):
-        rng = np.random.default_rng(15)
-        states = [random_physical_state(rng, 2) for _ in range(3)]
-        stack = stacked(*states)
-        assert stack.n_modes == 2 and stack.mean.shape == (3, 4) and stack.cov.shape == (3, 4, 4)
-        for i, state in enumerate(states):
-            assert np.array_equal(stack.mean[i], state.mean)
-            assert np.array_equal(stack.cov[i], state.cov)
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros((3, 4)), np.eye(4))
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros((1, 3, 4)), np.zeros((1, 3, 4, 4)))
-
-
 class TestSymplecticForm:
     def test_blocks(self):
         expected = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
         assert_allclose(symplectic_form(2), expected)
+        # The partial transpose's form is the symplectic form with mode B's block negated.
+        assert np.array_equal(_PT_FORM, symplectic_form(2) * np.array([1.0, 1.0, -1.0, -1.0]))
 
     def test_built_once_and_read_only(self):
-        omega = symplectic_form(3)
-        assert symplectic_form(3) is omega
         with pytest.raises(ValueError):
-            omega[0, 1] = 2.0
-        assert omega[0, 1] == 1.0
+            _PT_FORM[0, 1] = 2.0
+        assert _PT_FORM[0, 1] == 1.0
 
 
 class TestSymplecticEigenvalues:
@@ -91,7 +56,7 @@ class TestSymplecticEigenvalues:
         assert_allclose(symplectic_eigenvalues(np.diag([3.0, 3.0])), [3.0])
 
     def test_kerr_state_against_closed_form(self):
-        cov = make_kerr_entangled(0.5904, 125.0).cov
+        _, cov = kerr_source(0.5904, 125.0)
         nu = symplectic_eigenvalues(cov)
         lo, hi = two_mode_symplectic_eigenvalues_closed_form(cov)
         assert_allclose(nu, [lo, hi], rtol=1e-12)
@@ -100,7 +65,7 @@ class TestSymplecticEigenvalues:
 
     def test_random_states_match_closed_form(self):
         rng = np.random.default_rng(1)
-        covs = [random_physical_state(rng, 2).cov for _ in range(20)]
+        covs = [random_physical_state(rng, 2)[1] for _ in range(20)]
         for cov in covs:
             lo, hi = two_mode_symplectic_eigenvalues_closed_form(cov)
             assert_allclose(symplectic_eigenvalues(cov), [lo, hi], rtol=1e-9)
@@ -122,27 +87,26 @@ class TestSymplecticEigenvalues:
 
 class TestValidatePhysical:
     def test_vacuum(self):
-        assert validate_physical(vacuum_state(2)) is True
+        assert is_physical(vacuum(2)[1]) is True
 
     def test_below_uncertainty_limit(self):
-        assert validate_physical(GaussianState(np.zeros(2), np.diag([0.5, 0.5]))) is False
+        assert is_physical(np.diag([0.5, 0.5])) is False
 
     def test_pure_squeezed(self):
-        assert validate_physical(GaussianState(np.zeros(2), np.diag([0.5, 2.0]))) is True
+        assert is_physical(np.diag([0.5, 2.0])) is True
 
     def test_one_verdict_per_stacked_state(self):
         covs = np.array([np.eye(2), np.diag([0.5, 0.5]), np.diag([0.5, 2.0])])
-        assert validate_physical(covs).tolist() == [True, False, True]
+        assert is_physical(covs).tolist() == [True, False, True]
 
 
 class TestLogNegativity:
     def test_two_mode_vacuum_is_zero(self):
-        assert gaussian_log_negativity(vacuum_state(2)) == pytest.approx(0.0, abs=1e-12)
+        assert gaussian_log_negativity(np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_entangled_closed_form(self):
         vs = 0.5904
-        state = make_kerr_entangled(vs, 1.0 / vs)
-        ln = gaussian_log_negativity(state)
+        ln = gaussian_log_negativity(kerr_cov(vs, 1.0 / vs))
         assert ln == pytest.approx(-np.log2(vs), abs=1e-12)
         assert ln == pytest.approx(0.76, abs=0.08)
 
@@ -151,25 +115,25 @@ class TestLogNegativity:
         for _ in range(50):
             vs = rng.uniform(0.2, 1.0)
             va = rng.uniform(1.0 / vs, 50.0 / vs)
-            state = make_kerr_entangled(vs, va)
-            assert gaussian_log_negativity(state) == pytest.approx(-np.log2(vs), abs=1e-9)
+            ln = gaussian_log_negativity(kerr_cov(vs, va))
+            assert ln == pytest.approx(-np.log2(vs), abs=1e-9)
 
     def test_negative_values_not_clamped(self):
         # strong uncorrelated thermal noise on both modes: Gaussian fit is separable
-        state = GaussianState(np.zeros(4), np.diag([9.0, 9.0, 9.0, 9.0]))
-        assert gaussian_log_negativity(state) == pytest.approx(-np.log2(9.0), abs=1e-12)
+        cov = np.diag([9.0, 9.0, 9.0, 9.0])
+        assert gaussian_log_negativity(cov) == pytest.approx(-np.log2(9.0), abs=1e-12)
 
     def test_invariant_under_local_phase_rotations(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             state = random_physical_state(rng, 2)
-            ln = gaussian_log_negativity(state)
-            rotated = apply_phase_rotation(state, int(rng.integers(2)), rng.uniform(0, 2 * np.pi))
+            ln = gaussian_log_negativity(state[1])
+            _, rotated = rotation(state, int(rng.integers(2)), rng.uniform(0, 2 * np.pi))
             assert gaussian_log_negativity(rotated) == pytest.approx(ln, abs=1e-9)
 
     def test_rejects_wrong_mode_count(self):
         with pytest.raises(ValueError):
-            gaussian_log_negativity(vacuum_state(3))
+            gaussian_log_negativity(np.eye(6))
 
     def test_rejects_rank_deficient_sample_covariances(self):
         # The sample covariance of 3 points in 4 dimensions has rank 2; its zero
@@ -207,8 +171,8 @@ class TestLogNegativity:
     def test_rejects_non_finite_entries(self, value):
         # Every comparison with NaN is False, so a NaN entry passed the symmetry
         # and eigenvalue tests and reached numpy's LinAlgError; inf did the same.
-        checks = (lambda cov: GaussianState(np.zeros(4), cov), symplectic_eigenvalues,
-                  validate_physical, gaussian_log_negativity, pt_symplectic_spectrum)
+        checks = (symplectic_eigenvalues, is_physical, gaussian_log_negativity,
+                  pt_symplectic_spectrum)
         for entry in [(0, 0), (1, 2)]:
             cov = np.eye(4)
             cov[entry] = value
@@ -233,12 +197,12 @@ class TestLogNegativityGradient:
                 grad[j, k] = grad[k, j] = diff / (2 * h) / (1 if j == k else 2)
         return grad
 
-    def test_matches_central_difference(self, discrete_mixture, discrete_tapped):
-        covs = list(discrete_mixture.states.cov)
-        covs.append(pooled_cm(discrete_mixture)[1])
+    def test_matches_central_difference(self, discrete_levels, discrete_tapped):
+        covs = list(discrete_levels)
+        covs.append(np.einsum("i,ijk->jk", discrete_channel().probabilities, discrete_levels))
         covs += list(herald(discrete_tapped, [0.0, 4.0, 9.0]).pooled_cov)
         rng = np.random.default_rng(14)
-        covs += [random_physical_state(rng, 2).cov for _ in range(20)]
+        covs += [random_physical_state(rng, 2)[1] for _ in range(20)]
         for cov in covs:
             grad = log_negativity_gradient(cov)
             assert_allclose(grad, grad.T, rtol=0, atol=1e-15 * np.abs(grad).max())
@@ -246,9 +210,9 @@ class TestLogNegativityGradient:
                 grad, self.central_difference(cov), rtol=1e-6, atol=1e-9 * np.abs(grad).max()
             )
 
-    def test_stack_gives_each_matrix_its_gradient(self, discrete_mixture, discrete_tapped):
+    def test_stack_gives_each_matrix_its_gradient(self, discrete_levels, discrete_tapped):
         covs = np.concatenate([herald(discrete_tapped, [0.0, 4.0, 9.0]).pooled_cov,
-                               discrete_mixture.states.cov])
+                               discrete_levels])
         stacked = log_negativity_gradient(covs)
         assert stacked.shape == covs.shape
         for cov, grad in zip(covs, stacked):
@@ -257,64 +221,63 @@ class TestLogNegativityGradient:
 
 class TestPtTraceNorm:
     def test_two_mode_vacuum(self):
-        assert pt_trace_norm(vacuum_state(2)) == pytest.approx(1.0, abs=1e-12)
+        assert pt_trace_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_consistency_with_log_negativity(self, calibrated_source):
-        ln = gaussian_log_negativity(calibrated_source)
+        ln = gaussian_log_negativity(calibrated_source[1])
         assert ln == pytest.approx(0.76, abs=1e-6)
-        assert pt_trace_norm(calibrated_source) == pytest.approx(2.0**ln, rel=1e-9)
+        assert pt_trace_norm(calibrated_source[1]) == pytest.approx(2.0**ln, rel=1e-9)
 
     def test_separable_states_give_exactly_one(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             # product of noisy single-mode states: PT spectrum stays >= 1
-            state = tensor(random_physical_state(rng, 1), random_physical_state(rng, 1))
-            assert pt_trace_norm(state) == 1.0
+            _, cov = tensor(random_physical_state(rng, 1), random_physical_state(rng, 1))
+            assert pt_trace_norm(cov) == 1.0
 
     def test_at_least_one_everywhere(self):
         rng = np.random.default_rng(5)
-        states = [random_physical_state(rng, 2) for _ in range(50)]
-        for state in states:
-            norm = pt_trace_norm(state)
+        covs = [random_physical_state(rng, 2)[1] for _ in range(50)]
+        for cov in covs:
+            norm = pt_trace_norm(cov)
             assert norm >= 1.0
             flip = np.diag([1.0, 1.0, 1.0, -1.0])
-            nu = symplectic_eigenvalues(flip @ state.cov @ flip)
-            assert_allclose(np.sqrt(pt_symplectic_spectrum(state.cov)), nu, rtol=1e-12)
+            nu = symplectic_eigenvalues(flip @ cov @ flip)
+            assert_allclose(np.sqrt(pt_symplectic_spectrum(cov)), nu, rtol=1e-12)
             if np.sum(nu < 1.0) == 1:
-                assert norm == pytest.approx(
-                    2.0 ** gaussian_log_negativity(state), rel=1e-9
-                )
-        stacked = pt_trace_norm(np.array([s.cov for s in states]))
-        assert_allclose(stacked, [pt_trace_norm(s) for s in states], rtol=1e-15)
+                assert norm == pytest.approx(2.0 ** gaussian_log_negativity(cov), rel=1e-9)
+        assert_allclose(pt_trace_norm(np.array(covs)), [pt_trace_norm(c) for c in covs], rtol=1e-15)
 
 
 class TestBeamsplitter:
+    """The reference beam splitter."""
+
     def test_full_transmission_is_identity(self):
         rng = np.random.default_rng(6)
-        state = random_physical_state(rng, 2)
-        out = apply_beamsplitter(state, 0, 1, 1.0)
-        assert_allclose(out.cov, state.cov, atol=1e-12)
-        assert_allclose(out.mean, state.mean, atol=1e-12)
+        mean, cov = random_physical_state(rng, 2)
+        out_mean, out_cov = beamsplitter((mean, cov), 0, 1, 1.0)
+        assert_allclose(out_cov, cov, atol=1e-12)
+        assert_allclose(out_mean, mean, atol=1e-12)
 
     def test_vacuum_invariant(self):
-        out = apply_beamsplitter(vacuum_state(2), 0, 1, 0.3)
-        assert_allclose(out.cov, np.eye(4), atol=1e-12)
+        _, cov = beamsplitter(vacuum(2), 0, 1, 0.3)
+        assert_allclose(cov, np.eye(4), atol=1e-12)
 
     def test_balanced_mixing_of_squeezed_inputs(self):
         vs, va = 0.5904, 1.0 / 0.5904
-        inputs = tensor(squeezed_state(vs, va), squeezed_state(va, vs))
-        out = apply_beamsplitter(inputs, mode_a=1, mode_b=0, transmittance=0.5)
+        _, cov = beamsplitter(tensor(squeezed(vs, va), squeezed(va, vs)), 1, 0, 0.5)
         s = (vs + va) / 2.0
         expected = np.diag([s, s, s, s])
         expected[0, 2] = expected[2, 0] = (vs - va) / 2.0
         expected[1, 3] = expected[3, 1] = (va - vs) / 2.0
-        assert_allclose(out.cov, expected, atol=1e-12)
+        assert_allclose(cov, expected, atol=1e-12)
+        assert_allclose(kerr_cov(vs, va), expected, atol=1e-12)
 
     def test_matches_explicit_symplectic_conjugation(self):
         rng = np.random.default_rng(7)
         state = random_physical_state(rng, 3)
         t = 0.37
-        out = apply_beamsplitter(state, 2, 0, t)
+        _, out = beamsplitter(state, 2, 0, t)
         s = np.eye(6)
         st, sr = np.sqrt(t), np.sqrt(1 - t)
         for off in (0, 1):
@@ -322,51 +285,49 @@ class TestBeamsplitter:
             s[0 + off, 4 + off] = -sr
             s[4 + off, 4 + off] = st
             s[4 + off, 0 + off] = sr
-        assert_allclose(out.cov, s @ state.cov @ s.T, atol=1e-12)
+        assert_allclose(out, s @ state[1] @ s.T, atol=1e-12)
         # A stack is transformed state by state, with the same arithmetic.
         states = [state] + [random_physical_state(rng, 3) for _ in range(2)]
-        stack = apply_beamsplitter(stacked(*states), 2, 0, t)
+        stack = beamsplitter(stacked(*states), 2, 0, t)
         for i, one in enumerate(states):
-            alone = apply_beamsplitter(one, 2, 0, t)
-            assert np.array_equal(stack.cov[i], alone.cov)
-            assert np.array_equal(stack.mean[i], alone.mean)
+            alone = beamsplitter(one, 2, 0, t)
+            assert np.array_equal(stack[1][i], alone[1])
+            assert np.array_equal(stack[0][i], alone[0])
 
     def test_preserves_symplectic_spectrum(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             state = random_physical_state(rng, 2)
-            before = symplectic_eigenvalues(state.cov)
-            after = symplectic_eigenvalues(
-                apply_beamsplitter(state, 0, 1, rng.uniform(0, 1)).cov
-            )
+            before = symplectic_eigenvalues(state[1])
+            after = symplectic_eigenvalues(beamsplitter(state, 0, 1, rng.uniform(0, 1))[1])
             assert_allclose(after, before, atol=1e-9)
 
     def test_parameter_validation(self):
-        state = vacuum_state(2)
-        with pytest.raises(ValueError):
-            apply_beamsplitter(state, 0, 1, 1.5)
-        with pytest.raises(ValueError):
-            apply_beamsplitter(state, 1, 1, 0.5)
-        with pytest.raises(ValueError):
-            apply_beamsplitter(state, 0, 2, 0.5)
+        state = vacuum(2)
+        for args in ((0, 1, 1.5), (1, 1, 0.5), (0, 2, 0.5)):
+            with pytest.raises(ValueError):
+                beamsplitter(state, *args)
 
 
 class TestLoss:
+    """The reference loss, and the closed form's levels against it."""
+
     def test_eta_one_is_identity(self):
         rng = np.random.default_rng(9)
         state = random_physical_state(rng, 2)
-        out = apply_loss(state, 1, 1.0)
-        assert_allclose(out.cov, state.cov, atol=1e-12)
+        assert_allclose(loss(state, 1, 1.0)[1], state[1], atol=1e-12)
 
     def test_vacuum_fixed_point(self):
-        out = apply_loss(vacuum_state(2), 0, 0.4)
-        assert_allclose(out.cov, np.eye(4), atol=1e-12)
+        assert_allclose(loss(vacuum(2), 0, 0.4)[1], np.eye(4), atol=1e-12)
 
     def test_quarter_transmission_blocks(self, calibration, calibrated_source):
         s = (calibration.v_squeezed + calibration.v_antisqueezed) / 2.0
-        out = apply_loss(calibrated_source, 1, 0.25)
-        assert_allclose(np.diag(out.cov)[2:], 0.25 * s + 0.75, rtol=1e-12)
-        assert_allclose(out.cov[:2, 2:], 0.5 * calibrated_source.cov[:2, 2:], atol=1e-12)
+        _, cov = loss(calibrated_source, 1, 0.25)
+        assert_allclose(np.diag(cov)[2:], 0.25 * s + 0.75, rtol=1e-12)
+        assert_allclose(cov[:2, 2:], 0.5 * calibrated_source[1][:2, 2:], atol=1e-12)
+        closed = two_mode_cov(*kerr_blocks(calibration.v_squeezed, calibration.v_antisqueezed,
+                                           FluctuatingChannel([0.25], [1.0])))[0]
+        assert_allclose(closed, cov, rtol=0, atol=1e-13 * np.abs(cov).max())
 
     def test_equals_beamsplitter_with_ancilla(self):
         rng = np.random.default_rng(10)
@@ -375,13 +336,11 @@ class TestLoss:
             state = random_physical_state(rng, n_modes)
             mode = int(rng.integers(n_modes))
             eta = rng.choice([0.0, 0.25, 0.5, 0.93, 1.0])
-            direct = apply_loss(state, mode, eta)
-            extended = apply_beamsplitter(
-                tensor(state, vacuum_state(1)), mode_a=n_modes, mode_b=mode, transmittance=eta
-            )
+            direct = loss(state, mode, eta)
+            extended = beamsplitter(tensor(state, vacuum(1)), n_modes, mode, eta)
             kept = slice(0, 2 * n_modes)
-            assert_allclose(direct.cov, extended.cov[kept, kept], atol=1e-12)
-            assert_allclose(direct.mean, extended.mean[kept], atol=1e-12)
+            assert_allclose(direct[1], extended[1][kept, kept], atol=1e-12)
+            assert_allclose(direct[0], extended[0][kept], atol=1e-12)
 
     def test_stacked_inputs_act_level_by_level(self):
         rng = np.random.default_rng(16)
@@ -389,72 +348,96 @@ class TestLoss:
         etas = np.array([0.0, 0.25, 0.93, 1.0])
         stack = stacked(*states)
         # A stack with one eta, one state with one eta per level, a stack with one per level.
-        cases = [(apply_loss(stack, 1, 0.25), [(s, 0.25) for s in states]),
-                 (apply_loss(states[0], 1, etas), [(states[0], e) for e in etas]),
-                 (apply_loss(stack, 1, etas), list(zip(states, etas)))]
-        for out, pairs in cases:
-            assert out.mean.shape == (4, 4) and out.cov.shape == (4, 4, 4)
+        cases = [(loss(stack, 1, 0.25), [(s, 0.25) for s in states]),
+                 (loss(states[0], 1, etas), [(states[0], e) for e in etas]),
+                 (loss(stack, 1, etas), list(zip(states, etas)))]
+        for (mean, cov), pairs in cases:
+            assert mean.shape == (4, 4) and cov.shape == (4, 4, 4)
             for i, (state, eta) in enumerate(pairs):
-                alone = apply_loss(state, 1, float(eta))
-                assert np.array_equal(out.cov[i], alone.cov)
-                assert np.array_equal(out.mean[i], alone.mean)
+                alone = loss(state, 1, float(eta))
+                assert np.array_equal(cov[i], alone[1])
+                assert np.array_equal(mean[i], alone[0])
         # A stack against a single state in either order, joined level by level.
-        vac = vacuum_state(1)
+        vac = vacuum(1)
         for joined, order in ((tensor(stack, vac), 0), (tensor(vac, stack), 1)):
-            assert joined.cov.shape == (4, 6, 6)
+            assert joined[1].shape == (4, 6, 6)
             for i, state in enumerate(states):
                 alone = tensor(state, vac) if order == 0 else tensor(vac, state)
-                assert np.array_equal(joined.cov[i], alone.cov)
-                assert np.array_equal(joined.mean[i], alone.mean)
-        with pytest.raises(ValueError):
-            tensor(stack, stacked(vac, vac))
+                assert np.array_equal(joined[1][i], alone[1])
+                assert np.array_equal(joined[0][i], alone[0])
 
-    def test_every_output_physical(self):
+    def test_every_output_physical(self, calibration):
         rng = np.random.default_rng(11)
         for _ in range(30):
             state = random_physical_state(rng, 2)
-            out = apply_loss(state, int(rng.integers(2)), rng.uniform(0, 1))
-            assert validate_physical(out)
+            assert is_physical(loss(state, int(rng.integers(2)), rng.uniform(0, 1))[1])
+        # Every level of the closed form is physical: loss keeps a state physical.
+        channel = FluctuatingChannel(np.linspace(0.0, 1.0, 41), np.full(41, 1.0 / 41))
+        covs = two_mode_cov(*kerr_blocks(calibration.v_squeezed, calibration.v_antisqueezed,
+                                         channel))
+        assert np.all(is_physical(covs))
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            apply_loss(vacuum_state(1), 0, -0.1)
-        with pytest.raises(ValueError):
-            apply_loss(vacuum_state(1), 0, 1.1)
-        for bad in ([0.5, 1.1], [0.5, np.nan], [[0.5]]):
+        for bad in (-0.1, 1.1, [0.5, 1.1], [0.5, np.nan], [[0.5]]):
             with pytest.raises(ValueError, match="eta must lie"):
-                apply_loss(vacuum_state(1), 0, bad)
+                loss(vacuum(1), 0, bad)
 
 
 class TestMakeKerrEntangled:
+    """The closed-form source against the reference's squeezed beams on a 50/50 beam splitter."""
+
     def test_unsqueezed_inputs_give_vacuum(self):
-        out = make_kerr_entangled(1.0, 1.0)
-        assert_allclose(out.cov, np.eye(4), atol=1e-12)
-        assert_allclose(out.mean, np.zeros(4), atol=1e-12)
+        mean, cov = kerr_source(1.0, 1.0)
+        assert_allclose(cov, np.eye(4), atol=1e-12)
+        assert_allclose(mean, np.zeros(4), atol=1e-12)
+        assert np.array_equal(kerr_cov(1.0, 1.0), np.eye(4))
 
     def test_joint_quadratures_squeezed(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             vs = rng.uniform(0.2, 1.0)
             va = rng.uniform(1.0 / vs, 100.0)
-            cov = make_kerr_entangled(vs, va).cov
-            var_sum = cov[0, 0] + cov[2, 2] + 2 * cov[0, 2]
-            var_diff = cov[1, 1] + cov[3, 3] - 2 * cov[1, 3]
-            assert var_sum == pytest.approx(2 * vs, rel=1e-12)
-            assert var_diff == pytest.approx(2 * vs, rel=1e-12)
+            for cov in (kerr_cov(vs, va), kerr_source(vs, va)[1]):
+                var_sum = cov[0, 0] + cov[2, 2] + 2 * cov[0, 2]
+                var_diff = cov[1, 1] + cov[3, 3] - 2 * cov[1, 3]
+                assert var_sum == pytest.approx(2 * vs, rel=1e-12)
+                assert var_diff == pytest.approx(2 * vs, rel=1e-12)
 
     def test_rejects_unphysical_inputs(self):
-        with pytest.raises(ValueError):
-            make_kerr_entangled(1.2, 2.0)
-        with pytest.raises(ValueError):
-            make_kerr_entangled(0.5, 0.9)
-        with pytest.raises(ValueError):
-            make_kerr_entangled(0.5, 1.5)  # product < 1
+        for vs, va in ((1.2, 2.0), (0.5, 0.9), (0.5, 1.5)):  # the last: product < 1
+            with pytest.raises(ValueError):
+                kerr_source(vs, va)
+            with pytest.raises(ValueError):
+                kerr_blocks(vs, va, discrete_channel())
 
-    def test_output_physical(self, calibrated_source):
-        assert validate_physical(calibrated_source)
+    def test_output_physical(self, calibration, calibrated_source):
+        assert is_physical(calibrated_source[1])
+        assert is_physical(kerr_cov(calibration.v_squeezed, calibration.v_antisqueezed))
 
     def test_thermal_marginal(self, calibration, calibrated_source):
         s = (calibration.v_squeezed + calibration.v_antisqueezed) / 2.0
-        assert_allclose(calibrated_source.cov[2:, 2:], np.diag([s, s]), atol=1e-12)
+        assert_allclose(calibrated_source[1][2:, 2:], np.diag([s, s]), atol=1e-12)
+        cov = kerr_cov(calibration.v_squeezed, calibration.v_antisqueezed)
+        assert np.array_equal(cov[2:, 2:], np.diag([s, s]))
 
+
+class TestKerrVariances:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["squeezed", "antisqueezed"])
+    def test_rejects_non_finite(self, which, value):
+        # NaN compares False with every bound and inf meets "va >= 1": only
+        # an explicit finiteness test rejects them as an antisqueezed variance.
+        args = (value, 2.0) if which == "squeezed" else (0.5, value)
+        with pytest.raises(ValueError, match="must"):
+            kerr_variances(*args)
+
+    def test_product_rule_is_exact(self):
+        # Accepted exactly when Vs * Va >= 1 - PHYS_TOL, however strong the squeezing.
+        for va in 10.0 ** np.arange(0.0, 15.25, 0.25):
+            pure = 1.0 / va
+            for vs in (pure, np.nextafter(pure, 0.0), np.nextafter(pure, 2.0), 0.5, 1.0):
+                ok = vs <= 1.0 and vs * va >= 1.0 - PHYS_TOL
+                try:
+                    assert kerr_variances(vs, va) == (vs, va) and ok
+                except ValueError:
+                    assert not ok

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from cvdistill import (
     DegenerateSelectionError,
     FluctuatingChannel,
-    GaussianState,
     McConfig,
     TapConfig,
     TapModel,
@@ -24,18 +23,15 @@ from cvdistill import (
     envelope_fading,
     herald,
     joint_quadrature_variances,
-    make_kerr_entangled,
     preset_config,
-    propagate,
     run_mc_sweep,
     run_scenario,
-    vacuum_state,
 )
 from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
 from cvdistill.distill import gaussian_tail, series_bin_probabilities
 from cvdistill.mc import _kernel_py, engine
-from conftest import (apply_phase_rotation, batch_moments, binomial_two_sided_p, level, mixture,
-                      model_pooled, pooled_cov_se, uncorrelated_tap)
+from conftest import (batch_moments, binomial_two_sided_p, kerr_source, loss, model_pooled,
+                      pooled_cov_se, reference_tap, rotation, uncorrelated_tap, vacuum)
 
 # A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
@@ -50,7 +46,7 @@ def sweep_at(model, config, threshold):
 class TestSampleLevel:
     def test_single_level_always_zero(self):
         chan = FluctuatingChannel([1.0], [1.0])
-        tapped = attach_tap(propagate(make_kerr_entangled(0.6, 10.0), chan), TapConfig())
+        tapped = attach_tap(0.6, 10.0, chan, TapConfig())
         res = sweep_at(tapped, McConfig(n_shots=1000, seed=0), NO_SELECTION)
         assert np.array_equal(res.per_level_kept[0], [1000])
 
@@ -69,12 +65,12 @@ class TestSampleLevel:
 
 class TestSamplePhasePoint:
     def test_vacuum_variances(self):
-        vacuum = uncorrelated_tap(vacuum_state(2))
-        res = sweep_at(vacuum, McConfig(n_shots=1_000_000, seed=42), NO_SELECTION)
+        res = sweep_at(uncorrelated_tap(vacuum(2)), McConfig(n_shots=1_000_000, seed=42),
+                       NO_SELECTION)
         assert_allclose(np.diag(res.pooled_cov[0]), np.ones(4), atol=0.005)
 
     def test_deterministic_under_fixed_seed(self):
-        mix = uncorrelated_tap(make_kerr_entangled(0.6, 10.0))
+        mix = uncorrelated_tap(kerr_source(0.6, 10.0))
         conf = McConfig(n_shots=16, seed=3)
         a = sweep_at(mix, conf, NO_SELECTION)
         b = sweep_at(mix, conf, NO_SELECTION)
@@ -84,15 +80,14 @@ class TestSamplePhasePoint:
     def test_joint_quadrature_variance(self):
         vs = 0.61
         n = 1_000_000
-        mix = uncorrelated_tap(make_kerr_entangled(vs, 40.0))
+        mix = uncorrelated_tap(kerr_source(vs, 40.0))
         res = sweep_at(mix, McConfig(n_shots=n, seed=43), NO_SELECTION)
         var_sum, _ = joint_quadrature_variances(res.pooled_cov[0])
         se = 2 * vs * np.sqrt(2.0 / n)
         assert abs(var_sum - 2 * vs) < 3 * se
 
     def test_covariance_reproduced(self):
-        mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
-        tapped = attach_tap(mix, TapConfig())
+        tapped = attach_tap(0.7, 5.0, discrete_channel(), TapConfig())
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=44), NO_SELECTION)
         _, cov = model_pooled(tapped)
         assert_allclose(res.pooled_cov[0], cov[:4, :4], atol=0.05)
@@ -100,10 +95,9 @@ class TestSamplePhasePoint:
     def test_cross_quadrature_covariance_reproduced(self):
         # Rotating beam B correlates X and P quadratures, so the per-level
         # transform must apply its X-P coefficients as well.
-        mix = propagate(make_kerr_entangled(0.7, 5.0), discrete_channel())
-        rotated = mixture([(w, apply_phase_rotation(level(mix, i), 1, 0.6))
-                           for i, w in enumerate(mix.weights)])
-        tapped = attach_tap(rotated, TapConfig())
+        chan = discrete_channel()
+        rotated = rotation(loss(kerr_source(0.7, 5.0), 1, chan.transmittances), 1, 0.6)
+        tapped = reference_tap(chan.probabilities, rotated, TapConfig().reflectivity)
         _, cov = model_pooled(tapped)
         assert np.abs(cov[0:4:2, 1:4:2]).max() > 0.5
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=49), NO_SELECTION)
@@ -111,13 +105,10 @@ class TestSamplePhasePoint:
 
     def test_transform_matches_factor_product(self):
         # Displaced, phase-rotated fading mixture: nonzero means and X-P terms.
-        mix = propagate(make_kerr_entangled(0.7, 5.0), envelope_fading(0.2))
-        shifted = mixture([
-            (w, GaussianState(np.array([0.3, -0.2, 0.5, 0.1]),
-                              apply_phase_rotation(level(mix, i), 1, 0.6).cov))
-            for i, w in enumerate(mix.weights)
-        ])
-        tapped = attach_tap(shifted, TapConfig())
+        chan = envelope_fading(0.2)
+        _, covs = rotation(loss(kerr_source(0.7, 5.0), 1, chan.transmittances), 1, 0.6)
+        shifted = (np.tile([0.3, -0.2, 0.5, 0.1], (len(chan), 1)), covs)
+        tapped = reference_tap(chan.probabilities, shifted, TapConfig().reflectivity)
         assert np.all(tapped.mean[:, 4] != 0.0)
         rng = np.random.default_rng(50)
         counts = rng.multinomial(5000, tapped.weights)
@@ -392,8 +383,7 @@ def tapped_discrete():
     from cvdistill import calibrate
 
     cal = calibrate()
-    src = make_kerr_entangled(cal.v_squeezed, cal.v_antisqueezed)
-    return attach_tap(propagate(src, discrete_channel()), TapConfig())
+    return attach_tap(cal.v_squeezed, cal.v_antisqueezed, discrete_channel(), TapConfig())
 
 
 @pytest.fixture(scope="module")
@@ -401,8 +391,7 @@ def tapped_fading():
     from cvdistill import calibrate
 
     cal = calibrate()
-    src = make_kerr_entangled(cal.v_squeezed, cal.v_antisqueezed)
-    return attach_tap(propagate(src, envelope_fading(0.2)), TapConfig())
+    return attach_tap(cal.v_squeezed, cal.v_antisqueezed, envelope_fading(0.2), TapConfig())
 
 
 class TestRunMc:
@@ -587,7 +576,7 @@ def preset_tap_model(name):
     cfg = preset_config(name)
     variances = cfg.source.variances()
     channel, _ = cfg.channel.build(*variances)
-    return attach_tap(propagate(make_kerr_entangled(*variances), channel), cfg.tap)
+    return attach_tap(*variances, channel, cfg.tap)
 
 
 @pytest.fixture(scope="module", params=["discrete", "semicontinuous"])
