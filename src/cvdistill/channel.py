@@ -91,9 +91,6 @@ class FluctuatingChannel:
         if np.any(np.diff(ts) <= 0.0):
             raise ValueError("transmittances must be strictly increasing")
 
-    def __len__(self) -> int:
-        return self.transmittances.size
-
 
 def discrete_channel() -> FluctuatingChannel:
     """Two-level channel: 25% and full transmission, each with probability 1/2."""

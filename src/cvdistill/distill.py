@@ -84,19 +84,20 @@ class DistilledEnsemble:
     covariance of any level of posterior weight above 1e-6, taken about
     the pooled mean. Both vanish for a single-level ensemble.
 
-    Every field but ``errors`` has a leading axis with one entry per grid
-    threshold (see :func:`herald`) whose selection is not degenerate, in
-    grid order. ``errors`` has one entry per grid threshold: None where
-    the stacks have a row for it, else its :class:`DegenerateSelectionError`.
+    Every field has one row per grid threshold (see :func:`herald`), in
+    grid order. ``errors`` holds None, or the :class:`DegenerateSelectionError`
+    of a threshold whose selection is degenerate; :func:`row_mask` reads
+    it. On such a row the moment fields are NaN, while
+    ``success_probability`` and ``per_component_pass`` keep their values.
     """
 
-    success_probability: np.ndarray  # (K,)
-    posterior_weights: np.ndarray  # (K, L)
-    per_component_pass: np.ndarray  # (K, L)
-    pooled_mean: np.ndarray  # (K, 4)
-    pooled_cov: np.ndarray  # (K, 4, 4)
-    weight_entropy: np.ndarray  # (K,)
-    max_component_cov_distance: np.ndarray  # (K,)
+    success_probability: np.ndarray  # (T,)
+    posterior_weights: np.ndarray  # (T, L)
+    per_component_pass: np.ndarray  # (T, L)
+    pooled_mean: np.ndarray  # (T, 4)
+    pooled_cov: np.ndarray  # (T, 4, 4)
+    weight_entropy: np.ndarray  # (T,)
+    max_component_cov_distance: np.ndarray  # (T,)
     errors: tuple
 
 
@@ -359,6 +360,11 @@ def check_grid(thresholds) -> np.ndarray:
     return thresholds
 
 
+def row_mask(errors) -> np.ndarray:
+    """Whether each row of a stacked result holds values: its ``errors`` entry is None."""
+    return np.array([exc is None for exc in errors], dtype=bool)
+
+
 def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     """Post-select on the tap X quadrature exceeding each of ``thresholds``.
 
@@ -369,11 +375,12 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     ``thresholds`` is a non-empty 1-d grid (unsorted and repeated values
     allowed), evaluated as array expressions over blocks of
     ``HERALD_BLOCK`` thresholds: the per-level moments exist one block at
-    a time, so only the (K, L) and smaller outputs grow with its length.
+    a time, so only the (T, L) and smaller outputs grow with its length.
     The fields are stacked (see :class:`DistilledEnsemble`). A threshold
     whose success probability is at or below ``SUCCESS_FLOOR`` gets a
-    :class:`DegenerateSelectionError` in ``errors`` and no row. Raises
-    ``ValueError`` as :func:`check_grid` does.
+    :class:`DegenerateSelectionError` in ``errors`` and NaN moments; its
+    moments are not computed. Raises ``ValueError`` as :func:`check_grid`
+    does.
     """
     thresholds = check_grid(thresholds)
     prior, mean, cov, reg = model.weights, model.mean, model.cov, model.beta
@@ -392,17 +399,13 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     # reg, the explained part reg reg^T gains alpha*lam and the residual is intact.
     explained = reg[:, :, None] * reg[:, None, :]
     m = mean[:, :4]
-    n_kept, n_levels = kept.size, prior.size
-    posterior = np.empty((n_kept, n_levels))
-    pooled_mean = np.empty((n_kept, 4))
-    pooled_cov = np.empty((n_kept, 4, 4))
-    max_dist = np.empty(n_kept)
+    posterior, pooled_mean, pooled_cov, max_dist = (
+        np.full(thresholds.shape + shape, np.nan) for shape in (prior.shape, (4,), (4, 4), ()))
     hazard = tail_hazard(alpha[kept])
-    for lo in range(0, n_kept, HERALD_BLOCK):
-        block = slice(lo, lo + HERALD_BLOCK)
-        rows = kept[block]
+    for lo in range(0, kept.size, HERALD_BLOCK):
+        rows = kept[lo:lo + HERALD_BLOCK]
         a = alpha[rows]
-        lam = hazard[block]
+        lam = hazard[lo:lo + HERALD_BLOCK]
         c = m + reg * lam[:, :, None]
         second = (
             cov[:, :4, :4]
@@ -412,31 +415,37 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
             - m[:, :, None] * m[:, None, :]
         )
         s2 = 0.5 * (second + second.swapaxes(-1, -2))
-        w = posterior[block] = prior * passes[rows] / success[rows, None]
-        mu = pooled_mean[block] = (w[:, None, :] @ c)[:, 0]
+        w = posterior[rows] = prior * passes[rows] / success[rows, None]
+        mu = pooled_mean[rows] = (w[:, None, :] @ c)[:, 0]
         pc = np.einsum("ti,tijk->tjk", w, s2) - mu[:, :, None] * mu[:, None, :]
-        pc = pooled_cov[block] = 0.5 * (pc + pc.swapaxes(-1, -2))
+        pc = pooled_cov[rows] = 0.5 * (pc + pc.swapaxes(-1, -2))
         # Each level's central covariance, taken about the pooled mean.
         shift = c - mu[:, None, :]
         centered = (s2 - c[:, :, :, None] * c[:, :, None, :]
                     + shift[:, :, :, None] * shift[:, :, None, :])
         dist = np.linalg.norm(centered - pc[:, None], axis=(-2, -1))
-        max_dist[block] = np.where(w > 1e-6, dist, 0.0).max(axis=-1, initial=0.0)
+        max_dist[rows] = np.where(w > 1e-6, dist, 0.0).max(axis=-1, initial=0.0)
 
+    # NaN rows stay NaN: they fail posterior > 0 and give log_w 0, and NaN * 0 is NaN.
     log_w = np.log2(posterior, out=np.zeros_like(posterior), where=posterior > 0.0)
     entropy = -(posterior[:, None, :] @ log_w[:, :, None])[:, 0, 0]
-    return DistilledEnsemble(success[kept], posterior, passes[kept], pooled_mean, pooled_cov,
-                             entropy, max_dist, errors)
+    return DistilledEnsemble(success, posterior, passes, pooled_mean, pooled_cov, entropy,
+                             max_dist, errors)
 
 
-def distilled_gln(ensemble: DistilledEnsemble):
-    """Gaussian logarithmic negativity of the heralded pooled covariance, one per stack row.
+def distilled_gln(ensemble: DistilledEnsemble) -> np.ndarray:
+    """Gaussian logarithmic negativity of the heralded pooled covariance, (T,).
 
-    One :func:`pt_symplectic_spectrum` call over the (K, 4, 4) stack (the
-    LN of :func:`gaussian_log_negativity`).
+    One :func:`pt_symplectic_spectrum` call over the rows of ``pooled_cov``
+    that :func:`row_mask` passes (the LN of :func:`gaussian_log_negativity`),
+    so a non-finite entry in such a row raises ``InvalidCovarianceError``.
+    NaN on the other rows. Takes a ``run_mc_sweep`` result too.
     """
-    nu_minus_sq, _ = pt_symplectic_spectrum(ensemble.pooled_cov)
-    return -0.5 * np.log2(nu_minus_sq)
+    rows = row_mask(ensemble.errors)
+    ln = np.full(rows.shape, np.nan)
+    nu_minus_sq, _ = pt_symplectic_spectrum(ensemble.pooled_cov[rows])
+    ln[rows] = -0.5 * np.log2(nu_minus_sq)
+    return ln
 
 
 def joint_quadrature_variances(cov):

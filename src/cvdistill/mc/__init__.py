@@ -1,6 +1,5 @@
 """Monte Carlo engine."""
 
-from ..config import McConfig
 from .accumulators import CovarianceAccumulator
 from .engine import (
     SERIES,
@@ -12,7 +11,6 @@ from .engine import (
 __all__ = [
     "SERIES",
     "CovarianceAccumulator",
-    "McConfig",
     "McSweep",
     "ln_with_se",
     "run_mc_sweep",

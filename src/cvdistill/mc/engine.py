@@ -16,7 +16,7 @@ j..top (Chan's update for the moments, sums for the counts), so a sweep
 costs one threshold's sampling however many thresholds it has. The result
 is one ``McSweep``, stacked per threshold like ``herald``'s grid ensemble,
 with the pre-selection histograms held once and ``errors`` naming the
-thresholds without a moment row; ``ln_with_se`` is stacked the same way.
+thresholds whose moment rows are NaN; ``ln_with_se`` is stacked the same way.
 
 Sampling by level. Shots are sampled in blocks, block b from its own
 stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed streams in
@@ -116,7 +116,7 @@ import numpy as np
 
 from ..config import McConfig
 from ..distill import (DegenerateSelectionError, TapModel, check_grid, distilled_gln,
-                       gaussian_tail, series_bin_probabilities)
+                       gaussian_tail, row_mask, series_bin_probabilities)
 from ..gaussian import log_negativity_gradient
 from .accumulators import CovarianceAccumulator
 from . import _kernel_py
@@ -152,7 +152,7 @@ CHUNK_SHOTS = 1 << 16
 # and Robert's rejection accepts ~0.83 of its proposals.
 RARE_ALPHA = 0.5
 
-# Fewest kept shots that give a moment-stack row: the 4x4 sample covariance
+# Fewest kept shots that give moments: the 4x4 sample covariance
 # of n shots has rank at most n - 1, so below 5 it cannot be positive definite.
 MIN_KEPT = 5
 
@@ -165,21 +165,21 @@ class McSweep:
     and the pre-selection histograms ``hist_pre`` (5, bins), each series
     summing to ``total_count``, whose counts of the shots below the lowest
     threshold are drawn from their exact conditional law (see the module
-    docstring). Per grid threshold, in the caller's grid order with
-    duplicates: ``kept_count`` (T,), ``per_level_kept`` (T, L) and the
-    post-selection histograms ``hist_post`` (T, 5, bins). Histogram series
-    k is ``SERIES[k]``. Every field depends on the grid through its lowest
+    docstring). Every other field has one row per grid threshold, in the
+    caller's grid order with duplicates: ``kept_count`` (T,),
+    ``per_level_kept`` (T, L), the post-selection histograms ``hist_post``
+    (T, 5, bins), the moments ``pooled_mean`` (T, 4), ``pooled_cov``
+    (T, 4, 4) and ``cov_sampling`` (T, 10, 10), the empirical
+    (distribution-free) sampling covariance of the ten covariance-entry
+    estimates in ``PAIRS`` order, and ``errors``. Histogram series k is
+    ``SERIES[k]``. Every field depends on the grid through its lowest
     threshold and its own threshold only: a row equals the same row of any
     sweep with the same lowest threshold.
 
-    The moment stacks ``pooled_mean`` (K, 4), ``pooled_cov`` (K, 4, 4) and
-    ``cov_sampling`` (K, 10, 10), the empirical (distribution-free) sampling
-    covariance of the ten covariance-entry estimates in ``PAIRS`` order,
-    have one row per threshold that kept at least ``MIN_KEPT`` shots, in
-    grid order. ``errors`` has one entry per grid threshold: None where the
-    stacks have a row for it, else a :class:`DegenerateSelectionError`
-    naming its kept count, below ``MIN_KEPT``. Nothing depends on the
-    worker count.
+    ``errors`` holds None, or a :class:`DegenerateSelectionError` naming
+    the kept count of a threshold that kept fewer than ``MIN_KEPT`` shots;
+    the moments of such a row are NaN, its counts and histograms are not.
+    Nothing depends on the worker count.
     """
 
     total_count: int
@@ -421,7 +421,7 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     does.
 
     Returns one :class:`McSweep`. A threshold that fewer than ``MIN_KEPT``
-    shots pass has its error in ``errors`` and no row in the moment stacks.
+    shots pass has its error in ``errors`` and NaN moments.
 
     Raises ``ValueError`` as :func:`cvdistill.distill.check_grid` does.
     """
@@ -473,7 +473,7 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     hist_pre = hist_post[0] + _off_tap_below(model, below, grid[0], edges, config.seed)
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
     kept_count = np.cumsum(strata.count[::-1])[::-1]
-    mean, cov, cov_sampling = (np.zeros((grid.size,) + shape)
+    mean, cov, cov_sampling = (np.full((grid.size,) + shape, np.nan)
                                for shape in ((4,), (4, 4), (len(PAIRS),) * 2))
     kept_acc = CovarianceAccumulator(N_FEATURES)
     for j in reversed(range(grid.size)):
@@ -490,10 +490,9 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
             f"fewer than MIN_KEPT = {MIN_KEPT}")
         for j in grid_index
     )
-    rows = grid_index[kept_count[grid_index] >= MIN_KEPT]
     return McSweep(
         total, kept_count[grid_index], per_level_kept[grid_index], edges, hist_pre,
-        hist_post[grid_index], mean[rows], cov[rows], cov_sampling[rows], errors,
+        hist_post[grid_index], mean[grid_index], cov[grid_index], cov_sampling[grid_index], errors,
     )
 
 
@@ -533,17 +532,21 @@ def _cov_entry_sampling(feat_mean: np.ndarray, feat_cov: np.ndarray, n: int) -> 
 
 
 def ln_with_se(sweep: McSweep):
-    """Log-negativity of each moment-stack row of ``sweep`` and its standard error.
+    """Log-negativity of each grid threshold of ``sweep`` and its standard error.
 
-    Returns (ln, se), one entry per stack row: ``distilled_gln``, as for
+    Returns (ln, se), two (T,) float arrays: ``distilled_gln``, as for
     ``herald``, and the empirical covariance-entry sampling covariance
-    propagated through the analytic gradient of the log-negativity. ``se``
-    is an object array, None where the threshold kept at most
+    propagated through the analytic gradient of the log-negativity, taken
+    on the rows that ``row_mask`` passes. Both are NaN on a row with an
+    ``errors`` entry. ``se`` is NaN too where the threshold kept at most
     ``N_FEATURES`` shots: the features' sample covariance then has rank
     below ``N_FEATURES`` and the delta method has nothing to stand on.
     """
+    real = row_mask(sweep.errors)
     rows, cols = np.array(PAIRS).T
-    grad = np.where(rows == cols, 1.0, 2.0) * log_negativity_gradient(sweep.pooled_cov)[:, rows, cols]
-    var = (grad[:, None] @ sweep.cov_sampling @ grad[:, :, None])[:, 0, 0]
-    kept = sweep.kept_count[[exc is None for exc in sweep.errors]]
-    return distilled_gln(sweep), np.where(kept > N_FEATURES, np.sqrt(np.maximum(var, 0.0)), None)
+    grad = (np.where(rows == cols, 1.0, 2.0)
+            * log_negativity_gradient(sweep.pooled_cov[real])[:, rows, cols])
+    var = (grad[:, None] @ sweep.cov_sampling[real] @ grad[:, :, None])[:, 0, 0]
+    se = np.full(real.shape, np.nan)
+    se[real] = np.sqrt(np.maximum(var, 0.0))
+    return distilled_gln(sweep), np.where(sweep.kept_count > N_FEATURES, se, np.nan)

@@ -7,10 +7,11 @@ a section gives targets), take the levels' closed-form covariances
 t = 1), attach the tap, herald the whole
 threshold list with the analytic engine (one ``herald`` call on the grid)
 and/or the Monte Carlo engine (one ``run_mc_sweep`` pass over the shots),
-and collect everything into a JSON-serializable RunReport. Each engine's
-stacked result becomes one row section or one error per threshold,
-``ln_agreement`` compares the two at once, and the loop over thresholds
-only copies cells into rows.
+and collect everything into a JSON-serializable RunReport. Both engines'
+stacked results have one row per grid threshold, NaN where ``errors``
+names a degenerate selection; each becomes one row section or one error
+per threshold, ``ln_agreement`` compares the two at once, and the loop
+over thresholds only copies cells into rows.
 ``emit_artifacts`` renders a report to flat files (JSON report, sweep
 curve CSV, histogram CSVs, posterior-weight tables).
 """
@@ -32,6 +33,7 @@ from .distill import (
     distilled_gln,
     herald,
     joint_quadrature_variances,
+    row_mask,
 )
 from .gaussian import InvalidCovarianceError, gaussian_log_negativity
 from .mc import SERIES, ln_with_se, run_mc_sweep
@@ -135,20 +137,13 @@ def _require(obj, keys, where: str, types=object) -> None:
 
 
 def _sections(errors, columns: dict) -> list:
-    """Per threshold, its row section or the error that stands for it.
+    """Per threshold, the error that stands for it, or its row section: one cell of each column.
 
     ``columns`` maps each section key, in the section's key order, to a
-    stacked column (array or list) with one row per threshold whose
-    ``errors`` entry is None, in grid order.
+    stacked column (array or list) with one row per grid threshold.
     """
-    cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
-    sections = iter([dict(zip(columns, row)) for row in zip(*cells)])
-    return [next(sections) if exc is None else exc for exc in errors]
-
-
-def _has_row(errors) -> np.ndarray:
-    """Whether each grid threshold has a stack row: its ``errors`` entry is None."""
-    return np.array([exc is None for exc in errors], dtype=bool)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return [dict(zip(columns, row)) if exc is None else exc for exc, row in zip(errors, zip(*cells))]
 
 
 def ln_agreement(ensemble, sweep):
@@ -156,23 +151,17 @@ def ln_agreement(ensemble, sweep):
 
     Returns (T,) arrays ``ln_sigma_distance``, |LN_mc - LN_analytic| over
     the Monte Carlo standard error (0 or inf where it is 0, None where it
-    is None or an engine has no row); ``checked``, where a distance exists
-    and the analytic success is at least ``AGREEMENT_MIN_SUCCESS``; and
-    ``ok``, False only where a checked distance exceeds ``AGREEMENT_SIGMA``.
+    is NaN or an engine's ``errors`` entry is not None); ``checked``, where
+    a distance exists and the analytic success is at least
+    ``AGREEMENT_MIN_SUCCESS``; and ``ok``, False only where a checked
+    distance exceeds ``AGREEMENT_SIGMA``.
     """
-    in_analytic, in_mc = _has_row(ensemble.errors), _has_row(sweep.errors)
-    both = in_analytic & in_mc
-    mc_ln, mc_se = (column[both[in_mc]] for column in ln_with_se(sweep))
-    diff = np.abs(mc_ln - distilled_gln(ensemble)[both[in_analytic]])
-    se = np.array([np.nan if x is None else x for x in mc_se], dtype=float)
-    sigma = np.divide(diff, se, out=np.where(diff == 0.0, 0.0, np.inf), where=se > 0)
-    distance = np.full(both.size, None, dtype=object)
-    checked, ok = np.zeros(both.size, dtype=bool), np.ones(both.size, dtype=bool)
-    distance[both] = np.where(np.isnan(se), None, sigma)
-    checked[both] = ~np.isnan(se) & (
-        ensemble.success_probability[both[in_analytic]] >= AGREEMENT_MIN_SUCCESS)
-    ok[both] = ~checked[both] | (sigma <= AGREEMENT_SIGMA)
-    return distance, checked, ok
+    mc_ln, mc_se = ln_with_se(sweep)
+    diff = np.abs(mc_ln - distilled_gln(ensemble))
+    sigma = np.divide(diff, mc_se, out=np.where(diff == 0.0, 0.0, np.inf), where=mc_se > 0)
+    known = row_mask(ensemble.errors) & row_mask(sweep.errors) & ~np.isnan(mc_se)
+    checked = known & (ensemble.success_probability >= AGREEMENT_MIN_SUCCESS)
+    return np.where(known, sigma, None), checked, ~checked | (sigma <= AGREEMENT_SIGMA)
 
 
 def run_scenario(config: ExperimentConfig) -> RunReport:
@@ -246,20 +235,22 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
             })
         if config.engine != "analytic":
             sweep = run_mc_sweep(tapped, config.mc, thresholds)
-            has_row = _has_row(sweep.errors)
-            kept = sweep.kept_count[has_row]
+            kept = sweep.kept_count[:, None]
             ln, ln_se = ln_with_se(sweep)
             pre = sweep.hist_pre.tolist()
             sections["mc"] = _sections(sweep.errors, {
-                "kept_count": kept, "total_count": [sweep.total_count] * kept.size,
-                "success_probability": sweep.success_probability[has_row],
-                "success_se": sweep.success_se[has_row], "gaussian_ln": ln, "ln_se": ln_se,
-                "posterior_weights": sweep.per_level_kept[has_row] / kept[:, None],
+                "kept_count": sweep.kept_count, "total_count": [sweep.total_count] * len(thresholds),
+                "success_probability": sweep.success_probability,
+                "success_se": sweep.success_se, "gaussian_ln": ln,
+                # JSON has no NaN: a row's missing LN error is written as null.
+                "ln_se": np.where(np.isnan(ln_se), None, ln_se),
+                "posterior_weights": np.divide(sweep.per_level_kept, kept, where=kept > 0,
+                                               out=np.full(sweep.per_level_kept.shape, np.nan)),
                 "pooled_cov": sweep.pooled_cov,
                 "histograms": [{name: {"pre": p, "post": q} for name, p, q in zip(SERIES, pre, post)}
-                               for post in sweep.hist_post[has_row].tolist()],
+                               for post in sweep.hist_post.tolist()],
             })
-            if has_row.any():
+            if None in sweep.errors:
                 histogram_edges = sweep.edges.tolist()
         if len(sections) == 2:
             distance, checked, ok = (a.tolist() for a in ln_agreement(ensemble, sweep))

@@ -178,7 +178,7 @@ def model_pooled(model):
 
 
 def pooled_cov_se(sweep):
-    """Entrywise standard errors of a sweep's ``pooled_cov`` (K, 4, 4), off ``cov_sampling``'s diagonal."""
+    """Entrywise standard errors of a sweep's ``pooled_cov`` (T, 4, 4), off ``cov_sampling``'s diagonal."""
     se = np.zeros(sweep.pooled_cov.shape)
     rows, cols = np.array(PAIRS).T
     se[:, rows, cols] = se[:, cols, rows] = np.sqrt(np.maximum(

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,11 +25,14 @@ from cvdistill import (
     calibrate,
     calibrate_envelope,
     discrete_channel,
+    distilled_gln,
     envelope_exponential,
     envelope_fading,
     gaussian_log_negativity,
+    herald,
     parse_config,
     preset_config,
+    run_mc_sweep,
     run_scenario,
 )
 import cvdistill.channel as channel_mod
@@ -39,8 +42,9 @@ from cvdistill.calibrate import (BRACKET_HI, DEFAULT_LN_DISCRETE_PREMIX, ENVELOP
 from cvdistill.cli import main
 from cvdistill.config import (DEFAULT_THRESHOLDS, ChannelSettings, ConfigError, McConfig,
                               SourceSettings, TapConfig)
+from cvdistill.distill import row_mask
 from cvdistill.gaussian import PHYS_TOL, kerr_variances
-from cvdistill.mc import SERIES
+from cvdistill.mc import SERIES, ln_with_se
 from conftest import kerr_source, loss, pooled
 from cvdistill.scenario import AGREEMENT_MIN_SUCCESS, RunReport, ln_agreement
 
@@ -716,7 +720,8 @@ def rigged_agreement(monkeypatch, success, analytic_ln, mc_ln, mc_se):
     """The agreement block and ``agreement_failed`` of a run with the engines' results forced.
 
     Both engines run at 1 SNU; their success probability, LNs and Monte
-    Carlo LN error are then replaced by the given values.
+    Carlo LN error are then replaced by the given values, one per grid
+    threshold. An ``mc_se`` of None stands for ``ln_with_se``'s NaN.
     """
     real_herald = scenario.herald
 
@@ -725,13 +730,13 @@ def rigged_agreement(monkeypatch, success, analytic_ln, mc_ln, mc_se):
         ensemble.success_probability = np.full_like(ensemble.success_probability, success)
         return ensemble
 
-    def column(stack, value, dtype=float):
-        return np.full(len(stack.pooled_cov), value, dtype=dtype)
+    def column(stack, value):
+        return np.full(len(stack.errors), np.nan if value is None else value)
 
     monkeypatch.setattr(scenario, "herald", herald)
     monkeypatch.setattr(scenario, "distilled_gln", lambda ens: column(ens, analytic_ln))
     monkeypatch.setattr(scenario, "ln_with_se",
-                        lambda sweep: (column(sweep, mc_ln), column(sweep, mc_se, object)))
+                        lambda sweep: (column(sweep, mc_ln), column(sweep, mc_se)))
     cfg = preset_config("discrete")
     cfg.engine = "both"
     cfg.tap.thresholds = [1.0]
@@ -761,17 +766,96 @@ class TestAgreement:
         assert failed is not ok
 
     def test_rows_are_matched_by_threshold(self, monkeypatch):
-        # Thresholds 0-3: both engines, analytic only, Monte Carlo only, neither.
+        # Thresholds 0-3: both engines, analytic only, Monte Carlo only,
+        # neither. Each stack has a row per threshold, NaN where an engine
+        # has an error; the success keeps its value there.
         analytic = SimpleNamespace(errors=(None, None, ValueError(), ValueError()),
-                                   success_probability=np.array([0.5, 0.5]))
+                                   success_probability=np.array([0.5, 0.5, 0.0, 0.0]))
         mc = SimpleNamespace(errors=(None, ValueError(), None, ValueError()))
-        monkeypatch.setattr(scenario, "distilled_gln", lambda ens: np.array([0.5, 9.0]))
-        monkeypatch.setattr(scenario, "ln_with_se",
-                            lambda sweep: (np.array([1.0, 9.0]), np.array([0.25, None], dtype=object)))
+        monkeypatch.setattr(scenario, "distilled_gln",
+                            lambda ens: np.array([0.5, 9.0, np.nan, np.nan]))
+        monkeypatch.setattr(scenario, "ln_with_se", lambda sweep: (
+            np.array([1.0, np.nan, 9.0, np.nan]), np.array([0.25, np.nan, 0.25, np.nan])))
         distance, checked, ok = (a.tolist() for a in ln_agreement(analytic, mc))
         assert distance == [2.0, None, None, None]
         assert checked == [True, False, False, False]
         assert ok == [True, True, True, True]
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON; ValueError on ``NaN``, ``Infinity`` or ``-Infinity``."""
+    def reject(name):
+        raise ValueError(f"report holds {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOneRowPerThreshold:
+    def test_both_engines_stack_every_field_per_grid_threshold(self, tmp_path):
+        # Unsorted, 3 repeated, and degenerate rows in the middle: at 2e5
+        # shots 12 SNU keeps no shot, and at 1e4 SNU the success underflows.
+        grid = [3.0, 12.0, 0.0, 1e4, 3.0, 6.0, 9.0]
+        cfg = preset_config("discrete")
+        cfg.engine, cfg.tap.thresholds, cfg.mc.n_shots = "both", grid, 200_000
+        cfg.output.dir = str(tmp_path)
+        variances = cfg.source.variances()
+        tapped = attach_tap(*variances, cfg.channel.build(*variances)[0], cfg.tap)
+        ens, sweep = herald(tapped, grid), run_mc_sweep(tapped, cfg.mc, grid)
+        assert row_mask(ens.errors).tolist() == [True] * 3 + [False] + [True] * 3
+        assert row_mask(sweep.errors).tolist() == [True, False, True, False, True, True, True]
+
+        # Every field has T rows, NaN exactly in the moments of the rows with an error.
+        moments = {"analytic": ("posterior_weights", "pooled_mean", "pooled_cov", "weight_entropy",
+                                "max_component_cov_distance"),
+                   "mc": ("pooled_mean", "pooled_cov", "cov_sampling")}
+        for name, stack, lns in (("analytic", ens, [distilled_gln(ens)]),
+                                 ("mc", sweep, list(ln_with_se(sweep)))):
+            real = row_mask(stack.errors)
+            held_once = ("errors", "edges", "hist_pre", "total_count")
+            stacked = {f.name: getattr(stack, f.name) for f in fields(stack)
+                       if f.name not in held_once}
+            stacked.update(success_probability=stack.success_probability, ln=lns[0])
+            for key, value in stacked.items():
+                assert len(value) == len(grid), (name, key)
+                nan = np.isnan(value).reshape(len(grid), -1)
+                missing = ~real if key in moments[name] + ("ln",) else np.zeros(len(grid), bool)
+                assert np.array_equal(nan.all(axis=1), missing), (name, key)
+                assert np.array_equal(nan.any(axis=1), missing), (name, key)
+            # The LN error is NaN on the rows with an error and where 9 SNU kept <= 14 shots.
+            if name == "mc":
+                assert 5 <= sweep.kept_count[6] <= 14
+                assert np.array_equal(np.isnan(lns[1]), ~real | (np.arange(len(grid)) == 6))
+
+        # The other rows are the stacks of the grid without the degenerate
+        # thresholds: herald's bit for bit, the sweep's (same lowest
+        # threshold) to its moments' float reassociation.
+        real = row_mask(ens.errors)
+        alone = herald(tapped, np.array(grid)[real])
+        for f in fields(ens):
+            if f.name != "errors":
+                assert np.array_equal(getattr(ens, f.name)[real], getattr(alone, f.name)), f.name
+        assert np.array_equal(distilled_gln(ens)[real], distilled_gln(alone))
+        real = row_mask(sweep.errors)
+        alone = run_mc_sweep(tapped, cfg.mc, np.array(grid)[real])
+        for key in ("kept_count", "per_level_kept", "hist_post"):
+            assert np.array_equal(getattr(sweep, key)[real], getattr(alone, key)), key
+        for key in ("pooled_mean", "pooled_cov", "cov_sampling"):
+            a, b = getattr(sweep, key)[real], getattr(alone, key)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), key
+        for a, b in zip(ln_with_se(sweep), ln_with_se(alone)):
+            assert np.array_equal(np.isnan(a[real]), np.isnan(b))
+            assert a[real] == pytest.approx(b, rel=1e-9, nan_ok=True)
+
+        # The report holds no NaN: a row with an error has no section, and
+        # 9 SNU's LN error is null.
+        report = run_scenario(cfg)
+        stored = strict_json((tmp_path / "report.json").read_text())
+        assert stored == json.loads(json.dumps(report.to_dict()))
+        rows = stored["thresholds"]
+        assert [row["mc"] is None for row in rows] == (~row_mask(sweep.errors)).tolist()
+        assert [row["analytic"] is None for row in rows] == (~row_mask(ens.errors)).tolist()
+        assert rows[6]["mc"]["ln_se"] is None and rows[6]["agreement"]["ln_sigma_distance"] is None
+        assert rows[3]["error"] and rows[1]["engine_errors"]
 
 
 class TestArtifacts:

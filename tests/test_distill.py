@@ -559,7 +559,8 @@ class TestHerald:
     def test_degenerate_selection_recorded(self, discrete_tapped):
         ens = herald(discrete_tapped, [1e4])
         assert isinstance(ens.errors[0], DegenerateSelectionError)
-        assert ens.success_probability.shape == (0,) and ens.pooled_cov.shape == (0, 4, 4)
+        assert ens.success_probability.shape == (1,) and ens.success_probability[0] <= SUCCESS_FLOOR
+        assert ens.pooled_cov.shape == (1, 4, 4) and np.isnan(ens.pooled_cov).all()
 
     @pytest.mark.parametrize("threshold", [-np.inf, np.inf, np.nan, [2.0, np.nan], [np.inf]])
     def test_rejects_non_finite_threshold(self, discrete_tapped, threshold):
@@ -657,8 +658,8 @@ class TestDegenerateRows:
         for t, bad in zip(grid, expected):
             alone = herald(tapped, [t])
             assert isinstance(alone.errors[0], DegenerateSelectionError) == bad
-            assert np.all(alone.success_probability > SUCCESS_FLOOR)
-            assert alone.success_probability.size == (0 if bad else 1)
+            assert alone.success_probability.size == 1
+            assert (alone.success_probability[0] <= SUCCESS_FLOOR) == bad
 
 
 class TestDistilledGln:
@@ -693,6 +694,19 @@ def _grid_row_metrics(ens):
     return out
 
 
+# The metrics that a degenerate row holds NaN in; the other two keep their values.
+SUCCESS_METRICS = ("success_probability", "per_component_pass")
+
+
+def _assert_nan_rows(metrics, degenerate):
+    """Each metric but ``SUCCESS_METRICS`` is NaN exactly on the ``degenerate`` rows, whole rows."""
+    for key, value in metrics.items():
+        nan = np.isnan(value).reshape(len(degenerate), -1)
+        expected = np.zeros(len(degenerate), bool) if key in SUCCESS_METRICS else degenerate
+        assert np.array_equal(nan.all(axis=1), expected), key
+        assert np.array_equal(nan.any(axis=1), expected), key
+
+
 @pytest.fixture(scope="module")
 def fading_tapped(calibration):
     """A 45-level semi-continuous mixture with its tap attached."""
@@ -725,18 +739,21 @@ class TestThresholdSweep:
         assert ens.errors[0] is None and ens.errors[2] is None
         assert isinstance(ens.errors[1], DegenerateSelectionError)
         assert str(ens.errors[1]) == "success probability underflowed (0.0) at threshold 10000.0"
-        for k, th in enumerate((2.0, 3.0)):
+        _assert_nan_rows(metrics, np.array([False, True, False]))
+        for k, th in ((0, 2.0), (2, 3.0)):
             alone = _grid_row_metrics(herald(discrete_tapped, [th]))
             for key, value in alone.items():
                 _assert_rows_close(metrics[key][k], value[0], key)
         (error,) = herald(discrete_tapped, [1e4]).errors
         assert str(error) == str(ens.errors[1])
 
-    def test_all_degenerate_grid_has_empty_stacks(self, discrete_tapped):
+    def test_all_degenerate_grid_has_nan_stacks(self, discrete_tapped):
         ens = herald(discrete_tapped, [1e4, 2e4])
         assert all(isinstance(e, DegenerateSelectionError) for e in ens.errors)
-        for value in _grid_row_metrics(ens).values():
-            assert np.shape(value)[:1] == (0,)
+        metrics = _grid_row_metrics(ens)
+        for value in metrics.values():
+            assert np.shape(value)[:1] == (2,)
+        _assert_nan_rows(metrics, np.array([True, True]))
 
     def test_rejects_nested_or_empty_grid(self, discrete_tapped):
         # Scalars included: a single threshold is the one-entry grid.
@@ -810,9 +827,11 @@ class TestGridContract:
         assert [isinstance(e, DegenerateSelectionError) for e in ens.errors] == degenerate.tolist()
         assert [e is None for e in ens.errors] == (~degenerate).tolist()
         if not degenerate.all():
-            _assert_rel(ens.success_probability, success[~degenerate], 1e-12, "success")
+            _assert_rel(ens.success_probability[~degenerate], success[~degenerate], 1e-12, "success")
         stacked = _grid_row_metrics(ens)
-        for k, th in enumerate(grid[~degenerate]):
+        _assert_nan_rows(stacked, degenerate)
+        for k in np.flatnonzero(~degenerate):
+            th = grid[k]
             alone = herald(tapped, [th])
             assert alone.errors == (None,)
             for key, value in _grid_row_metrics(alone).items():

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from cvdistill import (
     DegenerateSelectionError,
     FluctuatingChannel,
+    InvalidCovarianceError,
     McConfig,
     TapConfig,
     TapModel,
@@ -107,7 +108,7 @@ class TestSamplePhasePoint:
         # Displaced, phase-rotated fading mixture: nonzero means and X-P terms.
         chan = envelope_fading(0.2)
         _, covs = rotation(loss(kerr_source(0.7, 5.0), 1, chan.transmittances), 1, 0.6)
-        shifted = (np.tile([0.3, -0.2, 0.5, 0.1], (len(chan), 1)), covs)
+        shifted = (np.tile([0.3, -0.2, 0.5, 0.1], (chan.transmittances.size, 1)), covs)
         tapped = reference_tap(chan.probabilities, shifted, TapConfig().reflectivity)
         assert np.all(tapped.mean[:, 4] != 0.0)
         rng = np.random.default_rng(50)
@@ -443,7 +444,7 @@ class TestRunMc:
         assert res.total_count == 5_000
         assert res.kept_count[0] == 0
         assert res.hist_pre[SERIES.index("X_tap")].sum() == 5_000
-        assert res.pooled_cov.shape == (0, 4, 4)
+        assert res.pooled_cov.shape == (1, 4, 4) and np.isnan(res.pooled_cov).all()
 
     def test_agreement_with_analytic_discrete(self, tapped_discrete):
         ens = herald(tapped_discrete, [4.0])
@@ -643,6 +644,14 @@ def sweep_outputs(sweep):
     return arrays + [[sweep.total_count], [str(exc) for exc in sweep.errors]]
 
 
+def same_outputs(out, ref):
+    """Whether two ``sweep_outputs`` are equal bit for bit, NaN moments of degenerate rows included."""
+    *arrays, messages = out
+    *ref_arrays, ref_messages = ref
+    return len(out) == len(ref) and messages == ref_messages and all(
+        np.array_equal(u, v, equal_nan=True) for u, v in zip(arrays, ref_arrays))
+
+
 @st.composite
 def random_grids(draw):
     """Unsorted threshold grids with duplicates, some on histogram bin edges or an ulp off."""
@@ -662,8 +671,7 @@ class TestRunMcSweep:
     def test_equals_per_threshold_runs(self, tapped_discrete, n_workers, grid):
         conf = McConfig(n_shots=150_000, seed=21, n_workers=n_workers)
         sweep = run_mc_sweep(tapped_discrete, conf, grid)
-        assert len(sweep.errors) == len(sweep.kept_count) == len(grid)
-        row = 0
+        assert len(sweep.errors) == len(sweep.kept_count) == len(sweep.pooled_cov) == len(grid)
         for j, th in enumerate(grid):
             # The lowest threshold decides which shots draw their off-tap
             # quadratures, so the reference sweep shares it: its row 1 is th.
@@ -678,17 +686,17 @@ class TestRunMcSweep:
             if th == 1e4:
                 assert isinstance(sweep.errors[j], DegenerateSelectionError)
                 assert str(sweep.errors[j]) == str(ref.errors[1])
-                assert ref.pooled_cov.shape == (1, 4, 4)
+                assert ref.pooled_cov.shape == (2, 4, 4)
+                for a, b in zip(sweep_moments(sweep), sweep_moments(ref)):
+                    assert np.array_equal(a[j], b[1], equal_nan=True) and np.isnan(b[1]).all()
                 continue
             assert sweep.errors[j] is None and ref.errors[1] is None
             # Moments differ only by merge order: relative to each array's largest entry.
             for a, b in zip(sweep_moments(sweep), sweep_moments(ref)):
-                a, b = a[row], b[1]
+                a, b = a[j], b[1]
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-            assert ([column[row] for column in ln_with_se(sweep)]
+            assert ([column[j] for column in ln_with_se(sweep)]
                     == pytest.approx([column[1] for column in ln_with_se(ref)], rel=1e-9))
-            row += 1
-        assert row == len(sweep.pooled_cov)
 
     @pytest.mark.parametrize("n_shots, grid", [
         pytest.param(n, [4.0, 0.0, 2.0, 2.0, 1e4], id=str(n))
@@ -708,8 +716,7 @@ class TestRunMcSweep:
             for w in (1, 2, 3)
         ]
         for out in others:
-            assert len(out) == len(ref)
-            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+            assert same_outputs(out, ref)
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(grid=random_grids())
@@ -718,7 +725,7 @@ class TestRunMcSweep:
         conf = McConfig(n_shots=65_536 + 4_000, seed=27)
         sweep = run_mc_sweep(tapped_discrete, conf, grid)
         two = run_mc_sweep(tapped_discrete, dataclasses.replace(conf, n_workers=2), grid)
-        assert all(np.array_equal(u, v) for u, v in zip(sweep_outputs(sweep), sweep_outputs(two)))
+        assert same_outputs(sweep_outputs(sweep), sweep_outputs(two))
         # A row's counts equal those of any sweep with the same lowest
         # threshold, and the lowest threshold's row those of its own sweep.
         alone = sweep_at(tapped_discrete, conf, min(grid))
@@ -766,7 +773,7 @@ class TestRunMcSweep:
         runs += [outputs(4), outputs(2)]
         assert sizes == [2, 3, 2]
         for out in runs:
-            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+            assert same_outputs(out, ref)
 
     def test_worker_count_costs_no_memory_beyond_the_jobs(self, tapped_discrete):
         # One block, so no pool starts: a million workers split it no finer than one.
@@ -784,10 +791,10 @@ class TestRunMcSweep:
 
         (ref, one), (out, million) = peak(1), peak(10**6)
         assert million - one <= 2**20
-        assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+        assert same_outputs(out, ref)
 
     def test_counts_sum_to_their_totals(self, tapped_discrete):
-        # Thresholds 9 and 1e4 keep fewer than five of 20,000 shots: counted, not stacked.
+        # Thresholds 9 and 1e4 keep fewer than five of 20,000 shots: counted, NaN moments.
         grid = [3.0, 1e4, 0.0, 9.0, 3.0]
         sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=24), grid)
         degenerate = [exc is not None for exc in sweep.errors]
@@ -797,11 +804,12 @@ class TestRunMcSweep:
                               np.repeat(sweep.kept_count[:, None], len(SERIES), axis=1))
         assert np.array_equal(sweep.per_level_kept.sum(axis=1), sweep.kept_count)
         assert np.all((sweep.kept_count < 5) == degenerate)
-        assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == degenerate.count(False)
-        # ln_with_se has one entry per stack row: grid thresholds 0, 2 and 4.
+        assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == len(grid)
+        # ln_with_se has one entry per grid threshold, NaN at 9 and 1e4.
         ln, se = ln_with_se(sweep)
-        assert len(ln) == len(se) == 3
-        assert ln[2] == ln[0] != ln[1] and se[2] == se[0] != se[1]
+        assert len(ln) == len(se) == len(grid)
+        assert np.array_equal(np.isnan(ln), degenerate) and np.array_equal(np.isnan(se), degenerate)
+        assert ln[4] == ln[0] != ln[2] and se[4] == se[0] != se[2]
 
     def test_rows_and_errors_follow_the_kept_count(self, tapped_discrete):
         # Kept 16, 7, 4, 3, 1 and 0 of 20,000 shots: a row with an LN error,
@@ -815,9 +823,26 @@ class TestRunMcSweep:
             assert type(exc) is DegenerateSelectionError
             assert str(exc) == (f"only {kept} of 20000 shots passed threshold {th}, "
                                 "fewer than MIN_KEPT = 5")
-        assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == len(sweep.cov_sampling) == 2
+        assert len(sweep.pooled_mean) == len(sweep.pooled_cov) == len(sweep.cov_sampling) == 6
+        for moments in (sweep.pooled_mean, sweep.pooled_cov, sweep.cov_sampling):
+            assert np.isfinite(moments[:2]).all() and np.isnan(moments[2:]).all()
         ln, se = ln_with_se(sweep)
-        assert np.all(np.isfinite(ln)) and se[0] > 0 and se[1] is None
+        assert np.all(np.isfinite(ln[:2])) and se[0] > 0 and np.all(np.isnan(se[1:]))
+        assert np.all(np.isnan(ln[2:]))
+
+    def test_a_nan_in_a_row_without_an_error_is_rejected(self, tapped_discrete):
+        # Only the errors entries mark a missing row: a NaN in a row that has
+        # none reaches the covariance check, on both engines' stacks.
+        grid = [2.0, 1e4, 4.0]
+        ens = herald(tapped_discrete, grid)
+        sweep = run_mc_sweep(tapped_discrete, McConfig(n_shots=20_000, seed=24), grid)
+        for stack in (ens, sweep):
+            assert [exc is None for exc in stack.errors] == [True, False, True]
+            stack.pooled_cov[2, 0, 0] = np.nan
+        for call in (lambda: distilled_gln(ens), lambda: distilled_gln(sweep),
+                     lambda: ln_with_se(sweep)):
+            with pytest.raises(InvalidCovarianceError, match="NaN"):
+                call()
 
     @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [-np.inf, 2.0], [[1.0, 2.0]]])
     def test_rejects_bad_grids(self, tapped_discrete, grid):
@@ -887,7 +912,7 @@ class TestBlockPrefetch:
             usable_cpus(monkeypatch, n_cpus)
             outs.append(sweep_outputs(run_mc_sweep(model, conf, grid)))
         assert helpers == [1]  # at two CPUs only
-        assert all(np.array_equal(u, v) for u, v in zip(*outs))
+        assert same_outputs(*outs)
 
     def test_both_buffer_sets_grow(self, tapped_semicontinuous, helpers, fast_switching,
                                    monkeypatch):
@@ -909,7 +934,7 @@ class TestBlockPrefetch:
         for n_cpus in (2, 1):
             usable_cpus(monkeypatch, n_cpus)
             out = sweep_outputs(run_mc_sweep(model, conf, grid))
-            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+            assert same_outputs(out, ref)
         assert helpers == [1] and len(sets) == 3
         for bufs in sets:
             assert bufs.tap_normals.size > 1 and bufs.mask.size > 1 and bufs.normals.size > 5
@@ -981,4 +1006,4 @@ class TestBlockPrefetch:
         outputs(2, n_shots=65_536)  # one block
         assert helpers == [1] and pools == [2, 2]
         for out in runs:
-            assert all(np.array_equal(u, v) for u, v in zip(out, ref))
+            assert same_outputs(out, ref)
