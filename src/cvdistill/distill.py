@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FluctuatingChannel, _check_weights, kerr_blocks, two_mode_cov
-from .config import DEFAULT_TAP_REFLECTIVITY, TapConfig
-from .gaussian import InvalidCovarianceError, pt_symplectic_spectrum
+from .config import TapConfig
+from .gaussian import InvalidCovarianceError, _check_covariance, pt_symplectic_spectrum
 
 __all__ = [
-    "DEFAULT_TAP_REFLECTIVITY",
     "SUCCESS_FLOOR",
-    "TapConfig",
     "DegenerateSelectionError",
     "DistilledEnsemble",
     "TapModel",
@@ -103,19 +101,18 @@ class DistilledEnsemble:
 
 @dataclass(eq=False)
 class TapModel:
-    """Per channel level, the law of (X_A, P_A, X_B, P_B, X_tap) that both engines read.
+    """Per channel level, the zero-mean law of (X_A, P_A, X_B, P_B, X_tap) that both engines read.
 
-    From ``weights`` (L,), checked as mixture weights are, ``mean`` (L, 5) and ``cov`` (L, 5, 5)
+    From ``weights`` (L,), checked as mixture weights are, and ``cov`` (L, 5, 5)
     come X_tap's SD ``tap_sd``, the regression ``beta`` = cov[:, :4, 4] / tap_sd on
-    the standardised tap outcome z, and ``factor``, the lower Cholesky factor of
-    cov[:, :4, :4] - beta beta^T: a level's point is mean[:4] + beta z + factor w, w
-    four standard normals, and X_tap = mean[4] + tap_sd z. Raises ``ValueError`` for bad
-    weights or shapes, and ``InvalidCovarianceError`` for non-finite moments, a
-    non-positive X_tap variance or a ``factor`` that does not exist.
+    the standardised tap outcome z = X_tap / tap_sd, and ``factor``, the lower
+    Cholesky factor of cov[:, :4, :4] - beta beta^T: a level's point is beta z +
+    factor w, w four standard normals. Raises ``ValueError`` for bad weights or
+    shapes, and ``InvalidCovarianceError`` for a non-finite or asymmetric ``cov``,
+    a non-positive X_tap variance or a ``factor`` that does not exist.
     """
 
     weights: np.ndarray
-    mean: np.ndarray
     cov: np.ndarray
     tap_sd: np.ndarray = field(init=False)
     beta: np.ndarray = field(init=False)
@@ -123,14 +120,13 @@ class TapModel:
 
     def __post_init__(self) -> None:
         self.weights = _check_weights(self.weights, "level weights")
-        self.mean, self.cov = (np.asarray(a, dtype=float) for a in (self.mean, self.cov))
+        self.cov = np.asarray(self.cov, dtype=float)
         n = self.weights.size
-        if (self.mean.shape, self.cov.shape) != ((n, 5), (n, 5, 5)):
-            raise ValueError(f"expected mean (L, 5) and cov (L, 5, 5) for L = {n} weights, got "
-                             f"{self.mean.shape} and {self.cov.shape}")
-        finite = np.isfinite(self.mean).all() and np.isfinite(self.cov).all()
-        if not (finite and (self.cov[:, 4, 4] > 0.0).all()):
-            raise InvalidCovarianceError("moments must be finite, with a positive X_tap variance")
+        if self.cov.shape != (n, 5, 5):
+            raise ValueError(f"expected cov (L, 5, 5) for L = {n} weights, got {self.cov.shape}")
+        _check_covariance(self.cov, positive_definite=False)
+        if not (self.cov[:, 4, 4] > 0.0).all():
+            raise InvalidCovarianceError("X_tap variance must be positive")
         self.tap_sd = np.sqrt(self.cov[:, 4, 4])
         self.beta = self.cov[:, :4, 4] / self.tap_sd[:, None]
         try:
@@ -151,7 +147,7 @@ def attach_tap(v_squeezed: float, v_antisqueezed: float, channel: FluctuatingCha
     :func:`~cvdistill.channel.kerr_blocks`, X_A and P_A keep variance s,
     X_B' and P_B' get T b + R and X_tap gets R b + T; cov(X_A, X_B') =
     -cov(P_A, P_B') = sqrt(T) c, cov(X_A, X_tap) = sqrt(R) c and
-    cov(X_B', X_tap) = sqrt(T R) (b - 1). The mean is zero.
+    cov(X_B', X_tap) = sqrt(T R) (b - 1).
     """
     s, b, c = kerr_blocks(v_squeezed, v_antisqueezed, channel)
     r = tap.reflectivity
@@ -161,7 +157,7 @@ def attach_tap(v_squeezed: float, v_antisqueezed: float, channel: FluctuatingCha
     cov[:, 4, 4] = r * b + t_tap
     cov[:, 0, 4] = cov[:, 4, 0] = np.sqrt(r) * c
     cov[:, 2, 4] = cov[:, 4, 2] = np.sqrt(t_tap * r) * (b - 1.0)
-    return TapModel(channel.probabilities, np.zeros((b.size, 5)), cov)
+    return TapModel(channel.probabilities, cov)
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -322,19 +318,19 @@ def _bvn_high(dh, dk, r):
 def series_bin_probabilities(model: TapModel, coefficients, edges, below=np.inf) -> np.ndarray:
     """Per level of ``model``, the law of each linear series' histogram bin given X_tap < ``below``.
 
-    Series s is ``coefficients[s]`` (S, 5) applied to (X_A, P_A, X_B, P_B,
-    X_tap). Bin j spans ``edges[j]`` to ``edges[j + 1]``, except that the
-    end bins are open, as the Monte Carlo kernel clamps. Per level, a series
-    and X_tap are jointly normal, so P(series < e, X_tap < below) is one
-    :func:`bivariate_normal_cdf` per edge. ``below`` = inf gives the
-    unconditional bin probabilities.
+    Series s is ``coefficients[s]`` (S, 5) applied to the zero-mean (X_A,
+    P_A, X_B, P_B, X_tap). Bin j spans ``edges[j]`` to ``edges[j + 1]``,
+    except that the end bins are open, as the Monte Carlo kernel clamps. Per
+    level, a series and X_tap are jointly normal, so P(series < e, X_tap <
+    below) is one :func:`bivariate_normal_cdf` per edge. ``below`` = inf
+    gives the unconditional bin probabilities.
 
     Returns (L, S, bins), each row summing to 1. Raises
     :class:`DegenerateSelectionError` where P(X_tap < below) underflows to 0.
     """
-    mean, cov, tap_sd = model.mean, model.cov, model.tap_sd
+    cov = model.cov
     coefficients = np.asarray(coefficients, dtype=float)
-    k = (below - mean[:, 4]) / tap_sd
+    k = below / model.tap_sd
     p_below = gaussian_tail(-k)
     if np.any(p_below == 0.0):
         raise DegenerateSelectionError(
@@ -343,7 +339,7 @@ def series_bin_probabilities(model: TapModel, coefficients, edges, below=np.inf)
     sd = np.sqrt(var)
     # One square root of the product: X_tap's own series gets rho = 1 exactly.
     rho = np.clip((cov[:, 4] @ coefficients.T) / np.sqrt(var * cov[:, 4, 4, None]), -1.0, 1.0)
-    h = (np.asarray(edges, dtype=float)[1:-1] - (mean @ coefficients.T)[..., None]) / sd[..., None]
+    h = np.asarray(edges, dtype=float)[1:-1] / sd[..., None]
     cdf = bivariate_normal_cdf(h, k[:, None, None], rho[..., None]) / p_below[:, None, None]
     # Rounding may leave the conditional CDF a few ulp out of order or above 1.
     cdf = np.clip(np.maximum.accumulate(cdf, axis=-1), 0.0, 1.0)
@@ -369,8 +365,8 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     """Post-select on the tap X quadrature exceeding each of ``thresholds``.
 
     Level i of ``model`` passes with probability q_i = Q(alpha_i), alpha_i =
-    (threshold - tap mean_i) / tap SD_i as the Monte Carlo takes it, and its
-    kept two-mode moments are exact truncated-Gaussian moments.
+    threshold / tap SD_i as the Monte Carlo takes it, and its kept two-mode
+    moments are exact truncated-Gaussian moments.
 
     ``thresholds`` is a non-empty 1-d grid (unsorted and repeated values
     allowed), evaluated as array expressions over blocks of
@@ -383,8 +379,8 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     does.
     """
     thresholds = check_grid(thresholds)
-    prior, mean, cov, reg = model.weights, model.mean, model.cov, model.beta
-    alpha = (thresholds[:, None] - mean[:, 4]) / model.tap_sd  # (T, L)
+    prior, cov, reg = model.weights, model.cov, model.beta
+    alpha = thresholds[:, None] / model.tap_sd  # (T, L)
     passes = gaussian_tail(alpha)
     success = (passes[:, None, :] @ prior[:, None])[:, 0, 0]  # one dot per threshold
     kept = np.flatnonzero(success > SUCCESS_FLOOR)
@@ -395,10 +391,9 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
     )
 
     # reg regresses (X_A,P_A,X_B,P_B) on the standardised tap outcome Z: given
-    # Z > alpha, E[Z] = lam and E[Z^2] = 1 + alpha*lam, so the mean shifts along
-    # reg, the explained part reg reg^T gains alpha*lam and the residual is intact.
+    # Z > alpha, E[Z] = lam and E[Z^2] = 1 + alpha*lam, so the mean is reg*lam,
+    # the explained part reg reg^T gains alpha*lam and the residual is intact.
     explained = reg[:, :, None] * reg[:, None, :]
-    m = mean[:, :4]
     posterior, pooled_mean, pooled_cov, max_dist = (
         np.full(thresholds.shape + shape, np.nan) for shape in (prior.shape, (4,), (4, 4), ()))
     hazard = tail_hazard(alpha[kept])
@@ -406,15 +401,8 @@ def herald(model: TapModel, thresholds) -> DistilledEnsemble:
         rows = kept[lo:lo + HERALD_BLOCK]
         a = alpha[rows]
         lam = hazard[lo:lo + HERALD_BLOCK]
-        c = m + reg * lam[:, :, None]
-        second = (
-            cov[:, :4, :4]
-            + explained * (a * lam)[:, :, None, None]
-            + m[:, :, None] * c[:, :, None, :]
-            + c[:, :, :, None] * m[:, None, :]
-            - m[:, :, None] * m[:, None, :]
-        )
-        s2 = 0.5 * (second + second.swapaxes(-1, -2))
+        c = reg * lam[:, :, None]
+        s2 = cov[:, :4, :4] + explained * (a * lam)[:, :, None, None]
         w = posterior[rows] = prior * passes[rows] / success[rows, None]
         mu = pooled_mean[rows] = (w[:, None, :] @ c)[:, 0]
         pc = np.einsum("ti,tijk->tjk", w, s2) - mu[:, :, None] * mu[:, None, :]

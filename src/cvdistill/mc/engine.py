@@ -23,8 +23,8 @@ stream ``SeedSequence(seed, spawn_key=(b,))`` (counter-keyed streams in
 the sense of Salmon et al. 2011, "Parallel random numbers: as easy as 1,
 2, 3"). A block draws its level counts (one multinomial draw). Level i's
 shots are candidates when their standard tap normal z reaches alpha_i =
-(t_0 - tap mean_i) / tap SD_i, which happens with probability
-Q(alpha_i), ``gaussian_tail`` computed once per sweep. A common level,
+t_0 / tap SD_i, which happens with probability Q(alpha_i),
+``gaussian_tail`` computed once per sweep. A common level,
 alpha_i < ``RARE_ALPHA``, draws one standard normal per shot, all common
 levels in one call in level order, and its candidates are the normals at
 or above alpha_i. A rare level draws its candidate count, Binomial(n_i,
@@ -209,11 +209,11 @@ def _components(model: TapModel):
     """Per level of ``model``, the rows mapping five normals to (X_A, P_A, X_B, P_B, X_Tap).
 
     Row r < 4 is (r, factor[r, r], [(c, coef) for the nonzero beta[r] of z_4 and
-    factor[r, c] of z_c, c < r], mean[r]), P_B first; X_Tap, last, is tap SD * z_4 + mean[4].
+    factor[r, c] of z_c, c < r]), P_B first; X_Tap, last, is tap SD * z_4.
     """
-    return [[(r, f[r, r], [(c, x) for c, x in [(4, b[r]), *enumerate(f[r, :r])] if x != 0.0], mu[r])
-             for r in (3, 2, 1, 0)] + [(4, sd, [], mu[4])]
-            for f, b, sd, mu in zip(model.factor, model.beta, model.tap_sd, model.mean)]
+    return [[(r, f[r, r], [(c, x) for c, x in [(4, b[r]), *enumerate(f[r, :r])] if x != 0.0])
+             for r in (3, 2, 1, 0)] + [(4, sd, [])]
+            for f, b, sd in zip(model.factor, model.beta, model.tap_sd)]
 
 
 def _transform(z, level_counts, components, tmp):
@@ -230,13 +230,11 @@ def _transform(z, level_counts, components, tmp):
             continue
         seg = z[:, start : start + count]
         term = tmp[:count]
-        for r, diag, lower, mean in rows:
+        for r, diag, lower in rows:
             row = seg[r]
             row *= diag
             for c, coef in lower:
                 row += np.multiply(coef, seg[c], out=term)
-            if mean != 0.0:
-                row += mean
         start += count
 
 
@@ -302,10 +300,10 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
     candidates are the normals at or above their level's alpha; the rare
     levels' candidate counts, Binomial(n_i, tail_q[i]) in one call, and
     their tap normals by :func:`_tail_normals`; then four more normals per
-    candidate for its other quadratures. alpha[i] is (thresholds[0] - tap
-    mean) / tap SD of level i, and tail_q[i] its ``gaussian_tail``. Stratum j
-    holds the candidates with thresholds[j] <= X_tap < thresholds[j + 1];
-    the top stratum has no upper edge. With ``prefetch`` and at least two
+    candidate for its other quadratures. alpha[i] is thresholds[0] / tap SD
+    of level i, and tail_q[i] its ``gaussian_tail``. Stratum j holds the
+    candidates with thresholds[j] <= X_tap < thresholds[j + 1]; the top
+    stratum has no upper edge. With ``prefetch`` and at least two
     blocks, one helper thread draws block k + 1 while this thread consumes
     block k (see the module docstring); the output is the same bits.
 
@@ -428,7 +426,7 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     thresholds = check_grid(thresholds)
     grid, grid_index = np.unique(thresholds, return_inverse=True)
     weights, components = model.weights, _components(model)
-    alpha = (grid[0] - model.mean[:, 4]) / model.tap_sd
+    alpha = grid[0] / model.tap_sd
     tail_q = gaussian_tail(alpha)
     block = _block_shots(weights @ tail_q, config.n_shots)
     n_blocks = -(-config.n_shots // block)
@@ -508,8 +506,8 @@ def _off_tap_below(model, below, t0, edges, seed):
     levels = np.flatnonzero(below)
     if levels.size == 0:
         return 0
-    w, mean, cov = (a[levels] for a in (model.weights, model.mean, model.cov))
-    probs = series_bin_probabilities(TapModel(w / w.sum(), mean, cov), SERIES_COEFFICIENTS, edges, t0)
+    w, cov = model.weights[levels], model.cov[levels]
+    probs = series_bin_probabilities(TapModel(w / w.sum(), cov), SERIES_COEFFICIENTS, edges, t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.multinomial(below[levels, None], probs).sum(axis=0)
 

@@ -2,8 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvdistill import (TapConfig, TapModel, attach_tap, calibrate, discrete_channel, kerr_blocks,
-                       two_mode_cov)
+from cvdistill import (FluctuatingChannel, TapConfig, TapModel, attach_tap, calibrate,
+                       discrete_channel, kerr_blocks, two_mode_cov)
 from cvdistill.gaussian import PHYS_TOL, _check_covariance, kerr_variances
 from cvdistill.mc.engine import PAIRS
 
@@ -122,10 +122,19 @@ def kerr_source(v_squeezed, v_antisqueezed):
     return beamsplitter(tensor(squeezed(vs, va), squeezed(va, vs)), 1, 0, 0.5)
 
 
+def zero_mean_cov(state):
+    """The covariance of ``state``; ValueError unless its mean is zero, as a TapModel's is."""
+    mean, cov = state
+    if np.any(mean):
+        raise ValueError("a TapModel is zero-mean: the state must be too")
+    return cov
+
+
 def reference_tap(weights, state, reflectivity):
-    """The TapModel of a stacked two-mode state whose mode B meets a vacuum tap."""
-    mean, cov = beamsplitter(tensor(state, vacuum(1)), 2, 1, 1.0 - reflectivity)
-    return TapModel(weights, mean[:, :5], cov[:, :5, :5])
+    """The TapModel of a stacked zero-mean two-mode state whose mode B meets a vacuum tap."""
+    zero_mean_cov(state)
+    _, cov = beamsplitter(tensor(state, vacuum(1)), 2, 1, 1.0 - reflectivity)
+    return TapModel(weights, cov[:, :5, :5])
 
 
 def pooled(weights, state):
@@ -165,16 +174,15 @@ def stacked(*states):
 
 
 def uncorrelated_tap(state):
-    """One-level TapModel of a two-mode state whose tap X is an uncorrelated vacuum quadrature."""
-    mean, cov = state
+    """One-level TapModel of a zero-mean two-mode state with an uncorrelated vacuum tap X."""
     full = np.eye(5)
-    full[:4, :4] = cov
-    return TapModel([1.0], np.append(mean, 0.0)[None], full[None])
+    full[:4, :4] = zero_mean_cov(state)
+    return TapModel([1.0], full[None])
 
 
 def model_pooled(model):
-    """Mean (5,) and central covariance (5, 5) of a TapModel's levels pooled."""
-    return pooled(model.weights, (model.mean, model.cov))
+    """Covariance (5, 5) of a TapModel's zero-mean levels pooled."""
+    return np.einsum("i,ijk->jk", model.weights, model.cov)
 
 
 def pooled_cov_se(sweep):
@@ -280,12 +288,11 @@ def discrete_tapped(calibration):
 
 
 @pytest.fixture(scope="session")
-def displaced_tapped(calibrated_source):
-    """The discrete preset's channel on the calibrated source displaced in both modes, tapped.
+def three_level_tapped(calibration):
+    """The calibrated source on a three-level channel with a blocked level (T = 0), tapped.
 
-    Built by the reference: the closed form has zero mean.
+    The levels differ in tap SD, and the blocked one leaves the tap
+    uncorrelated with the kept modes (beta = 0).
     """
-    channel = discrete_channel()
-    levels = loss((np.array([0.4, -0.7, 1.3, 0.5]), calibrated_source[1]), 1,
-                  channel.transmittances)
-    return reference_tap(channel.probabilities, levels, TapConfig().reflectivity)
+    channel = FluctuatingChannel([0.0, 0.4, 1.0], [0.2, 0.3, 0.5])
+    return attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, channel, TapConfig())

@@ -125,14 +125,13 @@ def three_mode_path(model_input, tap):
 
 
 def random_mixtures():
-    """Random physical two-mode mixtures of 1-6 levels, with random displacements, and random taps."""
+    """Random physical two-mode mixtures of 1-6 levels, and random taps."""
     rng = np.random.default_rng(34)
     for _ in range(20):
         n = int(rng.integers(1, 7))
         weights = rng.uniform(0.05, 1.0, n)
         states = [random_physical_state(rng, 2) for _ in range(n)]
-        shifted = [(rng.normal(0.0, 2.0, 4), cov) for _, cov in states]
-        yield weights / weights.sum(), stacked(*shifted), TapConfig(
+        yield weights / weights.sum(), stacked(*states), TapConfig(
             reflectivity=float(rng.uniform(0.01, 0.5)))
 
 
@@ -147,8 +146,7 @@ class TestTapModel:
         """
         states, chol = three_mode_path(plain, tap)
         assert np.array_equal(model.weights, weights)
-        for ours, ref in ((model.mean, states[0][:, :5]), (model.cov, states[1][:, :5, :5]),
-                          (model.tap_sd, chol[:, 0, 0])):
+        for ours, ref in ((model.cov, states[1][:, :5, :5]), (model.tap_sd, chol[:, 0, 0])):
             axes = tuple(range(1, ref.ndim))
             bound = rel * np.abs(ref).max(axis=axes, initial=0.0)
             assert np.all(np.abs(ours - ref).max(axis=axes, initial=0.0) <= bound)
@@ -192,47 +190,38 @@ class TestTapModel:
         reference = reference_tap(channel.probabilities, levels, reflectivity)
         scale = np.abs(reference.cov).max(axis=(1, 2))[:, None, None]
         assert np.all(np.abs(model.cov - reference.cov) <= 1e-13 * scale)
-        assert np.array_equal(model.mean, reference.mean)
         # The untapped levels, too.
         covs = two_mode_cov(*kerr_blocks(vs, va, channel))
         assert np.all(np.abs(covs - levels[1]) <= 1e-13 * scale)
 
-    def test_displaced_reference_tap(self, calibration, displaced_tapped):
-        # A displacement moves the means only: the displaced reference model
-        # has the closed form's covariances and the displaced mean sent through
-        # loss on B and the tap.
-        closed = attach_tap(calibration.v_squeezed, calibration.v_antisqueezed, discrete_channel(),
-                            TapConfig())
-        scale = np.abs(closed.cov).max(axis=(1, 2))[:, None, None]
-        assert np.all(np.abs(displaced_tapped.cov - closed.cov) <= 1e-13 * scale)
-        r, t = TapConfig().reflectivity, discrete_channel().transmittances
-        xb = 1.3 * np.sqrt(t)
-        expected = np.stack([np.full(2, 0.4), np.full(2, -0.7), np.sqrt(1.0 - r) * xb,
-                             np.sqrt(1.0 - r) * 0.5 * np.sqrt(t), np.sqrt(r) * xb], axis=1)
-        assert_allclose(displaced_tapped.mean, expected, rtol=1e-14, atol=1e-15)
-
     def test_rejects_weights_as_a_mixture_does(self, discrete_tapped):
         with pytest.raises(ValueError, match="level weights must sum to 1"):
-            TapModel([0.5, 0.4], discrete_tapped.mean, discrete_tapped.cov)
+            TapModel([0.5, 0.4], discrete_tapped.cov)
 
     def test_rejects_singular_conditional_covariance(self):
         # X_A is a copy of X_tap: nothing of it is left given the tap.
         cov = np.eye(5)
         cov[0, 4] = cov[4, 0] = 1.0
         with pytest.raises(InvalidCovarianceError, match="not positive definite"):
-            TapModel([1.0], np.zeros((1, 5)), cov[None])
+            TapModel([1.0], cov[None])
 
     @pytest.mark.parametrize("entry, value", [((4, 4), 0.0), ((4, 4), -1.0), ((4, 4), np.nan),
-                                              ((1, 2), np.inf), ((0, 0), np.nan), (None, np.nan)])
+                                              ((1, 2), np.inf), ((0, 0), np.nan)])
     def test_rejects_moments_that_give_no_factor(self, entry, value):
         # Checked before any square root or division, so neither a warning nor a NaN gets out.
-        mean, cov = np.zeros(5), np.eye(5)
-        if entry is None:
-            mean[2] = value
-        else:
-            cov[entry] = cov[entry[::-1]] = value
-        with pytest.raises(InvalidCovarianceError, match="finite, with a positive X_tap variance"):
-            TapModel([1.0], mean[None], cov[None])
+        cov = np.eye(5)
+        cov[entry] = cov[entry[::-1]] = value
+        with pytest.raises(InvalidCovarianceError, match="NaN or infinite|X_tap variance must be positive"):
+            TapModel([1.0], cov[None])
+
+    def test_rejects_asymmetric_covariance(self):
+        # Cholesky reads the lower triangle and beta column 4, while
+        # series_bin_probabilities reads row 4: an asymmetric cov would give
+        # the sampled candidates and the composed pre-selection law two models.
+        cov = np.eye(5)
+        cov[2, 4] = 0.5
+        with pytest.raises(InvalidCovarianceError, match="not symmetric"):
+            TapModel([1.0], cov[None])
 
 
 class TestGaussianTail:
@@ -374,17 +363,16 @@ class TestBivariateNormalCdf:
         assert bivariate_normal_cdf(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-16)
 
 
-def mp_conditional_bin(mean, cov, coef, lo, hi, below):
-    """P(coef . x in [lo, hi) | X_tap < below) for x ~ N(mean, cov), by mpmath quadrature over X_tap."""
-    mu_y, mu_t = coef @ mean[:5], mean[4]
+def mp_conditional_bin(cov, coef, lo, hi, below):
+    """P(coef . x in [lo, hi) | X_tap < below) for x ~ N(0, cov), by mpmath quadrature over X_tap."""
     var_y, sd_t, c = coef @ cov[:5, :5] @ coef, np.sqrt(cov[4, 4]), coef @ cov[:5, 4]
     # Given the standardised tap outcome u, the series is normal with mean
-    # mu_y + slope u and standard deviation sd_c.
+    # slope u and standard deviation sd_c.
     slope, sd_c = c / sd_t, np.sqrt(var_y - (c / sd_t) ** 2)
-    k = (below - mu_t) / sd_t
+    k = below / sd_t
     with mpmath.workdps(16):
         def joint(u):
-            m = mu_y + slope * u
+            m = slope * u
             return mpmath.npdf(u) * (mpmath.ncdf((hi - m) / sd_c) - mpmath.ncdf((lo - m) / sd_c))
 
         return float(mpmath.quad(joint, [-mpmath.inf, min(0.0, k), k]) / mpmath.ncdf(k))
@@ -404,17 +392,17 @@ class TestSeriesBinProbabilities:
         for i in range(2):
             for s, coef in enumerate(self.COEFFS):
                 for j in (0, 100, 200):
-                    ref = mp_conditional_bin(discrete_tapped.mean[i], discrete_tapped.cov[i], coef,
-                                             edges[j], edges[j + 1], below)
+                    ref = mp_conditional_bin(discrete_tapped.cov[i], coef, edges[j], edges[j + 1],
+                                             below)
                     assert probs[i, s, j] == pytest.approx(ref, abs=1e-13)
 
     def test_unconditional_is_univariate(self, discrete_tapped):
         # X_tap itself (correlation 1) included: item 10's closed form is the below = inf case.
         coeffs = np.vstack([[0, 0, 0, 0, 1], self.COEFFS])
         probs = series_bin_probabilities(discrete_tapped, coeffs, self.EDGES)
-        mean, cov = discrete_tapped.mean, discrete_tapped.cov
+        cov = discrete_tapped.cov
         sd = np.sqrt(np.einsum("sj,ljk,sk->ls", coeffs, cov, coeffs))
-        upper = gaussian_tail((self.EDGES[1:-1] - (mean @ coeffs.T)[..., None]) / sd[..., None])
+        upper = gaussian_tail(self.EDGES[1:-1] / sd[..., None])
         cdf = np.concatenate([np.zeros((2, 5, 1)), 1.0 - upper, np.ones((2, 5, 1))], axis=-1)
         assert_allclose(probs, np.diff(cdf, axis=-1), rtol=0, atol=1e-15)
 
@@ -452,17 +440,17 @@ class TestSeriesBinProbabilities:
 
 
 def no_selection_threshold(model):
-    """Threshold at alpha <= -40 for every level of a model with zero tap mean: keeps everything."""
+    """Threshold at alpha <= -40 for every level of ``model``: keeps everything."""
     return -40.0 * np.sqrt(model.cov[:, 4, 4]).max()
 
 
 class TestHerald:
     def test_no_selection_limit_reproduces_pooled_cm(self, discrete_tapped):
         ens = herald(discrete_tapped, [no_selection_threshold(discrete_tapped)])
-        mean, cov = model_pooled(discrete_tapped)
+        cov = model_pooled(discrete_tapped)
         assert ens.success_probability[0] == pytest.approx(1.0, abs=1e-14)
         assert_allclose(ens.posterior_weights[0], discrete_tapped.weights, atol=1e-14)
-        assert_allclose(ens.pooled_mean[0], mean[:4], atol=1e-10)
+        assert_allclose(ens.pooled_mean[0], 0.0, atol=1e-10)
         assert_allclose(ens.pooled_cov[0], cov[:4, :4], atol=1e-10)
 
     def test_uncorrelated_tap_leaves_covariance_alone(self):
@@ -471,14 +459,6 @@ class TestHerald:
         ens = herald(uncorrelated_tap(state), [1.0])
         assert_allclose(ens.pooled_cov[0], state[1], atol=1e-12)
         assert ens.success_probability[0] == pytest.approx(gaussian_tail(1.0), rel=1e-12)
-
-    def test_offset_means_shift_with_selection(self):
-        # displaced two-mode vacuum with an uncorrelated tap: the kept
-        # ensemble keeps the displacement, covariance untouched
-        state = (np.array([1.5, -0.5, 0.25, 0.0]), np.eye(4))
-        ens = herald(uncorrelated_tap(state), [0.5])
-        assert_allclose(ens.pooled_mean[0], state[0], atol=1e-12)
-        assert_allclose(ens.pooled_cov[0], np.eye(4), atol=1e-12)
 
     def test_discrete_threshold_nine_gaussifies(self, discrete_tapped):
         ens = herald(discrete_tapped, [9.0])
@@ -494,8 +474,8 @@ class TestHerald:
 
     def test_component_moment_matrices_well_formed(self, discrete_tapped):
         # A one-level herald's pooled covariance is that level's kept central covariance.
-        for mean, cov in zip(discrete_tapped.mean, discrete_tapped.cov):
-            alone = herald(TapModel([1.0], mean[None], cov[None]), [0.0, 3.0, 6.0, 9.0])
+        for cov in discrete_tapped.cov:
+            alone = herald(TapModel([1.0], cov[None]), [0.0, 3.0, 6.0, 9.0])
             assert np.linalg.eigvalsh(alone.pooled_cov).min() > 0.0
         # conditional covariance (deep-selection limit) is PSD
         for cov in discrete_tapped.cov:
@@ -505,21 +485,20 @@ class TestHerald:
             assert np.linalg.eigvalsh(cond).min() > -1e-12
 
     def test_each_level_matches_its_own_herald(self):
-        # Components differ in weight, tap variance and (A, B) mean, so a
+        # Components differ in weight, tap variance and covariance, so a
         # wrong broadcast or transpose over the level axis shows up here.
         rng = np.random.default_rng(33)
         components = []
         for weight, reflectivity in ((0.2, 0.05), (0.3, 0.2), (0.5, 0.5)):
             tapped = reference_tap([1.0], stacked(random_physical_state(rng, 2)), reflectivity)
-            mean = np.concatenate([rng.normal(0.0, 2.0, size=4), [0.0]])
-            components.append((weight, mean, tapped.cov[0]))
+            components.append((weight, tapped.cov[0]))
         model = TapModel(*(np.array(column) for column in zip(*components)))
         assert len(set(model.cov[:, 4, 4].tolist())) == 3
         grid = [-1.0, 0.5, 2.5]
         ens = herald(model, grid)
         pooled_mean, pooled_second = 0.0, 0.0
-        for i, (_, mean, cov) in enumerate(components):
-            alone = herald(TapModel([1.0], mean[None], cov[None]), grid)
+        for i, (_, cov) in enumerate(components):
+            alone = herald(TapModel([1.0], cov[None]), grid)
             assert_allclose(ens.per_component_pass[:, i], alone.per_component_pass[:, 0], rtol=1e-13)
             # The mixture's kept moments pool the levels' by posterior weight.
             w = ens.posterior_weights[:, i, None]
@@ -532,13 +511,13 @@ class TestHerald:
         assert_allclose(ens.pooled_cov, pooled_cov, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("threshold", [-1.5, 2.0, 9.0])
-    def test_displaced_tap_against_mpmath(self, displaced_tapped, threshold):
-        # The tap mean differs per level and from 0: herald standardises each
-        # threshold by it, as the Monte Carlo does.
-        assert np.all(np.abs(displaced_tapped.mean[:, 4]) > 0.05)
-        assert len(set(displaced_tapped.mean[:, 4].tolist())) == 2
-        ens = herald(displaced_tapped, [threshold])
-        ref = mp_heralded(displaced_tapped, threshold)
+    def test_displaced_tap_against_mpmath(self, three_level_tapped, threshold):
+        # The tap SD differs per level: herald standardises each threshold by
+        # it, as the Monte Carlo does, and one level's tap is uncorrelated.
+        assert len(set(three_level_tapped.tap_sd.tolist())) == 3
+        assert not three_level_tapped.beta[0].any()
+        ens = herald(three_level_tapped, [threshold])
+        ref = mp_heralded(three_level_tapped, threshold)
         assert ens.errors == (None,)
         _assert_rel(ens.success_probability, [ref["success"]], 1e-13, "success")
         _assert_rel(ens.per_component_pass[0], ref["passes"], 1e-13, "passes")
@@ -551,9 +530,8 @@ class TestHerald:
         # mixture's four are rejected when it is built, before any engine
         # reads it, as is a weight missing.
         weights = discrete_channel().probabilities
-        for args in ((weights, np.zeros((2, 4)), discrete_levels),
-                     ([1.0], np.zeros((2, 5)), np.stack([np.eye(5)] * 2))):
-            with pytest.raises(ValueError, match="mean \\(L, 5\\)"):
+        for args in ((weights, discrete_levels), ([1.0], np.stack([np.eye(5)] * 2))):
+            with pytest.raises(ValueError, match="cov \\(L, 5, 5\\)"):
                 herald(TapModel(*args), [1.0])
 
     def test_degenerate_selection_recorded(self, discrete_tapped):
@@ -572,28 +550,25 @@ def mp_heralded(model, threshold):
     """``herald``'s fields at one threshold by mpmath quadrature over each level's tap outcome.
 
     Given its tap outcome u, a level's (X_A, P_A, X_B, P_B) is normal with
-    mean m + c (u - mu) / sd^2 and covariance S - c c^T / sd^2, so the kept
-    moments need the tap's truncated moments E[(u - mu)^k | u > threshold],
-    k = 0, 1, 2, which are integrated here in the standardised
-    z = (u - mu) / sd, with breakpoints that follow the integrand's scale.
+    mean c u / sd^2 and covariance S - c c^T / sd^2, so the kept moments need
+    the tap's truncated moments E[u^k | u > threshold], k = 0, 1, 2, which
+    are integrated here in the standardised z = u / sd, with breakpoints that
+    follow the integrand's scale.
     """
     out = {key: [] for key in ("passes", "component_means", "component_second_moments")}
     with mpmath.workdps(30):
-        for mean, cov in zip(model.mean.tolist(), model.cov.tolist()):
-            mean, cov = mpmath.matrix(mean), mpmath.matrix(cov)
+        for cov in model.cov.tolist():
+            cov = mpmath.matrix(cov)
             sd = mpmath.sqrt(cov[4, 4])
-            alpha = (mpmath.mpf(threshold) - mean[4]) / sd
+            alpha = mpmath.mpf(threshold) / sd
             top = max(alpha, 0)
             points = sorted({alpha, top, top + 1 / (top + 1), top + 10 / (top + 1)}) + [mpmath.inf]
             moments = [mpmath.quad(lambda z, k=k: z ** k * mpmath.npdf(z), points) for k in range(3)]
             q, e1, e2 = moments[0], moments[1] / moments[0], moments[2] / moments[0]
-            m = mean[:4, 0]
             c = cov[:4, 4] / sd  # the regression on z
-            s = cov[:4, :4] - c * c.T
             out["passes"].append(q)
-            out["component_means"].append(m + c * e1)
-            out["component_second_moments"].append(s + m * m.T + (m * c.T + c * m.T) * e1
-                                                   + c * c.T * e2)
+            out["component_means"].append(c * e1)
+            out["component_second_moments"].append(cov[:4, :4] - c * c.T + c * c.T * e2)
         weights = [mpmath.mpf(w) for w in model.weights.tolist()]
         success = mpmath.fsum(w * q for w, q in zip(weights, out["passes"]))
         post = [w * q / success for w, q in zip(weights, out["passes"])]
@@ -619,7 +594,7 @@ def mp_heralded(model, threshold):
 
 def mp_success(tapped, threshold):
     """Success probability of ``herald`` at one threshold, each Q from mpmath."""
-    alpha = (threshold - tapped.mean[:, 4]) / np.sqrt(tapped.cov[:, 4, 4])
+    alpha = threshold / np.sqrt(tapped.cov[:, 4, 4])
     with mpmath.workdps(50):
         return sum(w * mpmath.erfc(mpmath.mpf(a) / mpmath.sqrt(2)) / 2
                    for w, a in zip(tapped.weights.tolist(), alpha.tolist()))
@@ -854,33 +829,24 @@ class TestGaussification:
 
     def test_unequal_covariances_distance(self):
         def ensemble(w):
-            # Levels of weights w and 1 - w with (A, B) means (1.5, 0, 0, 0) and
-            # (-0.5, 0, 0, 0) and covariances I and 3I, and one tap uncorrelated
-            # with them: at threshold 0 the posterior is the prior, and the
-            # kept moments are the levels' own.
-            mean = np.zeros((2, 5))
-            mean[:, 0] = 1.5, -0.5
-            model = TapModel([w, 1.0 - w], mean, np.stack([np.eye(5), np.diag([3, 3, 3, 3, 1.0])]))
+            # Levels of weights w and 1 - w with covariances I and 3I, and one
+            # tap uncorrelated with them: at threshold 0 the posterior is the
+            # prior, and the kept moments are the levels' own.
+            model = TapModel([w, 1.0 - w], np.stack([np.eye(5), np.diag([3, 3, 3, 3, 1.0])]))
             assert np.all(model.beta == 0.0)
             return herald(model, [0.0])
 
-        # At w = 1/4 the pooled mean is 0 and the pooled covariance
-        # diag(3.25, 2.5, 2.5, 2.5). About the pooled mean the levels are
-        # diag(3.25, 1, 1, 1) and diag(3.25, 3, 3, 3), at Frobenius distances
-        # 1.5*sqrt(3) and 0.5*sqrt(3).
+        # At weight w the pooled covariance is (3 - 2w) I, and the levels lie
+        # at Frobenius distances 2 (2 - 2w) and 2 (2w) from it: 3 and 1 at w = 1/4.
         ens = ensemble(0.25)
         assert ens.weight_entropy[0] == pytest.approx(
             -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), rel=1e-14)
-        assert ens.max_component_cov_distance[0] == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-14)
-        # A level of posterior weight <= 1e-6 is left out of the maximum. At
-        # weight w the levels lie at Frobenius distances
-        # sqrt((2 - 10w + 8w^2)^2 + 12(1 - w)^2) and sqrt((8w^2 - 2w)^2 + 12w^2).
+        assert ens.max_component_cov_distance[0] == pytest.approx(3.0, rel=1e-14)
+        # A level of posterior weight <= 1e-6 is left out of the maximum.
         w = 1e-7
-        assert ensemble(w).max_component_cov_distance[0] == pytest.approx(
-            np.hypot(8.0 * w * w - 2.0 * w, np.sqrt(12.0) * w), rel=1e-6)
+        assert ensemble(w).max_component_cov_distance[0] == pytest.approx(4.0 * w, rel=1e-6)
         w = 2e-6
-        assert ensemble(w).max_component_cov_distance[0] == pytest.approx(
-            np.hypot(2.0 - 10.0 * w + 8.0 * w * w, np.sqrt(12.0) * (1.0 - w)), rel=1e-12)
+        assert ensemble(w).max_component_cov_distance[0] == pytest.approx(4.0 - 4.0 * w, rel=1e-12)
 
     def test_discrete_threshold_nine_entropy(self, discrete_tapped):
         assert herald(discrete_tapped, [9.0]).weight_entropy[0] < 0.1

@@ -90,7 +90,7 @@ class TestSamplePhasePoint:
     def test_covariance_reproduced(self):
         tapped = attach_tap(0.7, 5.0, discrete_channel(), TapConfig())
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=44), NO_SELECTION)
-        _, cov = model_pooled(tapped)
+        cov = model_pooled(tapped)
         assert_allclose(res.pooled_cov[0], cov[:4, :4], atol=0.05)
 
     def test_cross_quadrature_covariance_reproduced(self):
@@ -99,18 +99,16 @@ class TestSamplePhasePoint:
         chan = discrete_channel()
         rotated = rotation(loss(kerr_source(0.7, 5.0), 1, chan.transmittances), 1, 0.6)
         tapped = reference_tap(chan.probabilities, rotated, TapConfig().reflectivity)
-        _, cov = model_pooled(tapped)
+        cov = model_pooled(tapped)
         assert np.abs(cov[0:4:2, 1:4:2]).max() > 0.5
         res = sweep_at(tapped, McConfig(n_shots=200_000, seed=49), NO_SELECTION)
         assert np.all(np.abs(res.pooled_cov[0] - cov[:4, :4]) < 4 * pooled_cov_se(res)[0])
 
     def test_transform_matches_factor_product(self):
-        # Displaced, phase-rotated fading mixture: nonzero means and X-P terms.
+        # Phase-rotated fading mixture: X-P terms.
         chan = envelope_fading(0.2)
-        _, covs = rotation(loss(kerr_source(0.7, 5.0), 1, chan.transmittances), 1, 0.6)
-        shifted = (np.tile([0.3, -0.2, 0.5, 0.1], (chan.transmittances.size, 1)), covs)
-        tapped = reference_tap(chan.probabilities, shifted, TapConfig().reflectivity)
-        assert np.all(tapped.mean[:, 4] != 0.0)
+        rotated = rotation(loss(kerr_source(0.7, 5.0), 1, chan.transmittances), 1, 0.6)
+        tapped = reference_tap(chan.probabilities, rotated, TapConfig().reflectivity)
         rng = np.random.default_rng(50)
         counts = rng.multinomial(5000, tapped.weights)
         z = rng.standard_normal((5, 5000))
@@ -122,14 +120,13 @@ class TestSamplePhasePoint:
         back = np.argsort(order)
         start = 0
         for i, count in enumerate(counts):
-            mean, cov = tapped.mean[i], tapped.cov[i]
+            cov = tapped.cov[i]
             seg = slice(start, start + count)
             factor = np.linalg.cholesky(cov[order][:, order])[back][:, back]
             assert_allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-12)
-            ref = factor @ z[:, seg] + mean[:, None]
-            assert_allclose(x[:, seg], ref, rtol=1e-12, atol=1e-12)
-            # X_Tap is the tap normal scaled and shifted to the level, bit for bit.
-            assert np.array_equal(x[4, seg], z[4, seg] * tapped.tap_sd[i] + mean[4])
+            assert_allclose(x[:, seg], factor @ z[:, seg], rtol=1e-12, atol=1e-12)
+            # X_Tap is the tap normal scaled to the level, bit for bit.
+            assert np.array_equal(x[4, seg], z[4, seg] * tapped.tap_sd[i])
             start += count
 
 
@@ -488,20 +485,18 @@ class TestRunMc:
     def test_rejects_wrong_mode_count(self, tapped_discrete):
         # A model of the three modes (A, B, Tap), P_Tap included, is rejected
         # when built: the engines read five quadratures.
-        mean = np.append(tapped_discrete.mean, np.zeros((2, 1)), axis=1)
         cov = np.stack([np.eye(6)] * 2)
         cov[:, :5, :5] = tapped_discrete.cov
-        with pytest.raises(ValueError, match="mean \\(L, 5\\)"):
-            sweep_at(TapModel(tapped_discrete.weights, mean, cov), McConfig(n_shots=10, seed=1), 0.0)
+        with pytest.raises(ValueError, match="cov \\(L, 5, 5\\)"):
+            sweep_at(TapModel(tapped_discrete.weights, cov), McConfig(n_shots=10, seed=1), 0.0)
 
     @pytest.mark.parametrize("threshold", [2.0, 4.0])
-    def test_agreement_with_analytic_displaced_tap(self, displaced_tapped, threshold):
-        # A tap mean that differs per level and from 0: both engines
-        # standardise the threshold by it.
-        assert np.all(np.abs(displaced_tapped.mean[:, 4]) > 0.05)
-        ens = herald(displaced_tapped, [threshold])
+    def test_agreement_with_analytic_displaced_tap(self, three_level_tapped, threshold):
+        # Three tap SDs and a level whose tap is uncorrelated: both engines
+        # standardise the threshold by each level's SD.
+        ens = herald(three_level_tapped, [threshold])
         n = 1_000_000
-        res = sweep_at(displaced_tapped, McConfig(n_shots=n, seed=2028), threshold)
+        res = sweep_at(three_level_tapped, McConfig(n_shots=n, seed=2028), threshold)
         assert binomial_two_sided_p(int(res.kept_count[0]), n, ens.success_probability[0]) >= 1e-6
         ln_mc, ln_se = (column[0] for column in ln_with_se(res))
         assert abs(ln_mc - distilled_gln(ens)[0]) < 4.0 * ln_se
@@ -603,7 +598,7 @@ class TestCountFirst:
 
     def test_one_threshold_splits_the_levels_by_alpha(self, tapped_preset):
         # At 1 SNU alpha spans 0.44-0.84: both sampling rules are exercised.
-        alpha = (1.0 - tapped_preset.mean[:, 4]) / tapped_preset.tap_sd
+        alpha = 1.0 / tapped_preset.tap_sd
         assert np.any(alpha < engine.RARE_ALPHA) and np.any(alpha >= engine.RARE_ALPHA)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -613,7 +608,7 @@ class TestCountFirst:
         # tap normal in its own level.
         mixture = tapped_preset
         if reverse:
-            mixture = TapModel(*(a[::-1].copy() for a in (mixture.weights, mixture.mean, mixture.cov)))
+            mixture = TapModel(mixture.weights[::-1].copy(), mixture.cov[::-1].copy())
         n = 1_000_000
         sweep = run_mc_sweep(mixture, McConfig(n_shots=n, seed=72), [1.0, 2.0])
         ens = herald(mixture, [1.0, 2.0])
@@ -885,7 +880,7 @@ def fast_switching():
 
 def sampling_plan(model, n_shots, t0):
     """(levels rare at t0, blocks) of a sweep of ``n_shots`` whose lowest threshold is t0."""
-    alpha = (t0 - model.mean[:, 4]) / model.tap_sd
+    alpha = t0 / model.tap_sd
     block = engine._block_shots(model.weights @ gaussian_tail(alpha), n_shots)
     return alpha >= engine.RARE_ALPHA, -(-n_shots // block)
 
