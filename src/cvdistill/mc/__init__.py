@@ -1,6 +1,5 @@
 """Monte Carlo engine."""
 
-from .accumulators import CovarianceAccumulator
 from .engine import (
     SERIES,
     McSweep,
@@ -10,7 +9,6 @@ from .engine import (
 
 __all__ = [
     "SERIES",
-    "CovarianceAccumulator",
     "McSweep",
     "ln_with_se",
     "run_mc_sweep",

@@ -109,9 +109,10 @@ def accumulate_chunk(x, level_ends, lookup, hist_range, n_bins, hist_post, per_l
     series, idx : flat float64 and int64 scratch buffers of at least 5 m
         entries, overwritten, so one pair serves every chunk in turn
 
-    Returns (count (S,), mean (S, 14), m2 (S, 14, 14)) over each
-    stratum's kept-shot feature vectors, m2 by one BLAS product per
-    non-empty stratum; an empty stratum has zeros.
+    Returns the (count (S,), mean (S, 14), m2 (S, 14, 14)) triple over
+    each stratum's kept-shot feature vectors that ``engine._merge`` takes,
+    m2 by one BLAS product per non-empty stratum; an empty stratum has
+    zeros.
     """
     m = x.shape[1]
     n_strata, n_levels = hist_post.shape[0], per_level_kept.shape[1]

@@ -95,12 +95,16 @@ joined before ``run_mc_sweep`` returns or raises: no thread outlives the
 call, and none exists when the process pool starts.
 
 Each worker samples a contiguous range of blocks; the integer counts are
-summed, and the blocks' moments are merged pairwise along one fixed
-binary tree over the block indices, the workers merging the subtrees that
-lie inside their range and the parent the rest. Output therefore depends on (model,
-n_shots, seed, thresholds) only, not on the worker count, and is
-bit-identical on every run. The blocks are split into min(n_workers,
-blocks, usable CPUs) ranges, one per process, whatever ``n_workers`` asks for.
+summed. A block's moments are the kernel's (count, mean, M2) triple per
+stratum, and every merge of two triples is one call of ``_merge``, Chan's
+pairwise update (Chan, Golub and LeVeque 1979): the blocks' triples merge
+along one fixed binary tree over the block indices, the workers merging
+the subtrees that lie inside their range and the parent the rest, and the
+threshold suffix merges the strata from the top down. Output therefore
+depends on (model, n_shots, seed, thresholds) only, not on the worker
+count, and is bit-identical on every run. The blocks are split into
+min(n_workers, blocks, usable CPUs) ranges, one per process, whatever
+``n_workers`` asks for.
 
 The run settings are ``cvdistill.config.McConfig``, which is also the
 ``mc`` section of an experiment config and validates itself when built.
@@ -118,7 +122,6 @@ from ..config import McConfig
 from ..distill import (DegenerateSelectionError, TapModel, check_grid, distilled_gln,
                        gaussian_tail, row_mask, series_bin_probabilities)
 from ..gaussian import log_negativity_gradient
-from .accumulators import CovarianceAccumulator
 from . import _kernel_py
 from ._kernel_py import N_FEATURES, PAIRS
 
@@ -365,10 +368,8 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
         if x.size > series.size:
             series, idx = np.empty(x.size), np.empty(x.size, dtype=np.int64)
         _transform(x, cand_counts, components, series)
-        acc = CovarianceAccumulator(N_FEATURES, thresholds.shape)
-        acc.count, acc.mean, acc.m2 = _kernel_py.accumulate_chunk(
-            x, cand_ends, lookup, hist_range, n_bins, hist_post, per_level_kept, series, idx)
-        _push_block_node(nodes, 0, b, acc)
+        _push_block_node(nodes, 0, b, _kernel_py.accumulate_chunk(
+            x, cand_ends, lookup, hist_range, n_bins, hist_post, per_level_kept, series, idx))
 
     if not prefetch or len(blocks) < 2:
         bufs = _DrawBuffers(n_common, size)
@@ -390,8 +391,25 @@ def _run_blocks(weights, alpha, tail_q, components, thresholds, n_bins, hist_ran
     return hist_post, per_level_kept, below, nodes
 
 
-def _push_block_node(stack, level, index, acc):
-    """Push the moments ``acc`` of blocks [index * 2**level, (index + 1) * 2**level).
+def _merge(left, right):
+    """Chan's pairwise update: the (count, mean, m2) triple of two samples together.
+
+    Each side is a (count, mean, m2) triple of shapes (...), (..., d) and
+    (..., d, d), such as one row per stratum; rows merge independently. An
+    empty side (count 0) gives back the other side's mean and m2 bit for bit.
+    """
+    count, mean, m2 = left
+    right_count, right_mean, right_m2 = right
+    total = count + right_count
+    frac = right_count / np.maximum(total, 1)
+    delta = right_mean - mean
+    return (total, mean + delta * np.expand_dims(frac, -1),
+            m2 + right_m2 + (delta[..., :, None] * delta[..., None, :]
+                             * np.expand_dims(count * frac, (-2, -1))))
+
+
+def _push_block_node(stack, level, index, moments):
+    """Push the (count, mean, m2) ``moments`` of blocks [index * 2**level, (index + 1) * 2**level).
 
     Nodes must arrive in block order. A right child merges into its left
     sibling when that is on top of the stack, and so on up, so every node
@@ -399,10 +417,9 @@ def _push_block_node(stack, level, index, acc):
     indices: which process pushed which part does not change the result.
     """
     while index % 2 and stack and stack[-1][:2] == (level, index - 1):
-        left = stack.pop()[2]
-        left.merge_moments(acc.count, acc.mean, acc.m2)
-        level, index, acc = level + 1, index // 2, left
-    stack.append((level, index, acc))
+        moments = _merge(stack.pop()[2], moments)
+        level, index = level + 1, index // 2
+    stack.append((level, index, moments))
 
 
 def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
@@ -459,8 +476,8 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
         for node in out[3]:
             _push_block_node(nodes, *node)
     strata = nodes[0][2]
-    for _, _, acc in nodes[1:]:
-        strata.merge_moments(acc.count, acc.mean, acc.m2)
+    for _, _, moments in nodes[1:]:
+        strata = _merge(strata, moments)
 
     # Threshold j keeps strata j..top: suffix sums of the counts and a
     # suffix merge of the moments, from the top threshold down.
@@ -470,16 +487,18 @@ def run_mc_sweep(model: TapModel, config: McConfig, thresholds) -> McSweep:
     # counts are that threshold's post-selection counts.
     hist_pre = hist_post[0] + _off_tap_below(model, below, grid[0], edges, config.seed)
     per_level_kept = np.cumsum(per_level_kept[::-1], axis=0)[::-1]
-    kept_count = np.cumsum(strata.count[::-1])[::-1]
+    kept_count = np.cumsum(strata[0][::-1])[::-1]
     mean, cov, cov_sampling = (np.full((grid.size,) + shape, np.nan)
                                for shape in ((4,), (4, 4), (len(PAIRS),) * 2))
-    kept_acc = CovarianceAccumulator(N_FEATURES)
+    kept = (0, np.zeros(N_FEATURES), np.zeros((N_FEATURES, N_FEATURES)))
     for j in reversed(range(grid.size)):
-        kept_acc.merge_moments(strata.count[j], strata.mean[j], strata.m2[j])
+        kept = _merge(kept, tuple(part[j] for part in strata))
         if kept_count[j] >= MIN_KEPT:
-            feat_cov = kept_acc.covariance()
-            mean[j], cov[j] = kept_acc.mean[:4], feat_cov[:4, :4]
-            cov_sampling[j] = _cov_entry_sampling(kept_acc.mean, feat_cov, int(kept_acc.count))
+            count, feat_mean, m2 = kept
+            feat_cov = m2 / (count - 1)
+            feat_cov = 0.5 * (feat_cov + feat_cov.T)
+            mean[j], cov[j] = feat_mean[:4], feat_cov[:4, :4]
+            cov_sampling[j] = _cov_entry_sampling(feat_mean, feat_cov, int(count))
 
     total = config.n_shots
     errors = tuple(

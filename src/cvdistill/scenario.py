@@ -327,9 +327,10 @@ def _file_tag(threshold) -> str:
     ``{:g}`` where it round-trips, which every grid of a few significant
     digits does, else the shortest round-tripping ``repr``, so distinct
     thresholds never share a file. ``float`` first: numpy scalars ``repr``
-    as ``np.float64(...)``.
+    as ``np.float64(...)``. Adding 0.0 maps -0.0 to 0.0: a grid holds
+    the two as one threshold, so they share the tag ``0``.
     """
-    threshold = float(threshold)
+    threshold = float(threshold) + 0.0
     tag = f"{threshold:g}"
     return tag if float(tag) == threshold else repr(threshold)
 

@@ -201,6 +201,11 @@ def batch_moments(x):
     return x.shape[0], mean, d.T @ d
 
 
+def empty_moments(dim):
+    """The (count, mean, M2) triple of no samples of dimension ``dim``."""
+    return 0, np.zeros(dim), np.zeros((dim, dim))
+
+
 def _beta_fraction(a, b, x, y):
     """r in I_x(a, b) = x^a y^b / B(a, b) * r, y = 1 - x, by Lentz's method (Numerical Recipes, 6.4).
 

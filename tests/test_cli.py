@@ -889,14 +889,17 @@ class TestArtifacts:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0, 0.0)
     def test_file_tag_parses_back_to_its_threshold(self, a, b):
         tag = scenario._file_tag(a)
         assert float(tag) == a
         if float(f"{a:g}") == a:
-            assert tag == f"{a:g}"
+            assert tag == f"{a + 0.0:g}"  # -0.0 is 0.0's threshold, tagged 0
         assert scenario._file_tag(np.float64(a)) == tag
-        if a != b:  # 0.0 and -0.0 are one threshold, written as th0 and th-0
+        if a != b:
             assert scenario._file_tag(b) != tag
+        else:
+            assert scenario._file_tag(b) == tag
 
     @pytest.mark.parametrize("grid", [
         DEFAULT_THRESHOLDS, [12.0 * k / 240 for k in range(241)], [12.0 * k / 24 for k in range(25)],
@@ -1362,6 +1365,25 @@ class TestCliCommands:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_run_signed_zeros_write_one_threshold_files(self, capsys, tmp_path):
+        # np.unique folds 0.0 and -0.0 into one grid threshold; its files are
+        # named and written once, as for the grid without -0.0.
+        def per_threshold_files(thresholds, name):
+            cfg = preset_config("discrete")
+            cfg.engine = "both"
+            cfg.tap.thresholds = thresholds
+            cfg.mc.n_shots = 20_000
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg.to_dict()))
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir() if "_th" in p.name}
+
+        signed = per_threshold_files([0.0, -0.0, 3.0], "signed")
+        assert sorted(signed) == sorted(f"{kind}_th{tag}.csv" for kind in
+                                        ("histograms", "posterior_weights") for tag in ("0", "3"))
+        assert signed == per_threshold_files([0.0, 3.0], "plain")
 
     def test_run_few_kept_shots_reports_no_standard_error(self, capsys, tmp_path):
         # At 7.5 SNU (success 2.7e-4, so the agreement check would apply)

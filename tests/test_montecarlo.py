@@ -28,11 +28,12 @@ from cvdistill import (
     run_mc_sweep,
     run_scenario,
 )
-from cvdistill.mc import SERIES, CovarianceAccumulator, ln_with_se
+from cvdistill.mc import SERIES, ln_with_se
 from cvdistill.distill import gaussian_tail, series_bin_probabilities
 from cvdistill.mc import _kernel_py, engine
-from conftest import (batch_moments, binomial_two_sided_p, kerr_source, loss, model_pooled,
-                      pooled_cov_se, reference_tap, rotation, uncorrelated_tap, vacuum)
+from conftest import (batch_moments, binomial_two_sided_p, empty_moments, kerr_source, loss,
+                      model_pooled, pooled_cov_se, reference_tap, rotation, uncorrelated_tap,
+                      vacuum)
 
 # A threshold below every shot: a sweep then keeps all of them, so its kept
 # statistics are those of the sampled levels and phase-space points.
@@ -346,34 +347,57 @@ class TestHistogram:
         assert abs(var - 1.0) < 0.01
 
 
-class TestCovarianceAccumulator:
+class TestMerge:
+    """``engine._merge``, Chan's update of (count, mean, M2) triples."""
+
     def test_matches_numpy(self):
         rng = np.random.default_rng(46)
         x = rng.standard_normal((5000, 4)) * [1.0, 2.0, 0.5, 3.0]
-        acc = CovarianceAccumulator(4)
-        acc.merge_moments(*batch_moments(x))
-        assert_allclose(acc.mean, x.mean(axis=0), atol=1e-12)
-        assert_allclose(acc.covariance(), np.cov(x.T, ddof=1), rtol=1e-10)
+        count, mean, m2 = engine._merge(empty_moments(4), batch_moments(x))
+        assert_allclose(mean, x.mean(axis=0), atol=1e-12)
+        assert_allclose(m2 / (count - 1), np.cov(x.T, ddof=1), rtol=1e-10)
 
     def test_merge_associativity(self):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((10_001, 3)) + 5.0
-        full = CovarianceAccumulator(3)
-        full.merge_moments(*batch_moments(x))
-        split = CovarianceAccumulator(3)
-        split.merge_moments(*batch_moments(x[:4000]))
-        split.merge_moments(*batch_moments(x[4000:]))
-        assert split.count == full.count
-        assert_allclose(split.mean, full.mean, rtol=1e-12)
-        assert_allclose(split.m2, full.m2, rtol=1e-10)
+        full = engine._merge(empty_moments(3), batch_moments(x))
+        split = engine._merge(empty_moments(3), batch_moments(x[:4000]))
+        split = engine._merge(split, batch_moments(x[4000:]))
+        assert split[0] == full[0]
+        assert_allclose(split[1], full[1], rtol=1e-12)
+        assert_allclose(split[2], full[2], rtol=1e-10)
 
     def test_many_chunk_merge(self):
         rng = np.random.default_rng(48)
         x = rng.standard_normal((9000, 2))
-        acc = CovarianceAccumulator(2)
+        acc = empty_moments(2)
         for chunk in np.array_split(x, 13):
-            acc.merge_moments(*batch_moments(chunk))
-        assert_allclose(acc.covariance(), np.cov(x.T, ddof=1), rtol=1e-10)
+            acc = engine._merge(acc, batch_moments(chunk))
+        count, _, m2 = acc
+        assert_allclose(m2 / (count - 1), np.cov(x.T, ddof=1), rtol=1e-10)
+
+    def test_stacked_merge_is_row_by_row(self):
+        # The engine merges (S, d) stacks, one row per stratum; a stratum
+        # that kept no shot is an empty row, on either side of a merge.
+        rng = np.random.default_rng(49)
+        left_counts, right_counts = [0, 7, 300, 0, 2], [5, 0, 41, 0, 1000]
+
+        def stack(counts):
+            rows = [batch_moments(rng.standard_normal((n, 6)) * 3.0 + 1.5) if n
+                    else empty_moments(6) for n in counts]
+            return tuple(np.array([row[k] for row in rows]) for k in range(3))
+
+        left, right = stack(left_counts), stack(right_counts)
+        merged = engine._merge(left, right)
+        for s in range(len(left_counts)):
+            row = engine._merge(tuple(part[s] for part in left), tuple(part[s] for part in right))
+            for k in range(3):
+                assert np.array_equal(merged[k][s], row[k])
+            for empty, other in ((left, right), (right, left)):
+                if empty[0][s] == 0:
+                    assert merged[0][s] == other[0][s]
+                    assert np.array_equal(merged[1][s], other[1][s])
+                    assert np.array_equal(merged[2][s], other[2][s])
 
 
 @pytest.fixture(scope="module")
